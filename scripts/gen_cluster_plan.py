@@ -18,6 +18,10 @@ hand-edited plan silently becomes a default.  `--check FILE` closes that
 gap: it validates a plan against the schema this script generates,
 rejecting unknown top-level keys and reporting every error with the
 offending key path ($.hots: unknown key).
+
+Per-host crash-rate failures (a mean time between crashes) are not part of
+a cluster plan: they are a chaos fault plan's host_crash_rate fault, swept
+with `tools/chaos_campaign --plan=ckpt-storm --mtbf=M1,M2,...`.
 """
 
 import argparse
@@ -89,25 +93,6 @@ _SCHEMA = {
         lambda v: _is_num(v) and v >= 0,
         "number >= 0",
     ),
-    # Per-host crash-rate failure model (ckpt_campaign --plan=FILE): every
-    # worker host draws exponential crash arrivals with this mean through
-    # [mtbf_from, mtbf_until], rebooting reboot_after seconds later.
-    "host_mtbf": (
-        lambda v: _is_num(v) and v > 0,
-        "number > 0 (seconds between crashes per host)",
-    ),
-    "mtbf_from": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-    "mtbf_until": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-    "reboot_after": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
 }
 
 _REQUIRED = ("name", "hosts", "shards", "duration")
@@ -158,13 +143,6 @@ def build_plan(args: argparse.Namespace) -> dict:
         plan["crash_until"] = (
             args.crash_until if args.crash_until > 0 else args.duration
         )
-    if args.host_mtbf > 0:
-        plan["host_mtbf"] = args.host_mtbf
-        plan["mtbf_from"] = args.mtbf_from
-        plan["mtbf_until"] = (
-            args.mtbf_until if args.mtbf_until > 0 else args.duration
-        )
-        plan["reboot_after"] = args.reboot_after
     return plan
 
 
@@ -204,19 +182,6 @@ def main() -> int:
                         dest="crash_at")
     parser.add_argument("--crash-until", type=float, default=0.0,
                         dest="crash_until", help="default: plan duration")
-    parser.add_argument("--host-mtbf", type=float, default=0.0,
-                        dest="host_mtbf",
-                        help="per-host mean time between crashes, seconds"
-                        " (0: no crash-rate model; consumed by"
-                        " tools/ckpt_campaign --plan=FILE)")
-    parser.add_argument("--mtbf-from", type=float, default=40.0,
-                        dest="mtbf_from",
-                        help="crash-rate window start, seconds")
-    parser.add_argument("--mtbf-until", type=float, default=0.0,
-                        dest="mtbf_until", help="default: plan duration")
-    parser.add_argument("--reboot-after", type=float, default=30.0,
-                        dest="reboot_after",
-                        help="crashed hosts reboot after this many seconds")
     parser.add_argument("--no-tracing", action="store_true", dest="no_tracing",
                         help="disable tracing (cheaper bench runs)")
     parser.add_argument("--trace-capacity", type=int, default=4096,

@@ -71,35 +71,6 @@ class ValidatePlanTest(unittest.TestCase):
             capture_output=True, text=True, check=True)
         self.assertEqual(gcp.validate_plan(json.loads(out.stdout)), [])
 
-    def test_host_mtbf_fields_are_emitted_and_validate(self):
-        out = subprocess.run(
-            [sys.executable, str(SCRIPT), "--hosts", "100", "--shards", "2",
-             "--duration", "600", "--host-mtbf", "150",
-             "--reboot-after", "25"],
-            capture_output=True, text=True, check=True)
-        plan = json.loads(out.stdout)
-        self.assertEqual(gcp.validate_plan(plan), [])
-        self.assertEqual(plan["host_mtbf"], 150.0)
-        self.assertEqual(plan["mtbf_from"], 40.0)
-        self.assertEqual(plan["mtbf_until"], 600.0)  # defaults to duration
-        self.assertEqual(plan["reboot_after"], 25.0)
-
-    def test_host_mtbf_must_be_positive(self):
-        plan = minimal_plan()
-        plan["host_mtbf"] = 0
-        errors = gcp.validate_plan(plan)
-        self.assertEqual(len(errors), 1)
-        self.assertTrue(errors[0].startswith("$.host_mtbf: expected number > 0"))
-
-    def test_mtbf_without_crash_rate_stays_absent(self):
-        out = subprocess.run(
-            [sys.executable, str(SCRIPT), "--hosts", "100", "--shards", "2",
-             "--duration", "30"],
-            capture_output=True, text=True, check=True)
-        plan = json.loads(out.stdout)
-        for key in ("host_mtbf", "mtbf_from", "mtbf_until", "reboot_after"):
-            self.assertNotIn(key, plan)
-
 
 class CheckModeTest(unittest.TestCase):
     def run_check(self, document: str):

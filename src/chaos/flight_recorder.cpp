@@ -1,7 +1,9 @@
 #include "ars/chaos/flight_recorder.hpp"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 namespace ars::chaos {
 
@@ -32,12 +34,41 @@ JsonValue scenario_to_json(const ScenarioOptions& options) {
   scenario.emplace("sabotage_resize_rollback",
                    options.sabotage_resize_rollback);
   scenario.emplace("precopy", options.precopy);
+  scenario.emplace("ckpt_strategy", options.ckpt_strategy);
+  scenario.emplace("ckpt_mtbf", options.ckpt_mtbf);
+  scenario.emplace("ckpt_aggregate_mbps", options.ckpt_aggregate_mbps);
+  scenario.emplace("ckpt_state_mb", options.ckpt_state_mb);
+  scenario.emplace("sabotage_torn_checkpoint",
+                   options.sabotage_torn_checkpoint);
   return JsonValue{std::move(scenario)};
 }
 
 support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
   if (!value.is_object()) {
     return support::make_error("bundle.scenario", "not an object");
+  }
+  // Outside input: refuse what run_scenario cannot run before anything is
+  // cast — no hosts (apps are placed round-robin over them), a count an int
+  // cannot hold, or a state size whose byte count overflows.
+  struct Bounds {
+    const char* key;
+    double low;
+    double high;
+  };
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  for (const auto& [key, low, high] :
+       {Bounds{"hosts", 1, kIntMax}, Bounds{"apps", 0, kIntMax},
+        Bounds{"iterations", 0, kIntMax},
+        Bounds{"checkpoint_every", 0, kIntMax},
+        Bounds{"malleable_jobs", 0, kIntMax}, Bounds{"seed", 0, 0x1p63},
+        Bounds{"ckpt_state_mb", 0, 1.0e6},
+        Bounds{"ckpt_aggregate_mbps", 0, std::numeric_limits<double>::max()}}) {
+    const JsonValue* member = value.find(key);
+    if (member != nullptr && member->is_number() &&
+        !(member->as_number() >= low && member->as_number() <= high)) {
+      return support::make_error("bundle.scenario",
+                                 std::string(key) + " out of range");
+    }
   }
   ScenarioOptions options;
   const auto number = [&value](const char* key, double fallback) {
@@ -49,6 +80,11 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
     const JsonValue* member = value.find(key);
     return member != nullptr && member->is_bool() ? member->as_bool()
                                                   : fallback;
+  };
+  const auto string = [&value](const char* key, const std::string& fallback) {
+    const JsonValue* member = value.find(key);
+    return member != nullptr && member->is_string() ? member->as_string()
+                                                    : fallback;
   };
   options.hosts = static_cast<int>(number("hosts", options.hosts));
   options.apps = static_cast<int>(number("apps", options.apps));
@@ -76,6 +112,15 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
   // Bundles recorded before pre-copy existed have no such key; the default
   // (false) preserves their byte-identical replays.
   options.precopy = boolean("precopy", options.precopy);
+  // Likewise for bundles recorded before the checkpoint fields were
+  // serialized: absent keys keep the defaults those runs used.
+  options.ckpt_strategy = string("ckpt_strategy", options.ckpt_strategy);
+  options.ckpt_mtbf = number("ckpt_mtbf", options.ckpt_mtbf);
+  options.ckpt_aggregate_mbps =
+      number("ckpt_aggregate_mbps", options.ckpt_aggregate_mbps);
+  options.ckpt_state_mb = number("ckpt_state_mb", options.ckpt_state_mb);
+  options.sabotage_torn_checkpoint = boolean(
+      "sabotage_torn_checkpoint", options.sabotage_torn_checkpoint);
   return options;
 }
 
@@ -191,7 +236,14 @@ support::Expected<BundleReplay> replay_bundle(std::string_view bundle_json) {
   }
   if (const JsonValue* hash = doc->find("trace_hash");
       hash != nullptr && hash->is_string()) {
-    replay.recorded_trace_hash = std::stoull(hash->as_string());
+    const std::string& text = hash->as_string();
+    const char* const end = text.data() + text.size();
+    const auto [last, error] =
+        std::from_chars(text.data(), end, replay.recorded_trace_hash);
+    if (error != std::errc{} || last != end) {
+      return support::make_error("bundle.parse",
+                                 "trace_hash is not a decimal number");
+    }
   }
   if (const JsonValue* summary = doc->find("violations_summary");
       summary != nullptr && summary->is_string()) {

@@ -112,6 +112,31 @@ TEST(FlightRecorder, PassingRunBundleAlsoReproduces) {
   EXPECT_TRUE(replay->report.ok());
 }
 
+TEST(FlightRecorder, CheckpointRunBundleReplaysTheSameTornRestore) {
+  // The checkpoint knobs are part of the run: a bundle that dropped them
+  // would replay a different store and miss the torn restore.  Same
+  // configuration as the ckpt-storm torn-commit sabotage test.
+  ScenarioOptions options;
+  options.seed = 4;
+  options.plan = *FaultPlan::builtin("ckpt-storm");
+  options.ckpt_strategy = "periodic";
+  options.ckpt_mtbf = 150.0;
+  options.ckpt_state_mb = 100.0;
+  options.ckpt_aggregate_mbps = 10.0;
+  options.sabotage_torn_checkpoint = true;
+  const ScenarioReport report = run_scenario(options);
+  ASSERT_FALSE(report.ok());
+  ASSERT_GT(report.torn_restores, 0u);
+
+  const obs::JsonValue bundle = make_bundle(
+      options, report,
+      FlightTrigger{"invariant-violation", report.invariants.summary()});
+  const auto replay = replay_bundle(bundle.dump());
+  ASSERT_TRUE(replay.has_value()) << replay.error().to_string();
+  EXPECT_TRUE(replay->reproduced());
+  EXPECT_EQ(replay->report.torn_restores, report.torn_restores);
+}
+
 TEST(FlightRecorder, TamperedTraceHashFailsTheReplayCheck) {
   const ScenarioOptions options = sabotaged_options();
   const ScenarioReport report = run_scenario(options);
@@ -133,6 +158,23 @@ TEST(FlightRecorder, MalformedBundleIsRejected) {
   EXPECT_FALSE(replay_bundle("not json").has_value());
   EXPECT_FALSE(replay_bundle("[1,2,3]").has_value());
   EXPECT_FALSE(replay_bundle("{\"version\":1}").has_value());
+  // Outside input: a trace hash that is not a number is a parse error, not
+  // an exception.
+  const auto bad_hash =
+      replay_bundle("{\"scenario\":{},\"trace_hash\":\"not-a-number\"}");
+  ASSERT_FALSE(bad_hash.has_value());
+  EXPECT_EQ(bad_hash.error().code, "bundle.parse");
+  // Nor may a scenario reach run_scenario that it cannot run: no hosts
+  // would divide by zero, a negative or huge state size or a count beyond
+  // int would overflow its cast.
+  for (const char* scenario :
+       {"{\"hosts\":0}", "{\"ckpt_state_mb\":-1}", "{\"ckpt_state_mb\":1e300}",
+        "{\"apps\":1e300}", "{\"seed\":-1}"}) {
+    const auto bad = replay_bundle(std::string("{\"scenario\":") + scenario +
+                                   "}");
+    ASSERT_FALSE(bad.has_value()) << scenario;
+    EXPECT_EQ(bad.error().code, "bundle.scenario") << scenario;
+  }
 }
 
 }  // namespace

@@ -1,36 +1,47 @@
-// chaos_campaign: seed-sweep driver for the ars::chaos subsystem.
+// chaos_campaign: the seed-sweep driver for the ars::chaos subsystem.
 //
 // Runs the standard chaos scenario (scenario.hpp) over a seed range for each
-// requested fault plan, checks the invariants after every run, and re-runs a
-// sample of seeds (always every failing seed) to prove the simulation replays
-// byte-identically.  Emits a human summary on stdout and, with --out, a JSON
-// report.  Exit status is nonzero iff any invariant was violated or any
-// replay diverged.
+// cell, checks the invariants after every run, and re-runs a sample of seeds
+// (always every failing seed) to prove the simulation replays
+// byte-identically.  A cell is one fault plan, optionally crossed with the
+// checkpoint-waste axes of DESIGN.md §17: --mtbf sweeps the plan's
+// host_crash_rate MTBF (and the MTBF Young/Daly assumes) and runs each MTBF
+// under both checkpoint strategies (periodic | cooperative), so their waste
+// is compared under identical failure pressure.  Emits a human summary on
+// stdout and, with --out, a JSON report.  Exit status is nonzero iff any
+// invariant was violated, any replay diverged, or --require-coop-win saw
+// cooperative waste fail to beat periodic in some cell.
 //
 // Usage:
 //   chaos_campaign [--seeds=N] [--seed-base=N] [--plan=<builtin|file.json>]...
 //                  [--hosts=N] [--apps=N] [--horizon=T] [--replay-passing=N]
+//                  [--mtbf=M1,M2,...] [--state-mb=MB] [--aggregate-mbps=MBPS]
+//                  [--require-coop-win]
 //                  [--sabotage-lease-expiry] [--sabotage-migration-rollback]
+//                  [--malleable-jobs=N] [--sabotage-resize-rollback]
 //                  [--verify-scan-equivalence] [--delta-heartbeats]
 //                  [--precopy]
-//                  [--out=report.json] [--bundle-dir=DIR] [--trace-dir=DIR]
+//                  [--out=report.json] [--bundle-dir=DIR]
 //                  [--trace-out=FILE] [--metrics-out=FILE]
-//                  [--replay-bundle=FILE] [--list-plans]
+//                  [--replay-bundle=FILE] [--list-plans] [--dump-plan=NAME]
+//
+// --plan may be given multiple times; the default sweep covers every builtin
+// plan plus a fault-free baseline.  --state-mb sizes each job's checkpoint
+// image and --aggregate-mbps the shared store bandwidth all concurrent
+// writes split (0 = unlimited): once enough jobs checkpoint into a narrow
+// store, uncoordinated (periodic) writes stretch each other out and the
+// cooperative I/O scheduler serializes them.
 //
 // --bundle-dir writes a flight-recorder bundle (scenario + seed + fault plan
 // + violations + trace ring + metrics snapshot, one JSON file) for every
 // failing seed; --replay-bundle re-runs such a bundle and exits 0 iff it
-// reproduces the recorded trace hash and violations.  --trace-dir exports
-// every seed's trace as JSONL for trace_critpath.
+// reproduces the recorded trace hash and violations.
 //
 // The uniform bench flags are honoured too (with ARS_TRACE_OUT /
 // ARS_METRICS_OUT as environment fallbacks): --trace-out=FILE writes each
-// seed's JSONL trace to FILE with a "<plan>_seed<N>" label spliced before
-// the extension, and --metrics-out=FILE does the same with the scenario's
-// metrics snapshot (JSON).
-//
-// --plan may be given multiple times; the default sweep covers every builtin
-// plan plus a fault-free baseline.
+// seed's JSONL trace to FILE with a "<cell>_seed<N>" label spliced before
+// the extension (trace_critpath reads these), and --metrics-out=FILE does
+// the same with the scenario's metrics snapshot (JSON).
 //
 // --verify-scan-equivalence runs every seed a second time with the registry
 // forced onto its pre-index full-table scan (audits off in both runs, so the
@@ -38,14 +49,18 @@
 // canonical decision log to match byte-for-byte — the indexed scheduler must
 // be observationally identical to the reference scan, under faults.
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <ranges>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ars/chaos/faultplan.hpp"
@@ -66,76 +81,89 @@ struct CampaignOptions {
   int seeds = 20;
   std::uint64_t seed_base = 1;
   std::vector<std::string> plans;  // builtin names or JSON file paths
-  int hosts = 4;
-  int apps = 3;
-  double horizon = 700.0;
+  std::vector<double> mtbfs;  // empty: own crash rates, no strategy axis
+  bool require_coop_win = false;
   int replay_passing = 3;  // additionally replay this many passing seeds
-  bool sabotage_lease_expiry = false;
-  bool sabotage_migration_rollback = false;
-  int malleable_jobs = 0;
-  bool sabotage_resize_rollback = false;
   bool verify_scan_equivalence = false;
-  bool delta_heartbeats = false;
-  bool precopy = false;  // iterative pre-copy migration + heavy-state apps
   std::string out_path;
   std::string bundle_dir;  // flight-recorder bundles for failing seeds
-  std::string trace_dir;   // per-seed JSONL exports for trace_critpath
+  /// Every other knob (cluster shape, store sizing, sabotage) lands here;
+  /// each cell starts from this scenario.
+  ScenarioOptions scenario;
+};
+
+/// One cell of the sweep: the scenario every seed of the cell runs (plan and
+/// checkpoint strategy filled in; --mtbf already applied).
+struct Cell {
+  ScenarioOptions scenario;
+  double mtbf = 0.0;  // 0: the plan's own crash rate
+  std::string label;  // names the cell's bundles and trace files
 };
 
 struct SeedResult {
   std::uint64_t seed = 0;
-  bool ok = false;
-  std::string violations;  // summary() when not ok
-  std::uint64_t trace_hash = 0;
-  std::uint64_t events_executed = 0;
-  std::size_t migrations_succeeded = 0;
-  std::size_t migrations_aborted = 0;
-  std::size_t migrations_rolled_back = 0;
-  std::size_t resizes_committed = 0;
-  std::size_t resizes_aborted = 0;
-  std::size_t resizes_rolled_back = 0;
-  std::uint64_t messages_dropped = 0;
-  std::size_t decisions = 0;
-  std::uint64_t decision_log_hash = 0;
-  bool replayed = false;
-  bool replay_identical = true;
-  bool scan_checked = false;
-  bool scan_equivalent = true;
+  ScenarioReport report;  // trace and metrics dropped once written out
+  std::optional<bool> replay_identical;  // set when the seed was replayed
+  std::optional<bool> scan_equivalent;   // set under --verify-scan-equivalence
 };
 
-struct PlanResult {
-  std::string plan_name;
+struct CellResult {
+  Cell cell;
   std::vector<SeedResult> seeds;
   int failures = 0;
   int replay_mismatches = 0;
   int scan_mismatches = 0;
+  double waste_s = 0.0;  // cluster waste summed over all seeds
+  double overhead_s = 0.0;
+  double lost_work_s = 0.0;
+  double restart_s = 0.0;
   std::vector<std::string> bundles;  // flight-recorder bundle paths written
 };
-
-std::optional<std::string> arg_value(const std::string& arg,
-                                     const std::string& flag) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) == 0) {
-    return arg.substr(prefix.size());
-  }
-  return std::nullopt;
-}
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "chaos_campaign: " << message << "\n"
             << "usage: chaos_campaign [--seeds=N] [--seed-base=N]\n"
             << "         [--plan=<builtin|file.json>]... [--hosts=N]\n"
             << "         [--apps=N] [--horizon=T] [--replay-passing=N]\n"
+            << "         [--mtbf=M1,M2,...]\n"
+            << "         [--state-mb=MB] [--aggregate-mbps=MBPS]\n"
+            << "         [--require-coop-win]\n"
             << "         [--sabotage-lease-expiry]\n"
             << "         [--sabotage-migration-rollback]\n"
             << "         [--malleable-jobs=N] [--sabotage-resize-rollback]\n"
             << "         [--verify-scan-equivalence]\n"
             << "         [--delta-heartbeats] [--precopy]\n"
-            << "         [--out=report.json]\n"
-            << "         [--bundle-dir=DIR] [--trace-dir=DIR]\n"
+            << "         [--out=report.json] [--bundle-dir=DIR]\n"
             << "         [--trace-out=FILE] [--metrics-out=FILE]\n"
-            << "         [--replay-bundle=FILE] [--list-plans]\n";
+            << "         [--replay-bundle=FILE] [--list-plans]\n"
+            << "         [--dump-plan=NAME]\n";
   std::exit(2);
+}
+
+/// `text` as a finite number; the whole string must parse, else a usage
+/// error naming `arg`.
+template <typename T>
+T parse_number(const std::string& arg, std::string_view text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [last, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || last != end || !std::isfinite(value)) {
+    usage_error("malformed number in " + arg);
+  }
+  return value;
+}
+
+/// A comma-separated list of numbers, every item parsed whole.
+std::vector<double> parse_list(const std::string& arg, std::string_view text) {
+  std::vector<double> items;
+  for (const auto item : std::views::split(text, ',')) {
+    items.push_back(
+        parse_number<double>(arg, std::string_view(item.begin(), item.end())));
+  }
+  if (items.empty()) {
+    usage_error("empty list in " + arg);
+  }
+  return items;
 }
 
 FaultPlan load_plan(const std::string& spec) {
@@ -147,188 +175,163 @@ FaultPlan load_plan(const std::string& spec) {
   }
   std::ifstream in(spec);
   if (!in) {
-    std::cerr << "chaos_campaign: --plan=" << spec
-              << " is neither a builtin plan nor a readable file\n";
-    std::exit(2);
+    usage_error("--plan=" + spec +
+                " is neither a builtin plan nor a readable file");
   }
   std::ostringstream text;
   text << in.rdbuf();
   auto plan = FaultPlan::from_json(text.str());
   if (!plan.has_value()) {
-    std::cerr << "chaos_campaign: " << spec << ": " << plan.error().message
-              << "\n";
-    std::exit(2);
+    usage_error(spec + ": " + plan.error().message);
   }
   return *std::move(plan);
 }
 
-ScenarioOptions make_scenario(const CampaignOptions& options,
-                              const FaultPlan& plan, std::uint64_t seed,
-                              bool legacy_scan = false) {
-  ScenarioOptions scenario;
-  scenario.hosts = options.hosts;
-  scenario.apps = options.apps;
-  scenario.horizon = options.horizon;
-  scenario.seed = seed;
-  scenario.plan = plan;
-  scenario.sabotage_lease_expiry = options.sabotage_lease_expiry;
-  scenario.sabotage_migration_rollback = options.sabotage_migration_rollback;
-  scenario.malleable_jobs = options.malleable_jobs;
-  scenario.sabotage_resize_rollback = options.sabotage_resize_rollback;
-  scenario.delta_heartbeats = options.delta_heartbeats;
-  scenario.precopy = options.precopy;
-  scenario.legacy_scan = legacy_scan;
-  // Equivalence runs compare the two scan modes, so the audit (which itself
-  // forces the legacy scan) must be off for both sides.
-  scenario.audit_decisions = !options.verify_scan_equivalence;
-  // Trace exports and replay-mismatch bundles need the bytes, not just the
-  // hash (failing runs keep their trace regardless).
-  scenario.keep_trace = !options.trace_dir.empty() ||
-                        !options.bundle_dir.empty() ||
-                        !ars::bench::obs_export().trace_out.empty() ||
-                        !ars::bench::obs_export().metrics_out.empty();
-  return scenario;
-}
-
-ScenarioReport run_once(const CampaignOptions& options, const FaultPlan& plan,
-                        std::uint64_t seed, bool legacy_scan = false) {
-  return ars::chaos::run_scenario(
-      make_scenario(options, plan, seed, legacy_scan));
-}
-
-/// Write one flight-recorder bundle; returns the path (empty on failure).
-std::string record_bundle(const CampaignOptions& options,
-                          const FaultPlan& plan, std::uint64_t seed,
-                          const ScenarioReport& report,
-                          const ars::chaos::FlightTrigger& trigger) {
-  const std::string path = options.bundle_dir + "/bundle_" + plan.name() +
-                           "_seed" + std::to_string(seed) + ".json";
-  const auto bundle =
-      ars::chaos::make_bundle(make_scenario(options, plan, seed), report,
-                              trigger);
-  if (const auto status = ars::chaos::write_bundle(path, bundle);
-      !status.is_ok()) {
-    std::cerr << "chaos_campaign: " << status.error().to_string() << "\n";
-    return {};
+/// `plan` with every host_crash_rate fault's MTBF replaced by `mtbf`.
+FaultPlan with_mtbf(const FaultPlan& plan, double mtbf) {
+  FaultPlan swept{plan.name()};
+  bool has_rate = false;
+  for (ars::chaos::FaultSpec spec : plan.specs()) {
+    if (spec.kind == ars::chaos::FaultKind::kHostCrashRate) {
+      spec.mtbf = mtbf;
+      has_rate = true;
+    }
+    swept.add(std::move(spec));
   }
-  std::cout << "  flight recorder: " << path << "\n";
-  return path;
+  if (!has_rate) {
+    usage_error("--mtbf: plan \"" + plan.name() +
+                "\" has no host_crash_rate fault to sweep");
+  }
+  return swept;
 }
 
-PlanResult sweep_plan(const CampaignOptions& options, const FaultPlan& plan) {
-  PlanResult result;
-  result.plan_name = plan.name();
+/// Plans, or with --mtbf plans x MTBFs x {periodic, cooperative}, strategy
+/// innermost so each cooperative cell directly follows its periodic twin.
+/// Only the swept axes show up in the label: a plain plan's cell is just
+/// the plan name.
+std::vector<Cell> make_cells(const CampaignOptions& options) {
+  std::vector<Cell> cells;
+  for (const std::string& spec : options.plans) {
+    const FaultPlan plan = load_plan(spec);
+    if (options.mtbfs.empty()) {
+      Cell cell{options.scenario, 0.0, plan.name()};
+      cell.scenario.plan = plan;
+      cells.push_back(std::move(cell));
+      continue;
+    }
+    for (const double mtbf : options.mtbfs) {
+      const FaultPlan swept = with_mtbf(plan, mtbf);
+      std::ostringstream label;
+      label << plan.name() << "_mtbf" << mtbf;
+      for (const char* strategy : {"periodic", "cooperative"}) {
+        Cell cell{options.scenario, mtbf, label.str() + "_" + strategy};
+        cell.scenario.plan = swept;
+        cell.scenario.ckpt_strategy = strategy;
+        cell.scenario.ckpt_mtbf = mtbf;  // Young/Daly sees the true rate
+        cells.push_back(std::move(cell));
+      }
+    }
+  }
+  return cells;
+}
+
+/// Uniform bench flags: one labelled file per cell and seed.
+void write_labelled(const std::string& path_template, const std::string& label,
+                    const std::string& text) {
+  if (path_template.empty() || text.empty()) {
+    return;
+  }
+  const std::string path = ars::bench::labelled_path(path_template, label);
+  ars::bench::ensure_parent_dir(path);
+  std::ofstream out(path);
+  if (out) {
+    out << text;
+  } else {
+    std::cerr << "chaos_campaign: cannot write " << path << "\n";
+  }
+}
+
+CellResult sweep_cell(const CampaignOptions& options, const Cell& cell) {
+  CellResult result;
+  result.cell = cell;
   int passing_replays_left = options.replay_passing;
   for (int i = 0; i < options.seeds; ++i) {
-    const std::uint64_t seed = options.seed_base + static_cast<std::uint64_t>(i);
-    const ScenarioReport report = run_once(options, plan, seed);
+    const std::uint64_t seed =
+        options.seed_base + static_cast<std::uint64_t>(i);
+    ScenarioOptions scenario = cell.scenario;
+    scenario.seed = seed;
     SeedResult seed_result;
     seed_result.seed = seed;
-    seed_result.ok = report.ok();
-    seed_result.trace_hash = report.trace_hash;
-    seed_result.events_executed = report.events_executed;
-    seed_result.migrations_succeeded = report.migrations_succeeded;
-    seed_result.migrations_aborted = report.migrations_aborted;
-    seed_result.migrations_rolled_back = report.migrations_rolled_back;
-    seed_result.resizes_committed = report.resizes_committed;
-    seed_result.resizes_aborted = report.resizes_aborted;
-    seed_result.resizes_rolled_back = report.resizes_rolled_back;
-    seed_result.messages_dropped = report.messages_dropped;
-    seed_result.decisions = report.decisions;
-    seed_result.decision_log_hash = report.decision_log_hash;
-    if (!options.trace_dir.empty() && !report.trace_jsonl.empty()) {
-      const std::string path = options.trace_dir + "/trace_" + plan.name() +
-                               "_seed" + std::to_string(seed) + ".jsonl";
-      std::filesystem::create_directories(options.trace_dir);
-      std::ofstream trace_out(path);
-      if (trace_out) {
-        trace_out << report.trace_jsonl;
-      } else {
-        std::cerr << "chaos_campaign: cannot write " << path << "\n";
-      }
-    }
-    // Uniform bench flags: one labelled file per plan/seed.
+    seed_result.report = ars::chaos::run_scenario(scenario);
+    ScenarioReport& report = seed_result.report;
+    result.overhead_s += report.waste_overhead_s;
+    result.lost_work_s += report.waste_lost_work_s;
+    result.restart_s += report.waste_restart_s;
+    result.waste_s += report.waste_total_s();
+    const std::string seed_label = cell.label + "_seed" + std::to_string(seed);
     const ars::bench::ObsExport& obs = ars::bench::obs_export();
-    const std::string seed_label =
-        plan.name() + "_seed" + std::to_string(seed);
-    if (!obs.trace_out.empty() && !report.trace_jsonl.empty()) {
-      const std::string path =
-          ars::bench::labelled_path(obs.trace_out, seed_label);
-      ars::bench::ensure_parent_dir(path);
-      std::ofstream out(path);
-      if (out) {
-        out << report.trace_jsonl;
-      } else {
-        std::cerr << "chaos_campaign: cannot write " << path << "\n";
-      }
+    write_labelled(obs.trace_out, seed_label, report.trace_jsonl);
+    if (!report.metrics_json.empty()) {
+      write_labelled(obs.metrics_out, seed_label, report.metrics_json + "\n");
     }
-    if (!obs.metrics_out.empty() && !report.metrics_json.empty()) {
-      const std::string path =
-          ars::bench::labelled_path(obs.metrics_out, seed_label);
-      ars::bench::ensure_parent_dir(path);
-      std::ofstream out(path);
-      if (out) {
-        out << report.metrics_json << "\n";
-      } else {
-        std::cerr << "chaos_campaign: cannot write " << path << "\n";
+    // Flight recorder: one self-contained bundle per failing or diverging
+    // seed.
+    const auto bundle = [&](const ars::chaos::FlightTrigger& trigger) {
+      if (options.bundle_dir.empty()) {
+        return;
       }
-    }
+      const std::string path =
+          options.bundle_dir + "/bundle_" + seed_label + ".json";
+      const auto status = ars::chaos::write_bundle(
+          path, ars::chaos::make_bundle(scenario, report, trigger));
+      if (!status.is_ok()) {
+        std::cerr << "chaos_campaign: " << status.error().to_string() << "\n";
+        return;
+      }
+      std::cout << "  flight recorder: " << path << "\n";
+      result.bundles.push_back(path);
+    };
     if (!report.ok()) {
       ++result.failures;
-      seed_result.violations = report.invariants.summary();
       std::cout << "  seed " << seed << " FAIL\n";
       for (const ars::chaos::Violation& violation :
            report.invariants.violations) {
         std::cout << "    " << violation.invariant << " ["
                   << violation.subject << "]: " << violation.detail << "\n";
       }
-      if (!options.bundle_dir.empty()) {
-        const std::string path = record_bundle(
-            options, plan, seed, report,
-            {"invariant-violation", report.invariants.summary()});
-        if (!path.empty()) {
-          result.bundles.push_back(path);
-        }
-      }
+      bundle({"invariant-violation", report.invariants.summary()});
     }
     // Replay every failing seed (a reproducer must reproduce) and the first
     // few passing ones; the rerun must be byte-identical.
-    const bool replay = !report.ok() || passing_replays_left > 0;
-    if (replay) {
+    if (!report.ok() || passing_replays_left > 0) {
       if (report.ok()) {
         --passing_replays_left;
       }
-      const ScenarioReport again = run_once(options, plan, seed);
-      seed_result.replayed = true;
+      const ScenarioReport again = ars::chaos::run_scenario(scenario);
       seed_result.replay_identical =
           again.trace_hash == report.trace_hash &&
           again.events_executed == report.events_executed;
-      if (!seed_result.replay_identical) {
+      if (!*seed_result.replay_identical) {
         ++result.replay_mismatches;
         std::cout << "  seed " << seed << " REPLAY MISMATCH: trace "
                   << report.trace_hash << " vs " << again.trace_hash << "\n";
-        if (!options.bundle_dir.empty()) {
-          const std::string path = record_bundle(
-              options, plan, seed, report,
-              {"replay-mismatch",
-               "trace " + std::to_string(report.trace_hash) + " vs " +
-                   std::to_string(again.trace_hash)});
-          if (!path.empty()) {
-            result.bundles.push_back(path);
-          }
-        }
+        bundle({"replay-mismatch", "trace " +
+                                       std::to_string(report.trace_hash) +
+                                       " vs " +
+                                       std::to_string(again.trace_hash)});
       }
     }
     if (options.verify_scan_equivalence) {
       // Same seed, registry forced onto the reference full-table scan: the
       // run must be indistinguishable — trace and decision log included.
-      const ScenarioReport legacy = run_once(options, plan, seed, true);
-      seed_result.scan_checked = true;
+      ScenarioOptions legacy_options = scenario;
+      legacy_options.legacy_scan = true;
+      const ScenarioReport legacy = ars::chaos::run_scenario(legacy_options);
       seed_result.scan_equivalent =
           legacy.trace_hash == report.trace_hash &&
           legacy.decisions == report.decisions &&
           legacy.decision_log_hash == report.decision_log_hash;
-      if (!seed_result.scan_equivalent) {
+      if (!*seed_result.scan_equivalent) {
         ++result.scan_mismatches;
         std::cout << "  seed " << seed << " SCAN MISMATCH: indexed decisions "
                   << report.decisions << " (log " << report.decision_log_hash
@@ -337,70 +340,82 @@ PlanResult sweep_plan(const CampaignOptions& options, const FaultPlan& plan) {
                   << ", trace " << legacy.trace_hash << ")\n";
       }
     }
+    // The record keeps the counters; the evidence was written out above.
+    std::string{}.swap(report.trace_jsonl);
+    std::string{}.swap(report.metrics_json);
     result.seeds.push_back(std::move(seed_result));
   }
   return result;
 }
 
-ars::obs::JsonValue to_json(const PlanResult& result) {
-  ars::obs::JsonObject plan_object;
-  plan_object["plan"] = ars::obs::JsonValue{result.plan_name};
-  plan_object["failures"] =
-      ars::obs::JsonValue{static_cast<double>(result.failures)};
-  plan_object["replay_mismatches"] =
-      ars::obs::JsonValue{static_cast<double>(result.replay_mismatches)};
-  plan_object["scan_mismatches"] =
-      ars::obs::JsonValue{static_cast<double>(result.scan_mismatches)};
+void set_number(ars::obs::JsonObject& object, const char* key, double value) {
+  object[key] = ars::obs::JsonValue{value};
+}
+
+ars::obs::JsonValue to_json(const SeedResult& seed) {
+  const ScenarioReport& report = seed.report;
+  ars::obs::JsonObject object;
+  set_number(object, "seed", seed.seed);
+  object["ok"] = ars::obs::JsonValue{report.ok()};
+  if (!report.ok()) {
+    object["violations"] = ars::obs::JsonValue{report.invariants.summary()};
+  }
+  // Hashes as decimal strings: they exceed a double's integer range.
+  object["trace_hash"] = ars::obs::JsonValue{std::to_string(report.trace_hash)};
+  object["decision_log_hash"] =
+      ars::obs::JsonValue{std::to_string(report.decision_log_hash)};
+  set_number(object, "events_executed", report.events_executed);
+  set_number(object, "decisions", report.decisions);
+  set_number(object, "migrations_succeeded", report.migrations_succeeded);
+  set_number(object, "migrations_aborted", report.migrations_aborted);
+  set_number(object, "migrations_rolled_back", report.migrations_rolled_back);
+  set_number(object, "resizes_committed", report.resizes_committed);
+  set_number(object, "resizes_aborted", report.resizes_aborted);
+  set_number(object, "resizes_rolled_back", report.resizes_rolled_back);
+  set_number(object, "messages_dropped", report.messages_dropped);
+  set_number(object, "rate_crashes", report.faults.rate_crashes);
+  set_number(object, "ckpt_commits", report.ckpt_commits);
+  set_number(object, "ckpt_aborts", report.ckpt_aborts);
+  set_number(object, "ckpt_deferred", report.ckpt_deferred);
+  set_number(object, "ckpt_preempted", report.ckpt_preempted);
+  set_number(object, "torn_restores", report.torn_restores);
+  set_number(object, "waste_overhead_s", report.waste_overhead_s);
+  set_number(object, "waste_lost_work_s", report.waste_lost_work_s);
+  set_number(object, "waste_restart_s", report.waste_restart_s);
+  if (seed.replay_identical.has_value()) {
+    object["replay_identical"] = ars::obs::JsonValue{*seed.replay_identical};
+  }
+  if (seed.scan_equivalent.has_value()) {
+    object["scan_equivalent"] = ars::obs::JsonValue{*seed.scan_equivalent};
+  }
+  return ars::obs::JsonValue{std::move(object)};
+}
+
+ars::obs::JsonValue to_json(const CellResult& result) {
+  ars::obs::JsonObject object;
+  object["label"] = ars::obs::JsonValue{result.cell.label};
+  object["plan"] = ars::obs::JsonValue{result.cell.scenario.plan.name()};
+  set_number(object, "mtbf", result.cell.mtbf);
+  set_number(object, "apps", result.cell.scenario.apps);
+  object["strategy"] = ars::obs::JsonValue{result.cell.scenario.ckpt_strategy};
+  set_number(object, "failures", result.failures);
+  set_number(object, "replay_mismatches", result.replay_mismatches);
+  set_number(object, "scan_mismatches", result.scan_mismatches);
+  set_number(object, "waste_total_s", result.waste_s);
+  set_number(object, "waste_overhead_s", result.overhead_s);
+  set_number(object, "waste_lost_work_s", result.lost_work_s);
+  set_number(object, "waste_restart_s", result.restart_s);
   ars::obs::JsonArray seeds;
   for (const SeedResult& seed : result.seeds) {
-    ars::obs::JsonObject seed_object;
-    seed_object["seed"] =
-        ars::obs::JsonValue{static_cast<double>(seed.seed)};
-    seed_object["ok"] = ars::obs::JsonValue{seed.ok};
-    if (!seed.violations.empty()) {
-      seed_object["violations"] = ars::obs::JsonValue{seed.violations};
-    }
-    seed_object["trace_hash"] =
-        ars::obs::JsonValue{std::to_string(seed.trace_hash)};
-    seed_object["events_executed"] =
-        ars::obs::JsonValue{static_cast<double>(seed.events_executed)};
-    seed_object["migrations_succeeded"] = ars::obs::JsonValue{
-        static_cast<double>(seed.migrations_succeeded)};
-    seed_object["migrations_aborted"] = ars::obs::JsonValue{
-        static_cast<double>(seed.migrations_aborted)};
-    seed_object["migrations_rolled_back"] = ars::obs::JsonValue{
-        static_cast<double>(seed.migrations_rolled_back)};
-    seed_object["resizes_committed"] = ars::obs::JsonValue{
-        static_cast<double>(seed.resizes_committed)};
-    seed_object["resizes_aborted"] =
-        ars::obs::JsonValue{static_cast<double>(seed.resizes_aborted)};
-    seed_object["resizes_rolled_back"] = ars::obs::JsonValue{
-        static_cast<double>(seed.resizes_rolled_back)};
-    seed_object["messages_dropped"] =
-        ars::obs::JsonValue{static_cast<double>(seed.messages_dropped)};
-    seed_object["decisions"] =
-        ars::obs::JsonValue{static_cast<double>(seed.decisions)};
-    seed_object["decision_log_hash"] =
-        ars::obs::JsonValue{std::to_string(seed.decision_log_hash)};
-    if (seed.replayed) {
-      seed_object["replay_identical"] =
-          ars::obs::JsonValue{seed.replay_identical};
-    }
-    if (seed.scan_checked) {
-      seed_object["scan_equivalent"] =
-          ars::obs::JsonValue{seed.scan_equivalent};
-    }
-    seeds.push_back(ars::obs::JsonValue{std::move(seed_object)});
+    seeds.push_back(to_json(seed));
   }
-  plan_object["seeds"] = ars::obs::JsonValue{std::move(seeds)};
-  if (!result.bundles.empty()) {
-    ars::obs::JsonArray bundles;
-    for (const std::string& path : result.bundles) {
-      bundles.push_back(ars::obs::JsonValue{path});
-    }
-    plan_object["bundles"] = ars::obs::JsonValue{std::move(bundles)};
+  object["seeds"] = ars::obs::JsonValue{std::move(seeds)};
+  ars::obs::JsonArray bundles;
+  for (const std::string& path : result.bundles) {
+    bundles.push_back(ars::obs::JsonValue{path});
   }
-  return ars::obs::JsonValue{std::move(plan_object)};
+  object["bundles"] = ars::obs::JsonValue{std::move(bundles)};
+  return ars::obs::JsonValue{std::move(object)};
 }
 
 /// --replay-bundle: re-run one flight-recorder bundle and report whether it
@@ -421,8 +436,9 @@ int replay_bundle_main(const std::string& path) {
   }
   std::cout << "bundle " << path << " (trigger: " << replay->trigger.kind
             << ")\n"
-            << "  trace " << (replay->trace_identical ? "identical" : "DIVERGED")
-            << " (" << replay->report.trace_hash << " vs recorded "
+            << "  trace "
+            << (replay->trace_identical ? "identical" : "DIVERGED") << " ("
+            << replay->report.trace_hash << " vs recorded "
             << replay->recorded_trace_hash << ")\n"
             << "  violations "
             << (replay->violations_match ? "reproduced" : "DIFFER") << ": "
@@ -442,8 +458,13 @@ int main(int argc, char** argv) {
   // hosts — the per-event warnings would swamp the campaign summary.
   ars::support::Logger::global().set_level(ars::support::LogLevel::kOff);
   CampaignOptions options;
+  ScenarioOptions& scenario = options.scenario;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const std::size_t equals = arg.find('=');
+    const std::string flag = arg.substr(0, equals);
+    const std::string value =
+        equals == std::string::npos ? "" : arg.substr(equals + 1);
     if (arg == "--list-plans") {
       for (const std::string& name : FaultPlan::builtin_names()) {
         std::cout << name << "\n";
@@ -451,48 +472,57 @@ int main(int argc, char** argv) {
       std::cout << "none\n";
       return 0;
     }
-    if (auto dump = arg_value(arg, "--dump-plan")) {
-      std::cout << load_plan(*dump).to_json() << "\n";
+    if (flag == "--dump-plan") {
+      std::cout << load_plan(value).to_json() << "\n";
       return 0;
     }
-    if (arg == "--sabotage-lease-expiry") {
-      options.sabotage_lease_expiry = true;
-    } else if (arg == "--sabotage-migration-rollback") {
-      options.sabotage_migration_rollback = true;
-    } else if (arg == "--sabotage-resize-rollback") {
-      options.sabotage_resize_rollback = true;
-    } else if (auto mjobs = arg_value(arg, "--malleable-jobs")) {
-      options.malleable_jobs = std::stoi(*mjobs);
+    if (flag == "--replay-bundle") {
+      return replay_bundle_main(value);
+    }
+    if (arg == "--require-coop-win") {
+      options.require_coop_win = true;
     } else if (arg == "--verify-scan-equivalence") {
       options.verify_scan_equivalence = true;
+    } else if (arg == "--sabotage-lease-expiry") {
+      scenario.sabotage_lease_expiry = true;
+    } else if (arg == "--sabotage-migration-rollback") {
+      scenario.sabotage_migration_rollback = true;
+    } else if (arg == "--sabotage-resize-rollback") {
+      scenario.sabotage_resize_rollback = true;
     } else if (arg == "--delta-heartbeats") {
-      options.delta_heartbeats = true;
+      scenario.delta_heartbeats = true;
     } else if (arg == "--precopy") {
-      options.precopy = true;
-    } else if (auto value = arg_value(arg, "--seeds")) {
-      options.seeds = std::stoi(*value);
-    } else if (auto value2 = arg_value(arg, "--seed-base")) {
-      options.seed_base = std::stoull(*value2);
-    } else if (auto value3 = arg_value(arg, "--plan")) {
-      options.plans.push_back(*value3);
-    } else if (auto value4 = arg_value(arg, "--hosts")) {
-      options.hosts = std::stoi(*value4);
-    } else if (auto value5 = arg_value(arg, "--apps")) {
-      options.apps = std::stoi(*value5);
-    } else if (auto value6 = arg_value(arg, "--horizon")) {
-      options.horizon = std::stod(*value6);
-    } else if (auto value7 = arg_value(arg, "--replay-passing")) {
-      options.replay_passing = std::stoi(*value7);
-    } else if (auto value8 = arg_value(arg, "--out")) {
-      options.out_path = *value8;
-    } else if (auto value9 = arg_value(arg, "--bundle-dir")) {
-      options.bundle_dir = *value9;
-    } else if (auto value10 = arg_value(arg, "--trace-dir")) {
-      options.trace_dir = *value10;
-    } else if (auto value11 = arg_value(arg, "--replay-bundle")) {
-      return replay_bundle_main(*value11);
+      scenario.precopy = true;
     } else if (ars::bench::consume_obs_flag(arg)) {
       // --trace-out= / --metrics-out= recorded in bench::obs_export()
+    } else if (equals == std::string::npos) {
+      usage_error("unknown argument: " + arg);
+    } else if (flag == "--seeds") {
+      options.seeds = parse_number<int>(arg, value);
+    } else if (flag == "--seed-base") {
+      options.seed_base = parse_number<std::uint64_t>(arg, value);
+    } else if (flag == "--plan") {
+      options.plans.push_back(value);
+    } else if (flag == "--mtbf") {
+      options.mtbfs = parse_list(arg, value);
+    } else if (flag == "--replay-passing") {
+      options.replay_passing = parse_number<int>(arg, value);
+    } else if (flag == "--out") {
+      options.out_path = value;
+    } else if (flag == "--bundle-dir") {
+      options.bundle_dir = value;
+    } else if (flag == "--hosts") {
+      scenario.hosts = parse_number<int>(arg, value);
+    } else if (flag == "--apps") {
+      scenario.apps = parse_number<int>(arg, value);
+    } else if (flag == "--horizon") {
+      scenario.horizon = parse_number<double>(arg, value);
+    } else if (flag == "--state-mb") {
+      scenario.ckpt_state_mb = parse_number<double>(arg, value);
+    } else if (flag == "--aggregate-mbps") {
+      scenario.ckpt_aggregate_mbps = parse_number<double>(arg, value);
+    } else if (flag == "--malleable-jobs") {
+      scenario.malleable_jobs = parse_number<int>(arg, value);
     } else {
       usage_error("unknown argument: " + arg);
     }
@@ -500,27 +530,65 @@ int main(int argc, char** argv) {
   if (options.seeds <= 0) {
     usage_error("--seeds must be positive");
   }
+  if (scenario.hosts < 1 || scenario.apps < 1) {
+    usage_error("--hosts and --apps must be at least 1");
+  }
+  // Each job's state becomes a byte count: 1e6 MB (1 TB) keeps it in range.
+  if (scenario.ckpt_state_mb < 0.0 || scenario.ckpt_state_mb > 1.0e6 ||
+      scenario.ckpt_aggregate_mbps < 0.0) {
+    usage_error("--state-mb must be in [0, 1e6], --aggregate-mbps >= 0");
+  }
+  if (std::ranges::any_of(options.mtbfs,
+                          [](double mtbf) { return mtbf <= 0.0; })) {
+    usage_error("--mtbf values must be positive");
+  }
+  if (options.require_coop_win && options.mtbfs.empty()) {
+    usage_error("--require-coop-win needs --mtbf");
+  }
   if (options.plans.empty()) {
     options.plans = FaultPlan::builtin_names();
     options.plans.push_back("none");
   }
+  // Equivalence runs compare the two scan modes, so the audit (which itself
+  // forces the legacy scan) must be off for both sides.
+  scenario.audit_decisions = !options.verify_scan_equivalence;
+  // Trace exports and replay-mismatch bundles need the bytes, not just the
+  // hash (failing runs keep their trace regardless).
+  scenario.keep_trace = !options.bundle_dir.empty() ||
+                        !ars::bench::obs_export().trace_out.empty() ||
+                        !ars::bench::obs_export().metrics_out.empty();
 
-  std::vector<PlanResult> results;
+  std::vector<CellResult> results;
   int total_failures = 0;
   int total_mismatches = 0;
   int total_scan_mismatches = 0;
-  for (const std::string& spec : options.plans) {
-    const FaultPlan plan = load_plan(spec);
-    std::cout << "plan \"" << plan.name() << "\": " << options.seeds
+  int coop_losses = 0;
+  for (const Cell& cell : make_cells(options)) {
+    std::cout << "cell \"" << cell.label << "\": " << options.seeds
               << " seeds from " << options.seed_base << "\n";
-    PlanResult result = sweep_plan(options, plan);
+    CellResult result = sweep_cell(options, cell);
     std::cout << "  " << (options.seeds - result.failures) << "/"
               << options.seeds << " clean, " << result.replay_mismatches
               << " replay mismatches";
     if (options.verify_scan_equivalence) {
       std::cout << ", " << result.scan_mismatches << " scan mismatches";
     }
+    if (!options.mtbfs.empty()) {
+      std::cout << ", waste " << result.waste_s << " s (overhead "
+                << result.overhead_s << ", lost " << result.lost_work_s
+                << ", restart " << result.restart_s << ")";
+    }
     std::cout << "\n";
+    if (cell.scenario.ckpt_strategy == "cooperative") {
+      // make_cells puts the periodic twin right before this cell.
+      const double saved = results.back().waste_s - result.waste_s;
+      const bool win = saved > 0.0;
+      std::cout << "  cooperative vs periodic: " << (win ? "saves " : "LOSES ")
+                << (win ? saved : -saved) << " s total waste\n";
+      if (!win) {
+        ++coop_losses;
+      }
+    }
     total_failures += result.failures;
     total_mismatches += result.replay_mismatches;
     total_scan_mismatches += result.scan_mismatches;
@@ -529,22 +597,21 @@ int main(int argc, char** argv) {
 
   if (!options.out_path.empty()) {
     ars::obs::JsonObject report;
-    report["seeds"] = ars::obs::JsonValue{static_cast<double>(options.seeds)};
-    report["seed_base"] =
-        ars::obs::JsonValue{static_cast<double>(options.seed_base)};
-    report["hosts"] = ars::obs::JsonValue{static_cast<double>(options.hosts)};
-    report["apps"] = ars::obs::JsonValue{static_cast<double>(options.apps)};
-    report["horizon"] = ars::obs::JsonValue{options.horizon};
-    report["failures"] = ars::obs::JsonValue{static_cast<double>(total_failures)};
-    report["replay_mismatches"] =
-        ars::obs::JsonValue{static_cast<double>(total_mismatches)};
-    report["scan_mismatches"] =
-        ars::obs::JsonValue{static_cast<double>(total_scan_mismatches)};
-    ars::obs::JsonArray plans;
-    for (const PlanResult& result : results) {
-      plans.push_back(to_json(result));
+    set_number(report, "seeds", options.seeds);
+    set_number(report, "seed_base", options.seed_base);
+    set_number(report, "hosts", scenario.hosts);
+    set_number(report, "horizon", scenario.horizon);
+    set_number(report, "state_mb", scenario.ckpt_state_mb);
+    set_number(report, "aggregate_mbps", scenario.ckpt_aggregate_mbps);
+    set_number(report, "failures", total_failures);
+    set_number(report, "replay_mismatches", total_mismatches);
+    set_number(report, "scan_mismatches", total_scan_mismatches);
+    set_number(report, "coop_losses", coop_losses);
+    ars::obs::JsonArray cells;
+    for (const CellResult& result : results) {
+      cells.push_back(to_json(result));
     }
-    report["plans"] = ars::obs::JsonValue{std::move(plans)};
+    report["cells"] = ars::obs::JsonValue{std::move(cells)};
     std::ofstream out(options.out_path);
     if (!out) {
       std::cerr << "chaos_campaign: cannot write " << options.out_path << "\n";
@@ -553,10 +620,16 @@ int main(int argc, char** argv) {
     out << ars::obs::JsonValue{std::move(report)}.dump() << "\n";
   }
 
-  if (total_failures > 0 || total_mismatches > 0 || total_scan_mismatches > 0) {
+  const bool coop_gate_failed = options.require_coop_win && coop_losses > 0;
+  if (total_failures > 0 || total_mismatches > 0 ||
+      total_scan_mismatches > 0 || coop_gate_failed) {
     std::cout << "CAMPAIGN FAIL: " << total_failures << " violations, "
               << total_mismatches << " replay mismatches, "
-              << total_scan_mismatches << " scan mismatches\n";
+              << total_scan_mismatches << " scan mismatches";
+    if (options.require_coop_win) {
+      std::cout << ", " << coop_losses << " cells where cooperative lost";
+    }
+    std::cout << "\n";
     return 1;
   }
   std::cout << "CAMPAIGN OK\n";
