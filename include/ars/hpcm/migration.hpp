@@ -212,8 +212,6 @@ class MigrationEngine {
   struct Options {
     /// Bytes of bulk data shipped with the execution state before resume.
     double eager_bytes = 64.0 * 1024;
-    /// Background transfer chunk size.
-    double chunk_bytes = 256.0 * 1024;
     /// Destination-side decode/restore latency before the app resumes.
     double restore_delay = 1.0;
     /// Stable-store bandwidth for checkpoint writes/reads (2004-era
@@ -224,9 +222,6 @@ class MigrationEngine {
     /// concurrent writes (DESIGN.md §17).  0 disables the shared limit:
     /// every write gets the per-host rate (legacy, interference-free).
     double ckpt_aggregate_bps = 0.0;
-    /// Memory-speed snapshot bandwidth: the only part of a checkpoint that
-    /// blocks the application (the write streams in the background).
-    double ckpt_snapshot_bps = 400.0e6;
     /// Checkpoint scheduling strategy driving maybe_checkpoint():
     /// "none" (apps checkpoint explicitly), "periodic" (per-process
     /// Young/Daly intervals from ckpt_mtbf), or "cooperative" (periodic
@@ -238,10 +233,6 @@ class MigrationEngine {
     /// Floor for the Young/Daly interval (tiny states would otherwise
     /// checkpoint every poll-point).
     double ckpt_min_interval = 5.0;
-    /// Cooperative mode: how long to wait for an admission grant before
-    /// falling back to local admission (the registry may be down — the
-    /// process must keep covering itself).
-    double ckpt_grant_timeout = 15.0;
     /// Sabotage knob for the chaos checker: an aborted in-flight write
     /// REPLACES the previous checkpoint with the torn partial (a store
     /// without atomic rename) — the bug class the no-torn-checkpoint
@@ -260,9 +251,6 @@ class MigrationEngine {
     bool precopy = false;
     /// Give up converging and freeze after this many rounds.
     int precopy_max_rounds = 8;
-    /// Freeze once the next delta would be at most this fraction of
-    /// round 0's bytes.
-    double precopy_convergence = 0.05;
     /// Sabotage knob for the chaos checker: skip the abort path's rollback
     /// so an aborted migration LOSES the logical process (the bug class the
     /// no-lost-process invariant exists to catch).  Never set outside tests.

@@ -106,8 +106,6 @@ class MalleableEngine {
   struct Options {
     double spawn_timeout = 20.0;
     double redistribute_timeout = 30.0;
-    /// Charged at commit for the intercommunicator merge, per DPM round.
-    double merge_overhead_per_round = 0.05;
     /// Chaos: leave freshly spawned ranks alive after a failed
     /// redistribution instead of rolling them back (must trip the
     /// `no-lost-rank` invariant).

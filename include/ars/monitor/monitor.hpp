@@ -47,7 +47,6 @@ class Monitor {
     int commander_port = 0;  // advertised in the registration message
     rules::MigrationPolicy policy;
     Classifier classifier;   // defaults to classifier_from_policy(policy)
-    double sensor_window = 10.0;
     /// Soft-state refresh: re-announce static info and the full process
     /// table every this many seconds (0 disables).  A registry that cold
     /// restarts rebuilds its tables purely from these announcements plus
@@ -65,9 +64,7 @@ class Monitor {
     /// lengthen it; episodes that outlast it (genuinely long tasks the
     /// monitor made wait) shorten it.
     bool adaptive_warmup = false;
-    double warmup_min_factor = 0.5;  // bounds relative to the policy warmup
-    double warmup_max_factor = 2.0;
-    double warmup_gain = 0.2;        // multiplicative step per episode
+    double warmup_gain = 0.2;  // multiplicative step per episode
     /// Coalesce unchanged-state heartbeats into compact UpdateBatchMsg
     /// lease renewals.  A full UpdateMsg is still sent on every state
     /// change and every `full_status_every` cycles as a keyframe (the

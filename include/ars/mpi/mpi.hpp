@@ -383,10 +383,6 @@ class MpiSystem {
   struct Options {
     /// LAM-style DPM startup latency per spawn (paper §5.2: ~0.3 s).
     double spawn_overhead = 0.3;
-    /// connect/accept handshake latency.
-    double connect_overhead = 0.05;
-    /// Fixed per-message software overhead bytes (headers, matching).
-    double message_overhead_bytes = 64.0;
   };
 
   MpiSystem(sim::Engine& engine, net::Network& network);

@@ -156,7 +156,6 @@ class Registry {
     int port = 0;  // allocated if 0
     rules::MigrationPolicy policy;  // destination conditions
     double lease_ttl = 35.0;        // ~3 missed 10 s heartbeats
-    double sweep_period = 5.0;
     /// The paper measures ~0.002 s to make a migration decision.
     double decision_delay = 0.002;
     /// Minimum spacing between migrations of the same process.
@@ -164,14 +163,9 @@ class Registry {
     /// Parent registry for hierarchical escalation (empty: none).
     std::string parent_host;
     int parent_port = 0;
-    double health_report_period = 30.0;
     /// How the destination is chosen among eligible hosts.
     DestinationStrategy strategy = DestinationStrategy::kFirstFit;
     std::uint64_t random_seed = 1;  // for kRandomFit (deterministic runs)
-    /// Processes with schema data-locality at or above this are not
-    /// selected for migration (paper §5.3: "if a process involves a lot in
-    /// a local data access, the process is not to be migrated").
-    double locality_threshold = 0.5;
     /// When a host's soft-state lease expires (crash), command the
     /// relaunch of its registered processes on other hosts (from their
     /// checkpoints, via the destination commanders).
@@ -182,15 +176,6 @@ class Registry {
     /// An in-flight placement debit whose outcome never arrives (lost
     /// report, dead commander) is dropped by the sweeper after this long.
     double placement_debit_ttl = 120.0;
-    /// On an aborted migration (process still on the source), immediately
-    /// issue a fresh consult for the source host instead of waiting for
-    /// the monitor's next overload report.
-    bool replan_on_abort = true;
-    /// A commanded relaunch is fire-and-forget on the wire; if no monitor
-    /// re-reports the process within this long, the registry re-parks it
-    /// on the stranded list and retries (the middleware's single-consumer
-    /// checkpoint park makes a duplicate command a harmless no-op).
-    double relaunch_confirm_ttl = 15.0;
     /// Plan expand/shrink for registered malleable jobs during the sweep.
     bool enable_resize = false;
     /// Minimum spacing between commanded resizes of the same job.
@@ -381,7 +366,7 @@ class Registry {
   };
 
   /// A commanded relaunch awaiting confirmation: the destination monitor
-  /// must re-report the process before `relaunch_confirm_ttl` lapses, or
+  /// must re-report the process before `kRelaunchConfirmTtl` lapses, or
   /// the registry assumes the command was lost and retries.
   struct PendingRelaunch {
     ProcessEntry process;
@@ -415,7 +400,7 @@ class Registry {
   void abandon_relaunch(const std::string& process_name,
                         const std::string& reason);
   /// Re-park commanded relaunches that no monitor has confirmed within
-  /// `relaunch_confirm_ttl` (the RelaunchCmd was lost on the wire).
+  /// `kRelaunchConfirmTtl` (the RelaunchCmd was lost on the wire).
   void confirm_relaunches(double now);
   /// Record an in-flight placement debit for a freshly commanded migration
   /// (any older debit of the same process is superseded).
@@ -471,6 +456,27 @@ class Registry {
   /// `registration_order` changed (ghost entry adopted by a RegisterMsg).
   void reposition(HostEntry& entry);
 
+  /// The destination checks, in the audit's order.
+  enum class Rejection {
+    kNone,
+    kSource,
+    kDraining,
+    kSuspect,
+    kNotFree,
+    kUnregistered,
+    kPolicy,
+    kResources,
+    kInflight,
+  };
+  /// The first check `entry` fails as a destination, or kNone.  Both walks
+  /// below judge every candidate with it.
+  [[nodiscard]] Rejection destination_rejection(
+      const HostEntry& entry, const std::string& source_host,
+      const hpcm::ApplicationSchema* schema, double now) const;
+  /// The audit's verdict text for `rejection`.
+  [[nodiscard]] static std::string verdict(Rejection rejection,
+                                           const HostEntry& entry,
+                                           const std::string& schema_name);
   [[nodiscard]] std::vector<const HostEntry*> legacy_eligible(
       const std::string& source_host, const hpcm::ApplicationSchema* schema,
       const std::string& schema_name,

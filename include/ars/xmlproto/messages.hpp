@@ -3,10 +3,12 @@
 // exchanged between monitor, registry/scheduler and commander entities over
 // the simulated TCP transport (paper §3.3, "Entities of rescheduler").
 //
-// Each message is one XML element <ars type="..."> with typed children.
-// decode() gives back a std::variant so entity loops can dispatch with
-// std::visit and malformed input surfaces as an Expected error instead of a
-// crash — the control plane must survive garbage.
+// Each message is one XML element <ars type="..."> with typed children; its
+// wire format is one field table in messages.cpp.  decode() gives back a
+// std::variant so entity loops can dispatch with std::visit and malformed
+// input (including a number outside its field's type range) surfaces as an
+// Expected error instead of a crash — the control plane must survive
+// garbage.
 
 #include <cstdint>
 #include <string>
@@ -27,6 +29,7 @@ struct StaticInfo {
   std::uint64_t disk_bytes = 0;
   double cpu_speed = 1.0;
   std::string byte_order;  // "big" | "little"
+  bool operator==(const StaticInfo&) const = default;
 };
 
 /// Periodic soft-state heartbeat from a monitor.
@@ -43,6 +46,7 @@ struct DynamicStatus {
   double net_out_bps = 0.0;
   int sockets_established = 0;
   double timestamp = 0.0;
+  bool operator==(const DynamicStatus&) const = default;
 };
 
 /// Monitor -> registry: initial registration.
@@ -50,11 +54,13 @@ struct RegisterMsg {
   StaticInfo info;
   int monitor_port = 0;
   int commander_port = 0;
+  bool operator==(const RegisterMsg&) const = default;
 };
 
 /// Monitor -> registry: heartbeat / state change.
 struct UpdateMsg {
   DynamicStatus status;
+  bool operator==(const UpdateMsg&) const = default;
 };
 
 /// Monitor -> registry: host is overloaded, request a migration decision.
@@ -70,6 +76,7 @@ struct ConsultMsg {
   std::string process_name;
   std::string schema_name;
   int commander_port = 0;  // commander port on `host`
+  bool operator==(const ConsultMsg&) const = default;
 };
 
 /// One compact lease renewal inside an UpdateBatchMsg: "nothing changed
@@ -79,6 +86,7 @@ struct LeaseRenewal {
   std::string host;
   std::string state;  // must match the registry's current view
   double timestamp = 0.0;
+  bool operator==(const LeaseRenewal&) const = default;
 };
 
 /// Monitor -> registry: batched delta heartbeat.  Monitors coalesce
@@ -86,6 +94,7 @@ struct LeaseRenewal {
 /// any state change and periodically as a keyframe.
 struct UpdateBatchMsg {
   std::vector<LeaseRenewal> renewals;
+  bool operator==(const UpdateBatchMsg&) const = default;
 };
 
 /// Registry -> commander (of the overloaded host): migrate `pid` to dest.
@@ -96,6 +105,7 @@ struct MigrateCmd {
   std::string dest_ip;
   int dest_port = 0;
   std::string schema_name;
+  bool operator==(const MigrateCmd&) const = default;
 };
 
 /// Commander/monitor -> registry: generic acknowledgement.
@@ -103,6 +113,7 @@ struct AckMsg {
   std::string of;  // message type being acknowledged
   bool ok = true;
   std::string detail;
+  bool operator==(const AckMsg&) const = default;
 };
 
 /// Monitor -> registry: register a (migratable) process and its schema key.
@@ -113,12 +124,14 @@ struct ProcessRegisterMsg {
   double start_time = 0.0;
   bool migration_enabled = false;
   std::string schema_name;
+  bool operator==(const ProcessRegisterMsg&) const = default;
 };
 
 /// Monitor -> registry: a process finished or was migrated away.
 struct ProcessDeregisterMsg {
   std::string host;
   int pid = 0;
+  bool operator==(const ProcessDeregisterMsg&) const = default;
 };
 
 /// Child registry -> parent registry: aggregated health (hierarchy, §3.2).
@@ -129,6 +142,7 @@ struct HealthReportMsg {
   int busy_hosts = 0;
   int overloaded_hosts = 0;
   double timestamp = 0.0;
+  bool operator==(const HealthReportMsg&) const = default;
 };
 
 /// Parent registry -> child (or monitor): recommended destination, possibly
@@ -138,6 +152,7 @@ struct RecommendMsg {
   std::string dest_host;
   std::string dest_ip;
   int dest_port = 0;  // commander port of the destination host
+  bool operator==(const RecommendMsg&) const = default;
 };
 
 /// Administrator/monitor -> registry: migrate EVERY migration-enabled
@@ -146,6 +161,7 @@ struct RecommendMsg {
 struct EvacuateMsg {
   std::string host;
   std::string reason;
+  bool operator==(const EvacuateMsg&) const = default;
 };
 
 /// Registry -> commander of the *destination* host: bring a process that
@@ -154,6 +170,7 @@ struct RelaunchCmd {
   std::string process_name;  // name in the checkpoint store / middleware
   std::string lost_host;     // where it was running
   std::string schema_name;
+  bool operator==(const RelaunchCmd&) const = default;
 };
 
 /// Commander (source host) -> registry: terminal outcome of a migration
@@ -173,6 +190,7 @@ struct MigrationOutcomeMsg {
   std::string phase;    // protocol phase the failure hit
   int precopy_rounds = 0;             // pre-copy rounds shipped (0: stop-and-copy)
   std::uint64_t precopy_bytes = 0;    // bytes moved outside the freeze window
+  bool operator==(const MigrationOutcomeMsg&) const = default;
 };
 
 /// Registry -> commander (of a malleable job's root host): grow or shrink
@@ -186,6 +204,7 @@ struct ResizeCmd {
   int delta = 0;
   std::string strategy;
   std::vector<std::string> hosts;
+  bool operator==(const ResizeCmd&) const = default;
 };
 
 /// Commander (root host) -> registry: terminal outcome of a resize
@@ -202,6 +221,7 @@ struct ResizeOutcomeMsg {
   std::string reason;   // e.g. "spawn-timeout", "no-capacity"
   std::string phase;    // transaction phase the failure hit
   int ranks_after = 0;
+  bool operator==(const ResizeOutcomeMsg&) const = default;
 };
 
 /// Commander -> registry: one checkpoint-write I/O event for the central
@@ -215,6 +235,7 @@ struct CkptIoRequestMsg {
   std::string verb;  // "request" | "done" | "abort"
   std::uint64_t bytes = 0;
   double risk = 0.0;
+  bool operator==(const CkptIoRequestMsg&) const = default;
 };
 
 /// Registry -> commander: verdict on a CkptIoRequestMsg.  "admit" lets the
@@ -225,6 +246,7 @@ struct CkptIoGrantMsg {
   std::string process;
   std::string verb;  // "admit" | "defer" | "preempt"
   double retry_after = 0.0;
+  bool operator==(const CkptIoGrantMsg&) const = default;
 };
 
 using ProtocolMessage =

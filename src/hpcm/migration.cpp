@@ -12,6 +12,19 @@ namespace ars::hpcm {
 
 namespace {
 
+/// Background transfer chunk size.
+constexpr double kChunkBytes = 256.0 * 1024;
+/// Memory-speed snapshot bandwidth: the only part of a checkpoint that
+/// blocks the application (the write streams in the background).
+constexpr double kCkptSnapshotBps = 400.0e6;
+/// Cooperative mode: how long to wait for an admission grant before falling
+/// back to local admission (the registry may be down — the process must
+/// keep covering itself).
+constexpr double kCkptGrantTimeout = 15.0;
+/// Pre-copy: freeze once the next delta would be at most this fraction of
+/// round 0's bytes.
+constexpr double kPrecopyConvergence = 0.05;
+
 /// Tags on the merged communicator used by the migration protocol.
 constexpr int kTagEagerState = 100;
 constexpr int kTagReady = 101;
@@ -441,8 +454,7 @@ sim::Task<> MigrationEngine::write_checkpoint(MigrationContext& ctx) {
   const std::uint64_t bytes = cp.bytes;
   const std::string host = proc.host().name();
   // The only part that blocks the application: the memory-speed snapshot.
-  const double snapshot_time =
-      static_cast<double>(bytes) / options_.ckpt_snapshot_bps;
+  const double snapshot_time = static_cast<double>(bytes) / kCkptSnapshotBps;
   // Shadow-commit: the write is invisible to latest() until it lands; a
   // crash mid-write keeps the previous complete checkpoint restorable.
   checkpoint_store_.begin_shadow(std::move(cp));
@@ -507,7 +519,7 @@ sim::Task<> MigrationEngine::ckpt_poll(MigrationContext& ctx) {
     co_return;
   }
   if (plan.awaiting_grant) {
-    if (now - plan.requested_at >= options_.ckpt_grant_timeout) {
+    if (now - plan.requested_at >= kCkptGrantTimeout) {
       // No grant (registry down, message lost): fall back to local
       // admission — the process must keep covering itself while the
       // control plane is unreachable.
@@ -600,9 +612,8 @@ void MigrationEngine::on_ckpt_commit(const std::string& process,
                                      const ckpt::WriteOutcome& outcome) {
   checkpoint_store_.commit_shadow(process, outcome.finished_at);
   // Overhead waste: the write's wall time plus the blocking snapshot.
-  const double overhead =
-      outcome.duration() + static_cast<double>(outcome.bytes) /
-                               options_.ckpt_snapshot_bps;
+  const double overhead = outcome.duration() +
+                          static_cast<double>(outcome.bytes) / kCkptSnapshotBps;
   waste_.record_overhead(process, overhead);
   observe_waste_s(overhead);
   if (obs::Tracer* t = tracer(); obs::active(t)) {
@@ -1506,7 +1517,7 @@ sim::Task<> MigrationEngine::continue_precopy(MigrationContext& ctx) {
   const double delta_bytes =
       static_cast<double>(ctx.state_.delta_bytes_since(tx.shipped_gen));
   const bool converged =
-      delta_bytes <= options_.precopy_convergence * tx.round0_bytes;
+      delta_bytes <= kPrecopyConvergence * tx.round0_bytes;
   if (!converged && tx.rounds_sent < options_.precopy_max_rounds) {
     start_precopy_round(ctx, tx);
     co_return;
@@ -1574,7 +1585,7 @@ sim::Task<> MigrationEngine::run_collector(std::string source_host,
                                            mpi::Comm merged) {
   net::Network& net = mpi_->network();
   while (remaining > 0.0) {
-    const double this_chunk = std::min(options_.chunk_bytes, remaining);
+    const double this_chunk = std::min(kChunkBytes, remaining);
     (void)co_await net.transfer(source_host, dest_host, this_chunk);
     remaining -= this_chunk;
   }

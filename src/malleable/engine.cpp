@@ -17,6 +17,9 @@ namespace ars::malleable {
 
 namespace {
 
+/// Charged at commit for the intercommunicator merge, per DPM round.
+constexpr double kMergeOverheadPerRound = 0.05;
+
 /// Worker -> root per-iteration check-in payload (result shard header).
 constexpr int kResultTag = 7;
 constexpr double kResultBytes = 8.0;
@@ -875,9 +878,8 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
     tx.redistribute_seconds = engine().now() - redistribute_start;
 
     notify_phase(*job, "commit");
-    co_await sim::delay(engine(),
-                        options_.merge_overhead_per_round *
-                            std::max(1, tx.spawn_result.rounds));
+    co_await sim::delay(
+        engine(), kMergeOverheadPerRound * std::max(1, tx.spawn_result.rounds));
     job->members = tx.new_members;
     job->world = mpi_->make_comm(job->members);
     job->blocks_of = tx.new_blocks;

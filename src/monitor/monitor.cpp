@@ -13,6 +13,15 @@ namespace ars::monitor {
 using rules::SystemState;
 using xmlproto::DynamicStatus;
 
+namespace {
+
+constexpr double kSensorWindow = 10.0;
+// Adaptive warm-up bounds, relative to the policy warmup.
+constexpr double kWarmupMinFactor = 0.5;
+constexpr double kWarmupMaxFactor = 2.0;
+
+}  // namespace
+
 Classifier classifier_from_policy(rules::MigrationPolicy policy,
                                   double busy_load) {
   return [policy = std::move(policy),
@@ -55,7 +64,7 @@ Monitor::Monitor(host::Host& h, net::Network& network, Config config)
     : host_(&h),
       network_(&network),
       config_(std::move(config)),
-      sensors_(h, network, config_.sensor_window) {
+      sensors_(h, network, kSensorWindow) {
   if (config_.monitor_port == 0) {
     config_.monitor_port = network_->allocate_port(host_->name());
   }
@@ -267,12 +276,12 @@ sim::Task<> Monitor::run() {
             // near-misses do not trigger fault migrations.
             effective_warmup_ = std::min(
                 effective_warmup_ * (1.0 + config_.warmup_gain),
-                base * config_.warmup_max_factor);
+                base * kWarmupMaxFactor);
           } else if (episode_consulted_) {
             // A real, persistent overload: react faster next time.
             effective_warmup_ = std::max(
                 effective_warmup_ * (1.0 - config_.warmup_gain),
-                base * config_.warmup_min_factor);
+                base * kWarmupMinFactor);
           }
         }
       }

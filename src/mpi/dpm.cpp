@@ -59,6 +59,9 @@ std::optional<SpawnStrategy> spawn_strategy_from(std::string_view name) {
 
 namespace {
 
+/// connect/accept handshake latency.
+constexpr double kConnectOverhead = 0.05;
+
 /// Smallest power of two strictly greater than `node` — the stride of the
 /// node's first spawn round in the binomial tree.  Node c is created by
 /// node c - msb(c), so every child has exactly one spawner.
@@ -238,8 +241,7 @@ sim::Task<Comm> Proc::accept(const std::string& port) {
     throw std::invalid_argument("mpi accept: port owned by another process");
   }
   const RankId connector = co_await state.pending.recv();
-  co_await sim::delay(system_->engine(),
-                      system_->options().connect_overhead);
+  co_await sim::delay(system_->engine(), kConnectOverhead);
   auto [connector_view, acceptor_view] =
       system_->make_intercomm_pair({connector}, {id_});
   state.connector_comm = connector_view;
@@ -266,8 +268,7 @@ sim::Task<Comm> Proc::merge(Comm intercomm, bool high) {
   // Both sides call merge; the low side's leader creates the merged context
   // and the others adopt it.  We model the required synchronization as one
   // handshake latency; membership math is deterministic on both sides.
-  co_await sim::delay(system_->engine(),
-                      system_->options().connect_overhead);
+  co_await sim::delay(system_->engine(), kConnectOverhead);
   std::vector<RankId> merged;
   const auto& local = intercomm.state_->members;
   const auto& remote = intercomm.state_->remote;

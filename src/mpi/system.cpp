@@ -7,6 +7,13 @@
 
 namespace ars::mpi {
 
+namespace {
+
+/// Fixed per-message software overhead bytes (headers, matching).
+constexpr double kMessageOverheadBytes = 64.0;
+
+}  // namespace
+
 int Comm::rank_of(RankId id) const noexcept {
   for (std::size_t i = 0; i < state_->members.size(); ++i) {
     if (state_->members[i] == id) {
@@ -222,7 +229,7 @@ sim::Task<> MpiSystem::route(RankId from, RankId to, double size_bytes) {
     throw std::runtime_error("mpi: send to dead process " +
                              std::to_string(to));
   }
-  const double wire = size_bytes + options_.message_overhead_bytes;
+  const double wire = size_bytes + kMessageOverheadBytes;
   std::string at = receiver->host().name();
   (void)co_await network_->transfer(src_host, at, wire);
   // Forwarding: if the destination migrated while the bytes were in flight,

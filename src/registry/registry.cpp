@@ -15,6 +15,18 @@ using xmlproto::ProtocolMessage;
 
 namespace {
 
+constexpr double kSweepPeriod = 5.0;
+constexpr double kHealthReportPeriod = 30.0;
+/// Processes with schema data-locality at or above this are not selected
+/// for migration (paper §5.3: "if a process involves a lot in a local data
+/// access, the process is not to be migrated").
+constexpr double kLocalityThreshold = 0.5;
+/// A commanded relaunch is fire-and-forget on the wire; if no monitor
+/// re-reports the process within this long, the registry re-parks it on the
+/// stranded list and retries (the middleware's single-consumer checkpoint
+/// park makes a duplicate command a harmless no-op).
+constexpr double kRelaunchConfirmTtl = 15.0;
+
 std::string process_key(const std::string& host, int pid) {
   return host + ":" + std::to_string(pid);
 }
@@ -507,7 +519,7 @@ void Registry::handle(const ProtocolMessage& message,
 
 sim::Task<> Registry::sweep() {
   while (true) {
-    co_await sim::delay(host_->engine(), config_.sweep_period);
+    co_await sim::delay(host_->engine(), kSweepPeriod);
     const double now = host_->engine().now();
     // Retry stranded restarts first: capacity freed since the last sweep
     // (and this tick's expiries have not been processed yet).
@@ -1136,7 +1148,7 @@ void Registry::drain_stranded() {
 void Registry::confirm_relaunches(double now) {
   std::vector<PendingRelaunch> unconfirmed;
   std::erase_if(pending_relaunches_, [&](const PendingRelaunch& pending) {
-    if (now - pending.commanded_at <= config_.relaunch_confirm_ttl) {
+    if (now - pending.commanded_at <= kRelaunchConfirmTtl) {
       return false;  // still inside the confirmation window
     }
     for (const auto& [key, entry] : processes_) {
@@ -1336,40 +1348,37 @@ void Registry::on_migration_outcome(
     return;
   }
   // Aborted: the process still runs on the source.  Clear its cooldown
-  // (this migration never happened) and re-plan right away.
+  // (this migration never happened) and re-plan right away instead of
+  // waiting for the monitor's next overload report.
   for (auto& [key, process] : processes_) {
     if (process.host == outcome.source && process.name == outcome.process) {
       process.last_migrated_at = -1.0e9;
     }
   }
-  if (config_.replan_on_abort) {
-    xmlproto::ConsultMsg consult;
-    consult.host = outcome.source;
-    consult.reason = "migration aborted (" + outcome.reason + ")";
-    // The re-plan is a NEW transaction (one migration attempt per DAG);
-    // the replan event links it back to the aborted one via cause_txn.
-    obs::TraceCtx replan_ctx;
-    if (obs::active(config_.tracer)) {
-      replan_ctx.txn = config_.tracer->new_txn();
-      obs::Attrs attrs{{"process", outcome.process},
-                       {"source", outcome.source}};
-      obs::stamp(attrs, replan_ctx);
-      if (ctx.set()) {
-        attrs.emplace_back("cause_txn", static_cast<std::size_t>(ctx.txn));
-      }
-      config_.tracer->instant("registry.replan", "scheduler", host_->name(),
-                              std::move(attrs));
+  xmlproto::ConsultMsg consult;
+  consult.host = outcome.source;
+  consult.reason = "migration aborted (" + outcome.reason + ")";
+  // The re-plan is a NEW transaction (one migration attempt per DAG); the
+  // replan event links it back to the aborted one via cause_txn.
+  obs::TraceCtx replan_ctx;
+  if (obs::active(config_.tracer)) {
+    replan_ctx.txn = config_.tracer->new_txn();
+    obs::Attrs attrs{{"process", outcome.process}, {"source", outcome.source}};
+    obs::stamp(attrs, replan_ctx);
+    if (ctx.set()) {
+      attrs.emplace_back("cause_txn", static_cast<std::size_t>(ctx.txn));
     }
-    std::erase_if(fibers_, [](const sim::Fiber& f) { return f.done(); });
-    fibers_.push_back(sim::Fiber::spawn(host_->engine(),
-                                        decide(consult, replan_ctx),
-                                        "registry.decide"));
+    config_.tracer->instant("registry.replan", "scheduler", host_->name(),
+                            std::move(attrs));
   }
+  std::erase_if(fibers_, [](const sim::Fiber& f) { return f.done(); });
+  fibers_.push_back(sim::Fiber::spawn(
+      host_->engine(), decide(consult, replan_ctx), "registry.decide"));
 }
 
 sim::Task<> Registry::report_health() {
   while (true) {
-    co_await sim::delay(host_->engine(), config_.health_report_period);
+    co_await sim::delay(host_->engine(), kHealthReportPeriod);
     xmlproto::HealthReportMsg report;
     report.registry_host = host_->name();
     report.registry_port = config_.port;
@@ -1404,7 +1413,7 @@ const ProcessEntry* Registry::select_process(const std::string& source_host) {
     if (schema_it != schemas_.end()) {
       // Data-locality consideration (paper 5.3): a process that depends
       // heavily on host-local data is not migrated.
-      if (schema_it->second.data_locality() >= config_.locality_threshold) {
+      if (schema_it->second.data_locality() >= kLocalityThreshold) {
         continue;
       }
       est_exec = schema_it->second.est_exec_time();
@@ -1449,6 +1458,73 @@ std::vector<const HostEntry*> Registry::eligible_destinations(
   return indexed_eligible(source_host, schema);
 }
 
+Registry::Rejection Registry::destination_rejection(
+    const HostEntry& entry, const std::string& source_host,
+    const hpcm::ApplicationSchema* schema, double now) const {
+  if (entry.info.host == source_host) {
+    return Rejection::kSource;
+  }
+  if (entry.draining) {
+    return Rejection::kDraining;
+  }
+  if (entry.suspect_until > now) {
+    return Rejection::kSuspect;
+  }
+  if (!rules::actions_for(entry.state).migrate_in) {
+    // only `free` hosts accept incoming applications
+    return Rejection::kNotFree;
+  }
+  if (entry.commander_port == 0) {
+    // Update-before-Register ghost: no RegisterMsg has supplied ports yet,
+    // so any command would be posted to port 0 and silently lost.
+    return Rejection::kUnregistered;
+  }
+  if (!config_.policy.accepts_destination(entry.status)) {
+    return Rejection::kPolicy;
+  }
+  if (schema != nullptr) {
+    const auto& req = schema->requirements();
+    if (entry.info.memory_bytes < req.min_memory_bytes ||
+        entry.info.disk_bytes < req.min_disk_bytes ||
+        entry.info.cpu_speed < req.min_cpu_speed) {
+      return Rejection::kResources;
+    }
+    const auto [mem_debit, disk_debit] = inflight_debit(entry.info.host);
+    if ((mem_debit != 0 || disk_debit != 0) &&
+        (entry.info.memory_bytes < req.min_memory_bytes + mem_debit ||
+         entry.info.disk_bytes < req.min_disk_bytes + disk_debit)) {
+      return Rejection::kInflight;
+    }
+  }
+  return Rejection::kNone;
+}
+
+std::string Registry::verdict(Rejection rejection, const HostEntry& entry,
+                              const std::string& schema_name) {
+  switch (rejection) {
+    case Rejection::kNone:
+      return "eligible";
+    case Rejection::kSource:
+      return "source host";
+    case Rejection::kDraining:
+      return "draining (evacuated)";
+    case Rejection::kSuspect:
+      return "suspect (recent migration failure)";
+    case Rejection::kNotFree:
+      return "state=" + std::string(rules::to_string(entry.state)) +
+             " (not free)";
+    case Rejection::kUnregistered:
+      return "unregistered (no command port)";
+    case Rejection::kPolicy:
+      return "policy destination conditions";
+    case Rejection::kResources:
+      return "insufficient resources for schema " + schema_name;
+    case Rejection::kInflight:
+      return "in-flight placements exhaust resources";
+  }
+  return "";
+}
+
 std::vector<const HostEntry*> Registry::legacy_eligible(
     const std::string& source_host, const hpcm::ApplicationSchema* schema,
     const std::string& schema_name,
@@ -1463,63 +1539,17 @@ std::vector<const HostEntry*> Registry::legacy_eligible(
             [](const HostEntry* a, const HostEntry* b) {
               return a->registration_order < b->registration_order;
             });
-  const auto reject = [audit](const HostEntry* entry, std::string reason) {
-    if (audit != nullptr) {
-      audit->push_back({entry->info.host, false, std::move(reason)});
-    }
-  };
   std::vector<const HostEntry*> eligible;
   for (const HostEntry* entry : ordered) {
-    if (entry->info.host == source_host) {
-      reject(entry, "source host");
-      continue;
-    }
-    if (entry->draining) {
-      reject(entry, "draining (evacuated)");
-      continue;
-    }
-    if (entry->suspect_until > now) {
-      reject(entry, "suspect (recent migration failure)");
-      continue;
-    }
-    if (!rules::actions_for(entry->state).migrate_in) {
-      // only `free` hosts accept incoming applications
-      reject(entry,
-             "state=" + std::string(rules::to_string(entry->state)) +
-                 " (not free)");
-      continue;
-    }
-    if (entry->commander_port == 0) {
-      // Update-before-Register ghost: no RegisterMsg has supplied ports
-      // yet, so any command would be posted to port 0 and silently lost.
-      reject(entry, "unregistered (no command port)");
-      continue;
-    }
-    if (!config_.policy.accepts_destination(entry->status)) {
-      reject(entry, "policy destination conditions");
-      continue;
-    }
-    if (schema != nullptr) {
-      const auto& req = schema->requirements();
-      if (entry->info.memory_bytes < req.min_memory_bytes ||
-          entry->info.disk_bytes < req.min_disk_bytes ||
-          entry->info.cpu_speed < req.min_cpu_speed) {
-        reject(entry, "insufficient resources for schema " + schema_name);
-        continue;
-      }
-      const auto [mem_debit, disk_debit] =
-          inflight_debit(entry->info.host);
-      if ((mem_debit != 0 || disk_debit != 0) &&
-          (entry->info.memory_bytes < req.min_memory_bytes + mem_debit ||
-           entry->info.disk_bytes < req.min_disk_bytes + disk_debit)) {
-        reject(entry, "in-flight placements exhaust resources");
-        continue;
-      }
-    }
+    const Rejection rejection =
+        destination_rejection(*entry, source_host, schema, now);
     if (audit != nullptr) {
-      audit->push_back({entry->info.host, true, "eligible"});
+      audit->push_back({entry->info.host, rejection == Rejection::kNone,
+                        verdict(rejection, *entry, schema_name)});
     }
-    eligible.push_back(entry);
+    if (rejection == Rejection::kNone) {
+      eligible.push_back(entry);
+    }
   }
   return eligible;
 }
@@ -1533,29 +1563,10 @@ std::vector<const HostEntry*> Registry::indexed_eligible(
   eligible.reserve(free_list.size);
   for (const HostEntry* entry = free_list.head; entry != nullptr;
        entry = entry->index_next) {
-    if (entry->info.host == source_host || entry->draining ||
-        entry->suspect_until > now || entry->commander_port == 0) {
-      continue;
+    if (destination_rejection(*entry, source_host, schema, now) ==
+        Rejection::kNone) {
+      eligible.push_back(entry);
     }
-    if (!config_.policy.accepts_destination(entry->status)) {
-      continue;
-    }
-    if (schema != nullptr) {
-      const auto& req = schema->requirements();
-      if (entry->info.memory_bytes < req.min_memory_bytes ||
-          entry->info.disk_bytes < req.min_disk_bytes ||
-          entry->info.cpu_speed < req.min_cpu_speed) {
-        continue;
-      }
-      const auto [mem_debit, disk_debit] =
-          inflight_debit(entry->info.host);
-      if ((mem_debit != 0 || disk_debit != 0) &&
-          (entry->info.memory_bytes < req.min_memory_bytes + mem_debit ||
-           entry->info.disk_bytes < req.min_disk_bytes + disk_debit)) {
-        continue;
-      }
-    }
-    eligible.push_back(entry);
   }
   return eligible;
 }

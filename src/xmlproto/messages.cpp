@@ -1,7 +1,9 @@
 #include "ars/xmlproto/messages.hpp"
 
-#include <functional>
-#include <map>
+#include <optional>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "ars/support/strings.hpp"
 #include "ars/xmlproto/xml.hpp"
@@ -10,664 +12,427 @@ namespace ars::xmlproto {
 
 using support::Expected;
 using support::make_error;
-using support::parse_double;
-using support::parse_int;
+using support::Status;
 
 namespace {
 
-// ---- field helpers --------------------------------------------------------
+// ---- table vocabulary -------------------------------------------------------
+//
+// Every wire format is one table: its tag, then its fields in wire order.
+// Each scalar field has one presence rule:
+//   kRequired   always sent; missing or malformed on decode is an error.
+//   kDefaulted  always sent; missing or malformed decodes to the default.
+//   kSparse     sent only when not the default; decodes like kDefaulted.
+// A number outside its member's type range is malformed.  To change a wire
+// format, edit its table.
 
-void put(XmlNode& parent, const std::string& name, const std::string& value) {
-  parent.add_child(name).set_text(value);
-}
-void put(XmlNode& parent, const std::string& name, double value) {
-  put(parent, name, support::format_fixed(value, 6));
-}
-void put(XmlNode& parent, const std::string& name, int value) {
-  put(parent, name, std::to_string(value));
-}
-void put(XmlNode& parent, const std::string& name, std::uint64_t value) {
-  put(parent, name, std::to_string(value));
-}
-void put(XmlNode& parent, const std::string& name, bool value) {
-  put(parent, name, std::string(value ? "true" : "false"));
-}
+enum class Presence { kRequired, kDefaulted, kSparse };
 
-Expected<std::string> need_text(const XmlNode& node, const std::string& name) {
-  const XmlNode* c = node.child(name);
-  if (c == nullptr) {
-    return make_error("proto_decode", "missing field <" + name + "> in <" +
-                                          node.name() + ">");
-  }
-  return c->text();
-}
+/// A field's default: T{} unless a table names another (text as a literal).
+template <typename T>
+using Fallback =
+    std::conditional_t<std::is_same_v<T, std::string>, std::string_view, T>;
 
-Expected<double> need_double(const XmlNode& node, const std::string& name) {
-  auto text = need_text(node, name);
-  if (!text.has_value()) {
-    return text.error();
-  }
-  const auto value = parse_double(*text);
-  if (!value.has_value()) {
-    return make_error("proto_decode",
-                      "field <" + name + "> is not a number: " + *text);
-  }
-  return *value;
-}
-
-Expected<std::int64_t> need_int(const XmlNode& node, const std::string& name) {
-  auto text = need_text(node, name);
-  if (!text.has_value()) {
-    return text.error();
-  }
-  const auto value = parse_int(*text);
-  if (!value.has_value()) {
-    return make_error("proto_decode",
-                      "field <" + name + "> is not an integer: " + *text);
-  }
-  return *value;
-}
-
-Expected<bool> need_bool(const XmlNode& node, const std::string& name) {
-  auto text = need_text(node, name);
-  if (!text.has_value()) {
-    return text.error();
-  }
-  if (*text == "true") return true;
-  if (*text == "false") return false;
-  return make_error("proto_decode",
-                    "field <" + name + "> is not a boolean: " + *text);
-}
-
-// ---- per-type encoders ----------------------------------------------------
-
-void encode_static_info(XmlNode& parent, const StaticInfo& info) {
-  XmlNode& n = parent.add_child("static");
-  put(n, "host", info.host);
-  put(n, "ip", info.ip);
-  put(n, "os", info.os);
-  put(n, "memory", info.memory_bytes);
-  put(n, "disk", info.disk_bytes);
-  put(n, "cpu_speed", info.cpu_speed);
-  put(n, "byte_order", info.byte_order);
-}
-
-Expected<StaticInfo> decode_static_info(const XmlNode& parent) {
-  const XmlNode* n = parent.child("static");
-  if (n == nullptr) {
-    return make_error("proto_decode", "missing <static> block");
-  }
-  StaticInfo info;
-  auto host = need_text(*n, "host");
-  if (!host.has_value()) return host.error();
-  info.host = *host;
-  info.ip = n->child_text_or("ip", "");
-  info.os = n->child_text_or("os", "");
-  auto memory = need_int(*n, "memory");
-  if (!memory.has_value()) return memory.error();
-  info.memory_bytes = static_cast<std::uint64_t>(*memory);
-  auto disk = need_int(*n, "disk");
-  if (!disk.has_value()) return disk.error();
-  info.disk_bytes = static_cast<std::uint64_t>(*disk);
-  auto speed = need_double(*n, "cpu_speed");
-  if (!speed.has_value()) return speed.error();
-  info.cpu_speed = *speed;
-  info.byte_order = n->child_text_or("byte_order", "big");
-  return info;
-}
-
-void encode_status(XmlNode& parent, const DynamicStatus& status) {
-  XmlNode& n = parent.add_child("status");
-  put(n, "host", status.host);
-  put(n, "state", status.state);
-  put(n, "load1", status.load1);
-  put(n, "load5", status.load5);
-  put(n, "cpu_util", status.cpu_util);
-  put(n, "processes", status.processes);
-  put(n, "mem_avail_pct", status.mem_available_pct);
-  put(n, "disk_avail", status.disk_available);
-  put(n, "net_in", status.net_in_bps);
-  put(n, "net_out", status.net_out_bps);
-  put(n, "sockets", status.sockets_established);
-  put(n, "timestamp", status.timestamp);
-}
-
-Expected<DynamicStatus> decode_status(const XmlNode& parent) {
-  const XmlNode* n = parent.child("status");
-  if (n == nullptr) {
-    return make_error("proto_decode", "missing <status> block");
-  }
-  DynamicStatus s;
-  auto host = need_text(*n, "host");
-  if (!host.has_value()) return host.error();
-  s.host = *host;
-  auto state = need_text(*n, "state");
-  if (!state.has_value()) return state.error();
-  s.state = *state;
-  auto load1 = need_double(*n, "load1");
-  if (!load1.has_value()) return load1.error();
-  s.load1 = *load1;
-  auto load5 = need_double(*n, "load5");
-  if (!load5.has_value()) return load5.error();
-  s.load5 = *load5;
-  auto util = need_double(*n, "cpu_util");
-  if (!util.has_value()) return util.error();
-  s.cpu_util = *util;
-  auto processes = need_int(*n, "processes");
-  if (!processes.has_value()) return processes.error();
-  s.processes = static_cast<int>(*processes);
-  auto mem = need_double(*n, "mem_avail_pct");
-  if (!mem.has_value()) return mem.error();
-  s.mem_available_pct = *mem;
-  auto disk = need_int(*n, "disk_avail");
-  if (!disk.has_value()) return disk.error();
-  s.disk_available = static_cast<std::uint64_t>(*disk);
-  auto in = need_double(*n, "net_in");
-  if (!in.has_value()) return in.error();
-  s.net_in_bps = *in;
-  auto out = need_double(*n, "net_out");
-  if (!out.has_value()) return out.error();
-  s.net_out_bps = *out;
-  auto sockets = need_int(*n, "sockets");
-  if (!sockets.has_value()) return sockets.error();
-  s.sockets_established = static_cast<int>(*sockets);
-  auto ts = need_double(*n, "timestamp");
-  if (!ts.has_value()) return ts.error();
-  s.timestamp = *ts;
-  return s;
-}
-
-struct Encoder {
-  XmlNode& root;
-
-  void operator()(const RegisterMsg& m) const {
-    root.set_attr("type", "register");
-    encode_static_info(root, m.info);
-    put(root, "monitor_port", m.monitor_port);
-    put(root, "commander_port", m.commander_port);
-  }
-  void operator()(const UpdateMsg& m) const {
-    root.set_attr("type", "update");
-    encode_status(root, m.status);
-  }
-  void operator()(const ConsultMsg& m) const {
-    root.set_attr("type", "consult");
-    put(root, "host", m.host);
-    put(root, "reason", m.reason);
-    // Hierarchy-routing fields ride along only when set, so a plain
-    // monitor consult keeps its original compact form.
-    if (!m.origin_registry.empty()) {
-      put(root, "origin_registry", m.origin_registry);
-    }
-    if (m.pid != 0) {
-      put(root, "pid", m.pid);
-    }
-    if (!m.process_name.empty()) {
-      put(root, "process_name", m.process_name);
-    }
-    if (!m.schema_name.empty()) {
-      put(root, "schema_name", m.schema_name);
-    }
-    if (m.commander_port != 0) {
-      put(root, "commander_port", m.commander_port);
-    }
-  }
-  void operator()(const UpdateBatchMsg& m) const {
-    root.set_attr("type", "update_batch");
-    for (const LeaseRenewal& renewal : m.renewals) {
-      XmlNode& n = root.add_child("renewal");
-      put(n, "host", renewal.host);
-      put(n, "state", renewal.state);
-      put(n, "timestamp", renewal.timestamp);
-    }
-  }
-  void operator()(const MigrateCmd& m) const {
-    root.set_attr("type", "migrate");
-    put(root, "pid", m.pid);
-    put(root, "process_name", m.process_name);
-    put(root, "dest_host", m.dest_host);
-    put(root, "dest_ip", m.dest_ip);
-    put(root, "dest_port", m.dest_port);
-    put(root, "schema_name", m.schema_name);
-  }
-  void operator()(const AckMsg& m) const {
-    root.set_attr("type", "ack");
-    put(root, "of", m.of);
-    put(root, "ok", m.ok);
-    put(root, "detail", m.detail);
-  }
-  void operator()(const ProcessRegisterMsg& m) const {
-    root.set_attr("type", "process_register");
-    put(root, "host", m.host);
-    put(root, "pid", m.pid);
-    put(root, "name", m.name);
-    put(root, "start_time", m.start_time);
-    put(root, "migration_enabled", m.migration_enabled);
-    put(root, "schema_name", m.schema_name);
-  }
-  void operator()(const ProcessDeregisterMsg& m) const {
-    root.set_attr("type", "process_deregister");
-    put(root, "host", m.host);
-    put(root, "pid", m.pid);
-  }
-  void operator()(const HealthReportMsg& m) const {
-    root.set_attr("type", "health");
-    put(root, "registry_host", m.registry_host);
-    put(root, "registry_port", m.registry_port);
-    put(root, "free_hosts", m.free_hosts);
-    put(root, "busy_hosts", m.busy_hosts);
-    put(root, "overloaded_hosts", m.overloaded_hosts);
-    put(root, "timestamp", m.timestamp);
-  }
-  void operator()(const RecommendMsg& m) const {
-    root.set_attr("type", "recommend");
-    put(root, "found", m.found);
-    put(root, "dest_host", m.dest_host);
-    put(root, "dest_ip", m.dest_ip);
-    put(root, "dest_port", m.dest_port);
-  }
-  void operator()(const EvacuateMsg& m) const {
-    root.set_attr("type", "evacuate");
-    put(root, "host", m.host);
-    put(root, "reason", m.reason);
-  }
-  void operator()(const RelaunchCmd& m) const {
-    root.set_attr("type", "relaunch");
-    put(root, "process_name", m.process_name);
-    put(root, "lost_host", m.lost_host);
-    put(root, "schema_name", m.schema_name);
-  }
-  void operator()(const MigrationOutcomeMsg& m) const {
-    root.set_attr("type", "migration_outcome");
-    put(root, "process", m.process);
-    put(root, "source", m.source);
-    put(root, "destination", m.destination);
-    put(root, "outcome", m.outcome);
-    // Failure detail rides along only on aborts/rollbacks, so a committed
-    // outcome keeps its compact form.
-    if (!m.reason.empty()) {
-      put(root, "reason", m.reason);
-    }
-    if (!m.phase.empty()) {
-      put(root, "phase", m.phase);
-    }
-    // Pre-copy accounting rides along only when rounds actually shipped,
-    // so stop-and-copy outcomes keep the legacy wire form byte-for-byte.
-    if (m.precopy_rounds > 0) {
-      put(root, "precopy_rounds", m.precopy_rounds);
-      put(root, "precopy_bytes", m.precopy_bytes);
-    }
-  }
-  void operator()(const ResizeCmd& m) const {
-    root.set_attr("type", "resize");
-    put(root, "job", m.job);
-    put(root, "verb", m.verb);
-    put(root, "delta", m.delta);
-    if (!m.strategy.empty()) {
-      put(root, "strategy", m.strategy);
-    }
-    for (const std::string& host : m.hosts) {
-      put(root, "target", host);
-    }
-  }
-  void operator()(const ResizeOutcomeMsg& m) const {
-    root.set_attr("type", "resize_outcome");
-    put(root, "job", m.job);
-    put(root, "verb", m.verb);
-    put(root, "delta", m.delta);
-    put(root, "outcome", m.outcome);
-    put(root, "ranks_after", m.ranks_after);
-    // Same compact-commit rule as MigrationOutcomeMsg.
-    if (!m.reason.empty()) {
-      put(root, "reason", m.reason);
-    }
-    if (!m.phase.empty()) {
-      put(root, "phase", m.phase);
-    }
-  }
-  void operator()(const CkptIoRequestMsg& m) const {
-    root.set_attr("type", "ckpt_io_request");
-    put(root, "host", m.host);
-    put(root, "process", m.process);
-    put(root, "verb", m.verb);
-    // bytes/risk only matter on "request"; done/abort keep the compact
-    // three-field form.
-    if (m.bytes > 0) {
-      put(root, "bytes", m.bytes);
-    }
-    if (m.risk > 0.0) {
-      put(root, "risk", m.risk);
-    }
-  }
-  void operator()(const CkptIoGrantMsg& m) const {
-    root.set_attr("type", "ckpt_io_grant");
-    put(root, "process", m.process);
-    put(root, "verb", m.verb);
-    if (m.retry_after > 0.0) {
-      put(root, "retry_after", m.retry_after);
-    }
-  }
+/// One child element <name>value</name> bound to `member`.
+template <typename Owner, typename T>
+struct Field {
+  std::string_view name;
+  T Owner::*member;
+  Presence presence;
+  Fallback<T> fallback;
 };
 
-// ---- per-type decoders ----------------------------------------------------
+/// A required nested record, sent as a child element named by its table.
+template <typename Owner, typename Record, typename RecordTable>
+struct Block {
+  Record Owner::*member;
+  const RecordTable* table;
+};
 
-Expected<ProtocolMessage> decode_register(const XmlNode& root) {
-  RegisterMsg m;
-  auto info = decode_static_info(root);
-  if (!info.has_value()) return info.error();
-  m.info = *info;
-  auto monitor_port = need_int(root, "monitor_port");
-  if (!monitor_port.has_value()) return monitor_port.error();
-  m.monitor_port = static_cast<int>(*monitor_port);
-  auto commander_port = need_int(root, "commander_port");
-  if (!commander_port.has_value()) return commander_port.error();
-  m.commander_port = static_cast<int>(*commander_port);
-  return ProtocolMessage{m};
+/// Zero or more nested records, one child element each.
+template <typename Owner, typename Record, typename RecordTable>
+struct Blocks {
+  std::vector<Record> Owner::*member;
+  const RecordTable* table;
+};
+
+/// Zero or more text elements <name>...</name>.
+template <typename Owner>
+struct Texts {
+  std::string_view name;
+  std::vector<std::string> Owner::*member;
+};
+
+template <typename... Fields>
+struct Table {
+  std::string_view tag;
+  std::tuple<Fields...> fields;
+};
+
+template <typename... Fields>
+constexpr Table<Fields...> table(std::string_view tag, Fields... fields) {
+  return {tag, {fields...}};
+}
+template <typename Owner, typename T>
+constexpr Field<Owner, T> required(std::string_view name, T Owner::*member) {
+  return {name, member, Presence::kRequired, {}};
+}
+template <typename Owner, typename T>
+constexpr Field<Owner, T> defaulted(std::string_view name, T Owner::*member,
+                                    Fallback<T> fallback = {}) {
+  return {name, member, Presence::kDefaulted, fallback};
+}
+template <typename Owner, typename T>
+constexpr Field<Owner, T> sparse(std::string_view name, T Owner::*member) {
+  return {name, member, Presence::kSparse, {}};
+}
+template <typename Owner, typename Record, typename RecordTable>
+constexpr Block<Owner, Record, RecordTable> block(Record Owner::*member,
+                                                  const RecordTable& table) {
+  return {member, &table};
+}
+template <typename Owner, typename Record, typename RecordTable>
+constexpr Blocks<Owner, Record, RecordTable> blocks(
+    std::vector<Record> Owner::*member, const RecordTable& table) {
+  return {member, &table};
+}
+template <typename Owner>
+constexpr Texts<Owner> texts(std::string_view name,
+                             std::vector<std::string> Owner::*member) {
+  return {name, member};
 }
 
-Expected<ProtocolMessage> decode_update(const XmlNode& root) {
-  auto status = decode_status(root);
-  if (!status.has_value()) return status.error();
-  return ProtocolMessage{UpdateMsg{*status}};
-}
+// ---- the tables -------------------------------------------------------------
 
-Expected<ProtocolMessage> decode_consult(const XmlNode& root) {
-  ConsultMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  m.reason = root.child_text_or("reason", "");
-  // Optional hierarchy-routing fields (absent in plain monitor consults
-  // and in documents from older senders).
-  m.origin_registry = root.child_text_or("origin_registry", "");
-  const auto pid = parse_int(root.child_text_or("pid", "0"));
-  m.pid = pid.has_value() ? static_cast<int>(*pid) : 0;
-  m.process_name = root.child_text_or("process_name", "");
-  m.schema_name = root.child_text_or("schema_name", "");
-  const auto commander_port =
-      parse_int(root.child_text_or("commander_port", "0"));
-  m.commander_port =
-      commander_port.has_value() ? static_cast<int>(*commander_port) : 0;
-  return ProtocolMessage{m};
-}
+constexpr auto kStatic = table(
+    "static", required("host", &StaticInfo::host),
+    defaulted("ip", &StaticInfo::ip), defaulted("os", &StaticInfo::os),
+    required("memory", &StaticInfo::memory_bytes),
+    required("disk", &StaticInfo::disk_bytes),
+    required("cpu_speed", &StaticInfo::cpu_speed),
+    defaulted("byte_order", &StaticInfo::byte_order, "big"));
 
-Expected<ProtocolMessage> decode_update_batch(const XmlNode& root) {
-  UpdateBatchMsg m;
-  for (const XmlNode* n : root.children_named("renewal")) {
-    LeaseRenewal renewal;
-    auto host = need_text(*n, "host");
-    if (!host.has_value()) return host.error();
-    renewal.host = *host;
-    auto state = need_text(*n, "state");
-    if (!state.has_value()) return state.error();
-    renewal.state = *state;
-    auto ts = need_double(*n, "timestamp");
-    if (!ts.has_value()) return ts.error();
-    renewal.timestamp = *ts;
-    m.renewals.push_back(std::move(renewal));
+constexpr auto kStatus = table(
+    "status", required("host", &DynamicStatus::host),
+    required("state", &DynamicStatus::state),
+    required("load1", &DynamicStatus::load1),
+    required("load5", &DynamicStatus::load5),
+    required("cpu_util", &DynamicStatus::cpu_util),
+    required("processes", &DynamicStatus::processes),
+    required("mem_avail_pct", &DynamicStatus::mem_available_pct),
+    required("disk_avail", &DynamicStatus::disk_available),
+    required("net_in", &DynamicStatus::net_in_bps),
+    required("net_out", &DynamicStatus::net_out_bps),
+    required("sockets", &DynamicStatus::sockets_established),
+    required("timestamp", &DynamicStatus::timestamp));
+
+constexpr auto kRenewal =
+    table("renewal", required("host", &LeaseRenewal::host),
+          required("state", &LeaseRenewal::state),
+          required("timestamp", &LeaseRenewal::timestamp));
+
+/// One table per message, in ProtocolMessage's alternative order; the tag is
+/// the root's type attribute.
+constexpr std::tuple kMessages{
+    table("register", block(&RegisterMsg::info, kStatic),
+          required("monitor_port", &RegisterMsg::monitor_port),
+          required("commander_port", &RegisterMsg::commander_port)),
+    table("update", block(&UpdateMsg::status, kStatus)),
+    table("update_batch", blocks(&UpdateBatchMsg::renewals, kRenewal)),
+    // The hierarchy-routing fields ride along only when a registry escalates
+    // or routes the consult.
+    table("consult", required("host", &ConsultMsg::host),
+          defaulted("reason", &ConsultMsg::reason),
+          sparse("origin_registry", &ConsultMsg::origin_registry),
+          sparse("pid", &ConsultMsg::pid),
+          sparse("process_name", &ConsultMsg::process_name),
+          sparse("schema_name", &ConsultMsg::schema_name),
+          sparse("commander_port", &ConsultMsg::commander_port)),
+    table("migrate", required("pid", &MigrateCmd::pid),
+          defaulted("process_name", &MigrateCmd::process_name),
+          required("dest_host", &MigrateCmd::dest_host),
+          defaulted("dest_ip", &MigrateCmd::dest_ip),
+          required("dest_port", &MigrateCmd::dest_port),
+          defaulted("schema_name", &MigrateCmd::schema_name)),
+    table("ack", required("of", &AckMsg::of), required("ok", &AckMsg::ok),
+          defaulted("detail", &AckMsg::detail)),
+    table("process_register", required("host", &ProcessRegisterMsg::host),
+          required("pid", &ProcessRegisterMsg::pid),
+          defaulted("name", &ProcessRegisterMsg::name),
+          required("start_time", &ProcessRegisterMsg::start_time),
+          required("migration_enabled",
+                   &ProcessRegisterMsg::migration_enabled),
+          defaulted("schema_name", &ProcessRegisterMsg::schema_name)),
+    table("process_deregister", required("host", &ProcessDeregisterMsg::host),
+          required("pid", &ProcessDeregisterMsg::pid)),
+    table("health", required("registry_host", &HealthReportMsg::registry_host),
+          defaulted("registry_port", &HealthReportMsg::registry_port),
+          required("free_hosts", &HealthReportMsg::free_hosts),
+          required("busy_hosts", &HealthReportMsg::busy_hosts),
+          required("overloaded_hosts", &HealthReportMsg::overloaded_hosts),
+          required("timestamp", &HealthReportMsg::timestamp)),
+    table("recommend", required("found", &RecommendMsg::found),
+          defaulted("dest_host", &RecommendMsg::dest_host),
+          defaulted("dest_ip", &RecommendMsg::dest_ip),
+          defaulted("dest_port", &RecommendMsg::dest_port)),
+    table("evacuate", required("host", &EvacuateMsg::host),
+          defaulted("reason", &EvacuateMsg::reason)),
+    table("relaunch", required("process_name", &RelaunchCmd::process_name),
+          defaulted("lost_host", &RelaunchCmd::lost_host),
+          defaulted("schema_name", &RelaunchCmd::schema_name)),
+    // Failure detail rides along only on aborts/rollbacks and pre-copy
+    // accounting only when rounds shipped, so a committed stop-and-copy
+    // outcome keeps its compact form.
+    table("migration_outcome",
+          required("process", &MigrationOutcomeMsg::process),
+          required("source", &MigrationOutcomeMsg::source),
+          required("destination", &MigrationOutcomeMsg::destination),
+          required("outcome", &MigrationOutcomeMsg::outcome),
+          sparse("reason", &MigrationOutcomeMsg::reason),
+          sparse("phase", &MigrationOutcomeMsg::phase),
+          sparse("precopy_rounds", &MigrationOutcomeMsg::precopy_rounds),
+          sparse("precopy_bytes", &MigrationOutcomeMsg::precopy_bytes)),
+    table("resize", required("job", &ResizeCmd::job),
+          required("verb", &ResizeCmd::verb),
+          required("delta", &ResizeCmd::delta),
+          sparse("strategy", &ResizeCmd::strategy),
+          texts("target", &ResizeCmd::hosts)),
+    table("resize_outcome", required("job", &ResizeOutcomeMsg::job),
+          required("verb", &ResizeOutcomeMsg::verb),
+          required("delta", &ResizeOutcomeMsg::delta),
+          required("outcome", &ResizeOutcomeMsg::outcome),
+          required("ranks_after", &ResizeOutcomeMsg::ranks_after),
+          sparse("reason", &ResizeOutcomeMsg::reason),
+          sparse("phase", &ResizeOutcomeMsg::phase)),
+    // bytes/risk only matter on "request"; done/abort keep the compact
+    // three-field form.
+    table("ckpt_io_request", required("host", &CkptIoRequestMsg::host),
+          required("process", &CkptIoRequestMsg::process),
+          required("verb", &CkptIoRequestMsg::verb),
+          sparse("bytes", &CkptIoRequestMsg::bytes),
+          sparse("risk", &CkptIoRequestMsg::risk)),
+    table("ckpt_io_grant", required("process", &CkptIoGrantMsg::process),
+          required("verb", &CkptIoGrantMsg::verb),
+          sparse("retry_after", &CkptIoGrantMsg::retry_after)),
+};
+
+/// The table of message type M.
+template <typename M, std::size_t I = 0>
+constexpr const auto& table_of() {
+  using Alternative = std::variant_alternative_t<I, ProtocolMessage>;
+  if constexpr (std::is_same_v<M, Alternative>) {
+    return std::get<I>(kMessages);
+  } else {
+    return table_of<M, I + 1>();
   }
-  return ProtocolMessage{std::move(m)};
 }
 
-Expected<ProtocolMessage> decode_migrate(const XmlNode& root) {
-  MigrateCmd m;
-  auto pid = need_int(root, "pid");
-  if (!pid.has_value()) return pid.error();
-  m.pid = static_cast<int>(*pid);
-  m.process_name = root.child_text_or("process_name", "");
-  auto dest = need_text(root, "dest_host");
-  if (!dest.has_value()) return dest.error();
-  m.dest_host = *dest;
-  m.dest_ip = root.child_text_or("dest_ip", "");
-  auto port = need_int(root, "dest_port");
-  if (!port.has_value()) return port.error();
-  m.dest_port = static_cast<int>(*port);
-  m.schema_name = root.child_text_or("schema_name", "");
-  return ProtocolMessage{m};
-}
+// ---- scalar text ------------------------------------------------------------
 
-Expected<ProtocolMessage> decode_ack(const XmlNode& root) {
-  AckMsg m;
-  auto of = need_text(root, "of");
-  if (!of.has_value()) return of.error();
-  m.of = *of;
-  auto ok = need_bool(root, "ok");
-  if (!ok.has_value()) return ok.error();
-  m.ok = *ok;
-  m.detail = root.child_text_or("detail", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_process_register(const XmlNode& root) {
-  ProcessRegisterMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  auto pid = need_int(root, "pid");
-  if (!pid.has_value()) return pid.error();
-  m.pid = static_cast<int>(*pid);
-  m.name = root.child_text_or("name", "");
-  auto start = need_double(root, "start_time");
-  if (!start.has_value()) return start.error();
-  m.start_time = *start;
-  auto enabled = need_bool(root, "migration_enabled");
-  if (!enabled.has_value()) return enabled.error();
-  m.migration_enabled = *enabled;
-  m.schema_name = root.child_text_or("schema_name", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_process_deregister(const XmlNode& root) {
-  ProcessDeregisterMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  auto pid = need_int(root, "pid");
-  if (!pid.has_value()) return pid.error();
-  m.pid = static_cast<int>(*pid);
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_health(const XmlNode& root) {
-  HealthReportMsg m;
-  auto host = need_text(root, "registry_host");
-  if (!host.has_value()) return host.error();
-  m.registry_host = *host;
-  const auto port = parse_int(root.child_text_or("registry_port", "0"));
-  m.registry_port = port.has_value() ? static_cast<int>(*port) : 0;
-  auto free_hosts = need_int(root, "free_hosts");
-  if (!free_hosts.has_value()) return free_hosts.error();
-  m.free_hosts = static_cast<int>(*free_hosts);
-  auto busy_hosts = need_int(root, "busy_hosts");
-  if (!busy_hosts.has_value()) return busy_hosts.error();
-  m.busy_hosts = static_cast<int>(*busy_hosts);
-  auto overloaded = need_int(root, "overloaded_hosts");
-  if (!overloaded.has_value()) return overloaded.error();
-  m.overloaded_hosts = static_cast<int>(*overloaded);
-  auto ts = need_double(root, "timestamp");
-  if (!ts.has_value()) return ts.error();
-  m.timestamp = *ts;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_evacuate(const XmlNode& root) {
-  EvacuateMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  m.reason = root.child_text_or("reason", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_relaunch(const XmlNode& root) {
-  RelaunchCmd m;
-  auto name = need_text(root, "process_name");
-  if (!name.has_value()) return name.error();
-  m.process_name = *name;
-  m.lost_host = root.child_text_or("lost_host", "");
-  m.schema_name = root.child_text_or("schema_name", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_migration_outcome(const XmlNode& root) {
-  MigrationOutcomeMsg m;
-  auto process = need_text(root, "process");
-  if (!process.has_value()) return process.error();
-  m.process = *process;
-  auto source = need_text(root, "source");
-  if (!source.has_value()) return source.error();
-  m.source = *source;
-  auto destination = need_text(root, "destination");
-  if (!destination.has_value()) return destination.error();
-  m.destination = *destination;
-  auto outcome = need_text(root, "outcome");
-  if (!outcome.has_value()) return outcome.error();
-  m.outcome = *outcome;
-  m.reason = root.child_text_or("reason", "");
-  m.phase = root.child_text_or("phase", "");
-  // Optional pre-copy accounting (absent from stop-and-copy outcomes and
-  // from documents produced by pre-precopy senders).
-  const auto rounds = parse_int(root.child_text_or("precopy_rounds", "0"));
-  m.precopy_rounds = rounds.has_value() ? static_cast<int>(*rounds) : 0;
-  const auto bytes = parse_int(root.child_text_or("precopy_bytes", "0"));
-  m.precopy_bytes =
-      bytes.has_value() && *bytes > 0 ? static_cast<std::uint64_t>(*bytes) : 0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_resize(const XmlNode& root) {
-  ResizeCmd m;
-  auto job = need_text(root, "job");
-  if (!job.has_value()) return job.error();
-  m.job = *job;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  auto delta = need_int(root, "delta");
-  if (!delta.has_value()) return delta.error();
-  m.delta = static_cast<int>(*delta);
-  m.strategy = root.child_text_or("strategy", "");
-  for (const XmlNode* n : root.children_named("target")) {
-    m.hosts.push_back(n->text());
+template <typename T>
+std::string to_text(const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return support::format_fixed(value, 6);
+  } else {
+    return std::to_string(value);
   }
-  return ProtocolMessage{m};
 }
 
-Expected<ProtocolMessage> decode_resize_outcome(const XmlNode& root) {
-  ResizeOutcomeMsg m;
-  auto job = need_text(root, "job");
-  if (!job.has_value()) return job.error();
-  m.job = *job;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  auto delta = need_int(root, "delta");
-  if (!delta.has_value()) return delta.error();
-  m.delta = static_cast<int>(*delta);
-  auto outcome = need_text(root, "outcome");
-  if (!outcome.has_value()) return outcome.error();
-  m.outcome = *outcome;
-  auto ranks = need_int(root, "ranks_after");
-  if (!ranks.has_value()) return ranks.error();
-  m.ranks_after = static_cast<int>(*ranks);
-  m.reason = root.child_text_or("reason", "");
-  m.phase = root.child_text_or("phase", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_ckpt_io_request(const XmlNode& root) {
-  CkptIoRequestMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  auto process = need_text(root, "process");
-  if (!process.has_value()) return process.error();
-  m.process = *process;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  const auto bytes = parse_int(root.child_text_or("bytes", "0"));
-  m.bytes =
-      bytes.has_value() && *bytes > 0 ? static_cast<std::uint64_t>(*bytes) : 0;
-  const auto risk = parse_double(root.child_text_or("risk", "0"));
-  m.risk = risk.has_value() ? *risk : 0.0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_ckpt_io_grant(const XmlNode& root) {
-  CkptIoGrantMsg m;
-  auto process = need_text(root, "process");
-  if (!process.has_value()) return process.error();
-  m.process = *process;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  const auto retry = parse_double(root.child_text_or("retry_after", "0"));
-  m.retry_after = retry.has_value() ? *retry : 0.0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_recommend(const XmlNode& root) {
-  RecommendMsg m;
-  auto found = need_bool(root, "found");
-  if (!found.has_value()) return found.error();
-  m.found = *found;
-  m.dest_host = root.child_text_or("dest_host", "");
-  m.dest_ip = root.child_text_or("dest_ip", "");
-  const auto port = parse_int(root.child_text_or("dest_port", "0"));
-  m.dest_port = port.has_value() ? static_cast<int>(*port) : 0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_root(const XmlNode& root) {
-  if (root.name() != "ars") {
-    return make_error("proto_decode", "unexpected root <" + root.name() + ">");
+/// nullopt when `text` is malformed or outside T's range.
+template <typename T>
+std::optional<T> from_text(const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (text == "true") return true;
+    if (text == "false") return false;
+    return std::nullopt;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return support::parse_double(text);
+  } else {
+    const auto value = support::parse_int(text);
+    if (!value.has_value() || !std::in_range<T>(*value)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(*value);
   }
-  const auto type = root.attr("type");
-  if (!type.has_value()) {
-    return make_error("proto_decode", "missing type attribute");
+}
+
+template <typename T>
+constexpr const char* kind_of() {
+  if constexpr (std::is_same_v<T, bool>) return "a boolean";
+  if constexpr (std::is_same_v<T, double>) return "a number";
+  if constexpr (std::is_same_v<T, int>) return "an int";
+  return "an unsigned integer";
+}
+
+// ---- the generic codec ------------------------------------------------------
+
+template <typename... Fields, typename Record>
+void encode_fields(XmlNode& node, const Table<Fields...>& t,
+                   const Record& record) {
+  std::apply(
+      [&](const auto&... field) { (encode_field(node, field, record), ...); },
+      t.fields);
+}
+
+template <typename... Fields, typename Record>
+Status decode_fields(const XmlNode& node, const Table<Fields...>& t,
+                     Record& record) {
+  Status status;
+  std::apply(
+      [&](const auto&... field) {
+        (void)(decode_field(node, field, record, status) && ...);
+      },
+      t.fields);
+  return status;
+}
+
+template <typename Owner, typename T>
+void encode_field(XmlNode& node, const Field<Owner, T>& field,
+                  const Owner& record) {
+  const T& value = record.*field.member;
+  if (field.presence == Presence::kSparse && value == field.fallback) {
+    return;
   }
-  using DecodeFn = Expected<ProtocolMessage> (*)(const XmlNode&);
-  static const std::map<std::string, DecodeFn> kDecoders = {
-      {"register", decode_register},
-      {"update", decode_update},
-      {"update_batch", decode_update_batch},
-      {"consult", decode_consult},
-      {"migrate", decode_migrate},
-      {"ack", decode_ack},
-      {"process_register", decode_process_register},
-      {"process_deregister", decode_process_deregister},
-      {"health", decode_health},
-      {"recommend", decode_recommend},
-      {"evacuate", decode_evacuate},
-      {"relaunch", decode_relaunch},
-      {"migration_outcome", decode_migration_outcome},
-      {"resize", decode_resize},
-      {"resize_outcome", decode_resize_outcome},
-      {"ckpt_io_request", decode_ckpt_io_request},
-      {"ckpt_io_grant", decode_ckpt_io_grant},
-  };
-  const auto it = kDecoders.find(*type);
-  if (it == kDecoders.end()) {
-    return make_error("proto_decode", "unknown message type '" + *type + "'");
+  node.add_child(std::string(field.name)).set_text(to_text(value));
+}
+
+template <typename Owner, typename T>
+bool decode_field(const XmlNode& node, const Field<Owner, T>& field,
+                  Owner& record, Status& status) {
+  const XmlNode* child = node.child(field.name);
+  auto value = child == nullptr ? std::nullopt : from_text<T>(child->text());
+  if (value.has_value()) {
+    record.*field.member = std::move(*value);
+    return true;
   }
-  return it->second(root);
+  if (field.presence != Presence::kRequired) {
+    record.*field.member = T(field.fallback);
+    return true;
+  }
+  const std::string name(field.name);
+  status = child == nullptr
+               ? make_error("proto_decode", "missing field <" + name +
+                                                "> in <" + node.name() + ">")
+               : make_error("proto_decode", "field <" + name + "> is not " +
+                                                kind_of<T>() + ": " +
+                                                child->text());
+  return false;
+}
+
+template <typename Owner, typename Record, typename RecordTable>
+void encode_field(XmlNode& node,
+                  const Block<Owner, Record, RecordTable>& field,
+                  const Owner& record) {
+  encode_fields(node.add_child(std::string(field.table->tag)), *field.table,
+                record.*field.member);
+}
+
+template <typename Owner, typename Record, typename RecordTable>
+bool decode_field(const XmlNode& node,
+                  const Block<Owner, Record, RecordTable>& field,
+                  Owner& record, Status& status) {
+  const XmlNode* child = node.child(field.table->tag);
+  if (child == nullptr) {
+    status = make_error("proto_decode", "missing <" +
+                                            std::string(field.table->tag) +
+                                            "> block");
+    return false;
+  }
+  status = decode_fields(*child, *field.table, record.*field.member);
+  return status.is_ok();
+}
+
+template <typename Owner, typename Record, typename RecordTable>
+void encode_field(XmlNode& node,
+                  const Blocks<Owner, Record, RecordTable>& field,
+                  const Owner& record) {
+  for (const Record& item : record.*field.member) {
+    encode_fields(node.add_child(std::string(field.table->tag)),
+                  *field.table, item);
+  }
+}
+
+template <typename Owner, typename Record, typename RecordTable>
+bool decode_field(const XmlNode& node,
+                  const Blocks<Owner, Record, RecordTable>& field,
+                  Owner& record, Status& status) {
+  for (const auto& child : node.children()) {
+    if (child->name() != field.table->tag) {
+      continue;
+    }
+    Record item;
+    status = decode_fields(*child, *field.table, item);
+    if (!status.is_ok()) {
+      return false;
+    }
+    (record.*field.member).push_back(std::move(item));
+  }
+  return true;
+}
+
+template <typename Owner>
+void encode_field(XmlNode& node, const Texts<Owner>& field,
+                  const Owner& record) {
+  for (const std::string& text : record.*field.member) {
+    node.add_child(std::string(field.name)).set_text(text);
+  }
+}
+
+template <typename Owner>
+bool decode_field(const XmlNode& node, const Texts<Owner>& field,
+                  Owner& record, Status& /*status*/) {
+  for (const auto& child : node.children()) {
+    if (child->name() == field.name) {
+      (record.*field.member).push_back(child->text());
+    }
+  }
+  return true;
+}
+
+/// Decodes the body of a message whose type attribute is `type`.
+template <std::size_t I = 0>
+Expected<ProtocolMessage> decode_body(const XmlNode& root,
+                                      const std::string& type) {
+  if constexpr (I == std::tuple_size_v<decltype(kMessages)>) {
+    return make_error("proto_decode", "unknown message type '" + type + "'");
+  } else {
+    const auto& t = std::get<I>(kMessages);
+    if (type != t.tag) {
+      return decode_body<I + 1>(root, type);
+    }
+    std::variant_alternative_t<I, ProtocolMessage> message;
+    if (const Status status = decode_fields(root, t, message);
+        !status.is_ok()) {
+      return status.error();
+    }
+    return ProtocolMessage{std::in_place_index<I>, std::move(message)};
+  }
 }
 
 }  // namespace
 
 std::string encode(const ProtocolMessage& message) {
-  XmlNode root{"ars"};
-  std::visit(Encoder{root}, message);
-  return root.to_string();
+  return encode(message, obs::TraceCtx{});
 }
 
 std::string encode(const ProtocolMessage& message, const obs::TraceCtx& ctx) {
   XmlNode root{"ars"};
-  std::visit(Encoder{root}, message);
+  std::visit(
+      [&root](const auto& body) {
+        const auto& t = table_of<std::decay_t<decltype(body)>>();
+        root.set_attr("type", std::string(t.tag));
+        encode_fields(root, t, body);
+      },
+      message);
   // The context rides as envelope attributes, emitted only when set (same
-  // rule as ConsultMsg's routing fields) so a context-free message keeps
-  // its pre-v2 byte layout.
+  // rule as a sparse field) so a context-free message keeps its pre-v2 byte
+  // layout.
   if (ctx.set()) {
     root.set_attr("txn", std::to_string(ctx.txn));
     if (ctx.parent_span != 0) {
@@ -678,48 +443,19 @@ std::string encode(const ProtocolMessage& message, const obs::TraceCtx& ctx) {
 }
 
 std::string message_type(const ProtocolMessage& message) {
-  struct Namer {
-    std::string operator()(const RegisterMsg&) const { return "register"; }
-    std::string operator()(const UpdateMsg&) const { return "update"; }
-    std::string operator()(const UpdateBatchMsg&) const {
-      return "update_batch";
-    }
-    std::string operator()(const ConsultMsg&) const { return "consult"; }
-    std::string operator()(const MigrateCmd&) const { return "migrate"; }
-    std::string operator()(const AckMsg&) const { return "ack"; }
-    std::string operator()(const ProcessRegisterMsg&) const {
-      return "process_register";
-    }
-    std::string operator()(const ProcessDeregisterMsg&) const {
-      return "process_deregister";
-    }
-    std::string operator()(const HealthReportMsg&) const { return "health"; }
-    std::string operator()(const RecommendMsg&) const { return "recommend"; }
-    std::string operator()(const EvacuateMsg&) const { return "evacuate"; }
-    std::string operator()(const RelaunchCmd&) const { return "relaunch"; }
-    std::string operator()(const MigrationOutcomeMsg&) const {
-      return "migration_outcome";
-    }
-    std::string operator()(const ResizeCmd&) const { return "resize"; }
-    std::string operator()(const ResizeOutcomeMsg&) const {
-      return "resize_outcome";
-    }
-    std::string operator()(const CkptIoRequestMsg&) const {
-      return "ckpt_io_request";
-    }
-    std::string operator()(const CkptIoGrantMsg&) const {
-      return "ckpt_io_grant";
-    }
-  };
-  return std::visit(Namer{}, message);
+  return std::visit(
+      [](const auto& body) {
+        return std::string(table_of<std::decay_t<decltype(body)>>().tag);
+      },
+      message);
 }
 
 Expected<ProtocolMessage> decode(std::string_view wire) {
-  auto doc = parse_xml(wire);
-  if (!doc.has_value()) {
-    return doc.error();
+  auto envelope = decode_envelope(wire);
+  if (!envelope.has_value()) {
+    return envelope.error();
   }
-  return decode_root(**doc);
+  return std::move(envelope).value().message;
 }
 
 Expected<Envelope> decode_envelope(std::string_view wire) {
@@ -728,18 +464,26 @@ Expected<Envelope> decode_envelope(std::string_view wire) {
     return doc.error();
   }
   const XmlNode& root = **doc;
-  auto message = decode_root(root);
+  if (root.name() != "ars") {
+    return make_error("proto_decode", "unexpected root <" + root.name() + ">");
+  }
+  const auto type = root.attr("type");
+  if (!type.has_value()) {
+    return make_error("proto_decode", "missing type attribute");
+  }
+  auto message = decode_body(root, *type);
   if (!message.has_value()) {
     return message.error();
   }
-  Envelope envelope{std::move(*message), {}};
+  Envelope envelope{std::move(message).value(), {}};
   // Malformed context attrs degrade to "no context" rather than rejecting
   // the message: causality is advisory, the payload is not.
   if (const auto txn = root.attr("txn"); txn.has_value()) {
-    if (const auto id = parse_int(*txn); id.has_value() && *id > 0) {
+    if (const auto id = support::parse_int(*txn); id.has_value() && *id > 0) {
       envelope.trace.txn = static_cast<std::uint64_t>(*id);
       if (const auto pspan = root.attr("pspan"); pspan.has_value()) {
-        if (const auto sid = parse_int(*pspan); sid.has_value() && *sid > 0) {
+        if (const auto sid = support::parse_int(*pspan);
+            sid.has_value() && *sid > 0) {
           envelope.trace.parent_span = static_cast<std::uint64_t>(*sid);
         }
       }

@@ -1,6 +1,7 @@
 // Property-style sweeps for the XML layer: randomly generated documents
 // must round-trip writer -> parser -> writer byte-identically, and random
-// byte mutations of valid documents must never crash the parser.
+// byte mutations of valid documents (random trees and every golden protocol
+// document) must never crash the parser or the message decoder.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "ars/support/strings.hpp"
 #include "ars/xmlproto/messages.hpp"
 #include "ars/xmlproto/xml.hpp"
+#include "wire_golden.hpp"
 
 namespace ars::xmlproto {
 namespace {
@@ -94,17 +96,14 @@ TEST_P(XmlFuzz, MutatedDocumentNeverCrashesParser) {
 
 TEST_P(XmlFuzz, MutatedProtocolMessagesNeverCrashDecoder) {
   support::Rng rng{GetParam() ^ 0x1234};
-  UpdateMsg update;
-  update.status.host = "ws1";
-  update.status.state = "busy";
-  update.status.load1 = 1.5;
-  std::string wire = encode(ProtocolMessage{update});
-  for (int mutation = 0; mutation < 16; ++mutation) {
-    std::string mutated = wire;
-    const auto position = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
-    mutated[position] = static_cast<char>(rng.uniform_int(32, 126));
-    (void)decode(mutated);  // must not crash; error results are fine
+  for (const golden::Document& doc : golden::corpus()) {
+    for (int mutation = 0; mutation < 16; ++mutation) {
+      std::string mutated(doc.wire);
+      const auto position = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
+      mutated[position] = static_cast<char>(rng.uniform_int(32, 126));
+      (void)decode_envelope(mutated);  // must not crash; errors are fine
+    }
   }
 }
 

@@ -435,6 +435,83 @@ TEST(Messages, CkptIoDecodeRejectsMissingFields) {
   EXPECT_FALSE(decode("<ars type=\"ckpt_io_grant\"/>").has_value());
 }
 
+// The range rule: a number outside its field's type range is malformed, so
+// it is a decode error for a required field and the default otherwise —
+// never a wrapped or truncated value.
+
+/// encode(message) with the text of its first <name> element replaced.
+std::string with_field(const ProtocolMessage& message, const std::string& name,
+                       const std::string& text) {
+  std::string wire = encode(message);
+  const std::string open = "<" + name + ">";
+  const auto begin = wire.find(open) + open.size();
+  wire.replace(begin, wire.find("</" + name + ">", begin) - begin, text);
+  return wire;
+}
+
+RegisterMsg sample_register() {
+  RegisterMsg m;
+  m.info.host = "ws1";
+  m.info.memory_bytes = 128ULL * 1024 * 1024;
+  m.info.disk_bytes = 20ULL * 1024 * 1024 * 1024;
+  m.monitor_port = 5001;
+  m.commander_port = 5002;
+  return m;
+}
+
+TEST(Messages, NegativeMemoryIsRejected) {
+  // Wrapped to 2^64-1, it would pass every schema's memory check.
+  EXPECT_FALSE(decode(with_field(sample_register(), "memory", "-1")));
+}
+
+TEST(Messages, NegativeDiskIsRejected) {
+  EXPECT_FALSE(decode(with_field(sample_register(), "disk", "-1")));
+}
+
+TEST(Messages, NegativeDiskAvailableIsRejected) {
+  UpdateMsg m;
+  m.status.host = "ws1";
+  EXPECT_FALSE(decode(with_field(m, "disk_avail", "-1")));
+}
+
+TEST(Messages, PidBeyondIntIsRejected) {
+  MigrateCmd migrate;
+  migrate.pid = 1042;
+  migrate.dest_host = "ws4";
+  // 2^32 + 1042 would truncate to pid 1042.
+  EXPECT_FALSE(decode(with_field(migrate, "pid", "4294968338")));
+
+  ConsultMsg consult;
+  consult.host = "ws1";
+  consult.pid = 1042;
+  const auto decoded = decode(with_field(consult, "pid", "4294968338"));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<ConsultMsg>(*decoded).pid, 0);
+}
+
+TEST(Messages, PortBeyondIntIsRejected) {
+  EXPECT_FALSE(
+      decode(with_field(sample_register(), "monitor_port", "4294972297")));
+
+  RecommendMsg recommend;
+  recommend.found = true;
+  recommend.dest_host = "ws4";
+  const auto decoded =
+      decode(with_field(recommend, "dest_port", "4294972298"));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<RecommendMsg>(*decoded).dest_port, 0);
+}
+
+TEST(Messages, CountBeyondIntIsRejected) {
+  HealthReportMsg health;
+  health.registry_host = "cluster-a";
+  EXPECT_FALSE(decode(with_field(health, "free_hosts", "4294967299")));
+
+  UpdateMsg update;
+  update.status.host = "ws1";
+  EXPECT_FALSE(decode(with_field(update, "processes", "2147483648")));
+}
+
 TEST(Messages, EscapedContentSurvives) {
   AckMsg m;
   m.of = "migrate";
