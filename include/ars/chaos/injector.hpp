@@ -10,7 +10,7 @@
 //
 // Lifetime: construct after the runtime, arm() before running, destroy
 // before the runtime (the destructor cancels pending fault events and
-// uninstalls the network policy).
+// uninstalls the network policy and the phase listener).
 
 #include <cstdint>
 #include <map>
@@ -81,22 +81,21 @@ class FaultInjector final : public net::FaultPolicy {
   void activate(std::size_t index);
   void deactivate(std::size_t index);
   void trace_fault(const FaultSpec& spec, const char* phase);
-  /// Migration-window faults: called (via the middleware's phase listener)
-  /// whenever a live transaction enters a phase; schedules the matching
-  /// reactions as zero-delay engine events (listeners must not reenter the
-  /// migration engine inline).
-  void on_migration_phase(const hpcm::PhaseEvent& event);
-  /// Resize-window faults: called from the malleable engine's phase
-  /// listener; crashes a spawn target as a zero-delay engine event.
-  void on_resize_phase(const malleable::ResizePhaseEvent& event);
-  void crash_resize_target(const std::string& host, double reboot_after);
+  /// The one phase handler (installed on the runtime's phase listener):
+  /// every transaction phase entry — migration, expand, shrink — is matched
+  /// against the plan's phase faults.  Crashes and link cuts are scheduled
+  /// as zero-delay engine events (listeners must not reenter the engines
+  /// inline); an active stall fault for the phase is returned as its stall.
+  double on_phase(const txn::PhaseEvent& event);
   /// kHostCrashRate: pre-draw every exponential crash arrival in
   /// [at, until) per matching host at arm() time (stable rng order) and
   /// schedule them as plain engine events.
   void schedule_crash_arrivals(const FaultSpec& spec);
-  void rate_crash(const std::string& host, double reboot_after);
-  void crash_migration_destination(const std::string& dest,
-                                   double reboot_after);
+  /// Crash `host` (`what` names the fault in the log) unless it is already
+  /// down, and schedule its reboot `reboot_after` seconds later (0: it
+  /// stays down).  False when it was already down.
+  bool take_down(const std::string& host, double reboot_after,
+                 const char* what);
   void cut_migration_link(const std::string& a, const std::string& b,
                           double heal_after);
 
@@ -118,9 +117,10 @@ class FaultInjector final : public net::FaultPolicy {
   /// migration_dest_crash hit the same machine.
   std::set<std::string> down_hosts_;
   std::vector<LinkCut> link_cuts_;
+  /// Plan indices of the stall faults currently active (set and cleared by
+  /// their activation events).
+  std::set<std::size_t> active_stalls_;
   bool armed_ = false;
-  bool phase_listener_installed_ = false;
-  bool resize_listener_installed_ = false;
 };
 
 }  // namespace ars::chaos

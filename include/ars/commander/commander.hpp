@@ -30,13 +30,6 @@ class Commander {
     // Where acknowledgements go (the registry); acks are dropped if unset.
     std::string registry_host;
     int registry_port = 0;
-    /// Bounded retry for failed MIGRATE deliveries: a command that finds no
-    /// such pid is retried up to `retry_limit` more times with exponential
-    /// backoff starting at `retry_backoff` seconds (covers the race where
-    /// the command outruns the process's registration/launch).  The ack
-    /// reports the final outcome; 0 disables retries.
-    int retry_limit = 2;
-    double retry_backoff = 0.25;
     /// Optional observability hooks (not owned): signal-delivery events.
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;

@@ -24,6 +24,7 @@
 #include "ars/registry/registry.hpp"
 #include "ars/rules/policy.hpp"
 #include "ars/sim/engine.hpp"
+#include "ars/txn/runner.hpp"
 
 namespace ars::core {
 
@@ -36,13 +37,9 @@ struct ClusterConfig {
   std::string registry_host;
   rules::MigrationPolicy policy;
   double lease_ttl = 35.0;
-  double decision_delay = 0.002;
-  double per_process_cooldown = 30.0;
   /// Baseline load-average contribution of each workstation's daemons
   /// (~0.26 on the paper's otherwise-idle Sun Blades).
   double ambient_runnable = 0.0;
-  /// `ps` process count of a freshly booted workstation.
-  int ambient_processes = 60;
   /// CPU cost of one monitoring cycle on each host (sensor scripts).
   double monitor_cycle_cpu_cost = 0.08;
   /// Destination-choice strategy (the paper uses first-fit).
@@ -56,13 +53,8 @@ struct ClusterConfig {
   bool registry_legacy_scan = false;
   /// Monitors coalesce unchanged-state heartbeats into compact lease
   /// renewals (UpdateBatchMsg); full status still goes out on state
-  /// changes and every `monitor_full_status_every` cycles.
+  /// changes and every few cycles (monitor::Monitor::Config).
   bool monitor_delta_heartbeats = false;
-  int monitor_full_status_every = 6;
-  /// Bounded retry for failed commander deliveries (see
-  /// commander::Commander::Config): extra attempts and initial backoff.
-  int command_retry_limit = 2;
-  double command_retry_backoff = 0.25;
   /// Monitors re-announce static info + process table every this many
   /// seconds (0 disables) so a cold-restarted registry rebuilds its
   /// soft-state tables from heartbeats alone.
@@ -81,13 +73,6 @@ struct ClusterConfig {
   bool enable_resize_planner = false;
   double resize_cooldown = 30.0;
   int max_expand_step = 4;
-  /// Central checkpoint-write admission in the registry (DESIGN.md §17).
-  /// Enabled automatically when hpcm.ckpt_strategy == "cooperative"; the
-  /// knobs below shape the I/O scheduler either way.
-  int ckpt_max_concurrent = 2;
-  double ckpt_defer_retry = 5.0;
-  double ckpt_preempt_risk = 2.0;
-  double ckpt_slot_ttl = 120.0;
 };
 
 /// Convenience builder for uniform Sun-Blade-100-like clusters.
@@ -119,6 +104,13 @@ class ReschedulerRuntime {
   [[nodiscard]] commander::Commander& commander_on(const std::string& name);
   [[nodiscard]] std::vector<std::string> host_names() const;
   [[nodiscard]] TraceRecorder& trace() noexcept { return *trace_; }
+
+  /// One phase listener for every transaction kind: migrations and resizes
+  /// both announce their phases to it (fault injectors hook in here).
+  void set_phase_listener(const txn::PhaseListener& listener) {
+    hpcm_->set_phase_listener(listener);
+    malleable_->set_phase_listener(listener);
+  }
 
   /// Structured event trace (ars::obs): migration phase spans, scheduler
   /// decision audits, monitor state transitions, commander signals.

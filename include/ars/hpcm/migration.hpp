@@ -50,6 +50,7 @@
 #include "ars/hpcm/stateregistry.hpp"
 #include "ars/mpi/mpi.hpp"
 #include "ars/obs/trace_ctx.hpp"
+#include "ars/txn/runner.hpp"
 
 namespace ars::obs {
 class Tracer;
@@ -125,16 +126,6 @@ struct MigrationOutcome {
   /// Causal context of the transaction; rides on the MigrationOutcomeMsg
   /// envelope so the registry links the report to the original decision.
   obs::TraceCtx trace;
-};
-
-/// Phase-entry notification ("init", "precopy", "eager", "ack", "restore")
-/// fired from inside the migrating fiber.  Listeners must not reenter the
-/// engine inline — schedule an event instead (ars::chaos does).
-struct PhaseEvent {
-  std::string process;
-  std::string source;
-  std::string destination;
-  std::string phase;
 };
 
 /// Persistent per-process migration state; survives fiber swaps across
@@ -271,7 +262,6 @@ class MigrationEngine {
   using MigratableApp =
       std::function<sim::Task<>(mpi::Proc&, MigrationContext&)>;
   using OutcomeListener = std::function<void(const MigrationOutcome&)>;
-  using PhaseListener = std::function<void(const PhaseEvent&)>;
 
   /// Launch a migration-enabled application; registers it (and its schema)
   /// with the host process table.
@@ -308,20 +298,11 @@ class MigrationEngine {
   void set_outcome_listener(OutcomeListener listener) {
     outcome_listener_ = std::move(listener);
   }
-  /// Phase-entry notifications, for migration-window fault injection.
-  void set_phase_listener(PhaseListener listener) {
+  /// Phase-entry notifications ("init", "precopy", "eager", "ack",
+  /// "restore"; kind "migration"), for migration-window fault injection.
+  /// The listener's stall holds a phase's body before it starts.
+  void set_phase_listener(txn::PhaseListener listener) {
     phase_listener_ = std::move(listener);
-  }
-  /// Chaos hook: delay the start of every protocol phase named `phase` by
-  /// `seconds` (0 clears).  Today only "precopy" rounds honor it — a stall
-  /// long enough drives the round into its timeout and aborts the
-  /// transaction, which is exactly what the chaos campaign needs to prove.
-  void set_phase_stall(const std::string& phase, double seconds) {
-    if (seconds > 0.0) {
-      phase_stalls_[phase] = seconds;
-    } else {
-      phase_stalls_.erase(phase);
-    }
   }
 
   // -- checkpoint/restart (the paper's checkpointing-based alternative) ----
@@ -417,12 +398,12 @@ class MigrationEngine {
     MigrationEngine::MigratableApp app;
   };
 
-  enum class PhaseResult { kDone, kTimeout, kDestFailed, kError };
-
   /// One in-flight migration transaction, keyed by timeline index.  Heap
-  /// allocated so phase fibers and timeout events can hold stable pointers.
+  /// allocated so phase fibers and deadline events can hold stable pointers.
   struct PendingTx {
-    explicit PendingTx(sim::Engine& engine) : wake(engine) {}
+    PendingTx(sim::Engine& engine, txn::PhaseEvent identity,
+              const txn::PhaseListener* listener)
+        : runner(engine, std::move(identity), listener) {}
 
     std::size_t timeline_index = 0;
     mpi::RankId proc_id = 0;
@@ -434,17 +415,7 @@ class MigrationEngine {
     mpi::RankId helper_id = 0;
     mpi::Comm merged;
 
-    // Phase machinery: the protocol phase runs in a sub-fiber while the
-    // migrating fiber waits on `wake` with a cancellable timeout event.
-    std::string phase = "init";
-    sim::WaitQueue wake;
-    sim::Fiber phase_fiber;
-    sim::Engine::EventHandle timeout_event;
-    bool phase_done = false;
-    bool timed_out = false;
-    bool dest_failed = false;
     bool committed = false;
-    std::string phase_error;
     /// Context for spans/instants of this transaction: the request's txn
     /// with the migration span as parent (set once the span opens).
     obs::TraceCtx trace;
@@ -467,13 +438,11 @@ class MigrationEngine {
     std::uint64_t shipped_gen = 0;
     double round0_bytes = 0.0;
     double precopy_bytes = 0.0;
-    /// A round fiber is still shipping; the app keeps computing past its
-    /// poll-points until it lands.
-    bool round_in_flight = false;
-    /// A round failed (timeout / error); the next poll-point aborts the
-    /// transaction from the app fiber (a round fiber never unwinds itself).
-    bool precopy_failed = false;
-    PhaseResult precopy_result = PhaseResult::kError;
+
+    /// Runs every protocol phase: awaited by the migrating fiber, or
+    /// polled at poll-points while pre-copy rounds overlap computation.
+    /// Declared last so a phase body still in flight dies first.
+    txn::Runner runner;
   };
 
   /// The source-side protocol; runs inside the migrating fiber.
@@ -487,12 +456,11 @@ class MigrationEngine {
   /// when the transaction commits.
   [[nodiscard]] sim::Task<> continue_precopy(MigrationContext& ctx);
   /// Snapshot this round's payload in the app fiber (round 0: full state;
-  /// later: dirty delta) and spawn the round fiber that ships it.
+  /// later: dirty delta) and start the round phase that ships it.
   void start_precopy_round(MigrationContext& ctx, PendingTx& tx);
-  /// The round fiber body: (round 0 only) run init/DPM, then ship the
-  /// frame.  Failures are flagged on the transaction, never thrown out.
-  [[nodiscard]] sim::Task<> run_precopy_round(PendingTx* tx, int round,
-                                              double charge_bytes);
+  /// The round body: (round 0 only) run init/DPM, then ship the frame.
+  [[nodiscard]] sim::Task<> precopy_round(PendingTx* tx, int round,
+                                          double charge_bytes);
   /// Stop-the-world tail of a converged pre-copy: final dirty delta +
   /// resume handshake + commit.  Throws ProcMoved on commit.
   [[nodiscard]] sim::Task<> freeze_and_commit(MigrationContext& ctx,
@@ -509,19 +477,11 @@ class MigrationEngine {
   [[nodiscard]] sim::Task<> phase_init(PendingTx& tx, mpi::Proc& proc);
   [[nodiscard]] sim::Task<> phase_eager(PendingTx& tx, mpi::Proc& proc);
   [[nodiscard]] sim::Task<> phase_ack(PendingTx& tx, mpi::Proc& proc);
-  /// Drives one phase body inside its own fiber; flags completion/failure
-  /// on the transaction and wakes the migrating fiber.
-  [[nodiscard]] sim::Task<> run_phase(PendingTx* tx, sim::Task<> body);
-  /// Runs `body` as phase `phase` with a timeout; returns how it ended.
-  [[nodiscard]] sim::Task<PhaseResult> await_phase(PendingTx& tx,
-                                                   sim::Task<> body,
-                                                   const char* phase,
-                                                   double timeout);
 
   /// Shared phase-failure epilogue: log, abort the transaction with the
-  /// reason derived from `result`, and (sabotaged builds only) lose the
+  /// reason derived from `status`, and (sabotaged builds only) lose the
   /// process by unwinding the source fiber without rollback.
-  void fail_phase(PendingTx& tx, mpi::Proc& proc, PhaseResult result);
+  void fail_phase(PendingTx& tx, mpi::Proc& proc, txn::Status status);
   /// Pre-commit abort: tear down the destination helper, stamp the timeline
   /// (aborted{reason}), publish metrics/spans, and report the outcome.  The
   /// process keeps computing on the source (unless sabotaged).
@@ -594,7 +554,6 @@ class MigrationEngine {
                     const char* verb, std::uint64_t bytes, double risk);
   void observe_waste_s(double seconds);
 
-  void notify_phase(const PendingTx& tx, const char* phase);
   void notify_outcome(const MigrationTimeline& timeline,
                       const obs::TraceCtx& trace);
   /// Record one protocol phase's wall-clock into migration.phase_ms{phase}.
@@ -635,9 +594,7 @@ class MigrationEngine {
   /// is reused by a fresh launch.
   std::set<std::string> exited_;
   OutcomeListener outcome_listener_;
-  PhaseListener phase_listener_;
-  /// Chaos-injected per-phase start delays (see set_phase_stall).
-  std::map<std::string, double> phase_stalls_;
+  txn::PhaseListener phase_listener_;
 
   // -- tracing bookkeeping (ids are 0 when no tracer is attached) ----------
   struct TimelineSpans {

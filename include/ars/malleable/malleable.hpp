@@ -29,6 +29,7 @@
 #include "ars/hpcm/stateregistry.hpp"
 #include "ars/mpi/mpi.hpp"
 #include "ars/obs/trace_ctx.hpp"
+#include "ars/txn/runner.hpp"
 
 namespace ars::obs {
 class Tracer;
@@ -88,17 +89,6 @@ struct ResizeOutcome {
   obs::TraceCtx trace;
 };
 
-/// Phase-entry notification for fault injectors and tests.
-struct ResizePhaseEvent {
-  std::string job;
-  ResizeVerb verb = ResizeVerb::kExpand;
-  std::string phase;  // "plan" | "spawn" | "redistribute" | "commit"
-  double at = 0.0;
-  /// Spawn targets (expand) or hosts being vacated (shrink) — fault
-  /// injectors aim at these.
-  std::vector<std::string> hosts;
-};
-
 /// Runs malleable jobs and their resize transactions.  One engine per
 /// cluster; jobs are identified by their spec name.
 class MalleableEngine {
@@ -115,7 +105,6 @@ class MalleableEngine {
   };
 
   using OutcomeListener = std::function<void(const ResizeOutcome&)>;
-  using PhaseListener = std::function<void(const ResizePhaseEvent&)>;
 
   MalleableEngine(mpi::MpiSystem& mpi, net::Network& network);
   MalleableEngine(mpi::MpiSystem& mpi, net::Network& network,
@@ -165,9 +154,6 @@ class MalleableEngine {
   [[nodiscard]] long long ghost_ranks() const noexcept { return ghost_ranks_; }
 
   // -- chaos hooks ----------------------------------------------------------
-  /// Stall the named phase ("spawn" | "redistribute") by `seconds` at entry
-  /// (drives the phase into its timeout).  Zero clears the stall.
-  void set_phase_stall(const std::string& phase, double seconds);
   /// Kill an in-flight spawn toward `host` and abort the transaction with
   /// reason "no-capacity".  Returns false when no matching spawn is active.
   bool fail_resize_target(const std::string& job, const std::string& host);
@@ -178,7 +164,10 @@ class MalleableEngine {
   void set_outcome_listener(OutcomeListener listener) {
     outcome_listener_ = std::move(listener);
   }
-  void set_phase_listener(PhaseListener listener) {
+  /// Phase-entry notifications ("plan", "spawn", "redistribute",
+  /// "commit"; kind "expand" or "shrink", targets = the request's hosts).
+  /// The listener's stall holds a phase's body before it starts.
+  void set_phase_listener(txn::PhaseListener listener) {
     phase_listener_ = std::move(listener);
   }
 
@@ -201,7 +190,8 @@ class MalleableEngine {
   [[nodiscard]] sim::Task<> spawn_phase(std::shared_ptr<Job> job,
                                         mpi::Proc* proc);
   [[nodiscard]] sim::Task<> redistribute_phase(std::shared_ptr<Job> job);
-  [[nodiscard]] sim::Task<bool> await_phase(Job& job, double timeout_seconds);
+  /// Open the transaction of the job's pending request (not yet entered).
+  [[nodiscard]] std::unique_ptr<ResizeTx> open_tx(Job& job);
 
   void repair_membership(Job& job);
   void apply_assignment(Job& job);
@@ -209,7 +199,8 @@ class MalleableEngine {
   void teardown_job(Job& job, const std::string& reason);
   void finish_resize(Job& job, const std::string& outcome,
                      const std::string& reason, const std::string& phase);
-  void notify_phase(Job& job, const std::string& phase);
+  /// Trace the phase and enter it on the transaction's runner.
+  void enter_phase(Job& job, const char* phase);
   [[nodiscard]] int live_workers(const Job& job) const;
   [[nodiscard]] std::string validate_resize(const Job& job,
                                             const ResizeTx& tx) const;
@@ -222,9 +213,8 @@ class MalleableEngine {
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::vector<ResizeOutcome> history_;
   long long ghost_ranks_ = 0;
-  std::map<std::string, double> phase_stalls_;
   OutcomeListener outcome_listener_;
-  PhaseListener phase_listener_;
+  txn::PhaseListener phase_listener_;
 };
 
 /// Balanced contiguous block partition: rank r of n owns

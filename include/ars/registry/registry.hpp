@@ -156,10 +156,6 @@ class Registry {
     int port = 0;  // allocated if 0
     rules::MigrationPolicy policy;  // destination conditions
     double lease_ttl = 35.0;        // ~3 missed 10 s heartbeats
-    /// The paper measures ~0.002 s to make a migration decision.
-    double decision_delay = 0.002;
-    /// Minimum spacing between migrations of the same process.
-    double per_process_cooldown = 30.0;
     /// Parent registry for hierarchical escalation (empty: none).
     std::string parent_host;
     int parent_port = 0;
@@ -187,16 +183,9 @@ class Registry {
     std::function<std::vector<std::string>(const std::string&)> job_hosts;
     /// Cooperative checkpoint I/O scheduling (DESIGN.md §17): answer
     /// CkptIoRequestMsg with admit/defer/preempt grants so concurrent
-    /// checkpoint writes do not saturate the shared store.
+    /// checkpoint writes do not saturate the shared store (the scheduler
+    /// runs with ckpt::IoScheduler::Config's defaults).
     bool enable_ckpt_io = false;
-    /// Concurrent checkpoint writes admitted before deferring.
-    int ckpt_max_concurrent = 2;
-    /// Base defer backoff; scaled by store crowding.
-    double ckpt_defer_retry = 5.0;
-    /// Risk ratio at which a requester preempts the least-risky writer.
-    double ckpt_preempt_risk = 2.0;
-    /// Admitted slots reaped after this long without a done/abort.
-    double ckpt_slot_ttl = 120.0;
     /// Per-host audit trail policy (see AuditMode).
     AuditMode audit = AuditMode::kAuto;
     /// Force the pre-index full-table scan even when no audit is wanted —
@@ -352,12 +341,16 @@ class Registry {
     std::map<std::string, Debit> by_host;
   };
 
-  /// One commanded live migration awaiting its terminal outcome.  While
+  /// One commanded placement awaiting its terminal outcome: a live
+  /// migration, or one spawn target of a commanded expand.  While
   /// outstanding it debits the destination's capacity (resource
   /// requirements snapshotted at command time) exactly like a
   /// RecoveryRound placement, so simultaneous placements spread.
   struct PlacementDebit {
-    std::string process;
+    enum class Owner { kMigration, kResize };
+    Owner owner = Owner::kMigration;
+    /// The migrating process (kMigration) or the expanding job (kResize).
+    std::string name;
     std::string dest;
     std::string schema_name;  // to rebuild the entry if the books lost it
     double at = 0.0;
@@ -402,9 +395,10 @@ class Registry {
   /// Re-park commanded relaunches that no monitor has confirmed within
   /// `kRelaunchConfirmTtl` (the RelaunchCmd was lost on the wire).
   void confirm_relaunches(double now);
-  /// Record an in-flight placement debit for a freshly commanded migration
-  /// (any older debit of the same process is superseded).
-  void debit_placement(const std::string& process_name,
+  /// Record an in-flight placement debit for a freshly commanded
+  /// placement.  An older debit of the same claim is superseded: the same
+  /// process's migration, or the same job's expand onto the same target.
+  void debit_placement(PlacementDebit::Owner owner, const std::string& name,
                        const std::string& dest,
                        const std::string& schema_name);
   /// Apply a commander's MigrationOutcomeMsg: credit the placement debit

@@ -1,8 +1,6 @@
 #pragma once
-// Higher-level synchronization utilities on top of WaitQueue: counting
-// semaphore and timed waits.
-
-#include <optional>
+// Higher-level synchronization utilities on top of WaitQueue: a counting
+// semaphore.
 
 #include "ars/sim/wait.hpp"
 
@@ -47,23 +45,5 @@ class Semaphore {
   std::size_t count_;
   WaitQueue waiters_;
 };
-
-/// Wait for a trigger with a deadline.  Returns true if the trigger fired,
-/// false on timeout.
-[[nodiscard]] inline Task<bool> wait_with_timeout(Engine& engine,
-                                                  Trigger& trigger,
-                                                  SimTime timeout) {
-  const SimTime deadline = engine.now() + timeout;
-  while (!trigger.fired()) {
-    if (engine.now() >= deadline) {
-      co_return false;
-    }
-    // Poll-free would need a multiplexed wait; a deadline-bounded re-check
-    // at modest granularity keeps the primitive simple and deterministic.
-    const SimTime step = std::min(deadline - engine.now(), timeout / 16.0);
-    co_await delay(engine, std::max(step, 1e-6));
-  }
-  co_return true;
-}
 
 }  // namespace ars::sim

@@ -15,6 +15,23 @@ bool side_matches(const std::string& side, const std::string& host) {
   return side == "*" || side == host;
 }
 
+/// Whether a fault kind reacts to phase entries of transaction kind
+/// `txn_kind` (always false for the faults that are not phase faults).
+bool aims_at(FaultKind kind, const std::string& txn_kind) {
+  switch (kind) {
+    case FaultKind::kMigrationDestCrash:
+    case FaultKind::kMigrationLinkCut:
+    case FaultKind::kMigrationPrecopyStall:
+      return txn_kind == "migration";
+    case FaultKind::kResizeStall:
+      return txn_kind == "expand" || txn_kind == "shrink";
+    case FaultKind::kResizeTargetCrash:
+      return txn_kind == "expand";
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(core::ReschedulerRuntime& runtime,
@@ -25,14 +42,11 @@ FaultInjector::~FaultInjector() {
   for (auto& event : events_) {
     event.cancel();
   }
-  if (phase_listener_installed_) {
-    runtime_->middleware().set_phase_listener(nullptr);
-  }
-  if (resize_listener_installed_) {
-    runtime_->malleable().set_phase_listener(nullptr);
-  }
-  if (armed_ && runtime_->network().fault_policy() == this) {
-    runtime_->network().set_fault_policy(nullptr);
+  if (armed_) {
+    runtime_->set_phase_listener(nullptr);
+    if (runtime_->network().fault_policy() == this) {
+      runtime_->network().set_fault_policy(nullptr);
+    }
   }
 }
 
@@ -41,7 +55,6 @@ void FaultInjector::arm() {
     return;
   }
   armed_ = true;
-  bool wants_migration_faults = false;
   for (const FaultSpec& spec : plan_.specs()) {
     // Host-targeted faults must name real, non-wildcard hosts.
     const bool host_targeted = spec.kind == FaultKind::kHostCrash ||
@@ -65,28 +78,11 @@ void FaultInjector::arm() {
                                     "\" targets unknown host: " +
                                     spec.host_a);
       }
-      wants_migration_faults = true;
-    }
-  }
-  bool wants_resize_faults = false;
-  for (const FaultSpec& spec : plan_.specs()) {
-    if (spec.kind == FaultKind::kResizeTargetCrash) {
-      wants_resize_faults = true;
     }
   }
   runtime_->network().set_fault_policy(this);
-  if (wants_resize_faults) {
-    runtime_->malleable().set_phase_listener(
-        [this](const malleable::ResizePhaseEvent& event) {
-          on_resize_phase(event);
-        });
-    resize_listener_installed_ = true;
-  }
-  if (wants_migration_faults) {
-    runtime_->middleware().set_phase_listener(
-        [this](const hpcm::PhaseEvent& event) { on_migration_phase(event); });
-    phase_listener_installed_ = true;
-  }
+  runtime_->set_phase_listener(
+      [this](const txn::PhaseEvent& event) { return on_phase(event); });
   sim::Engine& engine = runtime_->engine();
   for (std::size_t i = 0; i < plan_.specs().size(); ++i) {
     const FaultSpec& spec = plan_.specs()[i];
@@ -261,11 +257,11 @@ void FaultInjector::activate(std::size_t index) {
       runtime_->network().on_fault_change();
       break;
     case FaultKind::kResizeStall:
-      runtime_->malleable().set_phase_stall(spec.phase, spec.delay);
+      active_stalls_.insert(index);
       ++stats_.resize_stalls;
       break;
     case FaultKind::kMigrationPrecopyStall:
-      runtime_->middleware().set_phase_stall("precopy", spec.delay);
+      active_stalls_.insert(index);
       ++stats_.migration_precopy_stalls;
       break;
     default:
@@ -306,84 +302,79 @@ void FaultInjector::deactivate(std::size_t index) {
       runtime_->network().on_fault_change();
       break;
     case FaultKind::kResizeStall:
-      runtime_->malleable().set_phase_stall(spec.phase, 0.0);
-      break;
     case FaultKind::kMigrationPrecopyStall:
-      runtime_->middleware().set_phase_stall("precopy", 0.0);
+      active_stalls_.erase(index);
       break;
     default:
       break;
   }
 }
 
-void FaultInjector::on_migration_phase(const hpcm::PhaseEvent& event) {
-  // Evaluate every armed migration-window spec; randomness is consumed in
-  // spec order so (plan, seed) stays fully deterministic.
-  for (const FaultSpec& spec : plan_.specs()) {
-    const bool migration_window =
-        spec.kind == FaultKind::kMigrationDestCrash ||
-        spec.kind == FaultKind::kMigrationLinkCut;
-    if (!migration_window || !spec_active(spec)) {
-      continue;
-    }
-    if (!spec.phase.empty() && spec.phase != event.phase) {
-      continue;
-    }
-    if (!side_matches(spec.host_a, event.destination)) {
-      continue;
-    }
-    if (rng_.uniform() >= spec.probability) {
-      continue;
-    }
-    trace_fault(spec, "inject");
-    // React via a zero-delay event: phase listeners must not reenter the
-    // migration engine inline.
-    sim::Engine& engine = runtime_->engine();
-    if (spec.kind == FaultKind::kMigrationDestCrash) {
-      events_.push_back(engine.schedule_after(
-          0.0, [this, dest = event.destination, reboot = spec.delay] {
-            crash_migration_destination(dest, reboot);
-          }));
-    } else {
-      events_.push_back(engine.schedule_after(
-          0.0, [this, a = event.source, b = event.destination,
-                heal = spec.delay > 0.0 ? spec.delay
-                                        : std::max(spec.until -
-                                                       runtime_->engine()
-                                                           .now(),
-                                                   1.0)] {
-            cut_migration_link(a, b, heal);
-          }));
-    }
-  }
-}
-
-void FaultInjector::on_resize_phase(const malleable::ResizePhaseEvent& event) {
-  if (event.verb != malleable::ResizeVerb::kExpand || event.hosts.empty()) {
-    return;  // only expands have spawn targets to kill
-  }
+double FaultInjector::on_phase(const txn::PhaseEvent& event) {
+  double stall = 0.0;
   // Spec order keeps rng consumption — and therefore the whole run —
   // deterministic in (plan, seed).
-  for (const FaultSpec& spec : plan_.specs()) {
-    if (spec.kind != FaultKind::kResizeTargetCrash || !spec_active(spec)) {
+  for (std::size_t i = 0; i < plan_.specs().size(); ++i) {
+    const FaultSpec& spec = plan_.specs()[i];
+    if (!aims_at(spec.kind, event.kind) ||
+        (!spec.phase.empty() && spec.phase != event.phase)) {
       continue;
     }
-    if (!spec.phase.empty() && spec.phase != event.phase) {
-      continue;
+    sim::Engine& engine = runtime_->engine();
+    switch (spec.kind) {
+      case FaultKind::kMigrationPrecopyStall:
+      case FaultKind::kResizeStall:
+        if (active_stalls_.contains(i)) {
+          stall = spec.delay;
+        }
+        break;
+      case FaultKind::kMigrationDestCrash:
+      case FaultKind::kMigrationLinkCut: {
+        const std::string& dest = event.targets.front();
+        if (!spec_active(spec) || !side_matches(spec.host_a, dest) ||
+            rng_.uniform() >= spec.probability) {
+          break;
+        }
+        trace_fault(spec, "inject");
+        if (spec.kind == FaultKind::kMigrationDestCrash) {
+          events_.push_back(engine.schedule_after(
+              0.0, [this, dest, reboot = spec.delay] {
+                if (take_down(dest, reboot, "migration destination")) {
+                  ++stats_.migration_dest_crashes;
+                }
+              }));
+        } else {
+          const double heal = spec.delay > 0.0
+                                  ? spec.delay
+                                  : std::max(spec.until - engine.now(), 1.0);
+          events_.push_back(engine.schedule_after(
+              0.0, [this, a = event.source, b = dest, heal] {
+                cut_migration_link(a, b, heal);
+              }));
+        }
+        break;
+      }
+      case FaultKind::kResizeTargetCrash: {
+        if (!spec_active(spec) || event.targets.empty() ||
+            rng_.uniform() >= spec.probability) {
+          break;
+        }
+        const auto pick = static_cast<std::size_t>(rng_.uniform_int(
+            0, static_cast<std::int64_t>(event.targets.size()) - 1));
+        trace_fault(spec, "inject");
+        events_.push_back(engine.schedule_after(
+            0.0, [this, host = event.targets[pick], reboot = spec.delay] {
+              if (take_down(host, reboot, "spawn target")) {
+                ++stats_.resize_target_crashes;
+              }
+            }));
+        break;
+      }
+      default:
+        break;
     }
-    if (rng_.uniform() >= spec.probability) {
-      continue;
-    }
-    const std::size_t pick = static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(event.hosts.size()) - 1));
-    trace_fault(spec, "inject");
-    // React via a zero-delay event: phase listeners must not reenter the
-    // malleable engine inline.
-    events_.push_back(runtime_->engine().schedule_after(
-        0.0, [this, host = event.hosts[pick], reboot = spec.delay] {
-          crash_resize_target(host, reboot);
-        }));
   }
+  return stall;
 }
 
 void FaultInjector::schedule_crash_arrivals(const FaultSpec& spec) {
@@ -414,18 +405,22 @@ void FaultInjector::schedule_crash_arrivals(const FaultSpec& spec) {
         break;
       }
       events_.push_back(engine.schedule_at(
-          t, [this, host, reboot = spec.delay] { rate_crash(host, reboot); }));
+          t, [this, host, reboot = spec.delay] {
+            if (take_down(host, reboot, "crash-rate arrival")) {
+              ++stats_.rate_crashes;
+              ++stats_.host_crashes;
+            }
+          }));
     }
   }
 }
 
-void FaultInjector::rate_crash(const std::string& host, double reboot_after) {
+bool FaultInjector::take_down(const std::string& host, double reboot_after,
+                              const char* what) {
   if (!down_hosts_.insert(host).second) {
-    return;  // already down (overlapping arrival or another fault)
+    return false;  // already down (another fault beat us to it)
   }
-  ARS_LOG_WARN("chaos", "crash-rate arrival fells " << host);
-  ++stats_.rate_crashes;
-  ++stats_.host_crashes;
+  ARS_LOG_WARN("chaos", what << " crash fells " << host);
   runtime_->fail_host(host);
   if (reboot_after > 0.0) {
     events_.push_back(
@@ -436,44 +431,7 @@ void FaultInjector::rate_crash(const std::string& host, double reboot_after) {
           }
         }));
   }
-}
-
-void FaultInjector::crash_resize_target(const std::string& host,
-                                        double reboot_after) {
-  if (!down_hosts_.insert(host).second) {
-    return;  // already down (another fault beat us to it)
-  }
-  ARS_LOG_WARN("chaos", "resize-window crash of spawn target " << host);
-  ++stats_.resize_target_crashes;
-  runtime_->fail_host(host);
-  if (reboot_after > 0.0) {
-    events_.push_back(
-        runtime_->engine().schedule_after(reboot_after, [this, host] {
-          if (down_hosts_.erase(host) > 0) {
-            runtime_->restart_host(host);
-            ++stats_.host_restarts;
-          }
-        }));
-  }
-}
-
-void FaultInjector::crash_migration_destination(const std::string& dest,
-                                                double reboot_after) {
-  if (!down_hosts_.insert(dest).second) {
-    return;  // already down (another fault beat us to it)
-  }
-  ARS_LOG_WARN("chaos", "migration-window crash of destination " << dest);
-  ++stats_.migration_dest_crashes;
-  runtime_->fail_host(dest);
-  if (reboot_after > 0.0) {
-    events_.push_back(runtime_->engine().schedule_after(
-        reboot_after, [this, dest] {
-          if (down_hosts_.erase(dest) > 0) {
-            runtime_->restart_host(dest);
-            ++stats_.host_restarts;
-          }
-        }));
-  }
+  return true;
 }
 
 void FaultInjector::cut_migration_link(const std::string& a,

@@ -8,6 +8,18 @@
 
 namespace ars::commander {
 
+namespace {
+
+/// Bounded retry for failed MIGRATE deliveries: a command that finds no
+/// such pid is retried up to `kRetryLimit` more times with exponential
+/// backoff starting at `kRetryBackoff` seconds (covers the race where the
+/// command outruns the process's registration/launch).  The ack reports
+/// the final outcome.
+constexpr int kRetryLimit = 2;
+constexpr double kRetryBackoff = 0.25;
+
+}  // namespace
+
 Commander::Commander(host::Host& h, net::Network& network,
                      hpcm::MigrationEngine& middleware, Config config)
     : host_(&h),
@@ -284,8 +296,8 @@ sim::Task<> Commander::handle_migrate(xmlproto::MigrateCmd command,
   }
   // Bounded retry: the command may have raced the process's launch or
   // relaunch; back off exponentially before giving up.
-  double backoff = config_.retry_backoff;
-  for (int attempt = 1; !ok && attempt <= config_.retry_limit; ++attempt) {
+  double backoff = kRetryBackoff;
+  for (int attempt = 1; !ok && attempt <= kRetryLimit; ++attempt) {
     co_await sim::delay(host_->engine(), backoff);
     backoff *= 2.0;
     ++commands_retried_;

@@ -6,6 +6,13 @@
 
 namespace ars::core {
 
+namespace {
+
+/// `ps` process count of a freshly booted workstation.
+constexpr int kAmbientProcesses = 60;
+
+}  // namespace
+
 ClusterConfig make_cluster(int host_count, rules::MigrationPolicy policy) {
   ClusterConfig config;
   config.policy = std::move(policy);
@@ -36,7 +43,7 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
     hosts_.push_back(std::make_unique<host::Host>(engine_, spec));
     host::Host& h = *hosts_.back();
     h.loadavg().set_ambient_runnable(config_.ambient_runnable);
-    h.set_ambient_process_count(config_.ambient_processes);
+    h.set_ambient_process_count(kAmbientProcesses);
     network_->attach(h);
     hosts_by_name_.emplace(h.name(), &h);
   }
@@ -50,8 +57,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   registry::Registry::Config registry_config;
   registry_config.policy = config_.policy;
   registry_config.lease_ttl = config_.lease_ttl;
-  registry_config.decision_delay = config_.decision_delay;
-  registry_config.per_process_cooldown = config_.per_process_cooldown;
   registry_config.strategy = config_.strategy;
   registry_config.auto_restart = config_.auto_restart;
   registry_config.audit = config_.registry_audit;
@@ -62,10 +67,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   registry_config.resize_cooldown = config_.resize_cooldown;
   registry_config.max_expand_step = config_.max_expand_step;
   registry_config.enable_ckpt_io = config_.hpcm.ckpt_strategy == "cooperative";
-  registry_config.ckpt_max_concurrent = config_.ckpt_max_concurrent;
-  registry_config.ckpt_defer_retry = config_.ckpt_defer_retry;
-  registry_config.ckpt_preempt_risk = config_.ckpt_preempt_risk;
-  registry_config.ckpt_slot_ttl = config_.ckpt_slot_ttl;
   registry_config.job_hosts = [this](const std::string& job) {
     // A finished job holds no hosts; without this guard its last world
     // would read as occupied until the registry's entry ages out.
@@ -81,8 +82,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
     commander::Commander::Config commander_config;
     commander_config.registry_host = config_.registry_host;
     commander_config.registry_port = registry_->port();
-    commander_config.retry_limit = config_.command_retry_limit;
-    commander_config.retry_backoff = config_.command_retry_backoff;
     commander_config.tracer = &tracer_;
     commander_config.metrics = &metrics_;
     commanders_.emplace(h->name(), std::make_unique<commander::Commander>(
@@ -96,7 +95,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
     monitor_config.cycle_cpu_cost = config_.monitor_cycle_cpu_cost;
     monitor_config.reregister_period = config_.monitor_reregister_period;
     monitor_config.delta_heartbeats = config_.monitor_delta_heartbeats;
-    monitor_config.full_status_every = config_.monitor_full_status_every;
     monitor_config.tracer = &tracer_;
     monitor_config.metrics = &metrics_;
     monitors_.emplace(h->name(), std::make_unique<monitor::Monitor>(

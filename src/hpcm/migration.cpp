@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <optional>
+#include <stdexcept>
 
 #include "ars/obs/metrics.hpp"
 #include "ars/obs/tracer.hpp"
@@ -144,8 +145,7 @@ MigrationEngine::~MigrationEngine() {
   // queues; tear them down in dependency order (phase fiber, then the
   // migrating fiber, then the destination helper) before the queues die.
   for (auto& [index, tx] : pending_) {
-    tx->timeout_event.cancel();
-    tx->phase_fiber.kill();
+    tx->runner.stop();
     if (!tx->committed) {
       mpi_->kill(tx->proc_id);
     }
@@ -223,18 +223,6 @@ void MigrationEngine::close_signal_span(mpi::RankId id, const char* closed_by) {
     t->end_span(open->second, {{"closed_by", closed_by}});
   }
   signal_spans_.erase(open);
-}
-
-void MigrationEngine::notify_phase(const PendingTx& tx, const char* phase) {
-  if (!phase_listener_) {
-    return;
-  }
-  PhaseEvent event;
-  event.process = tx.process;
-  event.source = tx.source;
-  event.destination = tx.dest;
-  event.phase = phase;
-  phase_listener_(event);
 }
 
 void MigrationEngine::notify_outcome(const MigrationTimeline& timeline,
@@ -681,8 +669,7 @@ bool MigrationEngine::crash(mpi::RankId id) {
       tx_found = true;
       tx_index = index;
       tx_committed = tx->committed;
-      tx->timeout_event.cancel();
-      tx->phase_fiber.kill();
+      tx->runner.stop();
       break;
     }
   }
@@ -705,7 +692,7 @@ bool MigrationEngine::crash(mpi::RankId id) {
 }
 
 int MigrationEngine::crash_host(const std::string& host_name) {
-  // Destination-side failure handling for in-flight transactions: wake
+  // Destination-side failure handling for in-flight transactions: fail
   // pre-commit transactions so their migrating fiber aborts and rolls back
   // to source execution; roll post-commit ones back to checkpoint-restart.
   std::vector<std::size_t> rolling;
@@ -716,8 +703,7 @@ int MigrationEngine::crash_host(const std::string& host_name) {
     if (tx->committed) {
       rolling.push_back(index);
     } else {
-      tx->dest_failed = true;
-      tx->wake.notify_all();
+      tx->runner.fail("dest-failed");
     }
   }
   for (const std::size_t index : rolling) {
@@ -973,68 +959,21 @@ sim::Task<> MigrationEngine::phase_ack(PendingTx& tx, mpi::Proc& proc) {
   (void)co_await proc.recv(tx.merged, mpi::kAnySource, kTagResumeAck);
 }
 
-sim::Task<> MigrationEngine::run_phase(PendingTx* tx, sim::Task<> body) {
-  try {
-    co_await std::move(body);
-    tx->phase_done = true;
-  } catch (const std::exception& e) {
-    tx->phase_error = e.what();
-    if (tx->phase_error.empty()) {
-      tx->phase_error = "phase failed";
-    }
-  }
-  tx->wake.notify_all();
-}
-
-sim::Task<MigrationEngine::PhaseResult> MigrationEngine::await_phase(
-    PendingTx& tx, sim::Task<> body, const char* phase, double timeout) {
-  tx.phase = phase;
-  tx.phase_done = false;
-  tx.timed_out = false;
-  tx.phase_error.clear();
-  notify_phase(tx, phase);
-  tx.phase_fiber =
-      sim::Fiber::spawn(mpi_->engine(), run_phase(&tx, std::move(body)),
-                        tx.process + ".migrate." + phase);
-  PendingTx* txp = &tx;
-  tx.timeout_event = mpi_->engine().schedule_after(timeout, [txp] {
-    txp->timed_out = true;
-    txp->wake.notify_all();
-  });
-  while (!tx.phase_done && !tx.timed_out && !tx.dest_failed &&
-         tx.phase_error.empty()) {
-    co_await tx.wake.wait();
-  }
-  tx.timeout_event.cancel();
-  if (tx.dest_failed) {
-    tx.phase_fiber.kill();
-    co_return PhaseResult::kDestFailed;
-  }
-  if (tx.phase_done) {
-    co_return PhaseResult::kDone;
-  }
-  tx.phase_fiber.kill();
-  co_return tx.phase_error.empty() ? PhaseResult::kTimeout
-                                   : PhaseResult::kError;
-}
-
 void MigrationEngine::fail_phase(PendingTx& tx, mpi::Proc& proc,
-                                 PhaseResult result) {
-  const std::string phase = tx.phase;
-  if (result == PhaseResult::kError) {
-    ARS_LOG_ERROR("hpcm", "migration phase " << phase << " of " << proc.name()
-                                             << " failed: "
-                                             << tx.phase_error);
-  }
+                                 txn::Status status) {
+  const std::string phase = tx.runner.phase();
   std::string reason;
-  switch (result) {
-    case PhaseResult::kTimeout:
+  switch (status) {
+    case txn::Status::kTimedOut:
       reason = phase + "-timeout";
       break;
-    case PhaseResult::kDestFailed:
+    case txn::Status::kFailed:
       reason = "dest-failed";
       break;
     default:
+      ARS_LOG_ERROR("hpcm", "migration phase " << phase << " of "
+                                               << proc.name() << " failed: "
+                                               << tx.runner.error());
       reason = "phase-error";
       break;
   }
@@ -1055,8 +994,7 @@ void MigrationEngine::abort_transaction(std::size_t timeline_index,
     return;
   }
   PendingTx& tx = *it->second;
-  tx.timeout_event.cancel();
-  tx.phase_fiber.kill();
+  tx.runner.stop();
   // An aborted pre-copy discards every shipped round; the process keeps
   // computing on the source with its registry (and dirty tracking) intact.
   if (const auto proc_it = procs_.find(tx.proc_id);
@@ -1074,13 +1012,15 @@ void MigrationEngine::abort_transaction(std::size_t timeline_index,
   MigrationTimeline& t = history_[timeline_index];
   t.outcome = "aborted";
   t.abort_reason = reason;
-  t.abort_phase = tx.phase;
+  t.abort_phase = tx.runner.phase();
   ARS_LOG_WARN("hpcm", "migration of " << tx.process << " to " << tx.dest
-                                       << " aborted in phase " << tx.phase
-                                       << " (" << reason << ")");
+                                       << " aborted in phase "
+                                       << tx.runner.phase() << " (" << reason
+                                       << ")");
   if (obs::Tracer* tr = tracer(); obs::active(tr)) {
-    obs::Attrs attrs{
-        {"dest", tx.dest}, {"phase", tx.phase}, {"reason", reason}};
+    obs::Attrs attrs{{"dest", tx.dest},
+                     {"phase", tx.runner.phase()},
+                     {"reason", reason}};
     obs::stamp(attrs, tx.trace);
     tr->instant("migration.aborted", "hpcm", tx.process, std::move(attrs));
   }
@@ -1102,8 +1042,7 @@ void MigrationEngine::rollback_restore(std::size_t timeline_index,
     return;
   }
   PendingTx& tx = *it->second;
-  tx.timeout_event.cancel();
-  tx.phase_fiber.kill();
+  tx.runner.stop();
   if (const auto coll = collectors_.find(timeline_index);
       coll != collectors_.end()) {
     coll->second.kill();
@@ -1202,7 +1141,10 @@ sim::Task<> MigrationEngine::migrate(MigrationContext& ctx,
   }
 
   const auto port_it = pre_initialized_.find(dest_host);
-  auto tx_owner = std::make_unique<PendingTx>(engine);
+  auto tx_owner = std::make_unique<PendingTx>(
+      engine,
+      txn::PhaseEvent{"migration", proc.name(), "", source_host, {dest_host}},
+      &phase_listener_);
   PendingTx& tx = *tx_owner;
   tx.timeline_index = timeline_index;
   tx.proc_id = proc.id();
@@ -1249,13 +1191,14 @@ sim::Task<> MigrationEngine::migrate(MigrationContext& ctx,
     spawn_span = t->begin_span("migration.spawn", "hpcm", proc.name(),
                                std::move(attrs));
   }
-  PhaseResult r = co_await await_phase(tx, phase_init(tx, proc), "init",
-                                       options_.init_timeout);
+  tx.runner.enter("init");
+  const txn::Status init =
+      co_await tx.runner.run(phase_init(tx, proc), options_.init_timeout);
   if (obs::active(t)) {
-    t->end_span(spawn_span, {{"completed", r == PhaseResult::kDone}});
+    t->end_span(spawn_span, {{"completed", init == txn::Status::kFinished}});
   }
-  if (r != PhaseResult::kDone) {
-    fail_phase(tx, proc, r);
+  if (init != txn::Status::kFinished) {
+    fail_phase(tx, proc, init);
     co_return;
   }
   history_[timeline_index].init_done_at = engine.now();
@@ -1317,13 +1260,14 @@ sim::Task<> MigrationEngine::freeze_tail(MigrationContext& ctx, PendingTx& tx,
                                std::move(attrs));
   }
   const double eager_begin = engine.now();
-  PhaseResult r = co_await await_phase(tx, phase_eager(tx, proc), "eager",
-                                       options_.eager_timeout);
+  tx.runner.enter("eager");
+  const txn::Status eager =
+      co_await tx.runner.run(phase_eager(tx, proc), options_.eager_timeout);
   if (obs::active(t)) {
-    t->end_span(eager_span, {{"completed", r == PhaseResult::kDone}});
+    t->end_span(eager_span, {{"completed", eager == txn::Status::kFinished}});
   }
-  if (r != PhaseResult::kDone) {
-    fail_phase(tx, proc, r);
+  if (eager != txn::Status::kFinished) {
+    fail_phase(tx, proc, eager);
     co_return;
   }
   history_[timeline_index].eager_done_at = engine.now();
@@ -1346,26 +1290,26 @@ sim::Task<> MigrationEngine::freeze_tail(MigrationContext& ctx, PendingTx& tx,
                              std::move(attrs));
   }
   const double ack_begin = engine.now();
-  r = co_await await_phase(tx, phase_ack(tx, proc), "ack",
-                           options_.ack_timeout);
+  tx.runner.enter("ack");
+  const txn::Status ack =
+      co_await tx.runner.run(phase_ack(tx, proc), options_.ack_timeout);
   if (obs::active(t)) {
-    t->end_span(ack_span, {{"completed", r == PhaseResult::kDone}});
+    t->end_span(ack_span, {{"completed", ack == txn::Status::kFinished}});
   }
-  if (r != PhaseResult::kDone) {
-    fail_phase(tx, proc, r);
+  if (ack != txn::Status::kFinished) {
+    fail_phase(tx, proc, ack);
     co_return;
   }
   observe_phase_ms("ack", engine.now() - ack_begin);
   mpi::Proc* helper = mpi_->find(tx.helper_id);
   if (helper == nullptr || !tx.state_ready) {
     // The ACK raced a destination failure; treat it as a failed handshake.
-    tx.phase = "ack";
-    fail_phase(tx, proc, PhaseResult::kDestFailed);
+    fail_phase(tx, proc, txn::Status::kFailed);
     co_return;
   }
 
   // ---- commit: the destination owns the process from here on ---------------
-  notify_phase(tx, "restore");
+  tx.runner.enter("restore");
   if (obs::active(t)) {
     obs::Attrs attrs{{"remaining_bytes", remaining}};
     obs::stamp(attrs, tx.trace);
@@ -1394,12 +1338,7 @@ void MigrationEngine::start_precopy_round(MigrationContext& ctx,
                                           PendingTx& tx) {
   mpi::Proc& proc = *ctx.proc_;
   const int round = tx.rounds_sent;
-  tx.phase = "precopy";
-  tx.round_in_flight = true;
-  tx.phase_done = false;
-  tx.timed_out = false;
-  tx.phase_error.clear();
-  notify_phase(tx, "precopy");
+  tx.runner.enter("precopy");
   // Snapshot the payload NOW, in the app fiber: the frame is consistent
   // with this poll-point even though the send overlaps further computation.
   const auto origin = proc.host().spec().byte_order;
@@ -1433,60 +1372,36 @@ void MigrationEngine::start_precopy_round(MigrationContext& ctx,
                std::move(attrs));
   }
   // Round 0 pays DPM init + the full-state transfer; later rounds only the
-  // delta.  A round that blows this budget flags the transaction and the
-  // next poll-point aborts it from the app fiber.
+  // delta.  A round that blows this budget (or fails) is seen by the next
+  // poll-point, which aborts the transaction from the app fiber.
   const double timeout = round == 0
                              ? options_.init_timeout + options_.eager_timeout
                              : options_.eager_timeout;
-  PendingTx* txp = &tx;
-  tx.timeout_event = mpi_->engine().schedule_after(timeout, [txp] {
-    txp->timed_out = true;
-    txp->precopy_failed = true;
-    txp->precopy_result = PhaseResult::kTimeout;
-  });
-  tx.phase_fiber = sim::Fiber::spawn(
-      mpi_->engine(), run_precopy_round(&tx, round, charge),
-      tx.process + ".migrate.precopy" + std::to_string(round));
+  tx.runner.start(precopy_round(&tx, round, charge), timeout);
 }
 
-sim::Task<> MigrationEngine::run_precopy_round(PendingTx* tx, int round,
-                                               double charge_bytes) {
-  try {
-    if (const auto stall = phase_stalls_.find("precopy");
-        stall != phase_stalls_.end()) {
-      co_await sim::delay(mpi_->engine(), stall->second);
-    }
-    mpi::Proc* proc = mpi_->find(tx->proc_id);
-    if (proc == nullptr) {
-      co_return;  // source crashed; crash() tears the transaction down
-    }
-    if (round == 0) {
-      co_await phase_init(*tx, *proc);
-      history_[tx->timeline_index].init_done_at = mpi_->engine().now();
-      observe_phase_ms("init",
-                       history_[tx->timeline_index].init_done_at -
-                           history_[tx->timeline_index].poll_point_at);
-    }
-    mpi::MpiMessage frame;
-    frame.data = std::make_shared<const mpi::Bytes>(std::move(tx->encoded));
-    frame.values = {static_cast<double>(proc->id()),
-                    static_cast<double>(tx->timeline_index),
-                    static_cast<double>(round), 0.0};
-    co_await proc->send(tx->merged, tx->merged.rank_of(tx->helper_id),
-                        kTagEagerState, charge_bytes, std::move(frame));
-    tx->rounds_sent = round + 1;
-    tx->timeout_event.cancel();
-    tx->round_in_flight = false;
-  } catch (const std::exception& e) {
-    tx->phase_error = e.what();
-    if (tx->phase_error.empty()) {
-      tx->phase_error = "pre-copy round failed";
-    }
-    tx->precopy_failed = true;
-    tx->precopy_result = PhaseResult::kError;
-    tx->timeout_event.cancel();
-    tx->round_in_flight = false;
+sim::Task<> MigrationEngine::precopy_round(PendingTx* tx, int round,
+                                           double charge_bytes) {
+  mpi::Proc* proc = mpi_->find(tx->proc_id);
+  if (proc == nullptr) {
+    // crash() and exit both end the transaction before the proc goes.
+    throw std::logic_error("hpcm: pre-copy round without a source process");
   }
+  if (round == 0) {
+    co_await phase_init(*tx, *proc);
+    history_[tx->timeline_index].init_done_at = mpi_->engine().now();
+    observe_phase_ms("init",
+                     history_[tx->timeline_index].init_done_at -
+                         history_[tx->timeline_index].poll_point_at);
+  }
+  mpi::MpiMessage frame;
+  frame.data = std::make_shared<const mpi::Bytes>(std::move(tx->encoded));
+  frame.values = {static_cast<double>(proc->id()),
+                  static_cast<double>(tx->timeline_index),
+                  static_cast<double>(round), 0.0};
+  co_await proc->send(tx->merged, tx->merged.rank_of(tx->helper_id),
+                      kTagEagerState, charge_bytes, std::move(frame));
+  tx->rounds_sent = round + 1;
 }
 
 sim::Task<> MigrationEngine::continue_precopy(MigrationContext& ctx) {
@@ -1499,16 +1414,14 @@ sim::Task<> MigrationEngine::continue_precopy(MigrationContext& ctx) {
   }
   PendingTx& tx = *it->second;
   mpi::Proc& proc = *ctx.proc_;
-  if (tx.dest_failed || tx.precopy_failed) {
-    ctx.precopy_tx_ = MigrationContext::kNoPrecopy;
-    const PhaseResult result =
-        tx.dest_failed ? PhaseResult::kDestFailed : tx.precopy_result;
-    tx.phase = "precopy";
-    fail_phase(tx, proc, result);  // aborts; the app keeps computing
-    co_return;
-  }
-  if (tx.round_in_flight) {
+  const txn::Status round = tx.runner.poll();
+  if (round == txn::Status::kRunning) {
     co_return;  // the round is still shipping; keep computing
+  }
+  if (round != txn::Status::kFinished) {
+    ctx.precopy_tx_ = MigrationContext::kNoPrecopy;
+    fail_phase(tx, proc, round);  // aborts; the app keeps computing
+    co_return;
   }
   // Between rounds: re-collect and test convergence against round 0.
   if (ctx.save_) {

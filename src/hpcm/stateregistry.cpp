@@ -29,6 +29,9 @@ void put_string(std::vector<std::byte>& out, const std::string& text) {
 /// zero-copy wire path for bulk payloads: one resize, no per-byte growth).
 void put_be64_bulk(std::vector<std::byte>& out, const void* src,
                    std::size_t count) {
+  if (count == 0) {
+    return;  // an empty vector's data() may be null: memcpy must not see it
+  }
   const std::size_t base = out.size();
   out.resize(base + count * 8);
   std::byte* dst = out.data() + base;
@@ -47,6 +50,9 @@ void put_be64_bulk(std::vector<std::byte>& out, const void* src,
 /// the buffer holds them).  Advances `offset`.
 void get_be64_bulk(std::span<const std::byte> in, std::size_t& offset,
                    void* dst, std::size_t count) {
+  if (count == 0) {
+    return;
+  }
   std::memcpy(dst, in.data() + offset, count * 8);
   if (support::native_byte_order() == support::ByteOrder::kLittleEndian) {
     auto* bytes = static_cast<std::byte*>(dst);

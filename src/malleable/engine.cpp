@@ -78,10 +78,12 @@ struct MalleableEngine::PendingResize {
 };
 
 /// One in-flight resize transaction (the malleable analogue of hpcm's
-/// PendingTx): phase state, timeout machinery, and everything the rollback
-/// paths need to reap partial work.
+/// PendingTx): the phase runner and everything the rollback paths need to
+/// reap partial work.
 struct MalleableEngine::ResizeTx {
-  explicit ResizeTx(sim::Engine& engine) : wake(engine) {}
+  ResizeTx(sim::Engine& engine, txn::PhaseEvent identity,
+           const txn::PhaseListener* listener)
+      : runner(engine, std::move(identity), listener) {}
 
   ResizeVerb verb = ResizeVerb::kExpand;
   int delta = 0;
@@ -90,12 +92,6 @@ struct MalleableEngine::ResizeTx {
   obs::TraceCtx trace;
   double started_at = 0.0;
   int ranks_before = 0;
-
-  std::string phase = "plan";
-  bool phase_done = false;
-  bool timed_out = false;
-  bool failed = false;
-  std::string fail_reason;
 
   /// Children created so far, live during the spawn phase (progress list
   /// passed to spawn_many so aborts can reap a partial group).
@@ -113,9 +109,8 @@ struct MalleableEngine::ResizeTx {
   double redistribute_seconds = 0.0;
   std::uint64_t span = 0;
 
-  sim::WaitQueue wake;
-  sim::Fiber worker;
-  sim::Engine::EventHandle timeout_event;
+  /// Declared last so a phase body still in flight dies first.
+  txn::Runner runner;
 };
 
 /// One running malleable job: membership, block assignment, named state,
@@ -189,9 +184,8 @@ MalleableEngine::~MalleableEngine() {
   // deregisters it, so the queues are empty when ~Job runs.
   for (auto& [name, job] : jobs_) {
     if (job->tx) {
-      job->tx->timeout_event.cancel();
+      job->tx->runner.stop();
       job->tx->cancel->cancelled = true;
-      job->tx->worker.kill();
       for (const mpi::RankId id : job->tx->spawned) {
         (void)mpi_->kill(id);
       }
@@ -357,15 +351,6 @@ std::vector<std::string> MalleableEngine::job_names() const {
 
 // -- chaos hooks ------------------------------------------------------------
 
-void MalleableEngine::set_phase_stall(const std::string& phase,
-                                      double seconds) {
-  if (seconds > 0.0) {
-    phase_stalls_[phase] = seconds;
-  } else {
-    phase_stalls_.erase(phase);
-  }
-}
-
 bool MalleableEngine::fail_resize_target(const std::string& job_name,
                                          const std::string& host) {
   Job* job = find_job(job_name);
@@ -373,7 +358,7 @@ bool MalleableEngine::fail_resize_target(const std::string& job_name,
     return false;
   }
   ResizeTx& tx = *job->tx;
-  if (tx.phase != "spawn") {
+  if (tx.runner.phase() != "spawn") {
     return false;
   }
   if (std::find(tx.hosts.begin(), tx.hosts.end(), host) == tx.hosts.end()) {
@@ -388,9 +373,7 @@ bool MalleableEngine::fail_resize_target(const std::string& job_name,
       (void)mpi_->kill(id);
     }
   }
-  tx.failed = true;
-  tx.fail_reason = "no-capacity";
-  tx.wake.notify_all();
+  tx.runner.fail("no-capacity");
   return true;
 }
 
@@ -425,7 +408,7 @@ int MalleableEngine::on_host_failed(const std::string& host) {
       teardown_job(*job, "job-failed");
       continue;
     }
-    if (job->tx != nullptr && job->tx->phase == "spawn") {
+    if (job->tx != nullptr && job->tx->runner.phase() == "spawn") {
       (void)fail_resize_target(name, host);  // no-op unless host is a target
     }
     if (hit) {
@@ -587,15 +570,7 @@ void MalleableEngine::finish_job(Job& job) {
   if (job.pending.has_value()) {
     // A resize the job never reached its next poll-point for: emit an abort
     // so the registry credits the placement debits it took out.
-    job.tx = std::make_unique<ResizeTx>(engine());
-    job.tx->verb = job.pending->verb;
-    job.tx->delta = job.pending->delta;
-    job.tx->hosts = job.pending->hosts;
-    job.tx->strategy = job.pending->strategy;
-    job.tx->trace = job.pending->trace;
-    job.tx->started_at = engine().now();
-    job.tx->ranks_before = static_cast<int>(job.members.size());
-    job.pending.reset();
+    job.tx = open_tx(job);
     finish_resize(job, kAborted, "job-finished", "plan");
   }
   if (obs::MetricsRegistry* m = options_.metrics) {
@@ -610,30 +585,22 @@ void MalleableEngine::finish_job(Job& job) {
 
 void MalleableEngine::teardown_job(Job& job, const std::string& reason) {
   if (job.tx) {
-    job.tx->timeout_event.cancel();
+    job.tx->runner.stop();
     job.tx->cancel->cancelled = true;
-    job.tx->worker.kill();
     for (const mpi::RankId id : job.tx->spawned) {
       (void)mpi_->kill(id);
     }
   }
   // Kill member fibers BEFORE finishing the transaction: the root may be
-  // suspended on the transaction's wake queue, and the queue asserts it has
-  // no waiters when the ResizeTx is destroyed.
+  // suspended on the runner's wait queue, and the queue asserts it has no
+  // waiters when the ResizeTx is destroyed.
   for (const mpi::RankId id : job.members) {
     (void)mpi_->kill(id);
   }
   if (job.tx) {
-    finish_resize(job, kAborted, reason, job.tx->phase);
+    finish_resize(job, kAborted, reason, job.tx->runner.phase());
   } else if (job.pending.has_value()) {
-    job.tx = std::make_unique<ResizeTx>(engine());
-    job.tx->verb = job.pending->verb;
-    job.tx->delta = job.pending->delta;
-    job.tx->hosts = job.pending->hosts;
-    job.tx->strategy = job.pending->strategy;
-    job.tx->trace = job.pending->trace;
-    job.tx->started_at = engine().now();
-    job.tx->ranks_before = static_cast<int>(job.members.size());
+    job.tx = open_tx(job);
     finish_resize(job, kAborted, reason, "plan");
   }
   job.pending.reset();
@@ -680,57 +647,37 @@ std::string MalleableEngine::validate_resize(const Job& job,
   return {};
 }
 
-void MalleableEngine::notify_phase(Job& job, const std::string& phase) {
-  job.tx->phase = phase;
+std::unique_ptr<MalleableEngine::ResizeTx> MalleableEngine::open_tx(
+    Job& job) {
+  PendingResize& req = *job.pending;
+  auto tx = std::make_unique<ResizeTx>(
+      engine(),
+      txn::PhaseEvent{verb_name(req.verb), job.spec.name, "", "", req.hosts},
+      &phase_listener_);
+  tx->verb = req.verb;
+  tx->delta = req.delta;
+  tx->hosts = std::move(req.hosts);
+  tx->strategy = req.strategy;
+  tx->trace = req.trace;
+  tx->started_at = engine().now();
+  tx->ranks_before = static_cast<int>(job.members.size());
+  job.pending.reset();
+  return tx;
+}
+
+void MalleableEngine::enter_phase(Job& job, const char* phase) {
   if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
     obs::Attrs attrs{{"phase", phase},
                      {"verb", std::string(verb_name(job.tx->verb))}};
     obs::stamp(attrs, job.tx->trace);
     t->instant("resize.phase", "malleable", job.spec.name, std::move(attrs));
   }
-  if (phase_listener_) {
-    ResizePhaseEvent event;
-    event.job = job.spec.name;
-    event.verb = job.tx->verb;
-    event.phase = phase;
-    event.at = engine().now();
-    event.hosts = job.tx->hosts;
-    phase_listener_(event);
-  }
-}
-
-sim::Task<bool> MalleableEngine::await_phase(Job& job,
-                                             double timeout_seconds) {
-  ResizeTx& tx = *job.tx;
-  tx.phase_done = false;
-  tx.timed_out = false;
-  ResizeTx* txp = &tx;
-  tx.timeout_event = engine().schedule_after(timeout_seconds, [txp] {
-    txp->timed_out = true;
-    txp->wake.notify_all();
-  });
-  while (!tx.phase_done && !tx.failed && !tx.timed_out) {
-    co_await tx.wake.wait();
-  }
-  tx.timeout_event.cancel();
-  if (tx.phase_done) {
-    co_return true;  // a completed phase beats a late timeout
-  }
-  if (!tx.failed) {
-    tx.failed = true;
-    tx.fail_reason =
-        tx.phase == "spawn" ? "spawn-timeout" : "redistribution-failed";
-  }
-  co_return false;
+  job.tx->runner.enter(phase);
 }
 
 sim::Task<> MalleableEngine::spawn_phase(std::shared_ptr<Job> job,
                                          mpi::Proc* proc) {
   ResizeTx& tx = *job->tx;
-  if (const auto it = phase_stalls_.find("spawn");
-      it != phase_stalls_.end()) {
-    co_await sim::delay(engine(), it->second);
-  }
   const int join_iter = job->open_iter + 1;
   const std::string name =
       job->spec.name + ".g" + std::to_string(++job->generation);
@@ -741,16 +688,10 @@ sim::Task<> MalleableEngine::spawn_phase(std::shared_ptr<Job> job,
   };
   tx.spawn_result = co_await proc->spawn_many(
       tx.hosts, std::move(app), name, tx.strategy, &tx.spawned, tx.cancel);
-  tx.phase_done = true;
-  tx.wake.notify_all();
 }
 
 sim::Task<> MalleableEngine::redistribute_phase(std::shared_ptr<Job> job) {
   ResizeTx& tx = *job->tx;
-  if (const auto it = phase_stalls_.find("redistribute");
-      it != phase_stalls_.end()) {
-    co_await sim::delay(engine(), it->second);
-  }
   const Workload& wl = job->spec.workload;
   tx.new_blocks = partition_blocks(
       wl.blocks, static_cast<int>(tx.new_members.size()));
@@ -788,33 +729,19 @@ sim::Task<> MalleableEngine::redistribute_phase(std::shared_ptr<Job> job) {
     mpi::Proc* sp = mpi_->find(src);
     mpi::Proc* dp = mpi_->find(dst);
     if (sp == nullptr || dp == nullptr) {
-      tx.failed = true;
-      tx.fail_reason = "redistribution-failed";
-      tx.wake.notify_all();
-      co_return;
+      throw std::runtime_error("redistribution-failed: block owner gone");
     }
     (void)co_await network_->transfer(sp->host().name(), dp->host().name(),
                                       bytes);
     tx.redistributed_bytes += bytes;
     b = e;
   }
-  tx.phase_done = true;
-  tx.wake.notify_all();
 }
 
 sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
                                             mpi::Proc& proc) {
-  PendingResize req = std::move(*job->pending);
-  job->pending.reset();
-  job->tx = std::make_unique<ResizeTx>(engine());
+  job->tx = open_tx(*job);
   ResizeTx& tx = *job->tx;
-  tx.verb = req.verb;
-  tx.delta = req.delta;
-  tx.hosts = std::move(req.hosts);
-  tx.strategy = req.strategy;
-  tx.trace = req.trace;
-  tx.started_at = engine().now();
-  tx.ranks_before = static_cast<int>(job->members.size());
   if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
     obs::Attrs attrs{
         {"verb", std::string(verb_name(tx.verb))},
@@ -824,7 +751,7 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
     tx.span = t->begin_span("resize", "malleable", job->spec.name,
                             std::move(attrs));
   }
-  notify_phase(*job, "plan");
+  enter_phase(*job, "plan");
   const std::string plan_error = validate_resize(*job, tx);
   if (!plan_error.empty()) {
     ARS_LOG_INFO("malleable", "resize of " << job->spec.name
@@ -834,22 +761,25 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
   }
 
   if (tx.verb == ResizeVerb::kExpand) {
-    notify_phase(*job, "spawn");
+    enter_phase(*job, "spawn");
     const double spawn_start = engine().now();
-    tx.worker = sim::Fiber::spawn(engine(), spawn_phase(job, &proc),
-                                  job->spec.name + ".resize.spawn");
-    if (!co_await await_phase(*job, options_.spawn_timeout)) {
+    if (co_await tx.runner.run(spawn_phase(job, &proc),
+                               options_.spawn_timeout) !=
+        txn::Status::kFinished) {
       // Drain the fan-out: once the token flips no further children are
       // created and the spawn machinery fires its completion, after which
       // the partial group is ours to reap.
       tx.cancel->cancelled = true;
-      while (!tx.phase_done) {
-        co_await tx.wake.wait();
-      }
+      co_await tx.runner.settle();
       for (const mpi::RankId id : tx.spawned) {
         (void)mpi_->kill(id);
       }
-      finish_resize(*job, kAborted, tx.fail_reason, "spawn");
+      // A target lost at any point of the spawn is the reason; otherwise
+      // the fan-out ran out of time.
+      finish_resize(*job, kAborted,
+                    tx.runner.failure().empty() ? "spawn-timeout"
+                                                : tx.runner.failure(),
+                    "spawn");
       co_return;
     }
     tx.spawn_seconds = engine().now() - spawn_start;
@@ -858,12 +788,12 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
                           tx.spawn_result.children.begin(),
                           tx.spawn_result.children.end());
 
-    notify_phase(*job, "redistribute");
+    enter_phase(*job, "redistribute");
     const double redistribute_start = engine().now();
-    tx.worker = sim::Fiber::spawn(engine(), redistribute_phase(job),
-                                  job->spec.name + ".resize.redistribute");
-    if (!co_await await_phase(*job, options_.redistribute_timeout)) {
-      tx.worker.kill();
+    if (co_await tx.runner.run(redistribute_phase(job),
+                               options_.redistribute_timeout) !=
+        txn::Status::kFinished) {
+      tx.runner.stop();
       if (!options_.sabotage_skip_resize_rollback) {
         for (const mpi::RankId id : tx.spawn_result.children) {
           (void)mpi_->kill(id);
@@ -877,7 +807,7 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
     }
     tx.redistribute_seconds = engine().now() - redistribute_start;
 
-    notify_phase(*job, "commit");
+    enter_phase(*job, "commit");
     co_await sim::delay(
         engine(), kMergeOverheadPerRound * std::max(1, tx.spawn_result.rounds));
     job->members = tx.new_members;
@@ -928,19 +858,19 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
       }
     }
 
-    notify_phase(*job, "redistribute");
+    enter_phase(*job, "redistribute");
     const double redistribute_start = engine().now();
-    tx.worker = sim::Fiber::spawn(engine(), redistribute_phase(job),
-                                  job->spec.name + ".resize.redistribute");
-    if (!co_await await_phase(*job, options_.redistribute_timeout)) {
-      tx.worker.kill();
+    if (co_await tx.runner.run(redistribute_phase(job),
+                               options_.redistribute_timeout) !=
+        txn::Status::kFinished) {
+      tx.runner.stop();
       // Nothing was spawned; the victims keep their blocks — clean abort.
       finish_resize(*job, kAborted, "redistribution-failed", "redistribute");
       co_return;
     }
     tx.redistribute_seconds = engine().now() - redistribute_start;
 
-    notify_phase(*job, "commit");
+    enter_phase(*job, "commit");
     job->members = tx.new_members;
     job->world = mpi_->make_comm(job->members);
     job->blocks_of = tx.new_blocks;

@@ -17,6 +17,10 @@ namespace {
 
 constexpr double kSweepPeriod = 5.0;
 constexpr double kHealthReportPeriod = 30.0;
+/// The paper measures ~0.002 s to make a migration decision.
+constexpr double kDecisionDelay = 0.002;
+/// Minimum spacing between migrations of the same process.
+constexpr double kPerProcessCooldown = 30.0;
 /// Processes with schema data-locality at or above this are not selected
 /// for migration (paper §5.3: "if a process involves a lot in a local data
 /// access, the process is not to be migrated").
@@ -120,12 +124,6 @@ Registry::Registry(host::Host& h, net::Network& network, Config config)
       config_.metrics->counter("registry.ckpt_slots_expired");
     }
   }
-  ckpt::IoScheduler::Config io;
-  io.max_concurrent = config_.ckpt_max_concurrent;
-  io.defer_retry = config_.ckpt_defer_retry;
-  io.preempt_risk_ratio = config_.ckpt_preempt_risk;
-  io.slot_ttl = config_.ckpt_slot_ttl;
-  ckpt_io_ = ckpt::IoScheduler(io);
 }
 
 Registry::~Registry() { stop(); }
@@ -551,19 +549,19 @@ sim::Task<> Registry::sweep() {
     // the registry abandons the command.
     if (config_.auto_restart) {
       for (const PlacementDebit& debit : expired) {
-        if (debit.process.rfind("resize:", 0) == 0) {
+        if (debit.owner == PlacementDebit::Owner::kResize) {
           continue;  // resize debits are per-target shares, not processes
         }
         const bool booked =
             std::any_of(processes_.begin(), processes_.end(),
                         [&](const auto& kv) {
-                          return kv.second.name == debit.process;
+                          return kv.second.name == debit.name;
                         });
         if (booked) {
           continue;
         }
         ARS_LOG_WARN("registry", "placement debit for "
-                                     << debit.process
+                                     << debit.name
                                      << " expired with no book entry; "
                                         "relaunching from checkpoint");
         if (config_.metrics != nullptr) {
@@ -572,7 +570,7 @@ sim::Task<> Registry::sweep() {
         ProcessEntry lost;
         lost.host = debit.dest;
         lost.pid = next_placeholder_pid_--;
-        lost.name = debit.process;
+        lost.name = debit.name;
         lost.start_time = now;
         lost.schema_name = debit.schema_name;
         RecoveryRound round;
@@ -776,7 +774,7 @@ void Registry::command_resize(MalleableJobEntry& job, const std::string& verb,
     // instead of piling onto the same slack host; the outcome report
     // credits them back, exactly like a migration's PlacementDebit.
     for (const std::string& target : hosts) {
-      debit_placement("resize:" + job.name + ":" + target, target, "");
+      debit_placement(PlacementDebit::Owner::kResize, job.name, target, "");
     }
     job.pending_targets = hosts;
   } else {
@@ -823,10 +821,10 @@ void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
                             host_->name(), std::move(attrs));
   }
   // Credit every per-target debit of this job's in-flight command.
-  const std::string prefix = "resize:" + outcome.job + ":";
   const std::size_t before = inflight_.size();
   std::erase_if(inflight_, [&](const PlacementDebit& debit) {
-    return debit.process.rfind(prefix, 0) == 0;
+    return debit.owner == PlacementDebit::Owner::kResize &&
+           debit.name == outcome.job;
   });
   if (inflight_.size() != before && config_.metrics != nullptr) {
     config_.metrics->counter("registry.placements_credited")
@@ -1182,16 +1180,20 @@ void Registry::confirm_relaunches(double now) {
   }
 }
 
-void Registry::debit_placement(const std::string& process_name,
+void Registry::debit_placement(PlacementDebit::Owner owner,
+                               const std::string& name,
                                const std::string& dest,
                                const std::string& schema_name) {
-  // A process has at most one migration in flight: a new command for it
-  // supersedes any stale debit (bounds the list when outcomes get lost).
+  // A process has at most one migration in flight, and a job at most one
+  // expand per target: a new command supersedes any stale debit (bounds
+  // the list when outcomes get lost).
   std::erase_if(inflight_, [&](const PlacementDebit& debit) {
-    return debit.process == process_name;
+    return debit.owner == owner && debit.name == name &&
+           (owner == PlacementDebit::Owner::kMigration || debit.dest == dest);
   });
   PlacementDebit debit;
-  debit.process = process_name;
+  debit.owner = owner;
+  debit.name = name;
   debit.dest = dest;
   debit.schema_name = schema_name;
   debit.at = host_->engine().now();
@@ -1239,14 +1241,16 @@ void Registry::on_migration_outcome(
   }
   // Credit the in-flight placement debit back (prefer the exact
   // destination; fall back to the process alone for re-planned debits).
+  const auto migrating = [&](const PlacementDebit& d) {
+    return d.owner == PlacementDebit::Owner::kMigration &&
+           d.name == outcome.process;
+  };
   auto debit = std::find_if(
       inflight_.begin(), inflight_.end(), [&](const PlacementDebit& d) {
-        return d.process == outcome.process && d.dest == outcome.destination;
+        return migrating(d) && d.dest == outcome.destination;
       });
   if (debit == inflight_.end()) {
-    debit = std::find_if(
-        inflight_.begin(), inflight_.end(),
-        [&](const PlacementDebit& d) { return d.process == outcome.process; });
+    debit = std::find_if(inflight_.begin(), inflight_.end(), migrating);
   }
   std::string debited_schema;
   if (debit != inflight_.end()) {
@@ -1405,7 +1409,7 @@ const ProcessEntry* Registry::select_process(const std::string& source_host) {
     if (entry.host != source_host) {
       continue;
     }
-    if (now - entry.last_migrated_at < config_.per_process_cooldown) {
+    if (now - entry.last_migrated_at < kPerProcessCooldown) {
       continue;
     }
     double est_exec = 0.0;
@@ -1625,7 +1629,7 @@ void Registry::request_evacuation(const std::string& host,
 }
 
 sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
-  co_await sim::delay(host_->engine(), config_.decision_delay);
+  co_await sim::delay(host_->engine(), kDecisionDelay);
   ARS_LOG_WARN("registry",
                "evacuating " << drained_host << " (" << reason << ")");
   if (config_.metrics != nullptr) {
@@ -1666,7 +1670,7 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
     decision.source = drained_host;
     decision.pid = process.pid;
     decision.process_name = process.name;
-    decision.decision_latency = config_.decision_delay;
+    decision.decision_latency = kDecisionDelay;
     if (!destination.has_value()) {
       ARS_LOG_ERROR("registry", "evacuation: no destination for "
                                     << process.name << " - process stays");
@@ -1692,7 +1696,8 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
     command.dest_port = dest_it->second.commander_port;
     command.schema_name = process.schema_name;
     send_to(drained_host, source_it->second.commander_port, command, ctx);
-    debit_placement(process.name, *destination, process.schema_name);
+    debit_placement(PlacementDebit::Owner::kMigration, process.name,
+                    *destination, process.schema_name);
     ++evacuations_commanded_;
     // Give each migration a beat so the destinations' heartbeats can
     // reflect the newly placed work before the next placement.
@@ -1778,13 +1783,13 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
     }
   };
   // The measured decision latency (~0.002 s in §5.2).
-  co_await sim::delay(host_->engine(), config_.decision_delay);
+  co_await sim::delay(host_->engine(), kDecisionDelay);
   const double now = host_->engine().now();
 
   Decision decision;
   decision.at = now;
   decision.source = consult.host;
-  decision.decision_latency = config_.decision_delay;
+  decision.decision_latency = kDecisionDelay;
 
   const ProcessEntry* process = select_process(consult.host);
   // An escalated consult carries the child's selection; adopt it when the
@@ -1888,7 +1893,8 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
     process_it->second.last_migrated_at = now;
   }
   // In-flight debit until the source commander reports the outcome.
-  debit_placement(process->name, *destination, process->schema_name);
+  debit_placement(PlacementDebit::Owner::kMigration, process->name,
+                  *destination, process->schema_name);
 
   xmlproto::MigrateCmd command;
   command.pid = process->pid;

@@ -123,14 +123,17 @@ struct Cluster {
 
   void crash_dest_at_phase(const std::string& phase,
                            double extra_delay = 0.0) {
-    hpcm.set_phase_listener([this, phase, extra_delay](const PhaseEvent& e) {
-      if (e.phase != phase || crash_armed_) {
-        return;
-      }
-      crash_armed_ = true;
-      engine.schedule_after(
-          extra_delay, [this, dest = e.destination] { hpcm.crash_host(dest); });
-    });
+    hpcm.set_phase_listener(
+        [this, phase, extra_delay](const txn::PhaseEvent& e) {
+          if (e.phase != phase || crash_armed_) {
+            return 0.0;
+          }
+          crash_armed_ = true;
+          engine.schedule_after(extra_delay, [this, dest = e.targets.front()] {
+            hpcm.crash_host(dest);
+          });
+          return 0.0;
+        });
   }
 
   Engine engine;
@@ -278,7 +281,10 @@ TEST(PrecopyTest, StalledRoundTimesOutAndAborts) {
   options.eager_timeout = 3.0;
   Cluster c(options);
   BlockApp app;
-  c.hpcm.set_phase_stall("precopy", 1000.0);  // chaos: wedge every round
+  // Chaos: wedge every round.
+  c.hpcm.set_phase_listener([](const txn::PhaseEvent& e) {
+    return e.phase == "precopy" ? 1000.0 : 0.0;
+  });
   const mpi::RankId id =
       c.hpcm.launch("ws1", app.make(), "blockapp", schema());
   c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });

@@ -97,14 +97,17 @@ struct Cluster {
   /// scheduled as a zero-delay event (plus `extra_delay` for post-commit
   /// cases that want to hit the middle of the background restore).
   void crash_dest_at_phase(const std::string& phase, double extra_delay = 0.0) {
-    hpcm.set_phase_listener([this, phase, extra_delay](const PhaseEvent& e) {
-      if (e.phase != phase || crash_armed_) {
-        return;
-      }
-      crash_armed_ = true;
-      engine.schedule_after(extra_delay,
-                            [this, dest = e.destination] { hpcm.crash_host(dest); });
-    });
+    hpcm.set_phase_listener(
+        [this, phase, extra_delay](const txn::PhaseEvent& e) {
+          if (e.phase != phase || crash_armed_) {
+            return 0.0;
+          }
+          crash_armed_ = true;
+          engine.schedule_after(extra_delay, [this, dest = e.targets.front()] {
+            hpcm.crash_host(dest);
+          });
+          return 0.0;
+        });
   }
 
   Engine engine;

@@ -181,7 +181,9 @@ TEST_F(MalleableTest, FailedTargetAbortsSpawn) {
   spec.strategy = mpi::SpawnStrategy::kSequential;
   malleable.launch(spec, host_names(1, 2));
   // Stall the spawn so the fault window is easy to hit.
-  malleable.set_phase_stall("spawn", 5.0);
+  malleable.set_phase_listener([](const txn::PhaseEvent& e) {
+    return e.phase == "spawn" ? 5.0 : 0.0;
+  });
   engine_.run_until(0.5);
   ASSERT_TRUE(malleable.request_resize("job", ResizeVerb::kExpand, 4,
                                        host_names(10, 4)));
@@ -210,7 +212,9 @@ TEST_F(MalleableTest, RedistributionTimeoutRollsBackExpand) {
   auto spec = small_job("job");
   spec.workload.iterations = 10;
   malleable.launch(spec, host_names(1, 2));
-  malleable.set_phase_stall("redistribute", 10.0);
+  malleable.set_phase_listener([](const txn::PhaseEvent& e) {
+    return e.phase == "redistribute" ? 10.0 : 0.0;
+  });
   engine_.run_until(0.5);
   ASSERT_TRUE(malleable.request_resize("job", ResizeVerb::kExpand, 2,
                                        {"ws10", "ws11"}));
@@ -233,7 +237,9 @@ TEST_F(MalleableTest, SabotageSkipsRollbackAndLeaksRanks) {
   auto spec = small_job("job");
   spec.workload.iterations = 10;
   malleable.launch(spec, host_names(1, 2));
-  malleable.set_phase_stall("redistribute", 10.0);
+  malleable.set_phase_listener([](const txn::PhaseEvent& e) {
+    return e.phase == "redistribute" ? 10.0 : 0.0;
+  });
   // Ghost ranks are visible at the instant the failed resize reports: the
   // rolled-back spawn group must be dead, yet sabotage leaves it alive.
   std::size_t live_at_outcome = 0;

@@ -306,21 +306,29 @@ TEST_F(OutcomeFeedbackTest, ExpiredDebitWithNoBookEntryRelaunches) {
   // registration both vanish, the source deregisters, and every host
   // stays healthy — so no lease ever expires for the process.  The
   // expired placement debit is the only remaining witness that the
-  // migration happened; its expiry must trigger the relaunch.
+  // migration happened; its expiry must trigger the relaunch.  The second
+  // process's name starts with "resize:", which must not matter: it is a
+  // process like any other and is relaunched too.
   Registry::Config config;
   config.auto_restart = true;
   build(config);
   overloaded_source();
+  register_process("ws1", 101, "resize:x");
+  engine_.run_until(1.5);
   consult();
   engine_.run_until(2.0);
-  (void)commands<xmlproto::MigrateCmd>();
-  xmlproto::ProcessDeregisterMsg dereg;
-  dereg.host = "ws1";
-  dereg.pid = 100;
-  post("ws1", dereg);
+  consult();  // the first process is cooling down: this one moves the other
+  engine_.run_until(2.5);
+  ASSERT_EQ(commands<xmlproto::MigrateCmd>().size(), 2U);
+  for (const int pid : {100, 101}) {
+    xmlproto::ProcessDeregisterMsg dereg;
+    dereg.host = "ws1";
+    dereg.pid = pid;
+    post("ws1", dereg);
+  }
   engine_.run_until(3.0);
   ASSERT_EQ(registry_->process_count(), 0U);
-  ASSERT_EQ(registry_->inflight_placements(), 1U);
+  ASSERT_EQ(registry_->inflight_placements(), 2U);
   // Everyone keeps heartbeating through the debit TTL (120 s).
   for (double t = 8.0; t <= 140.0; t += 4.0) {
     engine_.run_until(t);
@@ -328,11 +336,47 @@ TEST_F(OutcomeFeedbackTest, ExpiredDebitWithNoBookEntryRelaunches) {
     heartbeat("ws2");
     heartbeat("ws3");
   }
-  EXPECT_EQ(counter_value("registry.debit_orphan_restarts"), 1.0);
-  const auto relaunches = commands<xmlproto::RelaunchCmd>();
-  ASSERT_GE(relaunches.size(), 1U);
-  EXPECT_EQ(relaunches[0].second.process_name, "app");
-  EXPECT_NE(relaunches[0].first, "ws1");  // overloaded source not eligible
+  EXPECT_EQ(counter_value("registry.debit_orphan_restarts"), 2.0);
+  std::set<std::string> relaunched;
+  for (const auto& [host, relaunch] : commands<xmlproto::RelaunchCmd>()) {
+    EXPECT_NE(host, "ws1");  // overloaded source not eligible
+    relaunched.insert(relaunch.process_name);
+  }
+  EXPECT_EQ(relaunched, (std::set<std::string>{"app", "resize:x"}));
+}
+
+TEST_F(OutcomeFeedbackTest, ResizeOutcomeCreditsOnlyItsOwnJob) {
+  // Jobs "j" and "j:2" each expand onto one free host.  The outcome for
+  // "j" credits j's target debit only — a name-prefix match on "j:" would
+  // also take the debit of "j:2", whose expand is still in flight.
+  Registry::Config config;
+  config.enable_resize = true;
+  config.resize_cooldown = 1.0;
+  config.job_hosts = [](const std::string& job) {
+    return std::vector<std::string>{job == "j" ? "ws1" : "ws2"};
+  };
+  build(config);
+  for (const char* h : {"ws1", "ws2"}) {
+    commanders_[h] = &net_.bind(h, 6000);
+  }
+  for (const char* h : {"hub", "ws1", "ws2", "ws3"}) {
+    register_host(h);
+  }
+  registry_->register_malleable_job("j", "ws1", 1, 1, 2);
+  registry_->register_malleable_job("j:2", "ws2", 1, 1, 2);
+  engine_.run_until(6.0);  // one sweep plans both expands
+  ASSERT_EQ(commands<xmlproto::ResizeCmd>().size(), 2U);
+  ASSERT_EQ(registry_->inflight_placements(), 2U);
+  xmlproto::ResizeOutcomeMsg done;
+  done.job = "j";
+  done.verb = "expand";
+  done.delta = 1;
+  done.outcome = "committed";
+  done.ranks_after = 2;
+  post("ws1", done);
+  engine_.run_until(7.0);
+  EXPECT_EQ(registry_->inflight_placements(), 1U);
+  EXPECT_EQ(counter_value("registry.placements_credited"), 1.0);
 }
 
 TEST_F(OutcomeFeedbackTest, SilentOutcomeDebitExpiresAfterTtl) {

@@ -55,36 +55,5 @@ TEST(Semaphore, ReleaseManyWakesMany) {
   EXPECT_EQ(through, 3);
 }
 
-TEST(WaitWithTimeout, FiresBeforeDeadline) {
-  Engine engine;
-  Trigger trigger{engine};
-  bool result = false;
-  double resumed_at = -1.0;
-  auto waiter = [](Engine& e, Trigger& t, bool& out, double& at) -> Task<> {
-    out = co_await wait_with_timeout(e, t, 100.0);
-    at = e.now();
-  };
-  Fiber::spawn(engine, waiter(engine, trigger, result, resumed_at));
-  engine.schedule_at(5.0, [&] { trigger.fire(); });
-  engine.run_until(200.0);
-  EXPECT_TRUE(result);
-  EXPECT_LT(resumed_at, 15.0);  // woke near the firing, not the deadline
-}
-
-TEST(WaitWithTimeout, TimesOut) {
-  Engine engine;
-  Trigger trigger{engine};
-  bool result = true;
-  double resumed_at = -1.0;
-  auto waiter = [](Engine& e, Trigger& t, bool& out, double& at) -> Task<> {
-    out = co_await wait_with_timeout(e, t, 10.0);
-    at = e.now();
-  };
-  Fiber::spawn(engine, waiter(engine, trigger, result, resumed_at));
-  engine.run_until(100.0);
-  EXPECT_FALSE(result);
-  EXPECT_NEAR(resumed_at, 10.0, 1.0);
-}
-
 }  // namespace
 }  // namespace ars::sim
