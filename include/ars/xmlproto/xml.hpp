@@ -1,92 +1,167 @@
 #pragma once
-// Minimal XML document model, writer and parser.
+// XML writer and reader for the rescheduler's documents.
 //
 // The paper's rescheduler entities talk "a custom XML based protocol with
 // TCP/IP sockets", and the application schema is "in a XML format".  This is
 // a deliberately small XML subset — elements, attributes, text, escaping —
 // enough to express those documents while staying easy to debug (one of the
-// paper's stated reasons for choosing XML).
+// paper's stated reasons for choosing XML).  Neither side builds a document
+// tree: XmlWriter appends each element straight to a string, and XmlReader
+// parses a document in one pass into flat arrays it reuses across parses.
 
-#include <map>
-#include <memory>
+#include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ars/support/expected.hpp"
+#include "ars/support/strings.hpp"
 
 namespace ars::xmlproto {
 
-class XmlNode {
+/// Appends XML to a string.  Text and attribute values are escaped
+/// (&<>"'), and an element that gets neither text nor a child is written
+/// self-closed: <name/>.
+class XmlWriter {
  public:
-  explicit XmlNode(std::string name) : name_(std::move(name)) {}
+  explicit XmlWriter(std::string& out) noexcept : out_(out) {}
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const std::string& text() const noexcept { return text_; }
-  void set_text(std::string text) { text_ = std::move(text); }
+  /// Starts <name>; attr() calls may follow until its first text or child.
+  void open(std::string_view name);
+  void attr(std::string_view key, std::string_view value);
+  void text(std::string_view value);
+  void close(std::string_view name);
 
-  void set_attr(const std::string& key, std::string value) {
-    attrs_[key] = std::move(value);
+  /// <name>text</name>, or <name/> when `text` is empty.
+  void element(std::string_view name, std::string_view text);
+  /// A number in fixed notation with `decimals` digits (printf's "%.*f").
+  void element(std::string_view name, double value, int decimals);
+  /// A decimal integer (std::to_string's digits).
+  template <std::integral T>
+  void element(std::string_view name, T value) {
+    char digits[24];
+    const auto result = std::to_chars(digits, digits + sizeof digits, value);
+    element(name, std::string_view(digits, result.ptr - digits));
   }
-  [[nodiscard]] std::optional<std::string> attr(const std::string& key) const {
-    const auto it = attrs_.find(key);
-    return it == attrs_.end() ? std::nullopt
-                              : std::optional<std::string>{it->second};
-  }
-  /// Attribute with a fallback value.
-  [[nodiscard]] std::string attr_or(const std::string& key,
-                                    std::string fallback) const {
-    return attr(key).value_or(std::move(fallback));
-  }
-  [[nodiscard]] const std::map<std::string, std::string>& attrs() const {
-    return attrs_;
-  }
-
-  /// Append and return a child element.
-  XmlNode& add_child(std::string child_name);
-
-  /// Append an already-built subtree.
-  void adopt_child(std::unique_ptr<XmlNode> child) {
-    children_.push_back(std::move(child));
-  }
-
-  [[nodiscard]] const std::vector<std::unique_ptr<XmlNode>>& children() const {
-    return children_;
-  }
-
-  /// First child with the given name, or nullptr.
-  [[nodiscard]] const XmlNode* child(std::string_view child_name) const;
-  [[nodiscard]] XmlNode* child(std::string_view child_name);
-
-  /// All children with the given name.
-  [[nodiscard]] std::vector<const XmlNode*> children_named(
-      std::string_view child_name) const;
-
-  /// Text content of a named child, or fallback.
-  [[nodiscard]] std::string child_text_or(std::string_view child_name,
-                                          std::string fallback) const;
-
-  /// Serialize (compact, deterministic: attributes in key order).
-  [[nodiscard]] std::string to_string() const;
 
  private:
-  void write(std::string& out) const;
-
-  std::string name_;
-  std::string text_;
-  std::map<std::string, std::string> attrs_;
-  std::vector<std::unique_ptr<XmlNode>> children_;
+  std::string& out_;
+  std::size_t empty_at_ = std::string::npos;  // out_'s size after a start tag
 };
 
-/// Escape &<>"' for use in text or attribute values.
-[[nodiscard]] std::string xml_escape(std::string_view raw);
+/// Element text as a T ("true"/"false" for bool, a decimal number for
+/// arithmetic types), or nullopt when it is malformed or outside T's range —
+/// never a wrapped or truncated value.
+template <typename T>
+std::optional<T> from_text(std::string_view text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return std::string(text);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (text == "true") return true;
+    if (text == "false") return false;
+    return std::nullopt;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return support::parse_double(text);
+  } else {
+    const auto value = support::parse_int(text);
+    if (!value.has_value() || !std::in_range<T>(*value)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(*value);
+  }
+}
 
-/// Parse a single-root XML document.  Returns a detailed error on malformed
-/// input (unterminated tags, mismatched close tags, bad entities, trailing
-/// garbage).  Comments and XML declarations are skipped; CDATA, processing
-/// instructions and DTDs are not supported.
-[[nodiscard]] support::Expected<std::unique_ptr<XmlNode>> parse_xml(
-    std::string_view input);
+class XmlElement;
+
+/// Parses single-root documents.  Comments and an <?xml ...?> prolog are
+/// skipped; attribute values take single or double quotes; the five
+/// standard entities are decoded; CDATA, processing instructions, DTDs and
+/// character references are not supported.
+class XmlReader {
+ public:
+  /// Deepest nesting accepted (the root is depth 1).  The deepest document
+  /// the rescheduler writes has depth 3.
+  static constexpr std::size_t kMaxDepth = 16;
+
+  /// Parses `input`, replacing the previous document, and returns its root.
+  /// Malformed input (unterminated tags or entities, mismatched close tags,
+  /// unknown entities, trailing content, nesting deeper than kMaxDepth) is
+  /// an `xml_parse` error.
+  support::Expected<XmlElement> parse(std::string_view input);
+
+ private:
+  friend class XmlElement;
+  class Parser;
+
+  struct Attribute {
+    std::string_view key;
+    std::string_view value;
+  };
+  /// Elements are stored in document order, so an element's descendants
+  /// are the elements in [index + 1, end).
+  struct Element {
+    std::string_view name;
+    std::size_t parent = 0;
+    std::size_t end = 0;
+    std::size_t attrs_begin = 0;
+    std::size_t attrs_end = 0;
+    std::string_view text;
+  };
+
+  /// The first element named `name` (any, when empty) among the siblings
+  /// from `from` up to `to`.
+  [[nodiscard]] std::optional<XmlElement> find(std::size_t from,
+                                               std::size_t to,
+                                               std::string_view name) const;
+
+  std::vector<Element> elements_;
+  std::vector<Attribute> attrs_;
+  // Decoded attribute values and element text.  parse() reserves the input's
+  // size, which no decoded text exceeds, so the views above never dangle.
+  std::vector<char> text_;
+  std::string pending_;  // text of the elements still open, innermost last
+};
+
+/// One element of the document an XmlReader parsed last.  Its views point
+/// into that input and into the reader: they are valid while both live,
+/// until the reader's next parse().
+class XmlElement {
+ public:
+  [[nodiscard]] std::string_view name() const { return node().name; }
+  /// All character data directly inside the element, entity-decoded, then
+  /// trimmed.
+  [[nodiscard]] std::string_view text() const { return node().text; }
+  /// The attribute's value; of repeated attributes, the last one.
+  [[nodiscard]] std::optional<std::string_view> attr(
+      std::string_view key) const;
+  /// The first direct child named `name` (any child when `name` is empty).
+  [[nodiscard]] std::optional<XmlElement> child(
+      std::string_view name = {}) const {
+    return reader_->find(index_ + 1, node().end, name);
+  }
+  /// The next sibling named `name` (any sibling when `name` is empty).
+  [[nodiscard]] std::optional<XmlElement> next_sibling(
+      std::string_view name = {}) const {
+    const std::size_t siblings_end =
+        index_ == 0 ? 0 : reader_->elements_[node().parent].end;
+    return reader_->find(node().end, siblings_end, name);
+  }
+
+ private:
+  friend class XmlReader;
+  XmlElement(const XmlReader& reader, std::size_t index) noexcept
+      : reader_(&reader), index_(index) {}
+  [[nodiscard]] const XmlReader::Element& node() const {
+    return reader_->elements_[index_];
+  }
+
+  const XmlReader* reader_;
+  std::size_t index_;
+};
 
 }  // namespace ars::xmlproto

@@ -6,7 +6,8 @@ The micro benches emit google-benchmark JSON via their --json-out= flag
 (items_per_second / bytes_per_second, falling back to real_time) against
 BENCH_micro.json and fails when a benchmark regressed beyond the tolerance
 band.  Faster-than-baseline results always pass; refresh the baseline with
---update after intentional performance work.
+--update after intentional performance work (it replaces only the rows the
+given results measured).
 
 Usage:
   # regenerate results
@@ -151,7 +152,8 @@ def main():
                         help="report regressions but exit 0 "
                              "(for noisy shared CI runners)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from these results")
+                        help="re-pin the baseline rows these results "
+                             "measured; other rows are kept")
     args = parser.parse_args()
 
     measured = merge_results(args.results)
@@ -160,25 +162,24 @@ def main():
         return 2
 
     if args.update:
-        baseline = {
-            "schema": "ars-bench-baseline-v1",
-            "tolerance": args.tolerance if args.tolerance is not None else 0.35,
-            "benchmarks": {name: metrics
-                           for name, metrics in sorted(measured.items())},
-        }
-        if args.baseline.exists():
-            # Ratio entries are hand-authored; carry them over and refresh
-            # each pinned value from the new results when both operands ran.
-            previous = json.loads(args.baseline.read_text())
-            ratios = previous.get("ratios", {})
-            for entry in ratios.values():
-                got = measured_ratio(entry, measured)
-                if got is not None:
-                    entry["value"] = got
-            if ratios:
-                baseline["ratios"] = ratios
+        # Replace only the rows these results measured: every other pinned
+        # row, the tolerance and the hand-authored ratio entries stay.
+        baseline = (json.loads(args.baseline.read_text())
+                    if args.baseline.exists() else {})
+        baseline["schema"] = "ars-bench-baseline-v1"
+        if args.tolerance is not None or "tolerance" not in baseline:
+            baseline["tolerance"] = (args.tolerance
+                                     if args.tolerance is not None else 0.35)
+        rows = {**baseline.get("benchmarks", {}), **measured}
+        baseline["benchmarks"] = dict(sorted(rows.items()))
+        # Refresh each ratio's pinned value when both of its operands ran.
+        for entry in baseline.get("ratios", {}).values():
+            got = measured_ratio(entry, measured)
+            if got is not None:
+                entry["value"] = got
         args.baseline.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(f"wrote {args.baseline} ({len(measured)} benchmarks)")
+        print(f"wrote {args.baseline} ({len(measured)} of {len(rows)} "
+              "benchmarks updated)")
         return 0
 
     if not args.baseline.exists():

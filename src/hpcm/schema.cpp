@@ -1,5 +1,7 @@
 #include "ars/hpcm/schema.hpp"
 
+#include <optional>
+
 #include "ars/support/strings.hpp"
 #include "ars/xmlproto/xml.hpp"
 
@@ -48,82 +50,87 @@ void ApplicationSchema::record_execution(double actual_seconds) {
 }
 
 std::string ApplicationSchema::to_xml() const {
-  xmlproto::XmlNode root{"application_schema"};
-  root.set_attr("name", name_);
-  root.add_child("characteristic").set_text(std::string(to_string(characteristic_)));
-  root.add_child("est_comm_bytes").set_text(std::to_string(est_comm_bytes_));
-  root.add_child("est_exec_time")
-      .set_text(support::format_fixed(est_exec_time_, 3));
-  root.add_child("data_locality")
-      .set_text(support::format_fixed(data_locality_, 3));
-  root.add_child("observed_runs").set_text(std::to_string(observed_runs_));
-  auto& req = root.add_child("requirements");
-  req.add_child("min_memory").set_text(std::to_string(requirements_.min_memory_bytes));
-  req.add_child("min_disk").set_text(std::to_string(requirements_.min_disk_bytes));
-  req.add_child("min_cpu_speed")
-      .set_text(support::format_fixed(requirements_.min_cpu_speed, 3));
-  return root.to_string();
+  std::string xml;
+  xmlproto::XmlWriter out{xml};
+  out.open("application_schema");
+  out.attr("name", name_);
+  out.element("characteristic", to_string(characteristic_));
+  out.element("est_comm_bytes", est_comm_bytes_);
+  out.element("est_exec_time", est_exec_time_, 3);
+  out.element("data_locality", data_locality_, 3);
+  out.element("observed_runs", observed_runs_);
+  out.open("requirements");
+  out.element("min_memory", requirements_.min_memory_bytes);
+  out.element("min_disk", requirements_.min_disk_bytes);
+  out.element("min_cpu_speed", requirements_.min_cpu_speed, 3);
+  out.close("requirements");
+  out.close("application_schema");
+  return xml;
 }
+
+namespace {
+
+/// The value of `parent`'s child `name` (0 when there is none), or nullopt
+/// when it is malformed or outside T's range (the wire protocol's rule).
+template <typename T>
+std::optional<T> number(xmlproto::XmlElement parent, std::string_view name) {
+  const auto child = parent.child(name);
+  return xmlproto::from_text<T>(child.has_value() ? child->text() : "0");
+}
+
+}  // namespace
 
 Expected<ApplicationSchema> ApplicationSchema::from_xml(
     std::string_view xml) {
-  auto doc = xmlproto::parse_xml(xml);
-  if (!doc.has_value()) {
-    return doc.error();
+  xmlproto::XmlReader reader;
+  const auto root = reader.parse(xml);
+  if (!root.has_value()) {
+    return root.error();
   }
-  const xmlproto::XmlNode& root = **doc;
-  if (root.name() != "application_schema") {
+  if (root->name() != "application_schema") {
     return make_error("schema_parse",
-                      "unexpected root <" + root.name() + ">");
+                      "unexpected root <" + std::string(root->name()) + ">");
   }
-  const auto name = root.attr("name");
+  const auto name = root->attr("name");
   if (!name.has_value() || name->empty()) {
     return make_error("schema_parse", "missing name attribute");
   }
-  ApplicationSchema schema{*name};
+  ApplicationSchema schema{std::string(*name)};
+  const auto tag = root->child("characteristic");
   auto characteristic = characteristic_from_string(
-      root.child_text_or("characteristic", "computing-intensive"));
+      tag.has_value() ? tag->text() : "computing-intensive");
   if (!characteristic.has_value()) {
     return characteristic.error();
   }
   schema.set_characteristic(*characteristic);
-  const auto comm =
-      support::parse_int(root.child_text_or("est_comm_bytes", "0"));
-  if (!comm.has_value() || *comm < 0) {
+  const auto comm = number<std::uint64_t>(*root, "est_comm_bytes");
+  if (!comm.has_value()) {
     return make_error("schema_parse", "bad est_comm_bytes");
   }
-  schema.set_est_comm_bytes(static_cast<std::uint64_t>(*comm));
-  const auto exec =
-      support::parse_double(root.child_text_or("est_exec_time", "0"));
+  schema.set_est_comm_bytes(*comm);
+  const auto exec = number<double>(*root, "est_exec_time");
   if (!exec.has_value()) {
     return make_error("schema_parse", "bad est_exec_time");
   }
   schema.set_est_exec_time(*exec);
-  const auto locality =
-      support::parse_double(root.child_text_or("data_locality", "0"));
+  const auto locality = number<double>(*root, "data_locality");
   if (!locality.has_value()) {
     return make_error("schema_parse", "bad data_locality");
   }
   schema.set_data_locality(*locality);
-  const auto runs =
-      support::parse_int(root.child_text_or("observed_runs", "0"));
-  if (runs.has_value()) {
-    schema.observed_runs_ = static_cast<int>(*runs);
+  const auto runs = number<int>(*root, "observed_runs");
+  if (!runs.has_value() || *runs < 0) {
+    return make_error("schema_parse", "bad observed_runs");
   }
-  if (const xmlproto::XmlNode* req = root.child("requirements")) {
-    ResourceRequirements requirements;
-    const auto memory =
-        support::parse_int(req->child_text_or("min_memory", "0"));
-    const auto disk = support::parse_int(req->child_text_or("min_disk", "0"));
-    const auto speed =
-        support::parse_double(req->child_text_or("min_cpu_speed", "0"));
+  schema.observed_runs_ = *runs;
+  if (const auto req = root->child("requirements"); req.has_value()) {
+    const auto memory = number<std::uint64_t>(*req, "min_memory");
+    const auto disk = number<std::uint64_t>(*req, "min_disk");
+    const auto speed = number<double>(*req, "min_cpu_speed");
     if (!memory.has_value() || !disk.has_value() || !speed.has_value()) {
       return make_error("schema_parse", "bad requirements block");
     }
-    requirements.min_memory_bytes = static_cast<std::uint64_t>(*memory);
-    requirements.min_disk_bytes = static_cast<std::uint64_t>(*disk);
-    requirements.min_cpu_speed = *speed;
-    schema.set_requirements(requirements);
+    schema.set_requirements({*memory, *disk, *speed});
   }
   return schema;
 }

@@ -230,39 +230,6 @@ constexpr const auto& table_of() {
 // ---- scalar text ------------------------------------------------------------
 
 template <typename T>
-std::string to_text(const T& value) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    return value;
-  } else if constexpr (std::is_same_v<T, bool>) {
-    return value ? "true" : "false";
-  } else if constexpr (std::is_same_v<T, double>) {
-    return support::format_fixed(value, 6);
-  } else {
-    return std::to_string(value);
-  }
-}
-
-/// nullopt when `text` is malformed or outside T's range.
-template <typename T>
-std::optional<T> from_text(const std::string& text) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    return text;
-  } else if constexpr (std::is_same_v<T, bool>) {
-    if (text == "true") return true;
-    if (text == "false") return false;
-    return std::nullopt;
-  } else if constexpr (std::is_same_v<T, double>) {
-    return support::parse_double(text);
-  } else {
-    const auto value = support::parse_int(text);
-    if (!value.has_value() || !std::in_range<T>(*value)) {
-      return std::nullopt;
-    }
-    return static_cast<T>(*value);
-  }
-}
-
-template <typename T>
 constexpr const char* kind_of() {
   if constexpr (std::is_same_v<T, bool>) return "a boolean";
   if constexpr (std::is_same_v<T, double>) return "a number";
@@ -271,17 +238,22 @@ constexpr const char* kind_of() {
 }
 
 // ---- the generic codec ------------------------------------------------------
+//
+// Encoding streams each field straight into the wire string; decoding looks
+// each field up among the direct children of its element in the reader's
+// flat arrays (the first match wins, order is free, unknown children are
+// ignored).
 
 template <typename... Fields, typename Record>
-void encode_fields(XmlNode& node, const Table<Fields...>& t,
+void encode_fields(XmlWriter& out, const Table<Fields...>& t,
                    const Record& record) {
   std::apply(
-      [&](const auto&... field) { (encode_field(node, field, record), ...); },
+      [&](const auto&... field) { (encode_field(out, field, record), ...); },
       t.fields);
 }
 
 template <typename... Fields, typename Record>
-Status decode_fields(const XmlNode& node, const Table<Fields...>& t,
+Status decode_fields(XmlElement node, const Table<Fields...>& t,
                      Record& record) {
   Status status;
   std::apply(
@@ -293,20 +265,26 @@ Status decode_fields(const XmlNode& node, const Table<Fields...>& t,
 }
 
 template <typename Owner, typename T>
-void encode_field(XmlNode& node, const Field<Owner, T>& field,
+void encode_field(XmlWriter& out, const Field<Owner, T>& field,
                   const Owner& record) {
   const T& value = record.*field.member;
   if (field.presence == Presence::kSparse && value == field.fallback) {
     return;
   }
-  node.add_child(std::string(field.name)).set_text(to_text(value));
+  if constexpr (std::is_same_v<T, bool>) {
+    out.element(field.name, value ? "true" : "false");
+  } else if constexpr (std::is_same_v<T, double>) {
+    out.element(field.name, value, 6);
+  } else {
+    out.element(field.name, value);
+  }
 }
 
 template <typename Owner, typename T>
-bool decode_field(const XmlNode& node, const Field<Owner, T>& field,
+bool decode_field(XmlElement node, const Field<Owner, T>& field,
                   Owner& record, Status& status) {
-  const XmlNode* child = node.child(field.name);
-  auto value = child == nullptr ? std::nullopt : from_text<T>(child->text());
+  const auto child = node.child(field.name);
+  auto value = child.has_value() ? from_text<T>(child->text()) : std::nullopt;
   if (value.has_value()) {
     record.*field.member = std::move(*value);
     return true;
@@ -316,29 +294,31 @@ bool decode_field(const XmlNode& node, const Field<Owner, T>& field,
     return true;
   }
   const std::string name(field.name);
-  status = child == nullptr
+  status = !child.has_value()
                ? make_error("proto_decode", "missing field <" + name +
-                                                "> in <" + node.name() + ">")
+                                                "> in <" +
+                                                std::string(node.name()) + ">")
                : make_error("proto_decode", "field <" + name + "> is not " +
                                                 kind_of<T>() + ": " +
-                                                child->text());
+                                                std::string(child->text()));
   return false;
 }
 
 template <typename Owner, typename Record, typename RecordTable>
-void encode_field(XmlNode& node,
+void encode_field(XmlWriter& out,
                   const Block<Owner, Record, RecordTable>& field,
                   const Owner& record) {
-  encode_fields(node.add_child(std::string(field.table->tag)), *field.table,
-                record.*field.member);
+  out.open(field.table->tag);
+  encode_fields(out, *field.table, record.*field.member);
+  out.close(field.table->tag);
 }
 
 template <typename Owner, typename Record, typename RecordTable>
-bool decode_field(const XmlNode& node,
+bool decode_field(XmlElement node,
                   const Block<Owner, Record, RecordTable>& field,
                   Owner& record, Status& status) {
-  const XmlNode* child = node.child(field.table->tag);
-  if (child == nullptr) {
+  const auto child = node.child(field.table->tag);
+  if (!child.has_value()) {
     status = make_error("proto_decode", "missing <" +
                                             std::string(field.table->tag) +
                                             "> block");
@@ -349,23 +329,22 @@ bool decode_field(const XmlNode& node,
 }
 
 template <typename Owner, typename Record, typename RecordTable>
-void encode_field(XmlNode& node,
+void encode_field(XmlWriter& out,
                   const Blocks<Owner, Record, RecordTable>& field,
                   const Owner& record) {
   for (const Record& item : record.*field.member) {
-    encode_fields(node.add_child(std::string(field.table->tag)),
-                  *field.table, item);
+    out.open(field.table->tag);
+    encode_fields(out, *field.table, item);
+    out.close(field.table->tag);
   }
 }
 
 template <typename Owner, typename Record, typename RecordTable>
-bool decode_field(const XmlNode& node,
+bool decode_field(XmlElement node,
                   const Blocks<Owner, Record, RecordTable>& field,
                   Owner& record, Status& status) {
-  for (const auto& child : node.children()) {
-    if (child->name() != field.table->tag) {
-      continue;
-    }
+  for (auto child = node.child(field.table->tag); child.has_value();
+       child = child->next_sibling(field.table->tag)) {
     Record item;
     status = decode_fields(*child, *field.table, item);
     if (!status.is_ok()) {
@@ -377,30 +356,29 @@ bool decode_field(const XmlNode& node,
 }
 
 template <typename Owner>
-void encode_field(XmlNode& node, const Texts<Owner>& field,
+void encode_field(XmlWriter& out, const Texts<Owner>& field,
                   const Owner& record) {
   for (const std::string& text : record.*field.member) {
-    node.add_child(std::string(field.name)).set_text(text);
+    out.element(field.name, text);
   }
 }
 
 template <typename Owner>
-bool decode_field(const XmlNode& node, const Texts<Owner>& field,
-                  Owner& record, Status& /*status*/) {
-  for (const auto& child : node.children()) {
-    if (child->name() == field.name) {
-      (record.*field.member).push_back(child->text());
-    }
+bool decode_field(XmlElement node, const Texts<Owner>& field, Owner& record,
+                  Status& /*status*/) {
+  for (auto child = node.child(field.name); child.has_value();
+       child = child->next_sibling(field.name)) {
+    (record.*field.member).emplace_back(child->text());
   }
   return true;
 }
 
 /// Decodes the body of a message whose type attribute is `type`.
 template <std::size_t I = 0>
-Expected<ProtocolMessage> decode_body(const XmlNode& root,
-                                      const std::string& type) {
+Expected<ProtocolMessage> decode_body(XmlElement root, std::string_view type) {
   if constexpr (I == std::tuple_size_v<decltype(kMessages)>) {
-    return make_error("proto_decode", "unknown message type '" + type + "'");
+    return make_error("proto_decode",
+                      "unknown message type '" + std::string(type) + "'");
   } else {
     const auto& t = std::get<I>(kMessages);
     if (type != t.tag) {
@@ -422,24 +400,27 @@ std::string encode(const ProtocolMessage& message) {
 }
 
 std::string encode(const ProtocolMessage& message, const obs::TraceCtx& ctx) {
-  XmlNode root{"ars"};
-  std::visit(
-      [&root](const auto& body) {
-        const auto& t = table_of<std::decay_t<decltype(body)>>();
-        root.set_attr("type", std::string(t.tag));
-        encode_fields(root, t, body);
-      },
-      message);
+  std::string wire;
+  XmlWriter out{wire};
+  out.open("ars");
   // The context rides as envelope attributes, emitted only when set (same
   // rule as a sparse field) so a context-free message keeps its pre-v2 byte
-  // layout.
+  // layout.  The envelope's attributes are in key order: pspan, txn, type.
   if (ctx.set()) {
-    root.set_attr("txn", std::to_string(ctx.txn));
     if (ctx.parent_span != 0) {
-      root.set_attr("pspan", std::to_string(ctx.parent_span));
+      out.attr("pspan", std::to_string(ctx.parent_span));
     }
+    out.attr("txn", std::to_string(ctx.txn));
   }
-  return root.to_string();
+  std::visit(
+      [&out](const auto& body) {
+        const auto& t = table_of<std::decay_t<decltype(body)>>();
+        out.attr("type", t.tag);
+        encode_fields(out, t, body);
+      },
+      message);
+  out.close("ars");
+  return wire;
 }
 
 std::string message_type(const ProtocolMessage& message) {
@@ -459,29 +440,32 @@ Expected<ProtocolMessage> decode(std::string_view wire) {
 }
 
 Expected<Envelope> decode_envelope(std::string_view wire) {
-  auto doc = parse_xml(wire);
-  if (!doc.has_value()) {
-    return doc.error();
+  // One reader per thread: shards decode concurrently, and each reuses its
+  // reader's arrays from one datagram to the next.
+  thread_local XmlReader reader;
+  const auto root = reader.parse(wire);
+  if (!root.has_value()) {
+    return root.error();
   }
-  const XmlNode& root = **doc;
-  if (root.name() != "ars") {
-    return make_error("proto_decode", "unexpected root <" + root.name() + ">");
+  if (root->name() != "ars") {
+    return make_error("proto_decode",
+                      "unexpected root <" + std::string(root->name()) + ">");
   }
-  const auto type = root.attr("type");
+  const auto type = root->attr("type");
   if (!type.has_value()) {
     return make_error("proto_decode", "missing type attribute");
   }
-  auto message = decode_body(root, *type);
+  auto message = decode_body(*root, *type);
   if (!message.has_value()) {
     return message.error();
   }
   Envelope envelope{std::move(message).value(), {}};
   // Malformed context attrs degrade to "no context" rather than rejecting
   // the message: causality is advisory, the payload is not.
-  if (const auto txn = root.attr("txn"); txn.has_value()) {
+  if (const auto txn = root->attr("txn"); txn.has_value()) {
     if (const auto id = support::parse_int(*txn); id.has_value() && *id > 0) {
       envelope.trace.txn = static_cast<std::uint64_t>(*id);
-      if (const auto pspan = root.attr("pspan"); pspan.has_value()) {
+      if (const auto pspan = root->attr("pspan"); pspan.has_value()) {
         if (const auto sid = support::parse_int(*pspan);
             sid.has_value() && *sid > 0) {
           envelope.trace.parent_span = static_cast<std::uint64_t>(*sid);

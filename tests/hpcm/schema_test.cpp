@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ars::hpcm {
 namespace {
 
@@ -80,6 +82,21 @@ TEST(Schema, FromXmlRejectsMalformedInput) {
                    "<characteristic>psychic</characteristic>"
                    "</application_schema>")
                    .has_value());
+  // Numbers outside their member's range are malformed, never wrapped or
+  // truncated (-1 bytes of memory would read as 2^64 - 1).
+  for (const char* body :
+       {"<requirements><min_memory>-1</min_memory></requirements>",
+        "<requirements><min_disk>-1</min_disk></requirements>",
+        "<observed_runs>4294967297</observed_runs>",
+        "<observed_runs>-3</observed_runs>",
+        "<observed_runs>many</observed_runs>"}) {
+    const auto schema = ApplicationSchema::from_xml(
+        std::string("<application_schema name=\"x\">") + body +
+        "</application_schema>");
+    EXPECT_EQ(schema.has_value() ? "accepted" : schema.error().code,
+              "schema_parse")
+        << body;
+  }
 }
 
 TEST(Schema, DefaultsAreUsable) {

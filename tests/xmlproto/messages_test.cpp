@@ -368,6 +368,18 @@ TEST(Messages, DecodeRejectsGarbage) {
   EXPECT_FALSE(decode("<ars type=\"nosuch\"/>").has_value());
 }
 
+TEST(Messages, DeeplyNestedDocumentIsRejected) {
+  // ~300 KB of nested tags used to recurse once per level in the parser and
+  // overflow the stack; the reader rejects nesting past its cap instead.
+  std::string wire = "<ars type=\"update\">";
+  for (int i = 0; i < 100'000; ++i) {
+    wire += "<a>";
+  }
+  const auto decoded = decode_envelope(wire);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.error().code, "xml_parse");
+}
+
 TEST(Messages, DecodeRejectsMissingFields) {
   // A consult without its mandatory <host>.
   EXPECT_FALSE(decode("<ars type=\"consult\"/>").has_value());

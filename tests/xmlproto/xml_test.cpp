@@ -2,124 +2,230 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 namespace ars::xmlproto {
 namespace {
 
 TEST(XmlWriter, EmptyElementSelfCloses) {
-  XmlNode node{"ping"};
-  EXPECT_EQ(node.to_string(), "<ping/>");
+  std::string out;
+  XmlWriter writer{out};
+  writer.open("ping");
+  writer.close("ping");
+  writer.element("pong", "");
+  EXPECT_EQ(out, "<ping/><pong/>");
 }
 
-TEST(XmlWriter, AttributesAreSortedAndEscaped) {
-  XmlNode node{"msg"};
-  node.set_attr("b", "two");
-  node.set_attr("a", "o<n>e");
-  EXPECT_EQ(node.to_string(), "<msg a=\"o&lt;n&gt;e\" b=\"two\"/>");
+TEST(XmlWriter, AttributesAreWrittenInCallOrderAndEscaped) {
+  std::string out;
+  XmlWriter writer{out};
+  writer.open("msg");
+  writer.attr("b", "two");
+  writer.attr("a", "o<n>e");
+  writer.close("msg");
+  EXPECT_EQ(out, "<msg b=\"two\" a=\"o&lt;n&gt;e\"/>");
 }
 
 TEST(XmlWriter, TextAndChildren) {
-  XmlNode node{"host"};
-  node.add_child("name").set_text("ws1");
-  node.add_child("load").set_text("0.256");
-  EXPECT_EQ(node.to_string(),
-            "<host><name>ws1</name><load>0.256</load></host>");
+  std::string out;
+  XmlWriter writer{out};
+  writer.open("host");
+  writer.element("name", "ws1");
+  writer.element("load", 0.256, 3);
+  writer.element("pid", -42);
+  writer.close("host");
+  EXPECT_EQ(out,
+            "<host><name>ws1</name><load>0.256</load><pid>-42</pid></host>");
+}
+
+TEST(XmlWriter, NumbersMatchPrintfAndToString) {
+  for (const double value :
+       {0.0, -0.0, 0.5, -1.25, 2.0000005, 1e-7, 6.71e6, 123456789.123456789,
+        1e300, -1e300, 5e-324}) {
+    for (const int decimals : {3, 6}) {
+      std::string out;
+      XmlWriter{out}.element("x", value, decimals);
+      char expected[512];
+      std::snprintf(expected, sizeof expected, "<x>%.*f</x>", decimals,
+                    value);
+      EXPECT_EQ(out, expected) << value;
+    }
+  }
+  std::string out;
+  XmlWriter{out}.element("x", std::uint64_t{18446744073709551615ULL});
+  EXPECT_EQ(out, "<x>" + std::to_string(18446744073709551615ULL) + "</x>");
 }
 
 TEST(XmlEscape, AllSpecials) {
-  EXPECT_EQ(xml_escape("a&b<c>d\"e'f"),
-            "a&amp;b&lt;c&gt;d&quot;e&apos;f");
-  EXPECT_EQ(xml_escape("plain"), "plain");
+  std::string out;
+  XmlWriter writer{out};
+  writer.open("t");
+  writer.attr("a", "a&b<c>d\"e'f");
+  writer.text("a&b<c>d\"e'f");
+  writer.element("plain", "plain");
+  writer.close("t");
+  EXPECT_EQ(out,
+            "<t a=\"a&amp;b&lt;c&gt;d&quot;e&apos;f\">"
+            "a&amp;b&lt;c&gt;d&quot;e&apos;f<plain>plain</plain></t>");
 }
 
 TEST(XmlParser, ParsesSimpleDocument) {
-  const auto doc = parse_xml("<ars type=\"update\"><host>ws1</host></ars>");
-  ASSERT_TRUE(doc.has_value());
-  const XmlNode& root = **doc;
-  EXPECT_EQ(root.name(), "ars");
-  EXPECT_EQ(root.attr("type").value_or(""), "update");
-  ASSERT_NE(root.child("host"), nullptr);
-  EXPECT_EQ(root.child("host")->text(), "ws1");
+  XmlReader reader;
+  const auto root = reader.parse("<ars type=\"update\"><host>ws1</host></ars>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->name(), "ars");
+  EXPECT_EQ(root->attr("type").value_or(""), "update");
+  ASSERT_TRUE(root->child("host").has_value());
+  EXPECT_EQ(root->child("host")->text(), "ws1");
 }
 
 TEST(XmlParser, SelfClosingAndWhitespace) {
-  const auto doc = parse_xml("  <a>\n  <b/>\n  <c x='1'/>\n</a>  ");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ((*doc)->children().size(), 2U);
-  EXPECT_EQ((*doc)->child("c")->attr("x").value_or(""), "1");
+  XmlReader reader;
+  const auto root = reader.parse("  <a>\n  <b/>\n  <c x='1'/>\n</a>  ");
+  ASSERT_TRUE(root.has_value());
+  std::vector<std::string_view> names;
+  for (auto c = root->child(); c.has_value(); c = c->next_sibling()) {
+    names.push_back(c->name());
+  }
+  EXPECT_EQ(names, (std::vector<std::string_view>{"b", "c"}));
+  EXPECT_EQ(root->text(), "");
+  EXPECT_EQ(root->child("c")->attr("x").value_or(""), "1");
 }
 
 TEST(XmlParser, SkipsDeclarationAndComments) {
-  const auto doc = parse_xml(
+  XmlReader reader;
+  const auto root = reader.parse(
       "<?xml version=\"1.0\"?><!-- header --><root><!-- inner -->"
       "<x>1</x></root><!-- trailer -->");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ((*doc)->child("x")->text(), "1");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->child("x")->text(), "1");
 }
 
 TEST(XmlParser, DecodesEntities) {
-  const auto doc = parse_xml("<t a=\"x&amp;y\">1 &lt; 2 &gt; 0</t>");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ((*doc)->attr("a").value_or(""), "x&y");
-  EXPECT_EQ((*doc)->text(), "1 < 2 > 0");
+  XmlReader reader;
+  const auto root = reader.parse("<t a=\"x&amp;y\">1 &lt; 2 &gt; 0</t>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->attr("a").value_or(""), "x&y");
+  EXPECT_EQ(root->text(), "1 < 2 > 0");
+}
+
+TEST(XmlParser, TextIsAllDirectCharacterDataTrimmed) {
+  XmlReader reader;
+  const auto root =
+      reader.parse("<a>\n x <b> y&amp; </b><!-- c --> z &quot;\t</a>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->text(), "x  z \"");
+  EXPECT_EQ(root->child("b")->text(), "y&");
 }
 
 TEST(XmlParser, RoundTripsWriterOutput) {
-  XmlNode node{"schema"};
-  node.set_attr("name", "test_tree");
-  node.add_child("char").set_text("computing-intensive");
-  XmlNode& req = node.add_child("requirements");
-  req.add_child("memory").set_text("8388608");
-  req.add_child("disk").set_text("0");
-  const std::string wire = node.to_string();
-  const auto doc = parse_xml(wire);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ((*doc)->to_string(), wire);
+  std::string wire;
+  XmlWriter writer{wire};
+  writer.open("schema");
+  writer.attr("name", "test_tree");
+  writer.element("char", "computing-intensive");
+  writer.open("requirements");
+  writer.element("memory", 8388608);
+  writer.element("disk", 0);
+  writer.close("requirements");
+  writer.close("schema");
+  XmlReader reader;
+  const auto root = reader.parse(wire);
+  ASSERT_TRUE(root.has_value()) << root.error().to_string();
+  EXPECT_EQ(root->attr("name").value_or(""), "test_tree");
+  EXPECT_EQ(root->child("char")->text(), "computing-intensive");
+  const auto req = root->child("requirements");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->child("memory")->text(), "8388608");
+  EXPECT_EQ(req->child("disk")->text(), "0");
+  EXPECT_FALSE(req->next_sibling().has_value());
 }
 
 TEST(XmlParser, RejectsMismatchedCloseTag) {
-  const auto doc = parse_xml("<a><b></a></b>");
-  ASSERT_FALSE(doc.has_value());
-  EXPECT_EQ(doc.error().code, "xml_parse");
+  XmlReader reader;
+  const auto root = reader.parse("<a><b></a></b>");
+  ASSERT_FALSE(root.has_value());
+  EXPECT_EQ(root.error().code, "xml_parse");
 }
 
 TEST(XmlParser, RejectsUnterminatedElement) {
-  EXPECT_FALSE(parse_xml("<a><b>").has_value());
-  EXPECT_FALSE(parse_xml("<a").has_value());
-  EXPECT_FALSE(parse_xml("<a x=>").has_value());
+  XmlReader reader;
+  EXPECT_FALSE(reader.parse("<a><b>").has_value());
+  EXPECT_FALSE(reader.parse("<a").has_value());
+  EXPECT_FALSE(reader.parse("<a x=>").has_value());
+  EXPECT_FALSE(reader.parse("<a x='1>").has_value());
+  EXPECT_FALSE(reader.parse("<a>&amp</a>").has_value());
 }
 
 TEST(XmlParser, RejectsTrailingGarbage) {
-  EXPECT_FALSE(parse_xml("<a/>junk").has_value());
-  EXPECT_FALSE(parse_xml("<a/><b/>").has_value());
+  XmlReader reader;
+  EXPECT_FALSE(reader.parse("<a/>junk").has_value());
+  EXPECT_FALSE(reader.parse("<a/><b/>").has_value());
 }
 
 TEST(XmlParser, RejectsUnknownEntity) {
-  EXPECT_FALSE(parse_xml("<a>&nbsp;</a>").has_value());
+  XmlReader reader;
+  EXPECT_FALSE(reader.parse("<a>&nbsp;</a>").has_value());
+  EXPECT_FALSE(reader.parse("<a>&#60;</a>").has_value());
 }
 
 TEST(XmlParser, RejectsEmptyAndNonXml) {
-  EXPECT_FALSE(parse_xml("").has_value());
-  EXPECT_FALSE(parse_xml("hello world").has_value());
+  XmlReader reader;
+  EXPECT_FALSE(reader.parse("").has_value());
+  EXPECT_FALSE(reader.parse("hello world").has_value());
 }
 
 TEST(XmlParser, NestedStructure) {
-  const auto doc =
-      parse_xml("<a><b><c><d>deep</d></c></b></a>");
-  ASSERT_TRUE(doc.has_value());
-  const XmlNode* d = (*doc)->child("b")->child("c")->child("d");
-  ASSERT_NE(d, nullptr);
+  XmlReader reader;
+  const auto root = reader.parse("<a><b><c><d>deep</d></c></b></a>");
+  ASSERT_TRUE(root.has_value());
+  const auto d = root->child("b")->child("c")->child("d");
+  ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->text(), "deep");
 }
 
-TEST(XmlNodeQueries, ChildrenNamedAndFallbacks) {
-  XmlNode node{"list"};
-  node.add_child("item").set_text("1");
-  node.add_child("item").set_text("2");
-  node.add_child("other").set_text("x");
-  EXPECT_EQ(node.children_named("item").size(), 2U);
-  EXPECT_EQ(node.child_text_or("other", "?"), "x");
-  EXPECT_EQ(node.child_text_or("missing", "?"), "?");
-  EXPECT_EQ(node.attr_or("nope", "dflt"), "dflt");
+TEST(XmlParser, RejectsNestingDeeperThanCap) {
+  const auto nested = [](std::size_t depth) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += "<a>";
+    for (std::size_t i = 0; i < depth; ++i) doc += "</a>";
+    return doc;
+  };
+  XmlReader reader;
+  EXPECT_TRUE(reader.parse(nested(XmlReader::kMaxDepth)).has_value());
+  const auto deeper = reader.parse(nested(XmlReader::kMaxDepth + 1));
+  ASSERT_FALSE(deeper.has_value());
+  EXPECT_EQ(deeper.error().code, "xml_parse");
+}
+
+TEST(XmlReaderQueries, ChildLookupAndAttributes) {
+  XmlReader reader;
+  const auto root = reader.parse(
+      "<list k='first' k=\"last\"><item>1</item><other>x</other>"
+      "<item>2</item></list>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->child("item")->text(), "1");  // the first match wins
+  EXPECT_EQ(root->child("item")->next_sibling()->name(), "other");
+  EXPECT_FALSE(root->child("missing").has_value());
+  EXPECT_EQ(root->attr("k").value_or(""), "last");  // a later duplicate wins
+  EXPECT_FALSE(root->attr("nope").has_value());
+  EXPECT_FALSE(root->next_sibling().has_value());
+}
+
+TEST(XmlReaderQueries, ParseReplacesThePreviousDocument) {
+  XmlReader reader;
+  ASSERT_TRUE(
+      reader.parse("<a><b>long enough to leave SSO</b></a>").has_value());
+  const std::string second = "<x y='v'><z>w</z></x>";
+  const auto root = reader.parse(second);
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->name(), "x");
+  EXPECT_EQ(root->attr("y").value_or(""), "v");
+  EXPECT_EQ(root->child("z")->text(), "w");
+  EXPECT_FALSE(root->child("b").has_value());
 }
 
 }  // namespace
