@@ -4,9 +4,9 @@
 // cluster, the regime the state index targets), drives it through deliver()
 // so no network simulation is paid for, and times:
 //
-//   * the scheduling decision on the indexed path (walks the free list,
-//     O(eligible)) vs the legacy full-table scan (O(hosts)) — the gap is the
-//     tentpole speedup and must stay ~linear in the eligible count;
+//   * the scheduling decision, which walks the free list (O(eligible)),
+//     without and with the per-host audit every traced decision writes
+//     beside it (O(hosts): a verdict string per registered host);
 //   * heartbeat churn: full UpdateMsg state flips (index relink cost) and
 //     batched lease renewals (UpdateBatchMsg);
 //   * cold registration storms (table + index build).
@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ars/core/sharded_cluster.hpp"
 #include "ars/host/host.hpp"
@@ -69,7 +70,7 @@ struct ScaledRegistry {
   std::unique_ptr<host::Host> hub;
   std::unique_ptr<registry::Registry> reg;
 
-  ScaledRegistry(int hosts, bool legacy_scan) {
+  explicit ScaledRegistry(int hosts) {
     host::HostSpec spec;
     spec.name = "hub";
     hub = std::make_unique<host::Host>(engine, spec);
@@ -77,7 +78,6 @@ struct ScaledRegistry {
     registry::Registry::Config config;
     config.policy = rules::paper_policy2();
     config.audit = registry::AuditMode::kOff;
-    config.use_legacy_scan = legacy_scan;
     // Process-wide obs sinks: null (and therefore free) unless an export
     // was requested with --trace-out/--metrics-out.
     config.tracer = bench::obs_trace_sink();
@@ -96,12 +96,15 @@ struct ScaledRegistry {
   }
 };
 
-void decision_bench(benchmark::State& state, bool legacy_scan) {
+void decision_bench(benchmark::State& state, bool audited) {
   const int hosts = static_cast<int>(state.range(0));
-  ScaledRegistry scaled{hosts, legacy_scan};
+  ScaledRegistry scaled{hosts};
   const std::string source = host_name(0);
+  std::vector<registry::CandidateAudit> audit;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scaled.reg->choose_destination(source, ""));
+    audit.clear();
+    benchmark::DoNotOptimize(scaled.reg->choose_destination(
+        source, "", audited ? &audit : nullptr));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["hosts"] = hosts;
@@ -114,17 +117,17 @@ void BM_RegistryDecisionIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryDecisionIndexed)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_RegistryDecisionLegacyScan(benchmark::State& state) {
+void BM_RegistryDecisionAudited(benchmark::State& state) {
   decision_bench(state, true);
 }
-BENCHMARK(BM_RegistryDecisionLegacyScan)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_RegistryDecisionAudited)->Arg(256)->Arg(1024)->Arg(4096);
 
 // Heartbeat churn: each delivered UpdateMsg flips a rotating host between
 // busy and free — the index must relink the entry in place, O(1) for the
 // busy list and an ordered insert on the free list.
 void BM_RegistryHeartbeatChurn(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
-  ScaledRegistry scaled{hosts, false};
+  ScaledRegistry scaled{hosts};
   int i = 0;
   bool to_free = true;
   for (auto _ : state) {
@@ -149,7 +152,7 @@ BENCHMARK(BM_RegistryHeartbeatChurn)->Arg(1024)->Arg(4096);
 // delta-heartbeat path a monitor aggregate would take.
 void BM_RegistryLeaseRenewalBatch(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
-  ScaledRegistry scaled{hosts, false};
+  ScaledRegistry scaled{hosts};
   xmlproto::UpdateBatchMsg batch;
   for (int i = 0; i < 64; ++i) {
     xmlproto::LeaseRenewal renewal;
@@ -169,7 +172,7 @@ BENCHMARK(BM_RegistryLeaseRenewalBatch)->Arg(1024);
 void BM_RegistryRegisterStorm(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    ScaledRegistry scaled{hosts, false};
+    ScaledRegistry scaled{hosts};
     benchmark::DoNotOptimize(scaled.reg->hosts().size());
   }
   state.SetItemsProcessed(state.iterations() * hosts);

@@ -37,12 +37,6 @@ struct ScenarioOptions {
   bool with_load = true;
   /// Copy the full JSON-lines trace into the report (hashing is always on).
   bool keep_trace = false;
-  /// Force the registry's pre-index full-table scan (the reference path).
-  bool legacy_scan = false;
-  /// Produce the per-host audit trail on every decision.  Turn OFF for
-  /// indexed-vs-legacy equivalence runs: the audit forces the legacy scan,
-  /// and without it the traces of both modes are directly comparable.
-  bool audit_decisions = true;
   /// Monitors send compact lease renewals between full-status keyframes.
   bool delta_heartbeats = false;
   /// Malleable (resizable) jobs riding alongside the checkpointing apps;

@@ -53,25 +53,11 @@ struct Admission {
 
 /// Deterministic central admission for checkpoint writes.  Pure state
 /// machine — no engine, no wire format — so it unit-tests in isolation and
-/// the registry drives it from its message handlers and sweep loop.
+/// the registry drives it from its message handlers and sweep loop.  Its
+/// limits are fixed (strategy.cpp): two concurrent writes, a 5 s base defer
+/// backoff, preemption at twice the victim's risk, and a 120 s slot lease.
 class IoScheduler {
  public:
-  struct Config {
-    /// Concurrent writes admitted before the store is declared saturated.
-    int max_concurrent = 2;
-    /// Base defer backoff; scaled by how crowded the store is.
-    double defer_retry = 5.0;
-    /// A requester this many times riskier than the least-risky active
-    /// write preempts it (risk = elapsed / Young-Daly interval).
-    double preempt_risk_ratio = 2.0;
-    /// Admitted writes are reaped after this long without a done/abort
-    /// (lost message, crashed host) so slots cannot leak.
-    double slot_ttl = 120.0;
-  };
-
-  IoScheduler() : IoScheduler(Config{}) {}
-  explicit IoScheduler(Config config) : config_(config) {}
-
   /// One write request: admit, defer, or admit-by-preempting a victim.
   Admission request(const std::string& process, const std::string& host,
                     double risk, double now);
@@ -80,7 +66,7 @@ class IoScheduler {
   /// Idempotent (stale done/abort reports are normal under loss).
   void release(const std::string& process);
 
-  /// Reap slots older than slot_ttl; returns the reaped process names.
+  /// Reap slots held past their lease; returns the reaped process names.
   std::vector<std::string> expire(double now);
 
   [[nodiscard]] std::size_t active() const { return active_.size(); }
@@ -90,7 +76,6 @@ class IoScheduler {
   [[nodiscard]] int admitted() const noexcept { return admitted_; }
   [[nodiscard]] int deferred() const noexcept { return deferred_; }
   [[nodiscard]] int preemptions() const noexcept { return preemptions_; }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   struct Slot {
@@ -99,7 +84,6 @@ class IoScheduler {
     double admitted_at = 0.0;
   };
 
-  Config config_;
   std::map<std::string, Slot> active_;  // stable order: determinism
   int admitted_ = 0;
   int deferred_ = 0;

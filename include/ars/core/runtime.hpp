@@ -47,10 +47,6 @@ struct ClusterConfig {
       registry::DestinationStrategy::kFirstFit;
   /// Relaunch the processes of crashed hosts from their checkpoints.
   bool auto_restart = false;
-  /// Registry decision-path options: audit-trail policy and the legacy
-  /// full-table reference scan (for equivalence checks and benches).
-  registry::AuditMode registry_audit = registry::AuditMode::kAuto;
-  bool registry_legacy_scan = false;
   /// Monitors coalesce unchanged-state heartbeats into compact lease
   /// renewals (UpdateBatchMsg); full status still goes out on state
   /// changes and every few cycles (monitor::Monitor::Config).

@@ -7,6 +7,7 @@
 // round-trip check.  It accepts strict JSON (RFC 8259) and nothing more.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -93,5 +94,20 @@ class JsonValue {
 /// Format a double the way the exporters do: integral values without a
 /// fractional part, everything else with enough digits to round-trip.
 [[nodiscard]] std::string json_number(double value);
+
+/// The accepted range of one numeric member of outside input (a bundle or a
+/// plan file), checked before the reader casts it.
+struct JsonBounds {
+  const char* key;
+  double low;   // inclusive
+  double high;  // inclusive
+  bool whole = false;  // must also be an integer
+};
+
+/// The key of the first of `bounds` whose member of `object` is a number
+/// out of range (or fractional where `whole`), or nullptr when every one
+/// fits.  Absent and non-number members pass: readers default those.
+[[nodiscard]] const char* first_out_of_bounds(
+    const JsonValue& object, std::initializer_list<JsonBounds> bounds);
 
 }  // namespace ars::obs

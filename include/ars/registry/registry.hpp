@@ -18,9 +18,9 @@
 //
 // Scale: every `HostEntry` is threaded onto an intrusive per-`SystemState`
 // list ordered by `registration_order`, maintained in place on every state
-// transition, so a decision walks only the `free` list — O(eligible) — while
-// the audited slow path keeps the full O(hosts) verdict trail.  See
-// DESIGN.md §10.
+// transition, so a decision walks only the `free` list — O(eligible).  The
+// per-host audit trail, when wanted, is an O(hosts) report written beside
+// that walk, never a second way to decide.  See DESIGN.md §10.
 
 #include <functional>
 #include <map>
@@ -75,13 +75,12 @@ struct HostEntry {
 /// ablation benches.
 enum class DestinationStrategy { kFirstFit, kBestFit, kRandomFit };
 
-/// When to produce the per-host `CandidateAudit` trail.  The audited scan is
+/// When to produce the per-host `CandidateAudit` trail.  The audit is
 /// inherently O(hosts) (every host gets a verdict), so large clusters run
-/// with the audit off and use the state index instead.
+/// with it off.
 enum class AuditMode {
-  kAuto,    // audit iff a tracer is configured (pre-index behaviour)
-  kAlways,  // audit every decision even without a tracer
-  kOff,     // never audit: always take the indexed fast path
+  kAuto,  // audit iff a tracer is configured
+  kOff,   // never audit
 };
 
 struct ProcessEntry {
@@ -94,8 +93,8 @@ struct ProcessEntry {
 };
 
 /// Verdict on one host considered as a migration destination — the audit
-/// trail of the first-fit scan.  Every registered host appears exactly once
-/// per decision, in registration (scan) order.
+/// trail of a decision.  Every registered host appears exactly once per
+/// decision, in registration (first-fit) order.
 struct CandidateAudit {
   std::string host;
   bool accepted = false;  // passed every destination condition
@@ -166,12 +165,6 @@ class Registry {
     /// relaunch of its registered processes on other hosts (from their
     /// checkpoints, via the destination commanders).
     bool auto_restart = false;
-    /// Re-admission backoff after a MigrationOutcomeMsg reports a failed
-    /// destination: the host is filtered from eligibility for this long.
-    double suspect_backoff = 30.0;
-    /// An in-flight placement debit whose outcome never arrives (lost
-    /// report, dead commander) is dropped by the sweeper after this long.
-    double placement_debit_ttl = 120.0;
     /// Plan expand/shrink for registered malleable jobs during the sweep.
     bool enable_resize = false;
     /// Minimum spacing between commanded resizes of the same job.
@@ -184,13 +177,10 @@ class Registry {
     /// Cooperative checkpoint I/O scheduling (DESIGN.md §17): answer
     /// CkptIoRequestMsg with admit/defer/preempt grants so concurrent
     /// checkpoint writes do not saturate the shared store (the scheduler
-    /// runs with ckpt::IoScheduler::Config's defaults).
+    /// runs with ckpt::IoScheduler's fixed limits).
     bool enable_ckpt_io = false;
     /// Per-host audit trail policy (see AuditMode).
     AuditMode audit = AuditMode::kAuto;
-    /// Force the pre-index full-table scan even when no audit is wanted —
-    /// the reference implementation for equivalence checks and benches.
-    bool use_legacy_scan = false;
     /// Optional observability hooks (not owned): decision spans, audit
     /// events, and scheduler/lease metrics.
     obs::Tracer* tracer = nullptr;
@@ -244,7 +234,7 @@ class Registry {
   /// Scheduling core, also callable directly by tests: pick a destination
   /// for a migration off `source_host` using the configured strategy
   /// (nullopt if no eligible host).  When `audit` is non-null it receives
-  /// one verdict per registered host, in scan order.
+  /// one verdict per registered host, in registration order.
   [[nodiscard]] std::optional<std::string> choose_destination(
       const std::string& source_host, const std::string& schema_name,
       std::vector<CandidateAudit>* audit = nullptr);
@@ -253,11 +243,11 @@ class Registry {
   [[nodiscard]] std::optional<std::string> first_fit_destination(
       const std::string& source_host, const std::string& schema_name);
 
-  /// Hosts eligible as destination, in registration order.  When `audit`
-  /// is non-null it receives a verdict (with rejection reason) per host —
-  /// the full-table reference scan.  With `audit == nullptr` (and the
-  /// legacy scan not forced) only the `free` index list is walked; both
-  /// paths yield the identical eligible sequence.
+  /// Hosts eligible as destination, in registration order: a walk of the
+  /// `free` index list, the only code that decides eligibility.  When
+  /// `audit` is non-null it also receives one verdict (with rejection
+  /// reason) per registered host, in registration order — an O(hosts)
+  /// report beside the walk, whose accepted hosts are exactly the walk's.
   [[nodiscard]] std::vector<const HostEntry*> eligible_destinations(
       const std::string& source_host, const std::string& schema_name,
       std::vector<CandidateAudit>* audit = nullptr) const;
@@ -295,7 +285,7 @@ class Registry {
   }
 
   /// Canonical one-line-per-decision log (no audit trail) — byte-comparable
-  /// across indexed and legacy runs of the same scenario.
+  /// across runs of the same scenario, audited or not (goldens pin it).
   [[nodiscard]] std::string decision_log() const;
 
   // -- state-index introspection (tests, benches) ---------------------------
@@ -378,8 +368,8 @@ class Registry {
                                      std::string reason);
   void restart_processes_of(const std::string& lost_host);
   /// Place one lost process (shared by the recovery round and the stranded
-  /// retry drain).  Returns false when no destination exists; the process
-  /// is parked on `stranded_` (`record_stranded` controls whether the
+  /// retry drain).  Returns false when no destination exists and the
+  /// caller parks the process (`record_stranded` controls whether the
   /// failure is also logged as a decision — only the first time is).
   /// `cause` links the restart's fresh transaction to the one that killed
   /// the previous incarnation (rolled-back migrations) via a cause_txn
@@ -387,6 +377,13 @@ class Registry {
   bool restart_process(const ProcessEntry& process, RecoveryRound& round,
                        bool record_stranded, obs::TraceCtx cause = {});
   void drain_stranded();
+  /// Park a lost process on `stranded_` for the sweeper to retry, unless a
+  /// process of the same name is parked already.
+  void park(const ProcessEntry& process);
+  /// The booked entry of the process named `name`, or `processes_.end()`.
+  /// Names are cluster-unique: a registration supersedes older entries.
+  std::map<std::string, ProcessEntry>::iterator find_booked(
+      const std::string& name);
   /// Drop a process from the relaunch retry pipeline (stranded list and
   /// pending confirmations): it deregistered cleanly or a commander reported
   /// it already exited, so re-commanding its restart forever is wrong.
@@ -401,6 +398,18 @@ class Registry {
   void debit_placement(PlacementDebit::Owner owner, const std::string& name,
                        const std::string& dest,
                        const std::string& schema_name);
+  /// Remove the in-flight debits `selected` picks, count them on the
+  /// `counter` metric, and return them in list order.
+  std::vector<PlacementDebit> drop_debits(
+      const std::function<bool(const PlacementDebit&)>& selected,
+      const char* counter);
+  /// Back `host` off as a destination for the re-admission backoff after a
+  /// failed placement.  Returns its entry, or nullptr for an unknown host.
+  const HostEntry* suspect(const std::string& host, double now);
+  /// Command the commander of `process`'s host (at `source_port`) to
+  /// migrate it to `dest`, and debit `dest` until the outcome arrives.
+  void command_migration(const ProcessEntry& process, int source_port,
+                         const HostEntry& dest, obs::TraceCtx ctx);
   /// Apply a commander's MigrationOutcomeMsg: credit the placement debit
   /// back, mark failed destinations suspect, and re-plan aborts.  `ctx` is
   /// the transaction the outcome closes; a replanned consult opens a new
@@ -434,6 +443,11 @@ class Registry {
   /// free capacity (minus consults already routed there).  Returns false
   /// when no child can plausibly take it.
   bool route_to_child(const xmlproto::ConsultMsg& consult, obs::TraceCtx ctx);
+  /// `consult` as forwarded to another registry: it carries this domain's
+  /// process selection and the source commander's return-path, so whichever
+  /// domain takes it can command the migration.
+  [[nodiscard]] xmlproto::ConsultMsg forward_consult(
+      const xmlproto::ConsultMsg& consult, const ProcessEntry& process) const;
   void send_to(const std::string& dst_host, int dst_port,
                const xmlproto::ProtocolMessage& message,
                obs::TraceCtx ctx = {});
@@ -461,23 +475,29 @@ class Registry {
     kPolicy,
     kResources,
     kInflight,
+    kRecoveryRound,
   };
-  /// The first check `entry` fails as a destination, or kNone.  Both walks
-  /// below judge every candidate with it.
+  /// The first check `entry` fails as a destination, or kNone.  `round`
+  /// (restarts only) adds the debits of the restarts it already placed.
   [[nodiscard]] Rejection destination_rejection(
       const HostEntry& entry, const std::string& source_host,
-      const hpcm::ApplicationSchema* schema, double now) const;
+      const hpcm::ApplicationSchema* schema, const RecoveryRound* round,
+      double now) const;
   /// The audit's verdict text for `rejection`.
   [[nodiscard]] static std::string verdict(Rejection rejection,
                                            const HostEntry& entry,
                                            const std::string& schema_name);
-  [[nodiscard]] std::vector<const HostEntry*> legacy_eligible(
-      const std::string& source_host, const hpcm::ApplicationSchema* schema,
-      const std::string& schema_name,
-      std::vector<CandidateAudit>* audit) const;
-  [[nodiscard]] std::vector<const HostEntry*> indexed_eligible(
-      const std::string& source_host,
-      const hpcm::ApplicationSchema* schema) const;
+  /// eligible_destinations under a recovery round's debits.
+  [[nodiscard]] std::vector<const HostEntry*> walk(
+      const std::string& source_host, const std::string& schema_name,
+      std::vector<CandidateAudit>* audit, const RecoveryRound* round) const;
+  /// Every placement's one path: the walk, then the configured strategy's
+  /// pick (within a recovery round, among the least-placed hosts only).
+  /// Marks the chosen host in `audit`; nullptr when no host is eligible.
+  [[nodiscard]] const HostEntry* place(const std::string& source_host,
+                                       const std::string& schema_name,
+                                       std::vector<CandidateAudit>* audit,
+                                       const RecoveryRound* round);
 
   struct StateList {
     HostEntry* head = nullptr;

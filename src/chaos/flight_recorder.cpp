@@ -26,8 +26,6 @@ JsonValue scenario_to_json(const ScenarioOptions& options) {
   scenario.emplace("sabotage_migration_rollback",
                    options.sabotage_migration_rollback);
   scenario.emplace("with_load", options.with_load);
-  scenario.emplace("legacy_scan", options.legacy_scan);
-  scenario.emplace("audit_decisions", options.audit_decisions);
   scenario.emplace("delta_heartbeats", options.delta_heartbeats);
   scenario.emplace("malleable_jobs",
                    static_cast<double>(options.malleable_jobs));
@@ -50,25 +48,19 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
   // Outside input: refuse what run_scenario cannot run before anything is
   // cast — no hosts (apps are placed round-robin over them), a count an int
   // cannot hold, or a state size whose byte count overflows.
-  struct Bounds {
-    const char* key;
-    double low;
-    double high;
-  };
   constexpr double kIntMax = std::numeric_limits<int>::max();
-  for (const auto& [key, low, high] :
-       {Bounds{"hosts", 1, kIntMax}, Bounds{"apps", 0, kIntMax},
-        Bounds{"iterations", 0, kIntMax},
-        Bounds{"checkpoint_every", 0, kIntMax},
-        Bounds{"malleable_jobs", 0, kIntMax}, Bounds{"seed", 0, 0x1p63},
-        Bounds{"ckpt_state_mb", 0, 1.0e6},
-        Bounds{"ckpt_aggregate_mbps", 0, std::numeric_limits<double>::max()}}) {
-    const JsonValue* member = value.find(key);
-    if (member != nullptr && member->is_number() &&
-        !(member->as_number() >= low && member->as_number() <= high)) {
-      return support::make_error("bundle.scenario",
-                                 std::string(key) + " out of range");
-    }
+  if (const char* key = obs::first_out_of_bounds(
+          value,
+          {{"hosts", 1, kIntMax},
+           {"apps", 0, kIntMax},
+           {"iterations", 0, kIntMax},
+           {"checkpoint_every", 0, kIntMax},
+           {"malleable_jobs", 0, kIntMax},
+           {"seed", 0, 0x1p63},
+           {"ckpt_state_mb", 0, 1.0e6},
+           {"ckpt_aggregate_mbps", 0, std::numeric_limits<double>::max()}})) {
+    return support::make_error("bundle.scenario",
+                               std::string(key) + " out of range");
   }
   ScenarioOptions options;
   const auto number = [&value](const char* key, double fallback) {
@@ -100,9 +92,6 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
   options.sabotage_migration_rollback = boolean(
       "sabotage_migration_rollback", options.sabotage_migration_rollback);
   options.with_load = boolean("with_load", options.with_load);
-  options.legacy_scan = boolean("legacy_scan", options.legacy_scan);
-  options.audit_decisions =
-      boolean("audit_decisions", options.audit_decisions);
   options.delta_heartbeats =
       boolean("delta_heartbeats", options.delta_heartbeats);
   options.malleable_jobs = static_cast<int>(

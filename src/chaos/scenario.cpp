@@ -111,10 +111,6 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   // checker must catch the stranded applications.
   config.lease_ttl = options.sabotage_lease_expiry ? 1.0e18 : 25.0;
   config.monitor_reregister_period = 20.0;
-  config.registry_legacy_scan = options.legacy_scan;
-  config.registry_audit = options.audit_decisions
-                              ? registry::AuditMode::kAuto
-                              : registry::AuditMode::kOff;
   config.monitor_delta_heartbeats = options.delta_heartbeats;
   // Tight transaction timeouts so migration-window faults resolve (abort
   // or commit) well inside the horizon.

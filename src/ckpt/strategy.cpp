@@ -4,6 +4,21 @@
 
 namespace ars::ckpt {
 
+namespace {
+
+/// Concurrent writes admitted before the store is declared saturated.
+constexpr int kMaxConcurrent = 2;
+/// Base defer backoff; scaled by how crowded the store is.
+constexpr double kDeferRetry = 5.0;
+/// A requester this many times riskier than the least-risky active write
+/// preempts it (risk = elapsed / Young-Daly interval).
+constexpr double kPreemptRiskRatio = 2.0;
+/// Admitted writes are reaped after this long without a done/abort (lost
+/// message, crashed host) so slots cannot leak.
+constexpr double kSlotTtl = 120.0;
+
+}  // namespace
+
 Admission IoScheduler::request(const std::string& process,
                                const std::string& host, double risk,
                                double now) {
@@ -16,7 +31,7 @@ Admission IoScheduler::request(const std::string& process,
     admission.verb = Admission::Verb::kAdmit;
     return admission;
   }
-  if (static_cast<int>(active_.size()) < config_.max_concurrent) {
+  if (static_cast<int>(active_.size()) < kMaxConcurrent) {
     active_.emplace(process, Slot{host, risk, now});
     ++admitted_;
     Admission admission;
@@ -33,13 +48,13 @@ Admission IoScheduler::request(const std::string& process,
     }
   }
   if (victim != active_.end() &&
-      risk >= victim->second.risk * config_.preempt_risk_ratio &&
+      risk >= victim->second.risk * kPreemptRiskRatio &&
       risk > 1.0) {
     Admission admission;
     admission.verb = Admission::Verb::kPreempt;
     admission.preempt_victim = victim->first;
     admission.victim_host = victim->second.host;
-    admission.retry_after = config_.defer_retry;
+    admission.retry_after = kDeferRetry;
     active_.erase(victim);
     active_.emplace(process, Slot{host, risk, now});
     ++preemptions_;
@@ -50,9 +65,8 @@ Admission IoScheduler::request(const std::string& process,
   Admission admission;
   admission.verb = Admission::Verb::kDefer;
   const double crowding =
-      static_cast<double>(active_.size()) /
-      static_cast<double>(std::max(config_.max_concurrent, 1));
-  admission.retry_after = config_.defer_retry * std::max(1.0, crowding);
+      static_cast<double>(active_.size()) / static_cast<double>(kMaxConcurrent);
+  admission.retry_after = kDeferRetry * std::max(1.0, crowding);
   return admission;
 }
 
@@ -63,7 +77,7 @@ void IoScheduler::release(const std::string& process) {
 std::vector<std::string> IoScheduler::expire(double now) {
   std::vector<std::string> reaped;
   for (auto it = active_.begin(); it != active_.end();) {
-    if (now - it->second.admitted_at >= config_.slot_ttl) {
+    if (now - it->second.admitted_at >= kSlotTtl) {
       reaped.push_back(it->first);
       it = active_.erase(it);
     } else {

@@ -59,8 +59,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   registry_config.lease_ttl = config_.lease_ttl;
   registry_config.strategy = config_.strategy;
   registry_config.auto_restart = config_.auto_restart;
-  registry_config.audit = config_.registry_audit;
-  registry_config.use_legacy_scan = config_.registry_legacy_scan;
   registry_config.tracer = &tracer_;
   registry_config.metrics = &metrics_;
   registry_config.enable_resize = config_.enable_resize_planner;

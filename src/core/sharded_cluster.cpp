@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "ars/obs/json.hpp"
@@ -272,6 +273,21 @@ support::Expected<ShardedClusterOptions> load_cluster_plan(
     return support::make_error("plan.not_object",
                                "cluster plan must be a JSON object");
   }
+  // Outside input: refuse a count that is fractional or does not fit its
+  // type, and a fabric latency ShardGroup would refuse, before any cast.
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  constexpr double kUint64Max = 0x1.fffffffffffffp63;  // largest below 2^64
+  if (const char* key = obs::first_out_of_bounds(
+          root, {{"shards", 1, kIntMax, true},
+                 {"hosts", 1, kIntMax, true},
+                 {"crash_hosts", 0, kIntMax, true},
+                 {"seed", 0, kUint64Max, true},
+                 {"trace_capacity", 0, kUint64Max, true},
+                 {"cross_latency", std::numeric_limits<double>::denorm_min(),
+                  std::numeric_limits<double>::max()}})) {
+    return support::make_error(std::string("plan.") + key,
+                               std::string(key) + " out of range");
+  }
   ShardedClusterOptions options;
   const auto num = [&root](const char* key, double fallback) {
     const obs::JsonValue* value = root.find(key);
@@ -308,12 +324,6 @@ support::Expected<ShardedClusterOptions> load_cluster_plan(
   options.tracing = flag("tracing", options.tracing);
   options.trace_capacity = static_cast<std::size_t>(num(
       "trace_capacity", static_cast<double>(options.trace_capacity)));
-  if (options.shards < 1) {
-    return support::make_error("plan.shards", "shards must be >= 1");
-  }
-  if (options.hosts < 1) {
-    return support::make_error("plan.hosts", "hosts must be >= 1");
-  }
   return options;
 }
 

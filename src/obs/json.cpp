@@ -338,4 +338,20 @@ std::string JsonValue::dump() const {
   return out + "}";
 }
 
+const char* first_out_of_bounds(const JsonValue& object,
+                                std::initializer_list<JsonBounds> bounds) {
+  for (const JsonBounds& bound : bounds) {
+    const JsonValue* member = object.find(bound.key);
+    if (member == nullptr || !member->is_number()) {
+      continue;
+    }
+    const double value = member->as_number();
+    if (!(value >= bound.low && value <= bound.high) ||
+        (bound.whole && value != std::trunc(value))) {
+      return bound.key;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace ars::obs

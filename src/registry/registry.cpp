@@ -30,6 +30,12 @@ constexpr double kLocalityThreshold = 0.5;
 /// stranded list and retries (the middleware's single-consumer checkpoint
 /// park makes a duplicate command a harmless no-op).
 constexpr double kRelaunchConfirmTtl = 15.0;
+/// Re-admission backoff after an outcome report names a failed destination:
+/// the host is filtered from eligibility for this long.
+constexpr double kSuspectBackoff = 30.0;
+/// An in-flight placement debit whose outcome never arrives (lost report,
+/// dead commander) is dropped by the sweeper after this long.
+constexpr double kPlacementDebitTtl = 120.0;
 
 std::string process_key(const std::string& host, int pid) {
   return host + ":" + std::to_string(pid);
@@ -73,28 +79,6 @@ void emit_decision_event(obs::Tracer* tracer, double now,
   }
   tracer->instant_at(now, "scheduler.decision", "scheduler", track,
                      std::move(attrs));
-}
-
-/// Rewrite the accepted verdicts once a destination is chosen.
-void mark_chosen(std::vector<CandidateAudit>* audit, const std::string& chosen,
-                 DestinationStrategy strategy) {
-  if (audit == nullptr) {
-    return;
-  }
-  for (CandidateAudit& candidate : *audit) {
-    if (!candidate.accepted) {
-      continue;
-    }
-    candidate.reason =
-        candidate.host == chosen
-            ? "chosen (" + std::string(strategy_name(strategy)) + ")"
-            : "eligible (not chosen)";
-    candidate.accepted = candidate.host == chosen;
-  }
-}
-
-bool same_process(const ProcessEntry& a, const ProcessEntry& b) {
-  return a.host == b.host && a.pid == b.pid;
 }
 
 }  // namespace
@@ -435,9 +419,9 @@ void Registry::handle(const ProtocolMessage& message,
       // committed migration parks on the destination (see
       // on_migration_outcome) and the stale source-host entry whose
       // deregister got lost on the wire.
-      std::erase_if(processes_, [&](const auto& kv) {
-        return kv.second.name == preg->name;
-      });
+      if (const auto it = find_booked(preg->name); it != processes_.end()) {
+        processes_.erase(it);
+      }
       ProcessEntry entry;
       entry.host = preg->host;
       entry.pid = preg->pid;
@@ -524,22 +508,11 @@ sim::Task<> Registry::sweep() {
     drain_stranded();
     // A placement whose outcome report was lost must not debit its
     // destination forever.
-    const std::size_t live_debits = inflight_.size();
-    std::vector<PlacementDebit> expired;
-    for (const PlacementDebit& debit : inflight_) {
-      if (now - debit.at > config_.placement_debit_ttl) {
-        expired.push_back(debit);
-      }
-    }
-    std::erase_if(inflight_, [&](const PlacementDebit& debit) {
-      return now - debit.at > config_.placement_debit_ttl;
-    });
-    if (inflight_.size() != live_debits && config_.metrics != nullptr) {
-      config_.metrics->counter("registry.placements_expired")
-          .inc(static_cast<double>(live_debits - inflight_.size()));
-      config_.metrics->gauge("registry.placements_inflight")
-          .set(static_cast<double>(inflight_.size()));
-    }
+    const std::vector<PlacementDebit> expired = drop_debits(
+        [now](const PlacementDebit& debit) {
+          return now - debit.at > kPlacementDebitTtl;
+        },
+        "registry.placements_expired");
     // An expired migration debit whose process is on nobody's books means
     // the outcome report AND the destination's registration both vanished
     // (lossy wire, destination crash).  If that transfer committed, the
@@ -552,12 +525,7 @@ sim::Task<> Registry::sweep() {
         if (debit.owner == PlacementDebit::Owner::kResize) {
           continue;  // resize debits are per-target shares, not processes
         }
-        const bool booked =
-            std::any_of(processes_.begin(), processes_.end(),
-                        [&](const auto& kv) {
-                          return kv.second.name == debit.name;
-                        });
-        if (booked) {
+        if (find_booked(debit.name) != processes_.end()) {
           continue;
         }
         ARS_LOG_WARN("registry", "placement debit for "
@@ -575,12 +543,7 @@ sim::Task<> Registry::sweep() {
         lost.schema_name = debit.schema_name;
         RecoveryRound round;
         if (!restart_process(lost, round, /*record_stranded=*/true)) {
-          const bool already = std::any_of(
-              stranded_.begin(), stranded_.end(),
-              [&](const ProcessEntry& p) { return p.name == lost.name; });
-          if (!already) {
-            stranded_.push_back(lost);
-          }
+          park(lost);
         }
       }
     }
@@ -821,17 +784,12 @@ void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
                             host_->name(), std::move(attrs));
   }
   // Credit every per-target debit of this job's in-flight command.
-  const std::size_t before = inflight_.size();
-  std::erase_if(inflight_, [&](const PlacementDebit& debit) {
-    return debit.owner == PlacementDebit::Owner::kResize &&
-           debit.name == outcome.job;
-  });
-  if (inflight_.size() != before && config_.metrics != nullptr) {
-    config_.metrics->counter("registry.placements_credited")
-        .inc(static_cast<double>(before - inflight_.size()));
-    config_.metrics->gauge("registry.placements_inflight")
-        .set(static_cast<double>(inflight_.size()));
-  }
+  drop_debits(
+      [&](const PlacementDebit& debit) {
+        return debit.owner == PlacementDebit::Owner::kResize &&
+               debit.name == outcome.job;
+      },
+      "registry.placements_credited");
   const auto it = malleable_jobs_.find(outcome.job);
   if (it == malleable_jobs_.end()) {
     return;
@@ -846,12 +804,7 @@ void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
     // failed migration destination.  Plan-phase rejections never touched
     // the targets, so they stay in good standing.
     for (const std::string& target : job.pending_targets) {
-      if (const auto hit = hosts_.find(target); hit != hosts_.end()) {
-        hit->second.suspect_until = now + config_.suspect_backoff;
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("registry.hosts_suspected").inc();
-        }
-      }
+      suspect(target, now);
     }
   }
   job.pending_targets.clear();
@@ -946,15 +899,7 @@ void Registry::restart_processes_of(const std::string& lost_host) {
   for (const ProcessEntry& process : lost) {
     processes_.erase(process_key(process.host, process.pid));
     if (!restart_process(process, round, /*record_stranded=*/true)) {
-      // Parked: the sweeper retries once capacity frees up.
-      const bool already =
-          std::any_of(stranded_.begin(), stranded_.end(),
-                      [&](const ProcessEntry& p) {
-                        return same_process(p, process);
-                      });
-      if (!already) {
-        stranded_.push_back(process);
-      }
+      park(process);  // the sweeper retries once capacity frees up
     }
   }
 }
@@ -974,40 +919,10 @@ bool Registry::restart_process(const ProcessEntry& process,
   decision.pid = process.pid;
   decision.process_name = process.name;
   decision.restart = true;
-  std::vector<CandidateAudit>* audit =
-      want_audit() ? &decision.candidates : nullptr;
-  const auto eligible =
-      eligible_destinations(process.host, process.schema_name, audit);
-  const hpcm::ApplicationSchema* schema = nullptr;
-  if (const auto schema_it = schemas_.find(process.schema_name);
-      schema_it != schemas_.end()) {
-    schema = &schema_it->second;
-  }
-  // In-flight debits: restarts commanded earlier in this round occupy
-  // resources the destination's next heartbeat cannot yet reflect.
-  std::vector<const HostEntry*> viable;
-  viable.reserve(eligible.size());
-  for (const HostEntry* entry : eligible) {
-    const auto debit_it = round.by_host.find(entry->info.host);
-    if (debit_it != round.by_host.end() && schema != nullptr) {
-      const auto& req = schema->requirements();
-      const RecoveryRound::Debit& debit = debit_it->second;
-      if (entry->info.memory_bytes < req.min_memory_bytes + debit.memory_bytes ||
-          entry->info.disk_bytes < req.min_disk_bytes + debit.disk_bytes) {
-        if (audit != nullptr) {
-          for (CandidateAudit& candidate : *audit) {
-            if (candidate.host == entry->info.host) {
-              candidate.accepted = false;
-              candidate.reason = "in-flight restarts exhaust resources";
-            }
-          }
-        }
-        continue;
-      }
-    }
-    viable.push_back(entry);
-  }
-  if (viable.empty()) {
+  const HostEntry* chosen =
+      place(process.host, process.schema_name,
+            want_audit() ? &decision.candidates : nullptr, &round);
+  if (chosen == nullptr) {
     if (record_stranded) {
       ARS_LOG_ERROR("registry", "no host to restart " << process.name
                                                       << " (lost with "
@@ -1021,42 +936,6 @@ bool Registry::restart_process(const ProcessEntry& process,
     }
     return false;
   }
-  // Spread the round: only destinations with the fewest placements so far
-  // stay in play, then the configured strategy picks among them.
-  int min_placements = std::numeric_limits<int>::max();
-  const auto placements = [&round](const HostEntry* entry) {
-    const auto it = round.by_host.find(entry->info.host);
-    return it == round.by_host.end() ? 0 : it->second.placements;
-  };
-  for (const HostEntry* entry : viable) {
-    min_placements = std::min(min_placements, placements(entry));
-  }
-  std::vector<const HostEntry*> spread;
-  spread.reserve(viable.size());
-  for (const HostEntry* entry : viable) {
-    if (placements(entry) == min_placements) {
-      spread.push_back(entry);
-    }
-  }
-  const HostEntry* chosen = spread.front();
-  switch (config_.strategy) {
-    case DestinationStrategy::kFirstFit:
-      break;
-    case DestinationStrategy::kBestFit:
-      for (const HostEntry* entry : spread) {
-        if (entry->status.load1 < chosen->status.load1 ||
-            (entry->status.load1 == chosen->status.load1 &&
-             entry->status.load5 < chosen->status.load5)) {
-          chosen = entry;
-        }
-      }
-      break;
-    case DestinationStrategy::kRandomFit:
-      chosen = spread[static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(spread.size()) - 1))];
-      break;
-  }
-  mark_chosen(audit, chosen->info.host, config_.strategy);
   decision.destination = chosen->info.host;
   decisions_.push_back(decision);
   emit_decision_event(config_.tracer, decision.at, host_->name(), decision,
@@ -1064,11 +943,14 @@ bool Registry::restart_process(const ProcessEntry& process,
   if (config_.metrics != nullptr) {
     config_.metrics->counter("registry.restarts_commanded").inc();
   }
+  // Restarts commanded earlier in this round occupy resources the
+  // destination's next heartbeat cannot yet reflect.
   RecoveryRound::Debit& debit = round.by_host[chosen->info.host];
   ++debit.placements;
-  if (schema != nullptr) {
-    debit.memory_bytes += schema->requirements().min_memory_bytes;
-    debit.disk_bytes += schema->requirements().min_disk_bytes;
+  if (const auto it = schemas_.find(process.schema_name);
+      it != schemas_.end()) {
+    debit.memory_bytes += it->second.requirements().min_memory_bytes;
+    debit.disk_bytes += it->second.requirements().min_disk_bytes;
   }
   xmlproto::RelaunchCmd command;
   command.process_name = process.name;
@@ -1118,15 +1000,11 @@ void Registry::drain_stranded() {
   // A stranded process a monitor has re-reported is alive again (an earlier
   // relaunch landed, or the lease expiry was spurious) — its retry is done.
   std::erase_if(stranded_, [&](const ProcessEntry& process) {
-    for (const auto& [key, entry] : processes_) {
-      if (entry.name == process.name) {
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("registry.stranded_recovered").inc();
-        }
-        return true;
-      }
+    const bool booked = find_booked(process.name) != processes_.end();
+    if (booked && config_.metrics != nullptr) {
+      config_.metrics->counter("registry.stranded_recovered").inc();
     }
-    return false;
+    return booked;
   });
   RecoveryRound round;
   std::vector<ProcessEntry> still;
@@ -1149,12 +1027,10 @@ void Registry::confirm_relaunches(double now) {
     if (now - pending.commanded_at <= kRelaunchConfirmTtl) {
       return false;  // still inside the confirmation window
     }
-    for (const auto& [key, entry] : processes_) {
-      if (entry.name == pending.process.name) {
-        return true;  // a monitor has re-reported it — relaunch landed
-      }
+    // A monitor that has re-reported the process confirms the relaunch.
+    if (find_booked(pending.process.name) == processes_.end()) {
+      unconfirmed.push_back(pending);
     }
-    unconfirmed.push_back(pending);
     return true;
   });
   for (const PendingRelaunch& pending : unconfirmed) {
@@ -1170,14 +1046,23 @@ void Registry::confirm_relaunches(double now) {
                               {{"process", pending.process.name},
                                {"dest", pending.dest}});
     }
-    const bool already = std::any_of(
-        stranded_.begin(), stranded_.end(), [&](const ProcessEntry& p) {
-          return p.name == pending.process.name;
-        });
-    if (!already) {
-      stranded_.push_back(pending.process);
-    }
+    park(pending.process);
   }
+}
+
+void Registry::park(const ProcessEntry& process) {
+  const bool already =
+      std::any_of(stranded_.begin(), stranded_.end(),
+                  [&](const ProcessEntry& p) { return p.name == process.name; });
+  if (!already) {
+    stranded_.push_back(process);
+  }
+}
+
+std::map<std::string, ProcessEntry>::iterator Registry::find_booked(
+    const std::string& name) {
+  return std::find_if(processes_.begin(), processes_.end(),
+                      [&](const auto& kv) { return kv.second.name == name; });
 }
 
 void Registry::debit_placement(PlacementDebit::Owner owner,
@@ -1221,6 +1106,37 @@ std::pair<std::uint64_t, std::uint64_t> Registry::inflight_debit(
   return {memory, disk};
 }
 
+std::vector<Registry::PlacementDebit> Registry::drop_debits(
+    const std::function<bool(const PlacementDebit&)>& selected,
+    const char* counter) {
+  std::vector<PlacementDebit> dropped;
+  std::erase_if(inflight_, [&](const PlacementDebit& debit) {
+    if (!selected(debit)) {
+      return false;
+    }
+    dropped.push_back(debit);
+    return true;
+  });
+  if (!dropped.empty() && config_.metrics != nullptr) {
+    config_.metrics->counter(counter).inc(static_cast<double>(dropped.size()));
+    config_.metrics->gauge("registry.placements_inflight")
+        .set(static_cast<double>(inflight_.size()));
+  }
+  return dropped;
+}
+
+const HostEntry* Registry::suspect(const std::string& host, double now) {
+  const auto it = hosts_.find(host);
+  if (it == hosts_.end()) {
+    return nullptr;
+  }
+  it->second.suspect_until = now + kSuspectBackoff;
+  if (config_.metrics != nullptr) {
+    config_.metrics->counter("registry.hosts_suspected").inc();
+  }
+  return &it->second;
+}
+
 void Registry::on_migration_outcome(
     const xmlproto::MigrationOutcomeMsg& outcome, obs::TraceCtx ctx) {
   const double now = host_->engine().now();
@@ -1239,29 +1155,14 @@ void Registry::on_migration_outcome(
     config_.tracer->instant("registry.migration_outcome", "scheduler",
                             host_->name(), std::move(attrs));
   }
-  // Credit the in-flight placement debit back (prefer the exact
-  // destination; fall back to the process alone for re-planned debits).
-  const auto migrating = [&](const PlacementDebit& d) {
-    return d.owner == PlacementDebit::Owner::kMigration &&
-           d.name == outcome.process;
-  };
-  auto debit = std::find_if(
-      inflight_.begin(), inflight_.end(), [&](const PlacementDebit& d) {
-        return migrating(d) && d.dest == outcome.destination;
-      });
-  if (debit == inflight_.end()) {
-    debit = std::find_if(inflight_.begin(), inflight_.end(), migrating);
-  }
-  std::string debited_schema;
-  if (debit != inflight_.end()) {
-    debited_schema = debit->schema_name;
-    inflight_.erase(debit);
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("registry.placements_credited").inc();
-      config_.metrics->gauge("registry.placements_inflight")
-          .set(static_cast<double>(inflight_.size()));
-    }
-  }
+  // Credit the in-flight placement debit back (a process has at most one:
+  // a newer command supersedes it, see debit_placement).
+  const std::vector<PlacementDebit> credited = drop_debits(
+      [&](const PlacementDebit& debit) {
+        return debit.owner == PlacementDebit::Owner::kMigration &&
+               debit.name == outcome.process;
+      },
+      "registry.placements_credited");
   if (outcome.outcome == "committed") {
     // The authoritative ProcessRegisterMsg from the destination can be
     // lost or arrive after the destination dies; until it lands the
@@ -1271,46 +1172,35 @@ void Registry::on_migration_outcome(
     // destination's books now under a placeholder pid (rebuilt from the
     // placement debit if the deregister already erased it); the real
     // registration supersedes it by name.
-    bool found = false;
-    for (auto it = processes_.begin(); it != processes_.end(); ++it) {
-      if (it->second.name != outcome.process) {
-        continue;
-      }
-      found = true;
-      if (it->second.host != outcome.destination) {
-        ProcessEntry moved = it->second;
-        processes_.erase(it);
-        moved.host = outcome.destination;
-        moved.pid = next_placeholder_pid_--;
-        processes_.insert_or_assign(process_key(moved.host, moved.pid),
-                                    std::move(moved));
-      }
-      break;
-    }
-    if (!found) {
+    if (const auto it = find_booked(outcome.process); it == processes_.end()) {
       ProcessEntry rebuilt;
       rebuilt.host = outcome.destination;
       rebuilt.pid = next_placeholder_pid_--;
       rebuilt.name = outcome.process;
       rebuilt.start_time = now;
-      rebuilt.schema_name = debited_schema;
+      if (!credited.empty()) {
+        rebuilt.schema_name = credited.front().schema_name;
+      }
       processes_.insert_or_assign(process_key(rebuilt.host, rebuilt.pid),
                                   std::move(rebuilt));
+    } else if (it->second.host != outcome.destination) {
+      ProcessEntry moved = it->second;
+      processes_.erase(it);
+      moved.host = outcome.destination;
+      moved.pid = next_placeholder_pid_--;
+      processes_.insert_or_assign(process_key(moved.host, moved.pid),
+                                  std::move(moved));
     }
     return;
   }
   // The destination failed mid-transaction: back it off as a destination
   // until it proves itself again.
-  if (const auto it = hosts_.find(outcome.destination); it != hosts_.end()) {
-    it->second.suspect_until = now + config_.suspect_backoff;
+  if (const HostEntry* dest = suspect(outcome.destination, now)) {
     ARS_LOG_WARN("registry", "marking " << outcome.destination
                                         << " suspect until t="
-                                        << it->second.suspect_until << " ("
+                                        << dest->suspect_until << " ("
                                         << outcome.outcome << ": "
                                         << outcome.reason << ")");
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("registry.hosts_suspected").inc();
-    }
   }
   if (outcome.outcome == "rolled-back") {
     // Post-commit destination loss: the process committed to the dead
@@ -1318,16 +1208,9 @@ void Registry::on_migration_outcome(
     // checkpoint-restart directly instead of waiting for a lease that is
     // not coming.
     ProcessEntry lost;
-    bool known = false;
-    for (const auto& [key, entry] : processes_) {
-      if (entry.name == outcome.process) {
-        lost = entry;
-        known = true;
-        break;
-      }
-    }
-    if (known) {
-      processes_.erase(process_key(lost.host, lost.pid));
+    if (const auto it = find_booked(outcome.process); it != processes_.end()) {
+      lost = it->second;
+      processes_.erase(it);
     } else {
       // The destination died before its monitor ever reported the arrival;
       // reconstruct what the relaunch needs from the outcome itself.
@@ -1339,12 +1222,7 @@ void Registry::on_migration_outcome(
     }
     RecoveryRound round;
     if (!restart_process(lost, round, /*record_stranded=*/true, ctx)) {
-      const bool already = std::any_of(
-          stranded_.begin(), stranded_.end(),
-          [&](const ProcessEntry& p) { return p.name == lost.name; });
-      if (!already) {
-        stranded_.push_back(lost);
-      }
+      park(lost);
     }
     return;
   }
@@ -1354,10 +1232,9 @@ void Registry::on_migration_outcome(
   // Aborted: the process still runs on the source.  Clear its cooldown
   // (this migration never happened) and re-plan right away instead of
   // waiting for the monitor's next overload report.
-  for (auto& [key, process] : processes_) {
-    if (process.host == outcome.source && process.name == outcome.process) {
-      process.last_migrated_at = -1.0e9;
-    }
+  if (const auto it = find_booked(outcome.process);
+      it != processes_.end() && it->second.host == outcome.source) {
+    it->second.last_migrated_at = -1.0e9;
   }
   xmlproto::ConsultMsg consult;
   consult.host = outcome.source;
@@ -1432,39 +1309,120 @@ const ProcessEntry* Registry::select_process(const std::string& source_host) {
 }
 
 bool Registry::want_audit() const {
-  switch (config_.audit) {
-    case AuditMode::kAlways:
-      return true;
-    case AuditMode::kOff:
-      return false;
-    case AuditMode::kAuto:
-      break;
-  }
-  return obs::active(config_.tracer);
+  return config_.audit == AuditMode::kAuto && obs::active(config_.tracer);
 }
 
 std::vector<const HostEntry*> Registry::eligible_destinations(
     const std::string& source_host, const std::string& schema_name,
     std::vector<CandidateAudit>* audit) const {
+  return walk(source_host, schema_name, audit, nullptr);
+}
+
+std::vector<const HostEntry*> Registry::walk(
+    const std::string& source_host, const std::string& schema_name,
+    std::vector<CandidateAudit>* audit, const RecoveryRound* round) const {
+  const double now = host_->engine().now();
   const hpcm::ApplicationSchema* schema = nullptr;
-  const auto schema_it = schemas_.find(schema_name);
-  if (schema_it != schemas_.end()) {
-    schema = &schema_it->second;
+  if (const auto it = schemas_.find(schema_name); it != schemas_.end()) {
+    schema = &it->second;
   }
-  // The audited scan is inherently O(hosts): every registered host gets a
-  // verdict.  Without an audit (and unless the reference scan is forced)
-  // only the `free` index list is walked; both produce the identical
-  // eligible sequence because only free hosts pass the state filter and
-  // the free list preserves registration order.
-  if (audit != nullptr || config_.use_legacy_scan) {
-    return legacy_eligible(source_host, schema, schema_name, audit);
+  if (audit != nullptr) {
+    // The report beside the decision, inherently O(hosts): every registered
+    // host gets a verdict, in registration order.  Only free hosts pass the
+    // state check and the free list keeps registration order, so the hosts
+    // it accepts are exactly the walk's below.
+    std::vector<const HostEntry*> ordered;
+    ordered.reserve(hosts_.size());
+    for (const auto& [name, entry] : hosts_) {
+      ordered.push_back(&entry);
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const HostEntry* a, const HostEntry* b) {
+                return a->registration_order < b->registration_order;
+              });
+    for (const HostEntry* entry : ordered) {
+      const Rejection rejection =
+          destination_rejection(*entry, source_host, schema, round, now);
+      audit->push_back({entry->info.host, rejection == Rejection::kNone,
+                        verdict(rejection, *entry, schema_name)});
+    }
   }
-  return indexed_eligible(source_host, schema);
+  const StateList& free_list = index_[state_slot(SystemState::kFree)];
+  std::vector<const HostEntry*> eligible;
+  eligible.reserve(free_list.size);
+  for (const HostEntry* entry = free_list.head; entry != nullptr;
+       entry = entry->index_next) {
+    if (destination_rejection(*entry, source_host, schema, round, now) ==
+        Rejection::kNone) {
+      eligible.push_back(entry);
+    }
+  }
+  return eligible;
+}
+
+const HostEntry* Registry::place(const std::string& source_host,
+                                 const std::string& schema_name,
+                                 std::vector<CandidateAudit>* audit,
+                                 const RecoveryRound* round) {
+  std::vector<const HostEntry*> eligible =
+      walk(source_host, schema_name, audit, round);
+  if (eligible.empty()) {
+    return nullptr;
+  }
+  if (round != nullptr) {
+    // Spread the round: only destinations with the fewest placements so
+    // far stay in play.
+    const auto placements = [round](const HostEntry* entry) {
+      const auto it = round->by_host.find(entry->info.host);
+      return it == round->by_host.end() ? 0 : it->second.placements;
+    };
+    int fewest = std::numeric_limits<int>::max();
+    for (const HostEntry* entry : eligible) {
+      fewest = std::min(fewest, placements(entry));
+    }
+    std::erase_if(eligible, [&](const HostEntry* entry) {
+      return placements(entry) != fewest;
+    });
+  }
+  const HostEntry* chosen = eligible.front();
+  switch (config_.strategy) {
+    case DestinationStrategy::kFirstFit:
+      break;
+    case DestinationStrategy::kBestFit:
+      // Least loaded (then least 5-min load as a tiebreak).
+      for (const HostEntry* entry : eligible) {
+        if (entry->status.load1 < chosen->status.load1 ||
+            (entry->status.load1 == chosen->status.load1 &&
+             entry->status.load5 < chosen->status.load5)) {
+          chosen = entry;
+        }
+      }
+      break;
+    case DestinationStrategy::kRandomFit:
+      chosen = eligible[static_cast<std::size_t>(rng_.uniform_int(
+          0, static_cast<std::int64_t>(eligible.size()) - 1))];
+      break;
+  }
+  if (audit != nullptr) {
+    // Rewrite the accepted verdicts now that a destination is chosen.
+    for (CandidateAudit& candidate : *audit) {
+      if (candidate.accepted) {
+        candidate.accepted = candidate.host == chosen->info.host;
+        candidate.reason =
+            candidate.accepted
+                ? "chosen (" + std::string(strategy_name(config_.strategy)) +
+                      ")"
+                : "eligible (not chosen)";
+      }
+    }
+  }
+  return chosen;
 }
 
 Registry::Rejection Registry::destination_rejection(
     const HostEntry& entry, const std::string& source_host,
-    const hpcm::ApplicationSchema* schema, double now) const {
+    const hpcm::ApplicationSchema* schema, const RecoveryRound* round,
+    double now) const {
   if (entry.info.host == source_host) {
     return Rejection::kSource;
   }
@@ -1499,6 +1457,15 @@ Registry::Rejection Registry::destination_rejection(
          entry.info.disk_bytes < req.min_disk_bytes + disk_debit)) {
       return Rejection::kInflight;
     }
+    if (round != nullptr) {
+      const auto it = round->by_host.find(entry.info.host);
+      if (it != round->by_host.end() &&
+          (entry.info.memory_bytes <
+               req.min_memory_bytes + it->second.memory_bytes ||
+           entry.info.disk_bytes < req.min_disk_bytes + it->second.disk_bytes)) {
+        return Rejection::kRecoveryRound;
+      }
+    }
   }
   return Rejection::kNone;
 }
@@ -1525,54 +1492,10 @@ std::string Registry::verdict(Rejection rejection, const HostEntry& entry,
       return "insufficient resources for schema " + schema_name;
     case Rejection::kInflight:
       return "in-flight placements exhaust resources";
+    case Rejection::kRecoveryRound:
+      return "in-flight restarts exhaust resources";
   }
   return "";
-}
-
-std::vector<const HostEntry*> Registry::legacy_eligible(
-    const std::string& source_host, const hpcm::ApplicationSchema* schema,
-    const std::string& schema_name,
-    std::vector<CandidateAudit>* audit) const {
-  const double now = host_->engine().now();
-  std::vector<const HostEntry*> ordered;
-  ordered.reserve(hosts_.size());
-  for (const auto& [name, entry] : hosts_) {
-    ordered.push_back(&entry);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const HostEntry* a, const HostEntry* b) {
-              return a->registration_order < b->registration_order;
-            });
-  std::vector<const HostEntry*> eligible;
-  for (const HostEntry* entry : ordered) {
-    const Rejection rejection =
-        destination_rejection(*entry, source_host, schema, now);
-    if (audit != nullptr) {
-      audit->push_back({entry->info.host, rejection == Rejection::kNone,
-                        verdict(rejection, *entry, schema_name)});
-    }
-    if (rejection == Rejection::kNone) {
-      eligible.push_back(entry);
-    }
-  }
-  return eligible;
-}
-
-std::vector<const HostEntry*> Registry::indexed_eligible(
-    const std::string& source_host,
-    const hpcm::ApplicationSchema* schema) const {
-  const double now = host_->engine().now();
-  const StateList& free_list = index_[state_slot(SystemState::kFree)];
-  std::vector<const HostEntry*> eligible;
-  eligible.reserve(free_list.size);
-  for (const HostEntry* entry = free_list.head; entry != nullptr;
-       entry = entry->index_next) {
-    if (destination_rejection(*entry, source_host, schema, now) ==
-        Rejection::kNone) {
-      eligible.push_back(entry);
-    }
-  }
-  return eligible;
 }
 
 std::optional<std::string> Registry::first_fit_destination(
@@ -1587,37 +1510,11 @@ std::optional<std::string> Registry::first_fit_destination(
 std::optional<std::string> Registry::choose_destination(
     const std::string& source_host, const std::string& schema_name,
     std::vector<CandidateAudit>* audit) {
-  const auto eligible =
-      eligible_destinations(source_host, schema_name, audit);
-  if (eligible.empty()) {
+  const HostEntry* chosen = place(source_host, schema_name, audit, nullptr);
+  if (chosen == nullptr) {
     return std::nullopt;
   }
-  const auto finish = [&](const std::string& chosen) {
-    mark_chosen(audit, chosen, config_.strategy);
-    return chosen;
-  };
-  switch (config_.strategy) {
-    case DestinationStrategy::kFirstFit:
-      return finish(eligible.front()->info.host);
-    case DestinationStrategy::kBestFit: {
-      // Least loaded (then least 5-min load as a tiebreak).
-      const HostEntry* best = eligible.front();
-      for (const HostEntry* entry : eligible) {
-        if (entry->status.load1 < best->status.load1 ||
-            (entry->status.load1 == best->status.load1 &&
-             entry->status.load5 < best->status.load5)) {
-          best = entry;
-        }
-      }
-      return finish(best->info.host);
-    }
-    case DestinationStrategy::kRandomFit: {
-      const auto index = static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(eligible.size()) - 1));
-      return finish(eligible[index]->info.host);
-    }
-  }
-  return std::nullopt;
+  return chosen->info.host;
 }
 
 void Registry::request_evacuation(const std::string& host,
@@ -1663,15 +1560,15 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
       ctx.txn = config_.tracer->new_txn();
     }
     Decision decision;
-    auto destination = choose_destination(
-        drained_host, process.schema_name,
-        want_audit() ? &decision.candidates : nullptr);
+    const HostEntry* dest =
+        place(drained_host, process.schema_name,
+              want_audit() ? &decision.candidates : nullptr, nullptr);
     decision.at = host_->engine().now();
     decision.source = drained_host;
     decision.pid = process.pid;
     decision.process_name = process.name;
     decision.decision_latency = kDecisionDelay;
-    if (!destination.has_value()) {
+    if (dest == nullptr) {
       ARS_LOG_ERROR("registry", "evacuation: no destination for "
                                     << process.name << " - process stays");
       decisions_.push_back(decision);
@@ -1679,30 +1576,37 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
                           decision, "evacuate-stranded", ctx);
       continue;
     }
-    decision.destination = *destination;
+    decision.destination = dest->info.host;
     decisions_.push_back(decision);
     emit_decision_event(config_.tracer, decision.at, host_->name(), decision,
                         "evacuate", ctx);
     const auto source_it = hosts_.find(drained_host);
-    const auto dest_it = hosts_.find(*destination);
-    if (source_it == hosts_.end() || dest_it == hosts_.end()) {
+    if (source_it == hosts_.end()) {
       continue;
     }
-    xmlproto::MigrateCmd command;
-    command.pid = process.pid;
-    command.process_name = process.name;
-    command.dest_host = *destination;
-    command.dest_ip = dest_it->second.info.ip;
-    command.dest_port = dest_it->second.commander_port;
-    command.schema_name = process.schema_name;
-    send_to(drained_host, source_it->second.commander_port, command, ctx);
-    debit_placement(PlacementDebit::Owner::kMigration, process.name,
-                    *destination, process.schema_name);
+    command_migration(process, source_it->second.commander_port, *dest, ctx);
     ++evacuations_commanded_;
     // Give each migration a beat so the destinations' heartbeats can
     // reflect the newly placed work before the next placement.
     co_await sim::delay(host_->engine(), 1.0);
   }
+}
+
+xmlproto::ConsultMsg Registry::forward_consult(
+    const xmlproto::ConsultMsg& consult, const ProcessEntry& process) const {
+  xmlproto::ConsultMsg forwarded = consult;
+  if (forwarded.origin_registry.empty()) {
+    forwarded.origin_registry = host_->name();
+  }
+  forwarded.pid = process.pid;
+  forwarded.process_name = process.name;
+  forwarded.schema_name = process.schema_name;
+  if (forwarded.commander_port == 0) {
+    if (const auto it = hosts_.find(consult.host); it != hosts_.end()) {
+      forwarded.commander_port = it->second.commander_port;
+    }
+  }
+  return forwarded;
 }
 
 bool Registry::route_to_child(const xmlproto::ConsultMsg& consult,
@@ -1812,50 +1716,23 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   decision.pid = process->pid;
   decision.process_name = process->name;
 
-  auto destination = choose_destination(
-      consult.host, process->schema_name,
-      want_audit() ? &decision.candidates : nullptr);
-  if (!destination.has_value() && !config_.parent_host.empty()) {
-    // Hierarchical escalation: ask the parent registry, carrying the
-    // process selection and the source commander's return-path so any
-    // domain the parent picks can command the migration.
+  const HostEntry* dest =
+      place(consult.host, process->schema_name,
+            want_audit() ? &decision.candidates : nullptr, nullptr);
+  if (dest == nullptr && !config_.parent_host.empty()) {
+    // Hierarchical escalation: ask the parent registry.
     decision.escalated = true;
-    xmlproto::ConsultMsg escalate = consult;
+    xmlproto::ConsultMsg escalate = forward_consult(consult, *process);
     escalate.reason =
         consult.reason + " (escalated by " + host_->name() + ")";
-    if (escalate.origin_registry.empty()) {
-      escalate.origin_registry = host_->name();
-    }
-    escalate.pid = process->pid;
-    escalate.process_name = process->name;
-    escalate.schema_name = process->schema_name;
-    if (escalate.commander_port == 0) {
-      const auto source_it = hosts_.find(consult.host);
-      if (source_it != hosts_.end()) {
-        escalate.commander_port = source_it->second.commander_port;
-      }
-    }
     send_to(config_.parent_host, config_.parent_port, escalate, out_ctx);
     record(decision, "escalated");
     co_return;
   }
-  if (!destination.has_value()) {
+  if (dest == nullptr) {
     // Top of the hierarchy with no local candidate: balance across child
     // domains using their health-report capacity counts.
-    xmlproto::ConsultMsg routed = consult;
-    routed.pid = process->pid;
-    routed.process_name = process->name;
-    routed.schema_name = process->schema_name;
-    if (routed.origin_registry.empty()) {
-      routed.origin_registry = host_->name();
-    }
-    if (routed.commander_port == 0) {
-      const auto source_it = hosts_.find(consult.host);
-      if (source_it != hosts_.end()) {
-        routed.commander_port = source_it->second.commander_port;
-      }
-    }
-    if (route_to_child(routed, out_ctx)) {
+    if (route_to_child(forward_consult(consult, *process), out_ctx)) {
       decision.escalated = true;
       record(decision, "routed");
       co_return;
@@ -1866,16 +1743,15 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
     record(decision, "no-destination");
     co_return;
   }
-  decision.destination = *destination;
+  decision.destination = dest->info.host;
 
   const auto source_it = hosts_.find(consult.host);
-  const auto dest_it = hosts_.find(*destination);
   int source_port =
       source_it != hosts_.end() ? source_it->second.commander_port : 0;
   if (source_port == 0) {
     source_port = consult.commander_port;
   }
-  if (source_port == 0 || dest_it == hosts_.end()) {
+  if (source_port == 0) {
     // Update-before-Register ghost source: no command path is known, and
     // a port-0 post would be dropped on the floor by the network.
     if (config_.metrics != nullptr) {
@@ -1892,21 +1768,25 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   if (process_it != processes_.end()) {
     process_it->second.last_migrated_at = now;
   }
-  // In-flight debit until the source commander reports the outcome.
-  debit_placement(PlacementDebit::Owner::kMigration, process->name,
-                  *destination, process->schema_name);
-
-  xmlproto::MigrateCmd command;
-  command.pid = process->pid;
-  command.process_name = process->name;
-  command.dest_host = *destination;
-  command.dest_ip = dest_it->second.info.ip;
-  command.dest_port = dest_it->second.commander_port;
-  command.schema_name = process->schema_name;
   ARS_LOG_INFO("registry", "decision: migrate " << process->name << " from "
                                                 << consult.host << " to "
-                                                << *destination);
-  send_to(consult.host, source_port, command, out_ctx);
+                                                << dest->info.host);
+  command_migration(*process, source_port, *dest, out_ctx);
+}
+
+void Registry::command_migration(const ProcessEntry& process, int source_port,
+                                 const HostEntry& dest, obs::TraceCtx ctx) {
+  xmlproto::MigrateCmd command;
+  command.pid = process.pid;
+  command.process_name = process.name;
+  command.dest_host = dest.info.host;
+  command.dest_ip = dest.info.ip;
+  command.dest_port = dest.commander_port;
+  command.schema_name = process.schema_name;
+  send_to(process.host, source_port, command, ctx);
+  // In-flight debit until the source commander reports the outcome.
+  debit_placement(PlacementDebit::Owner::kMigration, process.name,
+                  dest.info.host, process.schema_name);
 }
 
 std::string Registry::decision_log() const {

@@ -161,7 +161,7 @@ TEST(YoungDalyTest, NonPositiveInputsNeverComeDue) {
 // -- cooperative admission ---------------------------------------------------
 
 TEST(IoSchedulerTest, AdmitsUpToMaxConcurrentThenDefers) {
-  IoScheduler sched{{.max_concurrent = 2}};
+  IoScheduler sched;  // two concurrent writes
   EXPECT_EQ(sched.request("a.0", "ws1", 0.5, 0.0).verb,
             Admission::Verb::kAdmit);
   EXPECT_EQ(sched.request("b.0", "ws2", 0.5, 0.0).verb,
@@ -175,8 +175,9 @@ TEST(IoSchedulerTest, AdmitsUpToMaxConcurrentThenDefers) {
 }
 
 TEST(IoSchedulerTest, ReleaseFreesTheSlotIdempotently) {
-  IoScheduler sched{{.max_concurrent = 1}};
+  IoScheduler sched;
   sched.request("a.0", "ws1", 0.5, 0.0);
+  sched.request("busy.0", "ws3", 0.5, 0.0);  // fills the second slot
   EXPECT_TRUE(sched.holds_slot("a.0"));
   sched.release("a.0");
   sched.release("a.0");  // stale duplicate done-report: harmless
@@ -186,7 +187,7 @@ TEST(IoSchedulerTest, ReleaseFreesTheSlotIdempotently) {
 }
 
 TEST(IoSchedulerTest, OverdueRequesterPreemptsTheLeastRiskyWrite) {
-  IoScheduler sched{{.max_concurrent = 2, .preempt_risk_ratio = 2.0}};
+  IoScheduler sched;  // two slots; preempts at twice the victim's risk
   sched.request("calm.0", "ws1", 0.4, 0.0);
   sched.request("mid.0", "ws2", 0.9, 0.0);
   // risk 1.5 >= 2 * 0.4 and > 1.0: preempt the calm writer, admit us.
@@ -200,21 +201,23 @@ TEST(IoSchedulerTest, OverdueRequesterPreemptsTheLeastRiskyWrite) {
 }
 
 TEST(IoSchedulerTest, RiskBelowOneNeverPreempts) {
-  IoScheduler sched{{.max_concurrent = 1, .preempt_risk_ratio = 2.0}};
+  IoScheduler sched;
   sched.request("a.0", "ws1", 0.1, 0.0);
+  sched.request("busy.0", "ws3", 0.1, 0.0);  // fills the second slot
   // 0.9 >= 2 * 0.1 but the requester is not even overdue — defer.
   EXPECT_EQ(sched.request("b.0", "ws2", 0.9, 0.0).verb,
             Admission::Verb::kDefer);
 }
 
 TEST(IoSchedulerTest, ExpiryReapsLeakedSlots) {
-  IoScheduler sched{{.max_concurrent = 1, .slot_ttl = 60.0}};
+  IoScheduler sched;  // slots are reaped 120 s after admission
   sched.request("lost.0", "ws1", 0.5, 10.0);
+  sched.request("busy.0", "ws3", 0.5, 40.0);  // fills the second slot
   EXPECT_TRUE(sched.expire(50.0).empty());
-  const std::vector<std::string> reaped = sched.expire(80.0);
+  const std::vector<std::string> reaped = sched.expire(140.0);
   ASSERT_EQ(reaped.size(), 1u);
   EXPECT_EQ(reaped[0], "lost.0");
-  EXPECT_EQ(sched.request("next.0", "ws2", 0.5, 81.0).verb,
+  EXPECT_EQ(sched.request("next.0", "ws2", 0.5, 141.0).verb,
             Admission::Verb::kAdmit);
 }
 

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace ars {
 namespace {
 
@@ -170,6 +172,27 @@ TEST(ShardedClusterPlan, RejectsMalformedPlans) {
   EXPECT_FALSE(core::load_cluster_plan("[1,2]").has_value());
   EXPECT_FALSE(core::load_cluster_plan(R"({"shards": 0})").has_value());
   EXPECT_FALSE(core::load_cluster_plan(R"({"hosts": 0})").has_value());
+  // A plan is outside input: counts must be whole numbers in their type's
+  // range and the fabric latency positive, or the key is named in the error
+  // (never truncated, wrapped, or left for ShardGroup to throw on).
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"hosts": 2.7})", "plan.hosts"},
+      {R"({"hosts": 3e9})", "plan.hosts"},
+      {R"({"shards": 1.5})", "plan.shards"},
+      {R"({"crash_hosts": 1e10})", "plan.crash_hosts"},
+      {R"({"crash_hosts": -1})", "plan.crash_hosts"},
+      {R"({"trace_capacity": -1})", "plan.trace_capacity"},
+      {R"({"trace_capacity": 1.5e20})", "plan.trace_capacity"},
+      {R"({"seed": -5})", "plan.seed"},
+      {R"({"seed": 2.5})", "plan.seed"},
+      {R"({"cross_latency": 0})", "plan.cross_latency"},
+      {R"({"cross_latency": -0.005})", "plan.cross_latency"},
+  };
+  for (const auto& [text, code] : refused) {
+    const auto loaded = core::load_cluster_plan(text);
+    ASSERT_FALSE(loaded.has_value()) << text;
+    EXPECT_EQ(loaded.error().code, code) << text;
+  }
 }
 
 TEST(ShardedClusterPlan, DefaultsSurviveAnEmptyPlan) {

@@ -182,20 +182,19 @@ TEST_F(OutcomeFeedbackTest, AbortCreditsDebitSuspectsDestAndReplans) {
 }
 
 TEST_F(OutcomeFeedbackTest, SuspectDestinationReadmittedAfterBackoff) {
-  Registry::Config config;
-  config.suspect_backoff = 10.0;
-  build(config);
+  build({});
   overloaded_source();
   ASSERT_EQ(registry_->choose_destination("ws1", ""), "ws2");
   // No in-flight debit needed: a stray outcome still applies the backoff.
   post("ws1", outcome_msg("aborted", "dest-failed", "eager"));
   engine_.run_until(2.0);
   EXPECT_EQ(registry_->choose_destination("ws1", ""), "ws3");
-  // Past the backoff (with live leases) ws2 is first-fit eligible again.
-  engine_.run_until(12.0);
+  // Past the 30 s backoff (with live leases) ws2 is first-fit eligible
+  // again.
+  engine_.run_until(32.0);
   heartbeat("ws2");
   heartbeat("ws3");
-  engine_.run_until(13.0);
+  engine_.run_until(33.0);
   EXPECT_EQ(registry_->choose_destination("ws1", ""), "ws2");
 }
 
@@ -380,16 +379,14 @@ TEST_F(OutcomeFeedbackTest, ResizeOutcomeCreditsOnlyItsOwnJob) {
 }
 
 TEST_F(OutcomeFeedbackTest, SilentOutcomeDebitExpiresAfterTtl) {
-  Registry::Config config;
-  config.placement_debit_ttl = 10.0;
-  build(config);
+  build({});
   overloaded_source();
   consult();
   engine_.run_until(2.0);
   ASSERT_EQ(registry_->inflight_placements(), 1U);
   // The source commander dies before reporting: the sweeper drops the
-  // debit after the TTL so the destination's capacity is not leaked.
-  engine_.run_until(30.0);
+  // debit after the 120 s TTL so the destination's capacity is not leaked.
+  engine_.run_until(130.0);
   EXPECT_EQ(registry_->inflight_placements(), 0U);
   EXPECT_EQ(counter_value("registry.placements_expired"), 1.0);
   EXPECT_EQ(counter_value("registry.placements_credited"), 0.0);

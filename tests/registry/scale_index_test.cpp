@@ -3,8 +3,8 @@
 //
 //   * the index tracks every state transition and keeps the free list in
 //     registration order (the first-fit scan order);
-//   * the indexed fast path and the audited legacy full-table scan yield
-//     byte-identical decisions under churn;
+//   * the per-host audit accepts exactly the hosts the free-list walk
+//     returns, and a churn's decisions match a golden log;
 //   * re-admission after a lease expiry must not reuse pre-crash status;
 //   * restarts of one crashed host's processes spread across free hosts;
 //   * Update-before-Register ghosts are never command targets (no message
@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "ars/obs/metrics.hpp"
+#include "ars/obs/tracer.hpp"
 #include "ars/registry/registry.hpp"
 #include "ars/support/rng.hpp"
 
@@ -94,11 +96,13 @@ class ScaleIndexTest : public ::testing::Test {
   }
 
   void register_process(const std::string& host, int pid,
-                        const std::string& name) {
+                        const std::string& name,
+                        const std::string& schema = "") {
     xmlproto::ProcessRegisterMsg msg;
     msg.host = host;
     msg.pid = pid;
     msg.name = name;
+    msg.schema_name = schema;
     msg.migration_enabled = true;
     post(host, msg);
   }
@@ -124,6 +128,7 @@ class ScaleIndexTest : public ::testing::Test {
 
   Engine engine_;
   obs::MetricsRegistry metrics_;
+  obs::Tracer tracer_;  // attached only by tests that want decision audits
   std::unique_ptr<net::Network> net_;
   std::vector<std::unique_ptr<host::Host>> hosts_;
   std::unique_ptr<Registry> registry_;
@@ -199,45 +204,43 @@ TEST_F(ScaleIndexTest, IndexedAndLegacyEligiblesAgreeUnderChurn) {
     ASSERT_TRUE(registry_->index_consistent());
     const auto& source =
         names[static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1))];
-    // Same registry, both paths: audited legacy scan vs indexed walk.
+    // The audit judges every registered host; the hosts it accepts, in
+    // registration order, must be exactly what the free-list walk returned.
     std::vector<CandidateAudit> audit;
-    const auto legacy = registry_->eligible_destinations(source, "", &audit);
-    const auto indexed = registry_->eligible_destinations(source, "");
-    ASSERT_EQ(legacy.size(), indexed.size()) << "round " << round;
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ(legacy[i]->info.host, indexed[i]->info.host)
-          << "round " << round << " position " << i;
+    const auto eligible = registry_->eligible_destinations(source, "", &audit);
+    ASSERT_EQ(audit.size(), static_cast<std::size_t>(kHosts));
+    std::vector<std::string> accepted;
+    for (const CandidateAudit& candidate : audit) {
+      if (candidate.accepted) {
+        accepted.push_back(candidate.host);
+      }
     }
+    std::vector<std::string> walked;
+    for (const HostEntry* entry : eligible) {
+      walked.push_back(entry->info.host);
+    }
+    EXPECT_EQ(accepted, walked) << "round " << round;
   }
 }
 
-TEST_F(ScaleIndexTest, IndexedAndLegacyDecisionLogsAreByteIdentical) {
-  build();  // indexed: no tracer, audit auto -> fast path
-  Registry::Config legacy_config;
-  legacy_config.policy = rules::paper_policy2();
-  legacy_config.lease_ttl = 25.0;
-  legacy_config.use_legacy_scan = true;
-  Registry legacy{*hosts_[0], *net_, legacy_config};
-  legacy.start();
-
-  const auto both = [&](const xmlproto::ProtocolMessage& m,
-                        const std::string& from) {
-    registry_->deliver(m, from);
-    legacy.deliver(m, from);
-  };
-
+// The decisions of a 24-host churn, captured from the registry that still
+// carried the pre-index full-table scan (and matched it byte for byte):
+// the free-list walk must keep reproducing them.
+TEST_F(ScaleIndexTest, ChurnDecisionLogMatchesGolden) {
+  build();
   const int kHosts = 24;
   std::vector<std::string> names;
   for (int i = 0; i < kHosts; ++i) {
     names.push_back("n" + std::to_string(100 + i));
-    both(register_msg(names.back()), names.back());
-    both(update_msg(names.back(), SystemState::kFree), names.back());
+    registry_->deliver(register_msg(names.back()), names.back());
+    registry_->deliver(update_msg(names.back(), SystemState::kFree),
+                       names.back());
     xmlproto::ProcessRegisterMsg proc;
     proc.host = names.back();
     proc.pid = 500 + i;
     proc.name = "app" + std::to_string(i);
     proc.migration_enabled = true;
-    both(proc, names.back());
+    registry_->deliver(proc, names.back());
   }
   support::Rng rng{11};
   const SystemState states[] = {SystemState::kFree, SystemState::kBusy,
@@ -247,17 +250,47 @@ TEST_F(ScaleIndexTest, IndexedAndLegacyDecisionLogsAreByteIdentical) {
     for (int flip = 0; flip < 4; ++flip) {
       const auto& name =
           names[static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1))];
-      both(update_msg(name, states[rng.uniform_int(0, 2)]), name);
+      registry_->deliver(update_msg(name, states[rng.uniform_int(0, 2)]),
+                         name);
     }
     xmlproto::ConsultMsg msg;
     msg.host = names[static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1))];
     msg.reason = "churn";
-    both(msg, msg.host);
+    registry_->deliver(msg, msg.host);
     t += 1.0;
     engine_.run_until(t);
   }
-  EXPECT_FALSE(registry_->decisions().empty());
-  EXPECT_EQ(registry_->decision_log(), legacy.decision_log());
+  EXPECT_EQ(registry_->decision_log(),
+            "0.002000 n101 -> n100 pid=501 name=app1\n"
+            "1.002000 n110 -> n100 pid=510 name=app10\n"
+            "2.002000 n115 -> n100 pid=515 name=app15\n"
+            "3.002000 n111 -> n100 pid=511 name=app11\n"
+            "4.002000 n112 -> n100 pid=512 name=app12\n"
+            "5.002000 n114 -> n100 pid=514 name=app14\n"
+            "6.002000 n105 -> n100 pid=505 name=app5\n"
+            "7.002000 n109 -> n100 pid=509 name=app9\n"
+            "8.002000 n110 -> - pid=0 name=\n"
+            "9.002000 n114 -> - pid=0 name=\n"
+            "10.002000 n113 -> n103 pid=513 name=app13\n"
+            "11.002000 n107 -> n101 pid=507 name=app7\n"
+            "12.002000 n123 -> n101 pid=523 name=app23\n"
+            "13.002000 n112 -> - pid=0 name=\n"
+            "14.002000 n113 -> - pid=0 name=\n"
+            "15.002000 n100 -> n102 pid=500 name=app0\n"
+            "16.002000 n101 -> - pid=0 name=\n"
+            "17.002000 n123 -> - pid=0 name=\n"
+            "18.002000 n118 -> n102 pid=518 name=app18\n"
+            "19.002000 n100 -> - pid=0 name=\n"
+            "20.002000 n102 -> n103 pid=502 name=app2\n"
+            "21.002000 n123 -> - pid=0 name=\n"
+            "22.002000 n117 -> n103 pid=517 name=app17\n"
+            "23.002000 n118 -> - pid=0 name=\n"
+            "24.002000 n120 -> n101 pid=520 name=app20\n"
+            "25.002000 n101 -> - pid=0 name=\n"
+            "26.002000 n105 -> - pid=0 name=\n"
+            "27.002000 n115 -> - pid=0 name=\n"
+            "28.002000 n108 -> n101 pid=508 name=app8\n"
+            "29.002000 n110 -> - pid=0 name=\n");
 }
 
 // Bugfix regression: a host whose lease expired (crash) and that then
@@ -338,6 +371,113 @@ TEST_F(ScaleIndexTest, RestartsSpreadAcrossFreeHosts) {
   EXPECT_EQ(drain_count(ws3_commander, "relaunch"), 2);
   EXPECT_TRUE(registry_->stranded().empty());
 }
+
+// A recovery round debits each destination with the restarts it already
+// placed there: two 100 MiB processes fill both 128 MiB hosts, so the third
+// is stranded, and its audit names the round's debits as the reason.
+TEST_F(ScaleIndexTest, RecoveryRoundDebitsExhaustDestinations) {
+  Registry::Config config;
+  config.auto_restart = true;
+  config.tracer = &tracer_;  // a tracer turns the per-host audit on
+  tracer_.set_clock([this] { return engine_.now(); });
+  build(config);
+  hpcm::ApplicationSchema schema{"big"};
+  hpcm::ResourceRequirements requirements;
+  requirements.min_memory_bytes = 100ULL << 20;
+  schema.set_requirements(requirements);
+  registry_->register_schema(schema);
+  register_host("ws1");
+  update_host("ws1", SystemState::kBusy, 1.5);
+  for (int pid = 1; pid <= 3; ++pid) {
+    register_process("ws1", pid, "rank" + std::to_string(pid), "big");
+  }
+  for (const char* name : {"ws2", "ws3"}) {
+    register_host(name);
+    update_host(name, SystemState::kFree);
+  }
+  engine_.run_until(20.0);
+  update_host("ws2", SystemState::kFree);
+  update_host("ws3", SystemState::kFree);
+  engine_.run_until(31.0);  // ws1's lease lapsed at the t=30 sweep
+
+  const std::vector<Decision>& decisions = registry_->decisions();
+  ASSERT_EQ(decisions.size(), 3U);
+  EXPECT_EQ(decisions[0].destination, "ws2");
+  EXPECT_EQ(decisions[1].destination, "ws3");
+  EXPECT_TRUE(decisions[2].destination.empty());
+  ASSERT_EQ(decisions[2].candidates.size(), 3U);
+  EXPECT_EQ(decisions[2].candidates[0].reason, "source host");
+  for (const std::size_t i : {1U, 2U}) {
+    EXPECT_FALSE(decisions[2].candidates[i].accepted);
+    EXPECT_EQ(decisions[2].candidates[i].reason,
+              "in-flight restarts exhaust resources");
+  }
+  ASSERT_EQ(registry_->stranded().size(), 1U);
+  EXPECT_EQ(registry_->stranded()[0].name, "rank3");
+}
+
+// A recovery round under each strategy: the round's spread filter keeps
+// only the least-placed hosts in play, then the strategy picks among them.
+struct RestartStrategyCase {
+  const char* name;
+  DestinationStrategy strategy;
+  std::vector<std::string> destinations;
+};
+
+void PrintTo(const RestartStrategyCase& param, std::ostream* os) {
+  *os << param.name;
+}
+
+class ScaleIndexRestartStrategyTest
+    : public ScaleIndexTest,
+      public ::testing::WithParamInterface<RestartStrategyCase> {};
+
+TEST_P(ScaleIndexRestartStrategyTest, RestartPlacementFollowsTheStrategy) {
+  Registry::Config config;
+  config.auto_restart = true;
+  config.strategy = GetParam().strategy;
+  config.random_seed = 7;
+  build(config);
+  register_host("ws1");
+  update_host("ws1", SystemState::kBusy, 1.5);
+  for (int pid = 1; pid <= 4; ++pid) {
+    register_process("ws1", pid, "rank" + std::to_string(pid));
+  }
+  const std::pair<const char*, double> free_hosts[] = {
+      {"ws2", 0.5}, {"ws3", 0.1}, {"ws4", 0.3}};
+  for (const auto& [name, load] : free_hosts) {
+    register_host(name);
+    update_host(name, SystemState::kFree, load);
+  }
+  engine_.run_until(20.0);
+  // Keep the destinations' leases fresh while ws1 goes silent.
+  for (const auto& [name, load] : free_hosts) {
+    update_host(name, SystemState::kFree, load);
+  }
+  engine_.run_until(40.0);
+
+  EXPECT_EQ(registry_->host_state("ws1"), SystemState::kUnavailable);
+  std::vector<std::string> destinations;
+  for (const Decision& decision : registry_->decisions()) {
+    EXPECT_TRUE(decision.restart);
+    destinations.push_back(decision.destination);
+  }
+  EXPECT_EQ(destinations, GetParam().destinations);
+  EXPECT_TRUE(registry_->stranded().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, ScaleIndexRestartStrategyTest,
+    ::testing::Values(
+        RestartStrategyCase{"FirstFit", DestinationStrategy::kFirstFit,
+                            {"ws2", "ws3", "ws4", "ws2"}},
+        RestartStrategyCase{"BestFit", DestinationStrategy::kBestFit,
+                            {"ws3", "ws4", "ws2", "ws3"}},
+        RestartStrategyCase{"RandomFit", DestinationStrategy::kRandomFit,
+                            {"ws2", "ws3", "ws4", "ws3"}}),
+    [](const ::testing::TestParamInfo<RestartStrategyCase>& case_info) {
+      return std::string(case_info.param.name);
+    });
 
 // Bugfix regression: an UpdateMsg arriving before any RegisterMsg creates a
 // ghost entry with port 0; such a host used to win consults, and the

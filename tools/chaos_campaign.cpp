@@ -19,8 +19,7 @@
 //                  [--require-coop-win]
 //                  [--sabotage-lease-expiry] [--sabotage-migration-rollback]
 //                  [--malleable-jobs=N] [--sabotage-resize-rollback]
-//                  [--verify-scan-equivalence] [--delta-heartbeats]
-//                  [--precopy]
+//                  [--delta-heartbeats] [--precopy]
 //                  [--out=report.json] [--bundle-dir=DIR]
 //                  [--trace-out=FILE] [--metrics-out=FILE]
 //                  [--replay-bundle=FILE] [--list-plans] [--dump-plan=NAME]
@@ -42,12 +41,6 @@
 // seed's JSONL trace to FILE with a "<cell>_seed<N>" label spliced before
 // the extension (trace_critpath reads these), and --metrics-out=FILE does
 // the same with the scenario's metrics snapshot (JSON).
-//
-// --verify-scan-equivalence runs every seed a second time with the registry
-// forced onto its pre-index full-table scan (audits off in both runs, so the
-// scan mode is the only difference) and requires the trace hash AND the
-// canonical decision log to match byte-for-byte — the indexed scheduler must
-// be observationally identical to the reference scan, under faults.
 
 #include <algorithm>
 #include <charconv>
@@ -84,7 +77,6 @@ struct CampaignOptions {
   std::vector<double> mtbfs;  // empty: own crash rates, no strategy axis
   bool require_coop_win = false;
   int replay_passing = 3;  // additionally replay this many passing seeds
-  bool verify_scan_equivalence = false;
   std::string out_path;
   std::string bundle_dir;  // flight-recorder bundles for failing seeds
   /// Every other knob (cluster shape, store sizing, sabotage) lands here;
@@ -104,7 +96,6 @@ struct SeedResult {
   std::uint64_t seed = 0;
   ScenarioReport report;  // trace and metrics dropped once written out
   std::optional<bool> replay_identical;  // set when the seed was replayed
-  std::optional<bool> scan_equivalent;   // set under --verify-scan-equivalence
 };
 
 struct CellResult {
@@ -112,7 +103,6 @@ struct CellResult {
   std::vector<SeedResult> seeds;
   int failures = 0;
   int replay_mismatches = 0;
-  int scan_mismatches = 0;
   double waste_s = 0.0;  // cluster waste summed over all seeds
   double overhead_s = 0.0;
   double lost_work_s = 0.0;
@@ -131,7 +121,6 @@ struct CellResult {
             << "         [--sabotage-lease-expiry]\n"
             << "         [--sabotage-migration-rollback]\n"
             << "         [--malleable-jobs=N] [--sabotage-resize-rollback]\n"
-            << "         [--verify-scan-equivalence]\n"
             << "         [--delta-heartbeats] [--precopy]\n"
             << "         [--out=report.json] [--bundle-dir=DIR]\n"
             << "         [--trace-out=FILE] [--metrics-out=FILE]\n"
@@ -321,25 +310,6 @@ CellResult sweep_cell(const CampaignOptions& options, const Cell& cell) {
                                        std::to_string(again.trace_hash)});
       }
     }
-    if (options.verify_scan_equivalence) {
-      // Same seed, registry forced onto the reference full-table scan: the
-      // run must be indistinguishable — trace and decision log included.
-      ScenarioOptions legacy_options = scenario;
-      legacy_options.legacy_scan = true;
-      const ScenarioReport legacy = ars::chaos::run_scenario(legacy_options);
-      seed_result.scan_equivalent =
-          legacy.trace_hash == report.trace_hash &&
-          legacy.decisions == report.decisions &&
-          legacy.decision_log_hash == report.decision_log_hash;
-      if (!*seed_result.scan_equivalent) {
-        ++result.scan_mismatches;
-        std::cout << "  seed " << seed << " SCAN MISMATCH: indexed decisions "
-                  << report.decisions << " (log " << report.decision_log_hash
-                  << ", trace " << report.trace_hash << ") vs legacy "
-                  << legacy.decisions << " (log " << legacy.decision_log_hash
-                  << ", trace " << legacy.trace_hash << ")\n";
-      }
-    }
     // The record keeps the counters; the evidence was written out above.
     std::string{}.swap(report.trace_jsonl);
     std::string{}.swap(report.metrics_json);
@@ -385,9 +355,6 @@ ars::obs::JsonValue to_json(const SeedResult& seed) {
   if (seed.replay_identical.has_value()) {
     object["replay_identical"] = ars::obs::JsonValue{*seed.replay_identical};
   }
-  if (seed.scan_equivalent.has_value()) {
-    object["scan_equivalent"] = ars::obs::JsonValue{*seed.scan_equivalent};
-  }
   return ars::obs::JsonValue{std::move(object)};
 }
 
@@ -400,7 +367,6 @@ ars::obs::JsonValue to_json(const CellResult& result) {
   object["strategy"] = ars::obs::JsonValue{result.cell.scenario.ckpt_strategy};
   set_number(object, "failures", result.failures);
   set_number(object, "replay_mismatches", result.replay_mismatches);
-  set_number(object, "scan_mismatches", result.scan_mismatches);
   set_number(object, "waste_total_s", result.waste_s);
   set_number(object, "waste_overhead_s", result.overhead_s);
   set_number(object, "waste_lost_work_s", result.lost_work_s);
@@ -481,8 +447,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--require-coop-win") {
       options.require_coop_win = true;
-    } else if (arg == "--verify-scan-equivalence") {
-      options.verify_scan_equivalence = true;
     } else if (arg == "--sabotage-lease-expiry") {
       scenario.sabotage_lease_expiry = true;
     } else if (arg == "--sabotage-migration-rollback") {
@@ -549,9 +513,6 @@ int main(int argc, char** argv) {
     options.plans = FaultPlan::builtin_names();
     options.plans.push_back("none");
   }
-  // Equivalence runs compare the two scan modes, so the audit (which itself
-  // forces the legacy scan) must be off for both sides.
-  scenario.audit_decisions = !options.verify_scan_equivalence;
   // Trace exports and replay-mismatch bundles need the bytes, not just the
   // hash (failing runs keep their trace regardless).
   scenario.keep_trace = !options.bundle_dir.empty() ||
@@ -561,7 +522,6 @@ int main(int argc, char** argv) {
   std::vector<CellResult> results;
   int total_failures = 0;
   int total_mismatches = 0;
-  int total_scan_mismatches = 0;
   int coop_losses = 0;
   for (const Cell& cell : make_cells(options)) {
     std::cout << "cell \"" << cell.label << "\": " << options.seeds
@@ -570,9 +530,6 @@ int main(int argc, char** argv) {
     std::cout << "  " << (options.seeds - result.failures) << "/"
               << options.seeds << " clean, " << result.replay_mismatches
               << " replay mismatches";
-    if (options.verify_scan_equivalence) {
-      std::cout << ", " << result.scan_mismatches << " scan mismatches";
-    }
     if (!options.mtbfs.empty()) {
       std::cout << ", waste " << result.waste_s << " s (overhead "
                 << result.overhead_s << ", lost " << result.lost_work_s
@@ -591,7 +548,6 @@ int main(int argc, char** argv) {
     }
     total_failures += result.failures;
     total_mismatches += result.replay_mismatches;
-    total_scan_mismatches += result.scan_mismatches;
     results.push_back(std::move(result));
   }
 
@@ -605,7 +561,6 @@ int main(int argc, char** argv) {
     set_number(report, "aggregate_mbps", scenario.ckpt_aggregate_mbps);
     set_number(report, "failures", total_failures);
     set_number(report, "replay_mismatches", total_mismatches);
-    set_number(report, "scan_mismatches", total_scan_mismatches);
     set_number(report, "coop_losses", coop_losses);
     ars::obs::JsonArray cells;
     for (const CellResult& result : results) {
@@ -621,11 +576,9 @@ int main(int argc, char** argv) {
   }
 
   const bool coop_gate_failed = options.require_coop_win && coop_losses > 0;
-  if (total_failures > 0 || total_mismatches > 0 ||
-      total_scan_mismatches > 0 || coop_gate_failed) {
+  if (total_failures > 0 || total_mismatches > 0 || coop_gate_failed) {
     std::cout << "CAMPAIGN FAIL: " << total_failures << " violations, "
-              << total_mismatches << " replay mismatches, "
-              << total_scan_mismatches << " scan mismatches";
+              << total_mismatches << " replay mismatches";
     if (options.require_coop_win) {
       std::cout << ", " << coop_losses << " cells where cooperative lost";
     }
