@@ -4,8 +4,9 @@
 //
 //   * Soft-state host table: monitors push REGISTER once and UPDATE
 //     heartbeats; a lease sweeper marks silent hosts `unavailable`.
-//   * Process registry: migration-enabled processes with start times and
-//     application-schema keys.
+//   * Process registry: one ledger record per migration-enabled process
+//     (start time, application-schema key, and where it stands: running,
+//     relaunching or stranded, plus any open migration claim).
 //   * Decision making: on CONSULT from an overloaded host, select the
 //     process with the *latest completion time* (start time + schema
 //     estimate) and the *first-fit* destination — the first registered host
@@ -83,6 +84,7 @@ enum class AuditMode {
   kOff,   // never audit
 };
 
+/// A migration-enabled process as booked on the host it runs on.
 struct ProcessEntry {
   std::string host;
   int pid = 0;
@@ -129,9 +131,12 @@ struct MalleableJobEntry {
   int min_ranks = 1;
   int max_ranks = 64;
   std::string strategy;  // "sequential" | "tree" | "" (job default)
+  /// The job's resize claim: a command sent at `last_resize_at` awaits its
+  /// outcome (or the placement TTL, like a migration claim).
   double last_resize_at = -1.0e9;
-  bool resizing = false;  // a command is in flight awaiting its outcome
-  /// Expand targets of the in-flight command; marked suspect on failure.
+  bool resizing = false;
+  /// Expand targets of the in-flight command: each counts as an in-flight
+  /// placement on its host, and is marked suspect on failure.
   std::vector<std::string> pending_targets;
 };
 
@@ -195,11 +200,11 @@ class Registry {
   void start();
   void stop();
 
-  /// Drop all soft state (host table, process registry, registration
-  /// order, stranded-restart queue) — a cold restart.  Schemas and the
-  /// decision log survive: they are configuration and audit trail, not
-  /// soft state.  Call while stopped; the tables rebuild from subsequent
-  /// monitor announcements.
+  /// Drop all soft state (host table, every process record and claim,
+  /// registration order) — a cold restart.  Schemas, malleable-job
+  /// registrations and the decision log survive: they are configuration
+  /// and audit trail, not soft state.  Call while stopped; the tables
+  /// rebuild from subsequent monitor announcements.
   void clear_soft_state();
 
   [[nodiscard]] int port() const noexcept { return config_.port; }
@@ -219,9 +224,8 @@ class Registry {
   }
   [[nodiscard]] std::optional<rules::SystemState> host_state(
       const std::string& name) const;
-  [[nodiscard]] std::size_t process_count() const {
-    return processes_.size();
-  }
+  /// Processes booked as running on some host.
+  [[nodiscard]] std::size_t process_count() const;
 
   /// Apply one protocol message as if it had arrived over the wire from
   /// `from_host` — the serve loop routes through this; benches and tests
@@ -298,63 +302,74 @@ class Registry {
   /// registration_order.
   [[nodiscard]] bool index_consistent() const;
 
-  /// Lost processes waiting for capacity to restart (retried every sweep).
-  [[nodiscard]] const std::vector<ProcessEntry>& stranded() const {
-    return stranded_;
-  }
+  /// Lost processes waiting for capacity (retried every sweep), in park
+  /// order; one that registers again stays until that sweep counts it.
+  [[nodiscard]] std::vector<ProcessEntry> stranded() const;
 
   /// Child domains known from HealthReportMsg (parent registries only).
   [[nodiscard]] const std::map<std::string, ChildDomain>& children() const {
     return children_;
   }
 
-  /// Migration placements commanded but not yet resolved by a
-  /// MigrationOutcomeMsg (each debits its destination's capacity).
-  [[nodiscard]] std::size_t inflight_placements() const {
-    return inflight_.size();
-  }
+  /// Open placement claims: migrations commanded but not yet resolved by a
+  /// MigrationOutcomeMsg, plus the spawn targets of in-flight expands.
+  [[nodiscard]] std::size_t inflight_placements() const;
 
   /// Central checkpoint-write admission state (enable_ckpt_io).
   [[nodiscard]] const ckpt::IoScheduler& ckpt_io() const { return ckpt_io_; }
 
  private:
-  /// In-flight placements of one recovery round: restarts already commanded
-  /// count against a destination's capacity before its next heartbeat can
-  /// reflect them, so a dead host's processes spread instead of piling onto
-  /// the first free host.
-  struct RecoveryRound {
-    struct Debit {
-      int placements = 0;
-      std::uint64_t memory_bytes = 0;
-      std::uint64_t disk_bytes = 0;
-    };
-    std::map<std::string, Debit> by_host;
-  };
-
-  /// One commanded placement awaiting its terminal outcome: a live
-  /// migration, or one spawn target of a commanded expand.  While
-  /// outstanding it debits the destination's capacity (resource
-  /// requirements snapshotted at command time) exactly like a
-  /// RecoveryRound placement, so simultaneous placements spread.
-  struct PlacementDebit {
-    enum class Owner { kMigration, kResize };
-    Owner owner = Owner::kMigration;
-    /// The migrating process (kMigration) or the expanding job (kResize).
-    std::string name;
-    std::string dest;
-    std::string schema_name;  // to rebuild the entry if the books lost it
-    double at = 0.0;
+  /// Placements not yet visible in a destination's heartbeats.
+  struct Debit {
+    int placements = 0;
     std::uint64_t memory_bytes = 0;
     std::uint64_t disk_bytes = 0;
   };
 
-  /// A commanded relaunch awaiting confirmation: the destination monitor
-  /// must re-report the process before `kRelaunchConfirmTtl` lapses, or
-  /// the registry assumes the command was lost and retries.
-  struct PendingRelaunch {
-    ProcessEntry process;
+  /// The restarts one recovery round has placed, debited per destination
+  /// so a dead host's processes spread instead of piling onto one host.
+  using RecoveryRound = std::map<std::string, Debit>;
+
+  /// Where a process stands in the ledger (DESIGN.md §12).
+  enum class ProcessState {
+    kRunning,      // booked: `process.host` runs it as `process.pid`
+    kRelaunching,  // RelaunchCmd sent to `relaunch_dest`, no report yet
+    kStranded,     // no destination yet: the sweeper retries
+    kClaimOnly,    // on nobody's books: the record only holds its claim
+  };
+
+  /// A commanded migration awaiting its outcome: it debits `dest` by the
+  /// schema's requirements at command time, so placements spread.
+  struct MigrationClaim {
     std::string dest;
-    double commanded_at = 0.0;
+    std::string schema_name;
+    double at = 0.0;
+    std::uint64_t order = 0;  // orphaned claims relaunch in claim order
+    std::uint64_t memory_bytes = 0;
+    std::uint64_t disk_bytes = 0;
+  };
+
+  /// The ledger's one record of a process name: exactly one state, plus at
+  /// most one open migration claim.
+  struct ProcessRecord {
+    ProcessState state = ProcessState::kClaimOnly;
+    /// The booking (kRunning), or what the next relaunch carries.
+    ProcessEntry process;
+    std::string relaunch_dest;   // kRelaunching
+    double relaunched_at = 0.0;  // kRelaunching
+    /// Park order (kStranded) or command order (kRelaunching).
+    std::uint64_t order = 0;
+    /// kRunning only: the process was stranded and registered again; it
+    /// stays listed by stranded() until the next sweep counts the recovery.
+    bool recovery_unreported = false;
+    std::optional<MigrationClaim> claim;
+    /// The (host, pid) the last committed migration retired: a
+    /// registration naming it is stale (host pids never repeat).
+    std::pair<std::string, int> retired;
+
+    [[nodiscard]] bool parked() const {
+      return state == ProcessState::kStranded || recovery_unreported;
+    }
   };
 
   [[nodiscard]] sim::Task<> serve();
@@ -366,52 +381,41 @@ class Registry {
                                    obs::TraceCtx ctx);
   [[nodiscard]] sim::Task<> evacuate(std::string drained_host,
                                      std::string reason);
-  void restart_processes_of(const std::string& lost_host);
-  /// Place one lost process (shared by the recovery round and the stranded
-  /// retry drain).  Returns false when no destination exists and the
-  /// caller parks the process (`record_stranded` controls whether the
-  /// failure is also logged as a decision — only the first time is).
-  /// `cause` links the restart's fresh transaction to the one that killed
-  /// the previous incarnation (rolled-back migrations) via a cause_txn
-  /// attribute on the decision event.
-  bool restart_process(const ProcessEntry& process, RecoveryRound& round,
+
+  // -- ledger transitions (DESIGN.md §12) -----------------------------------
+  /// The record of `name`, created empty and claim-only if unknown.
+  ProcessRecord& record_of(const std::string& name);
+  /// Any state -> running as `process`.
+  void book(ProcessRecord& record, ProcessEntry process);
+  /// Off the books: claim-only while a claim is open, else erased.
+  void unbook(ProcessRecord& record);
+  /// Place the lost process `record` holds: relaunching, else stranded.
+  /// `record_stranded` logs a failure as a decision (only the first one
+  /// is); `cause` links the restart to the transaction that killed the
+  /// previous incarnation (a cause_txn attribute on the decision).
+  bool restart_process(ProcessRecord& record, RecoveryRound& round,
                        bool record_stranded, obs::TraceCtx cause = {});
+  /// Relaunching/stranded -> off the books: the process deregistered or a
+  /// commander reported it already exited, so no relaunch is owed.
+  void abandon_relaunch(ProcessRecord& record, const std::string& reason);
+  /// Sweep steps: stranded -> relaunching in park order; relaunching ->
+  /// stranded once `kRelaunchConfirmTtl` passes unconfirmed; claims past
+  /// the placement TTL close, and a process on nobody's books relaunches.
   void drain_stranded();
-  /// Park a lost process on `stranded_` for the sweeper to retry, unless a
-  /// process of the same name is parked already.
-  void park(const ProcessEntry& process);
-  /// The booked entry of the process named `name`, or `processes_.end()`.
-  /// Names are cluster-unique: a registration supersedes older entries.
-  std::map<std::string, ProcessEntry>::iterator find_booked(
-      const std::string& name);
-  /// Drop a process from the relaunch retry pipeline (stranded list and
-  /// pending confirmations): it deregistered cleanly or a commander reported
-  /// it already exited, so re-commanding its restart forever is wrong.
-  void abandon_relaunch(const std::string& process_name,
-                        const std::string& reason);
-  /// Re-park commanded relaunches that no monitor has confirmed within
-  /// `kRelaunchConfirmTtl` (the RelaunchCmd was lost on the wire).
   void confirm_relaunches(double now);
-  /// Record an in-flight placement debit for a freshly commanded
-  /// placement.  An older debit of the same claim is superseded: the same
-  /// process's migration, or the same job's expand onto the same target.
-  void debit_placement(PlacementDebit::Owner owner, const std::string& name,
-                       const std::string& dest,
-                       const std::string& schema_name);
-  /// Remove the in-flight debits `selected` picks, count them on the
-  /// `counter` metric, and return them in list order.
-  std::vector<PlacementDebit> drop_debits(
-      const std::function<bool(const PlacementDebit&)>& selected,
-      const char* counter);
+  void expire_claims(double now);
+  /// The running records on `host` in pid text order (the old "host:pid"
+  /// key order that selection, restarts and evacuations depend on).
+  std::vector<ProcessRecord*> booked_on(const std::string& host);
   /// Back `host` off as a destination for the re-admission backoff after a
   /// failed placement.  Returns its entry, or nullptr for an unknown host.
   const HostEntry* suspect(const std::string& host, double now);
   /// Command the commander of `process`'s host (at `source_port`) to
-  /// migrate it to `dest`, and debit `dest` until the outcome arrives.
+  /// migrate it to `dest`: the process's one claim until the outcome.
   void command_migration(const ProcessEntry& process, int source_port,
                          const HostEntry& dest, obs::TraceCtx ctx);
-  /// Apply a commander's MigrationOutcomeMsg: credit the placement debit
-  /// back, mark failed destinations suspect, and re-plan aborts.  `ctx` is
+  /// Apply a commander's MigrationOutcomeMsg: close the process's claim,
+  /// mark failed destinations suspect, and re-plan aborts.  `ctx` is
   /// the transaction the outcome closes; a replanned consult opens a new
   /// transaction linked to it by a cause_txn attribute.
   void on_migration_outcome(const xmlproto::MigrationOutcomeMsg& outcome,
@@ -421,9 +425,9 @@ class Registry {
   void plan_resizes(double now);
   void command_resize(MalleableJobEntry& job, const std::string& verb,
                       std::vector<std::string> hosts, double now);
-  /// Apply a commander's ResizeOutcomeMsg: credit the per-target placement
-  /// debits, re-sync the job's rank count, and suspect failed targets —
-  /// the malleable mirror of on_migration_outcome.
+  /// Apply a commander's ResizeOutcomeMsg: close the job's resize claim,
+  /// re-sync its rank count, and suspect failed targets — the malleable
+  /// mirror of on_migration_outcome.
   void on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
                          obs::TraceCtx ctx);
   /// Answer one checkpoint-write I/O event (enable_ckpt_io): request ->
@@ -436,9 +440,9 @@ class Registry {
   void send_ckpt_grant(const std::string& host,
                        const xmlproto::CkptIoGrantMsg& grant,
                        obs::TraceCtx ctx);
-  /// Summed in-flight debits against `host_name` (0/0 when none).
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> inflight_debit(
-      const std::string& host_name) const;
+  /// The open claims against `host_name`: migration claims with their
+  /// schema bytes, and expand targets (no bytes).
+  [[nodiscard]] Debit inflight_debit(const std::string& host_name) const;
   /// Route an escalated consult to the child domain with the most reported
   /// free capacity (minus consults already routed there).  Returns false
   /// when no child can plausibly take it.
@@ -514,16 +518,16 @@ class Registry {
   net::Endpoint* endpoint_ = nullptr;
   std::map<std::string, HostEntry> hosts_;  // node-based: stable addresses
   StateList index_[4];
-  std::map<std::string, ProcessEntry> processes_;  // key host:pid
-  /// Synthetic pid for entries re-keyed to a migration destination before
+  /// The process ledger, one record per (cluster-unique) process name.
+  std::map<std::string, ProcessRecord> ledger_;
+  /// Stamps the park, relaunch and claim orders of the records.
+  std::uint64_t ledger_clock_ = 0;
+  /// Synthetic pid for processes booked on a migration destination before
   /// the destination's own ProcessRegisterMsg arrives (negative: can never
-  /// collide with a real registration's key).
+  /// collide with a real registration).
   int next_placeholder_pid_ = -1;
   std::map<std::string, hpcm::ApplicationSchema> schemas_;
   std::vector<Decision> decisions_;
-  std::vector<ProcessEntry> stranded_;
-  std::vector<PlacementDebit> inflight_;
-  std::vector<PendingRelaunch> pending_relaunches_;
   std::map<std::string, ChildDomain> children_;
   std::map<std::string, MalleableJobEntry> malleable_jobs_;
   ckpt::IoScheduler ckpt_io_;

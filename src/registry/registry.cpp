@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <ranges>
+#include <utility>
 
 #include "ars/obs/metrics.hpp"
 #include "ars/obs/tracer.hpp"
@@ -26,19 +28,32 @@ constexpr double kPerProcessCooldown = 30.0;
 /// access, the process is not to be migrated").
 constexpr double kLocalityThreshold = 0.5;
 /// A commanded relaunch is fire-and-forget on the wire; if no monitor
-/// re-reports the process within this long, the registry re-parks it on the
-/// stranded list and retries (the middleware's single-consumer checkpoint
-/// park makes a duplicate command a harmless no-op).
+/// re-reports the process within this long, the registry parks it as
+/// stranded and retries (the middleware's single-consumer checkpoint park
+/// makes a duplicate command a harmless no-op).
 constexpr double kRelaunchConfirmTtl = 15.0;
 /// Re-admission backoff after an outcome report names a failed destination:
 /// the host is filtered from eligibility for this long.
 constexpr double kSuspectBackoff = 30.0;
-/// An in-flight placement debit whose outcome never arrives (lost report,
-/// dead commander) is dropped by the sweeper after this long.
+/// A migration or resize claim whose outcome never arrives (lost command
+/// or report, dead commander) is dropped by the sweeper after this long.
 constexpr double kPlacementDebitTtl = 120.0;
 
-std::string process_key(const std::string& host, int pid) {
-  return host + ":" + std::to_string(pid);
+/// Sort key of the park and relaunch-command orders.
+constexpr auto kByOrder = [](const auto& record) { return record.order; };
+
+/// The records of `ledger` that `pick` selects, sorted by `key`.
+template <typename Ledger, typename Pick, typename Key>
+auto sorted_records(Ledger& ledger, Pick pick, Key key) {
+  std::vector<decltype(&ledger.begin()->second)> records;
+  for (auto& [name, record] : ledger) {
+    if (pick(record)) {
+      records.push_back(&record);
+    }
+  }
+  std::ranges::stable_sort(records, {},
+                           [&](auto* record) { return key(*record); });
+  return records;
 }
 
 const char* strategy_name(DestinationStrategy strategy) {
@@ -146,10 +161,11 @@ void Registry::clear_soft_state() {
   for (StateList& list : index_) {
     list = StateList{};
   }
-  processes_.clear();
-  stranded_.clear();
-  inflight_.clear();
-  pending_relaunches_.clear();
+  ledger_.clear();
+  for (auto& [name, job] : malleable_jobs_) {
+    job.resizing = false;
+    job.pending_targets.clear();
+  }
   children_.clear();
   next_registration_order_ = 0;
 }
@@ -413,43 +429,33 @@ void Registry::handle(const ProtocolMessage& message,
     return;
   }
   if (const auto* preg = std::get_if<xmlproto::ProcessRegisterMsg>(&message)) {
-    if (preg->migration_enabled) {
-      // Process names are cluster-unique: this registration supersedes any
-      // older entry for the name — in particular the placeholder a
-      // committed migration parks on the destination (see
-      // on_migration_outcome) and the stale source-host entry whose
-      // deregister got lost on the wire.
-      if (const auto it = find_booked(preg->name); it != processes_.end()) {
-        processes_.erase(it);
-      }
-      ProcessEntry entry;
-      entry.host = preg->host;
-      entry.pid = preg->pid;
-      entry.name = preg->name;
-      entry.start_time = preg->start_time;
-      entry.schema_name = preg->schema_name;
-      processes_.insert_or_assign(process_key(preg->host, preg->pid),
-                                  std::move(entry));
-      if (!pending_relaunches_.empty()) {
-        // A monitor re-reporting the process confirms its relaunch landed
-        // (event-driven, so a fast process that exits before the TTL check
-        // still counts as confirmed).
-        std::erase_if(pending_relaunches_,
-                      [&](const PendingRelaunch& pending) {
-                        return pending.process.name == preg->name;
-                      });
-      }
+    if (!preg->migration_enabled) {
+      return;
     }
+    ProcessRecord& record = record_of(preg->name);
+    if (record.retired == std::pair(preg->host, preg->pid)) {
+      return;  // from the instance a committed migration retired: stale
+    }
+    // Names are cluster-unique, so this is where the process runs now: it
+    // supersedes a placeholder or a booking whose deregister got lost, and
+    // confirms a pending relaunch (event-driven, so a fast process that
+    // exits before the TTL check still counts as confirmed).
+    book(record, {.host = preg->host,
+                  .pid = preg->pid,
+                  .name = preg->name,
+                  .start_time = preg->start_time,
+                  .schema_name = preg->schema_name});
     return;
   }
   if (const auto* dereg =
           std::get_if<xmlproto::ProcessDeregisterMsg>(&message)) {
     // A deregister means the process left its host cleanly (finished or
-    // migrated away) — any relaunch queued for it is stale.
-    if (const auto it = processes_.find(process_key(dereg->host, dereg->pid));
-        it != processes_.end()) {
-      abandon_relaunch(it->second.name, "deregistered");
-      processes_.erase(it);
+    // migrated away): off the books, and no relaunch is owed any more.
+    for (ProcessRecord* record : booked_on(dereg->host)) {
+      if (record->process.pid == dereg->pid) {
+        abandon_relaunch(*record, "deregistered");
+        unbook(*record);
+      }
     }
     return;
   }
@@ -460,11 +466,14 @@ void Registry::handle(const ProtocolMessage& message,
   if (const auto* ack = std::get_if<xmlproto::AckMsg>(&message)) {
     // Commander acknowledgements are informational except one: a relaunch
     // rejected because the process already exited normally.  Retrying that
-    // forever would park finished work on the stranded list until the
-    // horizon — abandon it instead.
+    // forever would leave finished work stranded until the horizon —
+    // abandon it instead.
     if (ack->of == "relaunch" && !ack->ok &&
         ack->detail.rfind("exited:", 0) == 0) {
-      abandon_relaunch(ack->detail.substr(7), "exited");
+      if (const auto it = ledger_.find(ack->detail.substr(7));
+          it != ledger_.end()) {
+        abandon_relaunch(it->second, "exited");
+      }
     }
     return;
   }
@@ -506,47 +515,7 @@ sim::Task<> Registry::sweep() {
     // Retry stranded restarts first: capacity freed since the last sweep
     // (and this tick's expiries have not been processed yet).
     drain_stranded();
-    // A placement whose outcome report was lost must not debit its
-    // destination forever.
-    const std::vector<PlacementDebit> expired = drop_debits(
-        [now](const PlacementDebit& debit) {
-          return now - debit.at > kPlacementDebitTtl;
-        },
-        "registry.placements_expired");
-    // An expired migration debit whose process is on nobody's books means
-    // the outcome report AND the destination's registration both vanished
-    // (lossy wire, destination crash).  If that transfer committed, the
-    // process died with the destination and no lease expiry will ever
-    // speak for it — relaunch from checkpoint.  Exactly-once is safe: a
-    // commander refuses to relaunch a process that exited normally and
-    // the registry abandons the command.
-    if (config_.auto_restart) {
-      for (const PlacementDebit& debit : expired) {
-        if (debit.owner == PlacementDebit::Owner::kResize) {
-          continue;  // resize debits are per-target shares, not processes
-        }
-        if (find_booked(debit.name) != processes_.end()) {
-          continue;
-        }
-        ARS_LOG_WARN("registry", "placement debit for "
-                                     << debit.name
-                                     << " expired with no book entry; "
-                                        "relaunching from checkpoint");
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("registry.debit_orphan_restarts").inc();
-        }
-        ProcessEntry lost;
-        lost.host = debit.dest;
-        lost.pid = next_placeholder_pid_--;
-        lost.name = debit.name;
-        lost.start_time = now;
-        lost.schema_name = debit.schema_name;
-        RecoveryRound round;
-        if (!restart_process(lost, round, /*record_stranded=*/true)) {
-          park(lost);
-        }
-      }
-    }
+    expire_claims(now);
     // A relaunch command lost on the wire (partition, dead commander)
     // must not strand the process: unconfirmed relaunches re-park.
     confirm_relaunches(now);
@@ -574,7 +543,12 @@ sim::Task<> Registry::sweep() {
                {"silent_for", now - entry.last_update}});
         }
         if (config_.auto_restart) {
-          restart_processes_of(name);
+          // Failure recovery: relaunch everything booked on the silent
+          // host from its latest checkpoint, spread by the round's debits.
+          RecoveryRound round;
+          for (ProcessRecord* record : booked_on(name)) {
+            restart_process(*record, round, /*record_stranded=*/true);
+          }
         }
       }
     }
@@ -684,7 +658,7 @@ void Registry::plan_resizes(const double now) {
       continue;
     }
     // Slack: free hosts not already carrying a rank of this job (and not
-    // already debited by another in-flight placement) take one new rank
+    // already claimed by another in-flight placement) take one new rank
     // each, up to the per-command step.
     if (job.ranks >= job.max_ranks) {
       continue;
@@ -698,13 +672,8 @@ void Registry::plan_resizes(const double now) {
       const std::string& candidate = entry->info.host;
       if (candidate == job.root_host || occupied.count(candidate) != 0 ||
           entry->draining || !entry->status_seen ||
-          entry->suspect_until > now) {
-        continue;
-      }
-      const bool debited = std::any_of(
-          inflight_.begin(), inflight_.end(),
-          [&](const PlacementDebit& d) { return d.dest == candidate; });
-      if (debited) {
+          entry->suspect_until > now ||
+          inflight_debit(candidate).placements != 0) {
         continue;
       }
       targets.push_back(candidate);
@@ -732,23 +701,20 @@ void Registry::command_resize(MalleableJobEntry& job, const std::string& verb,
   cmd.delta = static_cast<int>(hosts.size());
   cmd.strategy = job.strategy;
   cmd.hosts = hosts;
-  if (verb == "expand") {
-    // Debit each target so parallel planning rounds spread placements
-    // instead of piling onto the same slack host; the outcome report
-    // credits them back, exactly like a migration's PlacementDebit.
-    for (const std::string& target : hosts) {
-      debit_placement(PlacementDebit::Owner::kResize, job.name, target, "");
-    }
-    job.pending_targets = hosts;
-  } else {
-    job.pending_targets.clear();
-  }
+  // The job's claim: each expand target counts as an in-flight placement
+  // until the outcome (or the claim's expiry) closes it, so parallel
+  // planning rounds spread instead of piling onto the same slack host.
+  job.pending_targets = verb == "expand" ? hosts : std::vector<std::string>{};
   job.resizing = true;
   job.last_resize_at = now;
   ++resizes_commanded_;
   if (config_.metrics != nullptr) {
     config_.metrics->counter("registry.resizes_commanded", {{"verb", verb}})
         .inc();
+    if (verb == "expand") {
+      config_.metrics->gauge("registry.placements_inflight")
+          .set(static_cast<double>(inflight_placements()));
+    }
   }
   if (obs::active(config_.tracer)) {
     obs::Attrs attrs{{"job", job.name},
@@ -783,17 +749,11 @@ void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
     config_.tracer->instant("registry.resize_outcome", "scheduler",
                             host_->name(), std::move(attrs));
   }
-  // Credit every per-target debit of this job's in-flight command.
-  drop_debits(
-      [&](const PlacementDebit& debit) {
-        return debit.owner == PlacementDebit::Owner::kResize &&
-               debit.name == outcome.job;
-      },
-      "registry.placements_credited");
   const auto it = malleable_jobs_.find(outcome.job);
   if (it == malleable_jobs_.end()) {
     return;
   }
+  // Close the job's claim: its expand targets are credited back.
   MalleableJobEntry& job = it->second;
   job.resizing = false;
   if (outcome.ranks_after > 0) {
@@ -807,7 +767,13 @@ void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
       suspect(target, now);
     }
   }
-  job.pending_targets.clear();
+  const std::size_t credited = std::exchange(job.pending_targets, {}).size();
+  if (credited != 0 && config_.metrics != nullptr) {
+    config_.metrics->counter("registry.placements_credited")
+        .inc(static_cast<double>(credited));
+    config_.metrics->gauge("registry.placements_inflight")
+        .set(static_cast<double>(inflight_placements()));
+  }
   if (outcome.reason == "job-finished" || outcome.reason == "job-failed") {
     malleable_jobs_.erase(it);  // terminal: stop planning resizes for it
   }
@@ -883,30 +849,82 @@ void Registry::send_ckpt_grant(const std::string& host,
   send_to(host, it->second.commander_port, grant, ctx);
 }
 
-void Registry::restart_processes_of(const std::string& lost_host) {
-  // Failure recovery: every process registered on the silent host is
-  // relaunched elsewhere from its latest checkpoint.  The destination's
-  // commander performs the relaunch; the lost host's entries are dropped.
-  // Placements within the round debit each other so the processes spread
-  // instead of piling onto the first free host.
-  std::vector<ProcessEntry> lost;
-  for (const auto& [key, entry] : processes_) {
-    if (entry.host == lost_host) {
-      lost.push_back(entry);
-    }
-  }
-  RecoveryRound round;
-  for (const ProcessEntry& process : lost) {
-    processes_.erase(process_key(process.host, process.pid));
-    if (!restart_process(process, round, /*record_stranded=*/true)) {
-      park(process);  // the sweeper retries once capacity frees up
-    }
+// -- process ledger ---------------------------------------------------------
+
+Registry::ProcessRecord& Registry::record_of(const std::string& name) {
+  ProcessRecord& record = ledger_[name];
+  record.process.name = name;
+  return record;
+}
+
+void Registry::book(ProcessRecord& record, ProcessEntry process) {
+  record.recovery_unreported = record.parked();
+  record.state = ProcessState::kRunning;
+  record.process = std::move(process);
+}
+
+void Registry::unbook(ProcessRecord& record) {
+  if (record.claim.has_value()) {
+    record.state = ProcessState::kClaimOnly;
+  } else {
+    ledger_.erase(ledger_.find(record.process.name));
   }
 }
 
-bool Registry::restart_process(const ProcessEntry& process,
-                               RecoveryRound& round, bool record_stranded,
-                               obs::TraceCtx cause) {
+std::vector<Registry::ProcessRecord*> Registry::booked_on(
+    const std::string& host) {
+  return sorted_records(
+      ledger_,
+      [&](const ProcessRecord& r) {
+        return r.state == ProcessState::kRunning && r.process.host == host;
+      },
+      [](const ProcessRecord& r) { return std::to_string(r.process.pid); });
+}
+
+std::size_t Registry::process_count() const {
+  return static_cast<std::size_t>(std::ranges::count(
+      ledger_ | std::views::values, ProcessState::kRunning,
+      &ProcessRecord::state));
+}
+
+std::vector<ProcessEntry> Registry::stranded() const {
+  std::vector<ProcessEntry> parked;
+  for (const ProcessRecord* record : sorted_records(
+           ledger_, std::mem_fn(&ProcessRecord::parked), kByOrder)) {
+    parked.push_back(record->process);
+  }
+  return parked;
+}
+
+std::size_t Registry::inflight_placements() const {
+  auto claims = static_cast<std::size_t>(std::ranges::count_if(
+      ledger_ | std::views::values,
+      [](const ProcessRecord& record) { return record.claim.has_value(); }));
+  for (const auto& [name, job] : malleable_jobs_) {
+    claims += job.pending_targets.size();
+  }
+  return claims;
+}
+
+Registry::Debit Registry::inflight_debit(const std::string& host_name) const {
+  Debit debit;
+  for (const auto& [name, record] : ledger_) {
+    if (record.claim.has_value() && record.claim->dest == host_name) {
+      ++debit.placements;
+      debit.memory_bytes += record.claim->memory_bytes;
+      debit.disk_bytes += record.claim->disk_bytes;
+    }
+  }
+  for (const auto& [name, job] : malleable_jobs_) {
+    debit.placements += static_cast<int>(std::count(
+        job.pending_targets.begin(), job.pending_targets.end(), host_name));
+  }
+  return debit;
+}
+
+bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
+                               bool record_stranded, obs::TraceCtx cause) {
+  const ProcessEntry& process = record.process;
   // A restart opens a fresh transaction: the registry is the originator
   // (no consult precedes it), so the decision event is the DAG root.
   obs::TraceCtx ctx;
@@ -922,6 +940,7 @@ bool Registry::restart_process(const ProcessEntry& process,
   const HostEntry* chosen =
       place(process.host, process.schema_name,
             want_audit() ? &decision.candidates : nullptr, &round);
+  record.recovery_unreported = false;
   if (chosen == nullptr) {
     if (record_stranded) {
       ARS_LOG_ERROR("registry", "no host to restart " << process.name
@@ -934,6 +953,11 @@ bool Registry::restart_process(const ProcessEntry& process,
         config_.metrics->counter("registry.restarts_stranded").inc();
       }
     }
+    // Parked for the sweeper, which retries once capacity frees up.
+    if (record.state != ProcessState::kStranded) {
+      record.state = ProcessState::kStranded;
+      record.order = ++ledger_clock_;
+    }
     return false;
   }
   decision.destination = chosen->info.host;
@@ -945,7 +969,7 @@ bool Registry::restart_process(const ProcessEntry& process,
   }
   // Restarts commanded earlier in this round occupy resources the
   // destination's next heartbeat cannot yet reflect.
-  RecoveryRound::Debit& debit = round.by_host[chosen->info.host];
+  Debit& debit = round[chosen->info.host];
   ++debit.placements;
   if (const auto it = schemas_.find(process.schema_name);
       it != schemas_.end()) {
@@ -959,83 +983,66 @@ bool Registry::restart_process(const ProcessEntry& process,
   ARS_LOG_WARN("registry", "restarting " << process.name << " on "
                                          << chosen->info.host);
   send_to(chosen->info.host, chosen->commander_port, command, ctx);
-  // Track the command until a monitor re-reports the process: the wire is
-  // lossy and a vanished RelaunchCmd must not lose the process for good.
-  std::erase_if(pending_relaunches_, [&](const PendingRelaunch& pending) {
-    return pending.process.name == process.name;
-  });
-  pending_relaunches_.push_back(
-      PendingRelaunch{process, chosen->info.host, host_->engine().now()});
+  // Relaunching until a monitor re-reports the process: the wire is lossy
+  // and a vanished RelaunchCmd must not lose the process for good.
+  record.state = ProcessState::kRelaunching;
+  record.relaunch_dest = chosen->info.host;
+  record.relaunched_at = host_->engine().now();
+  record.order = ++ledger_clock_;
   return true;
 }
 
-void Registry::abandon_relaunch(const std::string& process_name,
+void Registry::abandon_relaunch(ProcessRecord& record,
                                 const std::string& reason) {
-  const auto dropped =
-      std::erase_if(stranded_, [&](const ProcessEntry& process) {
-        return process.name == process_name;
-      }) +
-      std::erase_if(pending_relaunches_, [&](const PendingRelaunch& pending) {
-        return pending.process.name == process_name;
-      });
-  if (dropped == 0) {
+  if (record.state != ProcessState::kRelaunching && !record.parked()) {
     return;
   }
-  ARS_LOG_INFO("registry", "abandoning relaunch of " << process_name << " ("
-                                                     << reason << ")");
+  ARS_LOG_INFO("registry", "abandoning relaunch of "
+                               << record.process.name << " (" << reason << ")");
   if (config_.metrics != nullptr) {
     config_.metrics->counter("registry.relaunches_abandoned").inc();
   }
   if (obs::active(config_.tracer)) {
     config_.tracer->instant(
         "registry.relaunch_abandoned", "scheduler", host_->name(),
-        {{"process", process_name}, {"reason", reason}});
+        {{"process", record.process.name}, {"reason", reason}});
+  }
+  if (record.state == ProcessState::kRunning) {
+    record.recovery_unreported = false;
+  } else {
+    unbook(record);
   }
 }
 
 void Registry::drain_stranded() {
-  if (stranded_.empty()) {
-    return;
-  }
-  // A stranded process a monitor has re-reported is alive again (an earlier
-  // relaunch landed, or the lease expiry was spurious) — its retry is done.
-  std::erase_if(stranded_, [&](const ProcessEntry& process) {
-    const bool booked = find_booked(process.name) != processes_.end();
-    if (booked && config_.metrics != nullptr) {
-      config_.metrics->counter("registry.stranded_recovered").inc();
-    }
-    return booked;
-  });
   RecoveryRound round;
-  std::vector<ProcessEntry> still;
-  still.reserve(stranded_.size());
-  for (const ProcessEntry& process : stranded_) {
-    if (!restart_process(process, round, /*record_stranded=*/false)) {
-      still.push_back(process);
+  int recovered = 0;
+  for (ProcessRecord* record : sorted_records(
+           ledger_, std::mem_fn(&ProcessRecord::parked), kByOrder)) {
+    if (record->state == ProcessState::kRunning) {
+      // A monitor re-reported it since it was parked (an earlier relaunch
+      // landed, or the lease expiry was spurious): its retry is done.
+      record->recovery_unreported = false;
+      ++recovered;
+    } else if (restart_process(*record, round, /*record_stranded=*/false)) {
+      ++recovered;
     }
   }
-  if (still.size() != stranded_.size() && config_.metrics != nullptr) {
-    config_.metrics->counter("registry.stranded_recovered")
-        .inc(static_cast<double>(stranded_.size() - still.size()));
+  if (recovered != 0 && config_.metrics != nullptr) {
+    config_.metrics->counter("registry.stranded_recovered").inc(recovered);
   }
-  stranded_.swap(still);
 }
 
 void Registry::confirm_relaunches(double now) {
-  std::vector<PendingRelaunch> unconfirmed;
-  std::erase_if(pending_relaunches_, [&](const PendingRelaunch& pending) {
-    if (now - pending.commanded_at <= kRelaunchConfirmTtl) {
-      return false;  // still inside the confirmation window
-    }
-    // A monitor that has re-reported the process confirms the relaunch.
-    if (find_booked(pending.process.name) == processes_.end()) {
-      unconfirmed.push_back(pending);
-    }
-    return true;
-  });
-  for (const PendingRelaunch& pending : unconfirmed) {
-    ARS_LOG_WARN("registry", "relaunch of " << pending.process.name << " on "
-                                            << pending.dest
+  for (ProcessRecord* record : sorted_records(
+           ledger_,
+           [now](const ProcessRecord& r) {
+             return r.state == ProcessState::kRelaunching &&
+                    now - r.relaunched_at > kRelaunchConfirmTtl;
+           },
+           kByOrder)) {
+    ARS_LOG_WARN("registry", "relaunch of " << record->process.name << " on "
+                                            << record->relaunch_dest
                                             << " unconfirmed; retrying");
     if (config_.metrics != nullptr) {
       config_.metrics->counter("registry.relaunches_retried").inc();
@@ -1043,86 +1050,72 @@ void Registry::confirm_relaunches(double now) {
     if (obs::active(config_.tracer)) {
       config_.tracer->instant("registry.relaunch_retry", "scheduler",
                               host_->name(),
-                              {{"process", pending.process.name},
-                               {"dest", pending.dest}});
+                              {{"process", record->process.name},
+                               {"dest", record->relaunch_dest}});
     }
-    park(pending.process);
+    record->state = ProcessState::kStranded;
+    record->order = ++ledger_clock_;
   }
 }
 
-void Registry::park(const ProcessEntry& process) {
-  const bool already =
-      std::any_of(stranded_.begin(), stranded_.end(),
-                  [&](const ProcessEntry& p) { return p.name == process.name; });
-  if (!already) {
-    stranded_.push_back(process);
+void Registry::expire_claims(double now) {
+  std::size_t expired = 0;
+  for (auto& [name, job] : malleable_jobs_) {
+    if (job.resizing && now - job.last_resize_at > kPlacementDebitTtl) {
+      // The command or its outcome was lost: planning resumes.
+      expired += std::exchange(job.pending_targets, {}).size();
+      job.resizing = false;
+    }
   }
-}
-
-std::map<std::string, ProcessEntry>::iterator Registry::find_booked(
-    const std::string& name) {
-  return std::find_if(processes_.begin(), processes_.end(),
-                      [&](const auto& kv) { return kv.second.name == name; });
-}
-
-void Registry::debit_placement(PlacementDebit::Owner owner,
-                               const std::string& name,
-                               const std::string& dest,
-                               const std::string& schema_name) {
-  // A process has at most one migration in flight, and a job at most one
-  // expand per target: a new command supersedes any stale debit (bounds
-  // the list when outcomes get lost).
-  std::erase_if(inflight_, [&](const PlacementDebit& debit) {
-    return debit.owner == owner && debit.name == name &&
-           (owner == PlacementDebit::Owner::kMigration || debit.dest == dest);
-  });
-  PlacementDebit debit;
-  debit.owner = owner;
-  debit.name = name;
-  debit.dest = dest;
-  debit.schema_name = schema_name;
-  debit.at = host_->engine().now();
-  if (const auto it = schemas_.find(schema_name); it != schemas_.end()) {
-    debit.memory_bytes = it->second.requirements().min_memory_bytes;
-    debit.disk_bytes = it->second.requirements().min_disk_bytes;
+  // Every expired claim closes before the orphans are placed: none of
+  // them may debit a destination any more.
+  std::vector<ProcessRecord*> orphans;
+  for (ProcessRecord* record : sorted_records(
+           ledger_,
+           [now](const ProcessRecord& r) {
+             return r.claim && now - r.claim->at > kPlacementDebitTtl;
+           },
+           [](const ProcessRecord& r) { return r.claim->order; })) {
+    const MigrationClaim claim = *std::exchange(record->claim, std::nullopt);
+    ++expired;
+    if (record->state == ProcessState::kRunning) {
+      continue;
+    }
+    if (!config_.auto_restart) {
+      if (record->state == ProcessState::kClaimOnly) {
+        unbook(*record);
+      }
+      continue;
+    }
+    record->process = {.host = claim.dest,
+                       .pid = next_placeholder_pid_--,
+                       .name = record->process.name,
+                       .start_time = now,
+                       .schema_name = claim.schema_name};
+    orphans.push_back(record);
   }
-  inflight_.push_back(std::move(debit));
-  if (config_.metrics != nullptr) {
+  if (expired != 0 && config_.metrics != nullptr) {
+    config_.metrics->counter("registry.placements_expired")
+        .inc(static_cast<double>(expired));
     config_.metrics->gauge("registry.placements_inflight")
-        .set(static_cast<double>(inflight_.size()));
+        .set(static_cast<double>(inflight_placements()));
   }
-}
-
-std::pair<std::uint64_t, std::uint64_t> Registry::inflight_debit(
-    const std::string& host_name) const {
-  std::uint64_t memory = 0;
-  std::uint64_t disk = 0;
-  for (const PlacementDebit& debit : inflight_) {
-    if (debit.dest == host_name) {
-      memory += debit.memory_bytes;
-      disk += debit.disk_bytes;
+  for (ProcessRecord* record : orphans) {
+    // The outcome report AND the destination's registration both vanished
+    // (lossy wire, destination crash).  If the transfer committed, no lease
+    // expiry will ever speak for the process — relaunch from checkpoint.
+    // Exactly-once is safe: a commander refuses to relaunch a process that
+    // exited normally and the registry abandons the command.
+    ARS_LOG_WARN("registry", "placement debit for "
+                                 << record->process.name
+                                 << " expired with no book entry; "
+                                    "relaunching from checkpoint");
+    if (config_.metrics != nullptr) {
+      config_.metrics->counter("registry.debit_orphan_restarts").inc();
     }
+    RecoveryRound round;
+    restart_process(*record, round, /*record_stranded=*/true);
   }
-  return {memory, disk};
-}
-
-std::vector<Registry::PlacementDebit> Registry::drop_debits(
-    const std::function<bool(const PlacementDebit&)>& selected,
-    const char* counter) {
-  std::vector<PlacementDebit> dropped;
-  std::erase_if(inflight_, [&](const PlacementDebit& debit) {
-    if (!selected(debit)) {
-      return false;
-    }
-    dropped.push_back(debit);
-    return true;
-  });
-  if (!dropped.empty() && config_.metrics != nullptr) {
-    config_.metrics->counter(counter).inc(static_cast<double>(dropped.size()));
-    config_.metrics->gauge("registry.placements_inflight")
-        .set(static_cast<double>(inflight_.size()));
-  }
-  return dropped;
 }
 
 const HostEntry* Registry::suspect(const std::string& host, double now) {
@@ -1155,41 +1148,33 @@ void Registry::on_migration_outcome(
     config_.tracer->instant("registry.migration_outcome", "scheduler",
                             host_->name(), std::move(attrs));
   }
-  // Credit the in-flight placement debit back (a process has at most one:
-  // a newer command supersedes it, see debit_placement).
-  const std::vector<PlacementDebit> credited = drop_debits(
-      [&](const PlacementDebit& debit) {
-        return debit.owner == PlacementDebit::Owner::kMigration &&
-               debit.name == outcome.process;
-      },
-      "registry.placements_credited");
+  // Close the process's claim (it has at most one: a newer command
+  // supersedes the old).
+  ProcessRecord& record = record_of(outcome.process);
+  const std::optional<MigrationClaim> claim =
+      std::exchange(record.claim, std::nullopt);
+  if (claim.has_value() && config_.metrics != nullptr) {
+    config_.metrics->counter("registry.placements_credited").inc();
+    config_.metrics->gauge("registry.placements_inflight")
+        .set(static_cast<double>(inflight_placements()));
+  }
   if (outcome.outcome == "committed") {
-    // The authoritative ProcessRegisterMsg from the destination can be
-    // lost or arrive after the destination dies; until it lands the
-    // process would still be booked on the source — or on nobody once the
-    // source's deregister arrives — and a destination crash in that
-    // window would never trigger a relaunch.  Put the entry on the
-    // destination's books now under a placeholder pid (rebuilt from the
-    // placement debit if the deregister already erased it); the real
-    // registration supersedes it by name.
-    if (const auto it = find_booked(outcome.process); it == processes_.end()) {
-      ProcessEntry rebuilt;
-      rebuilt.host = outcome.destination;
-      rebuilt.pid = next_placeholder_pid_--;
-      rebuilt.name = outcome.process;
-      rebuilt.start_time = now;
-      if (!credited.empty()) {
-        rebuilt.schema_name = credited.front().schema_name;
-      }
-      processes_.insert_or_assign(process_key(rebuilt.host, rebuilt.pid),
-                                  std::move(rebuilt));
-    } else if (it->second.host != outcome.destination) {
-      ProcessEntry moved = it->second;
-      processes_.erase(it);
-      moved.host = outcome.destination;
-      moved.pid = next_placeholder_pid_--;
-      processes_.insert_or_assign(process_key(moved.host, moved.pid),
-                                  std::move(moved));
+    // The destination's own registration can be lost or arrive after the
+    // destination dies, and until then a crash there would relaunch
+    // nothing.  Book the process there now under a placeholder pid
+    // (rebuilt from the claim if it is on nobody's books).
+    if (record.state != ProcessState::kRunning) {
+      book(record, {.host = outcome.destination,
+                    .pid = next_placeholder_pid_--,
+                    .name = outcome.process,
+                    .start_time = now,
+                    .schema_name = claim ? claim->schema_name : ""});
+    } else if (record.process.host != outcome.destination) {
+      // The source instance is gone for good: a registration it sent before
+      // the commit must not book the process back there.
+      record.retired = {record.process.host, record.process.pid};
+      record.process.host = outcome.destination;
+      record.process.pid = next_placeholder_pid_--;
     }
     return;
   }
@@ -1207,34 +1192,32 @@ void Registry::on_migration_outcome(
     // destination, so the source lease never lapses for it — command the
     // checkpoint-restart directly instead of waiting for a lease that is
     // not coming.
-    ProcessEntry lost;
-    if (const auto it = find_booked(outcome.process); it != processes_.end()) {
-      lost = it->second;
-      processes_.erase(it);
-    } else {
+    if (record.state != ProcessState::kRunning) {
       // The destination died before its monitor ever reported the arrival;
       // reconstruct what the relaunch needs from the outcome itself.
-      lost.name = outcome.process;
-      lost.host = outcome.destination;
+      record.process = {.host = outcome.destination,
+                        .name = outcome.process,
+                        .schema_name = {}};
     }
     if (config_.metrics != nullptr) {
       config_.metrics->counter("registry.rollback_restarts").inc();
     }
     RecoveryRound round;
-    if (!restart_process(lost, round, /*record_stranded=*/true, ctx)) {
-      park(lost);
-    }
+    restart_process(record, round, /*record_stranded=*/true, ctx);
     return;
+  }
+  if (record.state == ProcessState::kClaimOnly) {
+    unbook(record);  // the closed claim was all there was
+  } else if (outcome.outcome == "aborted" &&
+             record.state == ProcessState::kRunning &&
+             record.process.host == outcome.source) {
+    // Aborted: the process still runs on the source.  Clear its cooldown
+    // (this migration never happened); the re-plan below runs right away
+    // instead of waiting for the monitor's next overload report.
+    record.process.last_migrated_at = -1.0e9;
   }
   if (outcome.outcome != "aborted") {
     return;
-  }
-  // Aborted: the process still runs on the source.  Clear its cooldown
-  // (this migration never happened) and re-plan right away instead of
-  // waiting for the monitor's next overload report.
-  if (const auto it = find_booked(outcome.process);
-      it != processes_.end() && it->second.host == outcome.source) {
-    it->second.last_migrated_at = -1.0e9;
   }
   xmlproto::ConsultMsg consult;
   consult.host = outcome.source;
@@ -1282,10 +1265,8 @@ const ProcessEntry* Registry::select_process(const std::string& source_host) {
   const double now = host_->engine().now();
   const ProcessEntry* best = nullptr;
   double best_completion = -1.0;
-  for (auto& [key, entry] : processes_) {
-    if (entry.host != source_host) {
-      continue;
-    }
+  for (const ProcessRecord* record : booked_on(source_host)) {
+    const ProcessEntry& entry = record->process;
     if (now - entry.last_migrated_at < kPerProcessCooldown) {
       continue;
     }
@@ -1373,8 +1354,8 @@ const HostEntry* Registry::place(const std::string& source_host,
     // Spread the round: only destinations with the fewest placements so
     // far stay in play.
     const auto placements = [round](const HostEntry* entry) {
-      const auto it = round->by_host.find(entry->info.host);
-      return it == round->by_host.end() ? 0 : it->second.placements;
+      const auto it = round->find(entry->info.host);
+      return it == round->end() ? 0 : it->second.placements;
     };
     int fewest = std::numeric_limits<int>::max();
     for (const HostEntry* entry : eligible) {
@@ -1451,18 +1432,19 @@ Registry::Rejection Registry::destination_rejection(
         entry.info.cpu_speed < req.min_cpu_speed) {
       return Rejection::kResources;
     }
-    const auto [mem_debit, disk_debit] = inflight_debit(entry.info.host);
-    if ((mem_debit != 0 || disk_debit != 0) &&
-        (entry.info.memory_bytes < req.min_memory_bytes + mem_debit ||
-         entry.info.disk_bytes < req.min_disk_bytes + disk_debit)) {
+    const auto exhausts = [&](const Debit& debit) {
+      return entry.info.memory_bytes <
+                 req.min_memory_bytes + debit.memory_bytes ||
+             entry.info.disk_bytes < req.min_disk_bytes + debit.disk_bytes;
+    };
+    const Debit inflight = inflight_debit(entry.info.host);
+    if ((inflight.memory_bytes != 0 || inflight.disk_bytes != 0) &&
+        exhausts(inflight)) {
       return Rejection::kInflight;
     }
     if (round != nullptr) {
-      const auto it = round->by_host.find(entry.info.host);
-      if (it != round->by_host.end() &&
-          (entry.info.memory_bytes <
-               req.min_memory_bytes + it->second.memory_bytes ||
-           entry.info.disk_bytes < req.min_disk_bytes + it->second.disk_bytes)) {
+      const auto it = round->find(entry.info.host);
+      if (it != round->end() && exhausts(it->second)) {
         return Rejection::kRecoveryRound;
       }
     }
@@ -1547,10 +1529,8 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
   // destination; placements interleave with the transfers, so re-evaluate
   // the candidate list per process.
   std::vector<ProcessEntry> targets;
-  for (const auto& [key, entry] : processes_) {
-    if (entry.host == drained_host) {
-      targets.push_back(entry);
-    }
+  for (const ProcessRecord* record : booked_on(drained_host)) {
+    targets.push_back(record->process);
   }
   for (const ProcessEntry& process : targets) {
     // Each evacuated process gets its own transaction (one migration per
@@ -1698,12 +1678,11 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   const ProcessEntry* process = select_process(consult.host);
   // An escalated consult carries the child's selection; adopt it when the
   // process is unknown locally.
-  ProcessEntry carried;
+  const ProcessEntry carried{.host = consult.host,
+                             .pid = consult.pid,
+                             .name = consult.process_name,
+                             .schema_name = consult.schema_name};
   if (process == nullptr && consult.pid != 0) {
-    carried.host = consult.host;
-    carried.pid = consult.pid;
-    carried.name = consult.process_name;
-    carried.schema_name = consult.schema_name;
     process = &carried;
   }
   if (process == nullptr) {
@@ -1763,10 +1742,10 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   record(decision, "migrate");
 
   // Note the migration so the selector does not immediately re-choose it.
-  const auto process_it =
-      processes_.find(process_key(process->host, process->pid));
-  if (process_it != processes_.end()) {
-    process_it->second.last_migrated_at = now;
+  for (ProcessRecord* booked : booked_on(process->host)) {
+    if (booked->process.pid == process->pid) {
+      booked->process.last_migrated_at = now;
+    }
   }
   ARS_LOG_INFO("registry", "decision: migrate " << process->name << " from "
                                                 << consult.host << " to "
@@ -1784,9 +1763,21 @@ void Registry::command_migration(const ProcessEntry& process, int source_port,
   command.dest_port = dest.commander_port;
   command.schema_name = process.schema_name;
   send_to(process.host, source_port, command, ctx);
-  // In-flight debit until the source commander reports the outcome.
-  debit_placement(PlacementDebit::Owner::kMigration, process.name,
-                  dest.info.host, process.schema_name);
+  // The claim debits `dest` until the source commander reports the outcome.
+  MigrationClaim& claim = record_of(process.name).claim.emplace();
+  claim.dest = dest.info.host;
+  claim.schema_name = process.schema_name;
+  claim.at = host_->engine().now();
+  claim.order = ++ledger_clock_;
+  if (const auto it = schemas_.find(process.schema_name);
+      it != schemas_.end()) {
+    claim.memory_bytes = it->second.requirements().min_memory_bytes;
+    claim.disk_bytes = it->second.requirements().min_disk_bytes;
+  }
+  if (config_.metrics != nullptr) {
+    config_.metrics->gauge("registry.placements_inflight")
+        .set(static_cast<double>(inflight_placements()));
+  }
 }
 
 std::string Registry::decision_log() const {
