@@ -13,8 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -191,24 +193,45 @@ BENCHMARK(BM_RegistryRegisterStorm)->Arg(256)->Arg(1024);
 // --cluster-plan=FILE swaps in a committed plan (plans/huge-cluster.json is
 // the 100k-host instance); --shards=N overrides the per-arg shard sweep.
 
+/// The --cluster-plan options, read by main() before any benchmark runs.
+std::optional<core::ShardedClusterOptions>& cluster_plan() {
+  static std::optional<core::ShardedClusterOptions> plan;
+  return plan;
+}
+
+/// Read --cluster-plan into cluster_plan(); false, with the reason on
+/// stderr, when the file cannot be read or the loader refuses it.
+bool load_cluster_plan_flag() {
+  const std::string& path = bench::bench_cluster_plan();
+  if (path.empty()) {
+    return true;
+  }
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bad --cluster-plan %s: cannot read it\n",
+                 path.c_str());
+    return false;
+  }
+  std::stringstream text;
+  text << in.rdbuf();
+  auto loaded = core::load_cluster_plan(text.str());
+  if (!loaded.has_value()) {
+    std::fprintf(stderr, "bad --cluster-plan %s: %s\n", path.c_str(),
+                 loaded.error().to_string().c_str());
+    return false;
+  }
+  cluster_plan() = std::move(loaded.value());
+  return true;
+}
+
 core::ShardedClusterOptions scenario_options(int hosts, double duration) {
+  if (cluster_plan().has_value()) {
+    return *cluster_plan();
+  }
   core::ShardedClusterOptions options;
   options.hosts = hosts;
   options.duration = duration;
   options.tracing = false;  // measure the core, not the trace ring
-  const std::string& plan_path = bench::bench_cluster_plan();
-  if (!plan_path.empty()) {
-    std::ifstream in(plan_path);
-    std::stringstream text;
-    text << in.rdbuf();
-    auto loaded = core::load_cluster_plan(text.str());
-    if (loaded.has_value()) {
-      options = std::move(loaded.value());
-    } else {
-      std::fprintf(stderr, "bad --cluster-plan %s: %s\n", plan_path.c_str(),
-                   loaded.error().to_string().c_str());
-    }
-  }
   return options;
 }
 
@@ -260,4 +283,19 @@ BENCHMARK(BM_ShardedClusterHuge)
 
 }  // namespace
 
-ARS_BENCH_MAIN();
+// ARS_BENCH_MAIN plus the plan check: a plan that cannot be used stops the
+// run (exit 2) instead of measuring the built-in fleet in its place.
+int main(int argc, char** argv) {
+  char** args = bench::rewrite_gbench_args(&argc, argv);
+  if (!load_cluster_plan_flag()) {
+    return 2;
+  }
+  benchmark::Initialize(&argc, args);
+  if (benchmark::ReportUnrecognizedArguments(argc, args)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  bench::export_gbench_obs();
+  return 0;
+}

@@ -33,8 +33,10 @@ struct QueuePlan {
   std::vector<QueueJob> jobs;
 };
 
-/// Parse a productivity plan from JSON text.  Unknown keys (top-level or
-/// per-job) are errors, with the offending key path in the message.
+/// Parse a productivity plan from JSON text.  Unknown keys, wrong types,
+/// fractional counts and out-of-range values (top-level or per-job) are
+/// errors: the code is "plan.<key>" and the message starts with the key's
+/// path ("$.jobs[2].blocks").
 [[nodiscard]] support::Expected<QueuePlan> load_queue_plan(
     const std::string& json_text);
 

@@ -7,7 +7,7 @@
 // restart, CPU slowdown, monitor stall, and registry crash + cold restart.
 // Plans are built programmatically (fluent builder) or loaded from a strict
 // JSON file; both forms round-trip through to_json()/from_json(), and the
-// shipped plans/*.json files are exactly the builtins' serialization.
+// builtins' plans/<name>.json files are exactly their serialization.
 //
 // A plan is pure data — the FaultInjector turns it into scheduled engine
 // events and a net::FaultPolicy.  Everything that consumes randomness does
@@ -58,8 +58,6 @@ enum class FaultKind {
 };
 
 [[nodiscard]] std::string_view to_string(FaultKind kind) noexcept;
-[[nodiscard]] support::Expected<FaultKind> fault_kind_from_string(
-    std::string_view text);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kMessageLoss;
@@ -156,7 +154,9 @@ class FaultPlan {
 
   // -- JSON (strict; parsed with the obs parser) ----------------------------
   /// {"name": "...", "faults": [{"kind": "message_loss", "at": 40, ...}]}
-  /// Unknown keys, unknown kinds, and missing "kind"/"at" are errors.
+  /// Unknown keys, wrong types, unknown kinds, out-of-range values and
+  /// missing "faults"/"kind"/"at" are errors ("chaos.<key>", with the
+  /// key's path in the message).
   [[nodiscard]] static support::Expected<FaultPlan> from_json(
       std::string_view text);
   [[nodiscard]] std::string to_json() const;

@@ -32,6 +32,11 @@ struct FlightTrigger {
                                          const ScenarioReport& report,
                                          const FlightTrigger& trigger);
 
+/// Whether a bundle could carry `options`: the scenario's fields within the
+/// bounds replay_bundle enforces (the error names the first key outside
+/// them).  The plan is not checked.
+[[nodiscard]] support::Status check_scenario(const ScenarioOptions& options);
+
 /// Serialize `bundle` to `path` (parent directories are created).
 [[nodiscard]] support::Status write_bundle(const std::string& path,
                                            const obs::JsonValue& bundle);

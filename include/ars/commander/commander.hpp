@@ -88,6 +88,9 @@ class Commander {
 
   void reject_resize(const xmlproto::ResizeCmd& command,
                      const std::string& reason, obs::TraceCtx ctx);
+  /// Post `message` from this host to the registry, carrying `ctx`.
+  void send_to_registry(const xmlproto::ProtocolMessage& message,
+                        obs::TraceCtx ctx);
 
   host::Host* host_;
   net::Network* network_;

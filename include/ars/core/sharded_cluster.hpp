@@ -85,7 +85,8 @@ struct ShardedClusterOptions {
 
 /// Parse a cluster-plan JSON document (scripts/gen_cluster_plan.py writes
 /// them; plans/huge-cluster.json is the committed 100k-host instance).
-/// Unknown keys are ignored so plans stay forward-compatible.
+/// Unknown keys, wrong types, fractional counts and out-of-range values are
+/// refused: the error code is "plan.<key>" and the message names its path.
 [[nodiscard]] support::Expected<ShardedClusterOptions> load_cluster_plan(
     const std::string& json_text);
 

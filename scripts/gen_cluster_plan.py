@@ -7,17 +7,14 @@ count, registry topology, load mix, and chaos windows.  The committed
 plans/huge-cluster.json (100k hosts) and plans/huge-cluster-smoke.json (CI
 size) were produced by this script; regenerate or derive new ones with:
 
-  scripts/gen_cluster_plan.py --hosts 100000 --shards 8 \
-      --duration 120 --out plans/huge-cluster.json
+  scripts/gen_cluster_plan.py --hosts 100000 --shards 8 --duration 120 \
+      --name huge-cluster --no-tracing --out plans/huge-cluster.json
   scripts/gen_cluster_plan.py --hosts 2000 --shards 4 --duration 30 \
       --name huge-cluster-smoke --out plans/huge-cluster-smoke.json
 
-Unknown keys are ignored by the C++ loader, so plans written by newer
-versions of this script stay loadable — which also means a typo in a
-hand-edited plan silently becomes a default.  `--check FILE` closes that
-gap: it validates a plan against the schema this script generates,
-rejecting unknown top-level keys and reporting every error with the
-offending key path ($.hots: unknown key).
+The C++ loader is the one schema: it refuses unknown keys, wrong types and
+out-of-range values, naming the key ("plan.hots: $.hots: unknown key"), so
+a typo in a hand-edited plan is an error, never a silent default.
 
 Per-host crash-rate failures (a mean time between crashes) are not part of
 a cluster plan: they are a chaos fault plan's host_crash_rate fault, swept
@@ -26,93 +23,8 @@ with `tools/chaos_campaign --plan=ckpt-storm --mtbf=M1,M2,...`.
 
 import argparse
 import json
-import numbers
 import pathlib
 import sys
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# Top-level plan schema: key -> (predicate, description).  Mirrors
-# build_plan() below and core::load_cluster_plan's known keys.
-_SCHEMA = {
-    "name": (lambda v: isinstance(v, str) and v != "", "non-empty string"),
-    "hosts": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "shards": (lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "duration": (
-        lambda v: _is_num(v) and v > 0,
-        "number > 0",
-    ),
-    "cross_latency": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-    "hierarchical": (lambda v: isinstance(v, bool), "boolean"),
-    "delta_heartbeats": (lambda v: isinstance(v, bool), "boolean"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "busy_fraction": (
-        lambda v: _is_num(v) and 0 <= v <= 1,
-        "number in [0, 1]",
-    ),
-    "overloaded_fraction": (
-        lambda v: _is_num(v) and 0 <= v <= 1,
-        "number in [0, 1]",
-    ),
-    "tracing": (lambda v: isinstance(v, bool), "boolean"),
-    "trace_capacity": (
-        lambda v: _is_int(v) and v >= 0,
-        "integer >= 0",
-    ),
-    "generator": (lambda v: isinstance(v, str), "string"),
-    "message_loss": (
-        lambda v: _is_num(v) and 0 <= v <= 1,
-        "number in [0, 1]",
-    ),
-    "loss_from": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-    "loss_until": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-    "crash_hosts": (
-        lambda v: _is_int(v) and v >= 0,
-        "integer >= 0",
-    ),
-    "crash_at": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-    "crash_until": (
-        lambda v: _is_num(v) and v >= 0,
-        "number >= 0",
-    ),
-}
-
-_REQUIRED = ("name", "hosts", "shards", "duration")
-
-
-def validate_plan(plan) -> list:
-    """Schema errors as '$.key: what' strings; empty when the plan is valid."""
-    if not isinstance(plan, dict):
-        return ["$: expected a JSON object"]
-    errors = []
-    for key in sorted(plan):
-        if key not in _SCHEMA:
-            errors.append(f"$.{key}: unknown key")
-    for key in _REQUIRED:
-        if key not in plan:
-            errors.append(f"$.{key}: required key is missing")
-    for key, (accept, want) in _SCHEMA.items():
-        if key in plan and not accept(plan[key]):
-            errors.append(f"$.{key}: expected {want}, got {plan[key]!r}")
-    return sorted(errors)
 
 
 def build_plan(args: argparse.Namespace) -> dict:
@@ -129,7 +41,6 @@ def build_plan(args: argparse.Namespace) -> dict:
         "overloaded_fraction": args.overloaded_fraction,
         "tracing": not args.no_tracing,
         "trace_capacity": args.trace_capacity,
-        "generator": "scripts/gen_cluster_plan.py",
     }
     if args.message_loss > 0:
         plan["message_loss"] = args.message_loss
@@ -189,37 +100,14 @@ def main() -> int:
                         help="per-shard trace ring capacity")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="output file (default: stdout)")
-    parser.add_argument("--check", type=pathlib.Path, default=None,
-                        metavar="FILE",
-                        help="validate an existing plan file against the"
-                        " schema instead of generating one")
     args = parser.parse_args()
-
-    if args.check is not None:
-        try:
-            plan = json.loads(args.check.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"{args.check}: {exc}", file=sys.stderr)
-            return 1
-        errors = validate_plan(plan)
-        for error in errors:
-            print(f"{args.check}: {error}", file=sys.stderr)
-        if not errors:
-            print(f"{args.check}: ok", file=sys.stderr)
-        return 1 if errors else 0
 
     if args.hosts < 1 or args.shards < 1:
         parser.error("--hosts and --shards must be >= 1")
     if args.name is None:
         args.name = f"cluster-{args.hosts}x{args.shards}"
 
-    plan = build_plan(args)
-    errors = validate_plan(plan)
-    if errors:  # the generator drifting from its own schema is a bug
-        for error in errors:
-            print(f"generated plan: {error}", file=sys.stderr)
-        return 1
-    text = json.dumps(plan, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(build_plan(args), indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

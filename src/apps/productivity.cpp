@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ars/apps/resizable.hpp"
@@ -13,9 +13,9 @@
 namespace ars::apps {
 namespace {
 
-support::Error plan_error(const std::string& path, const std::string& what) {
-  return support::make_error("plan", path + ": " + what);
-}
+using obs::JsonField;
+
+constexpr std::string_view kJobKinds[] = {"stencil", "matmul", "custom"};
 
 // Workload presets for the named kinds; "custom" starts from the
 // malleable::Workload defaults and takes overrides verbatim.
@@ -29,12 +29,38 @@ malleable::Workload preset_workload(const std::string& kind) {
   return malleable::Workload{};
 }
 
-support::Expected<double> number_field(const obs::JsonValue& value,
-                                       const std::string& path) {
-  if (!value.is_number()) {
-    return plan_error(path, "expected a number");
+/// One job of the queue, read into `job` over its kind's preset workload.
+support::Status read_job(const obs::JsonValue& entry, const std::string& path,
+                         QueueJob& job) {
+  // The preset comes first so the job's own numbers override it; an
+  // unknown kind is refused by the table below.
+  if (const obs::JsonValue* kind = entry.find("kind");
+      kind != nullptr && kind->is_string()) {
+    job.workload = preset_workload(kind->as_string());
   }
-  return value.as_number();
+  malleable::Workload& work = job.workload;
+  const JsonField fields[] = {
+      JsonField("name", job.name).required().non_empty(),
+      JsonField("kind", job.kind).one_of(kJobKinds),
+      JsonField("arrival", job.arrival).at_least(0.0),
+      JsonField("initial_ranks", job.initial_ranks).at_least(1),
+      JsonField("min_ranks", job.min_ranks).at_least(1),
+      JsonField("max_ranks", job.max_ranks).at_least(1),
+      JsonField("blocks", work.blocks).at_least(1),
+      JsonField("work_per_block", work.work_per_block).at_least(0.0),
+      JsonField("bytes_per_block", work.bytes_per_block).at_least(0.0),
+      JsonField("iterations", work.iterations).at_least(1),
+      JsonField("sync_bytes", work.sync_bytes).at_least(0.0),
+  };
+  if (auto read = obs::json_read(entry, fields, "plan", path); !read) {
+    return read;
+  }
+  if (job.min_ranks > job.initial_ranks || job.initial_ranks > job.max_ranks) {
+    return support::make_error(
+        "plan.initial_ranks",
+        path + ".initial_ranks: need min_ranks <= initial_ranks <= max_ranks");
+  }
+  return support::Status::ok();
 }
 
 }  // namespace
@@ -44,129 +70,24 @@ support::Expected<QueuePlan> load_queue_plan(const std::string& json_text) {
   if (!parsed) {
     return support::make_error("plan", "$: " + parsed.error().message);
   }
-  const obs::JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return plan_error("$", "expected an object");
-  }
-
-  static const std::set<std::string> kTopKeys = {
-      "hosts", "resize_cooldown", "max_expand_step", "jobs"};
-  for (const auto& [key, value] : root.as_object()) {
-    (void)value;
-    if (!kTopKeys.contains(key)) {
-      return plan_error("$." + key, "unknown key");
-    }
-  }
-
   QueuePlan plan;
-  if (const obs::JsonValue* hosts = root.find("hosts")) {
-    auto n = number_field(*hosts, "$.hosts");
-    if (!n) return n.error();
-    plan.hosts = static_cast<int>(n.value());
-    if (plan.hosts < 1) return plan_error("$.hosts", "must be >= 1");
+  obs::JsonArray jobs;
+  const JsonField fields[] = {
+      JsonField("hosts", plan.hosts).at_least(1),
+      JsonField("resize_cooldown", plan.resize_cooldown).at_least(0.0),
+      JsonField("max_expand_step", plan.max_expand_step).at_least(1),
+      JsonField("jobs", jobs).required().non_empty(),
+  };
+  if (auto read = obs::json_read(*parsed, fields, "plan", "$"); !read) {
+    return read.error();
   }
-  if (const obs::JsonValue* cooldown = root.find("resize_cooldown")) {
-    auto n = number_field(*cooldown, "$.resize_cooldown");
-    if (!n) return n.error();
-    plan.resize_cooldown = n.value();
-  }
-  if (const obs::JsonValue* step = root.find("max_expand_step")) {
-    auto n = number_field(*step, "$.max_expand_step");
-    if (!n) return n.error();
-    plan.max_expand_step = static_cast<int>(n.value());
-  }
-
-  const obs::JsonValue* jobs = root.find("jobs");
-  if (jobs == nullptr || !jobs->is_array()) {
-    return plan_error("$.jobs", "expected an array of jobs");
-  }
-
-  static const std::set<std::string> kJobKeys = {
-      "name",      "kind",          "arrival",         "initial_ranks",
-      "min_ranks", "max_ranks",     "blocks",          "work_per_block",
-      "bytes_per_block", "iterations", "sync_bytes"};
-
-  int index = 0;
-  for (const obs::JsonValue& entry : jobs->as_array()) {
-    const std::string path = "$.jobs[" + std::to_string(index) + "]";
-    ++index;
-    if (!entry.is_object()) {
-      return plan_error(path, "expected an object");
-    }
-    for (const auto& [key, value] : entry.as_object()) {
-      (void)value;
-      if (!kJobKeys.contains(key)) {
-        return plan_error(path + "." + key, "unknown key");
-      }
-    }
-
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     QueueJob job;
-    const obs::JsonValue* name = entry.find("name");
-    if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-      return plan_error(path + ".name", "required non-empty string");
-    }
-    job.name = name->as_string();
-    if (const obs::JsonValue* kind = entry.find("kind")) {
-      if (!kind->is_string()) {
-        return plan_error(path + ".kind", "expected a string");
-      }
-      job.kind = kind->as_string();
-    }
-    if (job.kind != "stencil" && job.kind != "matmul" && job.kind != "custom") {
-      return plan_error(path + ".kind",
-                        "unknown kind '" + job.kind +
-                            "' (stencil | matmul | custom)");
-    }
-    job.workload = preset_workload(job.kind);
-
-    struct NumField {
-      const char* key;
-      double* target;
-    };
-    double arrival = job.arrival;
-    double initial_ranks = job.initial_ranks;
-    double min_ranks = job.min_ranks;
-    double max_ranks = job.max_ranks;
-    double blocks = job.workload.blocks;
-    double iterations = job.workload.iterations;
-    const NumField fields[] = {
-        {"arrival", &arrival},
-        {"initial_ranks", &initial_ranks},
-        {"min_ranks", &min_ranks},
-        {"max_ranks", &max_ranks},
-        {"blocks", &blocks},
-        {"work_per_block", &job.workload.work_per_block},
-        {"bytes_per_block", &job.workload.bytes_per_block},
-        {"iterations", &iterations},
-        {"sync_bytes", &job.workload.sync_bytes},
-    };
-    for (const NumField& field : fields) {
-      if (const obs::JsonValue* value = entry.find(field.key)) {
-        auto n = number_field(*value, path + "." + field.key);
-        if (!n) return n.error();
-        *field.target = n.value();
-      }
-    }
-    job.arrival = arrival;
-    job.initial_ranks = static_cast<int>(initial_ranks);
-    job.min_ranks = static_cast<int>(min_ranks);
-    job.max_ranks = static_cast<int>(max_ranks);
-    job.workload.blocks = static_cast<int>(blocks);
-    job.workload.iterations = static_cast<int>(iterations);
-
-    if (job.initial_ranks < 1 || job.workload.blocks < 1 ||
-        job.workload.iterations < 1) {
-      return plan_error(path, "ranks/blocks/iterations must be >= 1");
-    }
-    if (job.min_ranks > job.initial_ranks ||
-        job.initial_ranks > job.max_ranks) {
-      return plan_error(path,
-                        "need min_ranks <= initial_ranks <= max_ranks");
+    if (auto read = read_job(jobs[i], "$.jobs[" + std::to_string(i) + "]", job);
+        !read) {
+      return read.error();
     }
     plan.jobs.push_back(std::move(job));
-  }
-  if (plan.jobs.empty()) {
-    return plan_error("$.jobs", "at least one job required");
   }
   return plan;
 }

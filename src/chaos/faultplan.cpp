@@ -1,67 +1,94 @@
 #include "ars/chaos/faultplan.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "ars/obs/json.hpp"
 
 namespace ars::chaos {
 
+using obs::JsonField;
 using support::Expected;
 using support::make_error;
 
-std::string_view to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kMessageLoss:
-      return "message_loss";
-    case FaultKind::kMessageDuplicate:
-      return "message_duplicate";
-    case FaultKind::kMessageDelay:
-      return "message_delay";
-    case FaultKind::kLinkDegrade:
-      return "link_degrade";
-    case FaultKind::kPartition:
-      return "partition";
-    case FaultKind::kHostCrash:
-      return "host_crash";
-    case FaultKind::kHostCrashRate:
-      return "host_crash_rate";
-    case FaultKind::kCpuSlowdown:
-      return "cpu_slowdown";
-    case FaultKind::kMonitorStall:
-      return "monitor_stall";
-    case FaultKind::kRegistryCrash:
-      return "registry_crash";
-    case FaultKind::kMigrationDestCrash:
-      return "migration_dest_crash";
-    case FaultKind::kMigrationLinkCut:
-      return "migration_link_cut";
-    case FaultKind::kMigrationPrecopyStall:
-      return "migration_precopy_stall";
-    case FaultKind::kResizeStall:
-      return "resize_stall";
-    case FaultKind::kResizeTargetCrash:
-      return "resize_target_crash";
-  }
-  return "?";
+namespace {
+
+/// Indexed by FaultKind: the one place each kind's name is spelled.
+constexpr std::string_view kFaultKindNames[] = {
+    "message_loss", "message_duplicate", "message_delay", "link_degrade",
+    "partition", "host_crash", "host_crash_rate", "cpu_slowdown",
+    "monitor_stall", "registry_crash", "migration_dest_crash",
+    "migration_link_cut", "migration_precopy_stall", "resize_stall",
+    "resize_target_crash"};
+static_assert(std::size(kFaultKindNames) ==
+              static_cast<std::size_t>(FaultKind::kResizeTargetCrash) + 1);
+
+/// A fault's JSON form, bound to `spec`.  `phase` and `mtbf` are sparse:
+/// only the fault kinds that use them write them, which keeps the plan
+/// files written before those keys existed byte-identical.
+std::vector<JsonField> fault_fields(FaultSpec& spec) {
+  return {
+      JsonField("kind", spec.kind, kFaultKindNames).required(),
+      JsonField("at", spec.at).required(),
+      JsonField("until", spec.until),
+      JsonField("host_a", spec.host_a),
+      JsonField("host_b", spec.host_b),
+      JsonField("probability", spec.probability).within(0.0, 1.0),
+      JsonField("factor", spec.factor).at_least(0.0),
+      JsonField("delay", spec.delay),
+      JsonField("phase", spec.phase).sparse(),
+      JsonField("mtbf", spec.mtbf).sparse(),
+  };
 }
 
-Expected<FaultKind> fault_kind_from_string(std::string_view text) {
-  for (const FaultKind kind :
-       {FaultKind::kMessageLoss, FaultKind::kMessageDuplicate,
-        FaultKind::kMessageDelay, FaultKind::kLinkDegrade,
-        FaultKind::kPartition, FaultKind::kHostCrash,
-        FaultKind::kHostCrashRate, FaultKind::kCpuSlowdown,
-        FaultKind::kMonitorStall, FaultKind::kRegistryCrash,
-        FaultKind::kMigrationDestCrash, FaultKind::kMigrationLinkCut,
-        FaultKind::kMigrationPrecopyStall, FaultKind::kResizeStall,
-        FaultKind::kResizeTargetCrash}) {
-    if (text == to_string(kind)) {
-      return kind;
+/// The plan document's root: {"name": ..., "faults": [...]}.
+std::vector<JsonField> plan_fields(std::string& name, obs::JsonArray& faults) {
+  return {JsonField("name", name), JsonField("faults", faults).required()};
+}
+
+/// The rules that tie a fault's fields together, checked after the table
+/// read: the phase vocabulary of its kind (a pre-copy stall's phase
+/// defaults to "precopy"), and a crash rate's mtbf and end.
+support::Status check_fault(FaultSpec& spec, const std::string& path) {
+  const auto invalid = [&path](const std::string& key,
+                               const std::string& what) {
+    return make_error("chaos." + key, path + "." + key + ": " + what);
+  };
+  if (spec.kind == FaultKind::kHostCrashRate) {
+    if (spec.mtbf <= 0.0) {
+      return invalid("mtbf", "host_crash_rate needs mtbf > 0");
+    }
+    if (spec.permanent()) {
+      return invalid("until", "host_crash_rate needs a finite until");
     }
   }
-  return make_error("chaos.unknown_kind",
-                    "unknown fault kind: " + std::string(text));
+  if (spec.kind == FaultKind::kResizeStall ||
+      spec.kind == FaultKind::kResizeTargetCrash) {
+    if (spec.phase != "spawn" && spec.phase != "redistribute") {
+      return invalid("phase", "a resize fault's phase must be spawn or "
+                              "redistribute");
+    }
+  } else if (spec.kind == FaultKind::kMigrationPrecopyStall) {
+    if (!spec.phase.empty() && spec.phase != "precopy") {
+      return invalid("phase", "migration_precopy_stall's phase must be "
+                              "precopy");
+    }
+    spec.phase = "precopy";
+  } else if (!spec.phase.empty() && spec.phase != "init" &&
+             spec.phase != "precopy" && spec.phase != "eager" &&
+             spec.phase != "ack" && spec.phase != "restore") {
+    return invalid("phase",
+                   "phase must be one of init/precopy/eager/ack/restore");
+  }
+  return support::Status::ok();
+}
+
+}  // namespace
+
+std::string_view to_string(FaultKind kind) noexcept {
+  return kFaultKindNames[static_cast<std::size_t>(kind)];
 }
 
 FaultPlan& FaultPlan::add(FaultSpec spec) {
@@ -265,190 +292,35 @@ double FaultPlan::last_disruption_end() const noexcept {
 
 std::string FaultPlan::to_json() const {
   obs::JsonArray faults;
-  for (const FaultSpec& spec : specs_) {
-    obs::JsonObject fault;
-    fault.emplace("kind", std::string(to_string(spec.kind)));
-    fault.emplace("at", spec.at);
-    fault.emplace("until", spec.until);
-    fault.emplace("host_a", spec.host_a);
-    fault.emplace("host_b", spec.host_b);
-    fault.emplace("probability", spec.probability);
-    fault.emplace("factor", spec.factor);
-    fault.emplace("delay", spec.delay);
-    if (!spec.phase.empty()) {
-      // Only migration-window faults carry a phase; omitting the key keeps
-      // pre-existing plan files byte-identical to their builtins.
-      fault.emplace("phase", spec.phase);
-    }
-    if (spec.mtbf > 0.0) {
-      // Only host_crash_rate carries an mtbf (same byte-compat rule).
-      fault.emplace("mtbf", spec.mtbf);
-    }
-    faults.emplace_back(std::move(fault));
+  for (FaultSpec spec : specs_) {  // a copy: the fields bind mutable members
+    faults.push_back(obs::json_write(fault_fields(spec)));
   }
-  obs::JsonObject root;
-  root.emplace("name", name_);
-  root.emplace("faults", std::move(faults));
-  return obs::JsonValue{std::move(root)}.dump();
+  std::string name = name_;
+  return obs::json_write(plan_fields(name, faults)).dump();
 }
-
-namespace {
-
-/// Read a numeric member; `required` distinguishes "must exist" from
-/// "defaulted".  Non-numbers are always errors.
-Expected<double> number_member(const obs::JsonValue& fault,
-                               const std::string& key, bool required,
-                               double fallback) {
-  const obs::JsonValue* member = fault.find(key);
-  if (member == nullptr) {
-    if (required) {
-      return make_error("chaos.missing_key", "fault missing \"" + key + "\"");
-    }
-    return fallback;
-  }
-  if (!member->is_number()) {
-    return make_error("chaos.bad_type", "\"" + key + "\" must be a number");
-  }
-  return member->as_number();
-}
-
-Expected<std::string> string_member(const obs::JsonValue& fault,
-                                    const std::string& key,
-                                    std::string fallback) {
-  const obs::JsonValue* member = fault.find(key);
-  if (member == nullptr) {
-    return fallback;
-  }
-  if (!member->is_string()) {
-    return make_error("chaos.bad_type", "\"" + key + "\" must be a string");
-  }
-  return member->as_string();
-}
-
-}  // namespace
 
 Expected<FaultPlan> FaultPlan::from_json(std::string_view text) {
   auto document = obs::json_parse(text);
   if (!document.has_value()) {
     return document.error();
   }
-  if (!document->is_object()) {
-    return make_error("chaos.bad_plan", "plan must be a JSON object");
-  }
-  for (const auto& [key, value] : document->as_object()) {
-    if (key != "name" && key != "faults") {
-      return make_error("chaos.unknown_key", "unknown plan key \"" + key +
-                                                 "\"");
-    }
-  }
   FaultPlan plan;
-  if (const obs::JsonValue* name = document->find("name");
-      name != nullptr) {
-    if (!name->is_string()) {
-      return make_error("chaos.bad_type", "\"name\" must be a string");
-    }
-    plan.name_ = name->as_string();
+  obs::JsonArray faults;
+  if (auto read = obs::json_read(*document, plan_fields(plan.name_, faults),
+                                 "chaos", "$");
+      !read) {
+    return read.error();
   }
-  const obs::JsonValue* faults = document->find("faults");
-  if (faults == nullptr || !faults->is_array()) {
-    return make_error("chaos.bad_plan", "plan needs a \"faults\" array");
-  }
-  for (const obs::JsonValue& fault : faults->as_array()) {
-    if (!fault.is_object()) {
-      return make_error("chaos.bad_plan", "each fault must be an object");
-    }
-    static constexpr const char* kKnownKeys[] = {
-        "kind", "at", "until", "host_a", "host_b", "probability", "factor",
-        "delay", "phase", "mtbf"};
-    for (const auto& [key, value] : fault.as_object()) {
-      if (std::find(std::begin(kKnownKeys), std::end(kKnownKeys), key) ==
-          std::end(kKnownKeys)) {
-        return make_error("chaos.unknown_key",
-                          "unknown fault key \"" + key + "\"");
-      }
-    }
-    const obs::JsonValue* kind = fault.find("kind");
-    if (kind == nullptr || !kind->is_string()) {
-      return make_error("chaos.missing_key",
-                        "fault needs a string \"kind\"");
-    }
-    auto parsed_kind = fault_kind_from_string(kind->as_string());
-    if (!parsed_kind.has_value()) {
-      return parsed_kind.error();
-    }
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const std::string path = "$.faults[" + std::to_string(i) + "]";
     FaultSpec spec;
-    spec.kind = *parsed_kind;
-    auto at = number_member(fault, "at", /*required=*/true, 0.0);
-    if (!at.has_value()) {
-      return at.error();
+    if (auto read =
+            obs::json_read(faults[i], fault_fields(spec), "chaos", path);
+        !read) {
+      return read.error();
     }
-    spec.at = *at;
-    auto until = number_member(fault, "until", false, -1.0);
-    auto probability = number_member(fault, "probability", false, 1.0);
-    auto factor = number_member(fault, "factor", false, 1.0);
-    auto delay = number_member(fault, "delay", false, 0.0);
-    auto mtbf = number_member(fault, "mtbf", false, 0.0);
-    auto host_a = string_member(fault, "host_a", "*");
-    auto host_b = string_member(fault, "host_b", "*");
-    auto phase = string_member(fault, "phase", "");
-    for (const support::Error* error :
-         {until.has_value() ? nullptr : &until.error(),
-          probability.has_value() ? nullptr : &probability.error(),
-          factor.has_value() ? nullptr : &factor.error(),
-          delay.has_value() ? nullptr : &delay.error(),
-          mtbf.has_value() ? nullptr : &mtbf.error(),
-          host_a.has_value() ? nullptr : &host_a.error(),
-          host_b.has_value() ? nullptr : &host_b.error(),
-          phase.has_value() ? nullptr : &phase.error()}) {
-      if (error != nullptr) {
-        return *error;
-      }
-    }
-    spec.until = *until;
-    spec.probability = *probability;
-    spec.factor = *factor;
-    spec.delay = *delay;
-    spec.mtbf = *mtbf;
-    spec.host_a = *host_a;
-    spec.host_b = *host_b;
-    spec.phase = *phase;
-    if (spec.probability < 0.0 || spec.probability > 1.0) {
-      return make_error("chaos.bad_value",
-                        "\"probability\" must be in [0, 1]");
-    }
-    if (spec.factor < 0.0) {
-      return make_error("chaos.bad_value", "\"factor\" must be >= 0");
-    }
-    if (spec.kind == FaultKind::kHostCrashRate) {
-      if (spec.mtbf <= 0.0) {
-        return make_error("chaos.bad_value",
-                          "host_crash_rate needs \"mtbf\" > 0");
-      }
-      if (spec.permanent()) {
-        return make_error("chaos.bad_value",
-                          "host_crash_rate needs a finite \"until\"");
-      }
-    }
-    const bool resize_fault = spec.kind == FaultKind::kResizeStall ||
-                              spec.kind == FaultKind::kResizeTargetCrash;
-    if (resize_fault) {
-      if (spec.phase != "spawn" && spec.phase != "redistribute") {
-        return make_error(
-            "chaos.bad_value",
-            "resize fault \"phase\" must be spawn or redistribute");
-      }
-    } else if (spec.kind == FaultKind::kMigrationPrecopyStall) {
-      if (!spec.phase.empty() && spec.phase != "precopy") {
-        return make_error("chaos.bad_value",
-                          "migration_precopy_stall \"phase\" must be precopy");
-      }
-      spec.phase = "precopy";
-    } else if (!spec.phase.empty() && spec.phase != "init" &&
-               spec.phase != "precopy" && spec.phase != "eager" &&
-               spec.phase != "ack" && spec.phase != "restore") {
-      return make_error(
-          "chaos.bad_value",
-          "\"phase\" must be one of init/precopy/eager/ack/restore");
+    if (auto checked = check_fault(spec, path); !checked) {
+      return checked.error();
     }
     plan.specs_.push_back(std::move(spec));
   }

@@ -3,113 +3,62 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
-#include <limits>
+#include <string_view>
+#include <vector>
 
 namespace ars::chaos {
 
 namespace {
 
 using obs::JsonArray;
+using obs::JsonField;
 using obs::JsonObject;
 using obs::JsonValue;
 
-JsonValue scenario_to_json(const ScenarioOptions& options) {
-  JsonObject scenario;
-  scenario.emplace("hosts", static_cast<double>(options.hosts));
-  scenario.emplace("apps", static_cast<double>(options.apps));
-  scenario.emplace("iterations", static_cast<double>(options.iterations));
-  scenario.emplace("checkpoint_every",
-                   static_cast<double>(options.checkpoint_every));
-  scenario.emplace("horizon", options.horizon);
-  scenario.emplace("seed", static_cast<double>(options.seed));
-  scenario.emplace("sabotage_lease_expiry", options.sabotage_lease_expiry);
-  scenario.emplace("sabotage_migration_rollback",
-                   options.sabotage_migration_rollback);
-  scenario.emplace("with_load", options.with_load);
-  scenario.emplace("delta_heartbeats", options.delta_heartbeats);
-  scenario.emplace("malleable_jobs",
-                   static_cast<double>(options.malleable_jobs));
-  scenario.emplace("sabotage_resize_rollback",
-                   options.sabotage_resize_rollback);
-  scenario.emplace("precopy", options.precopy);
-  scenario.emplace("ckpt_strategy", options.ckpt_strategy);
-  scenario.emplace("ckpt_mtbf", options.ckpt_mtbf);
-  scenario.emplace("ckpt_aggregate_mbps", options.ckpt_aggregate_mbps);
-  scenario.emplace("ckpt_state_mb", options.ckpt_state_mb);
-  scenario.emplace("sabotage_torn_checkpoint",
-                   options.sabotage_torn_checkpoint);
-  return JsonValue{std::move(scenario)};
+/// The checkpoint strategies MigrationEngine understands ("" and "none"
+/// both keep the legacy every-N-iterations checkpoint).
+constexpr std::string_view kCkptStrategies[] = {"", "none", "periodic",
+                                                "cooperative"};
+
+/// A bundle's scenario, bound to `o`: every field a run depends on
+/// except the plan, which the bundle carries beside it.  The bounds are
+/// what run_scenario can run: apps are placed round-robin over at least
+/// one host, and each app's state becomes a byte count that 1e6 MB (1 TB)
+/// keeps in range.
+std::vector<JsonField> scenario_fields(ScenarioOptions& o) {
+  return {
+      JsonField("hosts", o.hosts).at_least(1),
+      JsonField("apps", o.apps).at_least(1),
+      JsonField("iterations", o.iterations).at_least(0),
+      JsonField("checkpoint_every", o.checkpoint_every).at_least(0),
+      JsonField("horizon", o.horizon),
+      JsonField("seed", o.seed),
+      JsonField("sabotage_lease_expiry", o.sabotage_lease_expiry),
+      JsonField("sabotage_migration_rollback", o.sabotage_migration_rollback),
+      JsonField("with_load", o.with_load),
+      JsonField("delta_heartbeats", o.delta_heartbeats),
+      JsonField("malleable_jobs", o.malleable_jobs).at_least(0),
+      JsonField("sabotage_resize_rollback", o.sabotage_resize_rollback),
+      JsonField("precopy", o.precopy),
+      JsonField("ckpt_strategy", o.ckpt_strategy).one_of(kCkptStrategies),
+      JsonField("ckpt_mtbf", o.ckpt_mtbf),
+      JsonField("ckpt_aggregate_mbps", o.ckpt_aggregate_mbps).at_least(0.0),
+      JsonField("ckpt_state_mb", o.ckpt_state_mb).within(0.0, 1.0e6),
+      JsonField("sabotage_torn_checkpoint", o.sabotage_torn_checkpoint),
+  };
+}
+
+JsonValue scenario_to_json(ScenarioOptions options) {
+  return obs::json_write(scenario_fields(options));
 }
 
 support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
-  if (!value.is_object()) {
-    return support::make_error("bundle.scenario", "not an object");
-  }
-  // Outside input: refuse what run_scenario cannot run before anything is
-  // cast — no hosts (apps are placed round-robin over them), a count an int
-  // cannot hold, or a state size whose byte count overflows.
-  constexpr double kIntMax = std::numeric_limits<int>::max();
-  if (const char* key = obs::first_out_of_bounds(
-          value,
-          {{"hosts", 1, kIntMax},
-           {"apps", 0, kIntMax},
-           {"iterations", 0, kIntMax},
-           {"checkpoint_every", 0, kIntMax},
-           {"malleable_jobs", 0, kIntMax},
-           {"seed", 0, 0x1p63},
-           {"ckpt_state_mb", 0, 1.0e6},
-           {"ckpt_aggregate_mbps", 0, std::numeric_limits<double>::max()}})) {
-    return support::make_error("bundle.scenario",
-                               std::string(key) + " out of range");
-  }
   ScenarioOptions options;
-  const auto number = [&value](const char* key, double fallback) {
-    const JsonValue* member = value.find(key);
-    return member != nullptr && member->is_number() ? member->as_number()
-                                                    : fallback;
-  };
-  const auto boolean = [&value](const char* key, bool fallback) {
-    const JsonValue* member = value.find(key);
-    return member != nullptr && member->is_bool() ? member->as_bool()
-                                                  : fallback;
-  };
-  const auto string = [&value](const char* key, const std::string& fallback) {
-    const JsonValue* member = value.find(key);
-    return member != nullptr && member->is_string() ? member->as_string()
-                                                    : fallback;
-  };
-  options.hosts = static_cast<int>(number("hosts", options.hosts));
-  options.apps = static_cast<int>(number("apps", options.apps));
-  options.iterations =
-      static_cast<int>(number("iterations", options.iterations));
-  options.checkpoint_every = static_cast<int>(
-      number("checkpoint_every", options.checkpoint_every));
-  options.horizon = number("horizon", options.horizon);
-  options.seed = static_cast<std::uint64_t>(
-      number("seed", static_cast<double>(options.seed)));
-  options.sabotage_lease_expiry =
-      boolean("sabotage_lease_expiry", options.sabotage_lease_expiry);
-  options.sabotage_migration_rollback = boolean(
-      "sabotage_migration_rollback", options.sabotage_migration_rollback);
-  options.with_load = boolean("with_load", options.with_load);
-  options.delta_heartbeats =
-      boolean("delta_heartbeats", options.delta_heartbeats);
-  options.malleable_jobs = static_cast<int>(
-      number("malleable_jobs", options.malleable_jobs));
-  options.sabotage_resize_rollback = boolean(
-      "sabotage_resize_rollback", options.sabotage_resize_rollback);
-  // Bundles recorded before pre-copy existed have no such key; the default
-  // (false) preserves their byte-identical replays.
-  options.precopy = boolean("precopy", options.precopy);
-  // Likewise for bundles recorded before the checkpoint fields were
-  // serialized: absent keys keep the defaults those runs used.
-  options.ckpt_strategy = string("ckpt_strategy", options.ckpt_strategy);
-  options.ckpt_mtbf = number("ckpt_mtbf", options.ckpt_mtbf);
-  options.ckpt_aggregate_mbps =
-      number("ckpt_aggregate_mbps", options.ckpt_aggregate_mbps);
-  options.ckpt_state_mb = number("ckpt_state_mb", options.ckpt_state_mb);
-  options.sabotage_torn_checkpoint = boolean(
-      "sabotage_torn_checkpoint", options.sabotage_torn_checkpoint);
+  if (auto read = obs::json_read(value, scenario_fields(options), "bundle",
+                                 "$.scenario");
+      !read) {
+    return read.error();
+  }
   return options;
 }
 
@@ -168,6 +117,12 @@ JsonValue make_bundle(const ScenarioOptions& options,
   }
   root.emplace("trace_jsonl", report.trace_jsonl);
   return JsonValue{std::move(root)};
+}
+
+support::Status check_scenario(const ScenarioOptions& options) {
+  auto read = scenario_from_json(scenario_to_json(options));
+  return read.has_value() ? support::Status::ok()
+                          : support::Status{read.error()};
 }
 
 support::Status write_bundle(const std::string& path,

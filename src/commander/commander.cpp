@@ -57,6 +57,17 @@ void Commander::stop() {
   endpoint_ = nullptr;
 }
 
+void Commander::send_to_registry(const xmlproto::ProtocolMessage& message,
+                                 obs::TraceCtx ctx) {
+  net::Message wire;
+  wire.src_host = host_->name();
+  wire.dst_host = config_.registry_host;
+  wire.dst_port = config_.registry_port;
+  wire.payload = xmlproto::encode(message, ctx);
+  wire.trace = ctx;
+  network_->post(std::move(wire));
+}
+
 void Commander::report_outcome(const xmlproto::MigrationOutcomeMsg& outcome,
                                obs::TraceCtx ctx) {
   if (!running_ || config_.registry_host.empty()) {
@@ -68,13 +79,7 @@ void Commander::report_outcome(const xmlproto::MigrationOutcomeMsg& outcome,
                   {{"outcome", outcome.outcome}})
         .inc();
   }
-  net::Message report;
-  report.src_host = host_->name();
-  report.dst_host = config_.registry_host;
-  report.dst_port = config_.registry_port;
-  report.payload = xmlproto::encode(xmlproto::ProtocolMessage{outcome}, ctx);
-  report.trace = ctx;
-  network_->post(std::move(report));
+  send_to_registry(outcome, ctx);
 }
 
 void Commander::report_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
@@ -88,13 +93,7 @@ void Commander::report_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
                   {{"outcome", outcome.outcome}})
         .inc();
   }
-  net::Message report;
-  report.src_host = host_->name();
-  report.dst_host = config_.registry_host;
-  report.dst_port = config_.registry_port;
-  report.payload = xmlproto::encode(xmlproto::ProtocolMessage{outcome}, ctx);
-  report.trace = ctx;
-  network_->post(std::move(report));
+  send_to_registry(outcome, ctx);
 }
 
 void Commander::send_ckpt_request(const xmlproto::CkptIoRequestMsg& request,
@@ -107,13 +106,7 @@ void Commander::send_ckpt_request(const xmlproto::CkptIoRequestMsg& request,
         ->counter("commander.ckpt_requests", {{"verb", request.verb}})
         .inc();
   }
-  net::Message report;
-  report.src_host = host_->name();
-  report.dst_host = config_.registry_host;
-  report.dst_port = config_.registry_port;
-  report.payload = xmlproto::encode(xmlproto::ProtocolMessage{request}, ctx);
-  report.trace = ctx;
-  network_->post(std::move(report));
+  send_to_registry(request, ctx);
 }
 
 void Commander::reject_resize(const xmlproto::ResizeCmd& command,
@@ -179,14 +172,7 @@ sim::Task<> Commander::serve() {
           ack.of = "relaunch";
           ack.ok = false;
           ack.detail = "exited:" + relaunch->process_name;
-          net::Message reply;
-          reply.src_host = host_->name();
-          reply.dst_host = config_.registry_host;
-          reply.dst_port = config_.registry_port;
-          reply.payload =
-              xmlproto::encode(xmlproto::ProtocolMessage{ack}, ctx);
-          reply.trace = ctx;
-          network_->post(std::move(reply));
+          send_to_registry(ack, ctx);
         }
       } else {
         ARS_LOG_INFO("commander", host_->name() << " relaunched "
@@ -338,13 +324,7 @@ sim::Task<> Commander::handle_migrate(xmlproto::MigrateCmd command,
     ack.of = "migrate";
     ack.ok = ok;
     ack.detail = ok ? "" : "unknown pid";
-    net::Message reply;
-    reply.src_host = host_->name();
-    reply.dst_host = config_.registry_host;
-    reply.dst_port = config_.registry_port;
-    reply.payload = xmlproto::encode(xmlproto::ProtocolMessage{ack}, ctx);
-    reply.trace = ctx;
-    network_->post(std::move(reply));
+    send_to_registry(ack, ctx);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 
 #include "ars/obs/json.hpp"
@@ -268,63 +267,34 @@ support::Expected<ShardedClusterOptions> load_cluster_plan(
   if (!parsed) {
     return parsed.error();
   }
-  const obs::JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return support::make_error("plan.not_object",
-                               "cluster plan must be a JSON object");
-  }
-  // Outside input: refuse a count that is fractional or does not fit its
-  // type, and a fabric latency ShardGroup would refuse, before any cast.
-  constexpr double kIntMax = std::numeric_limits<int>::max();
-  constexpr double kUint64Max = 0x1.fffffffffffffp63;  // largest below 2^64
-  if (const char* key = obs::first_out_of_bounds(
-          root, {{"shards", 1, kIntMax, true},
-                 {"hosts", 1, kIntMax, true},
-                 {"crash_hosts", 0, kIntMax, true},
-                 {"seed", 0, kUint64Max, true},
-                 {"trace_capacity", 0, kUint64Max, true},
-                 {"cross_latency", std::numeric_limits<double>::denorm_min(),
-                  std::numeric_limits<double>::max()}})) {
-    return support::make_error(std::string("plan.") + key,
-                               std::string(key) + " out of range");
-  }
-  ShardedClusterOptions options;
-  const auto num = [&root](const char* key, double fallback) {
-    const obs::JsonValue* value = root.find(key);
-    return value != nullptr && value->is_number() ? value->as_number()
-                                                  : fallback;
+  using obs::JsonField;
+  ShardedClusterOptions o;
+  const JsonField fields[] = {
+      JsonField("name", o.name),
+      JsonField("shards", o.shards).at_least(1),
+      JsonField("hosts", o.hosts).at_least(1),
+      JsonField("duration", o.duration).above(0.0),
+      // ShardGroup refuses a fabric latency (its lookahead) that is not
+      // positive.
+      JsonField("cross_latency", o.cross_latency).above(0.0),
+      JsonField("hierarchical", o.hierarchical),
+      JsonField("delta_heartbeats", o.delta_heartbeats),
+      JsonField("seed", o.seed),
+      JsonField("busy_fraction", o.busy_fraction).within(0.0, 1.0),
+      JsonField("overloaded_fraction", o.overloaded_fraction).within(0.0, 1.0),
+      JsonField("message_loss", o.message_loss).within(0.0, 1.0),
+      JsonField("loss_from", o.loss_from).at_least(0.0),
+      JsonField("loss_until", o.loss_until).at_least(0.0),
+      JsonField("crash_hosts", o.crash_hosts).at_least(0),
+      JsonField("crash_at", o.crash_at).at_least(0.0),
+      JsonField("crash_until", o.crash_until).at_least(0.0),
+      JsonField("tracing", o.tracing),
+      JsonField("trace_capacity", o.trace_capacity),
   };
-  const auto flag = [&root](const char* key, bool fallback) {
-    const obs::JsonValue* value = root.find(key);
-    return value != nullptr && value->is_bool() ? value->as_bool() : fallback;
-  };
-  if (const obs::JsonValue* name = root.find("name");
-      name != nullptr && name->is_string()) {
-    options.name = name->as_string();
+  if (auto read = obs::json_read(*parsed, fields, "plan", "$"); !read) {
+    return read.error();
   }
-  options.shards = static_cast<int>(num("shards", options.shards));
-  options.hosts = static_cast<int>(num("hosts", options.hosts));
-  options.duration = num("duration", options.duration);
-  options.cross_latency = num("cross_latency", options.cross_latency);
-  options.hierarchical = flag("hierarchical", options.hierarchical);
-  options.delta_heartbeats =
-      flag("delta_heartbeats", options.delta_heartbeats);
-  options.seed = static_cast<std::uint64_t>(
-      num("seed", static_cast<double>(options.seed)));
-  options.busy_fraction = num("busy_fraction", options.busy_fraction);
-  options.overloaded_fraction =
-      num("overloaded_fraction", options.overloaded_fraction);
-  options.message_loss = num("message_loss", options.message_loss);
-  options.loss_from = num("loss_from", options.loss_from);
-  options.loss_until = num("loss_until", options.loss_until);
-  options.crash_hosts =
-      static_cast<int>(num("crash_hosts", options.crash_hosts));
-  options.crash_at = num("crash_at", options.crash_at);
-  options.crash_until = num("crash_until", options.crash_until);
-  options.tracing = flag("tracing", options.tracing);
-  options.trace_capacity = static_cast<std::size_t>(num(
-      "trace_capacity", static_cast<double>(options.trace_capacity)));
-  return options;
+  return o;
 }
 
 }  // namespace ars::core

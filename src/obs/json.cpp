@@ -1,5 +1,6 @@
 #include "ars/obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -338,20 +339,162 @@ std::string JsonValue::dump() const {
   return out + "}";
 }
 
-const char* first_out_of_bounds(const JsonValue& object,
-                                std::initializer_list<JsonBounds> bounds) {
-  for (const JsonBounds& bound : bounds) {
-    const JsonValue* member = object.find(bound.key);
-    if (member == nullptr || !member->is_number()) {
-      continue;
+namespace {
+
+/// `value` in its shortest round-trip form, for error messages ("2.7", not
+/// the exporters' 17 significant digits).
+std::string shortest(double value) {
+  char buffer[32];
+  const auto [end, error] =
+      std::to_chars(buffer, buffer + sizeof buffer, value);
+  return error == std::errc{} ? std::string(buffer, end) : json_number(value);
+}
+
+}  // namespace
+
+std::string JsonField::read(const JsonValue& value) const {
+  const auto bounds = [this] {
+    const std::string low = shortest(low_);
+    if (high_ != std::numeric_limits<double>::infinity()) {
+      return "in [" + low + ", " + shortest(high_) + "]";
     }
-    const double value = member->as_number();
-    if (!(value >= bound.low && value <= bound.high) ||
-        (bound.whole && value != std::trunc(value))) {
-      return bound.key;
+    return (low_open_ ? "> " : ">= ") + low;
+  };
+  const auto vocabulary = [this] {
+    std::string out;
+    for (const std::string_view name : names_) {
+      out += (out.empty() ? "\"" : ", \"") + json_escape(name) + "\"";
+    }
+    return out;
+  };
+  return std::visit(
+      [&](auto member) -> std::string {
+        using M = decltype(member);
+        if constexpr (std::is_same_v<M, bool*>) {
+          if (!value.is_bool()) {
+            return "expected true or false";
+          }
+          *member = value.as_bool();
+        } else if constexpr (std::is_same_v<M, std::string*> ||
+                             std::is_same_v<M, Enum>) {
+          if (!value.is_string()) {
+            return "expected a string";
+          }
+          const std::string& text = value.as_string();
+          const auto name = std::find(names_.begin(), names_.end(), text);
+          if (!names_.empty() && name == names_.end()) {
+            return "expected one of " + vocabulary() + ", got \"" +
+                   json_escape(text) + "\"";
+          }
+          if (non_empty_ && text.empty()) {
+            return "must not be empty";
+          }
+          if constexpr (std::is_same_v<M, Enum>) {
+            member.set(member.member,
+                       static_cast<std::size_t>(name - names_.begin()));
+          } else {
+            *member = text;
+          }
+        } else if constexpr (std::is_same_v<M, JsonArray*>) {
+          if (!value.is_array()) {
+            return "expected an array";
+          }
+          if (non_empty_ && value.as_array().empty()) {
+            return "must not be empty";
+          }
+          *member = value.as_array();
+        } else {
+          using T = std::remove_pointer_t<M>;
+          if (!value.is_number()) {
+            return "expected a number";
+          }
+          const double number = value.as_number();
+          if constexpr (std::is_integral_v<T>) {
+            // Checked before the cast: a double outside T's range does not
+            // convert (undefined behaviour), and a fraction would truncate.
+            using Limits = std::numeric_limits<T>;
+            const double past_max = std::ldexp(1.0, Limits::digits);
+            if (number != std::trunc(number) ||
+                !(number >= static_cast<double>(Limits::min()) &&
+                  number < past_max)) {
+              return "expected a whole number in [" +
+                     std::to_string(Limits::min()) + ", " +
+                     std::to_string(Limits::max()) + "], got " +
+                     shortest(number);
+            }
+          }
+          const bool low_ok = low_open_ ? number > low_ : number >= low_;
+          if (!low_ok || number > high_) {
+            return "must be " + bounds() + ", got " + shortest(number);
+          }
+          *member = static_cast<T>(number);
+        }
+        return {};
+      },
+      member_);
+}
+
+JsonValue JsonField::write() const {
+  return std::visit(
+      [this](auto member) -> JsonValue {
+        using M = decltype(member);
+        if constexpr (std::is_same_v<M, Enum>) {
+          return std::string(names_[member.get(member.member)]);
+        } else if constexpr (std::is_same_v<M, bool*> ||
+                             std::is_same_v<M, std::string*> ||
+                             std::is_same_v<M, JsonArray*>) {
+          return *member;
+        } else {
+          return static_cast<double>(*member);
+        }
+      },
+      member_);
+}
+
+support::Status json_read(const JsonValue& object,
+                          std::span<const JsonField> fields,
+                          std::string_view doc, const std::string& path) {
+  const auto error = [&](std::string_view key, const std::string& what) {
+    return support::make_error(std::string(doc) + "." + std::string(key),
+                               path + "." + std::string(key) + ": " + what);
+  };
+  if (!object.is_object()) {
+    return support::make_error(std::string(doc), path + ": expected an object");
+  }
+  for (const auto& [key, value] : object.as_object()) {
+    const auto field =
+        std::find_if(fields.begin(), fields.end(),
+                     [&key](const JsonField& f) { return f.key_ == key; });
+    if (field == fields.end()) {
+      return error(key, "unknown key");
+    }
+    if (std::string what = field->read(value); !what.empty()) {
+      return error(key, what);
     }
   }
-  return nullptr;
+  for (const JsonField& field : fields) {
+    if (field.presence_ == JsonField::Presence::kRequired &&
+        object.find(std::string(field.key_)) == nullptr) {
+      return error(field.key_, "required key is missing");
+    }
+  }
+  return support::Status::ok();
+}
+
+JsonValue json_write(std::span<const JsonField> fields) {
+  JsonObject object;
+  for (const JsonField& field : fields) {
+    JsonValue value = field.write();
+    const bool zero = value.is_bool()     ? !value.as_bool()
+                      : value.is_number() ? value.as_number() == 0.0
+                      : value.is_string() ? value.as_string().empty()
+                      : value.is_array()  ? value.as_array().empty()
+                                          : false;
+    if (field.presence_ != JsonField::Presence::kSparse || !zero) {
+      object.emplace(std::string(field.key_), std::move(value));
+    }
+  }
+  return JsonValue{std::move(object)};
 }
 
 }  // namespace ars::obs

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,35 @@ TEST(QueuePlanParse, UnknownKindIsRejected) {
       "{\"jobs\": [{\"name\": \"j\", \"kind\": \"fft\"}]}");
   ASSERT_FALSE(plan.has_value());
   EXPECT_NE(plan.error().message.find("$.jobs[0].kind"), std::string::npos);
+}
+
+// Numbers are outside input too: a fraction is never truncated into a
+// count, a number beyond int never reaches the cast, and every count and
+// amount stays in its bounds.  The error names the key and its path.
+TEST(QueuePlanParse, RefusesFractionalAndOutOfRangeNumbers) {
+  const std::pair<std::string, std::string> refused[] = {
+      {minimal_plan(", \"resize_cooldown\": -10"), "$.resize_cooldown"},
+      {minimal_plan(", \"max_expand_step\": -3"), "$.max_expand_step"},
+      {minimal_plan(", \"max_expand_step\": 1e300"), "$.max_expand_step"},
+      {minimal_plan("", ", \"min_ranks\": 0"), "$.jobs[0].min_ranks"},
+      {minimal_plan("", ", \"work_per_block\": -1"),
+       "$.jobs[0].work_per_block"},
+      {minimal_plan("", ", \"initial_ranks\": 2.5"),
+       "$.jobs[0].initial_ranks"},
+      {"{\"hosts\": 2.5, \"jobs\": [{\"name\": \"j\"}]}", "$.hosts"},
+      {"{\"jobs\": [{\"name\": \"j\", \"blocks\": 8.9}]}",
+       "$.jobs[0].blocks"},
+      {"{\"jobs\": []}", "$.jobs"},
+      {"{\"jobs\": [{\"name\": \"\"}]}", "$.jobs[0].name"},
+  };
+  for (const auto& [text, path] : refused) {
+    auto plan = load_queue_plan(text);
+    ASSERT_FALSE(plan.has_value()) << text;
+    EXPECT_EQ(plan.error().code, "plan." + path.substr(path.rfind('.') + 1))
+        << text;
+    EXPECT_EQ(plan.error().message.rfind(path + ": ", 0), 0U)
+        << text << " -> " << plan.error().message;
+  }
 }
 
 TEST(QueuePlanParse, PresetKindsFillTheWorkload) {

@@ -3,9 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 namespace ars::chaos {
 namespace {
+
+std::string read_plan_file(const std::string& name) {
+  std::ifstream in(ARS_SOURCE_DIR "/plans/" + name + ".json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
 TEST(FaultPlanTest, BuilderRecordsSpecsInOrder) {
   FaultPlan plan{"p"};
@@ -26,19 +36,37 @@ TEST(FaultPlanTest, BuilderRecordsSpecsInOrder) {
 }
 
 TEST(FaultPlanTest, KindStringsRoundTrip) {
+  FaultPlan plan{"kinds"};
   for (const FaultKind kind :
        {FaultKind::kMessageLoss, FaultKind::kMessageDuplicate,
         FaultKind::kMessageDelay, FaultKind::kLinkDegrade,
-        FaultKind::kPartition, FaultKind::kHostCrash, FaultKind::kCpuSlowdown,
+        FaultKind::kPartition, FaultKind::kHostCrash,
+        FaultKind::kHostCrashRate, FaultKind::kCpuSlowdown,
         FaultKind::kMonitorStall, FaultKind::kRegistryCrash,
         FaultKind::kMigrationDestCrash, FaultKind::kMigrationLinkCut,
         FaultKind::kMigrationPrecopyStall, FaultKind::kResizeStall,
         FaultKind::kResizeTargetCrash}) {
-    const auto parsed = fault_kind_from_string(to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << to_string(kind);
-    EXPECT_EQ(*parsed, kind);
+    FaultSpec spec;
+    spec.kind = kind;
+    spec.until = 10.0;  // host_crash_rate needs a finite window
+    spec.mtbf = 5.0;
+    spec.phase = kind == FaultKind::kResizeStall ||
+                         kind == FaultKind::kResizeTargetCrash
+                     ? "spawn"
+                     : "precopy";
+    plan.add(spec);
   }
-  EXPECT_FALSE(fault_kind_from_string("meteor_strike").has_value());
+  const auto parsed = FaultPlan::from_json(plan.to_json());
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->specs().size(), plan.specs().size());
+  for (std::size_t i = 0; i < plan.specs().size(); ++i) {
+    EXPECT_EQ(parsed->specs()[i].kind, plan.specs()[i].kind)
+        << to_string(plan.specs()[i].kind);
+  }
+  const auto unknown = FaultPlan::from_json(
+      R"({"name":"p","faults":[{"kind":"meteor_strike","at":1}]})");
+  ASSERT_FALSE(unknown.has_value());
+  EXPECT_EQ(unknown.error().code, "chaos.kind");
 }
 
 TEST(FaultPlanTest, JsonRoundTripIsExact) {
@@ -52,6 +80,27 @@ TEST(FaultPlanTest, JsonRoundTripIsExact) {
     EXPECT_EQ(reparsed->specs().size(), plan->specs().size());
     // Byte-identical re-serialization: plans/<name>.json is canonical.
     EXPECT_EQ(reparsed->to_json(), text) << name;
+  }
+}
+
+TEST(FaultPlanTest, BuiltinPlanFilesAreTheirSerialization) {
+  for (const std::string& name : FaultPlan::builtin_names()) {
+    const auto plan = FaultPlan::builtin(name);
+    ASSERT_TRUE(plan.has_value()) << name;
+    EXPECT_EQ(plan->to_json() + "\n", read_plan_file(name)) << name;
+  }
+}
+
+// Every committed fault plan loads, the hand-written ones included
+// (large-cluster and migration-storm are not a builtin's serialization).
+TEST(FaultPlanTest, CommittedPlanFilesLoad) {
+  for (const char* name :
+       {"churn", "ckpt-storm", "control-loss", "large-cluster",
+        "migration-storm", "precopy-storm", "resize-storm"}) {
+    const auto plan = FaultPlan::from_json(read_plan_file(name));
+    ASSERT_TRUE(plan.has_value()) << name << ": " << plan.error().to_string();
+    EXPECT_EQ(plan->name(), name);
+    EXPECT_FALSE(plan->empty()) << name;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "ars/obs/json.hpp"
 
@@ -137,6 +138,49 @@ TEST(FlightRecorder, CheckpointRunBundleReplaysTheSameTornRestore) {
   EXPECT_EQ(replay->report.torn_restores, report.torn_restores);
 }
 
+// Every field the scenario serializes, set away from its default: the bundle
+// must carry each one, or its replay runs a different scenario.
+TEST(FlightRecorder, EveryScenarioFieldSurvivesTheBundle) {
+  ScenarioOptions options;
+  options.hosts = 5;
+  options.apps = 2;
+  options.iterations = 30;
+  options.checkpoint_every = 5;
+  options.horizon = 200.0;
+  options.seed = 7;
+  options.plan = *FaultPlan::builtin("churn");
+  options.sabotage_lease_expiry = true;
+  options.sabotage_migration_rollback = true;
+  options.with_load = false;
+  options.keep_trace = true;
+  options.delta_heartbeats = true;
+  options.malleable_jobs = 1;
+  options.sabotage_resize_rollback = true;
+  options.precopy = true;
+  options.ckpt_strategy = "cooperative";
+  options.ckpt_mtbf = 200.0;
+  options.ckpt_aggregate_mbps = 20.0;
+  options.ckpt_state_mb = 10.0;
+  options.sabotage_torn_checkpoint = true;
+  const ScenarioReport report = run_scenario(options);
+
+  const obs::JsonValue bundle =
+      make_bundle(options, report, FlightTrigger{"manual", "every field"});
+  EXPECT_EQ(bundle.find("scenario")->dump(),
+            R"({"apps":2,"checkpoint_every":5,"ckpt_aggregate_mbps":20,)"
+            R"("ckpt_mtbf":200,"ckpt_state_mb":10,)"
+            R"("ckpt_strategy":"cooperative","delta_heartbeats":true,)"
+            R"("horizon":200,"hosts":5,"iterations":30,"malleable_jobs":1,)"
+            R"("precopy":true,"sabotage_lease_expiry":true,)"
+            R"("sabotage_migration_rollback":true,)"
+            R"("sabotage_resize_rollback":true,)"
+            R"("sabotage_torn_checkpoint":true,"seed":7,"with_load":false})");
+  const auto replay = replay_bundle(bundle.dump());
+  ASSERT_TRUE(replay.has_value()) << replay.error().to_string();
+  EXPECT_EQ(replay->report.trace_hash, report.trace_hash);
+  EXPECT_TRUE(replay->reproduced());
+}
+
 TEST(FlightRecorder, TamperedTraceHashFailsTheReplayCheck) {
   const ScenarioOptions options = sabotaged_options();
   const ScenarioReport report = run_scenario(options);
@@ -164,16 +208,33 @@ TEST(FlightRecorder, MalformedBundleIsRejected) {
       replay_bundle("{\"scenario\":{},\"trace_hash\":\"not-a-number\"}");
   ASSERT_FALSE(bad_hash.has_value());
   EXPECT_EQ(bad_hash.error().code, "bundle.parse");
-  // Nor may a scenario reach run_scenario that it cannot run: no hosts
-  // would divide by zero, a negative or huge state size or a count beyond
-  // int would overflow its cast.
-  for (const char* scenario :
-       {"{\"hosts\":0}", "{\"ckpt_state_mb\":-1}", "{\"ckpt_state_mb\":1e300}",
-        "{\"apps\":1e300}", "{\"seed\":-1}"}) {
+  // Nor may a scenario reach run_scenario that it cannot run, or run a
+  // different one than recorded: an unknown key, a value of the wrong type,
+  // a fractional count, a number outside its type or its bounds, or a
+  // checkpoint strategy MigrationEngine does not know is refused, and the
+  // error names the key.
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"hosts":0})", "bundle.hosts"},
+      {R"({"hosts":2.7})", "bundle.hosts"},
+      {R"({"apps":0})", "bundle.apps"},
+      {R"({"apps":1e300})", "bundle.apps"},
+      {R"({"iterations":"60"})", "bundle.iterations"},
+      {R"({"seed":-1})", "bundle.seed"},
+      {R"({"precopy":1})", "bundle.precopy"},
+      {R"({"precopyy":true})", "bundle.precopyy"},
+      {R"({"ckpt_strategy":"cooprative"})", "bundle.ckpt_strategy"},
+      {R"({"ckpt_state_mb":-1})", "bundle.ckpt_state_mb"},
+      {R"({"ckpt_state_mb":1e300})", "bundle.ckpt_state_mb"},
+  };
+  for (const auto& [scenario, code] : refused) {
     const auto bad = replay_bundle(std::string("{\"scenario\":") + scenario +
                                    "}");
     ASSERT_FALSE(bad.has_value()) << scenario;
-    EXPECT_EQ(bad.error().code, "bundle.scenario") << scenario;
+    EXPECT_EQ(bad.error().code, code) << scenario;
+    const std::string path =
+        "$.scenario." + std::string(code).substr(7) + ": ";
+    EXPECT_EQ(bad.error().message.rfind(path, 0), 0u)
+        << scenario << " -> " << bad.error().message;
   }
 }
 

@@ -494,13 +494,10 @@ int main(int argc, char** argv) {
   if (options.seeds <= 0) {
     usage_error("--seeds must be positive");
   }
-  if (scenario.hosts < 1 || scenario.apps < 1) {
-    usage_error("--hosts and --apps must be at least 1");
-  }
-  // Each job's state becomes a byte count: 1e6 MB (1 TB) keeps it in range.
-  if (scenario.ckpt_state_mb < 0.0 || scenario.ckpt_state_mb > 1.0e6 ||
-      scenario.ckpt_aggregate_mbps < 0.0) {
-    usage_error("--state-mb must be in [0, 1e6], --aggregate-mbps >= 0");
+  // One rule for a runnable scenario: the bounds a bundle's scenario is
+  // held to when it is replayed.
+  if (const auto runnable = ars::chaos::check_scenario(scenario); !runnable) {
+    usage_error(runnable.error().message);
   }
   if (std::ranges::any_of(options.mtbfs,
                           [](double mtbf) { return mtbf <= 0.0; })) {

@@ -4,14 +4,23 @@
 //
 //   productivity_campaign [--plan plans/productivity-queue.json] [--deadline S]
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "ars/apps/productivity.hpp"
 
 namespace {
+
+int usage(const char* program) {
+  std::fprintf(stderr, "usage: %s [--plan FILE.json] [--deadline SECONDS]\n",
+               program);
+  return 2;
+}
 
 void print_row(const char* label, const ars::apps::CampaignResult& r) {
   std::printf("%-16s %9.1f s   %6.1f %%   %4d commanded   %4d committed   %s\n",
@@ -29,12 +38,18 @@ int main(int argc, char** argv) {
     if (arg == "--plan" && i + 1 < argc) {
       plan_path = argv[++i];
     } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline = std::stod(argv[++i]);
+      // The whole argument must be a finite, positive number of seconds.
+      const std::string_view text = argv[++i];
+      const char* const end = text.data() + text.size();
+      const auto [last, error] = std::from_chars(text.data(), end, deadline);
+      if (error != std::errc{} || last != end || !std::isfinite(deadline) ||
+          deadline <= 0.0) {
+        std::fprintf(stderr, "bad --deadline %s: need seconds > 0\n",
+                     argv[i]);
+        return usage(argv[0]);
+      }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--plan FILE.json] [--deadline SECONDS]\n",
-                   argv[0]);
-      return 2;
+      return usage(argv[0]);
     }
   }
 
