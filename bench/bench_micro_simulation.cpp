@@ -1,7 +1,7 @@
 // Micro benchmarks of the simulated substrates: MPI point-to-point and
-// collectives, CPU processor-sharing model, network fluid model, and a full
-// HPCM migration — wall-clock cost of simulating each, for ablation of the
-// DES design choice.
+// collectives, CPU processor-sharing model, network fluid model, the
+// monitor's sensor snapshot, and a full HPCM migration — wall-clock cost of
+// simulating each, for ablation of the DES design choice.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,9 @@
 #include <algorithm>
 
 #include "ars/hpcm/migration.hpp"
+#include "ars/monitor/sensors.hpp"
 #include "ars/mpi/mpi.hpp"
+#include "ars/net/commhog.hpp"
 #include "ars/net/network.hpp"
 
 namespace {
@@ -145,6 +147,39 @@ void BM_NetworkSharedTransfers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * transfers * 10);
 }
 BENCHMARK(BM_NetworkSharedTransfers)->Arg(2)->Arg(16);
+
+// What the monitor pays per heartbeat for one host's status snapshot after
+// range(0) simulated seconds of steady two-host traffic: a CommHog each way
+// between the hosts and a half-busy CPU loop on ws1, so the flow meters and
+// the busy-period history hold the whole run's segments.  The windowed
+// reads (10 s CPU utilization, net in/out) should cost the window, not the
+// history, so the per-snapshot time should not grow with range(0).
+void BM_SensorSnapshot(benchmark::State& state) {
+  Cluster cluster{2};
+  net::CommHog::Options traffic;
+  traffic.src = "ws1";
+  traffic.dst = "ws2";
+  traffic.rate_bps = 2.0e6;
+  net::CommHog hog{cluster.net, traffic};
+  hog.start();
+  auto half_busy = [](host::Host& target) -> sim::Task<> {
+    for (;;) {
+      co_await target.cpu().compute(0.5);
+      co_await sim::delay(target.engine(), 0.5);
+    }
+  };
+  sim::Fiber cpu_loop =
+      sim::Fiber::spawn(cluster.engine, half_busy(*cluster.hosts[0]));
+  cluster.engine.run_until(static_cast<double>(state.range(0)));
+  monitor::HostSensorSource sensors{*cluster.hosts[0], cluster.net};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sensors.snapshot());
+  }
+  state.SetItemsProcessed(state.iterations());
+  cpu_loop.kill();
+  hog.stop();
+}
+BENCHMARK(BM_SensorSnapshot)->Arg(60)->Arg(600)->Arg(3000);
 
 void BM_FullMigration(benchmark::State& state) {
   // Wall-clock cost of simulating one complete HPCM migration (spawn,

@@ -57,7 +57,11 @@ struct BundleReplay {
 };
 
 /// Parse a bundle document, reconstruct its ScenarioOptions (including the
-/// embedded fault plan), re-run the scenario, and compare.
+/// embedded fault plan), re-run the scenario, and compare.  The root is
+/// read as strictly as the scenario: a missing `version` (it must be 1),
+/// `scenario`, `plan`, `violations_summary` or `trace_hash` (a decimal
+/// string), a key of the wrong type or an unknown key is an error naming
+/// the key, and nothing is run.
 [[nodiscard]] support::Expected<BundleReplay> replay_bundle(
     std::string_view bundle_json);
 

@@ -64,15 +64,10 @@ class CpuModel {
   [[nodiscard]] double cumulative_job_seconds() const noexcept;
 
   /// Busy time that fell inside [t0, t1], including any ongoing busy period.
-  /// History is retained for `history_retention()` seconds.
+  /// Finished busy periods are kept for an hour of simulated time, in
+  /// non-decreasing `end` order, so the read binary-searches for the first
+  /// one ending at or after t0: O(log n + k) for the k periods from there.
   [[nodiscard]] double busy_between(double t0, double t1) const noexcept;
-
-  [[nodiscard]] double history_retention() const noexcept {
-    return history_retention_;
-  }
-  void set_history_retention(double seconds) noexcept {
-    history_retention_ = seconds;
-  }
 
   [[nodiscard]] double speed() const noexcept { return speed_; }
 
@@ -100,7 +95,6 @@ class CpuModel {
   double speed_;
   std::vector<ComputeAwaiter*> jobs_;
   support::RingBuffer<BusySegment> busy_segments_;
-  double history_retention_ = 3600.0;
   double last_update_ = 0.0;
   double busy_accum_ = 0.0;
   double job_seconds_ = 0.0;

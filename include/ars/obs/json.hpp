@@ -100,8 +100,8 @@ class JsonValue {
 
 // -- field tables -----------------------------------------------------------
 //
-// A document read from outside the program (a fault plan, a bundle's
-// scenario, a cluster or queue plan) is declared once, as a table of
+// A document read from outside the program (a fault plan, a bundle's root
+// and scenario, a cluster or queue plan) is declared once, as a table of
 // JsonFields bound to the members of the struct it fills.  json_read and
 // json_write fold over that table under one set of rules:
 //
@@ -115,11 +115,12 @@ class JsonValue {
 // An error's code is "<doc>.<key>" and its message "<path>.<key>: <what>".
 // Presence borrows the wire tables' vocabulary (DESIGN.md §18): required
 // and defaulted fields are always written, sparse ones only when they are
-// not zero (empty string, 0, false).
+// not zero (empty string, array or object, 0, false).
 
 /// One key of a JSON object and the member it reads into and writes from:
-/// a bool, int, std::uint64_t, double, std::string, JsonArray, or an enum
-/// whose enumerators index a name table.  The member must outlive the field.
+/// a bool, int, std::uint64_t, double, std::string, JsonArray, JsonObject,
+/// or an enum whose enumerators index a name table.  The member must
+/// outlive the field.
 class JsonField {
  public:
   template <typename T>
@@ -186,7 +187,7 @@ class JsonField {
     void (*set)(void*, std::size_t);
   };
   using Member = std::variant<bool*, int*, std::uint64_t*, double*,
-                              std::string*, JsonArray*, Enum>;
+                              std::string*, JsonArray*, JsonObject*, Enum>;
 
   /// Store `value` in the member; what is wrong with it, or "" once stored.
   [[nodiscard]] std::string read(const JsonValue& value) const;

@@ -7,11 +7,14 @@
 // `std::deque` serves that pattern through chunk maps and per-chunk
 // indirection; this ring serves it from one contiguous power-of-two array,
 // so position math is a single mask (no modulo, no chunk lookup) and a
-// pruned-and-refilled steady state never allocates.
+// pruned-and-refilled steady state never allocates.  Its const_iterator
+// is random access, so a ring kept in time order is binary-searched
+// (std::partition_point) for the start of a window.
 //
 // T must be default-constructible and move-assignable.  Capacity grows by
 // doubling when push_back catches the head; bounded uses pop_front first.
 
+#include <compare>
 #include <cstddef>
 #include <iterator>
 #include <utility>
@@ -49,12 +52,28 @@ class RingBuffer {
       --pos_;
       return *this;
     }
+    const_iterator operator--(int) {
+      const_iterator old = *this;
+      --pos_;
+      return old;
+    }
     const_iterator& operator+=(difference_type n) {
       pos_ += static_cast<std::size_t>(n);
       return *this;
     }
+    const_iterator& operator-=(difference_type n) {
+      pos_ -= static_cast<std::size_t>(n);
+      return *this;
+    }
+    reference operator[](difference_type n) const { return *(*this + n); }
     friend const_iterator operator+(const_iterator it, difference_type n) {
       return it += n;
+    }
+    friend const_iterator operator+(difference_type n, const_iterator it) {
+      return it += n;
+    }
+    friend const_iterator operator-(const_iterator it, difference_type n) {
+      return it -= n;
     }
     friend difference_type operator-(const const_iterator& a,
                                      const const_iterator& b) {
@@ -64,8 +83,9 @@ class RingBuffer {
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
       return a.pos_ == b.pos_;
     }
-    friend bool operator!=(const const_iterator& a, const const_iterator& b) {
-      return a.pos_ != b.pos_;
+    friend std::strong_ordering operator<=>(const const_iterator& a,
+                                            const const_iterator& b) {
+      return a.pos_ <=> b.pos_;
     }
 
    private:

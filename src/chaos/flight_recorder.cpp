@@ -62,38 +62,75 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
   return options;
 }
 
+/// The one bundle format replay_bundle reads and make_bundle writes.
+constexpr int kBundleVersion = 1;
+
+/// A bundle's root object.  The replay runs the scenario with the plan and
+/// compares its trace hash and violation summary with the recorded ones,
+/// so those keys are required; the trigger is handed back, and the rest is
+/// evidence for the post-mortem, only type-checked.
+struct BundleRoot {
+  int version = kBundleVersion;
+  JsonObject trigger;
+  JsonObject scenario;
+  JsonObject plan;
+  JsonArray violations;
+  std::string violations_summary;
+  std::string trace_hash;  // decimal: hashes exceed a double's integers
+  std::string decision_log_hash;
+  JsonObject stats;
+  JsonObject metrics;
+  std::string trace_jsonl;
+};
+
+std::vector<JsonField> bundle_fields(BundleRoot& b) {
+  return {
+      JsonField("version", b.version)
+          .required()
+          .within(kBundleVersion, kBundleVersion),
+      JsonField("trigger", b.trigger),
+      JsonField("scenario", b.scenario).required(),
+      JsonField("plan", b.plan).required(),
+      JsonField("violations", b.violations),
+      JsonField("violations_summary", b.violations_summary).required(),
+      JsonField("trace_hash", b.trace_hash).required(),
+      JsonField("decision_log_hash", b.decision_log_hash),
+      JsonField("stats", b.stats),
+      JsonField("metrics", b.metrics).sparse(),
+      JsonField("trace_jsonl", b.trace_jsonl),
+  };
+}
+
+std::vector<JsonField> trigger_fields(FlightTrigger& t) {
+  return {JsonField("kind", t.kind), JsonField("detail", t.detail)};
+}
+
 }  // namespace
 
 JsonValue make_bundle(const ScenarioOptions& options,
                       const ScenarioReport& report,
                       const FlightTrigger& trigger) {
-  JsonObject root;
-  root.emplace("version", 1.0);
-  JsonObject trigger_object;
-  trigger_object.emplace("kind", trigger.kind);
-  trigger_object.emplace("detail", trigger.detail);
-  root.emplace("trigger", std::move(trigger_object));
-  root.emplace("scenario", scenario_to_json(options));
+  BundleRoot root;
+  FlightTrigger recorded = trigger;
+  root.trigger = obs::json_write(trigger_fields(recorded)).as_object();
+  root.scenario = scenario_to_json(options).as_object();
   // The fault plan round-trips through its own JSON form; embed it parsed
   // so the bundle is one well-formed document, not nested text.
   if (auto plan = obs::json_parse(options.plan.to_json());
-      plan.has_value()) {
-    root.emplace("plan", *std::move(plan));
+      plan.has_value() && plan->is_object()) {
+    root.plan = plan->as_object();
   }
-  JsonArray violations;
   for (const Violation& violation : report.invariants.violations) {
     JsonObject entry;
     entry.emplace("invariant", violation.invariant);
     entry.emplace("subject", violation.subject);
     entry.emplace("detail", violation.detail);
-    violations.push_back(JsonValue{std::move(entry)});
+    root.violations.push_back(JsonValue{std::move(entry)});
   }
-  root.emplace("violations", std::move(violations));
-  root.emplace("violations_summary", report.invariants.summary());
-  // Hashes as decimal strings: they exceed a double's integer range.
-  root.emplace("trace_hash", std::to_string(report.trace_hash));
-  root.emplace("decision_log_hash", std::to_string(report.decision_log_hash));
-  JsonObject stats;
+  root.violations_summary = report.invariants.summary();
+  root.trace_hash = std::to_string(report.trace_hash);
+  root.decision_log_hash = std::to_string(report.decision_log_hash);
+  JsonObject& stats = root.stats;
   stats.emplace("events_executed",
                 static_cast<double>(report.events_executed));
   stats.emplace("final_time", report.final_time);
@@ -108,15 +145,14 @@ JsonValue make_bundle(const ScenarioOptions& options,
   stats.emplace("messages_dropped",
                 static_cast<double>(report.messages_dropped));
   stats.emplace("decisions", static_cast<double>(report.decisions));
-  root.emplace("stats", std::move(stats));
   if (!report.metrics_json.empty()) {
     if (auto metrics = obs::json_parse(report.metrics_json);
-        metrics.has_value()) {
-      root.emplace("metrics", *std::move(metrics));
+        metrics.has_value() && metrics->is_object()) {
+      root.metrics = metrics->as_object();
     }
   }
-  root.emplace("trace_jsonl", report.trace_jsonl);
-  return JsonValue{std::move(root)};
+  root.trace_jsonl = report.trace_jsonl;
+  return obs::json_write(bundle_fields(root));
 }
 
 support::Status check_scenario(const ScenarioOptions& options) {
@@ -151,48 +187,37 @@ support::Expected<BundleReplay> replay_bundle(std::string_view bundle_json) {
   if (!doc.has_value()) {
     return support::make_error("bundle.parse", doc.error().to_string());
   }
-  const JsonValue* scenario = doc->find("scenario");
-  if (scenario == nullptr) {
-    return support::make_error("bundle.parse", "missing scenario");
+  BundleRoot root;
+  if (auto read = obs::json_read(*doc, bundle_fields(root), "bundle", "$");
+      !read) {
+    return read.error();
   }
-  auto options = scenario_from_json(*scenario);
+  BundleReplay replay;
+  if (auto read = obs::json_read(JsonValue{std::move(root.trigger)},
+                                 trigger_fields(replay.trigger), "bundle",
+                                 "$.trigger");
+      !read) {
+    return read.error();
+  }
+  auto options = scenario_from_json(JsonValue{std::move(root.scenario)});
   if (!options.has_value()) {
     return options.error();
   }
-  if (const JsonValue* plan = doc->find("plan")) {
-    auto parsed = FaultPlan::from_json(plan->dump());
-    if (!parsed.has_value()) {
-      return support::make_error("bundle.parse",
-                                 "plan: " + parsed.error().to_string());
-    }
-    options->plan = *std::move(parsed);
+  auto plan = FaultPlan::from_json(JsonValue{std::move(root.plan)}.dump());
+  if (!plan.has_value()) {
+    return support::make_error("bundle.parse",
+                               "plan: " + plan.error().to_string());
   }
-  BundleReplay replay;
-  if (const JsonValue* trigger = doc->find("trigger")) {
-    if (const JsonValue* kind = trigger->find("kind");
-        kind != nullptr && kind->is_string()) {
-      replay.trigger.kind = kind->as_string();
-    }
-    if (const JsonValue* detail = trigger->find("detail");
-        detail != nullptr && detail->is_string()) {
-      replay.trigger.detail = detail->as_string();
-    }
+  options->plan = *std::move(plan);
+  const std::string& hash = root.trace_hash;
+  const char* const end = hash.data() + hash.size();
+  const auto [last, error] =
+      std::from_chars(hash.data(), end, replay.recorded_trace_hash);
+  if (error != std::errc{} || last != end) {
+    return support::make_error("bundle.parse",
+                               "trace_hash is not a decimal number");
   }
-  if (const JsonValue* hash = doc->find("trace_hash");
-      hash != nullptr && hash->is_string()) {
-    const std::string& text = hash->as_string();
-    const char* const end = text.data() + text.size();
-    const auto [last, error] =
-        std::from_chars(text.data(), end, replay.recorded_trace_hash);
-    if (error != std::errc{} || last != end) {
-      return support::make_error("bundle.parse",
-                                 "trace_hash is not a decimal number");
-    }
-  }
-  if (const JsonValue* summary = doc->find("violations_summary");
-      summary != nullptr && summary->is_string()) {
-    replay.recorded_violations = summary->as_string();
-  }
+  replay.recorded_violations = std::move(root.violations_summary);
   // The rerun must keep its trace so the comparison is on actual bytes,
   // not only the hash.
   options->keep_trace = true;

@@ -13,6 +13,9 @@ constexpr double kWorkEpsilon = 1e-9;
 // Completion events must strictly advance virtual time: below one ulp of a
 // large `now`, now + delay == now and the loop would spin forever.
 constexpr double kMinCompletionDelay = 1e-9;
+// Busy periods that ended more than this long ago are dropped; every
+// utilization window is far shorter.
+constexpr double kHistoryRetentionSeconds = 3600.0;
 }  // namespace
 
 CpuModel::CpuModel(sim::Engine& engine, double speed)
@@ -55,17 +58,22 @@ void CpuModel::record_busy(double begin, double end) {
   } else {
     busy_segments_.push_back(BusySegment{begin, end});
   }
-  const double horizon = engine_->now() - history_retention_;
+  const double horizon = engine_->now() - kHistoryRetentionSeconds;
   while (!busy_segments_.empty() && busy_segments_.front().end < horizon) {
     busy_segments_.pop_front();
   }
 }
 
 double CpuModel::busy_between(double t0, double t1) const noexcept {
+  // record_busy only appends or extends the newest period, so ends are
+  // non-decreasing; a period that ended before t0 would add +0.0, which
+  // leaves the sum bit for bit unchanged, so the sum starts past them.
+  const auto first = std::partition_point(
+      busy_segments_.begin(), busy_segments_.end(),
+      [t0](const BusySegment& segment) { return segment.end < t0; });
   double busy = 0.0;
-  for (const auto& segment : busy_segments_) {
-    busy += std::max(0.0, std::min(segment.end, t1) -
-                              std::max(segment.begin, t0));
+  for (auto it = first; it != busy_segments_.end(); ++it) {
+    busy += std::max(0.0, std::min(it->end, t1) - std::max(it->begin, t0));
   }
   if (!jobs_.empty()) {
     // Ongoing busy period not yet folded into the history.

@@ -403,6 +403,11 @@ std::string JsonField::read(const JsonValue& value) const {
             return "must not be empty";
           }
           *member = value.as_array();
+        } else if constexpr (std::is_same_v<M, JsonObject*>) {
+          if (!value.is_object()) {
+            return "expected an object";
+          }
+          *member = value.as_object();
         } else {
           using T = std::remove_pointer_t<M>;
           if (!value.is_number()) {
@@ -442,7 +447,8 @@ JsonValue JsonField::write() const {
           return std::string(names_[member.get(member.member)]);
         } else if constexpr (std::is_same_v<M, bool*> ||
                              std::is_same_v<M, std::string*> ||
-                             std::is_same_v<M, JsonArray*>) {
+                             std::is_same_v<M, JsonArray*> ||
+                             std::is_same_v<M, JsonObject*>) {
           return *member;
         } else {
           return static_cast<double>(*member);
@@ -489,6 +495,7 @@ JsonValue json_write(std::span<const JsonField> fields) {
                       : value.is_number() ? value.as_number() == 0.0
                       : value.is_string() ? value.as_string().empty()
                       : value.is_array()  ? value.as_array().empty()
+                      : value.is_object() ? value.as_object().empty()
                                           : false;
     if (field.presence_ != JsonField::Presence::kSparse || !zero) {
       object.emplace(std::string(field.key_), std::move(value));

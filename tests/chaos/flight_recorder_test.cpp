@@ -198,16 +198,81 @@ TEST(FlightRecorder, TamperedTraceHashFailsTheReplayCheck) {
   EXPECT_FALSE(replay->reproduced());
 }
 
+/// The smallest bundle replay_bundle reads: every required key, a default
+/// scenario and an empty fault plan.
+obs::JsonObject minimal_bundle() {
+  auto doc = obs::json_parse(
+      R"({"version":1,"scenario":{},"plan":{"faults":[]},)"
+      R"("violations_summary":"ok","trace_hash":"0"})");
+  EXPECT_TRUE(doc.has_value());
+  return doc->as_object();
+}
+
+/// `minimal_bundle()` with `key` set to the JSON text `value`, or removed
+/// when `value` is null.
+std::string bundle_with(const std::string& key, const char* value) {
+  obs::JsonObject root = minimal_bundle();
+  if (value == nullptr) {
+    root.erase(key);
+  } else {
+    auto parsed = obs::json_parse(value);
+    EXPECT_TRUE(parsed.has_value()) << value;
+    root.insert_or_assign(key, *std::move(parsed));
+  }
+  return obs::JsonValue{std::move(root)}.dump();
+}
+
 TEST(FlightRecorder, MalformedBundleIsRejected) {
   EXPECT_FALSE(replay_bundle("not json").has_value());
   EXPECT_FALSE(replay_bundle("[1,2,3]").has_value());
   EXPECT_FALSE(replay_bundle("{\"version\":1}").has_value());
   // Outside input: a trace hash that is not a number is a parse error, not
   // an exception.
-  const auto bad_hash =
-      replay_bundle("{\"scenario\":{},\"trace_hash\":\"not-a-number\"}");
+  const auto bad_hash = replay_bundle(bundle_with("trace_hash",
+                                                  R"("not-a-number")"));
   ASSERT_FALSE(bad_hash.has_value());
   EXPECT_EQ(bad_hash.error().code, "bundle.parse");
+  // The root is read as strictly as the scenario: a bundle that does not
+  // say what to replay, or says it in a form no writer produced, is
+  // refused with the key named instead of replaying some other run (a
+  // numeric hash read as 0, a missing plan run fault-free).
+  struct Refusal {
+    const char* key;
+    const char* value;  // JSON text; nullptr removes the key
+    const char* code;
+    const char* message;
+  };
+  const Refusal refused_roots[] = {
+      {"trace_hash", "12345", "bundle.trace_hash",
+       "$.trace_hash: expected a string"},
+      {"trace_hash", nullptr, "bundle.trace_hash",
+       "$.trace_hash: required key is missing"},
+      {"plan", nullptr, "bundle.plan", "$.plan: required key is missing"},
+      {"plan", "[]", "bundle.plan", "$.plan: expected an object"},
+      {"version", "2", "bundle.version", "$.version: must be in [1, 1], got 2"},
+      {"version", R"("1")", "bundle.version", "$.version: expected a number"},
+      {"version", nullptr, "bundle.version",
+       "$.version: required key is missing"},
+      {"trigger", R"("invariant-violation")", "bundle.trigger",
+       "$.trigger: expected an object"},
+      {"trigger", R"({"kind":7})", "bundle.kind",
+       "$.trigger.kind: expected a string"},
+      {"trigger", R"({"knid":"watchdog"})", "bundle.knid",
+       "$.trigger.knid: unknown key"},
+      {"tracehash", R"("0")", "bundle.tracehash", "$.tracehash: unknown key"},
+      {"violations_summary", nullptr, "bundle.violations_summary",
+       "$.violations_summary: required key is missing"},
+      {"stats", "[]", "bundle.stats", "$.stats: expected an object"},
+  };
+  for (const Refusal& refusal : refused_roots) {
+    const std::string what =
+        std::string(refusal.key) + " = " +
+        (refusal.value == nullptr ? "(absent)" : refusal.value);
+    const auto bad = replay_bundle(bundle_with(refusal.key, refusal.value));
+    ASSERT_FALSE(bad.has_value()) << what;
+    EXPECT_EQ(bad.error().code, refusal.code) << what;
+    EXPECT_EQ(bad.error().message, refusal.message) << what;
+  }
   // Nor may a scenario reach run_scenario that it cannot run, or run a
   // different one than recorded: an unknown key, a value of the wrong type,
   // a fractional count, a number outside its type or its bounds, or a
@@ -227,8 +292,7 @@ TEST(FlightRecorder, MalformedBundleIsRejected) {
       {R"({"ckpt_state_mb":1e300})", "bundle.ckpt_state_mb"},
   };
   for (const auto& [scenario, code] : refused) {
-    const auto bad = replay_bundle(std::string("{\"scenario\":") + scenario +
-                                   "}");
+    const auto bad = replay_bundle(bundle_with("scenario", scenario));
     ASSERT_FALSE(bad.has_value()) << scenario;
     EXPECT_EQ(bad.error().code, code) << scenario;
     const std::string path =

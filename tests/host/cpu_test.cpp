@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ars/sim/task.hpp"
+#include "ars/support/rng.hpp"
 
 namespace ars::host {
 namespace {
@@ -161,6 +165,105 @@ TEST(CpuModel, ManyJobsShareFairly) {
   for (const double d : done) {
     EXPECT_DOUBLE_EQ(d, static_cast<double>(kJobs));
   }
+}
+
+struct BusyPeriod {
+  double begin;
+  double end;
+};
+
+/// One job at a time with idle gaps between, on a quarter-second grid:
+/// each job is exactly one busy period [start, finish] of the model's
+/// history, and `running_since` is the start of the job in progress (or
+/// negative between jobs).
+Task<> busy_stream(CpuModel& cpu, support::Rng& rng,
+                   std::vector<BusyPeriod>& periods, double& running_since) {
+  for (;;) {
+    co_await sim::delay(cpu.engine(),
+                        0.25 * static_cast<double>(rng.uniform_int(1, 8)));
+    running_since = cpu.engine().now();
+    co_await cpu.compute(0.25 * static_cast<double>(rng.uniform_int(1, 16)));
+    periods.push_back(BusyPeriod{running_since, cpu.engine().now()});
+    running_since = -1.0;
+  }
+}
+
+/// The windowed read as a scan of every busy period, in order, plus the
+/// job in progress.
+double scan_busy(const std::vector<BusyPeriod>& periods, double running_since,
+                 double now, double t0, double t1) {
+  double busy = 0.0;
+  for (const BusyPeriod& p : periods) {
+    busy += std::max(0.0, std::min(p.end, t1) - std::max(p.begin, t0));
+  }
+  if (running_since >= 0.0) {
+    busy += std::max(0.0, std::min(now, t1) - std::max(running_since, t0));
+  }
+  return busy;
+}
+
+TEST(CpuModel, IdleCpuReadsZeroBusyTime) {
+  Engine engine;
+  CpuModel cpu{engine, 1.0};
+  engine.run_until(50.0);
+  EXPECT_EQ(cpu.busy_between(0.0, 50.0), 0.0);
+  EXPECT_EQ(cpu.busy_between(10.0, 10.0), 0.0);
+}
+
+// A windowed read starts at the first busy period ending at or after the
+// window, so it must equal a scan of every period bit for bit: early in a
+// seeded random run, and past the hour after which old periods are pruned,
+// for windows on period edges, windows ending before the newest period,
+// and windows covering the job in progress.
+TEST(CpuModel, WindowedBusyReadsEqualAFullScan) {
+  Engine engine;
+  CpuModel cpu{engine, 1.0};
+  support::Rng rng{23};
+  std::vector<BusyPeriod> periods;
+  double running_since = -1.0;
+  Fiber stream =
+      Fiber::spawn(engine, busy_stream(cpu, rng, periods, running_since));
+  support::Rng windows{5};
+  int edges = 0;
+  int early_ends = 0;
+  // Windows start no earlier than `oldest`, inside what the model holds.
+  const auto check = [&](double oldest) {
+    const double now = engine.now();
+    const auto expect_exact = [&](double t0, double t1) {
+      EXPECT_EQ(cpu.busy_between(t0, t1),
+                scan_busy(periods, running_since, now, t0, t1))
+          << "[" << t0 << ", " << t1 << "] at " << now;
+    };
+    for (const BusyPeriod& p : periods) {
+      if (p.end < oldest || windows.uniform() > 0.3) {
+        continue;
+      }
+      ++edges;
+      for (const double t0 : {p.begin, p.end}) {
+        for (const double t1 : {t0, t0 + 0.25, t0 + 10.0, now}) {
+          expect_exact(t0, t1);
+          early_ends += t1 < periods.back().end ? 1 : 0;
+        }
+      }
+    }
+    for (int i = 0; i < 50; ++i) {
+      const double t0 = windows.uniform(oldest, now + 1.0);
+      expect_exact(t0, t0 + windows.uniform(0.0, 60.0));
+    }
+    expect_exact(now - 10.0, now);
+  };
+  engine.run_until(100.0);
+  ASSERT_FALSE(periods.empty());
+  check(0.0);
+  engine.run_until(5000.25);
+  check(engine.now() - 3600.0);
+  // Periods older than the hour are gone from the model's history.
+  EXPECT_LT(cpu.busy_between(0.0, engine.now()),
+            scan_busy(periods, running_since, engine.now(), 0.0,
+                      engine.now()));
+  EXPECT_GT(edges, 100);
+  EXPECT_GT(early_ends, 100);
+  stream.kill();  // release the CPU job before the model is destroyed
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ars/net/commhog.hpp"
+#include "ars/support/rng.hpp"
 
 namespace ars::net {
 namespace {
@@ -202,6 +206,100 @@ TEST(FlowMeter, ZeroOrNegativeBytesIgnored) {
   meter.add(0.0, 1.0, 0.0);
   meter.add(0.0, 1.0, -5.0);
   EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
+}
+
+struct Accrual {
+  double begin;
+  double end;
+  double bytes;
+};
+
+/// The windowed read as a scan of every segment ever added, in order.
+double scan_bytes(const std::vector<Accrual>& all, double t0, double t1) {
+  double bytes = 0.0;
+  for (const Accrual& a : all) {
+    if (a.end <= a.begin) {
+      if (a.begin >= t0 && a.begin <= t1) {
+        bytes += a.bytes;
+      }
+      continue;
+    }
+    const double overlap = std::min(a.end, t1) - std::max(a.begin, t0);
+    if (overlap > 0.0) {
+      bytes += a.bytes * overlap / (a.end - a.begin);
+    }
+  }
+  return bytes;
+}
+
+TEST(FlowMeter, EmptyMeterReadsZero) {
+  const FlowMeter meter;
+  EXPECT_EQ(meter.bytes_between(0.0, 10.0), 0.0);
+  EXPECT_EQ(meter.bytes_between(5.0, 5.0), 0.0);
+  EXPECT_EQ(meter.rate_bps(10.0, 100.0), 0.0);
+}
+
+// A windowed read starts at the first segment ending at or after the
+// window, so it must equal a scan of all segments bit for bit: on a seeded
+// random stream of spans and bursts with non-decreasing ends (times on a
+// quarter-second grid, so windows hit segment edges exactly), before and
+// after the meter has pruned segments older than its hour of retention.
+TEST(FlowMeter, WindowedReadsEqualAFullScan) {
+  support::Rng rng{23};
+  support::Rng windows{5};
+  FlowMeter meter;
+  std::vector<Accrual> all;
+  double clock = 0.0;
+  int burst_edges = 0;
+  int span_edges = 0;
+  int early_ends = 0;
+  // Checks every kind of window against the scan; windows start no earlier
+  // than `oldest`, inside what the meter still holds.
+  const auto check = [&](double oldest) {
+    const double newest = all.back().end;
+    for (const Accrual& a : all) {
+      if (a.end < oldest || windows.uniform() > 0.1) {
+        continue;
+      }
+      // A burst on the window's left edge counts; a span ending there adds
+      // nothing.
+      const double t0 = a.end;
+      ++(a.end == a.begin ? burst_edges : span_edges);
+      for (const double t1 : {t0, t0 + 0.25, t0 + 10.0, newest}) {
+        EXPECT_EQ(meter.bytes_between(t0, t1), scan_bytes(all, t0, t1))
+            << "[" << t0 << ", " << t1 << "]";
+        early_ends += t1 < newest ? 1 : 0;
+      }
+    }
+    for (int i = 0; i < 50; ++i) {
+      const double t0 = windows.uniform(oldest + 10.0, newest + 1.0);
+      const double t1 = t0 + windows.uniform(0.0, 60.0);
+      EXPECT_EQ(meter.bytes_between(t0, t1), scan_bytes(all, t0, t1))
+          << "[" << t0 << ", " << t1 << "]";
+      EXPECT_EQ(meter.rate_bps(10.0, t1),
+                scan_bytes(all, t1 - 10.0, t1) / 10.0);
+    }
+  };
+  for (int i = 0; i < 12000; ++i) {
+    clock += 0.25 * static_cast<double>(rng.uniform_int(0, 4));
+    const bool burst = rng.uniform_int(0, 3) == 0;
+    const double length =
+        burst ? 0.0 : 0.25 * static_cast<double>(rng.uniform_int(1, 16));
+    const double begin = clock - length;
+    const double bytes = rng.uniform(1.0, 1000.0);
+    meter.add(begin, clock, bytes);
+    all.push_back(Accrual{begin, clock, bytes});
+    if (i == 200) {
+      check(0.0);  // nothing pruned yet
+    }
+  }
+  ASSERT_GT(clock, 5000.0);
+  // The hour behind the newest segment is still held; the rest is pruned.
+  check(clock - 3600.0);
+  EXPECT_LT(meter.bytes_between(0.0, clock), scan_bytes(all, 0.0, clock));
+  EXPECT_GT(burst_edges, 50);
+  EXPECT_GT(span_edges, 50);
+  EXPECT_GT(early_ends, 50);
 }
 
 class CommHogTest : public NetworkTest {};

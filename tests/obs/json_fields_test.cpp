@@ -1,5 +1,5 @@
 // The JSON field tables (obs/json.hpp): the one reader and writer behind
-// fault plans, bundle scenarios, cluster plans and queue plans.  The
+// fault plans, bundles, cluster plans and queue plans.  The
 // integer cases are the ones a double-to-integer cast gets wrong: the
 // sanitizer CI job runs this binary with float-cast-overflow trapping, so a
 // value that slipped past the range check would fail there even if the
@@ -33,6 +33,7 @@ struct Doc {
   std::string note;
   Colour colour = Colour::kRed;
   JsonArray items;
+  JsonObject extra;
 };
 
 std::vector<JsonField> doc_fields(Doc& d) {
@@ -48,6 +49,7 @@ std::vector<JsonField> doc_fields(Doc& d) {
       JsonField("note", d.note).sparse(),
       JsonField("colour", d.colour, kColours),
       JsonField("items", d.items),
+      JsonField("extra", d.extra).sparse(),
   };
 }
 
@@ -150,6 +152,22 @@ TEST(JsonFields, WrongJsonTypesAreRefused) {
             "doc.colour | $.colour: expected a string");
   EXPECT_EQ(outcome(R"({"name": "x", "items": {}})"),
             "doc.items | $.items: expected an array");
+}
+
+TEST(JsonFields, ObjectMembersTakeObjectsAndAreSparseWhenEmpty) {
+  Doc doc;
+  ASSERT_TRUE(read(R"({"name": "x", "extra": {"k": [1, {}]}})", doc));
+  ASSERT_EQ(doc.extra.size(), 1u);
+  EXPECT_EQ(doc.extra.at("k").as_array().size(), 2u);
+  EXPECT_EQ(outcome(R"({"name": "x", "extra": []})"),
+            "doc.extra | $.extra: expected an object");
+  EXPECT_EQ(outcome(R"({"name": "x", "extra": null})"),
+            "doc.extra | $.extra: expected an object");
+  const JsonValue written = json_write(doc_fields(doc));
+  ASSERT_NE(written.find("extra"), nullptr);
+  EXPECT_EQ(written.find("extra")->dump(), R"({"k":[1,{}]})");
+  Doc empty;
+  EXPECT_EQ(json_write(doc_fields(empty)).find("extra"), nullptr);
 }
 
 TEST(JsonFields, BoundsAreInclusiveUnlessOpen) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +11,12 @@
 namespace {
 
 using ars::support::RingBuffer;
+
+// The windowed sensor reads binary-search a ring, which is only O(log n)
+// for an iterator the standard library treats as random access.
+static_assert(std::random_access_iterator<RingBuffer<int>::const_iterator>);
+static_assert(std::random_access_iterator<
+              RingBuffer<std::string>::const_iterator>);
 
 TEST(RingBuffer, StartsEmpty) {
   RingBuffer<int> ring;
@@ -104,6 +112,44 @@ TEST(RingBuffer, IterationMatchesIndexing) {
   }
   EXPECT_EQ(seen.front(), "v2");
   EXPECT_EQ(seen.back(), "v9");
+}
+
+TEST(RingBuffer, IteratorArithmeticFollowsLogicalOrder) {
+  RingBuffer<int> ring;
+  for (int i = 0; i < 8; ++i) {
+    ring.push_back(i);
+  }
+  for (int i = 0; i < 5; ++i) {
+    ring.pop_front();
+  }
+  for (int i = 8; i < 12; ++i) {
+    ring.push_back(i);  // wraps: the head sits mid-array
+  }
+  ASSERT_EQ(ring.size(), 7U);
+  const auto first = ring.begin();
+  const auto last = ring.end();
+  EXPECT_EQ(last - first, 7);
+  EXPECT_EQ(first[3], 8);
+  EXPECT_EQ(*(first + 6), 11);
+  EXPECT_EQ(*(6 + first), 11);
+  EXPECT_EQ(*(last - 1), 11);
+  auto it = last;
+  it -= 2;
+  EXPECT_EQ(*it, 10);
+  EXPECT_EQ(*it--, 10);
+  EXPECT_EQ(*it, 9);
+  EXPECT_TRUE(first < it);
+  EXPECT_TRUE(it <= it);
+  EXPECT_TRUE(last > it);
+  EXPECT_TRUE(last >= last);
+  EXPECT_FALSE(it < first);
+  // The search the sensors run: first element not below a key.
+  const auto found = std::partition_point(
+      first, last, [](int value) { return value < 9; });
+  EXPECT_EQ(found - first, 4);
+  EXPECT_EQ(*found, 9);
+  EXPECT_EQ(std::lower_bound(first, last, 100), last);
+  EXPECT_EQ(std::ranges::lower_bound(ring, 5), first);
 }
 
 TEST(RingBuffer, ClearResetsToEmpty) {
