@@ -19,7 +19,6 @@ class CpuHog {
   struct Options {
     int threads = 1;
     double duration = -1.0;        // seconds of wall time; <0 means unbounded
-    double slice = 1.0;            // compute-chunk granularity (ref-seconds)
     std::string name = "cpu_hog";
     int ambient_process_delta = 0;  // extra `ps` processes to simulate
   };
@@ -47,15 +46,14 @@ class CpuHog {
   bool running_ = false;
 };
 
-/// Duty-cycle load generator: keeps the CPU busy a fixed fraction of the
-/// time (interactive daemons, cron jobs).  A 26 % duty cycle reproduces the
-/// paper's idle-workstation baseline (load average ~0.256, CPU ~26 %).
+/// Duty-cycle load generator: keeps the CPU busy a fixed fraction of each
+/// one-second cycle (interactive daemons, cron jobs).  A 26 % duty cycle
+/// reproduces the paper's idle-workstation baseline (load average ~0.256,
+/// CPU ~26 %).
 class DutyCycleHog {
  public:
   struct Options {
-    double duty = 0.26;    // busy fraction in [0, 1]
-    double period = 1.0;   // seconds per on/off cycle
-    std::string name = "ambient";
+    double duty = 0.26;  // busy fraction in [0, 1]
   };
 
   DutyCycleHog(Host& target, Options options);

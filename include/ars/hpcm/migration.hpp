@@ -30,15 +30,14 @@
 //
 // Every phase carries a configurable timeout; every terminal outcome
 // (committed / aborted{reason} / rolled-back) is timestamped in a
-// MigrationTimeline and reported through the outcome listener so the
-// registry can credit back its in-flight placement debit and mark failed
-// destinations suspect (DESIGN.md §12).
+// MigrationTimeline and handed to the outcome listener so the registry can
+// credit back its in-flight placement debit and mark failed destinations
+// suspect (DESIGN.md §12).
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -89,9 +88,11 @@ struct MigrationTimeline {
   std::string outcome = "in-flight";
   std::string abort_reason;  // set when outcome != "committed"
   std::string abort_phase;   // protocol phase the failure hit
-  /// Causal transaction id carried by the MigrateCmd that triggered this
-  /// migration (0 when the request was untraced).
-  std::uint64_t txn = 0;
+  /// Causal context of the transaction: the MigrateCmd's txn (unset when
+  /// the request was untraced) with the migration span as parent.  Rides on
+  /// the MigrationOutcomeMsg envelope so the registry links the report to
+  /// the original decision.
+  obs::TraceCtx trace;
 
   [[nodiscard]] double reach_poll_point() const {
     return poll_point_at - requested_at;
@@ -108,24 +109,6 @@ struct MigrationTimeline {
     return resumed_at - (freeze_begin_at >= 0.0 ? freeze_begin_at
                                                 : poll_point_at);
   }
-};
-
-/// Terminal transaction outcome handed to the outcome listener (the runtime
-/// forwards it to the source host's commander as a MigrationOutcomeMsg).
-struct MigrationOutcome {
-  std::string process;
-  std::string source;
-  std::string destination;
-  std::string outcome;  // "committed" | "aborted" | "rolled-back"
-  std::string reason;   // empty for committed
-  std::string phase;    // protocol phase the failure hit (empty for committed)
-  /// Pre-copy rounds shipped before the terminal outcome (0: stop-and-copy).
-  int precopy_rounds = 0;
-  /// Bytes the overlapped pre-copy rounds moved.
-  double precopy_bytes = 0.0;
-  /// Causal context of the transaction; rides on the MigrationOutcomeMsg
-  /// envelope so the registry links the report to the original decision.
-  obs::TraceCtx trace;
 };
 
 /// Persistent per-process migration state; survives fiber swaps across
@@ -191,11 +174,6 @@ class MigrationContext {
   /// migrate() so the whole transaction links back to the decision.
   obs::TraceCtx pending_trace_;
   std::string schema_name_;
-  /// Timeline index of the in-flight pre-copy transaction of this process
-  /// (kNoPrecopy when none).  While set, poll-points advance the pre-copy
-  /// loop instead of starting a new migration.
-  static constexpr std::size_t kNoPrecopy = static_cast<std::size_t>(-1);
-  std::size_t precopy_tx_ = kNoPrecopy;
 };
 
 class MigrationEngine {
@@ -238,7 +216,8 @@ class MigrationEngine {
     /// Iterative pre-copy (live-VM style): ship the full state in round 0
     /// and dirty deltas in later rounds while the process keeps computing;
     /// freeze only for the final delta + comm-state handoff.  Off by
-    /// default: stop-and-copy keeps its exact legacy wire behavior.
+    /// default: stop-and-copy ships the whole state frozen, as one final
+    /// round-0 frame.
     bool precopy = false;
     /// Give up converging and freeze after this many rounds.
     int precopy_max_rounds = 8;
@@ -261,7 +240,8 @@ class MigrationEngine {
 
   using MigratableApp =
       std::function<sim::Task<>(mpi::Proc&, MigrationContext&)>;
-  using OutcomeListener = std::function<void(const MigrationOutcome&)>;
+  /// Receives the stamped timeline of every ended transaction.
+  using OutcomeListener = std::function<void(const MigrationTimeline&)>;
 
   /// Launch a migration-enabled application; registers it (and its schema)
   /// with the host process table.
@@ -351,8 +331,9 @@ class MigrationEngine {
 
   /// Simulate a process crash (host failure, kill -9): the fiber dies on
   /// the spot, the logical process disappears, nothing is collected.  The
-  /// application (and its context shell) is parked for relaunch.  An
-  /// in-flight migration transaction of the process is aborted.
+  /// application (and its context shell) is parked for relaunch.  An open
+  /// migration transaction of the process is aborted (source-crashed), or
+  /// rolled back when it already committed (restore-interrupted).
   /// Returns false for unknown ids.
   bool crash(mpi::RankId id);
 
@@ -393,13 +374,10 @@ class MigrationEngine {
  private:
   friend class MigrationContext;
 
-  struct ProcState {
-    MigrationContext context;
-    MigrationEngine::MigratableApp app;
-  };
-
-  /// One in-flight migration transaction, keyed by timeline index.  Heap
-  /// allocated so phase fibers and deadline events can hold stable pointers.
+  /// One migration transaction, keyed by timeline index: the only record of
+  /// it.  It owns its phase runner, its background collector and every span
+  /// it opens, and end_transaction() alone ends it.  Heap allocated so phase
+  /// fibers and deadline events can hold stable pointers.
   struct PendingTx {
     PendingTx(sim::Engine& engine, txn::PhaseEvent identity,
               const txn::PhaseListener* listener)
@@ -407,54 +385,71 @@ class MigrationEngine {
 
     std::size_t timeline_index = 0;
     mpi::RankId proc_id = 0;
-    std::string process;
-    std::string source;
-    std::string dest;
-    bool pre_init = false;
-    std::string port;  // daemon port when pre_init
+    std::string port;  // pre-initialized daemon's port (empty: spawn)
     mpi::RankId helper_id = 0;
     mpi::Comm merged;
 
     bool committed = false;
-    /// Context for spans/instants of this transaction: the request's txn
-    /// with the migration span as parent (set once the span opens).
-    obs::TraceCtx trace;
 
     // Collected state (filled by the collect step / the receiver).
     std::vector<std::byte> encoded;
-    double opaque = 0.0;
-    double eager_opaque = 0.0;
     double eager_wire = 0.0;
-    /// Eager-message `values` override; empty = legacy [id, timeline].
-    /// Pre-copy frames carry [id, timeline, round, final-flag].
-    std::vector<double> eager_values;
     StateRegistry restored_state;
     bool state_ready = false;
 
     // Pre-copy loop state (source side).
-    bool precopy = false;
     int rounds_sent = 0;
     /// Registry generation covered by the rounds shipped so far.
     std::uint64_t shipped_gen = 0;
     double round0_bytes = 0.0;
-    double precopy_bytes = 0.0;
 
+    // Span ids (0 when no tracer is attached).
+    std::uint64_t migration_span = 0;  // requested -> terminal outcome
+    std::uint64_t precopy_span = 0;    // pre-copy rounds: poll-point -> freeze
+    std::uint64_t phase_span = 0;      // the frozen phase now running
+    std::uint64_t restore_span = 0;    // eager state landed -> restore done
+    std::uint64_t transfer_span = 0;   // commit -> bulk transfer done
+
+    /// Source-side background bulk transfer, started at the commit.
+    sim::Fiber collector;
     /// Runs every protocol phase: awaited by the migrating fiber, or
     /// polled at poll-points while pre-copy rounds overlap computation.
     /// Declared last so a phase body still in flight dies first.
     txn::Runner runner;
   };
 
+  /// One launched process.  Heap allocated, so a crash can park it for
+  /// relaunch without moving it.
+  struct ProcState {
+    MigrationContext context;
+    MigrationEngine::MigratableApp app;
+    /// The open transaction this process is the subject of (null: none);
+    /// a process has at most one, so a poll-point drops requests while it
+    /// is set.  An uncommitted one seen from a poll-point is a pre-copy in
+    /// flight: stop-and-copy holds the fiber until it commits or ends.
+    PendingTx* tx = nullptr;
+    /// The open migration.signal span: signal delivered -> poll-point.
+    std::uint64_t signal_span = 0;
+  };
+
+  /// A pre-initialized receiver daemon.
+  struct Daemon {
+    mpi::RankId rank = 0;
+    std::string port;  // empty until the daemon has opened it
+  };
+
+  /// MigrationContext::poll_point()'s body.
+  [[nodiscard]] sim::Task<> poll_point(MigrationContext& ctx);
+
   /// The source-side protocol; runs inside the migrating fiber.
-  [[nodiscard]] sim::Task<> migrate(MigrationContext& ctx,
-                                    std::string dest_host);
+  [[nodiscard]] sim::Task<> migrate(ProcState& state, std::string dest_host);
 
   // -- iterative pre-copy (source side) ------------------------------------
   /// Advance an in-flight pre-copy transaction at a poll-point: spawn the
   /// next round when the previous one landed, abort on a failed round, or
   /// freeze-and-commit once the dirty delta converged.  Throws ProcMoved
   /// when the transaction commits.
-  [[nodiscard]] sim::Task<> continue_precopy(MigrationContext& ctx);
+  [[nodiscard]] sim::Task<> continue_precopy(ProcState& state);
   /// Snapshot this round's payload in the app fiber (round 0: full state;
   /// later: dirty delta) and start the round phase that ships it.
   void start_precopy_round(MigrationContext& ctx, PendingTx& tx);
@@ -463,13 +458,13 @@ class MigrationEngine {
                                           double charge_bytes);
   /// Stop-the-world tail of a converged pre-copy: final dirty delta +
   /// resume handshake + commit.  Throws ProcMoved on commit.
-  [[nodiscard]] sim::Task<> freeze_and_commit(MigrationContext& ctx,
+  [[nodiscard]] sim::Task<> freeze_and_commit(ProcState& state,
                                               PendingTx& tx);
   /// Shared frozen epilogue of both protocols: eager send -> resume ACK ->
   /// commit (relocate + background transfer of `remaining` bytes).  Returns
   /// normally only when a phase failed and the transaction aborted; throws
   /// ProcMoved on commit.
-  [[nodiscard]] sim::Task<> freeze_tail(MigrationContext& ctx, PendingTx& tx,
+  [[nodiscard]] sim::Task<> freeze_tail(ProcState& state, PendingTx& tx,
                                         double remaining);
 
   // Phase bodies (member coroutines — lambda coroutines would dangle their
@@ -482,19 +477,17 @@ class MigrationEngine {
   /// reason derived from `status`, and (sabotaged builds only) lose the
   /// process by unwinding the source fiber without rollback.
   void fail_phase(PendingTx& tx, mpi::Proc& proc, txn::Status status);
-  /// Pre-commit abort: tear down the destination helper, stamp the timeline
-  /// (aborted{reason}), publish metrics/spans, and report the outcome.  The
-  /// process keeps computing on the source (unless sabotaged).
-  void abort_transaction(std::size_t timeline_index, std::string reason);
-  /// Post-commit destination failure during background restoration: kill
-  /// the collector and helper, stamp the timeline rolled-back, and report.
-  void rollback_restore(std::size_t timeline_index, std::string reason);
-  /// Close the timeline's restore + migration spans with a terminal
-  /// outcome attribute and forget them.
-  void end_transaction_spans(std::size_t timeline_index, const char* outcome,
-                             const std::string& reason);
-  /// Kill a pre-initialized daemon and forget its port (future migrations
-  /// to the host fall back to MPI_Comm_spawn).
+  /// The one end of every transaction.  An empty `reason` on a committed
+  /// transaction means its background restore finished (committed);
+  /// otherwise an uncommitted one is aborted (the process keeps computing
+  /// on the source) and a committed one rolled back (the process falls
+  /// back to checkpoint-restart).  Stops the runner, tears down the
+  /// destination helper on failure, closes every span the record still
+  /// holds, stamps the timeline, hands it to the outcome listener and
+  /// destroys the record.
+  void end_transaction(PendingTx& tx, std::string reason);
+  /// Kill a pre-initialized daemon and forget it (future migrations to the
+  /// host fall back to MPI_Comm_spawn).
   void drop_daemon(const std::string& host_name);
 
   /// Destination-side protocol shared by spawned initialized processes and
@@ -512,17 +505,18 @@ class MigrationEngine {
 
   /// Destination-side takeover: relocate the proc and start the restored
   /// fiber.
-  void takeover(mpi::RankId id, host::Host& destination,
+  void takeover(ProcState& state, host::Host& destination,
                 StateRegistry restored_state, std::size_t timeline_index);
 
-  /// Background restoration finished: close the transaction as committed.
-  void finish_restore(std::size_t timeline_index);
-
+  /// Every application fiber, fresh, relaunched or resumed after a
+  /// migration: wait `delay` (a checkpoint read), run the app, record the
+  /// normal exit.
+  [[nodiscard]] sim::Task<> run_app(mpi::Proc& proc, double delay);
   void finish_normal_exit(mpi::RankId id);
 
-  /// Close (and forget) the open migration.signal span of a process, if
-  /// any; `closed_by` says why ("poll-point", "crash", "exit", ...).
-  void close_signal_span(mpi::RankId id, const char* closed_by);
+  /// Close the open migration.signal span of a process, if any;
+  /// `closed_by` says why ("poll-point", "crash", "exit", ...).
+  void close_signal_span(ProcState& state, const char* closed_by);
 
   // -- shared checkpoint I/O (DESIGN.md §17) -------------------------------
   /// Per-process checkpoint plan state (strategy-driven checkpointing).
@@ -554,8 +548,6 @@ class MigrationEngine {
                     const char* verb, std::uint64_t bytes, double risk);
   void observe_waste_s(double seconds);
 
-  void notify_outcome(const MigrationTimeline& timeline,
-                      const obs::TraceCtx& trace);
   /// Record one protocol phase's wall-clock into migration.phase_ms{phase}.
   void observe_phase_ms(const char* phase, double seconds);
 
@@ -570,12 +562,8 @@ class MigrationEngine {
   Options options_;
   std::map<mpi::RankId, std::unique_ptr<ProcState>> procs_;
   std::map<std::string, ApplicationSchema> schemas_;
-  std::map<std::string, std::string> pre_initialized_;  // host -> port
-  std::map<std::string, mpi::RankId> daemon_ids_;       // host -> daemon
-  /// Background bulk transfers, keyed by timeline index so a post-commit
-  /// rollback can kill exactly the right one.
-  std::map<std::size_t, sim::Fiber> collectors_;
-  /// In-flight transactions, keyed by timeline index.
+  std::map<std::string, Daemon> daemons_;  // by host
+  /// Open transactions, keyed by timeline index.
   std::map<std::size_t, std::unique_ptr<PendingTx>> pending_;
   std::vector<MigrationTimeline> history_;
   CheckpointStore checkpoint_store_;
@@ -595,16 +583,6 @@ class MigrationEngine {
   std::set<std::string> exited_;
   OutcomeListener outcome_listener_;
   txn::PhaseListener phase_listener_;
-
-  // -- tracing bookkeeping (ids are 0 when no tracer is attached) ----------
-  struct TimelineSpans {
-    std::uint64_t migration = 0;  // requested -> background restore done
-    std::uint64_t restore = 0;    // eager state landed -> restore done
-    std::uint64_t transfer = 0;   // commit -> background bulk transfer done
-    std::uint64_t precopy = 0;    // overlapped rounds: poll-point -> freeze
-  };
-  std::map<mpi::RankId, std::uint64_t> signal_spans_;  // signal -> poll-point
-  std::map<std::size_t, TimelineSpans> timeline_spans_;
 };
 
 }  // namespace ars::hpcm

@@ -68,8 +68,8 @@ struct JobSpec {
   mpi::SpawnStrategy strategy = mpi::SpawnStrategy::kTree;
 };
 
-/// Terminal record of one resize transaction (mirrors hpcm's
-/// MigrationOutcome; feeds the registry's debit accounting).
+/// Terminal record of one resize transaction (mirrors hpcm's stamped
+/// MigrationTimeline; feeds the registry's debit accounting).
 struct ResizeOutcome {
   std::string job;
   ResizeVerb verb = ResizeVerb::kExpand;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,10 +122,11 @@ class Network {
   /// fast path (destination attached here) is unchanged.
   void post(Message message);
 
-  /// Destination side of a cross-shard datagram: the fabric already paid
-  /// the wire cost, so deliver straight into the bound endpoint (stamping
-  /// net.recv on this network's tracer).  Unbound ports drop as usual.
-  /// Called by the shard router on this shard's thread.
+  /// Hand a datagram that has paid its wire cost to its bound endpoint
+  /// (stamping net.recv on this network's tracer); unbound ports drop as
+  /// usual.  The tail of every local delivery, and the destination side of
+  /// a cross-shard datagram (the shard router calls it on this shard's
+  /// thread).
   void deliver_local(Message message);
 
   /// Awaitable bulk transfer; returns elapsed seconds.  Loopback (src==dst)
@@ -215,6 +217,19 @@ class Network {
   void on_completion_event();
   void register_job(TransferJob* job);
   void withdraw_job(TransferJob* job);
+  /// What the fault policy lets through of one posted datagram.
+  struct Fanout {
+    int copies = 1;
+    double extra_delay = 0.0;
+  };
+  /// Charge the fault verdict where the message is posted: nullopt when it
+  /// drops the message (logged and counted as a "fault" drop), else the
+  /// copies to send and their extra delay.
+  [[nodiscard]] std::optional<Fanout> fault_fanout(const Message& message);
+  /// tx_rate_bps / rx_rate_bps: one direction's metered bytes plus the
+  /// live portion of its in-flight transfers, per second of `window`.
+  [[nodiscard]] double rate_bps(const std::string& hostname, bool outbound,
+                                double window) const;
   /// Source side of a cross-shard post: fault verdict, then hand the copies
   /// to the router.  Returns false when the router does not know the
   /// destination (the caller then drops it as unknown_host).

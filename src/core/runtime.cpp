@@ -102,21 +102,21 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   // forwarded to the registry by the SOURCE host's commander (the source
   // stays authoritative until commit, so its commander is the survivor
   // that can still speak for an aborted transaction).
-  hpcm_->set_outcome_listener([this](const hpcm::MigrationOutcome& o) {
-    const auto it = commanders_.find(o.source);
+  hpcm_->set_outcome_listener([this](const hpcm::MigrationTimeline& t) {
+    const auto it = commanders_.find(t.source);
     if (it == commanders_.end()) {
       return;  // the registry's debit TTL covers the silence
     }
     xmlproto::MigrationOutcomeMsg msg;
-    msg.process = o.process;
-    msg.source = o.source;
-    msg.destination = o.destination;
-    msg.outcome = o.outcome;
-    msg.reason = o.reason;
-    msg.phase = o.phase;
-    msg.precopy_rounds = o.precopy_rounds;
-    msg.precopy_bytes = static_cast<std::uint64_t>(o.precopy_bytes);
-    it->second->report_outcome(msg, o.trace);
+    msg.process = t.process;
+    msg.source = t.source;
+    msg.destination = t.destination;
+    msg.outcome = t.outcome;
+    msg.reason = t.abort_reason;
+    msg.phase = t.abort_phase;
+    msg.precopy_rounds = t.precopy_rounds;
+    msg.precopy_bytes = static_cast<std::uint64_t>(t.precopy_bytes);
+    it->second->report_outcome(msg, t.trace);
   });
   // Same feedback loop for resizes: the job's ROOT host's commander is the
   // reporter (the root runs the transaction and survives every abort path).

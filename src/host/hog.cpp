@@ -2,13 +2,24 @@
 
 namespace ars::host {
 
+namespace {
+
+/// CpuHog's compute-chunk granularity (reference seconds).
+constexpr double kHogSlice = 1.0;
+/// DutyCycleHog's on/off cycle (seconds).
+constexpr double kDutyPeriod = 1.0;
+/// DutyCycleHog's fiber name.
+constexpr const char* kDutyName = "ambient";
+
+}  // namespace
+
 CpuHog::CpuHog(Host& target, Options options)
     : host_(&target), options_(std::move(options)) {}
 
 sim::Task<> CpuHog::worker(double until) {
   auto& engine = host_->engine();
   while (until < 0.0 || engine.now() < until) {
-    double chunk = options_.slice;
+    double chunk = kHogSlice;
     if (until >= 0.0) {
       // Never request work beyond the deadline even on an idle CPU.
       chunk = std::min(chunk, (until - engine.now()) * host_->cpu().speed());
@@ -60,8 +71,8 @@ DutyCycleHog::DutyCycleHog(Host& target, Options options)
 
 sim::Task<> DutyCycleHog::worker() {
   auto& engine = host_->engine();
-  const double busy = options_.duty * options_.period;
-  const double idle = options_.period - busy;
+  const double busy = options_.duty * kDutyPeriod;
+  const double idle = kDutyPeriod - busy;
   while (true) {
     if (busy > 0.0) {
       // Demand enough work to stay busy `busy` seconds at the achieved
@@ -79,7 +90,7 @@ void DutyCycleHog::start() {
     return;
   }
   running_ = true;
-  fiber_ = sim::Fiber::spawn(host_->engine(), worker(), options_.name);
+  fiber_ = sim::Fiber::spawn(host_->engine(), worker(), kDutyName);
 }
 
 void DutyCycleHog::stop() {

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "ars/obs/metrics.hpp"
 #include "ars/obs/tracer.hpp"
@@ -93,6 +94,25 @@ std::optional<std::string> parse_destination(const std::string& raw) {
   return value;
 }
 
+/// Open a span of the transaction `timeline` records, on its process's
+/// track and stamped with its context (0 when no tracer is attached).
+std::uint64_t open_span(obs::Tracer* t, const MigrationTimeline& timeline,
+                        const char* name, obs::Attrs attrs) {
+  if (!obs::active(t)) {
+    return 0;
+  }
+  obs::stamp(attrs, timeline.trace);
+  return t->begin_span(name, "hpcm", timeline.process, std::move(attrs));
+}
+
+/// End the span `id` (if any) and zero it.
+void close_span(obs::Tracer* t, std::uint64_t& id, obs::Attrs attrs = {}) {
+  if (id != 0 && obs::active(t)) {
+    t->end_span(id, std::move(attrs));
+  }
+  id = 0;
+}
+
 }  // namespace
 
 MigrationEngine::MigrationEngine(mpi::MpiSystem& mpi)
@@ -149,14 +169,12 @@ MigrationEngine::~MigrationEngine() {
     if (!tx->committed) {
       mpi_->kill(tx->proc_id);
     }
-    if (!tx->pre_init && tx->helper_id != 0) {
+    if (tx->port.empty() && tx->helper_id != 0) {
       mpi_->kill(tx->helper_id);
     }
+    tx->collector.kill();
   }
   pending_.clear();
-  for (auto& [index, fiber] : collectors_) {
-    fiber.kill();
-  }
 }
 
 ApplicationSchema* MigrationEngine::schema(const std::string& name) {
@@ -190,15 +208,11 @@ std::vector<mpi::RankId> MigrationEngine::launch_world(
     const std::string& name, ApplicationSchema schema) {
   schemas_.emplace(schema.name(), schema);
   const std::string schema_name = schema.name();
-  // The wrapper resolves its ProcState lazily: fibers start through a
-  // scheduled event, strictly after the map below is populated.
-  auto wrapper = [this](mpi::Proc& proc) -> sim::Task<> {
-    ProcState* state_ptr = procs_.at(proc.id()).get();
-    co_await state_ptr->app(proc, state_ptr->context);
-    finish_normal_exit(proc.id());
-  };
+  // run_app resolves its ProcState lazily: fibers start through a scheduled
+  // event, strictly after the map below is populated.
   const std::vector<mpi::RankId> ids = mpi_->launch_world(
-      hosts, wrapper, name, /*migration_enabled=*/true, schema_name);
+      hosts, [this](mpi::Proc& proc) { return run_app(proc, 0.0); }, name,
+      /*migration_enabled=*/true, schema_name);
   for (const mpi::RankId id : ids) {
     auto state = std::make_unique<ProcState>();
     state->app = app;
@@ -207,40 +221,34 @@ std::vector<mpi::RankId> MigrationEngine::launch_world(
     state->context.schema_name_ = schema_name;
     state->context.launched_at = mpi_->engine().now();
     if (const mpi::Proc* proc = mpi_->find(id); proc != nullptr) {
-      exited_.erase(proc->name());  // the name is live again
+      // The name is live again: forget the old run's exit and its
+      // checkpoint plan (the first poll re-baselines).
+      exited_.erase(proc->name());
+      ckpt_plans_.erase(proc->name());
     }
     procs_.emplace(id, std::move(state));
   }
   return ids;
 }
 
-void MigrationEngine::close_signal_span(mpi::RankId id, const char* closed_by) {
-  const auto open = signal_spans_.find(id);
-  if (open == signal_spans_.end()) {
+sim::Task<> MigrationEngine::run_app(mpi::Proc& proc, double delay) {
+  if (delay > 0.0) {
+    co_await sim::delay(mpi_->engine(), delay);
+  }
+  ProcState& state = *procs_.at(proc.id());
+  co_await state.app(proc, state.context);
+  finish_normal_exit(proc.id());
+}
+
+void MigrationEngine::close_signal_span(ProcState& state,
+                                        const char* closed_by) {
+  if (state.signal_span == 0) {
     return;
   }
   if (obs::Tracer* t = tracer(); obs::active(t)) {
-    t->end_span(open->second, {{"closed_by", closed_by}});
+    t->end_span(state.signal_span, {{"closed_by", closed_by}});
   }
-  signal_spans_.erase(open);
-}
-
-void MigrationEngine::notify_outcome(const MigrationTimeline& timeline,
-                                     const obs::TraceCtx& trace) {
-  if (!outcome_listener_) {
-    return;
-  }
-  MigrationOutcome outcome;
-  outcome.process = timeline.process;
-  outcome.source = timeline.source;
-  outcome.destination = timeline.destination;
-  outcome.outcome = timeline.outcome;
-  outcome.reason = timeline.abort_reason;
-  outcome.phase = timeline.abort_phase;
-  outcome.precopy_rounds = timeline.precopy_rounds;
-  outcome.precopy_bytes = timeline.precopy_bytes;
-  outcome.trace = trace;
-  outcome_listener_(outcome);
+  state.signal_span = 0;
 }
 
 void MigrationEngine::finish_normal_exit(mpi::RankId id) {
@@ -248,25 +256,17 @@ void MigrationEngine::finish_normal_exit(mpi::RankId id) {
   if (it == procs_.end()) {
     return;
   }
+  ProcState& state = *it->second;
   // A signal span still open here means the process exited before reaching
   // another poll-point; close it or it leaks as an open span forever.
-  close_signal_span(id, "exit");
+  close_signal_span(state, "exit");
   // An uncommitted pre-copy transaction can outlive its source: the app may
   // run to completion between rounds.  Abort it — the result is already
   // computed, there is nothing left to move.
-  std::size_t stale_tx = 0;
-  bool have_stale_tx = false;
-  for (const auto& [index, tx] : pending_) {
-    if (tx->proc_id == id && !tx->committed) {
-      stale_tx = index;
-      have_stale_tx = true;
-      break;
-    }
+  if (state.tx != nullptr && !state.tx->committed) {
+    end_transaction(*state.tx, "source-exited");
   }
-  if (have_stale_tx) {
-    abort_transaction(stale_tx, "source-exited");
-  }
-  MigrationContext& ctx = it->second->context;
+  MigrationContext& ctx = state.context;
   if (ApplicationSchema* s = schema(ctx.schema_name_)) {
     s->record_execution(mpi_->engine().now() - ctx.launched_at);
   }
@@ -308,9 +308,10 @@ bool MigrationEngine::request_migration(mpi::RankId id,
   }
   // The commander's mechanism (§3.3): destination to a temp file, then the
   // user-defined signal.
+  ProcState& state = *it->second;
   proc->host().tmpfiles().write(migrate_key(proc->pid()), dest_host);
-  it->second->context.requested_at = mpi_->engine().now();
-  it->second->context.pending_trace_ = ctx;
+  state.context.requested_at = mpi_->engine().now();
+  state.context.pending_trace_ = ctx;
   const bool ok =
       proc->host().processes().raise(proc->pid(), host::kSigMigrate);
   if (obs::MetricsRegistry* m = metrics()) {
@@ -318,41 +319,52 @@ bool MigrationEngine::request_migration(mpi::RankId id,
   }
   if (obs::Tracer* t = tracer(); obs::active(t) && ok) {
     // The signal span covers delivery -> the process reaching a poll-point.
-    close_signal_span(id, "superseded");
+    close_signal_span(state, "superseded");
     obs::Attrs attrs{{"source", proc->host().name()},
                      {"dest", dest_host},
                      {"pid", static_cast<int>(proc->pid())}};
     obs::stamp(attrs, ctx);
-    signal_spans_[id] = t->begin_span("migration.signal", "hpcm",
+    state.signal_span = t->begin_span("migration.signal", "hpcm",
                                       proc->name(), std::move(attrs));
   }
   return ok;
 }
 
 sim::Task<> MigrationContext::poll_point() {
-  mpi::Proc& p = *proc_;
+  return engine_->poll_point(*this);
+}
+
+sim::Task<> MigrationEngine::poll_point(MigrationContext& ctx) {
+  mpi::Proc& p = *ctx.proc_;
   const bool signaled =
       p.host().processes().consume_signal(p.pid(), host::kSigMigrate);
-  if (precopy_tx_ != kNoPrecopy) {
+  ProcState& state = *procs_.at(p.id());
+  if (state.tx != nullptr) {
+    // An open transaction: a pre-copy in flight, or a committed one still
+    // restoring in the background.
+    const bool restoring = state.tx->committed;
     if (signaled) {
-      // A second request while a pre-copy transaction is in flight: the
-      // process can only migrate once at a time.  Drop the request; the
-      // commander learns the outcome of the current transaction anyway.
-      engine_->close_signal_span(p.id(), "superseded-by-precopy");
+      // A second request while a transaction is open: the process can only
+      // migrate once at a time.  Drop the request; the commander learns the
+      // outcome of the current transaction anyway.
+      close_signal_span(state, restoring ? "superseded-by-restore"
+                                         : "superseded-by-precopy");
       p.host().tmpfiles().erase(migrate_key(p.pid()));
-      ARS_LOG_WARN("hpcm", "ignoring migration request for " << p.name()
-                               << ": pre-copy transaction already in flight");
-      pending_trace_ = {};
+      ARS_LOG_WARN("hpcm", "ignoring migration request for "
+                               << p.name() << ": transaction already open");
+      ctx.pending_trace_ = {};
     }
-    co_await engine_->continue_precopy(*this);
+    if (!restoring) {
+      co_await continue_precopy(state);
+    }
     co_return;
   }
   if (!signaled) {
     co_return;
   }
   // Close the signal-delivery span: the process reached its poll-point.
-  engine_->close_signal_span(p.id(), "poll-point");
-  obs::Tracer* tracer = engine_->tracer();
+  close_signal_span(state, "poll-point");
+  obs::Tracer* t = tracer();
   const std::string key = migrate_key(p.pid());
   if (!p.host().tmpfiles().contains(key)) {
     ARS_LOG_WARN("hpcm", "migration signal without destination file for "
@@ -360,11 +372,11 @@ sim::Task<> MigrationContext::poll_point() {
     co_return;
   }
   std::uint64_t poll_span = 0;
-  if (obs::active(tracer)) {
+  if (obs::active(t)) {
     obs::Attrs attrs;
-    obs::stamp(attrs, pending_trace_);
-    poll_span = tracer->begin_span("migration.poll_point", "hpcm", p.name(),
-                                   std::move(attrs));
+    obs::stamp(attrs, ctx.pending_trace_);
+    poll_span = t->begin_span("migration.poll_point", "hpcm", p.name(),
+                              std::move(attrs));
   }
   const std::string raw = p.host().tmpfiles().read(key);
   p.host().tmpfiles().erase(key);
@@ -373,27 +385,26 @@ sim::Task<> MigrationContext::poll_point() {
   // process keeps computing on the source.
   const std::optional<std::string> dest = parse_destination(raw);
   const bool known =
-      dest.has_value() &&
-      engine_->mpi().network().find_host(*dest) != nullptr;
+      dest.has_value() && mpi_->network().find_host(*dest) != nullptr;
   if (!known) {
-    if (obs::active(tracer)) {
-      tracer->end_span(poll_span, {{"bad_destination", true}});
-      tracer->instant("migration.bad_destination", "hpcm", p.name(),
-                      {{"host", p.host().name()}});
+    if (obs::active(t)) {
+      t->end_span(poll_span, {{"bad_destination", true}});
+      t->instant("migration.bad_destination", "hpcm", p.name(),
+                 {{"host", p.host().name()}});
     }
     ARS_LOG_WARN("hpcm", "ignoring malformed or unknown migration "
                              << "destination for " << p.name());
-    if (obs::MetricsRegistry* m = engine_->metrics()) {
+    if (obs::MetricsRegistry* m = metrics()) {
       m->counter("migration.bad_destination").inc();
     }
-    pending_trace_ = {};  // the transaction never starts
+    ctx.pending_trace_ = {};  // the transaction never starts
     co_return;
   }
-  if (obs::active(tracer)) {
-    tracer->end_span(poll_span, {{"dest", *dest}});
+  if (obs::active(t)) {
+    t->end_span(poll_span, {{"dest", *dest}});
   }
   try {
-    co_await engine_->migrate(*this, *dest);
+    co_await migrate(state, *dest);
   } catch (const mpi::ProcMoved&) {
     throw;  // normal migration unwind
   } catch (const std::exception& e) {
@@ -401,11 +412,11 @@ sim::Task<> MigrationContext::poll_point() {
     // computing on the source.
     ARS_LOG_ERROR("hpcm", "migration of " << p.name() << " to " << *dest
                                           << " failed: " << e.what());
-    if (obs::active(tracer)) {
-      tracer->instant("migration.failed", "hpcm", p.name(),
-                      {{"dest", *dest}, {"error", std::string(e.what())}});
+    if (obs::active(t)) {
+      t->instant("migration.failed", "hpcm", p.name(),
+                 {{"dest", *dest}, {"error", std::string(e.what())}});
     }
-    if (obs::MetricsRegistry* m = engine_->metrics()) {
+    if (obs::MetricsRegistry* m = metrics()) {
       m->counter("migration.failures").inc();
     }
   }
@@ -627,6 +638,7 @@ bool MigrationEngine::crash(mpi::RankId id) {
   if (it == procs_.end() || proc == nullptr) {
     return false;
   }
+  ProcState& state = *it->second;
   const std::string name = proc->name();
   ARS_LOG_WARN("hpcm", "crash injected: " << name << " on "
                                           << proc->host().name());
@@ -638,7 +650,7 @@ bool MigrationEngine::crash(mpi::RankId id) {
     m->counter("process.crashes").inc();
   }
   // A signal delivered but never polled would leak its span.
-  close_signal_span(id, "crash");
+  close_signal_span(state, "crash");
   // Failure waste: everything since the last committed checkpoint snapshot
   // (or launch) is lost work.  Measured BEFORE the in-flight write abort
   // below — an uncommitted write never covers progress.
@@ -646,7 +658,7 @@ bool MigrationEngine::crash(mpi::RankId id) {
     const double now = mpi_->engine().now();
     const Checkpoint* cp = checkpoint_store_.latest(name);
     const double covered_until =
-        cp != nullptr ? cp->taken_at : it->second->context.launched_at;
+        cp != nullptr ? cp->taken_at : state.context.launched_at;
     const double lost = now - covered_until;
     waste_.record_lost_work(name, lost);
     observe_waste_s(lost);
@@ -659,34 +671,21 @@ bool MigrationEngine::crash(mpi::RankId id) {
       plan_it != ckpt_plans_.end()) {
     plan_it->second = CkptPlan{};
   }
-  // An in-flight transaction's phase fiber references the Proc; destroy it
-  // before the kill below frees the process.
-  std::size_t tx_index = 0;
-  bool tx_found = false;
-  bool tx_committed = false;
-  for (auto& [index, tx] : pending_) {
-    if (tx->proc_id == id) {
-      tx_found = true;
-      tx_index = index;
-      tx_committed = tx->committed;
-      tx->runner.stop();
-      break;
-    }
+  // An open transaction's phase fiber references the Proc; stop it before
+  // the kill below frees the process.  The parked state keeps no link.
+  PendingTx* tx = std::exchange(state.tx, nullptr);
+  if (tx != nullptr) {
+    tx->runner.stop();
   }
-  auto state = std::move(it->second);
+  state.context.proc_ = nullptr;
+  crashed_[name] = std::move(it->second);
   procs_.erase(it);
-  state->context.proc_ = nullptr;
-  // A parked context must not resume a dead pre-copy loop after relaunch.
-  state->context.precopy_tx_ = MigrationContext::kNoPrecopy;
-  crashed_[name] = std::move(state);
   const bool killed = mpi_->kill(id);
-  if (tx_found) {
-    if (tx_committed) {
-      // The freshly relocated instance died during background restoration.
-      rollback_restore(tx_index, "restore-interrupted");
-    } else {
-      abort_transaction(tx_index, "source-crashed");
-    }
+  if (tx != nullptr) {
+    // Committed: the freshly relocated instance died during background
+    // restoration.
+    end_transaction(*tx, tx->committed ? "restore-interrupted"
+                                       : "source-crashed");
   }
   return killed;
 }
@@ -695,19 +694,19 @@ int MigrationEngine::crash_host(const std::string& host_name) {
   // Destination-side failure handling for in-flight transactions: fail
   // pre-commit transactions so their migrating fiber aborts and rolls back
   // to source execution; roll post-commit ones back to checkpoint-restart.
-  std::vector<std::size_t> rolling;
+  std::vector<PendingTx*> rolling;
   for (auto& [index, tx] : pending_) {
-    if (tx->dest != host_name) {
+    if (history_[index].destination != host_name) {
       continue;
     }
     if (tx->committed) {
-      rolling.push_back(index);
+      rolling.push_back(tx.get());
     } else {
       tx->runner.fail("dest-failed");
     }
   }
-  for (const std::size_t index : rolling) {
-    rollback_restore(index, "restore-interrupted");
+  for (PendingTx* tx : rolling) {
+    end_transaction(*tx, "restore-interrupted");
   }
   // A pre-initialized receiver daemon dies with its host.
   drop_daemon(host_name);
@@ -780,17 +779,10 @@ mpi::RankId MigrationEngine::relaunch(const std::string& process_name,
                                         << host_name << " from scratch");
   }
 
-  auto wrapper = [this, read_time](mpi::Proc& proc) -> sim::Task<> {
-    if (read_time > 0.0) {
-      co_await sim::delay(mpi_->engine(), read_time);
-    }
-    ProcState* state_ptr = procs_.at(proc.id()).get();
-    co_await state_ptr->app(proc, state_ptr->context);
-    finish_normal_exit(proc.id());
-  };
-  const mpi::RankId id =
-      mpi_->launch_exact(host_name, wrapper, process_name,
-                         /*migration_enabled=*/true, ctx.schema_name_);
+  const mpi::RankId id = mpi_->launch_exact(
+      host_name,
+      [this, read_time](mpi::Proc& proc) { return run_app(proc, read_time); },
+      process_name, /*migration_enabled=*/true, ctx.schema_name_);
   state->context.proc_ = mpi_->find(id);
   const bool from_checkpoint = state->context.restarted_from_checkpoint_;
   procs_.emplace(id, std::move(state));
@@ -809,11 +801,11 @@ mpi::RankId MigrationEngine::relaunch(const std::string& process_name,
 }
 
 /// Shared destination-side protocol, used by both spawned initialized
-/// processes and pre-initialized daemons.  The eager message's `values`
-/// carry [migrating rank id, timeline index] for legacy stop-and-copy, or
-/// [id, timeline index, round, final-flag] for pre-copy frames: round 0 is
-/// a full snapshot, later rounds are dirty deltas applied onto the staged
-/// registry, and the final-flagged delta closes the stream.
+/// processes and pre-initialized daemons.  Every eager frame's `values`
+/// carry [migrating rank id, timeline index, round, final-flag]: round 0 is
+/// a full snapshot (stop-and-copy ships only that one, final), later rounds
+/// are pre-copy dirty deltas applied onto the staged registry, and the
+/// final-flagged frame closes the stream.
 sim::Task<> MigrationEngine::receiver_main(mpi::Proc& helper,
                                            mpi::Comm merged) {
   StateRegistry staged;
@@ -824,25 +816,11 @@ sim::Task<> MigrationEngine::receiver_main(mpi::Proc& helper,
   for (;;) {
     const mpi::MpiMessage eager =
         co_await helper.recv(merged, mpi::kAnySource, kTagEagerState);
-    if ((eager.values.size() != 2 && eager.values.size() != 4) ||
-        !eager.data) {
+    if (eager.values.size() != 4 || !eager.data) {
       throw std::runtime_error("hpcm: malformed eager state message");
     }
     id = static_cast<mpi::RankId>(eager.values[0]);
     timeline_index = static_cast<std::size_t>(eager.values[1]);
-    if (eager.values.size() == 2) {
-      // Legacy stop-and-copy: one frame, full snapshot, full restore cost.
-      auto decoded = StateRegistry::decode(*eager.data);
-      if (!decoded.has_value()) {
-        throw std::runtime_error("hpcm: state decode failed: " +
-                                 decoded.error().to_string());
-      }
-      staged = std::move(*decoded);
-      have_staged = true;
-      // Data restoration cost before the application can resume.
-      co_await sim::delay(helper.system().engine(), options_.restore_delay);
-      break;
-    }
     const int round = static_cast<int>(eager.values[2]);
     const bool final_frame = eager.values[3] != 0.0;
     if (round == 0) {
@@ -854,8 +832,9 @@ sim::Task<> MigrationEngine::receiver_main(mpi::Proc& helper,
       staged = std::move(*decoded);
       have_staged = true;
       round0_wire = std::max(1.0, eager.size_bytes);
-      // The bulk restoration cost lands here, OVERLAPPED with source-side
-      // execution — the whole point of pre-copy.
+      // The full restoration cost lands here: before the application can
+      // resume (stop-and-copy), or OVERLAPPED with source-side execution —
+      // the whole point of pre-copy.
       co_await sim::delay(helper.system().engine(), options_.restore_delay);
     } else {
       if (!have_staged) {
@@ -888,43 +867,13 @@ sim::Task<> MigrationEngine::receiver_main(mpi::Proc& helper,
   co_await helper.send(merged, merged.rank_of(id), kTagResumeAck, 16.0);
   // Background restoration completes in parallel with the resumed app.
   (void)co_await helper.recv(merged, mpi::kAnySource, kTagReady);
-  finish_restore(timeline_index);
-}
-
-void MigrationEngine::finish_restore(std::size_t timeline_index) {
-  MigrationTimeline& done = history_[timeline_index];
-  done.completed_at = mpi_->engine().now();
-  if (obs::Tracer* t = tracer(); obs::active(t)) {
-    const auto spans = timeline_spans_.find(timeline_index);
-    if (spans != timeline_spans_.end()) {
-      t->end_span(spans->second.transfer);
-      t->end_span(spans->second.restore);
-      t->end_span(spans->second.migration,
-                  {{"outcome", "committed"},
-                   {"succeeded", done.succeeded},
-                   {"state_bytes", done.state_bytes}});
-      timeline_spans_.erase(spans);
-    }
+  if (const auto done = pending_.find(timeline_index); done != pending_.end()) {
+    end_transaction(*done->second, {});
   }
-  observe_phase_ms("transfer", done.completed_at - done.resumed_at);
-  observe_phase_ms("restore", done.completed_at - done.eager_done_at);
-  if (obs::MetricsRegistry* m = metrics()) {
-    m->counter("migration.completed").inc();
-    m->histogram("migration.total_time").observe(done.total());
-    m->histogram("migration.resume_latency").observe(done.resume_latency());
-    m->histogram("migration.data_bytes",
-                 {}, {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9})
-        .observe(done.state_bytes);
-  }
-  const auto tx_it = pending_.find(timeline_index);
-  notify_outcome(done, tx_it != pending_.end() ? tx_it->second->trace
-                                               : obs::TraceCtx{});
-  collectors_.erase(timeline_index);
-  pending_.erase(timeline_index);
 }
 
 sim::Task<> MigrationEngine::phase_init(PendingTx& tx, mpi::Proc& proc) {
-  if (tx.pre_init) {
+  if (!tx.port.empty()) {
     // Pre-initialized daemon: connect/accept instead of the slow spawn.
     const mpi::Comm conn = co_await proc.connect(tx.port);
     tx.helper_id = conn.remote_member(0);
@@ -935,8 +884,10 @@ sim::Task<> MigrationEngine::phase_init(PendingTx& tx, mpi::Proc& proc) {
       const mpi::Comm m = co_await helper.merge(helper.parent_comm(), true);
       co_await self->receiver_main(helper, m);
     };
+    // A copy: another migration may grow history_ while the spawn waits.
+    const std::string dest = history_[tx.timeline_index].destination;
     const mpi::SpawnResult spawned =
-        co_await proc.spawn(tx.dest, receiver, proc.name() + ".init");
+        co_await proc.spawn(dest, receiver, proc.name() + ".init");
     tx.helper_id = spawned.children.front();
     tx.merged = co_await proc.merge(spawned.intercomm, false);
   }
@@ -946,11 +897,11 @@ sim::Task<> MigrationEngine::phase_eager(PendingTx& tx, mpi::Proc& proc) {
   mpi::MpiMessage eager_payload;
   eager_payload.data =
       std::make_shared<const mpi::Bytes>(std::move(tx.encoded));
-  eager_payload.values =
-      tx.eager_values.empty()
-          ? std::vector<double>{static_cast<double>(proc.id()),
-                                static_cast<double>(tx.timeline_index)}
-          : tx.eager_values;
+  // The final frame: stop-and-copy's round 0, or the delta after a
+  // pre-copy's last round.
+  eager_payload.values = {static_cast<double>(proc.id()),
+                          static_cast<double>(tx.timeline_index),
+                          static_cast<double>(tx.rounds_sent), 1.0};
   co_await proc.send(tx.merged, tx.merged.rank_of(tx.helper_id),
                      kTagEagerState, tx.eager_wire, std::move(eager_payload));
 }
@@ -977,7 +928,7 @@ void MigrationEngine::fail_phase(PendingTx& tx, mpi::Proc& proc,
       reason = "phase-error";
       break;
   }
-  abort_transaction(tx.timeline_index, std::move(reason));  // destroys tx
+  end_transaction(tx, std::move(reason));  // destroys tx
   if (options_.sabotage_skip_rollback) {
     // Sabotaged build (chaos checker validation): unwind the source fiber
     // as if the transaction had committed even though it did not — the
@@ -987,120 +938,94 @@ void MigrationEngine::fail_phase(PendingTx& tx, mpi::Proc& proc,
   }
 }
 
-void MigrationEngine::abort_transaction(std::size_t timeline_index,
-                                        std::string reason) {
-  const auto it = pending_.find(timeline_index);
-  if (it == pending_.end()) {
-    return;
-  }
-  PendingTx& tx = *it->second;
+void MigrationEngine::end_transaction(PendingTx& tx, std::string reason) {
+  MigrationTimeline& t = history_[tx.timeline_index];
+  obs::Tracer* tr = tracer();
+  obs::MetricsRegistry* m = metrics();
   tx.runner.stop();
-  // An aborted pre-copy discards every shipped round; the process keeps
-  // computing on the source with its registry (and dirty tracking) intact.
-  if (const auto proc_it = procs_.find(tx.proc_id);
-      proc_it != procs_.end() &&
-      proc_it->second->context.precopy_tx_ == timeline_index) {
-    proc_it->second->context.precopy_tx_ = MigrationContext::kNoPrecopy;
+  if (const auto it = procs_.find(tx.proc_id);
+      it != procs_.end() && it->second->tx == &tx) {
+    it->second->tx = nullptr;
   }
-  if (tx.pre_init) {
-    // The daemon is wedged mid-protocol; drop it so later migrations to
+  if (tx.committed && reason.empty()) {
+    // The background restore landed: committed.
+    t.completed_at = mpi_->engine().now();
+    close_span(tr, tx.transfer_span);
+    close_span(tr, tx.restore_span);
+    close_span(tr, tx.migration_span,
+               {{"outcome", "committed"},
+                {"succeeded", t.succeeded},
+                {"state_bytes", t.state_bytes}});
+    observe_phase_ms("transfer", t.completed_at - t.resumed_at);
+    observe_phase_ms("restore", t.completed_at - t.eager_done_at);
+    if (m != nullptr) {
+      m->counter("migration.completed").inc();
+      m->histogram("migration.total_time").observe(t.total());
+      m->histogram("migration.resume_latency").observe(t.resume_latency());
+      m->histogram("migration.data_bytes",
+                   {}, {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9})
+          .observe(t.state_bytes);
+    }
+  } else {
+    // Aborted before the commit point, or rolled back after it: nothing
+    // reaches the destination any more.  A pre-initialized daemon is wedged
+    // mid-protocol (or lost with its host): drop it so later migrations to
     // the host fall back to MPI_Comm_spawn.
-    drop_daemon(tx.dest);
-  } else if (tx.helper_id != 0) {
-    mpi_->kill(tx.helper_id);
-  }
-  MigrationTimeline& t = history_[timeline_index];
-  t.outcome = "aborted";
-  t.abort_reason = reason;
-  t.abort_phase = tx.runner.phase();
-  ARS_LOG_WARN("hpcm", "migration of " << tx.process << " to " << tx.dest
-                                       << " aborted in phase "
-                                       << tx.runner.phase() << " (" << reason
-                                       << ")");
-  if (obs::Tracer* tr = tracer(); obs::active(tr)) {
-    obs::Attrs attrs{{"dest", tx.dest},
-                     {"phase", tx.runner.phase()},
-                     {"reason", reason}};
-    obs::stamp(attrs, tx.trace);
-    tr->instant("migration.aborted", "hpcm", tx.process, std::move(attrs));
-  }
-  end_transaction_spans(timeline_index, "aborted", reason);
-  if (obs::MetricsRegistry* m = metrics()) {
-    m->counter("migration.aborts", {{"reason", reason}}).inc();
-    if (!options_.sabotage_skip_rollback) {
-      m->counter("migration.rollbacks").inc();
+    tx.collector.kill();
+    if (!tx.port.empty()) {
+      drop_daemon(t.destination);
+    } else if (tx.helper_id != 0) {
+      mpi_->kill(tx.helper_id);
+    }
+    t.outcome = tx.committed ? "rolled-back" : "aborted";
+    t.abort_reason = reason;
+    t.abort_phase = tx.runner.phase();
+    ARS_LOG_WARN("hpcm", "migration of " << t.process << " to "
+                                         << t.destination << " " << t.outcome
+                                         << " in phase " << t.abort_phase
+                                         << " (" << reason << ")");
+    // A source killed mid-phase leaves that phase's span open.
+    close_span(tr, tx.phase_span, {{"completed", false}});
+    if (obs::active(tr)) {
+      obs::Attrs attrs{{"dest", t.destination}};
+      if (!tx.committed) {
+        attrs.emplace_back("phase", t.abort_phase);
+      }
+      attrs.emplace_back("reason", reason);
+      obs::stamp(attrs, t.trace);
+      tr->instant(tx.committed ? "migration.rolled_back" : "migration.aborted",
+                  "hpcm", t.process, std::move(attrs));
+    }
+    for (std::uint64_t* span :
+         {&tx.transfer_span, &tx.restore_span, &tx.precopy_span}) {
+      close_span(tr, *span, {{"outcome", t.outcome}});
+    }
+    close_span(tr, tx.migration_span,
+               {{"outcome", t.outcome}, {"reason", reason}});
+    if (m != nullptr) {
+      if (!tx.committed) {
+        m->counter("migration.aborts", {{"reason", reason}}).inc();
+      }
+      if (tx.committed || !options_.sabotage_skip_rollback) {
+        m->counter("migration.rollbacks").inc();
+      }
     }
   }
-  notify_outcome(t, tx.trace);
-  pending_.erase(it);
-}
-
-void MigrationEngine::rollback_restore(std::size_t timeline_index,
-                                       std::string reason) {
-  const auto it = pending_.find(timeline_index);
-  if (it == pending_.end()) {
-    return;
+  if (outcome_listener_) {
+    outcome_listener_(t);
   }
-  PendingTx& tx = *it->second;
-  tx.runner.stop();
-  if (const auto coll = collectors_.find(timeline_index);
-      coll != collectors_.end()) {
-    coll->second.kill();
-    collectors_.erase(coll);
-  }
-  if (tx.pre_init) {
-    drop_daemon(tx.dest);
-  } else if (tx.helper_id != 0) {
-    mpi_->kill(tx.helper_id);
-  }
-  MigrationTimeline& t = history_[timeline_index];
-  t.outcome = "rolled-back";
-  t.abort_reason = reason;
-  t.abort_phase = "restore";
-  ARS_LOG_WARN("hpcm", "migration of " << tx.process << " to " << tx.dest
-                                       << " rolled back after commit ("
-                                       << reason << ")");
-  if (obs::Tracer* tr = tracer(); obs::active(tr)) {
-    obs::Attrs attrs{{"dest", tx.dest}, {"reason", reason}};
-    obs::stamp(attrs, tx.trace);
-    tr->instant("migration.rolled_back", "hpcm", tx.process,
-                std::move(attrs));
-  }
-  end_transaction_spans(timeline_index, "rolled-back", reason);
-  if (obs::MetricsRegistry* m = metrics()) {
-    m->counter("migration.rollbacks").inc();
-  }
-  notify_outcome(t, tx.trace);
-  pending_.erase(it);
-}
-
-void MigrationEngine::end_transaction_spans(std::size_t timeline_index,
-                                            const char* outcome,
-                                            const std::string& reason) {
-  const auto spans = timeline_spans_.find(timeline_index);
-  if (spans == timeline_spans_.end()) {
-    return;
-  }
-  if (obs::Tracer* t = tracer(); obs::active(t)) {
-    t->end_span(spans->second.transfer, {{"outcome", outcome}});
-    t->end_span(spans->second.restore, {{"outcome", outcome}});
-    t->end_span(spans->second.precopy, {{"outcome", outcome}});
-    t->end_span(spans->second.migration,
-                {{"outcome", outcome}, {"reason", reason}});
-  }
-  timeline_spans_.erase(spans);
+  pending_.erase(tx.timeline_index);
 }
 
 void MigrationEngine::drop_daemon(const std::string& host_name) {
-  if (const auto it = daemon_ids_.find(host_name); it != daemon_ids_.end()) {
-    mpi_->kill(it->second);
-    daemon_ids_.erase(it);
+  if (const auto it = daemons_.find(host_name); it != daemons_.end()) {
+    mpi_->kill(it->second.rank);
+    daemons_.erase(it);
   }
-  pre_initialized_.erase(host_name);
 }
 
-sim::Task<> MigrationEngine::migrate(MigrationContext& ctx,
-                                     std::string dest_host) {
+sim::Task<> MigrationEngine::migrate(ProcState& state, std::string dest_host) {
+  MigrationContext& ctx = state.context;
   mpi::Proc& proc = *ctx.proc_;
   auto& engine = mpi_->engine();
   net::Network& network = mpi_->network();
@@ -1113,90 +1038,60 @@ sim::Task<> MigrationEngine::migrate(MigrationContext& ctx,
     throw std::out_of_range("hpcm: unknown destination host " + dest_host);
   }
 
+  const std::size_t timeline_index = history_.size();
+  // Valid until the first co_await only: other migrations grow history_.
+  MigrationTimeline& timeline = history_.emplace_back();
+  timeline.process = proc.name();
+  timeline.source = source_host;
+  timeline.destination = dest_host;
+  timeline.requested_at = ctx.requested_at;
+  timeline.poll_point_at = engine.now();
   // The request's causal context (from the MigrateCmd, via the commander);
   // consumed here so a later unrelated request starts fresh.
-  const obs::TraceCtx req_trace = ctx.pending_trace_;
-  ctx.pending_trace_ = {};
-
-  const std::size_t timeline_index = history_.size();
-  history_.emplace_back();
-  {
-    MigrationTimeline& t = history_.back();
-    t.process = proc.name();
-    t.source = source_host;
-    t.destination = dest_host;
-    t.requested_at = ctx.requested_at;
-    t.poll_point_at = engine.now();
-    t.txn = req_trace.txn;
-  }
+  timeline.trace = std::exchange(ctx.pending_trace_, {});
   ARS_LOG_INFO("hpcm", "migrating " << proc.name() << ": " << source_host
                                     << " -> " << dest_host);
-  obs::Tracer* t = tracer();
-  if (obs::active(t)) {
-    TimelineSpans& spans = timeline_spans_[timeline_index];
-    obs::Attrs attrs{{"source", source_host}, {"dest", dest_host}};
-    obs::stamp(attrs, req_trace);
-    spans.migration =
-        t->begin_span("migration", "hpcm", proc.name(), std::move(attrs));
-  }
-
-  const auto port_it = pre_initialized_.find(dest_host);
-  auto tx_owner = std::make_unique<PendingTx>(
+  auto owner = std::make_unique<PendingTx>(
       engine,
       txn::PhaseEvent{"migration", proc.name(), "", source_host, {dest_host}},
       &phase_listener_);
-  PendingTx& tx = *tx_owner;
+  PendingTx& tx = *owner;
   tx.timeline_index = timeline_index;
   tx.proc_id = proc.id();
-  tx.process = proc.name();
-  tx.source = source_host;
-  tx.dest = dest_host;
+  tx.migration_span = open_span(tracer(), timeline, "migration",
+                                {{"source", source_host}, {"dest", dest_host}});
   // Everything inside the transaction hangs off the migration span.
-  tx.trace = req_trace.child_of(timeline_spans_[timeline_index].migration);
-  tx.pre_init =
-      port_it != pre_initialized_.end() && !port_it->second.empty();
-  if (tx.pre_init) {
-    tx.port = port_it->second;
+  timeline.trace = timeline.trace.child_of(tx.migration_span);
+  if (const auto daemon = daemons_.find(dest_host); daemon != daemons_.end()) {
+    tx.port = daemon->second.port;
   }
-  pending_.emplace(timeline_index, std::move(tx_owner));
+  pending_.emplace(timeline_index, std::move(owner));
+  state.tx = &tx;
 
   if (options_.precopy) {
     // Iterative pre-copy: the process keeps computing while round 0 (DPM
     // init + full state) ships from a background fiber.  Later poll-points
     // drive the loop (continue_precopy) until the dirty delta converges,
     // then freeze_and_commit runs the stop-the-world tail.
-    tx.precopy = true;
-    ctx.precopy_tx_ = timeline_index;
-    if (obs::active(t)) {
-      obs::Attrs attrs{{"dest", dest_host}};
-      obs::stamp(attrs, tx.trace);
-      timeline_spans_[timeline_index].precopy = t->begin_span(
-          "migration.precopy", "hpcm", proc.name(), std::move(attrs));
-    }
+    tx.precopy_span = open_span(tracer(), timeline, "migration.precopy",
+                                {{"dest", dest_host}});
     start_precopy_round(ctx, tx);
     co_return;  // the app keeps computing on the source
   }
   // Stop-and-copy freezes from the poll-point on.
-  history_[timeline_index].freeze_begin_at =
-      history_[timeline_index].poll_point_at;
+  timeline.freeze_begin_at = timeline.poll_point_at;
 
   // ---- phase 1: initialized process (MPI-2 DPM) ---------------------------
-  std::uint64_t spawn_span = 0;
-  if (obs::active(t)) {
-    obs::Attrs attrs{
-        {"dest", dest_host},
-        {"mechanism", tx.pre_init ? "connect (pre-initialized daemon)"
-                                  : "MPI_Comm_spawn"}};
-    obs::stamp(attrs, tx.trace);
-    spawn_span = t->begin_span("migration.spawn", "hpcm", proc.name(),
-                               std::move(attrs));
-  }
+  tx.phase_span = open_span(
+      tracer(), timeline, "migration.spawn",
+      {{"dest", dest_host},
+       {"mechanism", tx.port.empty() ? "MPI_Comm_spawn"
+                                     : "connect (pre-initialized daemon)"}});
   tx.runner.enter("init");
   const txn::Status init =
       co_await tx.runner.run(phase_init(tx, proc), options_.init_timeout);
-  if (obs::active(t)) {
-    t->end_span(spawn_span, {{"completed", init == txn::Status::kFinished}});
-  }
+  close_span(tracer(), tx.phase_span,
+             {{"completed", init == txn::Status::kFinished}});
   if (init != txn::Status::kFinished) {
     fail_phase(tx, proc, init);
     co_return;
@@ -1207,95 +1102,67 @@ sim::Task<> MigrationEngine::migrate(MigrationContext& ctx,
                        history_[timeline_index].poll_point_at);
 
   // ---- phase 2: data collection: snapshot live variables -------------------
-  std::uint64_t collect_span = 0;
-  if (obs::active(t)) {
-    obs::Attrs attrs;
-    obs::stamp(attrs, tx.trace);
-    collect_span = t->begin_span("migration.collect", "hpcm", proc.name(),
-                                 std::move(attrs));
-  }
+  tx.phase_span = open_span(tracer(), history_[timeline_index],
+                            "migration.collect", {});
   const double collect_begin = engine.now();
   if (ctx.save_) {
     ctx.save_();
   }
   tx.encoded = ctx.state_.encode(proc.host().spec().byte_order);
-  tx.opaque = static_cast<double>(ctx.state_.opaque_bytes());
-  tx.eager_opaque = std::min(tx.opaque, options_.eager_bytes);
-  tx.eager_wire = static_cast<double>(tx.encoded.size()) + tx.eager_opaque;
-  history_[timeline_index].state_bytes =
-      static_cast<double>(tx.encoded.size()) + tx.opaque;
-  const double state_bytes = history_[timeline_index].state_bytes;
-  const double eager_wire = tx.eager_wire;
-  const double remaining = tx.opaque - tx.eager_opaque;
-  if (obs::active(t)) {
-    // Collection is the snapshot alone; the wire phases get their own
-    // spans so the critical-path analyzer can attribute the freeze window.
-    t->end_span(collect_span, {{"state_bytes", state_bytes},
-                               {"eager_bytes", eager_wire}});
-  }
+  const double opaque = static_cast<double>(ctx.state_.opaque_bytes());
+  const double eager_opaque = std::min(opaque, options_.eager_bytes);
+  tx.eager_wire = static_cast<double>(tx.encoded.size()) + eager_opaque;
+  const double state_bytes = static_cast<double>(tx.encoded.size()) + opaque;
+  history_[timeline_index].state_bytes = state_bytes;
+  // Collection is the snapshot alone; the wire phases get their own spans
+  // so the critical-path analyzer can attribute the freeze window.
+  close_span(tracer(), tx.phase_span,
+             {{"state_bytes", state_bytes}, {"eager_bytes", tx.eager_wire}});
   observe_phase_ms("collect", engine.now() - collect_begin);
 
-  co_await freeze_tail(ctx, tx, remaining);
+  co_await freeze_tail(state, tx, opaque - eager_opaque);
 }
 
 /// The frozen epilogue shared by stop-and-copy and a converged pre-copy:
 /// the eager send (full snapshot / final dirty delta), the resume
 /// handshake at the commit point, and the commit itself.
-sim::Task<> MigrationEngine::freeze_tail(MigrationContext& ctx, PendingTx& tx,
+sim::Task<> MigrationEngine::freeze_tail(ProcState& state, PendingTx& tx,
                                          double remaining) {
-  mpi::Proc& proc = *ctx.proc_;
+  mpi::Proc& proc = *state.context.proc_;
   auto& engine = mpi_->engine();
-  obs::Tracer* t = tracer();
   const std::size_t timeline_index = tx.timeline_index;
-  const std::string source_host = tx.source;
-  const std::string dest_host = tx.dest;
-  const double eager_wire = tx.eager_wire;
 
   // ---- execution state + eager data over the merged communicator ----------
-  std::uint64_t eager_span = 0;
-  if (obs::active(t)) {
-    obs::Attrs attrs{{"eager_bytes", eager_wire}};
-    obs::stamp(attrs, tx.trace);
-    eager_span = t->begin_span("migration.eager", "hpcm", proc.name(),
-                               std::move(attrs));
-  }
+  tx.phase_span = open_span(tracer(), history_[timeline_index],
+                            "migration.eager",
+                            {{"eager_bytes", tx.eager_wire}});
   const double eager_begin = engine.now();
   tx.runner.enter("eager");
   const txn::Status eager =
       co_await tx.runner.run(phase_eager(tx, proc), options_.eager_timeout);
-  if (obs::active(t)) {
-    t->end_span(eager_span, {{"completed", eager == txn::Status::kFinished}});
-  }
+  close_span(tracer(), tx.phase_span,
+             {{"completed", eager == txn::Status::kFinished}});
   if (eager != txn::Status::kFinished) {
     fail_phase(tx, proc, eager);
     co_return;
   }
   history_[timeline_index].eager_done_at = engine.now();
   observe_phase_ms("eager", engine.now() - eager_begin);
-  if (obs::active(t)) {
-    // The restoration overlap: the destination decodes and resumes while
-    // the source keeps shipping the bulk of the memory state.
-    obs::Attrs attrs{{"remaining_bytes", remaining}};
-    obs::stamp(attrs, tx.trace);
-    timeline_spans_[timeline_index].restore = t->begin_span(
-        "migration.restore", "hpcm", proc.name(), std::move(attrs));
-  }
+  // The restoration overlap: the destination decodes and resumes while the
+  // source keeps shipping the bulk of the memory state.
+  tx.restore_span =
+      open_span(tracer(), history_[timeline_index], "migration.restore",
+                {{"remaining_bytes", remaining}});
 
   // ---- resume handshake — the transaction's commit point -------------------
-  std::uint64_t ack_span = 0;
-  if (obs::active(t)) {
-    obs::Attrs attrs;
-    obs::stamp(attrs, tx.trace);
-    ack_span = t->begin_span("migration.ack", "hpcm", proc.name(),
-                             std::move(attrs));
-  }
+  tx.phase_span =
+      open_span(tracer(), history_[timeline_index], "migration.ack", {});
   const double ack_begin = engine.now();
   tx.runner.enter("ack");
   const txn::Status ack =
       co_await tx.runner.run(phase_ack(tx, proc), options_.ack_timeout);
-  if (obs::active(t)) {
-    t->end_span(ack_span, {{"completed", ack == txn::Status::kFinished}});
-  }
+  close_span(tracer(), tx.phase_span,
+             {{"completed", ack == txn::Status::kFinished}});
   if (ack != txn::Status::kFinished) {
     fail_phase(tx, proc, ack);
     co_return;
@@ -1310,22 +1177,16 @@ sim::Task<> MigrationEngine::freeze_tail(MigrationContext& ctx, PendingTx& tx,
 
   // ---- commit: the destination owns the process from here on ---------------
   tx.runner.enter("restore");
-  if (obs::active(t)) {
-    obs::Attrs attrs{{"remaining_bytes", remaining}};
-    obs::stamp(attrs, tx.trace);
-    timeline_spans_[timeline_index].transfer = t->begin_span(
-        "migration.transfer", "hpcm", proc.name(), std::move(attrs));
-  }
-  std::erase_if(collectors_,
-                [](const auto& entry) { return entry.second.done(); });
-  collectors_.emplace(
-      timeline_index,
-      sim::Fiber::spawn(engine,
-                        run_collector(source_host, dest_host, remaining,
-                                      tx.helper_id, tx.merged),
-                        proc.name() + ".collector"));
+  const MigrationTimeline& timeline = history_[timeline_index];
+  tx.transfer_span = open_span(tracer(), timeline, "migration.transfer",
+                               {{"remaining_bytes", remaining}});
+  tx.collector = sim::Fiber::spawn(
+      engine,
+      run_collector(timeline.source, timeline.destination, remaining,
+                    tx.helper_id, tx.merged),
+      proc.name() + ".collector");
   tx.committed = true;
-  takeover(proc.id(), helper->host(), std::move(tx.restored_state),
+  takeover(state, helper->host(), std::move(tx.restored_state),
            timeline_index);
 
   // ---- the source-side fiber is done ---------------------------------------
@@ -1348,8 +1209,8 @@ void MigrationEngine::start_precopy_round(MigrationContext& ctx,
       ctx.save_();
     }
     ctx.state_.encode_into(tx.encoded, origin);
-    tx.opaque = static_cast<double>(ctx.state_.opaque_bytes());
-    charge = static_cast<double>(tx.encoded.size()) + tx.opaque;
+    charge = static_cast<double>(tx.encoded.size()) +
+             static_cast<double>(ctx.state_.opaque_bytes());
     tx.round0_bytes = std::max(1.0, charge);
     tx.shipped_gen = ctx.state_.snapshot_generation();
   } else {
@@ -1361,14 +1222,13 @@ void MigrationEngine::start_precopy_round(MigrationContext& ctx,
     tx.encoded = std::move(delta.wire);
     tx.shipped_gen = delta.to_generation;
   }
-  tx.precopy_bytes += charge;
   MigrationTimeline& tl = history_[tx.timeline_index];
-  tl.precopy_bytes = tx.precopy_bytes;
+  tl.precopy_bytes += charge;
   tl.precopy_rounds = round + 1;
   if (obs::Tracer* t = tracer(); obs::active(t)) {
     obs::Attrs attrs{{"round", round}, {"bytes", charge}};
-    obs::stamp(attrs, tx.trace);
-    t->instant("migration.precopy_round", "hpcm", tx.process,
+    obs::stamp(attrs, tl.trace);
+    t->instant("migration.precopy_round", "hpcm", tl.process,
                std::move(attrs));
   }
   // Round 0 pays DPM init + the full-state transfer; later rounds only the
@@ -1404,22 +1264,15 @@ sim::Task<> MigrationEngine::precopy_round(PendingTx* tx, int round,
   tx->rounds_sent = round + 1;
 }
 
-sim::Task<> MigrationEngine::continue_precopy(MigrationContext& ctx) {
-  const std::size_t index = ctx.precopy_tx_;
-  const auto it = pending_.find(index);
-  if (it == pending_.end()) {
-    // The transaction ended elsewhere (teardown, double abort).
-    ctx.precopy_tx_ = MigrationContext::kNoPrecopy;
-    co_return;
-  }
-  PendingTx& tx = *it->second;
+sim::Task<> MigrationEngine::continue_precopy(ProcState& state) {
+  PendingTx& tx = *state.tx;
+  MigrationContext& ctx = state.context;
   mpi::Proc& proc = *ctx.proc_;
   const txn::Status round = tx.runner.poll();
   if (round == txn::Status::kRunning) {
     co_return;  // the round is still shipping; keep computing
   }
   if (round != txn::Status::kFinished) {
-    ctx.precopy_tx_ = MigrationContext::kNoPrecopy;
     fail_phase(tx, proc, round);  // aborts; the app keeps computing
     co_return;
   }
@@ -1435,38 +1288,26 @@ sim::Task<> MigrationEngine::continue_precopy(MigrationContext& ctx) {
     start_precopy_round(ctx, tx);
     co_return;
   }
-  co_await freeze_and_commit(ctx, tx);
+  co_await freeze_and_commit(state, tx);
 }
 
-sim::Task<> MigrationEngine::freeze_and_commit(MigrationContext& ctx,
+sim::Task<> MigrationEngine::freeze_and_commit(ProcState& state,
                                                PendingTx& tx) {
+  MigrationContext& ctx = state.context;
   mpi::Proc& proc = *ctx.proc_;
   auto& engine = mpi_->engine();
-  obs::Tracer* t = tracer();
-  const std::size_t timeline_index = tx.timeline_index;
-  MigrationTimeline& tl = history_[timeline_index];
+  MigrationTimeline& tl = history_[tx.timeline_index];
   tl.freeze_begin_at = engine.now();
   observe_phase_ms("precopy", tl.freeze_begin_at - tl.poll_point_at);
-  if (obs::active(t)) {
-    t->end_span(timeline_spans_[timeline_index].precopy,
-                {{"rounds", tx.rounds_sent},
-                 {"precopy_bytes", tx.precopy_bytes}});
-    timeline_spans_[timeline_index].precopy = 0;
-  }
-  ctx.precopy_tx_ = MigrationContext::kNoPrecopy;
-  ARS_LOG_INFO("hpcm", "pre-copy of " << tx.process << " converged after "
+  close_span(tracer(), tx.precopy_span, {{"rounds", tx.rounds_sent},
+                               {"precopy_bytes", tl.precopy_bytes}});
+  ARS_LOG_INFO("hpcm", "pre-copy of " << tl.process << " converged after "
                                       << tx.rounds_sent
                                       << " rounds; freezing for the final "
                                       << "delta");
 
   // ---- freeze: final dirty delta + tombstones ------------------------------
-  std::uint64_t collect_span = 0;
-  if (obs::active(t)) {
-    obs::Attrs attrs;
-    obs::stamp(attrs, tx.trace);
-    collect_span = t->begin_span("migration.collect", "hpcm", proc.name(),
-                                 std::move(attrs));
-  }
+  tx.phase_span = open_span(tracer(), tl, "migration.collect", {});
   const double collect_begin = engine.now();
   // save_ ran in continue_precopy's convergence check at this poll-point.
   StateRegistry::Delta delta =
@@ -1476,19 +1317,14 @@ sim::Task<> MigrationEngine::freeze_and_commit(MigrationContext& ctx,
   const double final_bytes = static_cast<double>(tx.encoded.size()) +
                              static_cast<double>(delta.dirty_opaque_bytes);
   tx.eager_wire = final_bytes;
-  tx.eager_values = {static_cast<double>(proc.id()),
-                     static_cast<double>(timeline_index),
-                     static_cast<double>(tx.rounds_sent), 1.0};
-  tl.state_bytes = tx.precopy_bytes + final_bytes;
-  if (obs::active(t)) {
-    t->end_span(collect_span, {{"state_bytes", tl.state_bytes},
-                               {"final_delta_bytes", final_bytes}});
-  }
+  tl.state_bytes = tl.precopy_bytes + final_bytes;
+  close_span(tracer(), tx.phase_span, {{"state_bytes", tl.state_bytes},
+                             {"final_delta_bytes", final_bytes}});
   observe_phase_ms("collect", engine.now() - collect_begin);
 
   // Everything already shipped in the rounds; the background collector
   // only sends the completion marker.
-  co_await freeze_tail(ctx, tx, /*remaining=*/0.0);
+  co_await freeze_tail(state, tx, /*remaining=*/0.0);
 }
 
 sim::Task<> MigrationEngine::run_collector(std::string source_host,
@@ -1511,67 +1347,53 @@ sim::Task<> MigrationEngine::run_collector(std::string source_host,
   mpi_->inject(helper_id, std::move(done));
 }
 
-void MigrationEngine::takeover(mpi::RankId id, host::Host& destination,
+void MigrationEngine::takeover(ProcState& state, host::Host& destination,
                                StateRegistry restored_state,
                                std::size_t timeline_index) {
-  const auto it = procs_.find(id);
-  mpi::Proc* proc = mpi_->find(id);
-  if (it == procs_.end() || proc == nullptr) {
-    ARS_LOG_ERROR("hpcm", "takeover for unknown proc " << id);
-    return;
-  }
   // A second signal raised mid-transaction can never be polled on the
   // source again; close its span instead of leaking it.
-  close_signal_span(id, "relocated");
-  MigrationContext& ctx = it->second->context;
-  mpi_->relocate(*proc, destination);
+  close_signal_span(state, "relocated");
+  MigrationContext& ctx = state.context;
+  mpi::Proc& proc = *ctx.proc_;
+  mpi_->relocate(proc, destination);
   ctx.state_ = std::move(restored_state);
   ctx.restored_ = true;
   ++ctx.migration_count_;
   ctx.requested_at = -1.0;
-  history_[timeline_index].resumed_at = mpi_->engine().now();
-  history_[timeline_index].succeeded = true;
-  history_[timeline_index].outcome = "committed";
+  MigrationTimeline& timeline = history_[timeline_index];
+  timeline.resumed_at = mpi_->engine().now();
+  timeline.succeeded = true;
+  timeline.outcome = "committed";
   if (obs::Tracer* t = tracer(); obs::active(t)) {
     obs::Attrs attrs{{"dest", destination.name()},
                      {"migrations", ctx.migration_count_}};
-    if (const auto tx_it = pending_.find(timeline_index);
-        tx_it != pending_.end()) {
-      obs::stamp(attrs, tx_it->second->trace);
-    }
-    t->instant("migration.resumed", "hpcm", proc->name(), std::move(attrs));
+    obs::stamp(attrs, timeline.trace);
+    t->instant("migration.resumed", "hpcm", proc.name(), std::move(attrs));
   }
-
-  ProcState* state_ptr = it->second.get();
-  auto wrapper = [this, state_ptr](mpi::Proc& p) -> sim::Task<> {
-    co_await state_ptr->app(p, state_ptr->context);
-    finish_normal_exit(p.id());
-  };
-  mpi_->start_app(*proc, wrapper);
+  mpi_->start_app(proc, [this](mpi::Proc& p) { return run_app(p, 0.0); });
 }
 
 void MigrationEngine::pre_initialize_on(const std::string& host_name) {
-  if (pre_initialized_.contains(host_name)) {
+  if (daemons_.contains(host_name)) {
     return;
   }
-  pre_initialized_[host_name] = "";  // reserved; filled when the daemon runs
   MigrationEngine* self = this;
   auto daemon = [self, host_name](mpi::Proc& helper) -> sim::Task<> {
     const std::string port = helper.open_port();
-    self->pre_initialized_[host_name] = port;
+    self->daemons_[host_name].port = port;
     while (true) {
       const mpi::Comm conn = co_await helper.accept(port);
       const mpi::Comm merged = co_await helper.merge(conn, true);
       co_await self->receiver_main(helper, merged);
     }
   };
-  daemon_ids_[host_name] =
+  daemons_[host_name].rank =
       mpi_->launch(host_name, daemon, "hpcm.daemon." + host_name);
 }
 
 bool MigrationEngine::has_pre_initialized(const std::string& host_name) const {
-  const auto it = pre_initialized_.find(host_name);
-  return it != pre_initialized_.end() && !it->second.empty();
+  const auto it = daemons_.find(host_name);
+  return it != daemons_.end() && !it->second.port.empty();
 }
 
 }  // namespace ars::hpcm

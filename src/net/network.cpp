@@ -122,19 +122,9 @@ void Network::post(Message message) {
     count_drop(message.src_host, "unknown_host");
     return;
   }
-  int copies = 1;
-  double extra_delay = 0.0;
-  if (fault_policy_ != nullptr) {
-    const FaultPolicy::PostVerdict verdict = fault_policy_->on_post(message);
-    if (verdict.drop) {
-      ARS_LOG_WARN("net", "fault drops message " << message.src_host << " -> "
-                                                 << message.dst_host << ":"
-                                                 << message.dst_port);
-      count_drop(message.src_host, "fault");
-      return;
-    }
-    copies += std::max(verdict.duplicates, 0);
-    extra_delay = std::max(verdict.extra_delay, 0.0);
+  const std::optional<Fanout> fanout = fault_fanout(message);
+  if (!fanout) {
+    return;
   }
   // Deliver through a detached fiber so the datagram pays the same latency
   // and bandwidth-sharing costs as any other traffic.
@@ -144,34 +134,36 @@ void Network::post(Message message) {
     }
     (void)co_await net->transfer(msg.src_host, msg.dst_host,
                                  static_cast<double>(msg.size_bytes));
-    msg.delivered_at = net->engine_->now();
-    const auto it = net->endpoints_.find(
-        std::make_pair(msg.dst_host, msg.dst_port));
-    if (it == net->endpoints_.end() || it->second->inbox.closed()) {
-      ARS_LOG_WARN("net", "dropping message to unbound "
-                              << msg.dst_host << ":" << msg.dst_port);
-      net->count_drop(msg.src_host, "unbound_port");
-      co_return;
-    }
-    if (msg.trace.set() && obs::active(net->options_.tracer)) {
-      obs::Attrs attrs{{"src", msg.src_host},
-                       {"port", msg.dst_port},
-                       {"latency_ms", (msg.delivered_at - msg.sent_at) * 1e3}};
-      obs::stamp(attrs, msg.trace);
-      net->options_.tracer->instant("net.recv", "net", msg.dst_host,
-                                    std::move(attrs));
-    }
-    it->second->inbox.send(std::move(msg));
+    net->deliver_local(std::move(msg));
   };
   // Prune finished deliveries so the tracking list stays small.
   std::erase_if(delivery_fibers_,
                 [](const sim::Fiber& f) { return f.done(); });
-  for (int copy = 1; copy < copies; ++copy) {  // injected duplicates
+  for (int copy = 1; copy < fanout->copies; ++copy) {  // injected duplicates
     delivery_fibers_.push_back(sim::Fiber::spawn(
-        *engine_, deliver(this, message, extra_delay), "net.post"));
+        *engine_, deliver(this, message, fanout->extra_delay), "net.post"));
   }
   delivery_fibers_.push_back(sim::Fiber::spawn(
-      *engine_, deliver(this, std::move(message), extra_delay), "net.post"));
+      *engine_, deliver(this, std::move(message), fanout->extra_delay),
+      "net.post"));
+}
+
+std::optional<Network::Fanout> Network::fault_fanout(const Message& message) {
+  Fanout fanout;
+  if (fault_policy_ == nullptr) {
+    return fanout;
+  }
+  const FaultPolicy::PostVerdict verdict = fault_policy_->on_post(message);
+  if (verdict.drop) {
+    ARS_LOG_WARN("net", "fault drops message " << message.src_host << " -> "
+                                               << message.dst_host << ":"
+                                               << message.dst_port);
+    count_drop(message.src_host, "fault");
+    return std::nullopt;
+  }
+  fanout.copies += std::max(verdict.duplicates, 0);
+  fanout.extra_delay = std::max(verdict.extra_delay, 0.0);
+  return fanout;
 }
 
 bool Network::route_cross_shard(Message& message) {
@@ -181,24 +173,16 @@ bool Network::route_cross_shard(Message& message) {
   // Same source-side fault semantics as the local path: the verdict (and
   // any seeded random state it advances) is charged where the message is
   // posted, so a fixed shard layout keeps fault runs deterministic.
-  int copies = 1;
-  double extra_delay = 0.0;
-  if (fault_policy_ != nullptr) {
-    const FaultPolicy::PostVerdict verdict = fault_policy_->on_post(message);
-    if (verdict.drop) {
-      ARS_LOG_WARN("net", "fault drops message " << message.src_host << " -> "
-                                                 << message.dst_host << ":"
-                                                 << message.dst_port);
-      count_drop(message.src_host, "fault");
-      return true;
-    }
-    copies += std::max(verdict.duplicates, 0);
-    extra_delay = std::max(verdict.extra_delay, 0.0);
+  const std::optional<Fanout> fanout = fault_fanout(message);
+  if (!fanout) {
+    return true;
   }
   if (options_.metrics != nullptr) {
-    options_.metrics->counter("ars_net_cross_shard_total").inc(copies);
+    options_.metrics->counter("ars_net_cross_shard_total")
+        .inc(fanout->copies);
   }
-  shard_router_->forward(shard_id_, std::move(message), extra_delay, copies);
+  shard_router_->forward(shard_id_, std::move(message), fanout->extra_delay,
+                         fanout->copies);
   return true;
 }
 
@@ -209,8 +193,9 @@ void Network::deliver_local(Message message) {
   if (it == endpoints_.end() || it->second->inbox.closed()) {
     ARS_LOG_WARN("net", "dropping message to unbound "
                             << message.dst_host << ":" << message.dst_port);
-    // The poster lives on another shard, so only this network's totals and
-    // the labeled counter move; the per-poster count stays on its own shard.
+    // A cross-shard poster lives on another shard, so only this network's
+    // totals and the labeled counter move; the per-poster count stays on
+    // its own shard.
     count_drop(message.src_host, "unbound_port");
     return;
   }
@@ -387,32 +372,25 @@ const FlowMeter& Network::rx_meter(const std::string& hostname) const {
 
 double Network::tx_rate_bps(const std::string& hostname,
                             double window) const {
-  // Fold in the live portion of in-flight transfers so sensors see current
-  // traffic, not just completed accounting intervals.
-  const HostRecord& rec = record(hostname);
-  double bytes = rec.tx_meter.bytes_between(engine_->now() - window,
-                                            engine_->now());
-  const double live_span = engine_->now() - last_update_;
-  if (live_span > 0.0) {
-    for (const auto* job : jobs_) {
-      if (job->src == &rec) {
-        bytes += std::min(job->rate * std::min(live_span, window),
-                          job->remaining);
-      }
-    }
-  }
-  return window > 0.0 ? bytes / window : 0.0;
+  return rate_bps(hostname, /*outbound=*/true, window);
 }
 
 double Network::rx_rate_bps(const std::string& hostname,
                             double window) const {
+  return rate_bps(hostname, /*outbound=*/false, window);
+}
+
+double Network::rate_bps(const std::string& hostname, bool outbound,
+                         double window) const {
+  // Fold in the live portion of in-flight transfers so sensors see current
+  // traffic, not just completed accounting intervals.
   const HostRecord& rec = record(hostname);
-  double bytes = rec.rx_meter.bytes_between(engine_->now() - window,
-                                            engine_->now());
+  const FlowMeter& meter = outbound ? rec.tx_meter : rec.rx_meter;
+  double bytes = meter.bytes_between(engine_->now() - window, engine_->now());
   const double live_span = engine_->now() - last_update_;
   if (live_span > 0.0) {
     for (const auto* job : jobs_) {
-      if (job->dst == &rec) {
+      if ((outbound ? job->src : job->dst) == &rec) {
         bytes += std::min(job->rate * std::min(live_span, window),
                           job->remaining);
       }

@@ -118,6 +118,34 @@ TEST_F(CkptStrategyTest, PeriodicStrategyCheckpointsOnYoungDalyInterval) {
   EXPECT_DOUBLE_EQ(hpcm.waste().of("per.0").lost_work_s, 0.0);
 }
 
+TEST_F(CkptStrategyTest, FreshLaunchUnderAReusedNameStartsAFreshPlan) {
+  MigrationEngine::Options options;
+  options.ckpt_strategy = "periodic";
+  options.checkpoint_store_bps = 20.0e6;
+  options.ckpt_mtbf = 50.0;  // 40 MB -> C=2s, W=sqrt(2*2*50)~14.1s
+  MigrationEngine& hpcm = make_hpcm(options);
+  StrategyApp first;
+  first.iterations = 30;
+  first.opaque_bytes = 40'000'000;
+  hpcm.launch("ws1", first.make(), "reuse", ApplicationSchema{"reuse"});
+  run_to_completion();
+  ASSERT_TRUE(hpcm.exited_normally("reuse.0"));
+  const int commits = hpcm.shared_store().commits();
+  EXPECT_GE(commits, 1);
+  engine_.run_until(engine_.now() + 100.0);
+  // Same name, new run: its first poll baselines progress, so a 5 s run
+  // on a ~14 s interval writes nothing.  A plan inherited from the first
+  // run would measure from that run's last snapshot and write at once.
+  StrategyApp second;
+  second.iterations = 5;
+  second.opaque_bytes = 40'000'000;
+  hpcm.launch("ws1", second.make(), "reuse", ApplicationSchema{"reuse"});
+  run_to_completion();
+  EXPECT_GE(second.final_sum, 0.0);
+  EXPECT_FALSE(second.was_restarted);
+  EXPECT_EQ(hpcm.shared_store().commits(), commits);
+}
+
 TEST_F(CkptStrategyTest, CrashMidWriteKeepsPreviousCheckpointRestorable) {
   MigrationEngine::Options options;
   options.ckpt_strategy = "none";  // explicit checkpoints: exact timing

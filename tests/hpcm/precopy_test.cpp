@@ -252,9 +252,9 @@ TEST(PrecopyTest, DestCrashMidRoundAbortsToSource) {
   Cluster c(precopy_options());
   BlockApp app;
   app.blocks = 32;
-  std::vector<MigrationOutcome> outcomes;
+  std::vector<MigrationTimeline> outcomes;
   c.hpcm.set_outcome_listener(
-      [&](const MigrationOutcome& o) { outcomes.push_back(o); });
+      [&](const MigrationTimeline& o) { outcomes.push_back(o); });
   c.crash_dest_at_phase("precopy");
   const mpi::RankId id =
       c.hpcm.launch("ws1", app.make(), "blockapp", schema());

@@ -97,15 +97,25 @@ struct Cluster {
   /// scheduled as a zero-delay event (plus `extra_delay` for post-commit
   /// cases that want to hit the middle of the background restore).
   void crash_dest_at_phase(const std::string& phase, double extra_delay = 0.0) {
+    crash_host_at_phase(phase, /*source=*/false, extra_delay);
+  }
+  /// Same, for the migration's source host.
+  void crash_source_at_phase(const std::string& phase) {
+    crash_host_at_phase(phase, /*source=*/true, 0.0);
+  }
+  void crash_host_at_phase(const std::string& phase, bool source,
+                           double extra_delay) {
     hpcm.set_phase_listener(
-        [this, phase, extra_delay](const txn::PhaseEvent& e) {
+        [this, phase, source, extra_delay](const txn::PhaseEvent& e) {
           if (e.phase != phase || crash_armed_) {
             return 0.0;
           }
           crash_armed_ = true;
-          engine.schedule_after(extra_delay, [this, dest = e.targets.front()] {
-            hpcm.crash_host(dest);
-          });
+          engine.schedule_after(
+              extra_delay,
+              [this, host = source ? e.source : e.targets.front()] {
+                hpcm.crash_host(host);
+              });
           return 0.0;
         });
   }
@@ -254,9 +264,9 @@ TEST(TransactionTest, PortSuffixedDestinationIsAccepted) {
 TEST(TransactionTest, CommittedOutcomeIsReported) {
   Cluster c;
   CounterApp app;
-  std::vector<MigrationOutcome> outcomes;
+  std::vector<MigrationTimeline> outcomes;
   c.hpcm.set_outcome_listener(
-      [&](const MigrationOutcome& o) { outcomes.push_back(o); });
+      [&](const MigrationTimeline& o) { outcomes.push_back(o); });
   const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
   c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
   c.engine.run_until(200.0);
@@ -266,8 +276,8 @@ TEST(TransactionTest, CommittedOutcomeIsReported) {
   EXPECT_EQ(outcomes[0].source, "ws1");
   EXPECT_EQ(outcomes[0].destination, "ws2");
   EXPECT_EQ(outcomes[0].outcome, "committed");
-  EXPECT_TRUE(outcomes[0].reason.empty());
-  EXPECT_TRUE(outcomes[0].phase.empty());
+  EXPECT_TRUE(outcomes[0].abort_reason.empty());
+  EXPECT_TRUE(outcomes[0].abort_phase.empty());
   ASSERT_EQ(c.hpcm.history().size(), 1U);
   EXPECT_EQ(c.hpcm.history()[0].outcome, "committed");
 }
@@ -275,9 +285,9 @@ TEST(TransactionTest, CommittedOutcomeIsReported) {
 TEST(TransactionTest, DestCrashDuringInitAbortsToSource) {
   Cluster c;
   CounterApp app;
-  std::vector<MigrationOutcome> outcomes;
+  std::vector<MigrationTimeline> outcomes;
   c.hpcm.set_outcome_listener(
-      [&](const MigrationOutcome& o) { outcomes.push_back(o); });
+      [&](const MigrationTimeline& o) { outcomes.push_back(o); });
   c.crash_dest_at_phase("init");
   const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
   c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
@@ -294,7 +304,7 @@ TEST(TransactionTest, DestCrashDuringInitAbortsToSource) {
   EXPECT_EQ(t.abort_phase, "init");
   ASSERT_EQ(outcomes.size(), 1U);
   EXPECT_EQ(outcomes[0].outcome, "aborted");
-  EXPECT_EQ(outcomes[0].reason, "dest-failed");
+  EXPECT_EQ(outcomes[0].abort_reason, "dest-failed");
   EXPECT_EQ(counter_value(c.metrics, "migration.aborts",
                           {{"reason", "dest-failed"}}),
             1.0);
@@ -379,9 +389,9 @@ TEST(TransactionTest, PostCommitDestCrashRollsBackToRelaunch) {
   Cluster c;
   CounterApp app;
   app.opaque_bytes = 50.0e6;  // ~4 s of background restore after resume
-  std::vector<MigrationOutcome> outcomes;
+  std::vector<MigrationTimeline> outcomes;
   c.hpcm.set_outcome_listener(
-      [&](const MigrationOutcome& o) { outcomes.push_back(o); });
+      [&](const MigrationTimeline& o) { outcomes.push_back(o); });
   c.crash_dest_at_phase("restore", /*extra_delay=*/1.0);
   const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
   c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
@@ -425,6 +435,142 @@ TEST(TransactionTest, SabotageSkipRollbackLosesTheProcess) {
   EXPECT_TRUE(c.hpcm.parked_for_relaunch().empty());
   ASSERT_EQ(c.hpcm.history().size(), 1U);
   EXPECT_EQ(c.hpcm.history()[0].outcome, "aborted");
+}
+
+// ---- one record per transaction: every end closes what it opened --------
+
+/// The source host dies while the transaction runs `phase`: one aborted
+/// outcome, the process parked for relaunch, the destination helper gone
+/// and no span left open — including the span of the frozen phase the
+/// killed source was waiting in.
+class SourceCrashTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SourceCrashTest, AbortsOnceAndClosesEverySpan) {
+  const std::string phase = GetParam();
+  MigrationEngine::Options options;
+  options.precopy = phase == "precopy";
+  Cluster c({}, options);
+  CounterApp app;
+  std::vector<MigrationTimeline> outcomes;
+  c.hpcm.set_outcome_listener(
+      [&](const MigrationTimeline& o) { outcomes.push_back(o); });
+  c.crash_source_at_phase(phase);
+  const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
+  c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
+  c.engine.run_until(200.0);
+  ASSERT_EQ(outcomes.size(), 1U);
+  EXPECT_EQ(outcomes[0].outcome, "aborted");
+  EXPECT_EQ(outcomes[0].abort_reason, "source-crashed");
+  EXPECT_EQ(outcomes[0].abort_phase, phase);
+  EXPECT_EQ(c.hpcm.parked_for_relaunch(), std::vector<std::string>{"counter.0"});
+  EXPECT_EQ(c.mpi.live_procs(), 0U);  // no helper outlives the abort
+  EXPECT_EQ(c.tracer.open_spans(), 0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(Phases, SourceCrashTest,
+                         ::testing::Values("init", "eager", "ack", "precopy"),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param);
+                         });
+
+TEST(TransactionTest, RelocatedCrashDuringRestoreRollsBack) {
+  Cluster c;
+  CounterApp app;
+  app.opaque_bytes = 50.0e6;  // ~4 s of background restore after resume
+  std::vector<MigrationTimeline> outcomes;
+  c.hpcm.set_outcome_listener(
+      [&](const MigrationTimeline& o) { outcomes.push_back(o); });
+  mpi::RankId id = 0;
+  bool armed = false;
+  c.hpcm.set_phase_listener([&](const txn::PhaseEvent& e) {
+    if (e.phase == "restore" && !armed) {
+      armed = true;
+      c.engine.schedule_after(1.0, [&] {
+        ASSERT_EQ(c.net.active_transfers(), 1U);  // the bulk collector
+        EXPECT_TRUE(c.hpcm.crash(id));
+        EXPECT_EQ(c.net.active_transfers(), 0U);  // ... killed with it
+      });
+    }
+    return 0.0;
+  });
+  id = c.hpcm.launch("ws1", app.make(), "counter", schema());
+  c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
+  c.engine.run_until(60.0);
+  ASSERT_TRUE(armed);
+  ASSERT_EQ(outcomes.size(), 1U);
+  EXPECT_EQ(outcomes[0].outcome, "rolled-back");
+  EXPECT_EQ(outcomes[0].abort_reason, "restore-interrupted");
+  EXPECT_EQ(c.hpcm.parked_for_relaunch(), std::vector<std::string>{"counter.0"});
+  EXPECT_EQ(counter_value(c.metrics, "migration.rollbacks"), 1.0);
+  EXPECT_EQ(c.mpi.live_procs(), 0U);
+  EXPECT_EQ(c.tracer.open_spans(), 0U);
+}
+
+TEST(TransactionTest, AbortDropsPreInitializedDaemonAndNextMigrationSpawns) {
+  Cluster c;
+  CounterApp app;
+  app.iterations = 60;
+  c.hpcm.pre_initialize_on("ws2");
+  bool stalled = false;
+  c.hpcm.set_phase_listener([&](const txn::PhaseEvent& e) {
+    if (e.phase != "ack" || stalled) {
+      return 0.0;
+    }
+    stalled = true;
+    return 20.0;  // holds the ack body past ack_timeout (10 s)
+  });
+  const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
+  c.engine.run_until(1.0);
+  ASSERT_TRUE(c.hpcm.has_pre_initialized("ws2"));
+  c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
+  c.engine.run_until(30.0);
+  ASSERT_EQ(c.hpcm.history().size(), 1U);
+  EXPECT_EQ(c.hpcm.history()[0].outcome, "aborted");
+  EXPECT_EQ(c.hpcm.history()[0].abort_reason, "ack-timeout");
+  // The daemon was wedged mid-protocol: dropped, not reused.
+  EXPECT_FALSE(c.hpcm.has_pre_initialized("ws2"));
+  EXPECT_TRUE(c.hpcm.request_migration(id, "ws2"));
+  c.engine.run_until(300.0);
+  ASSERT_EQ(c.hpcm.history().size(), 2U);
+  EXPECT_EQ(c.hpcm.history()[1].outcome, "committed");
+  EXPECT_EQ(app.finished_on, "ws2");
+  const auto spawns = c.tracer.spans_named("migration.spawn");
+  ASSERT_EQ(spawns.size(), 2U);
+  EXPECT_EQ(attr_string(spawns[0], "mechanism"),
+            "connect (pre-initialized daemon)");
+  EXPECT_EQ(attr_string(spawns[1], "mechanism"), "MPI_Comm_spawn");
+  EXPECT_EQ(c.tracer.open_spans(), 0U);
+}
+
+TEST(TransactionTest, RequestDuringBackgroundRestoreIsDropped) {
+  Cluster c;
+  CounterApp app;
+  app.opaque_bytes = 50.0e6;  // ~4 s of background restore after resume
+  mpi::RankId id = 0;
+  bool requested = false;
+  c.hpcm.set_phase_listener([&](const txn::PhaseEvent& e) {
+    if (e.phase == "restore" && !requested) {
+      requested = true;
+      c.engine.schedule_after(0.5, [&] {
+        EXPECT_TRUE(c.hpcm.request_migration(id, "ws3"));
+      });
+    }
+    return 0.0;
+  });
+  id = c.hpcm.launch("ws1", app.make(), "counter", schema());
+  c.engine.schedule_at(5.0, [&] { c.hpcm.request_migration(id, "ws2"); });
+  c.engine.run_until(200.0);
+  // One open transaction per process: the resumed app polls the second
+  // request while the first still restores, and drops it.
+  ASSERT_TRUE(requested);
+  ASSERT_EQ(c.hpcm.history().size(), 1U);
+  EXPECT_EQ(c.hpcm.history()[0].outcome, "committed");
+  EXPECT_DOUBLE_EQ(app.final_sum, 20.0);
+  EXPECT_EQ(app.finished_on, "ws2");
+  const auto signals = c.tracer.spans_named("migration.signal");
+  ASSERT_EQ(signals.size(), 2U);
+  EXPECT_EQ(attr_string(signals[1], "closed_by"), "superseded-by-restore");
+  EXPECT_EQ(c.tracer.open_spans(), 0U);
 }
 
 }  // namespace
