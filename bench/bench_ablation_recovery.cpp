@@ -130,7 +130,7 @@ Recovery run_checkpoint(int every) {
   r.total = result.finished_at;
   r.lost_work = result.executed - kIterations;
   // Each write moves the full footprint to stable storage.
-  r.overhead_time = rig.middleware.checkpoints().writes() * kStateBytes /
+  r.overhead_time = rig.middleware.shared_store().commits() * kStateBytes /
                     rig.middleware.options().checkpoint_store_bps;
   r.correct = result.correct;
   bench::export_obs(rig.tracer, rig.metrics,

@@ -13,8 +13,8 @@
 //
 // The store itself is payload-agnostic: callers hand it (process, host,
 // bytes) plus commit/abort callbacks, and the HPCM engine keeps the actual
-// Checkpoint object in its CheckpointStore shadow slot until the write
-// lands (atomic shadow-commit: a crash mid-write aborts the write and the
+// Checkpoint as the shadow on the process's record until the write lands
+// (atomic shadow-commit: a crash mid-write aborts the write and the
 // previous complete checkpoint stays the restorable one).
 
 #include <cstdint>

@@ -15,9 +15,10 @@
 //                 much riskier one shows up.  Risk is elapsed-over-interval:
 //                 how overdue the requester already is.
 //
-// The WasteLedger measures what either strategy costs: checkpoint overhead
-// (time the store spent on writes that committed), work lost to failures
-// (progress since the last committed checkpoint), and restart/rework time.
+// Waste measures what either strategy costs: checkpoint overhead (time the
+// store spent on writes), work lost to failures (progress since the last
+// committed checkpoint), and restart/rework time.  The migration engine
+// keeps one Waste per process record (DESIGN.md §17).
 
 #include <cmath>
 #include <limits>
@@ -92,7 +93,8 @@ class IoScheduler {
 
 // -- waste accounting --------------------------------------------------------
 
-/// Failure-waste breakdown for one process (all seconds).
+/// Failure-waste breakdown for one process, or summed over a cluster (all
+/// seconds).
 struct Waste {
   /// Store time spent on checkpoint writes (committed and aborted).
   double overhead_s = 0.0;
@@ -104,24 +106,6 @@ struct Waste {
   [[nodiscard]] double total() const {
     return overhead_s + lost_work_s + restart_s;
   }
-};
-
-/// Per-process and cluster-wide waste ledger; the obs export and the
-/// campaign read it after the run.
-class WasteLedger {
- public:
-  void record_overhead(const std::string& process, double seconds);
-  void record_lost_work(const std::string& process, double seconds);
-  void record_restart(const std::string& process, double seconds);
-
-  [[nodiscard]] Waste of(const std::string& process) const;
-  [[nodiscard]] Waste cluster() const;
-  [[nodiscard]] const std::map<std::string, Waste>& per_process() const {
-    return per_process_;
-  }
-
- private:
-  std::map<std::string, Waste> per_process_;
 };
 
 }  // namespace ars::ckpt

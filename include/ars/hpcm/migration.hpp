@@ -38,13 +38,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ars/ckpt/io.hpp"
 #include "ars/ckpt/strategy.hpp"
-#include "ars/hpcm/checkpoint.hpp"
 #include "ars/hpcm/schema.hpp"
 #include "ars/hpcm/stateregistry.hpp"
 #include "ars/mpi/mpi.hpp"
@@ -109,6 +108,20 @@ struct MigrationTimeline {
     return resumed_at - (freeze_begin_at >= 0.0 ? freeze_begin_at
                                                 : poll_point_at);
   }
+};
+
+/// A process's state registry on the stable store — the checkpointing-based
+/// alternative the paper contrasts with live migration (DESIGN.md §6, §17).
+/// After a crash the process relaunches from its latest checkpoint, losing
+/// only the work since it; without one it restarts from scratch, "the loss
+/// of all partial results".
+struct Checkpoint {
+  double taken_at = 0.0;         // snapshot time (the consistency point)
+  std::vector<std::byte> state;  // encoded registry
+  std::uint64_t bytes = 0;       // stable-storage footprint (incl. opaque)
+  /// False only for a torn write the sabotage path made the latest; a
+  /// clean store never exposes an incomplete checkpoint.
+  bool complete = true;
 };
 
 /// Persistent per-process migration state; survives fiber swaps across
@@ -181,8 +194,6 @@ class MigrationEngine {
   struct Options {
     /// Bytes of bulk data shipped with the execution state before resume.
     double eager_bytes = 64.0 * 1024;
-    /// Destination-side decode/restore latency before the app resumes.
-    double restore_delay = 1.0;
     /// Stable-store bandwidth for checkpoint writes/reads (2004-era
     /// NFS-backed disk).  This is the PER-HOST link into the store; see
     /// ckpt_aggregate_bps for the shared limit.
@@ -199,9 +210,6 @@ class MigrationEngine {
     /// Host MTBF feeding the Young/Daly interval (seconds; 0: checkpoints
     /// never become due).
     double ckpt_mtbf = 0.0;
-    /// Floor for the Young/Daly interval (tiny states would otherwise
-    /// checkpoint every poll-point).
-    double ckpt_min_interval = 5.0;
     /// Sabotage knob for the chaos checker: an aborted in-flight write
     /// REPLACES the previous checkpoint with the torn partial (a store
     /// without atomic rename) — the bug class the no-torn-checkpoint
@@ -244,7 +252,9 @@ class MigrationEngine {
   using OutcomeListener = std::function<void(const MigrationTimeline&)>;
 
   /// Launch a migration-enabled application; registers it (and its schema)
-  /// with the host process table.
+  /// with the host process table.  A name that is running is refused with
+  /// std::invalid_argument; a parked or exited one starts a new run (its
+  /// checkpoint, plan and in-flight write go; its waste stays counted).
   mpi::RankId launch(const std::string& host_name, MigratableApp app,
                      const std::string& name, ApplicationSchema schema);
 
@@ -287,19 +297,20 @@ class MigrationEngine {
 
   // -- checkpoint/restart (the paper's checkpointing-based alternative) ----
 
-  [[nodiscard]] CheckpointStore& checkpoints() noexcept {
-    return checkpoint_store_;
-  }
-
   /// The shared checkpoint I/O resource all writes flow through.
   [[nodiscard]] ckpt::SharedStore& shared_store() noexcept {
     return *shared_store_;
   }
 
-  /// Failure-waste ledger: checkpoint overhead + lost work + restart cost.
-  [[nodiscard]] const ckpt::WasteLedger& waste() const noexcept {
-    return waste_;
-  }
+  /// The restorable checkpoint of the current run under `process_name`
+  /// (null: none).  An in-flight write stays invisible until it commits.
+  [[nodiscard]] const Checkpoint* latest_checkpoint(
+      const std::string& process_name) const;
+  /// Failure waste (checkpoint overhead + lost work + restart cost) of
+  /// every run under `process_name`.
+  [[nodiscard]] ckpt::Waste waste(const std::string& process_name) const;
+  /// The same, summed over every process in name order.
+  [[nodiscard]] ckpt::Waste cluster_waste() const;
 
   /// Cooperative checkpoint I/O: the engine's side of the admission
   /// protocol.  Requests ("request"/"done"/"abort") leave through the
@@ -340,7 +351,7 @@ class MigrationEngine {
   /// Relaunch a crashed application on `host_name`.  Restores from its
   /// latest checkpoint if one exists (paying the store read time),
   /// otherwise restarts from scratch — the paper's "loss of all partial
-  /// results".  Returns the new rank id, or 0 if the name is unknown.
+  /// results".  Returns the new rank id, or 0 unless the name is parked.
   /// `ctx` links the relaunch to the registry's recovery transaction.
   mpi::RankId relaunch(const std::string& process_name,
                        const std::string& host_name, obs::TraceCtx ctx = {});
@@ -418,9 +429,47 @@ class MigrationEngine {
     txn::Runner runner;
   };
 
-  /// One launched process.  Heap allocated, so a crash can park it for
-  /// relaunch without moving it.
-  struct ProcState {
+  /// Per-process checkpoint plan state (strategy-driven checkpointing).
+  struct CkptPlan {
+    /// Progress baseline: last snapshot start (-1: re-baselined at the
+    /// next poll — fresh launches and relaunches both start here).
+    double last_mark = -1.0;
+    double retry_at = 0.0;        // cooperative defer/preempt backoff
+    bool awaiting_grant = false;  // request sent, no grant yet
+    double requested_at = 0.0;
+    bool granted = false;         // admit received, write not started yet
+  };
+
+  /// One process, by name: the engine's only per-process state (DESIGN.md
+  /// §12).  It is running on `rank`, parked for relaunch, or exited; launch,
+  /// exit, crash and relaunch move it between those states, and checkpoint
+  /// writes and grants change it in place.
+  struct ProcRecord {
+    enum class State { kRunning, kParked, kExited };
+
+    /// -> running on `proc` (a launch or a relaunch).
+    void run_on(mpi::Proc& proc) {
+      state = State::kRunning;
+      rank = proc.id();
+      context.proc_ = &proc;
+    }
+    /// running -> parked (crash) or exited: the fiber is gone, and with it
+    /// the rank, the transaction link and the checkpoint plan.  A parked
+    /// run relaunches from its app and context; an exited one drops them.
+    void stop(State next) {
+      state = next;
+      rank = 0;
+      tx = nullptr;
+      plan = CkptPlan{};
+      context.proc_ = nullptr;
+      if (next == State::kExited) {
+        app = nullptr;
+        context = MigrationContext{};
+      }
+    }
+
+    State state = State::kRunning;
+    mpi::RankId rank = 0;  // while running
     MigrationContext context;
     MigrationEngine::MigratableApp app;
     /// The open transaction this process is the subject of (null: none);
@@ -430,6 +479,14 @@ class MigrationEngine {
     PendingTx* tx = nullptr;
     /// The open migration.signal span: signal delivered -> poll-point.
     std::uint64_t signal_span = 0;
+    CkptPlan plan;
+    /// The restorable checkpoint of this run.
+    std::optional<Checkpoint> latest;
+    /// The in-flight write's snapshot: its commit makes it the latest (the
+    /// rename of an atomic shadow commit), its abort drops it.
+    std::optional<Checkpoint> shadow;
+    /// Failure waste of every run under this name.
+    ckpt::Waste waste;
   };
 
   /// A pre-initialized receiver daemon.
@@ -442,14 +499,14 @@ class MigrationEngine {
   [[nodiscard]] sim::Task<> poll_point(MigrationContext& ctx);
 
   /// The source-side protocol; runs inside the migrating fiber.
-  [[nodiscard]] sim::Task<> migrate(ProcState& state, std::string dest_host);
+  [[nodiscard]] sim::Task<> migrate(ProcRecord& rec, std::string dest_host);
 
   // -- iterative pre-copy (source side) ------------------------------------
   /// Advance an in-flight pre-copy transaction at a poll-point: spawn the
   /// next round when the previous one landed, abort on a failed round, or
   /// freeze-and-commit once the dirty delta converged.  Throws ProcMoved
   /// when the transaction commits.
-  [[nodiscard]] sim::Task<> continue_precopy(ProcState& state);
+  [[nodiscard]] sim::Task<> continue_precopy(ProcRecord& rec);
   /// Snapshot this round's payload in the app fiber (round 0: full state;
   /// later: dirty delta) and start the round phase that ships it.
   void start_precopy_round(MigrationContext& ctx, PendingTx& tx);
@@ -458,13 +515,12 @@ class MigrationEngine {
                                           double charge_bytes);
   /// Stop-the-world tail of a converged pre-copy: final dirty delta +
   /// resume handshake + commit.  Throws ProcMoved on commit.
-  [[nodiscard]] sim::Task<> freeze_and_commit(ProcState& state,
-                                              PendingTx& tx);
+  [[nodiscard]] sim::Task<> freeze_and_commit(ProcRecord& rec, PendingTx& tx);
   /// Shared frozen epilogue of both protocols: eager send -> resume ACK ->
   /// commit (relocate + background transfer of `remaining` bytes).  Returns
   /// normally only when a phase failed and the transaction aborted; throws
   /// ProcMoved on commit.
-  [[nodiscard]] sim::Task<> freeze_tail(ProcState& state, PendingTx& tx,
+  [[nodiscard]] sim::Task<> freeze_tail(ProcRecord& rec, PendingTx& tx,
                                         double remaining);
 
   // Phase bodies (member coroutines — lambda coroutines would dangle their
@@ -505,31 +561,22 @@ class MigrationEngine {
 
   /// Destination-side takeover: relocate the proc and start the restored
   /// fiber.
-  void takeover(ProcState& state, host::Host& destination,
+  void takeover(ProcRecord& rec, host::Host& destination,
                 StateRegistry restored_state, std::size_t timeline_index);
 
   /// Every application fiber, fresh, relaunched or resumed after a
   /// migration: wait `delay` (a checkpoint read), run the app, record the
   /// normal exit.
   [[nodiscard]] sim::Task<> run_app(mpi::Proc& proc, double delay);
-  void finish_normal_exit(mpi::RankId id);
+  void finish_normal_exit(ProcRecord& rec);
+  /// The record of the live process `id` (null: not one this engine runs).
+  [[nodiscard]] ProcRecord* running(mpi::RankId id);
 
   /// Close the open migration.signal span of a process, if any;
   /// `closed_by` says why ("poll-point", "crash", "exit", ...).
-  void close_signal_span(ProcState& state, const char* closed_by);
+  void close_signal_span(ProcRecord& rec, const char* closed_by);
 
   // -- shared checkpoint I/O (DESIGN.md §17) -------------------------------
-  /// Per-process checkpoint plan state (strategy-driven checkpointing).
-  struct CkptPlan {
-    /// Progress baseline: last snapshot start (-1: re-baselined at the
-    /// next poll — fresh launches and relaunches both start here).
-    double last_mark = -1.0;
-    double retry_at = 0.0;        // cooperative defer/preempt backoff
-    bool awaiting_grant = false;  // request sent, no grant yet
-    double requested_at = 0.0;
-    bool granted = false;         // admit received, write not started yet
-  };
-
   /// maybe_checkpoint() body: due-check against the Young/Daly interval,
   /// then either write directly (periodic) or run the admission protocol
   /// (cooperative).
@@ -539,14 +586,16 @@ class MigrationEngine {
   [[nodiscard]] sim::Task<> write_checkpoint(MigrationContext& ctx);
   /// Uncontended write cost estimate feeding Young/Daly (last committed
   /// checkpoint's bytes, or the registry's current footprint).
-  [[nodiscard]] double ckpt_write_cost(const MigrationContext& ctx) const;
+  [[nodiscard]] double ckpt_write_cost(const ProcRecord& rec) const;
   void on_ckpt_commit(const std::string& process,
                       const ckpt::WriteOutcome& outcome);
   void on_ckpt_abort(const std::string& process,
                      const ckpt::WriteOutcome& outcome);
   void send_ckpt_io(const std::string& process, const std::string& host,
                     const char* verb, std::uint64_t bytes, double risk);
-  void observe_waste_s(double seconds);
+  /// Add `seconds` (when positive) to one waste component of a record and
+  /// to the ars_ckpt.waste_s histogram.
+  void charge(double& component, double seconds);
 
   /// Record one protocol phase's wall-clock into migration.phase_ms{phase}.
   void observe_phase_ms(const char* phase, double seconds);
@@ -560,27 +609,21 @@ class MigrationEngine {
 
   mpi::MpiSystem* mpi_;
   Options options_;
-  std::map<mpi::RankId, std::unique_ptr<ProcState>> procs_;
+  /// Every process this engine launched, by name (records are never
+  /// erased: an exited name keeps its waste and answers exited_normally).
+  std::map<std::string, ProcRecord> ledger_;
   std::map<std::string, ApplicationSchema> schemas_;
   std::map<std::string, Daemon> daemons_;  // by host
   /// Open transactions, keyed by timeline index.
   std::map<std::size_t, std::unique_ptr<PendingTx>> pending_;
   std::vector<MigrationTimeline> history_;
-  CheckpointStore checkpoint_store_;
-  /// The shared I/O resource (declared after the CheckpointStore it commits
-  /// into, so it tears down first).
+  /// The shared I/O resource (declared after the ledger its callbacks
+  /// write into, so it tears down first).
   std::unique_ptr<ckpt::SharedStore> shared_store_;
-  ckpt::WasteLedger waste_;
-  std::map<std::string, CkptPlan> ckpt_plans_;  // keyed by process name
   CkptRequestSender ckpt_request_sender_;
   int ckpt_deferred_ = 0;
   int ckpt_preempted_ = 0;
   int torn_restores_ = 0;
-  /// Crashed applications parked for relaunch, keyed by process name.
-  std::map<std::string, std::unique_ptr<ProcState>> crashed_;
-  /// Processes that ran to completion (normal exit); cleared if the name
-  /// is reused by a fresh launch.
-  std::set<std::string> exited_;
   OutcomeListener outcome_listener_;
   txn::PhaseListener phase_listener_;
 };

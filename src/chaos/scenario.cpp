@@ -276,7 +276,7 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   report.ckpt_deferred = runtime.middleware().ckpt_deferred();
   report.ckpt_preempted = runtime.middleware().ckpt_preempted();
   report.torn_restores = runtime.middleware().torn_restores();
-  const ckpt::Waste cluster_waste = runtime.middleware().waste().cluster();
+  const ckpt::Waste cluster_waste = runtime.middleware().cluster_waste();
   report.waste_overhead_s = cluster_waste.overhead_s;
   report.waste_lost_work_s = cluster_waste.lost_work_s;
   report.waste_restart_s = cluster_waste.restart_s;

@@ -87,39 +87,4 @@ std::vector<std::string> IoScheduler::expire(double now) {
   return reaped;
 }
 
-void WasteLedger::record_overhead(const std::string& process,
-                                  double seconds) {
-  if (seconds > 0.0) {
-    per_process_[process].overhead_s += seconds;
-  }
-}
-
-void WasteLedger::record_lost_work(const std::string& process,
-                                   double seconds) {
-  if (seconds > 0.0) {
-    per_process_[process].lost_work_s += seconds;
-  }
-}
-
-void WasteLedger::record_restart(const std::string& process, double seconds) {
-  if (seconds > 0.0) {
-    per_process_[process].restart_s += seconds;
-  }
-}
-
-Waste WasteLedger::of(const std::string& process) const {
-  const auto it = per_process_.find(process);
-  return it == per_process_.end() ? Waste{} : it->second;
-}
-
-Waste WasteLedger::cluster() const {
-  Waste total;
-  for (const auto& [process, waste] : per_process_) {
-    total.overhead_s += waste.overhead_s;
-    total.lost_work_s += waste.lost_work_s;
-    total.restart_s += waste.restart_s;
-  }
-  return total;
-}
-
 }  // namespace ars::ckpt

@@ -16,6 +16,12 @@ namespace {
 
 /// Background transfer chunk size.
 constexpr double kChunkBytes = 256.0 * 1024;
+/// Destination-side decode/restore latency of a full snapshot before the
+/// app can resume (a pre-copy delta pays its share of it).
+constexpr double kRestoreDelay = 1.0;
+/// Floor for the Young/Daly interval (tiny states would otherwise
+/// checkpoint every poll-point).
+constexpr double kCkptMinInterval = 5.0;
 /// Memory-speed snapshot bandwidth: the only part of a checkpoint that
 /// blocks the application (the write streams in the background).
 constexpr double kCkptSnapshotBps = 400.0e6;
@@ -184,15 +190,53 @@ ApplicationSchema* MigrationEngine::schema(const std::string& name) {
 
 std::vector<std::string> MigrationEngine::parked_for_relaunch() const {
   std::vector<std::string> names;
-  names.reserve(crashed_.size());
-  for (const auto& [name, state] : crashed_) {
-    names.push_back(name);
+  for (const auto& [name, rec] : ledger_) {
+    if (rec.state == ProcRecord::State::kParked) {
+      names.push_back(name);
+    }
   }
   return names;
 }
 
 bool MigrationEngine::exited_normally(const std::string& process_name) const {
-  return exited_.contains(process_name);
+  const auto it = ledger_.find(process_name);
+  return it != ledger_.end() && it->second.state == ProcRecord::State::kExited;
+}
+
+const Checkpoint* MigrationEngine::latest_checkpoint(
+    const std::string& process_name) const {
+  const auto it = ledger_.find(process_name);
+  if (it == ledger_.end() || !it->second.latest) {
+    return nullptr;
+  }
+  return &*it->second.latest;
+}
+
+ckpt::Waste MigrationEngine::waste(const std::string& process_name) const {
+  const auto it = ledger_.find(process_name);
+  return it == ledger_.end() ? ckpt::Waste{} : it->second.waste;
+}
+
+ckpt::Waste MigrationEngine::cluster_waste() const {
+  ckpt::Waste total;
+  for (const auto& [name, rec] : ledger_) {
+    total.overhead_s += rec.waste.overhead_s;
+    total.lost_work_s += rec.waste.lost_work_s;
+    total.restart_s += rec.waste.restart_s;
+  }
+  return total;
+}
+
+MigrationEngine::ProcRecord* MigrationEngine::running(mpi::RankId id) {
+  const mpi::Proc* proc = mpi_->find(id);
+  if (proc == nullptr) {
+    return nullptr;
+  }
+  const auto it = ledger_.find(proc->name());
+  if (it == ledger_.end() || it->second.rank != id) {
+    return nullptr;  // rank is 0 unless the record is running
+  }
+  return &it->second;
 }
 
 mpi::RankId MigrationEngine::launch(const std::string& host_name,
@@ -206,27 +250,39 @@ mpi::RankId MigrationEngine::launch(const std::string& host_name,
 std::vector<mpi::RankId> MigrationEngine::launch_world(
     const std::vector<std::string>& hosts, MigratableApp app,
     const std::string& name, ApplicationSchema schema) {
+  // The names mpi gives the ranks: "<name>.<rank>".
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    names.push_back(name + "." + std::to_string(i));
+    if (const auto it = ledger_.find(names.back());
+        it != ledger_.end() &&
+        it->second.state == ProcRecord::State::kRunning) {
+      throw std::invalid_argument("hpcm: " + names.back() +
+                                  " is already running");
+    }
+  }
   schemas_.emplace(schema.name(), schema);
   const std::string schema_name = schema.name();
-  // run_app resolves its ProcState lazily: fibers start through a scheduled
-  // event, strictly after the map below is populated.
+  // run_app resolves its record lazily: fibers start through a scheduled
+  // event, strictly after the ledger below is updated.
   const std::vector<mpi::RankId> ids = mpi_->launch_world(
       hosts, [this](mpi::Proc& proc) { return run_app(proc, 0.0); }, name,
       /*migration_enabled=*/true, schema_name);
-  for (const mpi::RankId id : ids) {
-    auto state = std::make_unique<ProcState>();
-    state->app = app;
-    state->context.engine_ = this;
-    state->context.proc_ = mpi_->find(id);
-    state->context.schema_name_ = schema_name;
-    state->context.launched_at = mpi_->engine().now();
-    if (const mpi::Proc* proc = mpi_->find(id); proc != nullptr) {
-      // The name is live again: forget the old run's exit and its
-      // checkpoint plan (the first poll re-baselines).
-      exited_.erase(proc->name());
-      ckpt_plans_.erase(proc->name());
-    }
-    procs_.emplace(id, std::move(state));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ProcRecord& rec = ledger_[names[i]];
+    // A new run under a used name starts over.  The old run's in-flight
+    // write is aborted through the store, so its overhead and cooperative
+    // abort are still booked; its checkpoint, plan and parked incarnation
+    // go.  Its waste stays in the totals.
+    shared_store_->abort_write(names[i]);
+    ProcRecord fresh;
+    fresh.waste = rec.waste;
+    fresh.app = app;
+    fresh.context.engine_ = this;
+    fresh.context.schema_name_ = schema_name;
+    fresh.context.launched_at = mpi_->engine().now();
+    fresh.run_on(*mpi_->find(ids[i]));
+    rec = std::move(fresh);
   }
   return ids;
 }
@@ -235,53 +291,46 @@ sim::Task<> MigrationEngine::run_app(mpi::Proc& proc, double delay) {
   if (delay > 0.0) {
     co_await sim::delay(mpi_->engine(), delay);
   }
-  ProcState& state = *procs_.at(proc.id());
-  co_await state.app(proc, state.context);
-  finish_normal_exit(proc.id());
+  ProcRecord& rec = ledger_.at(proc.name());
+  co_await rec.app(proc, rec.context);
+  finish_normal_exit(rec);
 }
 
-void MigrationEngine::close_signal_span(ProcState& state,
+void MigrationEngine::close_signal_span(ProcRecord& rec,
                                         const char* closed_by) {
-  if (state.signal_span == 0) {
+  if (rec.signal_span == 0) {
     return;
   }
   if (obs::Tracer* t = tracer(); obs::active(t)) {
-    t->end_span(state.signal_span, {{"closed_by", closed_by}});
+    t->end_span(rec.signal_span, {{"closed_by", closed_by}});
   }
-  state.signal_span = 0;
+  rec.signal_span = 0;
 }
 
-void MigrationEngine::finish_normal_exit(mpi::RankId id) {
-  const auto it = procs_.find(id);
-  if (it == procs_.end()) {
-    return;
-  }
-  ProcState& state = *it->second;
+void MigrationEngine::finish_normal_exit(ProcRecord& rec) {
   // A signal span still open here means the process exited before reaching
   // another poll-point; close it or it leaks as an open span forever.
-  close_signal_span(state, "exit");
+  close_signal_span(rec, "exit");
   // An uncommitted pre-copy transaction can outlive its source: the app may
   // run to completion between rounds.  Abort it — the result is already
   // computed, there is nothing left to move.
-  if (state.tx != nullptr && !state.tx->committed) {
-    end_transaction(*state.tx, "source-exited");
+  if (rec.tx != nullptr && !rec.tx->committed) {
+    end_transaction(*rec.tx, "source-exited");
   }
-  MigrationContext& ctx = state.context;
+  MigrationContext& ctx = rec.context;
   if (ApplicationSchema* s = schema(ctx.schema_name_)) {
     s->record_execution(mpi_->engine().now() - ctx.launched_at);
   }
-  if (const mpi::Proc* proc = mpi_->find(id); proc != nullptr) {
-    exited_.insert(proc->name());
-    if (obs::Tracer* t = tracer(); obs::active(t)) {
-      t->instant("process.exit", "hpcm", proc->name(),
-                 {{"host", proc->host().name()},
-                  {"migrations", ctx.migration_count_}});
-    }
-    if (obs::MetricsRegistry* m = metrics()) {
-      m->counter("process.exits").inc();
-    }
+  const mpi::Proc& proc = *ctx.proc_;
+  if (obs::Tracer* t = tracer(); obs::active(t)) {
+    t->instant("process.exit", "hpcm", proc.name(),
+               {{"host", proc.host().name()},
+                {"migrations", ctx.migration_count_}});
   }
-  procs_.erase(it);
+  if (obs::MetricsRegistry* m = metrics()) {
+    m->counter("process.exits").inc();
+  }
+  rec.stop(ProcRecord::State::kExited);
 }
 
 bool MigrationEngine::request_migration(const std::string& host_name,
@@ -298,20 +347,16 @@ bool MigrationEngine::request_migration(const std::string& host_name,
 bool MigrationEngine::request_migration(mpi::RankId id,
                                         const std::string& dest_host,
                                         obs::TraceCtx ctx) {
-  const auto it = procs_.find(id);
-  if (it == procs_.end()) {
-    return false;
-  }
-  mpi::Proc* proc = mpi_->find(id);
-  if (proc == nullptr) {
+  ProcRecord* rec = running(id);
+  if (rec == nullptr) {
     return false;
   }
   // The commander's mechanism (§3.3): destination to a temp file, then the
   // user-defined signal.
-  ProcState& state = *it->second;
+  mpi::Proc* proc = rec->context.proc_;
   proc->host().tmpfiles().write(migrate_key(proc->pid()), dest_host);
-  state.context.requested_at = mpi_->engine().now();
-  state.context.pending_trace_ = ctx;
+  rec->context.requested_at = mpi_->engine().now();
+  rec->context.pending_trace_ = ctx;
   const bool ok =
       proc->host().processes().raise(proc->pid(), host::kSigMigrate);
   if (obs::MetricsRegistry* m = metrics()) {
@@ -319,13 +364,13 @@ bool MigrationEngine::request_migration(mpi::RankId id,
   }
   if (obs::Tracer* t = tracer(); obs::active(t) && ok) {
     // The signal span covers delivery -> the process reaching a poll-point.
-    close_signal_span(state, "superseded");
+    close_signal_span(*rec, "superseded");
     obs::Attrs attrs{{"source", proc->host().name()},
                      {"dest", dest_host},
                      {"pid", static_cast<int>(proc->pid())}};
     obs::stamp(attrs, ctx);
-    state.signal_span = t->begin_span("migration.signal", "hpcm",
-                                      proc->name(), std::move(attrs));
+    rec->signal_span = t->begin_span("migration.signal", "hpcm",
+                                     proc->name(), std::move(attrs));
   }
   return ok;
 }
@@ -338,24 +383,24 @@ sim::Task<> MigrationEngine::poll_point(MigrationContext& ctx) {
   mpi::Proc& p = *ctx.proc_;
   const bool signaled =
       p.host().processes().consume_signal(p.pid(), host::kSigMigrate);
-  ProcState& state = *procs_.at(p.id());
-  if (state.tx != nullptr) {
+  ProcRecord& rec = ledger_.at(p.name());
+  if (rec.tx != nullptr) {
     // An open transaction: a pre-copy in flight, or a committed one still
     // restoring in the background.
-    const bool restoring = state.tx->committed;
+    const bool restoring = rec.tx->committed;
     if (signaled) {
       // A second request while a transaction is open: the process can only
       // migrate once at a time.  Drop the request; the commander learns the
       // outcome of the current transaction anyway.
-      close_signal_span(state, restoring ? "superseded-by-restore"
-                                         : "superseded-by-precopy");
+      close_signal_span(rec, restoring ? "superseded-by-restore"
+                                       : "superseded-by-precopy");
       p.host().tmpfiles().erase(migrate_key(p.pid()));
       ARS_LOG_WARN("hpcm", "ignoring migration request for "
                                << p.name() << ": transaction already open");
       ctx.pending_trace_ = {};
     }
     if (!restoring) {
-      co_await continue_precopy(state);
+      co_await continue_precopy(rec);
     }
     co_return;
   }
@@ -363,7 +408,7 @@ sim::Task<> MigrationEngine::poll_point(MigrationContext& ctx) {
     co_return;
   }
   // Close the signal-delivery span: the process reached its poll-point.
-  close_signal_span(state, "poll-point");
+  close_signal_span(rec, "poll-point");
   obs::Tracer* t = tracer();
   const std::string key = migrate_key(p.pid());
   if (!p.host().tmpfiles().contains(key)) {
@@ -404,7 +449,7 @@ sim::Task<> MigrationEngine::poll_point(MigrationContext& ctx) {
     t->end_span(poll_span, {{"dest", *dest}});
   }
   try {
-    co_await migrate(state, *dest);
+    co_await migrate(rec, *dest);
   } catch (const mpi::ProcMoved&) {
     throw;  // normal migration unwind
   } catch (const std::exception& e) {
@@ -442,36 +487,29 @@ sim::Task<> MigrationEngine::write_checkpoint(MigrationContext& ctx) {
   if (ctx.save_) {
     ctx.save_();
   }
-  Checkpoint cp;
-  cp.process = name;
-  const auto encoded = ctx.state_.encode(proc.host().spec().byte_order);
-  cp.bytes = encoded.size() + ctx.state_.opaque_bytes();
-  cp.state = encoded;
+  ProcRecord& rec = ledger_.at(name);
   auto& sim_engine = mpi_->engine();
+  // Shadow-commit: the write is invisible to relaunches until it lands; a
+  // crash mid-write keeps the previous complete checkpoint restorable.
+  Checkpoint& cp = rec.shadow.emplace();
+  cp.state = ctx.state_.encode(proc.host().spec().byte_order);
+  cp.bytes = cp.state.size() + ctx.state_.opaque_bytes();
   cp.taken_at = sim_engine.now();
-  ckpt_plans_[name].last_mark = sim_engine.now();
+  rec.plan.last_mark = sim_engine.now();
   const std::uint64_t bytes = cp.bytes;
-  const std::string host = proc.host().name();
   // The only part that blocks the application: the memory-speed snapshot.
   const double snapshot_time = static_cast<double>(bytes) / kCkptSnapshotBps;
-  // Shadow-commit: the write is invisible to latest() until it lands; a
-  // crash mid-write keeps the previous complete checkpoint restorable.
-  checkpoint_store_.begin_shadow(std::move(cp));
   shared_store_->begin_write(
-      name, host, bytes,
+      name, proc.host().name(), bytes,
       [this, name](const ckpt::WriteOutcome& o) { on_ckpt_commit(name, o); },
       [this, name](const ckpt::WriteOutcome& o) { on_ckpt_abort(name, o); });
   co_await sim::delay(sim_engine, snapshot_time);
 }
 
-double MigrationEngine::ckpt_write_cost(const MigrationContext& ctx) const {
-  double bytes = 0.0;
-  if (const Checkpoint* cp = checkpoint_store_.latest(ctx.proc_->name())) {
-    bytes = static_cast<double>(cp->bytes);
-  } else {
-    bytes = static_cast<double>(ctx.state_.opaque_bytes());
-  }
-  return bytes / options_.checkpoint_store_bps;
+double MigrationEngine::ckpt_write_cost(const ProcRecord& rec) const {
+  const std::uint64_t bytes =
+      rec.latest ? rec.latest->bytes : rec.context.state_.opaque_bytes();
+  return static_cast<double>(bytes) / options_.checkpoint_store_bps;
 }
 
 sim::Task<> MigrationEngine::ckpt_poll(MigrationContext& ctx) {
@@ -484,7 +522,8 @@ sim::Task<> MigrationEngine::ckpt_poll(MigrationContext& ctx) {
     co_return;
   }
   const double now = mpi_->engine().now();
-  CkptPlan& plan = ckpt_plans_[name];
+  ProcRecord& rec = ledger_.at(name);
+  CkptPlan& plan = rec.plan;
   if (plan.last_mark < 0.0) {
     // First poll of this incarnation: baseline progress here.  (A relaunch
     // resets the mark, so rework does not count as covered progress.)
@@ -497,12 +536,12 @@ sim::Task<> MigrationEngine::ckpt_poll(MigrationContext& ctx) {
   // Young/Daly wants the write cost; before the first write lands the
   // estimate can be zero (nothing encoded yet), where W -> 0 — clamp to
   // the floor instead of "never" (cheap checkpoints happen MORE often).
-  const double cost = ckpt_write_cost(ctx);
+  const double cost = ckpt_write_cost(rec);
   const double interval =
-      cost > 0.0 ? std::max(options_.ckpt_min_interval,
+      cost > 0.0 ? std::max(kCkptMinInterval,
                             ckpt::young_daly_interval(options_.ckpt_mtbf,
                                                       cost))
-                 : options_.ckpt_min_interval;
+                 : kCkptMinInterval;
   const double elapsed = now - plan.last_mark;
   if (elapsed < interval && !plan.granted) {
     co_return;
@@ -534,7 +573,7 @@ sim::Task<> MigrationEngine::ckpt_poll(MigrationContext& ctx) {
   plan.requested_at = now;
   send_ckpt_io(name, proc.host().name(), "request",
                static_cast<std::uint64_t>(
-                   ckpt_write_cost(ctx) * options_.checkpoint_store_bps),
+                   ckpt_write_cost(rec) * options_.checkpoint_store_bps),
                elapsed / interval);
 }
 
@@ -556,11 +595,11 @@ void MigrationEngine::send_ckpt_io(const std::string& process,
 void MigrationEngine::deliver_ckpt_grant(const std::string& process,
                                          const std::string& verb,
                                          double retry_after) {
-  const auto it = ckpt_plans_.find(process);
-  if (it == ckpt_plans_.end()) {
-    return;  // stale grant for a process this engine no longer plans
+  const auto it = ledger_.find(process);
+  if (it == ledger_.end()) {
+    return;  // stale grant for a process this engine never ran
   }
-  CkptPlan& plan = it->second;
+  CkptPlan& plan = it->second.plan;
   const double now = mpi_->engine().now();
   if (verb == "admit") {
     if (plan.awaiting_grant) {
@@ -601,20 +640,25 @@ void MigrationEngine::deliver_ckpt_grant(const std::string& process,
                                                     << process);
 }
 
-void MigrationEngine::observe_waste_s(double seconds) {
-  if (obs::MetricsRegistry* m = metrics(); m != nullptr && seconds > 0.0) {
+void MigrationEngine::charge(double& component, double seconds) {
+  if (seconds <= 0.0) {
+    return;
+  }
+  component += seconds;
+  if (obs::MetricsRegistry* m = metrics()) {
     m->histogram("ars_ckpt.waste_s", {}, waste_s_bounds()).observe(seconds);
   }
 }
 
 void MigrationEngine::on_ckpt_commit(const std::string& process,
                                      const ckpt::WriteOutcome& outcome) {
-  checkpoint_store_.commit_shadow(process, outcome.finished_at);
+  ProcRecord& rec = ledger_.at(process);
+  // The rename: the shadow becomes the restorable checkpoint.
+  rec.latest = std::exchange(rec.shadow, std::nullopt);
   // Overhead waste: the write's wall time plus the blocking snapshot.
   const double overhead = outcome.duration() +
                           static_cast<double>(outcome.bytes) / kCkptSnapshotBps;
-  waste_.record_overhead(process, overhead);
-  observe_waste_s(overhead);
+  charge(rec.waste.overhead_s, overhead);
   if (obs::Tracer* t = tracer(); obs::active(t)) {
     t->instant("ckpt.commit", "ckpt", process,
                {{"bytes", static_cast<std::size_t>(outcome.bytes)},
@@ -625,61 +669,53 @@ void MigrationEngine::on_ckpt_commit(const std::string& process,
 
 void MigrationEngine::on_ckpt_abort(const std::string& process,
                                     const ckpt::WriteOutcome& outcome) {
-  checkpoint_store_.abort_shadow(process, options_.sabotage_torn_commit);
+  ProcRecord& rec = ledger_.at(process);
+  std::optional<Checkpoint> partial = std::exchange(rec.shadow, std::nullopt);
+  if (options_.sabotage_torn_commit && partial) {
+    // The broken-store model: the partial write replaced the previous
+    // checkpoint in place (no shadow/rename).  Restoring it is the bug.
+    partial->complete = false;
+    rec.latest = std::move(partial);
+  }
   // The aborted write still burned store bandwidth: count it as overhead.
-  waste_.record_overhead(process, outcome.duration());
-  observe_waste_s(outcome.duration());
+  charge(rec.waste.overhead_s, outcome.duration());
   send_ckpt_io(process, outcome.host, "abort", outcome.bytes, 0.0);
 }
 
 bool MigrationEngine::crash(mpi::RankId id) {
-  const auto it = procs_.find(id);
-  mpi::Proc* proc = mpi_->find(id);
-  if (it == procs_.end() || proc == nullptr) {
+  ProcRecord* rec = running(id);
+  if (rec == nullptr) {
     return false;
   }
-  ProcState& state = *it->second;
-  const std::string name = proc->name();
+  const mpi::Proc& proc = *rec->context.proc_;
+  const std::string name = proc.name();
   ARS_LOG_WARN("hpcm", "crash injected: " << name << " on "
-                                          << proc->host().name());
+                                          << proc.host().name());
   if (obs::Tracer* t = tracer(); obs::active(t)) {
     t->instant("process.crash", "hpcm", name,
-               {{"host", proc->host().name()}});
+               {{"host", proc.host().name()}});
   }
   if (obs::MetricsRegistry* m = metrics()) {
     m->counter("process.crashes").inc();
   }
   // A signal delivered but never polled would leak its span.
-  close_signal_span(state, "crash");
+  close_signal_span(*rec, "crash");
   // Failure waste: everything since the last committed checkpoint snapshot
   // (or launch) is lost work.  Measured BEFORE the in-flight write abort
   // below — an uncommitted write never covers progress.
-  {
-    const double now = mpi_->engine().now();
-    const Checkpoint* cp = checkpoint_store_.latest(name);
-    const double covered_until =
-        cp != nullptr ? cp->taken_at : state.context.launched_at;
-    const double lost = now - covered_until;
-    waste_.record_lost_work(name, lost);
-    observe_waste_s(lost);
-  }
+  const double covered_until =
+      rec->latest ? rec->latest->taken_at : rec->context.launched_at;
+  charge(rec->waste.lost_work_s, mpi_->engine().now() - covered_until);
   // Atomic shadow-commit: a crash racing an in-flight checkpoint write
-  // drops the shadow; latest() keeps returning the previous complete one.
+  // drops the shadow; the previous complete checkpoint stays the latest.
   shared_store_->abort_write(name);
-  // The next incarnation re-baselines its checkpoint plan at first poll.
-  if (const auto plan_it = ckpt_plans_.find(name);
-      plan_it != ckpt_plans_.end()) {
-    plan_it->second = CkptPlan{};
-  }
   // An open transaction's phase fiber references the Proc; stop it before
-  // the kill below frees the process.  The parked state keeps no link.
-  PendingTx* tx = std::exchange(state.tx, nullptr);
+  // the kill below frees the process.  The parked record keeps no link.
+  PendingTx* tx = rec->tx;
   if (tx != nullptr) {
     tx->runner.stop();
   }
-  state.context.proc_ = nullptr;
-  crashed_[name] = std::move(it->second);
-  procs_.erase(it);
+  rec->stop(ProcRecord::State::kParked);
   const bool killed = mpi_->kill(id);
   if (tx != nullptr) {
     // Committed: the freshly relocated instance died during background
@@ -714,13 +750,17 @@ int MigrationEngine::crash_host(const std::string& host_name) {
   // away mid-write) lose their data path too.
   shared_store_->abort_host_writes(host_name);
 
+  // The victims crash in rank order: the order of their process.crash
+  // instants, the store aborts and the datagrams those send.
   std::vector<mpi::RankId> victims;
-  for (const auto& [id, state] : procs_) {
-    const mpi::Proc* proc = mpi_->find(id);
+  for (const auto& [name, rec] : ledger_) {
+    // No process has rank 0, the rank of a record that is not running.
+    const mpi::Proc* proc = mpi_->find(rec.rank);
     if (proc != nullptr && proc->host().name() == host_name) {
-      victims.push_back(id);
+      victims.push_back(rec.rank);
     }
   }
+  std::sort(victims.begin(), victims.end());
   int crashed = 0;
   for (const mpi::RankId id : victims) {
     crashed += crash(id) ? 1 : 0;
@@ -731,16 +771,15 @@ int MigrationEngine::crash_host(const std::string& host_name) {
 mpi::RankId MigrationEngine::relaunch(const std::string& process_name,
                                       const std::string& host_name,
                                       obs::TraceCtx trace) {
-  const auto it = crashed_.find(process_name);
-  if (it == crashed_.end()) {
+  const auto it = ledger_.find(process_name);
+  if (it == ledger_.end() || it->second.state != ProcRecord::State::kParked) {
     return 0;
   }
-  auto state = std::move(it->second);
-  crashed_.erase(it);
-  MigrationContext& ctx = state->context;
+  ProcRecord& rec = it->second;
+  MigrationContext& ctx = rec.context;
 
   double read_time = 0.0;
-  if (const Checkpoint* cp = checkpoint_store_.latest(process_name)) {
+  if (const std::optional<Checkpoint>& cp = rec.latest) {
     if (!cp->complete) {
       // A torn checkpoint reached the store (only possible through the
       // sabotage path) and is about to be restored — the exact bug the
@@ -762,8 +801,7 @@ mpi::RankId MigrationEngine::relaunch(const std::string& process_name,
       ctx.restarted_from_checkpoint_ = true;
       read_time =
           static_cast<double>(cp->bytes) / options_.checkpoint_store_bps;
-      waste_.record_restart(process_name, read_time);
-      observe_waste_s(read_time);
+      charge(rec.waste.restart_s, read_time);
       ARS_LOG_INFO("hpcm", "relaunching " << process_name << " on "
                                           << host_name
                                           << " from checkpoint at t="
@@ -783,9 +821,8 @@ mpi::RankId MigrationEngine::relaunch(const std::string& process_name,
       host_name,
       [this, read_time](mpi::Proc& proc) { return run_app(proc, read_time); },
       process_name, /*migration_enabled=*/true, ctx.schema_name_);
-  state->context.proc_ = mpi_->find(id);
-  const bool from_checkpoint = state->context.restarted_from_checkpoint_;
-  procs_.emplace(id, std::move(state));
+  rec.run_on(*mpi_->find(id));
+  const bool from_checkpoint = ctx.restarted_from_checkpoint_;
   if (obs::Tracer* t = tracer(); obs::active(t)) {
     obs::Attrs attrs{{"host", host_name},
                      {"from_checkpoint", from_checkpoint}};
@@ -835,7 +872,7 @@ sim::Task<> MigrationEngine::receiver_main(mpi::Proc& helper,
       // The full restoration cost lands here: before the application can
       // resume (stop-and-copy), or OVERLAPPED with source-side execution —
       // the whole point of pre-copy.
-      co_await sim::delay(helper.system().engine(), options_.restore_delay);
+      co_await sim::delay(helper.system().engine(), kRestoreDelay);
     } else {
       if (!have_staged) {
         throw std::runtime_error("hpcm: pre-copy delta before snapshot");
@@ -849,8 +886,7 @@ sim::Task<> MigrationEngine::receiver_main(mpi::Proc& helper,
       // final (frozen) delta is small, so the freeze stays small.
       co_await sim::delay(
           helper.system().engine(),
-          options_.restore_delay *
-              std::min(1.0, eager.size_bytes / round0_wire));
+          kRestoreDelay * std::min(1.0, eager.size_bytes / round0_wire));
     }
     if (final_frame) {
       break;
@@ -943,9 +979,9 @@ void MigrationEngine::end_transaction(PendingTx& tx, std::string reason) {
   obs::Tracer* tr = tracer();
   obs::MetricsRegistry* m = metrics();
   tx.runner.stop();
-  if (const auto it = procs_.find(tx.proc_id);
-      it != procs_.end() && it->second->tx == &tx) {
-    it->second->tx = nullptr;
+  if (const auto it = ledger_.find(t.process);
+      it != ledger_.end() && it->second.tx == &tx) {
+    it->second.tx = nullptr;
   }
   if (tx.committed && reason.empty()) {
     // The background restore landed: committed.
@@ -1024,8 +1060,8 @@ void MigrationEngine::drop_daemon(const std::string& host_name) {
   }
 }
 
-sim::Task<> MigrationEngine::migrate(ProcState& state, std::string dest_host) {
-  MigrationContext& ctx = state.context;
+sim::Task<> MigrationEngine::migrate(ProcRecord& rec, std::string dest_host) {
+  MigrationContext& ctx = rec.context;
   mpi::Proc& proc = *ctx.proc_;
   auto& engine = mpi_->engine();
   net::Network& network = mpi_->network();
@@ -1066,7 +1102,7 @@ sim::Task<> MigrationEngine::migrate(ProcState& state, std::string dest_host) {
     tx.port = daemon->second.port;
   }
   pending_.emplace(timeline_index, std::move(owner));
-  state.tx = &tx;
+  rec.tx = &tx;
 
   if (options_.precopy) {
     // Iterative pre-copy: the process keeps computing while round 0 (DPM
@@ -1120,15 +1156,15 @@ sim::Task<> MigrationEngine::migrate(ProcState& state, std::string dest_host) {
              {{"state_bytes", state_bytes}, {"eager_bytes", tx.eager_wire}});
   observe_phase_ms("collect", engine.now() - collect_begin);
 
-  co_await freeze_tail(state, tx, opaque - eager_opaque);
+  co_await freeze_tail(rec, tx, opaque - eager_opaque);
 }
 
 /// The frozen epilogue shared by stop-and-copy and a converged pre-copy:
 /// the eager send (full snapshot / final dirty delta), the resume
 /// handshake at the commit point, and the commit itself.
-sim::Task<> MigrationEngine::freeze_tail(ProcState& state, PendingTx& tx,
+sim::Task<> MigrationEngine::freeze_tail(ProcRecord& rec, PendingTx& tx,
                                          double remaining) {
-  mpi::Proc& proc = *state.context.proc_;
+  mpi::Proc& proc = *rec.context.proc_;
   auto& engine = mpi_->engine();
   const std::size_t timeline_index = tx.timeline_index;
 
@@ -1186,8 +1222,7 @@ sim::Task<> MigrationEngine::freeze_tail(ProcState& state, PendingTx& tx,
                     tx.helper_id, tx.merged),
       proc.name() + ".collector");
   tx.committed = true;
-  takeover(state, helper->host(), std::move(tx.restored_state),
-           timeline_index);
+  takeover(rec, helper->host(), std::move(tx.restored_state), timeline_index);
 
   // ---- the source-side fiber is done ---------------------------------------
   throw mpi::ProcMoved{};
@@ -1264,9 +1299,9 @@ sim::Task<> MigrationEngine::precopy_round(PendingTx* tx, int round,
   tx->rounds_sent = round + 1;
 }
 
-sim::Task<> MigrationEngine::continue_precopy(ProcState& state) {
-  PendingTx& tx = *state.tx;
-  MigrationContext& ctx = state.context;
+sim::Task<> MigrationEngine::continue_precopy(ProcRecord& rec) {
+  PendingTx& tx = *rec.tx;
+  MigrationContext& ctx = rec.context;
   mpi::Proc& proc = *ctx.proc_;
   const txn::Status round = tx.runner.poll();
   if (round == txn::Status::kRunning) {
@@ -1288,12 +1323,11 @@ sim::Task<> MigrationEngine::continue_precopy(ProcState& state) {
     start_precopy_round(ctx, tx);
     co_return;
   }
-  co_await freeze_and_commit(state, tx);
+  co_await freeze_and_commit(rec, tx);
 }
 
-sim::Task<> MigrationEngine::freeze_and_commit(ProcState& state,
-                                               PendingTx& tx) {
-  MigrationContext& ctx = state.context;
+sim::Task<> MigrationEngine::freeze_and_commit(ProcRecord& rec, PendingTx& tx) {
+  MigrationContext& ctx = rec.context;
   mpi::Proc& proc = *ctx.proc_;
   auto& engine = mpi_->engine();
   MigrationTimeline& tl = history_[tx.timeline_index];
@@ -1324,7 +1358,7 @@ sim::Task<> MigrationEngine::freeze_and_commit(ProcState& state,
 
   // Everything already shipped in the rounds; the background collector
   // only sends the completion marker.
-  co_await freeze_tail(state, tx, /*remaining=*/0.0);
+  co_await freeze_tail(rec, tx, /*remaining=*/0.0);
 }
 
 sim::Task<> MigrationEngine::run_collector(std::string source_host,
@@ -1347,13 +1381,13 @@ sim::Task<> MigrationEngine::run_collector(std::string source_host,
   mpi_->inject(helper_id, std::move(done));
 }
 
-void MigrationEngine::takeover(ProcState& state, host::Host& destination,
+void MigrationEngine::takeover(ProcRecord& rec, host::Host& destination,
                                StateRegistry restored_state,
                                std::size_t timeline_index) {
   // A second signal raised mid-transaction can never be polled on the
   // source again; close its span instead of leaking it.
-  close_signal_span(state, "relocated");
-  MigrationContext& ctx = state.context;
+  close_signal_span(rec, "relocated");
+  MigrationContext& ctx = rec.context;
   mpi::Proc& proc = *ctx.proc_;
   mpi_->relocate(proc, destination);
   ctx.state_ = std::move(restored_state);

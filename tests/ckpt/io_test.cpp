@@ -1,6 +1,7 @@
 // Shared checkpoint I/O store: fluid-flow bandwidth sharing, abort paths,
-// the cooperative admission scheduler, Young/Daly intervals, and the
-// failure-waste ledger (DESIGN.md §17).
+// the cooperative admission scheduler and Young/Daly intervals (DESIGN.md
+// §17).  Failure waste is kept per process record by the migration engine
+// (tests/hpcm/ckpt_strategy_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -219,26 +220,6 @@ TEST(IoSchedulerTest, ExpiryReapsLeakedSlots) {
   EXPECT_EQ(reaped[0], "lost.0");
   EXPECT_EQ(sched.request("next.0", "ws2", 0.5, 141.0).verb,
             Admission::Verb::kAdmit);
-}
-
-// -- waste ledger ------------------------------------------------------------
-
-TEST(WasteLedgerTest, AccumulatesPerProcessAndClusterWide) {
-  WasteLedger ledger;
-  ledger.record_overhead("a.0", 2.0);
-  ledger.record_overhead("a.0", 3.0);
-  ledger.record_lost_work("a.0", 7.0);
-  ledger.record_restart("b.0", 1.5);
-  EXPECT_DOUBLE_EQ(ledger.of("a.0").overhead_s, 5.0);
-  EXPECT_DOUBLE_EQ(ledger.of("a.0").lost_work_s, 7.0);
-  EXPECT_DOUBLE_EQ(ledger.of("a.0").total(), 12.0);
-  EXPECT_DOUBLE_EQ(ledger.of("b.0").restart_s, 1.5);
-  EXPECT_DOUBLE_EQ(ledger.of("ghost.0").total(), 0.0);
-  const Waste cluster = ledger.cluster();
-  EXPECT_DOUBLE_EQ(cluster.overhead_s, 5.0);
-  EXPECT_DOUBLE_EQ(cluster.lost_work_s, 7.0);
-  EXPECT_DOUBLE_EQ(cluster.restart_s, 1.5);
-  EXPECT_DOUBLE_EQ(cluster.total(), 13.5);
 }
 
 }  // namespace

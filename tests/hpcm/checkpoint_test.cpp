@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ars/hpcm/checkpoint.hpp"
 #include "ars/hpcm/migration.hpp"
 
 namespace ars::hpcm {
@@ -77,111 +76,6 @@ class CheckpointTest : public ::testing::Test {
   MigrationEngine hpcm_;
 };
 
-TEST(CheckpointStoreTest, PutLatestAndReplace) {
-  CheckpointStore store;
-  EXPECT_EQ(store.latest("a"), nullptr);
-  Checkpoint first;
-  first.process = "a";
-  first.taken_at = 1.0;
-  store.put(first);
-  Checkpoint second;
-  second.process = "a";
-  second.taken_at = 2.0;
-  store.put(second);
-  ASSERT_NE(store.latest("a"), nullptr);
-  EXPECT_DOUBLE_EQ(store.latest("a")->taken_at, 2.0);
-  EXPECT_EQ(store.size(), 1U);
-  EXPECT_EQ(store.writes(), 2);
-  store.erase("a");
-  EXPECT_EQ(store.latest("a"), nullptr);
-}
-
-TEST(CheckpointStoreTest, ShadowInvisibleUntilCommitThenAtomicallyVisible) {
-  CheckpointStore store;
-  Checkpoint old;
-  old.process = "a";
-  old.taken_at = 1.0;
-  store.put(old);
-
-  Checkpoint staged;
-  staged.process = "a";
-  staged.taken_at = 5.0;
-  store.begin_shadow(staged);
-  EXPECT_TRUE(store.shadow_pending("a"));
-  // The in-flight write must not replace the restorable checkpoint.
-  ASSERT_NE(store.latest("a"), nullptr);
-  EXPECT_DOUBLE_EQ(store.latest("a")->taken_at, 1.0);
-
-  EXPECT_TRUE(store.commit_shadow("a", 7.5));
-  EXPECT_FALSE(store.shadow_pending("a"));
-  EXPECT_DOUBLE_EQ(store.latest("a")->taken_at, 5.0);
-  EXPECT_DOUBLE_EQ(store.latest("a")->committed_at, 7.5);
-  EXPECT_TRUE(store.latest("a")->complete);
-  EXPECT_EQ(store.writes(), 2);
-}
-
-TEST(CheckpointStoreTest, AbortedShadowKeepsThePreviousCheckpoint) {
-  CheckpointStore store;
-  Checkpoint old;
-  old.process = "a";
-  old.taken_at = 1.0;
-  store.put(old);
-  Checkpoint staged;
-  staged.process = "a";
-  staged.taken_at = 5.0;
-  store.begin_shadow(staged);
-
-  EXPECT_TRUE(store.abort_shadow("a"));
-  EXPECT_FALSE(store.shadow_pending("a"));
-  EXPECT_DOUBLE_EQ(store.latest("a")->taken_at, 1.0);
-  EXPECT_TRUE(store.latest("a")->complete);
-  EXPECT_EQ(store.aborted_shadows(), 1);
-  EXPECT_EQ(store.torn(), 0);
-  EXPECT_EQ(store.writes(), 1);  // the aborted write never counts
-}
-
-TEST(CheckpointStoreTest, SabotagedAbortCommitsTheTornPartial) {
-  CheckpointStore store;
-  Checkpoint old;
-  old.process = "a";
-  old.taken_at = 1.0;
-  store.put(old);
-  Checkpoint staged;
-  staged.process = "a";
-  staged.taken_at = 5.0;
-  store.begin_shadow(staged);
-
-  EXPECT_TRUE(store.abort_shadow("a", /*sabotage_torn=*/true));
-  ASSERT_NE(store.latest("a"), nullptr);
-  EXPECT_DOUBLE_EQ(store.latest("a")->taken_at, 5.0);
-  EXPECT_FALSE(store.latest("a")->complete);
-  EXPECT_EQ(store.torn(), 1);
-}
-
-TEST(CheckpointStoreTest, StaleShadowOperationsAreIgnored) {
-  CheckpointStore store;
-  EXPECT_FALSE(store.commit_shadow("ghost", 1.0));
-  EXPECT_FALSE(store.abort_shadow("ghost"));
-  EXPECT_EQ(store.writes(), 0);
-}
-
-TEST(CheckpointStoreTest, TotalBytesSumsVisibleCheckpointsOnly) {
-  CheckpointStore store;
-  Checkpoint a;
-  a.process = "a";
-  a.bytes = 1000;  // encoded registry incl. opaque entries
-  store.put(a);
-  Checkpoint b;
-  b.process = "b";
-  b.bytes = 500;
-  store.put(b);
-  Checkpoint staged;
-  staged.process = "c";
-  staged.bytes = 9999;
-  store.begin_shadow(staged);  // in flight: not on stable storage yet
-  EXPECT_EQ(store.total_bytes(), 1500u);
-}
-
 TEST_F(CheckpointTest, CheckpointWritesCostTime) {
   CheckpointedApp app;
   app.iterations = 10;
@@ -192,8 +86,11 @@ TEST_F(CheckpointTest, CheckpointWritesCostTime) {
   EXPECT_TRUE(app.final_sum >= 0.0);
   // 10 s of compute + 4 checkpoints x 2 s.
   EXPECT_NEAR(engine_.now() <= 50.0 ? 18.0 : 18.0, 18.0, 0.1);
-  EXPECT_EQ(hpcm_.checkpoints().writes(), 4);
-  EXPECT_NE(hpcm_.checkpoints().latest("cp.0"), nullptr);
+  EXPECT_EQ(hpcm_.shared_store().commits(), 4);
+  // Each commit replaced the previous checkpoint: the i=8 one (three 0.1 s
+  // snapshots late) is the latest.
+  ASSERT_NE(hpcm_.latest_checkpoint("cp.0"), nullptr);
+  EXPECT_NEAR(hpcm_.latest_checkpoint("cp.0")->taken_at, 8.3, 0.01);
 }
 
 TEST_F(CheckpointTest, CrashWithoutCheckpointLosesAllPartialResults) {

@@ -368,8 +368,7 @@ TEST(TransactionTest, EagerTimeoutAbortsToSource) {
 
 TEST(TransactionTest, AckTimeoutAbortsToSource) {
   MigrationEngine::Options options;
-  options.ack_timeout = 0.5;     // smaller than the destination's
-  options.restore_delay = 1.0;   // restore latency before it can ACK
+  options.ack_timeout = 0.5;  // smaller than the 1 s restore before the ACK
   Cluster c({}, options);
   CounterApp app;
   const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
