@@ -171,7 +171,8 @@ void BM_SensorSnapshot(benchmark::State& state) {
   sim::Fiber cpu_loop =
       sim::Fiber::spawn(cluster.engine, half_busy(*cluster.hosts[0]));
   cluster.engine.run_until(static_cast<double>(state.range(0)));
-  monitor::HostSensorSource sensors{*cluster.hosts[0], cluster.net};
+  monitor::HostSensorSource sensors{*cluster.hosts[0], cluster.net,
+                                    cluster.net.id_of("ws1")};
   for (auto _ : state) {
     benchmark::DoNotOptimize(sensors.snapshot());
   }

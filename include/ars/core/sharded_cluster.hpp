@@ -182,7 +182,10 @@ class ShardedCluster {
     std::unique_ptr<registry::Registry> root;      // shard 0 only
   };
 
-  void build_shard(std::size_t shard);
+  /// Build one shard's hosts, network, registries and monitors; every
+  /// shard's monitors share `classifier`.
+  void build_shard(std::size_t shard, const rules::MigrationPolicy& policy,
+                   const monitor::Classifier& classifier);
 
   ShardedClusterOptions options_;
   sim::ShardGroup group_;

@@ -30,6 +30,8 @@ namespace ars::monitor {
 using Classifier =
     std::function<rules::SystemState(const xmlproto::DynamicStatus&)>;
 
+/// Copies of the returned classifier share one policy, so a cluster builds
+/// one and hands it to every monitor.
 [[nodiscard]] Classifier classifier_from_policy(rules::MigrationPolicy policy,
                                                 double busy_load = 0.5);
 
@@ -121,7 +123,13 @@ class Monitor {
   host::Host* host_;
   net::Network* network_;
   Config config_;
+  net::HostId id_;  // this host's id on network_
   HostSensorSource sensors_;
+  /// The registry's host id on network_, resolved at the first send; stays
+  /// empty when the registry is not attached here (a flat sharded cluster
+  /// reaches it by name through the shard router).
+  std::optional<net::HostId> registry_id_;
+  bool registry_resolved_ = false;
   MetricsDb db_;
   rules::SystemState state_ = rules::SystemState::kFree;
   double overloaded_since_ = -1.0;

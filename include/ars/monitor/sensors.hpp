@@ -27,9 +27,11 @@ inline constexpr const char* kScriptNtStatIpv4 = "ntStatIpv4.sh";
 
 class HostSensorSource final : public rules::SensorSource {
  public:
-  HostSensorSource(host::Host& h, net::Network& network,
+  /// `id` is the host's id on `network`: the flow sensors read its meters
+  /// by id.
+  HostSensorSource(host::Host& h, net::Network& network, net::HostId id,
                    double window = 10.0)
-      : host_(&h), network_(&network), window_(window) {}
+      : host_(&h), network_(&network), id_(id), window_(window) {}
 
   [[nodiscard]] support::Expected<double> sample(
       const std::string& script, const std::string& param) override;
@@ -42,6 +44,7 @@ class HostSensorSource final : public rules::SensorSource {
  private:
   host::Host* host_;
   net::Network* network_;
+  net::HostId id_;
   double window_;
 };
 

@@ -13,8 +13,14 @@
 //     state chunks); completes when the last byte lands.
 //   * post(message)              — fire-and-forget datagram delivered into a
 //     bound Endpoint's inbox (the rescheduler's XML/TCP control plane).
+//
+// Every attached host has a dense HostId (its attach order) indexing one
+// record table.  The hot paths (a monitor's sensor reads and heartbeats)
+// take ids; the by-name forms resolve each name once in the name index and
+// run the same code.
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,6 +42,10 @@ class Tracer;
 namespace ars::net {
 
 class ShardRouter;
+
+/// Dense handle of a host attached to one Network: 0, 1, 2, ... in attach
+/// order.  Meaningful only on the network that issued it.
+enum class HostId : std::uint32_t {};
 
 struct Message {
   std::string src_host;
@@ -102,40 +112,66 @@ class Network {
   Network& operator=(const Network&) = delete;
   ~Network();
 
-  /// Register a host; assigns it an IP address.  The host object must
-  /// outlive the network.
-  void attach(host::Host& h);
+  /// Register a host and return its id (the next in attach order).  The
+  /// host object must outlive the network.  Throws if the name is taken.
+  HostId attach(host::Host& h);
 
+  /// The name index: every attached host's id, in name order.
+  [[nodiscard]] const std::map<std::string, HostId>& host_index()
+      const noexcept {
+    return ids_;
+  }
+  /// Resolve a name; throws std::out_of_range if it is not attached here.
+  [[nodiscard]] HostId id_of(const std::string& hostname) const;
+  /// Resolve a name; nullopt when it is not attached here.
+  [[nodiscard]] std::optional<HostId> find_id(
+      const std::string& hostname) const;
+  [[nodiscard]] host::Host& host(HostId id) const;
   [[nodiscard]] host::Host* find_host(const std::string& name) const;
+  /// Attached host names, in name order.
   [[nodiscard]] std::vector<std::string> host_names() const;
 
   /// Bind a port on a host; returns the endpoint whose inbox receives
   /// posted messages.  Throws if already bound or the host is unknown.
   Endpoint& bind(const std::string& hostname, int port);
   void unbind(const std::string& hostname, int port);
+  [[nodiscard]] int allocate_port(HostId host);
   [[nodiscard]] int allocate_port(const std::string& hostname);
 
   /// Fire-and-forget control message.  Unknown destinations or unbound
   /// ports drop the message with a warning (soft-state tolerates loss).
   /// With a shard router attached, destinations living on another shard are
   /// forwarded through the inter-shard fabric instead of dropped; the local
-  /// fast path (destination attached here) is unchanged.
+  /// fast path (destination attached here) is unchanged.  A destination
+  /// attached here needs the source attached too (std::out_of_range).
   void post(Message message);
+  /// The same post between two attached hosts, resolving no name: fills in
+  /// the message's src_host and dst_host from the ids.  The by-name post
+  /// resolves both ends and sends through here.
+  void post(HostId src, HostId dst, Message message);
 
   /// Hand a datagram that has paid its wire cost to its bound endpoint
   /// (stamping net.recv on this network's tracer); unbound ports drop as
-  /// usual.  The tail of every local delivery, and the destination side of
-  /// a cross-shard datagram (the shard router calls it on this shard's
-  /// thread).
+  /// usual.  The destination side of a cross-shard datagram: the shard
+  /// router calls it on this shard's thread.
   void deliver_local(Message message);
 
   /// Awaitable bulk transfer; returns elapsed seconds.  Loopback (src==dst)
   /// costs only latency and is not metered.
-  [[nodiscard]] sim::Task<double> transfer(std::string src, std::string dst,
+  [[nodiscard]] sim::Task<double> transfer(HostId src, HostId dst,
+                                           double bytes);
+  /// By name: resolves both names at the call (std::out_of_range for a host
+  /// not attached here), then transfers by id.
+  [[nodiscard]] sim::Task<double> transfer(const std::string& src,
+                                           const std::string& dst,
                                            double bytes);
 
   [[nodiscard]] const FlowMeter& tx_meter(const std::string& hostname) const;
   [[nodiscard]] const FlowMeter& rx_meter(const std::string& hostname) const;
+  /// One direction's traffic over the trailing `window` seconds, completed
+  /// and in flight, in bytes per second.
+  [[nodiscard]] double tx_rate_bps(HostId host, double window) const;
+  [[nodiscard]] double rx_rate_bps(HostId host, double window) const;
   [[nodiscard]] double tx_rate_bps(const std::string& hostname,
                                    double window) const;
   [[nodiscard]] double rx_rate_bps(const std::string& hostname,
@@ -187,7 +223,6 @@ class Network {
  private:
   struct HostRecord {
     host::Host* host = nullptr;
-    std::string ip;
     int tx_active = 0;
     int rx_active = 0;
     FlowMeter tx_meter;
@@ -208,8 +243,8 @@ class Network {
     sim::Trigger done;
   };
 
-  HostRecord& record(const std::string& hostname);
-  [[nodiscard]] const HostRecord& record(const std::string& hostname) const;
+  HostRecord& record(HostId id);
+  [[nodiscard]] const HostRecord& record(HostId id) const;
 
   void advance();
   void recompute_rates();
@@ -217,36 +252,44 @@ class Network {
   void on_completion_event();
   void register_job(TransferJob* job);
   void withdraw_job(TransferJob* job);
+  /// Default the datagram's size, stamp sent_at and (traced) net.send.
+  void stamp_send(Message& message);
   /// What the fault policy lets through of one posted datagram.
   struct Fanout {
     int copies = 1;
     double extra_delay = 0.0;
   };
-  /// Charge the fault verdict where the message is posted: nullopt when it
-  /// drops the message (logged and counted as a "fault" drop), else the
+  /// Consult the fault policy where the message is posted: nullopt when it
+  /// drops the message (logged; the caller counts the drop), else the
   /// copies to send and their extra delay.
   [[nodiscard]] std::optional<Fanout> fault_fanout(const Message& message);
+  /// Tail of every delivery: hand the datagram to the open endpoint bound
+  /// at (dst, dst_port) and stamp net.recv, or count an unbound_port drop
+  /// against `poster` (the source, when it is attached here).
+  void hand_over(std::optional<HostId> dst, std::optional<HostId> poster,
+                 Message message);
   /// tx_rate_bps / rx_rate_bps: one direction's metered bytes plus the
   /// live portion of its in-flight transfers, per second of `window`.
-  [[nodiscard]] double rate_bps(const std::string& hostname, bool outbound,
+  [[nodiscard]] double rate_bps(HostId host, bool outbound,
                                 double window) const;
   /// Source side of a cross-shard post: fault verdict, then hand the copies
   /// to the router.  Returns false when the router does not know the
   /// destination (the caller then drops it as unknown_host).
   bool route_cross_shard(Message& message);
-  /// Account one dropped datagram: per-poster count plus the labeled
-  /// ars_net_dropped_total counter when a metrics sink is configured.
-  void count_drop(const std::string& src_host, const char* reason);
+  /// Account one dropped datagram: the poster's count when it is attached
+  /// here, the total, and the labeled ars_net_dropped_total counter when a
+  /// metrics sink is configured.
+  void count_drop(std::optional<HostId> poster, const char* reason);
 
   sim::Engine* engine_;
   Options options_;
-  std::map<std::string, HostRecord> hosts_;
-  std::map<std::pair<std::string, int>, std::unique_ptr<Endpoint>> endpoints_;
+  std::deque<HostRecord> records_;  // by HostId; appends never move records
+  std::map<std::string, HostId> ids_;  // the name index
+  std::map<std::pair<HostId, int>, std::unique_ptr<Endpoint>> endpoints_;
   std::vector<sim::Fiber> delivery_fibers_;  // in-flight post() deliveries
   std::vector<TransferJob*> jobs_;
   double last_update_ = 0.0;
   sim::Engine::EventHandle completion_event_;
-  int next_ip_suffix_ = 1;
   FaultPolicy* fault_policy_ = nullptr;
   std::uint64_t dropped_total_ = 0;
   ShardRouter* shard_router_ = nullptr;

@@ -76,6 +76,8 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   registry_ = std::make_unique<registry::Registry>(
       host(config_.registry_host), *network_, registry_config);
 
+  const monitor::Classifier classifier =
+      monitor::classifier_from_policy(config_.policy);
   for (const auto& h : hosts_) {
     commander::Commander::Config commander_config;
     commander_config.registry_host = config_.registry_host;
@@ -90,6 +92,7 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
     monitor_config.registry_port = registry_->port();
     monitor_config.commander_port = commanders_.at(h->name())->port();
     monitor_config.policy = config_.policy;
+    monitor_config.classifier = classifier;
     monitor_config.cycle_cpu_cost = config_.monitor_cycle_cpu_cost;
     monitor_config.reregister_period = config_.monitor_reregister_period;
     monitor_config.delta_heartbeats = config_.monitor_delta_heartbeats;

@@ -47,10 +47,13 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     throw std::invalid_argument("ShardedCluster: hosts must be >= 1");
   }
   const std::size_t shard_count = group_.size();
+  const rules::MigrationPolicy policy = rules::paper_policy2();
+  const monitor::Classifier classifier =
+      monitor::classifier_from_policy(policy);
   shards_.reserve(shard_count);
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
     shards_.push_back(std::make_unique<Shard>());
-    build_shard(shard);
+    build_shard(shard, policy, classifier);
   }
   router_ = std::make_unique<net::ShardRouter>(
       group_, net::ShardRouter::Options{options_.cross_latency});
@@ -67,7 +70,9 @@ ShardedCluster::~ShardedCluster() {
   }
 }
 
-void ShardedCluster::build_shard(std::size_t shard) {
+void ShardedCluster::build_shard(std::size_t shard,
+                                 const rules::MigrationPolicy& policy,
+                                 const monitor::Classifier& classifier) {
   Shard& state = *shards_[shard];
   sim::Engine& engine = group_.engine(shard);
   const std::size_t shard_count = group_.size();
@@ -93,8 +98,6 @@ void ShardedCluster::build_shard(std::size_t shard) {
         options_.loss_until, salt);
     state.net->set_fault_policy(state.faults.get());
   }
-
-  const rules::MigrationPolicy policy = rules::paper_policy2();
 
   // Block partition: host i lives on shard i*shards/hosts's inverse — each
   // shard owns the contiguous global range [lo, hi).
@@ -189,6 +192,7 @@ void ShardedCluster::build_shard(std::size_t shard) {
     config.registry_port = registry_port;
     config.commander_port = kCommanderPort;
     config.policy = policy;
+    config.classifier = classifier;
     config.delta_heartbeats = options_.delta_heartbeats;
     config.tracer = options_.tracing ? state.tracer.get() : nullptr;
     config.metrics = state.metrics.get();

@@ -20,20 +20,17 @@ void TraceRecorder::stop() {
 
 void TraceRecorder::sample_all() {
   const double now = engine_->now();
-  for (const std::string& name : network_->host_names()) {
-    host::Host* h = network_->find_host(name);
-    if (h == nullptr) {
-      continue;
-    }
+  for (const auto& [name, id] : network_->host_index()) {
+    host::Host& h = network_->host(id);
     TraceSample sample;
     sample.t = now;
     sample.host = name;
-    sample.load1 = h->loadavg().one_minute();
-    sample.load5 = h->loadavg().five_minute();
-    sample.cpu_util = h->cpu_utilization(interval_);
-    sample.tx_bps = network_->tx_rate_bps(name, interval_);
-    sample.rx_bps = network_->rx_rate_bps(name, interval_);
-    sample.processes = h->total_process_count();
+    sample.load1 = h.loadavg().one_minute();
+    sample.load5 = h.loadavg().five_minute();
+    sample.cpu_util = h.cpu_utilization(interval_);
+    sample.tx_bps = network_->tx_rate_bps(id, interval_);
+    sample.rx_bps = network_->rx_rate_bps(id, interval_);
+    sample.processes = h.total_process_count();
     samples_.push_back(std::move(sample));
   }
   if (running_) {

@@ -1367,12 +1367,14 @@ sim::Task<> MigrationEngine::run_collector(std::string source_host,
                                            mpi::RankId helper_id,
                                            mpi::Comm merged) {
   net::Network& net = mpi_->network();
+  const net::HostId src = net.id_of(source_host);
+  const net::HostId dst = net.id_of(dest_host);
   while (remaining > 0.0) {
     const double this_chunk = std::min(kChunkBytes, remaining);
-    (void)co_await net.transfer(source_host, dest_host, this_chunk);
+    (void)co_await net.transfer(src, dst, this_chunk);
     remaining -= this_chunk;
   }
-  (void)co_await net.transfer(source_host, dest_host, 16.0);
+  (void)co_await net.transfer(src, dst, 16.0);
   mpi::MpiMessage done;
   done.context = merged.context();
   done.src_rank = 0;

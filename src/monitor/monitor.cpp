@@ -24,9 +24,10 @@ constexpr double kWarmupMaxFactor = 2.0;
 
 Classifier classifier_from_policy(rules::MigrationPolicy policy,
                                   double busy_load) {
-  return [policy = std::move(policy),
+  return [policy = std::make_shared<const rules::MigrationPolicy>(
+              std::move(policy)),
           busy_load](const DynamicStatus& status) -> SystemState {
-    if (policy.should_offload(status)) {
+    if (policy->should_offload(status)) {
       return SystemState::kOverloaded;
     }
     // `free` means "willing and able to accept incoming HPCM-enabled
@@ -34,10 +35,10 @@ Classifier classifier_from_policy(rules::MigrationPolicy policy,
     // conditions.  A host that fails them is `busy` ("as is").  This is why
     // the paper's Policy 2, blind to communication, classifies the
     // comm-busy workstation as free while Policy 3 does not.
-    if (!policy.accepts_destination(status)) {
+    if (!policy->accepts_destination(status)) {
       return SystemState::kBusy;
     }
-    if (policy.dest_conditions().empty() &&
+    if (policy->dest_conditions().empty() &&
         (status.load1 >= busy_load || status.cpu_util >= 0.9)) {
       return SystemState::kBusy;  // fallback bands for conditionless policies
     }
@@ -64,9 +65,10 @@ Monitor::Monitor(host::Host& h, net::Network& network, Config config)
     : host_(&h),
       network_(&network),
       config_(std::move(config)),
-      sensors_(h, network, kSensorWindow) {
+      id_(network.id_of(h.name())),
+      sensors_(h, network, id_, kSensorWindow) {
   if (config_.monitor_port == 0) {
-    config_.monitor_port = network_->allocate_port(host_->name());
+    config_.monitor_port = network_->allocate_port(id_);
   }
   if (!config_.classifier) {
     config_.classifier = classifier_from_policy(config_.policy);
@@ -111,11 +113,19 @@ void Monitor::push(xmlproto::ProtocolMessage message) {
 
 void Monitor::push(xmlproto::ProtocolMessage message, obs::TraceCtx ctx) {
   net::Message wire;
-  wire.src_host = host_->name();
-  wire.dst_host = config_.registry_host;
   wire.dst_port = config_.registry_port;
   wire.payload = xmlproto::encode(message, ctx);
   wire.trace = ctx;
+  if (!registry_resolved_) {
+    registry_id_ = network_->find_id(config_.registry_host);
+    registry_resolved_ = true;
+  }
+  if (registry_id_) {
+    network_->post(id_, *registry_id_, std::move(wire));
+    return;
+  }
+  wire.src_host = host_->name();
+  wire.dst_host = config_.registry_host;
   network_->post(std::move(wire));
 }
 

@@ -30,10 +30,10 @@ Expected<double> HostSensorSource::sample(const std::string& script,
   }
   if (script == kScriptNetFlow) {
     if (param == "out") {
-      return network_->tx_rate_bps(host_->name(), window_);
+      return network_->tx_rate_bps(id_, window_);
     }
     if (param == "in" || param.empty()) {
-      return network_->rx_rate_bps(host_->name(), window_);
+      return network_->rx_rate_bps(id_, window_);
     }
     return make_error("sensor", "netFlow.sh: unknown direction '" + param +
                                     "' (use in|out)");
@@ -58,8 +58,8 @@ xmlproto::DynamicStatus HostSensorSource::snapshot() {
   status.processes = host_->total_process_count();
   status.mem_available_pct = host_->memory().percent_available();
   status.disk_available = host_->disk().total_available();
-  status.net_in_bps = network_->rx_rate_bps(host_->name(), window_);
-  status.net_out_bps = network_->tx_rate_bps(host_->name(), window_);
+  status.net_in_bps = network_->rx_rate_bps(id_, window_);
+  status.net_out_bps = network_->tx_rate_bps(id_, window_);
   status.sockets_established = host_->established_sockets();
   status.timestamp = host_->engine().now();
   return status;

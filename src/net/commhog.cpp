@@ -7,10 +7,12 @@ CommHog::CommHog(Network& network, Options options)
 
 sim::Task<> CommHog::pump(std::string from, std::string to) {
   auto& engine = network_->engine();
+  const HostId src = network_->id_of(from);
+  const HostId dst = network_->id_of(to);
   const double chunk = options_.rate_bps * options_.period;
   while (true) {
     const double started = engine.now();
-    (void)co_await network_->transfer(from, to, chunk);
+    (void)co_await network_->transfer(src, dst, chunk);
     const double elapsed = engine.now() - started;
     if (elapsed < options_.period) {
       // Pace to the target rate; under contention the transfer itself is

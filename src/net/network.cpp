@@ -35,49 +35,54 @@ Network::~Network() {
   assert(jobs_.empty() && "Network destroyed with active transfers");
 }
 
-void Network::attach(host::Host& h) {
-  if (hosts_.contains(h.name())) {
+HostId Network::attach(host::Host& h) {
+  const auto id = static_cast<HostId>(records_.size());
+  if (!ids_.emplace(h.name(), id).second) {
     throw std::invalid_argument("host already attached: " + h.name());
   }
-  HostRecord rec;
-  rec.host = &h;
-  rec.ip = "10.0.0." + std::to_string(next_ip_suffix_++);
-  hosts_.emplace(h.name(), std::move(rec));
+  records_.emplace_back().host = &h;
+  return id;
 }
 
+HostId Network::id_of(const std::string& hostname) const {
+  const auto it = ids_.find(hostname);
+  if (it == ids_.end()) {
+    throw std::out_of_range("unknown host: " + hostname);
+  }
+  return it->second;
+}
+
+std::optional<HostId> Network::find_id(const std::string& hostname) const {
+  const auto it = ids_.find(hostname);
+  return it == ids_.end() ? std::nullopt : std::optional(it->second);
+}
+
+host::Host& Network::host(HostId id) const { return *record(id).host; }
+
 host::Host* Network::find_host(const std::string& name) const {
-  const auto it = hosts_.find(name);
-  return it == hosts_.end() ? nullptr : it->second.host;
+  const std::optional<HostId> id = find_id(name);
+  return id ? record(*id).host : nullptr;
 }
 
 std::vector<std::string> Network::host_names() const {
   std::vector<std::string> names;
-  names.reserve(hosts_.size());
-  for (const auto& [name, rec] : hosts_) {
+  names.reserve(ids_.size());
+  for (const auto& [name, id] : ids_) {
     names.push_back(name);
   }
   return names;
 }
 
-Network::HostRecord& Network::record(const std::string& hostname) {
-  const auto it = hosts_.find(hostname);
-  if (it == hosts_.end()) {
-    throw std::out_of_range("unknown host: " + hostname);
-  }
-  return it->second;
+Network::HostRecord& Network::record(HostId id) {
+  return records_.at(static_cast<std::size_t>(id));
 }
 
-const Network::HostRecord& Network::record(const std::string& hostname) const {
-  const auto it = hosts_.find(hostname);
-  if (it == hosts_.end()) {
-    throw std::out_of_range("unknown host: " + hostname);
-  }
-  return it->second;
+const Network::HostRecord& Network::record(HostId id) const {
+  return records_.at(static_cast<std::size_t>(id));
 }
 
 Endpoint& Network::bind(const std::string& hostname, int port) {
-  (void)record(hostname);  // validate host
-  const auto key = std::make_pair(hostname, port);
+  const auto key = std::make_pair(id_of(hostname), port);
   if (endpoints_.contains(key)) {
     throw std::invalid_argument("port already bound: " + hostname + ":" +
                                 std::to_string(port));
@@ -89,18 +94,24 @@ Endpoint& Network::bind(const std::string& hostname, int port) {
 }
 
 void Network::unbind(const std::string& hostname, int port) {
-  const auto it = endpoints_.find(std::make_pair(hostname, port));
+  const std::optional<HostId> id = find_id(hostname);
+  if (!id) {
+    return;
+  }
+  const auto it = endpoints_.find(std::make_pair(*id, port));
   if (it != endpoints_.end()) {
     it->second->inbox.close();
     endpoints_.erase(it);
   }
 }
 
+int Network::allocate_port(HostId host) { return record(host).next_port++; }
+
 int Network::allocate_port(const std::string& hostname) {
-  return record(hostname).next_port++;
+  return allocate_port(id_of(hostname));
 }
 
-void Network::post(Message message) {
+void Network::stamp_send(Message& message) {
   if (message.size_bytes == 0) {
     message.size_bytes = message.payload.size() + options_.message_overhead;
   }
@@ -113,38 +124,54 @@ void Network::post(Message message) {
     options_.tracer->instant("net.send", "net", message.src_host,
                              std::move(attrs));
   }
-  if (!hosts_.contains(message.dst_host)) {
-    if (shard_router_ != nullptr && route_cross_shard(message)) {
-      return;  // handled (forwarded, or dropped by the fault verdict)
-    }
-    ARS_LOG_WARN("net", "dropping message to unknown host "
-                            << message.dst_host);
-    count_drop(message.src_host, "unknown_host");
+}
+
+void Network::post(Message message) {
+  const auto dst = ids_.find(message.dst_host);
+  if (dst != ids_.end()) {
+    const HostId src = id_of(message.src_host);
+    post(src, dst->second, std::move(message));
     return;
   }
+  stamp_send(message);
+  if (shard_router_ != nullptr && route_cross_shard(message)) {
+    return;  // handled (forwarded, or dropped by the fault verdict)
+  }
+  ARS_LOG_WARN("net", "dropping message to unknown host " << message.dst_host);
+  count_drop(find_id(message.src_host), "unknown_host");
+}
+
+void Network::post(HostId src, HostId dst, Message message) {
+  message.src_host = record(src).host->name();
+  message.dst_host = record(dst).host->name();
+  stamp_send(message);
   const std::optional<Fanout> fanout = fault_fanout(message);
   if (!fanout) {
+    count_drop(src, "fault");
     return;
   }
   // Deliver through a detached fiber so the datagram pays the same latency
   // and bandwidth-sharing costs as any other traffic.
-  auto deliver = [](Network* net, Message msg, double hold) -> sim::Task<> {
+  auto deliver = [](Network* net, HostId from, HostId to, Message msg,
+                    double hold) -> sim::Task<> {
     if (hold > 0.0) {
       co_await sim::delay(*net->engine_, hold);
     }
-    (void)co_await net->transfer(msg.src_host, msg.dst_host,
+    (void)co_await net->transfer(from, to,
                                  static_cast<double>(msg.size_bytes));
-    net->deliver_local(std::move(msg));
+    net->hand_over(to, from, std::move(msg));
   };
   // Prune finished deliveries so the tracking list stays small.
   std::erase_if(delivery_fibers_,
                 [](const sim::Fiber& f) { return f.done(); });
   for (int copy = 1; copy < fanout->copies; ++copy) {  // injected duplicates
     delivery_fibers_.push_back(sim::Fiber::spawn(
-        *engine_, deliver(this, message, fanout->extra_delay), "net.post"));
+        *engine_, deliver(this, src, dst, message, fanout->extra_delay),
+        "net.post"));
   }
   delivery_fibers_.push_back(sim::Fiber::spawn(
-      *engine_, deliver(this, std::move(message), fanout->extra_delay),
+      *engine_,
+      deliver(this, src, dst, std::move(message), fanout->extra_delay),
       "net.post"));
 }
 
@@ -158,7 +185,6 @@ std::optional<Network::Fanout> Network::fault_fanout(const Message& message) {
     ARS_LOG_WARN("net", "fault drops message " << message.src_host << " -> "
                                                << message.dst_host << ":"
                                                << message.dst_port);
-    count_drop(message.src_host, "fault");
     return std::nullopt;
   }
   fanout.copies += std::max(verdict.duplicates, 0);
@@ -175,6 +201,7 @@ bool Network::route_cross_shard(Message& message) {
   // posted, so a fixed shard layout keeps fault runs deterministic.
   const std::optional<Fanout> fanout = fault_fanout(message);
   if (!fanout) {
+    count_drop(find_id(message.src_host), "fault");
     return true;
   }
   if (options_.metrics != nullptr) {
@@ -187,16 +214,23 @@ bool Network::route_cross_shard(Message& message) {
 }
 
 void Network::deliver_local(Message message) {
+  // Names arrive here from another shard: resolve the destination once.
+  // The poster lives on another shard, so a drop moves only this network's
+  // totals and the labeled counter; the per-poster count stays on its own
+  // shard.
+  const std::optional<HostId> dst = find_id(message.dst_host);
+  hand_over(dst, std::nullopt, std::move(message));
+}
+
+void Network::hand_over(std::optional<HostId> dst,
+                        std::optional<HostId> poster, Message message) {
   message.delivered_at = engine_->now();
-  const auto it =
-      endpoints_.find(std::make_pair(message.dst_host, message.dst_port));
+  const auto it = dst ? endpoints_.find(std::make_pair(*dst, message.dst_port))
+                      : endpoints_.end();
   if (it == endpoints_.end() || it->second->inbox.closed()) {
     ARS_LOG_WARN("net", "dropping message to unbound "
                             << message.dst_host << ":" << message.dst_port);
-    // A cross-shard poster lives on another shard, so only this network's
-    // totals and the labeled counter move; the per-poster count stays on
-    // its own shard.
-    count_drop(message.src_host, "unbound_port");
+    count_drop(poster, "unbound_port");
     return;
   }
   if (message.trace.set() && obs::active(options_.tracer)) {
@@ -211,8 +245,12 @@ void Network::deliver_local(Message message) {
   it->second->inbox.send(std::move(message));
 }
 
-sim::Task<double> Network::transfer(std::string src, std::string dst,
-                                    double bytes) {
+sim::Task<double> Network::transfer(const std::string& src,
+                                    const std::string& dst, double bytes) {
+  return transfer(id_of(src), id_of(dst), bytes);
+}
+
+sim::Task<double> Network::transfer(HostId src, HostId dst, double bytes) {
   const double start = engine_->now();
   co_await sim::delay(*engine_, options_.latency);
   if (src == dst || bytes <= 0.0) {
@@ -346,15 +384,14 @@ void Network::on_fault_change() {
 }
 
 std::uint64_t Network::dropped_count(const std::string& hostname) const {
-  const auto it = hosts_.find(hostname);
-  return it == hosts_.end() ? 0 : it->second.messages_dropped;
+  const std::optional<HostId> id = find_id(hostname);
+  return id ? record(*id).messages_dropped : 0;
 }
 
-void Network::count_drop(const std::string& src_host, const char* reason) {
+void Network::count_drop(std::optional<HostId> poster, const char* reason) {
   ++dropped_total_;
-  const auto it = hosts_.find(src_host);
-  if (it != hosts_.end()) {
-    ++it->second.messages_dropped;
+  if (poster) {
+    ++record(*poster).messages_dropped;
   }
   if (options_.metrics != nullptr) {
     options_.metrics->counter("ars_net_dropped_total", {{"reason", reason}})
@@ -363,28 +400,35 @@ void Network::count_drop(const std::string& src_host, const char* reason) {
 }
 
 const FlowMeter& Network::tx_meter(const std::string& hostname) const {
-  return record(hostname).tx_meter;
+  return record(id_of(hostname)).tx_meter;
 }
 
 const FlowMeter& Network::rx_meter(const std::string& hostname) const {
-  return record(hostname).rx_meter;
+  return record(id_of(hostname)).rx_meter;
+}
+
+double Network::tx_rate_bps(HostId host, double window) const {
+  return rate_bps(host, /*outbound=*/true, window);
+}
+
+double Network::rx_rate_bps(HostId host, double window) const {
+  return rate_bps(host, /*outbound=*/false, window);
 }
 
 double Network::tx_rate_bps(const std::string& hostname,
                             double window) const {
-  return rate_bps(hostname, /*outbound=*/true, window);
+  return tx_rate_bps(id_of(hostname), window);
 }
 
 double Network::rx_rate_bps(const std::string& hostname,
                             double window) const {
-  return rate_bps(hostname, /*outbound=*/false, window);
+  return rx_rate_bps(id_of(hostname), window);
 }
 
-double Network::rate_bps(const std::string& hostname, bool outbound,
-                         double window) const {
+double Network::rate_bps(HostId host, bool outbound, double window) const {
   // Fold in the live portion of in-flight transfers so sensors see current
   // traffic, not just completed accounting intervals.
-  const HostRecord& rec = record(hostname);
+  const HostRecord& rec = record(host);
   const FlowMeter& meter = outbound ? rec.tx_meter : rec.rx_meter;
   double bytes = meter.bytes_between(engine_->now() - window, engine_->now());
   const double live_span = engine_->now() - last_update_;

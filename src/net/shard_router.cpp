@@ -36,7 +36,7 @@ void ShardRouter::attach(std::size_t shard, Network& network) {
   }
   networks_[shard] = &network;
   network.set_shard_router(this, shard);
-  for (const std::string& host : network.host_names()) {
+  for (const auto& [host, id] : network.host_index()) {
     assign_host(host, shard);
   }
 }

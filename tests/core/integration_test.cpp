@@ -20,7 +20,8 @@ TEST(RuleDrivenMonitor, Figure3FileClassifiesLiveHost) {
   auto rule_engine =
       std::make_shared<rules::RuleEngine>(std::move(*engine_or));
   auto sensors = std::make_shared<monitor::HostSensorSource>(
-      runtime.host("ws1"), runtime.network());
+      runtime.host("ws1"), runtime.network(),
+      runtime.network().id_of("ws1"));
 
   monitor::Monitor::Config config;
   config.registry_host = "ws1";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ars/core/sharded_cluster.hpp"
 #include "ars/host/hog.hpp"
 #include "ars/net/commhog.hpp"
 #include "ars/rules/rulefile.hpp"
@@ -14,9 +15,10 @@ using sim::Engine;
 
 class SensorTest : public ::testing::Test {
  protected:
-  SensorTest() : net_(engine_), host_(engine_, spec()), sensors_(host_, net_) {
-    net_.attach(host_);
-  }
+  SensorTest()
+      : net_(engine_),
+        host_(engine_, spec()),
+        sensors_(host_, net_, net_.attach(host_)) {}
 
   static host::HostSpec spec() {
     host::HostSpec s;
@@ -332,6 +334,34 @@ TEST_F(MonitorEntityTest, StopHaltsTraffic) {
   (void)drain();
   engine_.run_until(100.0);
   EXPECT_TRUE(drain().empty());
+}
+
+TEST(MonitorShardTest, RegistryOnAnotherShardHearsHeartbeatsThroughTheRouter) {
+  // Flat two-shard cluster: the one registry lives on shard 0, so shard 1's
+  // monitors cannot resolve its host on their own network and post by name
+  // through the shard router.
+  core::ShardedClusterOptions options;
+  options.shards = 2;
+  options.hosts = 8;
+  options.duration = 60.0;
+  options.hierarchical = false;
+  core::ShardedCluster cluster{options};
+  ASSERT_TRUE(cluster.network(0).find_id("root").has_value());
+  ASSERT_EQ(cluster.network(1).find_id("root"), std::nullopt);
+  const core::ShardedClusterReport report = cluster.run();
+
+  // Four monitors, a registration and a heartbeat every 10 s each.
+  EXPECT_GE(report.cross_messages, 4U * 6U);
+  EXPECT_EQ(report.dropped, 0U);
+  EXPECT_EQ(report.registered_hosts, options.hosts);
+  const auto& leases = cluster.root_registry().hosts();
+  for (const char* name : {"ws000004", "ws000005", "ws000006", "ws000007"}) {
+    ASSERT_TRUE(cluster.network(1).find_id(name).has_value()) << name;
+    const auto it = leases.find(name);
+    ASSERT_NE(it, leases.end()) << name;
+    EXPECT_GE(it->second.last_update, options.duration - 10.0) << name;
+    EXPECT_NE(it->second.state, SystemState::kUnavailable) << name;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ars/net/commhog.hpp"
+#include "ars/obs/metrics.hpp"
 #include "ars/support/rng.hpp"
 
 namespace ars::net {
@@ -182,6 +183,174 @@ TEST_F(NetworkTest, AttachAssignsDistinctIps) {
   spec.name = "ws1";
   host::Host duplicate{engine_, spec};
   EXPECT_THROW(net_.attach(duplicate), std::invalid_argument);
+}
+
+TEST(NetworkIds, AreDenseInAttachOrderWhileNamesStayInNameOrder) {
+  Engine engine;
+  std::vector<std::unique_ptr<host::Host>> hosts;
+  Network net{engine};
+  auto attach = [&](const char* name) {
+    host::HostSpec spec;
+    spec.name = name;
+    hosts.push_back(std::make_unique<host::Host>(engine, spec));
+    return net.attach(*hosts.back());
+  };
+  const std::vector<std::string> attach_order = {"ws3", "alpha", "ws10",
+                                                 "ws1"};
+  for (std::size_t i = 0; i < attach_order.size(); ++i) {
+    EXPECT_EQ(attach(attach_order[i].c_str()), static_cast<HostId>(i));
+  }
+  for (std::size_t i = 0; i < attach_order.size(); ++i) {
+    const auto id = static_cast<HostId>(i);
+    EXPECT_EQ(net.id_of(attach_order[i]), id);
+    EXPECT_EQ(&net.host(id), hosts[i].get());
+    EXPECT_EQ(net.find_host(attach_order[i]), hosts[i].get());
+  }
+  const std::vector<std::string> name_order = {"alpha", "ws1", "ws10", "ws3"};
+  EXPECT_EQ(net.host_names(), name_order);
+  std::vector<std::string> indexed;
+  for (const auto& [name, id] : net.host_index()) {
+    indexed.push_back(name);
+    EXPECT_EQ(net.host(id).name(), name);
+  }
+  EXPECT_EQ(indexed, name_order);
+
+  EXPECT_EQ(net.find_id("nosuch"), std::nullopt);
+  EXPECT_THROW((void)net.id_of("nosuch"), std::out_of_range);
+  // A refused duplicate takes no id: the next host gets the next one.
+  EXPECT_THROW(attach("ws10"), std::invalid_argument);
+  EXPECT_EQ(attach("beta"), static_cast<HostId>(4));
+  EXPECT_EQ(net.host_index().size(), 5U);
+}
+
+TEST_F(NetworkTest, RateReadsByIdAndByNameAreBitIdenticalInFlight) {
+  double elapsed[3] = {-1.0, -1.0, -1.0};
+  std::vector<Fiber> fibers;
+  fibers.push_back(Fiber::spawn(
+      engine_, do_transfer(net_, "ws1", "ws2", 10000.0, &elapsed[0])));
+  fibers.push_back(Fiber::spawn(
+      engine_, do_transfer(net_, "ws3", "ws2", 4000.0, &elapsed[1])));
+  fibers.push_back(Fiber::spawn(
+      engine_, do_transfer(net_, "ws2", "ws1", 2500.0, &elapsed[2])));
+  int live_reads = 0;
+  for (const double t : {0.3, 1.7, 2.45, 4.0, 6.2, 9.9}) {
+    engine_.run_until(t);
+    EXPECT_GT(net_.active_transfers(), 0U) << "at t=" << t;
+    for (const char* name : {"ws1", "ws2", "ws3"}) {
+      const HostId id = net_.id_of(name);
+      for (const double window : {0.25, 2.0, 10.0}) {
+        const double tx = net_.tx_rate_bps(id, window);
+        const double rx = net_.rx_rate_bps(id, window);
+        EXPECT_EQ(tx, net_.tx_rate_bps(name, window)) << name << " t=" << t;
+        EXPECT_EQ(rx, net_.rx_rate_bps(name, window)) << name << " t=" << t;
+        live_reads += (tx > 0.0 ? 1 : 0) + (rx > 0.0 ? 1 : 0);
+      }
+    }
+  }
+  EXPECT_GT(live_reads, 20);
+  for (Fiber& fiber : fibers) {
+    fiber.kill();  // withdraw what is still in flight
+  }
+}
+
+/// One datagram ws1 -> ws2:5000 on a fresh network, posted by ids or by
+/// names; returns what the endpoint received.
+Message post_once(bool by_ids) {
+  Engine engine;
+  std::vector<std::unique_ptr<host::Host>> hosts;
+  Network::Options options;
+  options.latency = 0.001;
+  options.bandwidth_bps = 1000.0;
+  Network net{engine, options};
+  std::vector<HostId> ids;
+  for (const char* name : {"ws1", "ws2"}) {
+    host::HostSpec spec;
+    spec.name = name;
+    hosts.push_back(std::make_unique<host::Host>(engine, spec));
+    ids.push_back(net.attach(*hosts.back()));
+  }
+  Endpoint& endpoint = net.bind("ws2", 5000);
+  engine.run_until(2.5);  // post at a non-zero time
+  Message msg;
+  msg.dst_port = 5000;
+  msg.payload = "<update>x</update>";
+  if (by_ids) {
+    net.post(ids[0], ids[1], msg);
+  } else {
+    msg.src_host = "ws1";
+    msg.dst_host = "ws2";
+    net.post(msg);
+  }
+  engine.run_until(100.0);
+  std::optional<Message> received = endpoint.inbox.try_recv();
+  EXPECT_TRUE(received.has_value());
+  EXPECT_FALSE(endpoint.inbox.try_recv().has_value());
+  return received.value_or(Message{});
+}
+
+TEST(NetworkIds, PostByIdsAndByNamesArriveAtTheSameTimeWithTheSameBytes) {
+  const Message by_ids = post_once(true);
+  const Message by_names = post_once(false);
+  EXPECT_EQ(by_ids.src_host, "ws1");  // filled in from the ids
+  EXPECT_EQ(by_ids.dst_host, "ws2");
+  EXPECT_EQ(by_ids.src_host, by_names.src_host);
+  EXPECT_EQ(by_ids.dst_host, by_names.dst_host);
+  EXPECT_EQ(by_ids.dst_port, by_names.dst_port);
+  EXPECT_EQ(by_ids.payload, by_names.payload);
+  EXPECT_EQ(by_ids.size_bytes, by_names.size_bytes);
+  EXPECT_EQ(by_ids.sent_at, by_names.sent_at);
+  EXPECT_EQ(by_ids.delivered_at, by_names.delivered_at);
+  // 18 payload + 64 overhead bytes at 1000 B/s, after the latency.
+  EXPECT_EQ(by_ids.size_bytes, 82U);
+  EXPECT_DOUBLE_EQ(by_ids.sent_at, 2.5);
+  EXPECT_NEAR(by_ids.delivered_at, 2.5 + 0.001 + 0.082, 1e-9);
+}
+
+TEST(NetworkIds, DropsAreStillCountedByReason) {
+  Engine engine;
+  std::vector<std::unique_ptr<host::Host>> hosts;
+  obs::MetricsRegistry metrics;
+  Network::Options options;
+  options.metrics = &metrics;
+  Network net{engine, options};
+  std::vector<HostId> ids;
+  for (const char* name : {"ws1", "ws2"}) {
+    host::HostSpec spec;
+    spec.name = name;
+    hosts.push_back(std::make_unique<host::Host>(engine, spec));
+    ids.push_back(net.attach(*hosts.back()));
+  }
+  auto by_name = [](const char* dst, int port) {
+    Message msg;
+    msg.src_host = "ws1";
+    msg.dst_host = dst;
+    msg.dst_port = port;
+    msg.payload = "x";
+    return msg;
+  };
+  net.post(by_name("nosuch", 5000));  // unknown destination
+  net.post(by_name("ws2", 9999));     // unbound port, by name
+  Message unbound;
+  unbound.dst_port = 9999;
+  net.post(ids[0], ids[1], unbound);  // unbound port, by ids
+  // A destination attached here needs a source attached here too.
+  Message ghost = by_name("ws2", 9999);
+  ghost.src_host = "ghost";
+  EXPECT_THROW(net.post(ghost), std::out_of_range);
+  engine.run_until(100.0);
+
+  auto dropped = [&](const char* reason) {
+    const obs::Counter* counter =
+        metrics.find_counter("ars_net_dropped_total", {{"reason", reason}});
+    return counter == nullptr ? 0.0 : counter->value();
+  };
+  EXPECT_EQ(dropped("unknown_host"), 1.0);
+  EXPECT_EQ(dropped("unbound_port"), 2.0);
+  EXPECT_EQ(dropped("fault"), 0.0);
+  EXPECT_EQ(net.dropped_count("ws1"), 3U);
+  EXPECT_EQ(net.dropped_count("ws2"), 0U);
+  EXPECT_EQ(net.dropped_total(), 3U);
+  EXPECT_EQ(net.active_transfers(), 0U);
 }
 
 TEST(FlowMeter, WindowOverlapIsProportional) {
