@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,16 @@ bool load_cluster_plan_flag() {
     std::fprintf(stderr, "bad --cluster-plan %s: %s\n", path.c_str(),
                  loaded.error().to_string().c_str());
     return false;
+  }
+  if (!loaded->faults.empty()) {
+    // The hosts faults name are checked against the fleet it builds.
+    try {
+      core::ShardedCluster probe{*loaded};
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "bad --cluster-plan %s: %s\n", path.c_str(),
+                   error.what());
+      return false;
+    }
   }
   cluster_plan() = std::move(loaded.value());
   return true;

@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ars/obs/json.hpp"
 #include "ars/support/expected.hpp"
 
 namespace ars::chaos {
@@ -159,6 +160,12 @@ class FaultPlan {
   /// key's path in the message).
   [[nodiscard]] static support::Expected<FaultPlan> from_json(
       std::string_view text);
+  /// The one per-spec reader, shared with documents that embed a "faults"
+  /// array (cluster plans): each element is read as `<path>[i]` under the
+  /// same field table and rules, and errors are coded "<doc>.<key>".
+  [[nodiscard]] static support::Expected<FaultPlan> from_json_faults(
+      std::string name, const obs::JsonArray& faults, std::string_view doc,
+      const std::string& path);
   [[nodiscard]] std::string to_json() const;
 
   // -- shipped plans --------------------------------------------------------

@@ -1,15 +1,16 @@
 #pragma once
 // Fault injector (ars::chaos layer 1, execution half): turns a FaultPlan
-// into scheduled engine events against a live ReschedulerRuntime and serves
-// as the network's per-link FaultPolicy.
+// into scheduled engine events against a live cluster (a FaultTarget: the
+// paper's runtime, or one shard of a sharded cluster) and serves as the
+// network's per-link FaultPolicy.
 //
 // Determinism: all randomness comes from one seeded Rng consumed in event
 // order, and every activation/deactivation is a normal engine event — so
 // (cluster config, plan, seed) fully determines the run, and a failing seed
 // replays byte-identically.
 //
-// Lifetime: construct after the runtime, arm() before running, destroy
-// before the runtime (the destructor cancels pending fault events and
+// Lifetime: construct after the target, arm() before running, destroy
+// before the target (the destructor cancels pending fault events and
 // uninstalls the network policy and the phase listener).
 
 #include <cstdint>
@@ -18,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "ars/chaos/fault_target.hpp"
 #include "ars/chaos/faultplan.hpp"
-#include "ars/core/runtime.hpp"
 #include "ars/net/network.hpp"
 #include "ars/support/rng.hpp"
 
@@ -46,8 +47,7 @@ class FaultInjector final : public net::FaultPolicy {
     int rate_crashes = 0;            // crashes from host_crash_rate arrivals
   };
 
-  FaultInjector(core::ReschedulerRuntime& runtime, FaultPlan plan,
-                std::uint64_t seed);
+  FaultInjector(FaultTarget& target, FaultPlan plan, std::uint64_t seed);
   ~FaultInjector() override;
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -81,7 +81,7 @@ class FaultInjector final : public net::FaultPolicy {
   void activate(std::size_t index);
   void deactivate(std::size_t index);
   void trace_fault(const FaultSpec& spec, const char* phase);
-  /// The one phase handler (installed on the runtime's phase listener):
+  /// The one phase handler (installed on the target's phase listener):
   /// every transaction phase entry — migration, expand, shrink — is matched
   /// against the plan's phase faults.  Crashes and link cuts are scheduled
   /// as zero-delay engine events (listeners must not reenter the engines
@@ -106,7 +106,9 @@ class FaultInjector final : public net::FaultPolicy {
     std::string b;
   };
 
-  core::ReschedulerRuntime* runtime_;
+  FaultTarget& target_;
+  sim::Engine& engine_;
+  net::Network& network_;
   FaultPlan plan_;
   support::Rng rng_;
   Stats stats_;

@@ -27,6 +27,8 @@
 //     checkpoint (a ckpt.torn_restore trace event): the shared store's
 //     shadow-commit must make a crash mid-write keep the previous
 //     complete checkpoint.
+//   * trace complete — the tracer's ring dropped no event, since the
+//     trace-based checks above need the whole run.
 //
 // The checker is read-only: run the scenario, then call check().
 

@@ -113,9 +113,6 @@ struct ScenarioReport {
   [[nodiscard]] bool ok() const noexcept { return invariants.ok(); }
 };
 
-/// FNV-1a digest used for the byte-identical replay comparison.
-[[nodiscard]] std::uint64_t fnv1a(const std::string& data) noexcept;
-
 [[nodiscard]] ScenarioReport run_scenario(const ScenarioOptions& options);
 
 }  // namespace ars::chaos

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "ars/chaos/fault_target.hpp"
 #include "ars/commander/commander.hpp"
 #include "ars/core/trace.hpp"
 #include "ars/host/host.hpp"
@@ -75,16 +76,16 @@ struct ClusterConfig {
 [[nodiscard]] ClusterConfig make_cluster(int host_count,
                                          rules::MigrationPolicy policy);
 
-class ReschedulerRuntime {
+class ReschedulerRuntime final : public chaos::FaultTarget {
  public:
   explicit ReschedulerRuntime(ClusterConfig config);
-  ~ReschedulerRuntime();
+  ~ReschedulerRuntime() override;
   ReschedulerRuntime(const ReschedulerRuntime&) = delete;
   ReschedulerRuntime& operator=(const ReschedulerRuntime&) = delete;
 
   // -- plumbing -------------------------------------------------------------
-  [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
-  [[nodiscard]] net::Network& network() noexcept { return *network_; }
+  [[nodiscard]] sim::Engine& engine() noexcept override { return engine_; }
+  [[nodiscard]] net::Network& network() override { return *network_; }
   [[nodiscard]] mpi::MpiSystem& mpi() noexcept { return *mpi_; }
   [[nodiscard]] hpcm::MigrationEngine& middleware() noexcept {
     return *hpcm_;
@@ -96,21 +97,26 @@ class ReschedulerRuntime {
     return *malleable_;
   }
   [[nodiscard]] host::Host& host(const std::string& name);
-  [[nodiscard]] monitor::Monitor& monitor_on(const std::string& name);
+  [[nodiscard]] monitor::Monitor& monitor_on(const std::string& name) override;
   [[nodiscard]] commander::Commander& commander_on(const std::string& name);
   [[nodiscard]] std::vector<std::string> host_names() const;
+  [[nodiscard]] std::vector<std::string> crash_rate_hosts() const override {
+    std::vector<std::string> names = host_names();
+    std::erase(names, config_.registry_host);
+    return names;
+  }
   [[nodiscard]] TraceRecorder& trace() noexcept { return *trace_; }
 
   /// One phase listener for every transaction kind: migrations and resizes
   /// both announce their phases to it (fault injectors hook in here).
-  void set_phase_listener(const txn::PhaseListener& listener) {
+  void set_phase_listener(const txn::PhaseListener& listener) override {
     hpcm_->set_phase_listener(listener);
     malleable_->set_phase_listener(listener);
   }
 
   /// Structured event trace (ars::obs): migration phase spans, scheduler
   /// decision audits, monitor state transitions, commander signals.
-  [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
+  [[nodiscard]] obs::Tracer& tracer() noexcept override { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const noexcept { return tracer_; }
   /// Runtime-wide metrics (counters/gauges/histograms).
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
@@ -150,20 +156,20 @@ class ReschedulerRuntime {
   /// from their checkpoints.  Returns how many processes were lost.
   /// A co-located registry dies with its host (use restart_host to bring
   /// it back, cold).
-  int fail_host(const std::string& host_name);
+  int fail_host(const std::string& host_name) override;
 
   /// Bring a failed host's rescheduler entities back up (the machine
   /// rebooted).  Its monitor re-registers on the next cycle; processes lost
   /// in the crash are NOT resurrected here — that is the registry's
   /// auto-restart path.  A co-located registry restarts cold (soft state
   /// wiped, rebuilt from heartbeats).
-  void restart_host(const std::string& host_name);
+  void restart_host(const std::string& host_name) override;
 
   /// Kill only the registry/scheduler process (its host stays up).
-  void crash_registry();
+  void crash_registry() override { registry_->stop(); }
   /// Cold-restart the registry: soft-state tables are gone and must be
   /// rebuilt purely from subsequent monitor traffic (paper §3).
-  void restart_registry();
+  void restart_registry() override { registry_->restart_cold(); }
 
   [[nodiscard]] const ClusterConfig& config() const noexcept {
     return config_;

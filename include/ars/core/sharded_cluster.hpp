@@ -34,9 +34,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ars/chaos/injector.hpp"
 #include "ars/host/host.hpp"
 #include "ars/monitor/monitor.hpp"
 #include "ars/net/network.hpp"
@@ -46,7 +48,6 @@
 #include "ars/registry/registry.hpp"
 #include "ars/sim/shard.hpp"
 #include "ars/support/expected.hpp"
-#include "ars/support/rng.hpp"
 
 namespace ars::core {
 
@@ -63,21 +64,14 @@ struct ShardedClusterOptions {
   bool hierarchical = true;
   /// Monitors coalesce unchanged-state heartbeats (UpdateBatchMsg).
   bool delta_heartbeats = true;
-  /// Base seed; each shard's fault stream is salted with its shard index.
+  /// Base seed; each shard's fault injector salts it with the shard index.
   std::uint64_t seed = 1;
   /// Fractions of the fleet pinned busy / overloaded (rest stay free).
   double busy_fraction = 0.30;
   double overloaded_fraction = 0.05;
-  /// Message-loss chaos: drop probability inside [loss_from, loss_until).
-  double message_loss = 0.0;
-  double loss_from = 0.0;
-  double loss_until = 0.0;
-  /// Crash chaos: the first `crash_hosts` hosts of every shard stop their
-  /// monitors (host goes silent; lease expires) during [crash_at,
-  /// crash_until).
-  int crash_hosts = 0;
-  double crash_at = 0.0;
-  double crash_until = 0.0;
+  /// Faults: each shard's injector runs the specs that concern it, and a
+  /// spec naming a host no shard holds is refused (DESIGN.md §14).
+  chaos::FaultPlan faults;
   /// Per-shard trace ring capacity; tracing off makes bench runs cheaper.
   bool tracing = true;
   std::size_t trace_capacity = std::size_t{1} << 12;
@@ -110,7 +104,6 @@ struct ShardedClusterReport {
 class ShardedCluster {
  public:
   explicit ShardedCluster(ShardedClusterOptions options);
-  ~ShardedCluster();
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
@@ -118,16 +111,9 @@ class ShardedCluster {
   /// Call once per instance.
   ShardedClusterReport run();
 
-  [[nodiscard]] const ShardedClusterOptions& options() const noexcept {
-    return options_;
-  }
   [[nodiscard]] sim::ShardGroup& group() noexcept { return group_; }
-  [[nodiscard]] net::ShardRouter& router() noexcept { return *router_; }
   [[nodiscard]] net::Network& network(std::size_t shard) {
-    return *shards_.at(shard)->net;
-  }
-  [[nodiscard]] obs::Tracer& tracer(std::size_t shard) {
-    return *shards_.at(shard)->tracer;
+    return shards_.at(shard)->network();
   }
   /// The root registry ("root" host, shard 0).
   [[nodiscard]] registry::Registry& root_registry();
@@ -136,56 +122,75 @@ class ShardedCluster {
   [[nodiscard]] registry::Registry& shard_registry(std::size_t shard);
 
  private:
-  /// Deterministic message-loss injector, one per shard so the random
-  /// stream is single-writer and independent of other shards' traffic.
-  class LossPolicy final : public net::FaultPolicy {
-   public:
-    LossPolicy(sim::Engine& engine, double probability, double from,
-               double until, std::uint64_t seed)
-        : engine_(&engine),
-          probability_(probability),
-          from_(from),
-          until_(until),
-          rng_(seed) {}
-
-    PostVerdict on_post(const net::Message&) override {
-      PostVerdict verdict;
-      const double now = engine_->now();
-      if (now >= from_ && now < until_ && rng_.uniform() < probability_) {
-        verdict.drop = true;
-      }
-      return verdict;
-    }
-    double bandwidth_factor(const std::string&, const std::string&) override {
-      return 1.0;
-    }
-
-   private:
-    sim::Engine* engine_;
-    double probability_;
-    double from_;
-    double until_;
-    support::Rng rng_;
-  };
-
   // Declaration order is destruction order in reverse: engines (group_)
   // die last; within a shard, hosts outlive the network, which outlives
-  // the monitors and registries that reference it.
-  struct Shard {
-    std::unique_ptr<obs::Tracer> tracer;
+  // the monitors and registries that reference it; the fault injector,
+  // which references all of them, dies first.
+  struct Shard final : chaos::FaultTarget {
+    // -- chaos::FaultTarget: this shard's hosts only -------------------------
+    sim::Engine& engine() override { return net_->engine(); }
+    net::Network& network() override { return *net_; }
+    obs::Tracer& tracer() override { return *tracer_; }
+    std::vector<std::string> crash_rate_hosts() const override {
+      std::vector<std::string> workers;  // every monitored host, in id order
+      for (const auto& m : monitors) {
+        workers.push_back(m->host().name());
+      }
+      return workers;
+    }
+    int fail_host(const std::string& host_name) override {
+      if (registry::Registry* r = registry_on(host_name)) {
+        r->stop();
+      } else {
+        monitor_on(host_name).stop();
+      }
+      return 0;  // no application processes run on a sharded cluster
+    }
+    void restart_host(const std::string& host_name) override {
+      if (registry::Registry* r = registry_on(host_name)) {
+        r->restart_cold();
+      } else {
+        monitor_on(host_name).start();
+      }
+    }
+    monitor::Monitor& monitor_on(const std::string& host_name) override {
+      // Workers are attached first: a worker's host id indexes its monitor.
+      const auto index = static_cast<std::size_t>(net_->id_of(host_name));
+      if (index >= monitors.size()) {
+        throw std::invalid_argument("no monitor runs on " + host_name);
+      }
+      return *monitors[index];
+    }
+    void crash_registry() override { registry->stop(); }
+    void restart_registry() override { registry->restart_cold(); }
+    void set_phase_listener(const txn::PhaseListener&) override {}
+
+    /// The registry running on `host_name` (nullptr: none).
+    registry::Registry* registry_on(const std::string& host_name) const {
+      for (registry::Registry* r : {registry.get(), root.get()}) {
+        if (r != nullptr && r->host_name() == host_name) {
+          return r;
+        }
+      }
+      return nullptr;
+    }
+
+    std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::MetricsRegistry> metrics;
-    std::unique_ptr<LossPolicy> faults;
     std::vector<std::unique_ptr<host::Host>> hosts;
-    std::unique_ptr<net::Network> net;
+    std::unique_ptr<net::Network> net_;
     std::vector<std::unique_ptr<monitor::Monitor>> monitors;
     std::unique_ptr<registry::Registry> registry;  // child / flat root
     std::unique_ptr<registry::Registry> root;      // shard 0 only
+    std::unique_ptr<chaos::FaultInjector> injector;
   };
 
   /// Build one shard's hosts, network, registries and monitors; every
   /// shard's monitors share `classifier`.
   void build_shard(std::size_t shard, const rules::MigrationPolicy& policy,
                    const monitor::Classifier& classifier);
+  /// Hand each shard the fault specs that concern it and arm its injector.
+  void arm_faults();
 
   ShardedClusterOptions options_;
   sim::ShardGroup group_;

@@ -200,12 +200,13 @@ class Registry {
   void start();
   void stop();
 
-  /// Drop all soft state (host table, every process record and claim,
-  /// registration order) — a cold restart.  Schemas, malleable-job
-  /// registrations and the decision log survive: they are configuration
-  /// and audit trail, not soft state.  Call while stopped; the tables
-  /// rebuild from subsequent monitor announcements.
-  void clear_soft_state();
+  /// Cold restart: drop all soft state (host table, every process record
+  /// and claim, registration order), start again and trace
+  /// `registry.cold_restart`.  Schemas, malleable-job registrations and the
+  /// decision log survive: they are configuration and audit trail, not
+  /// soft state.  Call while stopped; the tables rebuild from subsequent
+  /// monitor announcements (paper §3).
+  void restart_cold();
 
   [[nodiscard]] int port() const noexcept { return config_.port; }
   [[nodiscard]] const std::string& host_name() const {

@@ -3,7 +3,7 @@
 
 A cluster plan parameterizes core::ShardedCluster — the scaling scenario on
 the parallel sharded DES core — without recompiling: fleet size, shard
-count, registry topology, load mix, and chaos windows.  The committed
+count, registry topology and load mix.  The committed
 plans/huge-cluster.json (100k hosts) and plans/huge-cluster-smoke.json (CI
 size) were produced by this script; regenerate or derive new ones with:
 
@@ -16,9 +16,10 @@ The C++ loader is the one schema: it refuses unknown keys, wrong types and
 out-of-range values, naming the key ("plan.hots: $.hots: unknown key"), so
 a typo in a hand-edited plan is an error, never a silent default.
 
-Per-host crash-rate failures (a mean time between crashes) are not part of
-a cluster plan: they are a chaos fault plan's host_crash_rate fault, swept
-with `tools/chaos_campaign --plan=ckpt-storm --mtbf=M1,M2,...`.
+Faults are written into a plan by hand, as a "faults" array of the same
+fault objects a chaos fault plan holds (plans/control-loss.json shows
+them); plans/huge-cluster-smoke.json carries a loss window, a monitor stall
+and a registry cold restart.  Regenerating it drops them, so add them back.
 """
 
 import argparse
@@ -42,18 +43,6 @@ def build_plan(args: argparse.Namespace) -> dict:
         "tracing": not args.no_tracing,
         "trace_capacity": args.trace_capacity,
     }
-    if args.message_loss > 0:
-        plan["message_loss"] = args.message_loss
-        plan["loss_from"] = args.loss_from
-        plan["loss_until"] = (
-            args.loss_until if args.loss_until > 0 else args.duration
-        )
-    if args.crash_hosts > 0:
-        plan["crash_hosts"] = args.crash_hosts
-        plan["crash_at"] = args.crash_at
-        plan["crash_until"] = (
-            args.crash_until if args.crash_until > 0 else args.duration
-        )
     return plan
 
 
@@ -80,19 +69,6 @@ def main() -> int:
                         dest="busy_fraction")
     parser.add_argument("--overloaded-fraction", type=float, default=0.05,
                         dest="overloaded_fraction")
-    parser.add_argument("--message-loss", type=float, default=0.0,
-                        dest="message_loss")
-    parser.add_argument("--loss-from", type=float, default=0.0,
-                        dest="loss_from")
-    parser.add_argument("--loss-until", type=float, default=0.0,
-                        dest="loss_until", help="default: plan duration")
-    parser.add_argument("--crash-hosts", type=int, default=0,
-                        dest="crash_hosts",
-                        help="first N hosts of each shard crash")
-    parser.add_argument("--crash-at", type=float, default=0.0,
-                        dest="crash_at")
-    parser.add_argument("--crash-until", type=float, default=0.0,
-                        dest="crash_until", help="default: plan duration")
     parser.add_argument("--no-tracing", action="store_true", dest="no_tracing",
                         help="disable tracing (cheaper bench runs)")
     parser.add_argument("--trace-capacity", type=int, default=4096,

@@ -51,10 +51,12 @@ std::vector<JsonField> plan_fields(std::string& name, obs::JsonArray& faults) {
 /// The rules that tie a fault's fields together, checked after the table
 /// read: the phase vocabulary of its kind (a pre-copy stall's phase
 /// defaults to "precopy"), and a crash rate's mtbf and end.
-support::Status check_fault(FaultSpec& spec, const std::string& path) {
-  const auto invalid = [&path](const std::string& key,
-                               const std::string& what) {
-    return make_error("chaos." + key, path + "." + key + ": " + what);
+support::Status check_fault(FaultSpec& spec, std::string_view doc,
+                            const std::string& path) {
+  const auto invalid = [doc, &path](const std::string& key,
+                                    const std::string& what) {
+    return make_error(std::string(doc) + "." + key,
+                      path + "." + key + ": " + what);
   };
   if (spec.kind == FaultKind::kHostCrashRate) {
     if (spec.mtbf <= 0.0) {
@@ -304,22 +306,30 @@ Expected<FaultPlan> FaultPlan::from_json(std::string_view text) {
   if (!document.has_value()) {
     return document.error();
   }
-  FaultPlan plan;
+  std::string name;
   obs::JsonArray faults;
-  if (auto read = obs::json_read(*document, plan_fields(plan.name_, faults),
-                                 "chaos", "$");
+  if (auto read =
+          obs::json_read(*document, plan_fields(name, faults), "chaos", "$");
       !read) {
     return read.error();
   }
+  return from_json_faults(std::move(name), faults, "chaos", "$.faults");
+}
+
+Expected<FaultPlan> FaultPlan::from_json_faults(std::string name,
+                                                const obs::JsonArray& faults,
+                                                std::string_view doc,
+                                                const std::string& path) {
+  FaultPlan plan{std::move(name)};
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const std::string path = "$.faults[" + std::to_string(i) + "]";
+    const std::string spec_path = path + "[" + std::to_string(i) + "]";
     FaultSpec spec;
-    if (auto read =
-            obs::json_read(faults[i], fault_fields(spec), "chaos", path);
+    if (auto read = obs::json_read(faults[i], fault_fields(spec), doc,
+                                   spec_path);
         !read) {
       return read.error();
     }
-    if (auto checked = check_fault(spec, path); !checked) {
+    if (auto checked = check_fault(spec, doc, spec_path); !checked) {
       return checked.error();
     }
     plan.specs_.push_back(std::move(spec));

@@ -34,18 +34,22 @@ bool aims_at(FaultKind kind, const std::string& txn_kind) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(core::ReschedulerRuntime& runtime,
-                             FaultPlan plan, std::uint64_t seed)
-    : runtime_(&runtime), plan_(std::move(plan)), rng_(seed) {}
+FaultInjector::FaultInjector(FaultTarget& target, FaultPlan plan,
+                             std::uint64_t seed)
+    : target_(target),
+      engine_(target.engine()),
+      network_(target.network()),
+      plan_(std::move(plan)),
+      rng_(seed) {}
 
 FaultInjector::~FaultInjector() {
   for (auto& event : events_) {
     event.cancel();
   }
   if (armed_) {
-    runtime_->set_phase_listener(nullptr);
-    if (runtime_->network().fault_policy() == this) {
-      runtime_->network().set_fault_policy(nullptr);
+    target_.set_phase_listener(nullptr);
+    if (network_.fault_policy() == this) {
+      network_.set_fault_policy(nullptr);
     }
   }
 }
@@ -54,36 +58,29 @@ void FaultInjector::arm() {
   if (armed_) {
     return;
   }
-  armed_ = true;
   for (const FaultSpec& spec : plan_.specs()) {
-    // Host-targeted faults must name real, non-wildcard hosts.
-    const bool host_targeted = spec.kind == FaultKind::kHostCrash ||
-                               spec.kind == FaultKind::kCpuSlowdown ||
-                               spec.kind == FaultKind::kMonitorStall;
-    if (host_targeted &&
-        (spec.host_a == "*" ||
-         runtime_->network().find_host(spec.host_a) == nullptr)) {
+    // Host faults name one real host.  Crash-rate and migration-window
+    // faults may use the "*" wildcard (their trigger picks the host), but a
+    // host they name must exist too.
+    const bool host_fault = spec.kind == FaultKind::kHostCrash ||
+                            spec.kind == FaultKind::kCpuSlowdown ||
+                            spec.kind == FaultKind::kMonitorStall;
+    const bool may_name_host = spec.kind == FaultKind::kHostCrashRate ||
+                               spec.kind == FaultKind::kMigrationDestCrash ||
+                               spec.kind == FaultKind::kMigrationLinkCut;
+    if ((host_fault || (may_name_host && spec.host_a != "*")) &&
+        (spec.host_a == "*" || network_.find_host(spec.host_a) == nullptr)) {
       throw std::invalid_argument("fault plan \"" + plan_.name() +
                                   "\" targets unknown host: " + spec.host_a);
     }
-    const bool migration_window =
-        spec.kind == FaultKind::kMigrationDestCrash ||
-        spec.kind == FaultKind::kMigrationLinkCut;
-    if (migration_window) {
-      // Wildcard destinations are allowed (the trigger is the transaction,
-      // not a wall-clock event), but a named one must exist.
-      if (spec.host_a != "*" &&
-          runtime_->network().find_host(spec.host_a) == nullptr) {
-        throw std::invalid_argument("fault plan \"" + plan_.name() +
-                                    "\" targets unknown host: " +
-                                    spec.host_a);
-      }
+    if (spec.kind == FaultKind::kMonitorStall) {
+      (void)target_.monitor_on(spec.host_a);  // throws when none runs there
     }
   }
-  runtime_->network().set_fault_policy(this);
-  runtime_->set_phase_listener(
+  armed_ = true;
+  network_.set_fault_policy(this);
+  target_.set_phase_listener(
       [this](const txn::PhaseEvent& event) { return on_phase(event); });
-  sim::Engine& engine = runtime_->engine();
   for (std::size_t i = 0; i < plan_.specs().size(); ++i) {
     const FaultSpec& spec = plan_.specs()[i];
     const bool migration_window =
@@ -93,25 +90,20 @@ void FaultInjector::arm() {
       continue;  // triggered by phase entry, not by wall-clock events
     }
     if (spec.kind == FaultKind::kHostCrashRate) {
-      if (spec.host_a != "*" &&
-          runtime_->network().find_host(spec.host_a) == nullptr) {
-        throw std::invalid_argument("fault plan \"" + plan_.name() +
-                                    "\" targets unknown host: " + spec.host_a);
-      }
       schedule_crash_arrivals(spec);
       continue;  // its schedule IS the arrivals, no activate/deactivate
     }
     events_.push_back(
-        engine.schedule_at(spec.at, [this, i] { activate(i); }));
+        engine_.schedule_at(spec.at, [this, i] { activate(i); }));
     if (!spec.permanent()) {
       events_.push_back(
-          engine.schedule_at(spec.until, [this, i] { deactivate(i); }));
+          engine_.schedule_at(spec.until, [this, i] { deactivate(i); }));
     }
   }
 }
 
 bool FaultInjector::spec_active(const FaultSpec& spec) const {
-  const double now = runtime_->engine().now();
+  const double now = engine_.now();
   return now >= spec.at && (spec.permanent() || now < spec.until);
 }
 
@@ -209,7 +201,7 @@ double FaultInjector::bandwidth_factor(const std::string& src,
 }
 
 void FaultInjector::trace_fault(const FaultSpec& spec, const char* phase) {
-  obs::Tracer& tracer = runtime_->tracer();
+  obs::Tracer& tracer = target_.tracer();
   if (!obs::active(&tracer)) {
     return;
   }
@@ -229,32 +221,32 @@ void FaultInjector::activate(std::size_t index) {
   switch (spec.kind) {
     case FaultKind::kHostCrash:
       if (down_hosts_.insert(spec.host_a).second) {
-        runtime_->fail_host(spec.host_a);
+        target_.fail_host(spec.host_a);
         ++stats_.host_crashes;
       }
       break;
     case FaultKind::kCpuSlowdown: {
-      host::CpuModel& cpu = runtime_->host(spec.host_a).cpu();
+      host::CpuModel& cpu = network_.find_host(spec.host_a)->cpu();
       saved_cpu_speed_.emplace(spec.host_a, cpu.speed());
       cpu.set_speed(cpu.speed() * std::max(spec.factor, 1e-3));
       ++stats_.cpu_slowdowns;
       break;
     }
     case FaultKind::kMonitorStall:
-      runtime_->monitor_on(spec.host_a).stop();
+      target_.monitor_on(spec.host_a).stop();
       ++stats_.monitor_stalls;
       break;
     case FaultKind::kRegistryCrash:
-      runtime_->crash_registry();
+      target_.crash_registry();
       ++stats_.registry_crashes;
       break;
     case FaultKind::kPartition:
       ++stats_.partitions;
-      runtime_->network().on_fault_change();
+      network_.on_fault_change();
       break;
     case FaultKind::kLinkDegrade:
       ++stats_.link_degrades;
-      runtime_->network().on_fault_change();
+      network_.on_fault_change();
       break;
     case FaultKind::kResizeStall:
       active_stalls_.insert(index);
@@ -278,28 +270,28 @@ void FaultInjector::deactivate(std::size_t index) {
   switch (spec.kind) {
     case FaultKind::kHostCrash:
       if (down_hosts_.erase(spec.host_a) > 0) {
-        runtime_->restart_host(spec.host_a);
+        target_.restart_host(spec.host_a);
         ++stats_.host_restarts;
       }
       break;
     case FaultKind::kCpuSlowdown: {
       const auto it = saved_cpu_speed_.find(spec.host_a);
       if (it != saved_cpu_speed_.end()) {
-        runtime_->host(spec.host_a).cpu().set_speed(it->second);
+        network_.find_host(spec.host_a)->cpu().set_speed(it->second);
         saved_cpu_speed_.erase(it);
       }
       break;
     }
     case FaultKind::kMonitorStall:
-      runtime_->monitor_on(spec.host_a).start();
+      target_.monitor_on(spec.host_a).start();
       break;
     case FaultKind::kRegistryCrash:
-      runtime_->restart_registry();
+      target_.restart_registry();
       break;
     case FaultKind::kPartition:
     case FaultKind::kLinkDegrade:
       // Stalled/degraded transfers pick their full rates back up.
-      runtime_->network().on_fault_change();
+      network_.on_fault_change();
       break;
     case FaultKind::kResizeStall:
     case FaultKind::kMigrationPrecopyStall:
@@ -320,7 +312,6 @@ double FaultInjector::on_phase(const txn::PhaseEvent& event) {
         (!spec.phase.empty() && spec.phase != event.phase)) {
       continue;
     }
-    sim::Engine& engine = runtime_->engine();
     switch (spec.kind) {
       case FaultKind::kMigrationPrecopyStall:
       case FaultKind::kResizeStall:
@@ -337,7 +328,7 @@ double FaultInjector::on_phase(const txn::PhaseEvent& event) {
         }
         trace_fault(spec, "inject");
         if (spec.kind == FaultKind::kMigrationDestCrash) {
-          events_.push_back(engine.schedule_after(
+          events_.push_back(engine_.schedule_after(
               0.0, [this, dest, reboot = spec.delay] {
                 if (take_down(dest, reboot, "migration destination")) {
                   ++stats_.migration_dest_crashes;
@@ -346,8 +337,8 @@ double FaultInjector::on_phase(const txn::PhaseEvent& event) {
         } else {
           const double heal = spec.delay > 0.0
                                   ? spec.delay
-                                  : std::max(spec.until - engine.now(), 1.0);
-          events_.push_back(engine.schedule_after(
+                                  : std::max(spec.until - engine_.now(), 1.0);
+          events_.push_back(engine_.schedule_after(
               0.0, [this, a = event.source, b = dest, heal] {
                 cut_migration_link(a, b, heal);
               }));
@@ -362,7 +353,7 @@ double FaultInjector::on_phase(const txn::PhaseEvent& event) {
         const auto pick = static_cast<std::size_t>(rng_.uniform_int(
             0, static_cast<std::int64_t>(event.targets.size()) - 1));
         trace_fault(spec, "inject");
-        events_.push_back(engine.schedule_after(
+        events_.push_back(engine_.schedule_after(
             0.0, [this, host = event.targets[pick], reboot = spec.delay] {
               if (take_down(host, reboot, "spawn target")) {
                 ++stats_.resize_target_crashes;
@@ -378,25 +369,17 @@ double FaultInjector::on_phase(const txn::PhaseEvent& event) {
 }
 
 void FaultInjector::schedule_crash_arrivals(const FaultSpec& spec) {
-  // Expand the target set.  A wildcard spares the registry host: the
-  // control plane's own fault tolerance is the control-loss plan's job, and
-  // a registry lost mid-window cannot relaunch the other crashes' victims
-  // (soft state wiped), which would fail the no-lost-process invariant for
-  // reasons the checkpoint campaign is not studying.
-  std::vector<std::string> targets;
-  if (spec.host_a == "*") {
-    for (const std::string& name : runtime_->host_names()) {
-      if (name != runtime_->config().registry_host) {
-        targets.push_back(name);
-      }
-    }
-  } else {
-    targets.push_back(spec.host_a);
-  }
+  // A wildcard spares the registry hosts: the control plane's own fault
+  // tolerance is the control-loss plan's job, and a registry lost
+  // mid-window cannot relaunch the other crashes' victims (soft state
+  // wiped), which would fail the no-lost-process invariant for reasons the
+  // checkpoint campaign is not studying.
+  const std::vector<std::string> targets =
+      spec.host_a == "*" ? target_.crash_rate_hosts()
+                         : std::vector<std::string>{spec.host_a};
   // Pre-draw every arrival now, per host in cluster order: rng consumption
   // is independent of event interleaving, so (plan, seed) determines the
   // whole crash schedule.
-  sim::Engine& engine = runtime_->engine();
   for (const std::string& host : targets) {
     double t = spec.at;
     while (true) {
@@ -404,7 +387,7 @@ void FaultInjector::schedule_crash_arrivals(const FaultSpec& spec) {
       if (t >= spec.until) {
         break;
       }
-      events_.push_back(engine.schedule_at(
+      events_.push_back(engine_.schedule_at(
           t, [this, host, reboot = spec.delay] {
             if (take_down(host, reboot, "crash-rate arrival")) {
               ++stats_.rate_crashes;
@@ -421,12 +404,12 @@ bool FaultInjector::take_down(const std::string& host, double reboot_after,
     return false;  // already down (another fault beat us to it)
   }
   ARS_LOG_WARN("chaos", what << " crash fells " << host);
-  runtime_->fail_host(host);
+  target_.fail_host(host);
   if (reboot_after > 0.0) {
     events_.push_back(
-        runtime_->engine().schedule_after(reboot_after, [this, host] {
+        engine_.schedule_after(reboot_after, [this, host] {
           if (down_hosts_.erase(host) > 0) {
-            runtime_->restart_host(host);
+            target_.restart_host(host);
             ++stats_.host_restarts;
           }
         }));
@@ -445,16 +428,16 @@ void FaultInjector::cut_migration_link(const std::string& a,
                                             << heal_after << "s");
   ++stats_.migration_link_cuts;
   link_cuts_.push_back(LinkCut{a, b});
-  runtime_->network().on_fault_change();
+  network_.on_fault_change();
   events_.push_back(
-      runtime_->engine().schedule_after(heal_after, [this, a, b] {
+      engine_.schedule_after(heal_after, [this, a, b] {
         const auto it = std::find_if(
             link_cuts_.begin(), link_cuts_.end(), [&](const LinkCut& cut) {
               return cut.a == a && cut.b == b;
             });
         if (it != link_cuts_.end()) {
           link_cuts_.erase(it);
-          runtime_->network().on_fault_change();
+          network_.on_fault_change();
         }
       }));
 }

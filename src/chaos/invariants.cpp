@@ -40,10 +40,19 @@ InvariantReport InvariantChecker::check() const {
         std::move(invariant), std::move(subject), std::move(detail)});
   };
 
+  // Trace completeness: the invariants below count trace events, so a ring
+  // that evicted some cannot prove them.
+  const obs::Tracer& tracer = runtime_->tracer();
+  if (tracer.dropped() > 0) {
+    violate("trace-complete", "tracer",
+            std::to_string(tracer.dropped()) +
+                " events evicted by the trace ring's capacity bound");
+  }
+
   // Scan the trace once: exits per process, resumes, relaunches.
   std::map<std::string, int> exits;       // process name -> exit count
   std::size_t resumed_events = 0;
-  for (const obs::TraceEvent& event : runtime_->tracer().events()) {
+  for (const obs::TraceEvent& event : tracer.events()) {
     if (event.kind != obs::EventKind::kInstant) {
       continue;
     }

@@ -7,18 +7,10 @@
 #include "ars/core/runtime.hpp"
 #include "ars/host/hog.hpp"
 #include "ars/rules/policy.hpp"
+#include "ars/support/hash.hpp"
 #include "ars/support/rng.hpp"
 
 namespace ars::chaos {
-
-std::uint64_t fnv1a(const std::string& data) noexcept {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 namespace {
 
@@ -237,7 +229,7 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   ScenarioReport report;
   report.invariants = checker.check();
   const std::string trace = runtime.tracer().to_jsonl();
-  report.trace_hash = fnv1a(trace);
+  report.trace_hash = support::fnv1a(trace);
   if (options.keep_trace || !report.invariants.ok()) {
     // Black-box rule: a failing run keeps its evidence.
     report.trace_jsonl = trace;
@@ -283,7 +275,8 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   report.faults = injector.stats();
   report.messages_dropped = runtime.network().dropped_total();
   report.decisions = runtime.scheduler().decisions().size();
-  report.decision_log_hash = fnv1a(runtime.scheduler().decision_log());
+  report.decision_log_hash =
+      support::fnv1a(runtime.scheduler().decision_log());
   return report;
 }
 

@@ -259,19 +259,6 @@ void ReschedulerRuntime::restart_host(const std::string& host_name) {
   monitors_.at(host_name)->start();
 }
 
-void ReschedulerRuntime::crash_registry() { registry_->stop(); }
-
-void ReschedulerRuntime::restart_registry() {
-  // Cold restart: the soft-state tables did not survive; the paper's claim
-  // is that heartbeats and periodic re-announcements rebuild them.
-  registry_->clear_soft_state();
-  registry_->start();
-  if (obs::active(&tracer_)) {
-    tracer_.instant("registry.cold_restart", "scheduler",
-                    config_.registry_host, {});
-  }
-}
-
 mpi::RankId ReschedulerRuntime::launch_app(
     const std::string& host_name, hpcm::MigrationEngine::MigratableApp app,
     const std::string& name, hpcm::ApplicationSchema schema) {

@@ -6,6 +6,7 @@
 
 #include "ars/obs/json.hpp"
 #include "ars/rules/policy.hpp"
+#include "ars/support/hash.hpp"
 
 namespace ars::core {
 
@@ -28,15 +29,6 @@ constexpr int kRootPort = 5000;
 constexpr int kChildPort = 5100;
 constexpr int kCommanderPort = 6000;
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 ShardedCluster::ShardedCluster(ShardedClusterOptions options)
@@ -58,15 +50,10 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
   router_ = std::make_unique<net::ShardRouter>(
       group_, net::ShardRouter::Options{options_.cross_latency});
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    router_->attach(shard, *shards_[shard]->net);
+    router_->attach(shard, *shards_[shard]->net_);
   }
-}
-
-ShardedCluster::~ShardedCluster() {
-  for (auto& shard : shards_) {
-    if (shard && shard->net) {
-      shard->net->set_fault_policy(nullptr);
-    }
+  if (!options_.faults.empty()) {
+    arm_faults();
   }
 }
 
@@ -77,27 +64,16 @@ void ShardedCluster::build_shard(std::size_t shard,
   sim::Engine& engine = group_.engine(shard);
   const std::size_t shard_count = group_.size();
 
-  state.tracer = std::make_unique<obs::Tracer>(
+  state.tracer_ = std::make_unique<obs::Tracer>(
       obs::Tracer::Options{options_.trace_capacity, options_.tracing});
-  state.tracer->set_clock([&engine] { return engine.now(); });
+  state.tracer_->set_clock([&engine] { return engine.now(); });
   state.metrics = std::make_unique<obs::MetricsRegistry>();
+  obs::Tracer* tracer = options_.tracing ? state.tracer_.get() : nullptr;
 
   net::Network::Options net_options;
   net_options.metrics = state.metrics.get();
-  net_options.tracer = options_.tracing ? state.tracer.get() : nullptr;
-  state.net = std::make_unique<net::Network>(engine, net_options);
-
-  if (options_.message_loss > 0.0 &&
-      options_.loss_until > options_.loss_from) {
-    // Salt the stream per shard so each LossPolicy is single-writer and a
-    // shard's verdicts do not depend on other shards' traffic volume.
-    const std::uint64_t salt =
-        options_.seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1));
-    state.faults = std::make_unique<LossPolicy>(
-        engine, options_.message_loss, options_.loss_from,
-        options_.loss_until, salt);
-    state.net->set_fault_policy(state.faults.get());
-  }
+  net_options.tracer = tracer;
+  state.net_ = std::make_unique<net::Network>(engine, net_options);
 
   // Block partition: host i lives on shard i*shards/hosts's inverse — each
   // shard owns the contiguous global range [lo, hi).
@@ -121,59 +97,44 @@ void ShardedCluster::build_shard(std::size_t shard,
       ambient = 1.5;  // fails the destination conditions -> busy
     }
     h->loadavg().set_ambient_runnable(ambient);
-    state.net->attach(*h);
+    state.net_->attach(*h);
     state.hosts.push_back(std::move(h));
   }
 
-  // Registry tier.  The monitors' target must be bound before their first
-  // registration arrives; Registry::start() binds synchronously at setup
-  // (virtual t = 0) and the earliest datagram lands one latency later.
-  std::string registry_host_name;
-  int registry_port = 0;
-  if (options_.hierarchical) {
-    registry_host_name = "reg" + std::to_string(shard);
-    registry_port = kChildPort;
+  // Registry tier, each registry on its own unmonitored host.  The
+  // monitors' target must be bound before their first registration
+  // arrives; Registry::start() binds synchronously at setup (virtual t = 0)
+  // and the earliest datagram lands one latency later.
+  const auto add_registry = [&](const std::string& name, int port,
+                                bool child) {
     host::HostSpec spec;
-    spec.name = registry_host_name;
+    spec.name = name;
     auto h = std::make_unique<host::Host>(engine, spec);
-    state.net->attach(*h);
-
+    state.net_->attach(*h);
     registry::Registry::Config config;
-    config.port = kChildPort;
+    config.port = port;
     config.policy = policy;
-    config.parent_host = "root";
-    config.parent_port = kRootPort;
-    config.audit = registry::AuditMode::kOff;
-    config.tracer = options_.tracing ? state.tracer.get() : nullptr;
-    config.metrics = state.metrics.get();
-    state.registry =
-        std::make_unique<registry::Registry>(*h, *state.net, config);
-    state.hosts.push_back(std::move(h));
-  } else {
-    registry_host_name = "root";
-    registry_port = kRootPort;
-  }
-
-  if (shard == 0) {
-    host::HostSpec spec;
-    spec.name = "root";
-    auto h = std::make_unique<host::Host>(engine, spec);
-    state.net->attach(*h);
-
-    registry::Registry::Config config;
-    config.port = kRootPort;
-    config.policy = policy;
-    config.audit = registry::AuditMode::kOff;
-    config.tracer = options_.tracing ? state.tracer.get() : nullptr;
-    config.metrics = state.metrics.get();
-    auto root =
-        std::make_unique<registry::Registry>(*h, *state.net, config);
-    if (options_.hierarchical) {
-      state.root = std::move(root);
-    } else {
-      state.registry = std::move(root);  // the flat registry IS the root
+    if (child) {
+      config.parent_host = "root";
+      config.parent_port = kRootPort;
     }
+    config.audit = registry::AuditMode::kOff;
+    config.tracer = tracer;
+    config.metrics = state.metrics.get();
+    auto r = std::make_unique<registry::Registry>(*h, *state.net_, config);
     state.hosts.push_back(std::move(h));
+    return r;
+  };
+  const std::string registry_host_name =
+      options_.hierarchical ? "reg" + std::to_string(shard) : "root";
+  const int registry_port = options_.hierarchical ? kChildPort : kRootPort;
+  if (options_.hierarchical) {
+    state.registry = add_registry(registry_host_name, kChildPort, true);
+  }
+  if (shard == 0) {
+    // The flat registry IS the root.
+    (options_.hierarchical ? state.root : state.registry) =
+        add_registry("root", kRootPort, false);
   }
 
   if (state.root != nullptr) {
@@ -194,9 +155,9 @@ void ShardedCluster::build_shard(std::size_t shard,
     config.policy = policy;
     config.classifier = classifier;
     config.delta_heartbeats = options_.delta_heartbeats;
-    config.tracer = options_.tracing ? state.tracer.get() : nullptr;
+    config.tracer = tracer;
     config.metrics = state.metrics.get();
-    auto m = std::make_unique<monitor::Monitor>(h, *state.net, config);
+    auto m = std::make_unique<monitor::Monitor>(h, *state.net_, config);
     // Stagger the start phase deterministically across the heartbeat
     // period.  Synchronized monitors would heartbeat in lockstep waves of
     // `hosts` simultaneous datagrams, and the network's fluid
@@ -207,12 +168,45 @@ void ShardedCluster::build_shard(std::size_t shard,
         static_cast<double>(((lo + w) * 9973) % 10007) / 10007.0 * 10.0;
     monitor::Monitor* raw = m.get();
     engine.schedule_at(phase, [raw] { raw->start(); });
-    if (w < static_cast<std::size_t>(options_.crash_hosts) &&
-        options_.crash_until > options_.crash_at) {
-      engine.schedule_at(options_.crash_at, [raw] { raw->stop(); });
-      engine.schedule_at(options_.crash_until, [raw] { raw->start(); });
-    }
     state.monitors.push_back(std::move(m));
+  }
+}
+
+void ShardedCluster::arm_faults() {
+  // A spec that names a host goes to the shard that holds it; wildcards
+  // and the symmetric link faults (a datagram is judged on its sender's
+  // shard) go to every shard, and a registry crash to each shard that runs
+  // its monitors' registry.
+  const std::vector<chaos::FaultSpec>& specs = options_.faults.specs();
+  std::vector<bool> taken(specs.size(), false);
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    Shard& state = *shards_[shard];
+    chaos::FaultPlan mine{options_.faults.name()};
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const chaos::FaultSpec& spec = specs[i];
+      if (spec.kind == chaos::FaultKind::kRegistryCrash
+              ? state.registry != nullptr
+              : spec.kind == chaos::FaultKind::kPartition ||
+                    spec.kind == chaos::FaultKind::kLinkDegrade ||
+                    spec.host_a == "*" ||
+                    state.net_->find_host(spec.host_a) != nullptr) {
+        mine.add(spec);
+        taken[i] = true;
+      }
+    }
+    // Salt the stream per shard so each injector is single-writer and a
+    // shard's draws do not depend on other shards' traffic volume.
+    state.injector = std::make_unique<chaos::FaultInjector>(
+        state, std::move(mine),
+        options_.seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));
+    state.injector->arm();
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (!taken[i]) {  // as FaultInjector::arm refuses an unknown host
+      throw std::invalid_argument("fault plan \"" + options_.faults.name() +
+                                  "\" targets a host on no shard: " +
+                                  specs[i].host_a);
+    }
   }
 }
 
@@ -247,7 +241,7 @@ ShardedClusterReport ShardedCluster::run() {
     report.shard_events.push_back(events);
     report.events += events;
     report.final_now = std::max(report.final_now, group_.engine(shard).now());
-    report.dropped += state.net->dropped_total();
+    report.dropped += state.net_->dropped_total();
     for (const auto& m : state.monitors) {
       report.consults += m->consults_sent();
     }
@@ -255,12 +249,12 @@ ShardedClusterReport ShardedCluster::run() {
       report.registered_hosts +=
           static_cast<int>(state.registry->hosts().size());
     }
-    tracers.push_back(state.tracer.get());
+    tracers.push_back(state.tracer_.get());
     merged.merge_from(*state.metrics);
-    report.trace_events += state.tracer->events().size();
+    report.trace_events += state.tracer_->events().size();
   }
   report.merged_trace = obs::merged_jsonl(tracers);
-  report.trace_hash = fnv1a(report.merged_trace);
+  report.trace_hash = support::fnv1a(report.merged_trace);
   report.metrics_json = merged.to_json();
   return report;
 }
@@ -273,6 +267,7 @@ support::Expected<ShardedClusterOptions> load_cluster_plan(
   }
   using obs::JsonField;
   ShardedClusterOptions o;
+  obs::JsonArray faults;
   const JsonField fields[] = {
       JsonField("name", o.name),
       JsonField("shards", o.shards).at_least(1),
@@ -286,18 +281,19 @@ support::Expected<ShardedClusterOptions> load_cluster_plan(
       JsonField("seed", o.seed),
       JsonField("busy_fraction", o.busy_fraction).within(0.0, 1.0),
       JsonField("overloaded_fraction", o.overloaded_fraction).within(0.0, 1.0),
-      JsonField("message_loss", o.message_loss).within(0.0, 1.0),
-      JsonField("loss_from", o.loss_from).at_least(0.0),
-      JsonField("loss_until", o.loss_until).at_least(0.0),
-      JsonField("crash_hosts", o.crash_hosts).at_least(0),
-      JsonField("crash_at", o.crash_at).at_least(0.0),
-      JsonField("crash_until", o.crash_until).at_least(0.0),
+      JsonField("faults", faults),
       JsonField("tracing", o.tracing),
       JsonField("trace_capacity", o.trace_capacity),
   };
   if (auto read = obs::json_read(*parsed, fields, "plan", "$"); !read) {
     return read.error();
   }
+  auto plan =
+      chaos::FaultPlan::from_json_faults(o.name, faults, "plan", "$.faults");
+  if (!plan) {
+    return plan.error();
+  }
+  o.faults = std::move(*plan);
   return o;
 }
 

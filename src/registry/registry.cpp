@@ -156,7 +156,7 @@ void Registry::stop() {
   endpoint_ = nullptr;
 }
 
-void Registry::clear_soft_state() {
+void Registry::restart_cold() {
   hosts_.clear();
   for (StateList& list : index_) {
     list = StateList{};
@@ -168,6 +168,11 @@ void Registry::clear_soft_state() {
   }
   children_.clear();
   next_registration_order_ = 0;
+  start();
+  if (obs::active(config_.tracer)) {
+    config_.tracer->instant("registry.cold_restart", "scheduler",
+                            host_->name(), {});
+  }
 }
 
 void Registry::register_schema(const hpcm::ApplicationSchema& schema) {

@@ -17,6 +17,7 @@
 #include "ars/core/runtime.hpp"
 #include "ars/host/hog.hpp"
 #include "ars/rules/policy.hpp"
+#include "ars/support/hash.hpp"
 
 namespace ars::core {
 namespace {
@@ -28,16 +29,6 @@ struct Fingerprint {
   std::size_t migrations = 0;
   bool migrated = false;
 };
-
-/// FNV-1a, so failure messages can show a compact digest of the timelines.
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 /// Compact Figure-7 shape: a migration-enabled app starts, a CPU hog then
 /// overloads its workstation, and the rescheduler migrates the app away.
@@ -94,7 +85,9 @@ TEST(DeterminismFigure7, TraceAndEventSequenceAreByteIdentical) {
   EXPECT_NE(first.trace_jsonl.find("\"txn\""), std::string::npos)
       << "trace carries no causal contexts; determinism check is vacuous";
 
-  EXPECT_EQ(fnv1a(first.trace_jsonl), fnv1a(second.trace_jsonl));
+  // Digests first, so a failure message shows them compactly.
+  EXPECT_EQ(support::fnv1a(first.trace_jsonl),
+            support::fnv1a(second.trace_jsonl));
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
       << "same seed, different timeline: event ordering is not deterministic";
   EXPECT_EQ(first.events_executed, second.events_executed);

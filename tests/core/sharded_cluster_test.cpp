@@ -5,8 +5,9 @@
 //       byte-identically — the legacy single-engine composition;
 //   (b) a fixed shard count repeats byte-identically across runs, in both
 //       the hierarchical and the flat (cross-shard-heavy) registry shapes;
-//   (c) chaos (seeded message loss, crash windows) replays byte-identically
-//       under N shards for the same seed and diverges for a different one.
+//   (c) chaos (a fault plan: seeded message loss, monitor stalls, crashes)
+//       replays byte-identically under N shards for the same seed and
+//       diverges for a different one.
 //
 // These tests also double as the obs-confinement regression: every N-shard
 // run writes per-shard tracers/metrics from worker threads and folds them
@@ -20,8 +21,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "ars/support/log.hpp"
 
 namespace ars {
 namespace {
@@ -110,10 +114,8 @@ TEST(ShardedCluster, ChaosReplayIsSeedStableUnderShards) {
   core::ShardedClusterOptions options = small_options();
   options.shards = 4;
   options.duration = 60.0;
-  options.hierarchical = false;  // most datagrams face the loss policy
-  options.message_loss = 0.25;
-  options.loss_from = 5.0;
-  options.loss_until = 40.0;
+  options.hierarchical = false;  // most datagrams face the loss fault
+  options.faults.message_loss(5.0, 40.0, 0.25);
   options.seed = 7;
 
   const core::ShardedClusterReport a = run_once(options);
@@ -131,17 +133,81 @@ TEST(ShardedCluster, CrashWindowSilencesMonitorsDeterministically) {
   options.shards = 2;
   options.hosts = 8;
   options.duration = 80.0;
-  options.crash_hosts = 2;  // the first two hosts of each shard
-  options.crash_at = 20.0;
-  options.crash_until = 45.0;
+  // The first two hosts of each shard fall silent over [20, 45).
+  for (const char* host : {"ws000000", "ws000001", "ws000004", "ws000005"}) {
+    options.faults.monitor_stall(20.0, 45.0, host);
+  }
 
   const core::ShardedClusterReport a = run_once(options);
   expect_identical(a, run_once(options));
 
   core::ShardedClusterOptions healthy = options;
-  healthy.crash_hosts = 0;
+  healthy.faults = chaos::FaultPlan{};
   const core::ShardedClusterReport c = run_once(healthy);
   EXPECT_NE(a.merged_trace, c.merged_trace);
+}
+
+TEST(ShardedCluster, FaultOnAHostNoShardHoldsIsRefused) {
+  core::ShardedClusterOptions options = small_options();
+  options.shards = 2;
+  options.faults.host_crash(10.0, 20.0, "ws000016");  // hosts are 0..15
+  EXPECT_THROW(core::ShardedCluster{options}, std::invalid_argument);
+
+  core::ShardedClusterOptions lossy = small_options();
+  lossy.shards = 2;
+  lossy.faults.message_loss(10.0, 20.0, 0.5, "ws99");
+  EXPECT_THROW(core::ShardedCluster{lossy}, std::invalid_argument);
+
+  // A registry host runs no monitor to stall.
+  core::ShardedClusterOptions stalled = small_options();
+  stalled.shards = 2;
+  stalled.faults.monitor_stall(10.0, 20.0, "reg1");
+  EXPECT_THROW(core::ShardedCluster{stalled}, std::invalid_argument);
+}
+
+// The sharded deployment under a control-loss-shaped plan: message loss,
+// duplication and delay, a monitor stall and a host crash in different
+// shards, and every child registry crashed and cold-restarted.  Soft state
+// (paper §3) must absorb it: one lease TTL plus a keyframe period after
+// the last fault, every worker is leased again at its registry.
+TEST(ShardedCluster, ControlLossPlanLeavesNoWorkerUnleased) {
+  core::ShardedClusterOptions options;
+  options.hosts = 2000;
+  options.shards = 4;
+  options.hierarchical = true;
+  options.seed = 3;
+  options.faults = chaos::FaultPlan{"sharded-control-loss"};
+  options.faults.message_loss(40.0, 100.0, 0.30)
+      .message_duplicate(40.0, 100.0, 0.10)
+      .message_delay(50.0, 90.0, 0.20, 0.5)
+      .monitor_stall(60.0, 110.0, "ws000100")  // shard 0
+      .host_crash(70.0, 120.0, "ws001700")     // shard 3
+      .registry_crash(130.0, 140.0);
+  // Lease TTL (35 s) plus full_status_every (6) monitoring cycles of at
+  // most 10 s: a cold registry has heard a keyframe from every host.
+  options.duration = options.faults.last_disruption_end() + 35.0 + 6 * 10.0;
+  // Every dropped datagram is narrated at WARN: 2,000 faulted monitors
+  // would bury a failure's own output.
+  const support::LogLevel saved_level = support::Logger::global().level();
+  support::Logger::global().set_level(support::LogLevel::kError);
+
+  core::ShardedCluster cluster(options);
+  const core::ShardedClusterReport a = cluster.run();
+  EXPECT_GT(a.dropped, 0u);
+  EXPECT_NE(a.merged_trace.find("\"registry.cold_restart\""),
+            std::string::npos);
+  int leased = 0;
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    for (const auto& [host, entry] : cluster.shard_registry(shard).hosts()) {
+      EXPECT_NE(entry.state, rules::SystemState::kUnavailable) << host;
+      ++leased;
+    }
+  }
+  EXPECT_EQ(leased, options.hosts);
+  EXPECT_EQ(a.registered_hosts, options.hosts);
+
+  expect_identical(a, run_once(options));
+  support::Logger::global().set_level(saved_level);
 }
 
 TEST(ShardedClusterPlan, ParsesOverridesAndRefusesUnknownKeys) {
@@ -149,8 +215,11 @@ TEST(ShardedClusterPlan, ParsesOverridesAndRefusesUnknownKeys) {
     "name": "huge", "hosts": 1000, "shards": 8, "duration": 30.5,
     "cross_latency": 0.01, "hierarchical": false, "delta_heartbeats": false,
     "seed": 42, "busy_fraction": 0.2, "overloaded_fraction": 0.1,
-    "message_loss": 0.05, "loss_from": 1.0, "loss_until": 2.0,
-    "crash_hosts": 3, "crash_at": 4.0, "crash_until": 5.0,
+    "faults": [
+      {"kind": "message_loss", "at": 1.0, "until": 2.0, "probability": 0.05},
+      {"kind": "monitor_stall", "at": 4.0, "until": 5.0, "host_a": "ws3"},
+      {"kind": "registry_crash", "at": 6.0, "until": 7.0}
+    ],
     "tracing": false, "trace_capacity": 64
   })";
   const auto loaded = core::load_cluster_plan(text);
@@ -164,8 +233,14 @@ TEST(ShardedClusterPlan, ParsesOverridesAndRefusesUnknownKeys) {
   EXPECT_FALSE(o.hierarchical);
   EXPECT_FALSE(o.delta_heartbeats);
   EXPECT_EQ(o.seed, 42u);
-  EXPECT_DOUBLE_EQ(o.message_loss, 0.05);
-  EXPECT_EQ(o.crash_hosts, 3);
+  ASSERT_EQ(o.faults.specs().size(), 3u);
+  EXPECT_EQ(o.faults.name(), "huge");
+  EXPECT_EQ(o.faults.specs()[0].kind, chaos::FaultKind::kMessageLoss);
+  EXPECT_DOUBLE_EQ(o.faults.specs()[0].probability, 0.05);
+  EXPECT_DOUBLE_EQ(o.faults.specs()[0].until, 2.0);
+  EXPECT_EQ(o.faults.specs()[1].kind, chaos::FaultKind::kMonitorStall);
+  EXPECT_EQ(o.faults.specs()[1].host_a, "ws3");
+  EXPECT_EQ(o.faults.specs()[2].kind, chaos::FaultKind::kRegistryCrash);
   EXPECT_FALSE(o.tracing);
   EXPECT_EQ(o.trace_capacity, 64u);
   // A typo would otherwise run the default it failed to override.
@@ -191,8 +266,6 @@ TEST(ShardedClusterPlan, RejectsMalformedPlans) {
       {R"({"hosts": "2000"})", "plan.hosts"},
       {R"({"hosts": true})", "plan.hosts"},
       {R"({"shards": 1.5})", "plan.shards"},
-      {R"({"crash_hosts": 1e10})", "plan.crash_hosts"},
-      {R"({"crash_hosts": -1})", "plan.crash_hosts"},
       {R"({"trace_capacity": -1})", "plan.trace_capacity"},
       {R"({"trace_capacity": 1.5e20})", "plan.trace_capacity"},
       {R"({"seed": -5})", "plan.seed"},
@@ -201,10 +274,9 @@ TEST(ShardedClusterPlan, RejectsMalformedPlans) {
       {R"({"cross_latency": -0.005})", "plan.cross_latency"},
       {R"({"duration": -1})", "plan.duration"},
       {R"({"hierarchical": "false"})", "plan.hierarchical"},
-      {R"({"message_loss": 5})", "plan.message_loss"},
       {R"({"busy_fraction": 2})", "plan.busy_fraction"},
       {R"({"busy_fraction": 1.5})", "plan.busy_fraction"},
-      {R"({"crash_at": -3})", "plan.crash_at"},
+      {R"({"faults": {}})", "plan.faults"},
       {R"({"delta_heartbeat": false})", "plan.delta_heartbeat"},
       {R"({"craash_hosts": 3})", "plan.craash_hosts"},
       {R"({"generator": "x"})", "plan.generator"},
@@ -216,6 +288,45 @@ TEST(ShardedClusterPlan, RejectsMalformedPlans) {
     const std::string path = "$." + std::string(code).substr(5) + ": ";
     EXPECT_EQ(loaded.error().message.rfind(path, 0), 0u)
         << text << " -> " << loaded.error().message;
+  }
+}
+
+// A cluster plan's faults are read with the fault plan's own per-spec
+// table and rules: a bad spec is refused with its path.
+TEST(ShardedClusterPlan, RefusesMalformedFaultsWithTheirPath) {
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"faults": [{"kind": "message_loss", "at": 1, "probability": 5}]})",
+       "plan.probability: $.faults[0].probability: "},
+      {R"({"faults": [{"kind": "registry_crash", "at": 1},)"
+       R"( {"kind": "message_loss", "at": 1, "probabilty": 0.5}]})",
+       "plan.probabilty: $.faults[1].probabilty: unknown key"},
+      {R"({"faults": [{"kind": "host_crash_rate", "at": 1, "until": 9}]})",
+       "plan.mtbf: $.faults[0].mtbf: "},
+      {R"({"faults": [{"kind": "meteor", "at": 1}]})",
+       "plan.kind: $.faults[0].kind: "},
+      {R"({"faults": [{"kind": "registry_crash"}]})",
+       "plan.at: $.faults[0].at: "},
+  };
+  for (const auto& [text, expected] : refused) {
+    const auto loaded = core::load_cluster_plan(text);
+    ASSERT_FALSE(loaded.has_value()) << text;
+    const std::string got =
+        loaded.error().code + ": " + loaded.error().message;
+    EXPECT_EQ(got.rfind(expected, 0), 0u) << text << " -> " << got;
+  }
+}
+
+// The six keys of the sharded cluster's former private fault mechanism are
+// gone: a plan that still sets one is refused, never run fault-free.
+TEST(ShardedClusterPlan, RefusesTheRetiredFaultKeys) {
+  for (const char* key : {"message_loss", "loss_from", "loss_until",
+                          "crash_hosts", "crash_at", "crash_until"}) {
+    const auto loaded =
+        core::load_cluster_plan("{\"" + std::string(key) + "\": 1}");
+    ASSERT_FALSE(loaded.has_value()) << key;
+    EXPECT_EQ(loaded.error().code, "plan." + std::string(key));
+    EXPECT_EQ(loaded.error().message,
+              "$." + std::string(key) + ": unknown key");
   }
 }
 
@@ -241,17 +352,25 @@ TEST(ShardedClusterPlan, CommittedPlansLoad) {
   EXPECT_EQ(smoke->shards, 4);
   EXPECT_DOUBLE_EQ(smoke->duration, 30.0);
   EXPECT_TRUE(smoke->tracing);
+  // The smoke plan's faults: a loss window, a monitor stall and a registry
+  // cold restart, all healed inside its 30 s.
+  ASSERT_EQ(smoke->faults.specs().size(), 3u);
+  EXPECT_EQ(smoke->faults.specs()[0].kind, chaos::FaultKind::kMessageLoss);
+  EXPECT_EQ(smoke->faults.specs()[1].kind, chaos::FaultKind::kMonitorStall);
+  EXPECT_EQ(smoke->faults.specs()[2].kind, chaos::FaultKind::kRegistryCrash);
+  EXPECT_LT(smoke->faults.last_disruption_end(), smoke->duration);
+  EXPECT_TRUE(huge->faults.empty());
+  EXPECT_NO_THROW(core::ShardedCluster{*smoke});
 }
 
-// What scripts/gen_cluster_plan.py writes loads, chaos windows included.
+// What scripts/gen_cluster_plan.py writes loads.
 TEST(ShardedClusterPlan, GeneratedPlansLoad) {
 #ifndef ARS_PYTHON3
   GTEST_SKIP() << "python3 was not found at configure time";
 #else
   const std::string command =
       "\"" ARS_PYTHON3 "\" \"" ARS_SOURCE_DIR
-      "/scripts/gen_cluster_plan.py\" --hosts 2000 --shards 4 --duration 30"
-      " --message-loss 0.05 --crash-hosts 3";
+      "/scripts/gen_cluster_plan.py\" --hosts 2000 --shards 4 --duration 30";
   FILE* pipe = popen(command.c_str(), "r");
   ASSERT_NE(pipe, nullptr);
   std::string text;
@@ -265,10 +384,7 @@ TEST(ShardedClusterPlan, GeneratedPlansLoad) {
   EXPECT_EQ(loaded->name, "cluster-2000x4");
   EXPECT_EQ(loaded->hosts, 2000);
   EXPECT_EQ(loaded->shards, 4);
-  EXPECT_DOUBLE_EQ(loaded->message_loss, 0.05);
-  EXPECT_DOUBLE_EQ(loaded->loss_until, 30.0);
-  EXPECT_EQ(loaded->crash_hosts, 3);
-  EXPECT_DOUBLE_EQ(loaded->crash_until, 30.0);
+  EXPECT_TRUE(loaded->faults.empty());
 #endif
 }
 
