@@ -28,9 +28,11 @@
 // shards=1 the group runs inline on the caller thread (no threads, no
 // epochs), matching the legacy single-engine composition bit for bit.
 //
-// Thread contract: construct, run(), and inspect from one thread; worker
-// threads only ever touch their own shard's engine/network/tracer/metrics
-// inside ShardGroup::run_until.
+// Thread contract: construct, run(), and inspect from one thread; inside
+// ShardGroup::run_until each shard's thread touches only its own shard's
+// engine/network/tracer/metrics, apart from looking a cross-shard
+// destination up in the other networks' name indexes, which no one writes
+// during the run.
 
 #include <cstdint>
 #include <memory>
@@ -57,7 +59,8 @@ struct ShardedClusterOptions {
   int hosts = 64;
   /// Virtual seconds to simulate.
   double duration = 120.0;
-  /// Inter-domain fabric latency (also the conservative lookahead bound).
+  /// Inter-domain fabric latency: the shard group's lookahead, which the
+  /// router charges every cross-shard datagram.
   double cross_latency = 0.005;
   /// Child registry per shard under a root (see header comment); false
   /// sends every heartbeat cross-shard to the single root registry.
@@ -123,9 +126,10 @@ class ShardedCluster {
 
  private:
   // Declaration order is destruction order in reverse: engines (group_)
-  // die last; within a shard, hosts outlive the network, which outlives
-  // the monitors and registries that reference it; the fault injector,
-  // which references all of them, dies first.
+  // die last; the router, which points into every shard's network, dies
+  // first; within a shard, hosts outlive the network, which outlives the
+  // monitors and registries that reference it; the fault injector, which
+  // references all of them, dies first.
   struct Shard final : chaos::FaultTarget {
     // -- chaos::FaultTarget: this shard's hosts only -------------------------
     sim::Engine& engine() override { return net_->engine(); }
@@ -195,7 +199,7 @@ class ShardedCluster {
   ShardedClusterOptions options_;
   sim::ShardGroup group_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<net::ShardRouter> router_;
+  net::ShardRouter router_{group_};
   bool ran_ = false;
 };
 

@@ -448,7 +448,6 @@ class MpiSystem {
 
   /// Create a fresh communicator over the given members.
   Comm make_comm(std::vector<RankId> members);
-  Comm make_intercomm(std::vector<RankId> local, std::vector<RankId> remote);
 
   /// The two mirrored views of one intercommunicator (same context id):
   /// first = {local <-> remote}, second = {remote <-> local}.

@@ -123,7 +123,9 @@ class Network {
   }
   /// Resolve a name; throws std::out_of_range if it is not attached here.
   [[nodiscard]] HostId id_of(const std::string& hostname) const;
-  /// Resolve a name; nullopt when it is not attached here.
+  /// Resolve a name; nullopt when it is not attached here.  In a sharded
+  /// run other shards' threads call this too (net/shard_router.hpp), so
+  /// attach nothing while one is in flight.
   [[nodiscard]] std::optional<HostId> find_id(
       const std::string& hostname) const;
   [[nodiscard]] host::Host& host(HostId id) const;
@@ -139,7 +141,7 @@ class Network {
   [[nodiscard]] int allocate_port(const std::string& hostname);
 
   /// Fire-and-forget control message.  Unknown destinations or unbound
-  /// ports drop the message with a warning (soft-state tolerates loss).
+  /// ports drop the message, counted by reason (soft-state tolerates loss).
   /// With a shard router attached, destinations living on another shard are
   /// forwarded through the inter-shard fabric instead of dropped; the local
   /// fast path (destination attached here) is unchanged.  A destination
@@ -207,10 +209,6 @@ class Network {
     shard_router_ = router;
     shard_id_ = shard_id;
   }
-  [[nodiscard]] ShardRouter* shard_router() const noexcept {
-    return shard_router_;
-  }
-  [[nodiscard]] std::size_t shard_id() const noexcept { return shard_id_; }
 
   /// Datagrams dropped so far with `hostname` as the poster (all reasons:
   /// unknown destination, unbound port, injected fault).
@@ -260,8 +258,8 @@ class Network {
     double extra_delay = 0.0;
   };
   /// Consult the fault policy where the message is posted: nullopt when it
-  /// drops the message (logged; the caller counts the drop), else the
-  /// copies to send and their extra delay.
+  /// drops the message (the caller counts the drop), else the copies to
+  /// send and their extra delay.
   [[nodiscard]] std::optional<Fanout> fault_fanout(const Message& message);
   /// Tail of every delivery: hand the datagram to the open endpoint bound
   /// at (dst, dst_port) and stamp net.recv, or count an unbound_port drop
@@ -272,9 +270,10 @@ class Network {
   /// live portion of its in-flight transfers, per second of `window`.
   [[nodiscard]] double rate_bps(HostId host, bool outbound,
                                 double window) const;
-  /// Source side of a cross-shard post: fault verdict, then hand the copies
-  /// to the router.  Returns false when the router does not know the
-  /// destination (the caller then drops it as unknown_host).
+  /// Source side of a cross-shard post: find the destination's shard once,
+  /// take the fault verdict, then hand the copies to the router.  Returns
+  /// false when no other shard holds the destination (the caller then drops
+  /// it as unknown_host).
   bool route_cross_shard(Message& message);
   /// Account one dropped datagram: the poster's count when it is attached
   /// here, the total, and the labeled ars_net_dropped_total counter when a

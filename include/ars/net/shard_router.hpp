@@ -1,17 +1,18 @@
 #pragma once
-// Cross-shard datagram routing for the sharded simulation (ISSUE 7).
+// Cross-shard datagram routing for the sharded simulation.
 //
 // Each shard owns one Network (its intra-shard switched Ethernet, default
-// 0.0001 s latency); shards are connected by an inter-domain fabric with a
-// higher one-way latency.  That fabric latency doubles as the conservative
-// lookahead bound of the shard group: a datagram posted at source time t
-// arrives at t + cross_latency >= t + lookahead, so exchanging messages at
-// the epoch barriers never delivers into a peer's past (sim/shard.hpp).
+// 0.0001 s latency); shards are connected by an inter-domain fabric whose
+// one-way latency is the shard group's lookahead: a datagram posted at
+// source time t arrives at t + lookahead, so exchanging messages at the
+// epoch barriers never delivers into a peer's past (sim/shard.hpp).
 //
-// The router holds the host -> shard map.  Network::post() keeps its local
-// fast path (destination attached to the same network: bit-identical to the
-// unsharded build); only when the destination is foreign does it consult the
-// router, apply the source-side fault verdict, and forward.  The destination
+// The router keeps no host map: a host lives on the shard whose Network has
+// it attached, and the networks' name indexes answer the lookup.
+// Network::post() keeps its local fast path (destination attached to the
+// same network: bit-identical to the unsharded build); only when the
+// destination is foreign does it ask the router for the destination's
+// shard, apply the source-side fault verdict, and forward.  The destination
 // shard's network finishes the delivery with deliver_local() — endpoint
 // lookup, net.recv stamp on the *destination's* tracer, drop accounting —
 // on the destination's own thread.
@@ -22,12 +23,13 @@
 // keeps each shard's bandwidth state thread-local.  Bulk transfer() across
 // shards is not supported (unknown host, as before).
 //
-// Thread contract: build the map (attach/assign_host) before the run; it is
-// read-only while epochs are in flight.  forward() runs on the source
-// shard's worker; the delivery callback runs on the destination's.
+// Thread contract: attach every host to its network, each name to one
+// network only, before the run.  The name indexes are read-only while epochs
+// are in flight, so any shard's thread may look a name up in any network.
+// forward() runs on the source shard's thread; the delivery callback runs on
+// the destination's.
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,44 +41,25 @@ namespace ars::net {
 
 class ShardRouter {
  public:
-  struct Options {
-    /// One-way latency of the inter-shard fabric, seconds.  Must be >= the
-    /// shard group's lookahead (it is the natural bound to construct the
-    /// group with).
-    double cross_latency = 0.005;
-  };
-
   explicit ShardRouter(sim::ShardGroup& group);
-  ShardRouter(sim::ShardGroup& group, Options options);
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
   ~ShardRouter();
 
   /// Wire shard `shard`'s network to the fabric: installs this router as the
-  /// network's cross-shard hook and registers every host already attached to
-  /// it (attach later hosts with assign_host).
+  /// network's cross-shard hook.
   void attach(std::size_t shard, Network& network);
 
-  /// Declare that `host` lives on `shard` (setup time only).
-  void assign_host(const std::string& host, std::size_t shard);
-
+  /// The shard other than `from_shard` whose network has `host` attached;
+  /// nullopt when none has.
   [[nodiscard]] std::optional<std::size_t> shard_of(
-      const std::string& host) const;
-  [[nodiscard]] double cross_latency() const noexcept {
-    return options_.cross_latency;
-  }
-  [[nodiscard]] sim::ShardGroup& group() const noexcept { return *group_; }
+      const std::string& host, std::size_t from_shard) const;
 
-  /// True when `host` is reachable through the fabric from `from_shard`
-  /// (known, and on a different shard).
-  [[nodiscard]] bool routes(const std::string& host,
-                            std::size_t from_shard) const;
-
-  /// Ship `copies` copies of `message` to its destination shard, arriving
-  /// cross_latency + extra_delay after the source shard's current time.
-  /// The caller (Network::post) has already applied the fault verdict.
-  void forward(std::size_t src_shard, Message message, double extra_delay,
-               int copies);
+  /// Ship `copies` copies of `message` to shard `dst_shard`, arriving one
+  /// lookahead + extra_delay after the source shard's current time.  The
+  /// caller (Network::post) has already applied the fault verdict.
+  void forward(std::size_t src_shard, std::size_t dst_shard, Message message,
+               double extra_delay, int copies);
 
   /// Datagrams forwarded through the fabric so far (all sources).  Stable
   /// only while no epoch is in flight.
@@ -88,10 +71,8 @@ class ShardRouter {
   };
 
   sim::ShardGroup* group_;
-  Options options_;
-  std::vector<Network*> networks_;        // by shard id
-  std::map<std::string, std::size_t> hosts_;  // host -> shard, frozen at run
-  std::vector<Counter> forwarded_;        // by source shard
+  std::vector<Network*> networks_;  // by shard id
+  std::vector<Counter> forwarded_;  // by source shard
 };
 
 }  // namespace ars::net

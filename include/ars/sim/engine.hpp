@@ -87,8 +87,8 @@ class Engine {
 
   /// Timestamp of the earliest live pending event, +infinity when the queue
   /// is empty.  Settles cancelled fronts on the way, so repeated peeks stay
-  /// O(1) amortized.  The conservative shard coordinator (sim/shard.hpp)
-  /// uses this to derive each epoch's horizon.
+  /// O(1) amortized.  Each shard of a sim::ShardGroup publishes this after
+  /// every epoch, and every shard derives the next horizon from them.
   [[nodiscard]] SimTime next_event_at();
 
   /// Make run()/run_until() return after the current event finishes.

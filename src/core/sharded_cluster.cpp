@@ -47,10 +47,8 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     shards_.push_back(std::make_unique<Shard>());
     build_shard(shard, policy, classifier);
   }
-  router_ = std::make_unique<net::ShardRouter>(
-      group_, net::ShardRouter::Options{options_.cross_latency});
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    router_->attach(shard, *shards_[shard]->net_);
+    router_.attach(shard, *shards_[shard]->net_);
   }
   if (!options_.faults.empty()) {
     arm_faults();
@@ -232,7 +230,7 @@ ShardedClusterReport ShardedCluster::run() {
 
   ShardedClusterReport report;
   report.epochs = group_.epochs();
-  report.cross_messages = router_->forwarded();
+  report.cross_messages = router_.forwarded();
   std::vector<const obs::Tracer*> tracers;
   obs::MetricsRegistry merged;
   for (std::size_t shard = 0; shard < group_.size(); ++shard) {

@@ -45,16 +45,6 @@ Comm MpiSystem::make_comm(std::vector<RankId> members) {
   return Comm{std::move(state)};
 }
 
-Comm MpiSystem::make_intercomm(std::vector<RankId> local,
-                               std::vector<RankId> remote) {
-  auto state = std::make_shared<Comm::State>();
-  state->context = next_context_++;
-  state->members = std::move(local);
-  state->inter = true;
-  state->remote = std::move(remote);
-  return Comm{std::move(state)};
-}
-
 std::pair<Comm, Comm> MpiSystem::make_intercomm_pair(
     std::vector<RankId> local, std::vector<RankId> remote) {
   const int context = next_context_++;

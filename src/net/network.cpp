@@ -8,7 +8,6 @@
 #include "ars/net/shard_router.hpp"
 #include "ars/obs/metrics.hpp"
 #include "ars/obs/tracer.hpp"
-#include "ars/support/log.hpp"
 
 namespace ars::net {
 
@@ -137,7 +136,6 @@ void Network::post(Message message) {
   if (shard_router_ != nullptr && route_cross_shard(message)) {
     return;  // handled (forwarded, or dropped by the fault verdict)
   }
-  ARS_LOG_WARN("net", "dropping message to unknown host " << message.dst_host);
   count_drop(find_id(message.src_host), "unknown_host");
 }
 
@@ -182,9 +180,6 @@ std::optional<Network::Fanout> Network::fault_fanout(const Message& message) {
   }
   const FaultPolicy::PostVerdict verdict = fault_policy_->on_post(message);
   if (verdict.drop) {
-    ARS_LOG_WARN("net", "fault drops message " << message.src_host << " -> "
-                                               << message.dst_host << ":"
-                                               << message.dst_port);
     return std::nullopt;
   }
   fanout.copies += std::max(verdict.duplicates, 0);
@@ -193,7 +188,9 @@ std::optional<Network::Fanout> Network::fault_fanout(const Message& message) {
 }
 
 bool Network::route_cross_shard(Message& message) {
-  if (!shard_router_->routes(message.dst_host, shard_id_)) {
+  const std::optional<std::size_t> dst_shard =
+      shard_router_->shard_of(message.dst_host, shard_id_);
+  if (!dst_shard) {
     return false;
   }
   // Same source-side fault semantics as the local path: the verdict (and
@@ -208,8 +205,8 @@ bool Network::route_cross_shard(Message& message) {
     options_.metrics->counter("ars_net_cross_shard_total")
         .inc(fanout->copies);
   }
-  shard_router_->forward(shard_id_, std::move(message), fanout->extra_delay,
-                         fanout->copies);
+  shard_router_->forward(shard_id_, *dst_shard, std::move(message),
+                         fanout->extra_delay, fanout->copies);
   return true;
 }
 
@@ -228,8 +225,6 @@ void Network::hand_over(std::optional<HostId> dst,
   const auto it = dst ? endpoints_.find(std::make_pair(*dst, message.dst_port))
                       : endpoints_.end();
   if (it == endpoints_.end() || it->second->inbox.closed()) {
-    ARS_LOG_WARN("net", "dropping message to unbound "
-                            << message.dst_host << ":" << message.dst_port);
     count_drop(poster, "unbound_port");
     return;
   }

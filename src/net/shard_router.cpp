@@ -1,23 +1,15 @@
 #include "ars/net/shard_router.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace ars::net {
 
 ShardRouter::ShardRouter(sim::ShardGroup& group)
-    : ShardRouter(group, Options{}) {}
-
-ShardRouter::ShardRouter(sim::ShardGroup& group, Options options)
     : group_(&group),
-      options_(options),
       networks_(group.size(), nullptr),
-      forwarded_(group.size()) {
-  if (options_.cross_latency < group.lookahead()) {
-    throw std::invalid_argument(
-        "ShardRouter cross_latency must be >= the group lookahead");
-  }
-}
+      forwarded_(group.size()) {}
 
 ShardRouter::~ShardRouter() {
   for (Network* network : networks_) {
@@ -36,46 +28,24 @@ void ShardRouter::attach(std::size_t shard, Network& network) {
   }
   networks_[shard] = &network;
   network.set_shard_router(this, shard);
-  for (const auto& [host, id] : network.host_index()) {
-    assign_host(host, shard);
-  }
-}
-
-void ShardRouter::assign_host(const std::string& host, std::size_t shard) {
-  if (shard >= networks_.size()) {
-    throw std::out_of_range("ShardRouter::assign_host: shard out of range");
-  }
-  const auto [it, inserted] = hosts_.emplace(host, shard);
-  if (!inserted && it->second != shard) {
-    throw std::invalid_argument("host assigned to two shards: " + host);
-  }
 }
 
 std::optional<std::size_t> ShardRouter::shard_of(
-    const std::string& host) const {
-  const auto it = hosts_.find(host);
-  return it == hosts_.end() ? std::nullopt
-                            : std::optional<std::size_t>(it->second);
-}
-
-bool ShardRouter::routes(const std::string& host,
-                         std::size_t from_shard) const {
-  const auto it = hosts_.find(host);
-  return it != hosts_.end() && it->second != from_shard &&
-         networks_[it->second] != nullptr;
-}
-
-void ShardRouter::forward(std::size_t src_shard, Message message,
-                          double extra_delay, int copies) {
-  const auto it = hosts_.find(message.dst_host);
-  if (it == hosts_.end() || networks_[it->second] == nullptr) {
-    return;  // caller checked routes(); defensive no-op
+    const std::string& host, std::size_t from_shard) const {
+  for (std::size_t shard = 0; shard < networks_.size(); ++shard) {
+    if (shard != from_shard && networks_[shard] != nullptr &&
+        networks_[shard]->find_id(host)) {
+      return shard;
+    }
   }
-  const std::size_t dst_shard = it->second;
+  return std::nullopt;
+}
+
+void ShardRouter::forward(std::size_t src_shard, std::size_t dst_shard,
+                          Message message, double extra_delay, int copies) {
   Network* dst_net = networks_[dst_shard];
   const sim::SimTime at = group_->engine(src_shard).now() +
-                          options_.cross_latency +
-                          std::max(extra_delay, 0.0);
+                          group_->lookahead() + std::max(extra_delay, 0.0);
   for (int copy = 0; copy < copies; ++copy) {
     Message shipped = copy + 1 < copies ? message : std::move(message);
     group_->post(src_shard, dst_shard, at,

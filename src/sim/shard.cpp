@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 
 namespace ars::sim {
@@ -23,19 +24,6 @@ ShardGroup::ShardGroup(std::size_t shards, Options options)
     shards_.push_back(std::make_unique<ShardState>());
   }
   outbox_.resize(shards * shards);
-}
-
-ShardGroup::~ShardGroup() {
-  if (!workers_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      exit_ = true;
-    }
-    round_start_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
-  }
 }
 
 void ShardGroup::post(std::size_t src, std::size_t dst, SimTime at,
@@ -85,41 +73,41 @@ void ShardGroup::deliver_inbox(std::size_t dst) {
   incoming.clear();
 }
 
-void ShardGroup::run_epoch(std::size_t shard, SimTime horizon) {
-  shards_[shard]->engine.run_until(horizon);
-  barrier_->arrive_and_wait();  // all outboxes final for this epoch
-  deliver_inbox(shard);
-  barrier_->arrive_and_wait();  // all inboxes drained; horizons may move
-}
-
-void ShardGroup::worker_main(std::size_t shard) {
-  std::uint64_t seen_round = 0;
+void ShardGroup::run_shard(std::size_t shard, SimTime until,
+                           std::barrier<>& sync) {
+  ShardState& state = *shards_[shard];
+  sync.arrive_and_wait();  // every thread started, or the run called off
   for (;;) {
-    SimTime horizon = 0.0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      round_start_.wait(lock,
-                        [&] { return exit_ || round_ != seen_round; });
-      if (exit_) {
-        return;
+    // Every shard reads the same published values here, so all of them
+    // take the same horizon and leave on the same epoch.
+    SimTime next = std::numeric_limits<SimTime>::infinity();
+    for (const auto& other : shards_) {
+      if (other->error) {
+        return;  // run_until rethrows it after the join
       }
-      seen_round = round_;
-      horizon = horizon_;
+      next = std::min(next, other->next_at);
     }
-    run_epoch(shard, horizon);
+    if (!(next <= until)) {
+      break;  // nothing left inside the window (covers next == +inf)
+    }
+    if (shard == 0) {
+      ++epochs_;
+    }
+    std::exception_ptr error;
+    try {
+      state.engine.run_until(std::min(until, next + options_.lookahead));
+    } catch (...) {
+      error = std::current_exception();
+    }
+    sync.arrive_and_wait();  // all outboxes final for this epoch
+    deliver_inbox(shard);
+    state.next_at = state.engine.next_event_at();
+    state.error = error;
+    sync.arrive_and_wait();  // every next event time published
   }
-}
-
-void ShardGroup::ensure_workers() {
-  if (!workers_.empty()) {
-    return;
-  }
-  barrier_ = std::make_unique<std::barrier<>>(
-      static_cast<std::ptrdiff_t>(shards_.size()));
-  workers_.reserve(shards_.size() - 1);
-  for (std::size_t shard = 1; shard < shards_.size(); ++shard) {
-    workers_.emplace_back([this, shard] { worker_main(shard); });
-  }
+  // Land the clock exactly on `until` (the final horizon may fall short
+  // when the last events cluster before it).
+  state.engine.run_until(until);
 }
 
 std::size_t ShardGroup::run_until(SimTime until) {
@@ -133,37 +121,39 @@ std::size_t ShardGroup::run_until(SimTime until) {
   }
 
   // Setup-time posts (wiring done before the run) are merged on the
-  // coordinating thread, in the same deterministic order as epoch merges.
+  // calling thread, in the same deterministic order as epoch merges.
   for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
     deliver_inbox(dst);
+    shards_[dst]->next_at = shards_[dst]->engine.next_event_at();
+    shards_[dst]->error = nullptr;
   }
-  ensure_workers();
+  std::barrier<> sync(static_cast<std::ptrdiff_t>(shards_.size()));
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(shards_.size() - 1);
+    try {
+      for (std::size_t shard = 1; shard < shards_.size(); ++shard) {
+        threads.emplace_back(
+            [this, shard, until, &sync] { run_shard(shard, until, sync); });
+      }
+    } catch (...) {
+      // A thread failed to start: publish the failure, stand in for the
+      // missing threads at the start barrier, and let the started ones read
+      // it there and return before they are joined.
+      shards_[0]->error = std::current_exception();
+      for (std::size_t k = threads.size() + 1; k < shards_.size(); ++k) {
+        sync.arrive_and_drop();
+      }
+      sync.arrive_and_wait();
+      throw;
+    }
+    run_shard(0, until, sync);
+  }  // joins every thread
 
-  for (;;) {
-    SimTime next = std::numeric_limits<SimTime>::infinity();
-    for (const auto& state : shards_) {
-      next = std::min(next, state->engine.next_event_at());
-    }
-    if (!(next <= until)) {
-      break;  // nothing left inside the window (covers next == +inf)
-    }
-    const SimTime horizon = std::min(until, next + options_.lookahead);
-    ++epochs_;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      horizon_ = horizon;
-      ++round_;
-    }
-    round_start_.notify_all();
-    run_epoch(/*shard=*/0, horizon);
-    // run_epoch returns only after every worker passed the second barrier,
-    // so reading engine state for the next horizon is race-free.
-  }
-
-  // Land every clock exactly on `until` (the final horizon may fall short
-  // when the last events cluster before it).
   for (const auto& state : shards_) {
-    state->engine.run_until(until);
+    if (state->error) {
+      std::rethrow_exception(state->error);
+    }
   }
   return static_cast<std::size_t>(events_executed() - before);
 }

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "ars/net/commhog.hpp"
 #include "ars/obs/metrics.hpp"
+#include "ars/support/log.hpp"
 #include "ars/support/rng.hpp"
 
 namespace ars::net {
@@ -351,6 +354,63 @@ TEST(NetworkIds, DropsAreStillCountedByReason) {
   EXPECT_EQ(net.dropped_count("ws2"), 0U);
   EXPECT_EQ(net.dropped_total(), 3U);
   EXPECT_EQ(net.active_transfers(), 0U);
+}
+
+// A dropped datagram is counted, never logged: the labeled counter and the
+// per-poster count are its one record, so the drop path stays clear of the
+// global logger's mutex even at kWarn, which every shard thread shares.
+TEST(NetworkIds, DropsAreCountedWithoutALogRecord) {
+  struct DropAll final : FaultPolicy {
+    PostVerdict on_post(const Message&) override { return {.drop = true}; }
+    double bandwidth_factor(const std::string&, const std::string&) override {
+      return 1.0;
+    }
+  };
+  support::Logger& logger = support::Logger::global();
+  const support::LogLevel saved_level = logger.level();
+  logger.set_level(support::LogLevel::kWarn);
+  int records = 0;
+  logger.set_sink([&records](support::LogLevel, std::string_view,
+                             std::string_view, double) { ++records; });
+
+  Engine engine;
+  obs::MetricsRegistry metrics;
+  Network::Options options;
+  options.metrics = &metrics;
+  Network net{engine, options};
+  std::vector<std::unique_ptr<host::Host>> hosts;
+  for (const char* name : {"ws1", "ws2"}) {
+    host::HostSpec spec;
+    spec.name = name;
+    hosts.push_back(std::make_unique<host::Host>(engine, spec));
+    net.attach(*hosts.back());
+  }
+  auto to = [](const char* dst) {
+    Message msg;
+    msg.src_host = "ws1";
+    msg.dst_host = dst;
+    msg.dst_port = 9999;
+    return msg;
+  };
+  net.post(to("nosuch"));  // unknown_host
+  net.post(to("ws2"));     // unbound_port
+  DropAll drop_all;
+  net.set_fault_policy(&drop_all);
+  net.post(to("ws2"));  // fault
+  net.set_fault_policy(nullptr);
+  engine.run_until(10.0);
+  logger.set_sink(nullptr);
+  logger.set_level(saved_level);
+
+  for (const char* reason : {"unknown_host", "unbound_port", "fault"}) {
+    const obs::Counter* counter =
+        metrics.find_counter("ars_net_dropped_total", {{"reason", reason}});
+    ASSERT_NE(counter, nullptr) << reason;
+    EXPECT_EQ(counter->value(), 1.0) << reason;
+  }
+  EXPECT_EQ(net.dropped_count("ws1"), 3U);
+  EXPECT_EQ(net.dropped_total(), 3U);
+  EXPECT_EQ(records, 0);
 }
 
 TEST(FlowMeter, WindowOverlapIsProportional) {
