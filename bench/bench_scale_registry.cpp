@@ -5,8 +5,8 @@
 // so no network simulation is paid for, and times:
 //
 //   * the scheduling decision, which walks the free list (O(eligible)),
-//     without and with the per-host audit every traced decision writes
-//     beside it (O(hosts): a verdict string per registered host);
+//     without and with the why-not counts every decision records (the
+//     same walk: one increment per free host, the other lists' sizes);
 //   * heartbeat churn: full UpdateMsg state flips (index relink cost) and
 //     batched lease renewals (UpdateBatchMsg);
 //   * cold registration storms (table + index build).
@@ -103,11 +103,10 @@ void decision_bench(benchmark::State& state, bool audited) {
   const int hosts = static_cast<int>(state.range(0));
   ScaledRegistry scaled{hosts};
   const std::string source = host_name(0);
-  std::vector<registry::CandidateAudit> audit;
+  registry::WhyNot why_not;
   for (auto _ : state) {
-    audit.clear();
     benchmark::DoNotOptimize(scaled.reg->choose_destination(
-        source, "", audited ? &audit : nullptr));
+        source, "", audited ? &why_not : nullptr));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["hosts"] = hosts;

@@ -6,6 +6,7 @@
 // (or the ARS_TRACE_OUT / ARS_METRICS_OUT environment variables as
 // fallbacks) through the helpers here.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -128,40 +129,46 @@ inline void init_obs_export(int argc, char** argv) {
 
 // -- sharded-run knobs -------------------------------------------------------
 
-/// Shard-count override for benchmarks with a sharded variant: --shards=N
-/// (or ARS_BENCH_SHARDS).  0 means "use the benchmark's own per-arg shard
-/// counts" — the default sweep that the speedup baselines compare.
+/// Shard-count override for benchmarks with a sharded variant: --shards=N.
+/// 0 means "use the benchmark's own per-arg shard counts" — the default
+/// sweep that the speedup baselines compare.
 inline int& bench_shards() {
-  static int shards = [] {
-    if (const char* env = std::getenv("ARS_BENCH_SHARDS")) {
-      return std::atoi(env);
-    }
-    return 0;
-  }();
+  static int shards = 0;
   return shards;
 }
 
-/// Cluster-plan file for scenario benchmarks: --cluster-plan=FILE (or
-/// ARS_BENCH_CLUSTER_PLAN); empty means the benchmark's built-in defaults.
+/// Cluster-plan file for scenario benchmarks: --cluster-plan=FILE; empty
+/// means the benchmark's built-in defaults.
 inline std::string& bench_cluster_plan() {
-  static std::string path = [] {
-    const char* env = std::getenv("ARS_BENCH_CLUSTER_PLAN");
-    return std::string(env != nullptr ? env : "");
-  }();
+  static std::string path;
   return path;
 }
 
 /// Migratable-state size for the migration benchmarks, in MiB:
-/// --state-mb=N (or ARS_BENCH_STATE_MB).  0 means "use the benchmark's
-/// default size" — the pinned baseline configuration.
+/// --state-mb=N.  0 means "use the benchmark's default size" — the pinned
+/// baseline configuration.
 inline int& bench_state_mb() {
-  static int mb = [] {
-    if (const char* env = std::getenv("ARS_BENCH_STATE_MB")) {
-      return std::atoi(env);
-    }
-    return 0;
-  }();
+  static int mb = 0;
   return mb;
+}
+
+/// The value of a --shards=N / --state-mb=N flag `arg`, whose name is its
+/// first `name_size` characters: a whole number >= 0.  Anything else is a
+/// usage error, and the program exits 2 before any benchmark runs.
+inline int count_flag(std::string_view arg, std::size_t name_size) {
+  const std::string_view value = arg.substr(name_size);
+  int count = 0;
+  const auto [stop, error] =
+      std::from_chars(value.data(), value.data() + value.size(), count);
+  if (error != std::errc{} || stop != value.data() + value.size() ||
+      count < 0) {
+    std::fprintf(stderr,
+                 "bad %.*s\nusage: --shards=N, --state-mb=N: a whole number "
+                 "N >= 0 (0: the benchmark's default)\n",
+                 static_cast<int>(arg.size()), arg.data());
+    std::exit(2);
+  }
+  return count;
 }
 
 /// Consume a --shards=N / --cluster-plan=FILE / --state-mb=N flag; returns
@@ -169,15 +176,15 @@ inline int& bench_state_mb() {
 /// flags).
 inline bool consume_shard_flag(std::string_view arg) {
   if (arg.starts_with("--shards=")) {
-    bench_shards() = std::atoi(std::string(arg.substr(sizeof("--shards=") - 1)).c_str());
+    bench_shards() = count_flag(arg, sizeof("--shards=") - 1);
+    return true;
+  }
+  if (arg.starts_with("--state-mb=")) {
+    bench_state_mb() = count_flag(arg, sizeof("--state-mb=") - 1);
     return true;
   }
   if (arg.starts_with("--cluster-plan=")) {
     bench_cluster_plan() = arg.substr(sizeof("--cluster-plan=") - 1);
-    return true;
-  }
-  if (arg.starts_with("--state-mb=")) {
-    bench_state_mb() = std::atoi(std::string(arg.substr(sizeof("--state-mb=") - 1)).c_str());
     return true;
   }
   return false;
@@ -284,20 +291,16 @@ inline void export_gbench_obs() {
 
 // -- google-benchmark argv handling ------------------------------------------
 
-/// Translate our stable `--json-out=FILE` flag (or the ARS_BENCH_JSON_OUT
-/// environment variable) into google-benchmark's `--benchmark_out=` /
-/// `--benchmark_out_format=json` pair, and strip the `--trace-out=` /
-/// `--metrics-out=` obs flags (consumed into obs_export()), leaving every
-/// other argument alone.  Returns a rewritten argv (storage lives for the
-/// program's lifetime) and updates `argc` in place; use through
-/// ARS_BENCH_MAIN() below.
+/// Translate our stable `--json-out=FILE` flag into google-benchmark's
+/// `--benchmark_out=` / `--benchmark_out_format=json` pair, and strip the
+/// `--trace-out=` / `--metrics-out=` obs flags (consumed into obs_export())
+/// and the shard flags, leaving every other argument alone.  Returns a
+/// rewritten argv (storage lives for the program's lifetime) and updates
+/// `argc` in place; use through ARS_BENCH_MAIN() below.
 inline char** rewrite_gbench_args(int* argc, char** argv) {
   static std::vector<std::string> storage;
   static std::vector<char*> pointers;
   std::string json_out;
-  if (const char* env = std::getenv("ARS_BENCH_JSON_OUT")) {
-    json_out = env;
-  }
   storage.clear();
   for (int i = 0; i < *argc; ++i) {
     const std::string_view arg = argv[i];
@@ -325,9 +328,9 @@ inline char** rewrite_gbench_args(int* argc, char** argv) {
 }  // namespace ars::bench
 
 /// Drop-in replacement for BENCHMARK_MAIN() that understands --json-out=
-/// (and ARS_BENCH_JSON_OUT) plus the uniform --trace-out=/--metrics-out=
-/// obs flags; scripts/bench_check.py consumes the emitted JSON.  Only
-/// usable in files that include <benchmark/benchmark.h>.
+/// plus the uniform --trace-out=/--metrics-out= obs flags;
+/// scripts/bench_check.py consumes the emitted JSON.  Only usable in files
+/// that include <benchmark/benchmark.h>.
 #define ARS_BENCH_MAIN()                                                  \
   int main(int argc, char** argv) {                                       \
     char** args = ::ars::bench::rewrite_gbench_args(&argc, argv);         \

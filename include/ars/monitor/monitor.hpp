@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 
-#include "ars/monitor/metricsdb.hpp"
 #include "ars/monitor/sensors.hpp"
 #include "ars/obs/trace_ctx.hpp"
 #include "ars/rules/policy.hpp"
@@ -90,7 +89,6 @@ class Monitor {
   void stop();
 
   [[nodiscard]] rules::SystemState state() const noexcept { return state_; }
-  [[nodiscard]] const MetricsDb& db() const noexcept { return db_; }
   [[nodiscard]] HostSensorSource& sensors() noexcept { return sensors_; }
   [[nodiscard]] int port() const noexcept { return config_.monitor_port; }
   [[nodiscard]] const host::Host& host() const noexcept { return *host_; }
@@ -130,7 +128,6 @@ class Monitor {
   /// reaches it by name through the shard router).
   std::optional<net::HostId> registry_id_;
   bool registry_resolved_ = false;
-  MetricsDb db_;
   rules::SystemState state_ = rules::SystemState::kFree;
   double overloaded_since_ = -1.0;
   double last_consult_at_ = -1.0e9;

@@ -20,8 +20,9 @@
 // Scale: every `HostEntry` is threaded onto an intrusive per-`SystemState`
 // list ordered by `registration_order`, maintained in place on every state
 // transition, so a decision walks only the `free` list — O(eligible).  The
-// per-host audit trail, when wanted, is an O(hosts) report written beside
-// that walk, never a second way to decide.  See DESIGN.md §10.
+// same walk counts why each host was or was not a destination (`WhyNot`, a
+// fixed-size record; the other lists count by their sizes).  See DESIGN.md
+// §10.
 
 #include <functional>
 #include <map>
@@ -76,12 +77,12 @@ struct HostEntry {
 /// ablation benches.
 enum class DestinationStrategy { kFirstFit, kBestFit, kRandomFit };
 
-/// When to produce the per-host `CandidateAudit` trail.  The audit is
-/// inherently O(hosts) (every host gets a verdict), so large clusters run
-/// with it off.
+/// Whether a traced decision's `scheduler.decision` instant carries its
+/// `WhyNot` counts as attributes.  Decisions record the counts either way;
+/// this gates only the trace attributes.
 enum class AuditMode {
-  kAuto,  // audit iff a tracer is configured
-  kOff,   // never audit
+  kAuto,  // the counts ride on the event whenever a tracer is configured
+  kOff,   // never on the trace
 };
 
 /// A migration-enabled process as booked on the host it runs on.
@@ -94,15 +95,31 @@ struct ProcessEntry {
   double last_migrated_at = -1.0e9;
 };
 
-/// Verdict on one host considered as a migration destination — the audit
-/// trail of a decision.  Every registered host appears exactly once per
-/// decision, in registration (first-fit) order.
-struct CandidateAudit {
-  std::string host;
-  bool accepted = false;  // passed every destination condition
-  /// "chosen (...)", "eligible (not chosen)", or the rejection cause
-  /// ("source host", "draining", "state=busy (not free)", ...).
-  std::string reason;
+/// Why a decision's registered hosts were or were not destinations: the
+/// hosts off the free list by state, and the free hosts by the first
+/// destination check each one failed.  Every registered host is counted
+/// exactly once, so the counts sum to `Registry::hosts().size()`.
+struct WhyNot {
+  int eligible = 0;  // free, and passed every check
+  // Off the free list.
+  int busy = 0;
+  int overloaded = 0;
+  int unavailable = 0;
+  // Free, but refused.
+  int source = 0;          // the host the process leaves
+  int draining = 0;        // evacuated: never a destination again
+  int suspect = 0;         // a placement there failed recently
+  int unregistered = 0;    // no RegisterMsg has supplied its ports
+  int policy = 0;          // fails the policy's destination conditions
+  int resources = 0;       // below the schema's requirements
+  int inflight = 0;        // open placement claims exhaust its resources
+  int recovery_round = 0;  // this round's restarts exhaust its resources
+
+  [[nodiscard]] int total() const noexcept {
+    return eligible + busy + overloaded + unavailable + source + draining +
+           suspect + unregistered + policy + resources + inflight +
+           recovery_round;
+  }
 };
 
 /// One scheduling decision, for the experiment logs.
@@ -115,8 +132,8 @@ struct Decision {
   double decision_latency = 0.0;
   bool escalated = false;
   bool restart = false;  // failure recovery rather than live migration
-  /// Why each registered host was or was not the destination.
-  std::vector<CandidateAudit> candidates;
+  /// Why each registered host was or was not a destination.
+  WhyNot why_not;
 };
 
 /// One registered malleable job the resize planner manages: the registry
@@ -184,9 +201,9 @@ class Registry {
     /// checkpoint writes do not saturate the shared store (the scheduler
     /// runs with ckpt::IoScheduler's fixed limits).
     bool enable_ckpt_io = false;
-    /// Per-host audit trail policy (see AuditMode).
+    /// Whether traced decisions carry their why-not counts (AuditMode).
     AuditMode audit = AuditMode::kAuto;
-    /// Optional observability hooks (not owned): decision spans, audit
+    /// Optional observability hooks (not owned): decision spans and
     /// events, and scheduler/lease metrics.
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
@@ -238,24 +255,22 @@ class Registry {
 
   /// Scheduling core, also callable directly by tests: pick a destination
   /// for a migration off `source_host` using the configured strategy
-  /// (nullopt if no eligible host).  When `audit` is non-null it receives
-  /// one verdict per registered host, in registration order.
+  /// (nullopt if no eligible host).  A non-null `why_not` receives the
+  /// walk's counts.
   [[nodiscard]] std::optional<std::string> choose_destination(
       const std::string& source_host, const std::string& schema_name,
-      std::vector<CandidateAudit>* audit = nullptr);
+      WhyNot* why_not = nullptr);
 
   /// The paper's default strategy, regardless of configuration.
   [[nodiscard]] std::optional<std::string> first_fit_destination(
       const std::string& source_host, const std::string& schema_name);
 
   /// Hosts eligible as destination, in registration order: a walk of the
-  /// `free` index list, the only code that decides eligibility.  When
-  /// `audit` is non-null it also receives one verdict (with rejection
-  /// reason) per registered host, in registration order — an O(hosts)
-  /// report beside the walk, whose accepted hosts are exactly the walk's.
+  /// `free` index list, the only code that decides eligibility.  A
+  /// non-null `why_not` receives the walk's counts.
   [[nodiscard]] std::vector<const HostEntry*> eligible_destinations(
       const std::string& source_host, const std::string& schema_name,
-      std::vector<CandidateAudit>* audit = nullptr) const;
+      WhyNot* why_not = nullptr) const;
 
   /// Selector: the migration-enabled process on `source_host` with the
   /// latest estimated completion time.
@@ -289,8 +304,8 @@ class Registry {
     return resizes_commanded_;
   }
 
-  /// Canonical one-line-per-decision log (no audit trail) — byte-comparable
-  /// across runs of the same scenario, audited or not (goldens pin it).
+  /// Canonical one-line-per-decision log (no why-not counts) —
+  /// byte-comparable across runs of the same scenario (goldens pin it).
   [[nodiscard]] std::string decision_log() const;
 
   // -- state-index introspection (tests, benches) ---------------------------
@@ -457,7 +472,11 @@ class Registry {
                const xmlproto::ProtocolMessage& message,
                obs::TraceCtx ctx = {});
 
-  [[nodiscard]] bool want_audit() const;
+  /// The `scheduler.decision` instant of `decision` (its why-not counts
+  /// ride along unless `Config::audit` is kOff); no-op without a tracer.
+  void trace_decision(const Decision& decision, const char* kind,
+                      obs::TraceCtx ctx = {},
+                      std::uint64_t cause_txn = 0) const;
   /// Find-or-create `hosts_[name]`, linking new entries into the
   /// `unavailable` index list.
   HostEntry& ensure_entry(const std::string& name);
@@ -469,39 +488,25 @@ class Registry {
   /// `registration_order` changed (ghost entry adopted by a RegisterMsg).
   void reposition(HostEntry& entry);
 
-  /// The destination checks, in the audit's order.
-  enum class Rejection {
-    kNone,
-    kSource,
-    kDraining,
-    kSuspect,
-    kNotFree,
-    kUnregistered,
-    kPolicy,
-    kResources,
-    kInflight,
-    kRecoveryRound,
-  };
-  /// The first check `entry` fails as a destination, or kNone.  `round`
-  /// (restarts only) adds the debits of the restarts it already placed.
-  [[nodiscard]] Rejection destination_rejection(
+  /// The why-not counter one host's verdict lands in.
+  using Tally = int WhyNot::*;
+  /// The first destination check the free host `entry` fails, or
+  /// `&WhyNot::eligible`.  `round` (restarts only) adds the debits of the
+  /// restarts it already placed.
+  [[nodiscard]] Tally destination_verdict(
       const HostEntry& entry, const std::string& source_host,
       const hpcm::ApplicationSchema* schema, const RecoveryRound* round,
       double now) const;
-  /// The audit's verdict text for `rejection`.
-  [[nodiscard]] static std::string verdict(Rejection rejection,
-                                           const HostEntry& entry,
-                                           const std::string& schema_name);
   /// eligible_destinations under a recovery round's debits.
   [[nodiscard]] std::vector<const HostEntry*> walk(
       const std::string& source_host, const std::string& schema_name,
-      std::vector<CandidateAudit>* audit, const RecoveryRound* round) const;
+      WhyNot* why_not, const RecoveryRound* round) const;
   /// Every placement's one path: the walk, then the configured strategy's
-  /// pick (within a recovery round, among the least-placed hosts only).
-  /// Marks the chosen host in `audit`; nullptr when no host is eligible.
+  /// pick (within a recovery round, among the least-placed hosts only);
+  /// nullptr when no host is eligible.
   [[nodiscard]] const HostEntry* place(const std::string& source_host,
                                        const std::string& schema_name,
-                                       std::vector<CandidateAudit>* audit,
+                                       WhyNot* why_not,
                                        const RecoveryRound* round);
 
   struct StateList {

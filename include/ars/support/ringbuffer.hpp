@@ -1,9 +1,9 @@
 #pragma once
 // Power-of-two ring buffer for the monitoring hot paths.
 //
-// The trailing-window structures (monitor::MetricsDb samples, net::FlowMeter
-// traffic segments, host::CpuModel busy periods) all share one access
-// pattern: push at the back, prune from the front, iterate a recent window.
+// The trailing-window structures (net::FlowMeter traffic segments,
+// host::CpuModel busy periods) share one access pattern: push at the
+// back, prune from the front, iterate a recent window.
 // `std::deque` serves that pattern through chunk maps and per-chunk
 // indirection; this ring serves it from one contiguous power-of-two array,
 // so position math is a single mask (no modulo, no chunk lookup) and a

@@ -187,7 +187,6 @@ sim::Task<> Monitor::run() {
     DynamicStatus status = sensors_.snapshot();
     const SystemState state = config_.classifier(status);
     status.state = std::string(rules::to_string(state));
-    db_.record(status);
     if (state != state_) {
       if (obs::active(config_.tracer)) {
         config_.tracer->instant(

@@ -1,6 +1,7 @@
 #include "ars/registry/registry.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <limits>
 #include <ranges>
@@ -56,45 +57,21 @@ auto sorted_records(Ledger& ledger, Pick pick, Key key) {
   return records;
 }
 
-const char* strategy_name(DestinationStrategy strategy) {
-  switch (strategy) {
-    case DestinationStrategy::kFirstFit:
-      return "first-fit";
-    case DestinationStrategy::kBestFit:
-      return "best-fit";
-    case DestinationStrategy::kRandomFit:
-      return "random-fit";
-  }
-  return "?";
-}
-
-/// The audit record as a trace event: one attribute per scanned host, so
-/// the decision's full why-not trail is visible in the trace viewer.
-void emit_decision_event(obs::Tracer* tracer, double now,
-                         const std::string& track, const Decision& decision,
-                         const std::string& kind,
-                         const obs::TraceCtx& ctx = {},
-                         std::uint64_t cause_txn = 0) {
-  if (tracer == nullptr) {
-    return;
-  }
-  obs::Attrs attrs{{"kind", kind},
-                   {"source", decision.source},
-                   {"process", decision.process_name},
-                   {"destination", decision.destination.empty()
-                                       ? std::string("none")
-                                       : decision.destination},
-                   {"escalated", decision.escalated}};
-  obs::stamp(attrs, ctx);
-  if (cause_txn != 0) {
-    attrs.push_back({"cause_txn", static_cast<std::size_t>(cause_txn)});
-  }
-  for (const CandidateAudit& candidate : decision.candidates) {
-    attrs.push_back({"candidate." + candidate.host, candidate.reason});
-  }
-  tracer->instant_at(now, "scheduler.decision", "scheduler", track,
-                     std::move(attrs));
-}
+/// The why-not counts' trace keys.  Each fits libstdc++'s 15-character
+/// inline string buffer, so a traced decision allocates no key.
+constexpr std::pair<const char*, int WhyNot::*> kWhyNotKeys[] = {
+    {"no.busy", &WhyNot::busy},
+    {"no.overloaded", &WhyNot::overloaded},
+    {"no.unavailable", &WhyNot::unavailable},
+    {"no.source", &WhyNot::source},
+    {"no.draining", &WhyNot::draining},
+    {"no.suspect", &WhyNot::suspect},
+    {"no.unregistered", &WhyNot::unregistered},
+    {"no.policy", &WhyNot::policy},
+    {"no.resources", &WhyNot::resources},
+    {"no.inflight", &WhyNot::inflight},
+    {"no.recovery", &WhyNot::recovery_round},
+};
 
 }  // namespace
 
@@ -943,8 +920,7 @@ bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
   decision.process_name = process.name;
   decision.restart = true;
   const HostEntry* chosen =
-      place(process.host, process.schema_name,
-            want_audit() ? &decision.candidates : nullptr, &round);
+      place(process.host, process.schema_name, &decision.why_not, &round);
   record.recovery_unreported = false;
   if (chosen == nullptr) {
     if (record_stranded) {
@@ -952,8 +928,7 @@ bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
                                                       << " (lost with "
                                                       << process.host << ")");
       decisions_.push_back(decision);
-      emit_decision_event(config_.tracer, decision.at, host_->name(),
-                          decision, "restart-stranded", ctx, cause.txn);
+      trace_decision(decision, "restart-stranded", ctx, cause.txn);
       if (config_.metrics != nullptr) {
         config_.metrics->counter("registry.restarts_stranded").inc();
       }
@@ -967,8 +942,7 @@ bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
   }
   decision.destination = chosen->info.host;
   decisions_.push_back(decision);
-  emit_decision_event(config_.tracer, decision.at, host_->name(), decision,
-                      "restart", ctx, cause.txn);
+  trace_decision(decision, "restart", ctx, cause.txn);
   if (config_.metrics != nullptr) {
     config_.metrics->counter("registry.restarts_commanded").inc();
   }
@@ -1294,64 +1268,80 @@ const ProcessEntry* Registry::select_process(const std::string& source_host) {
   return best;
 }
 
-bool Registry::want_audit() const {
-  return config_.audit == AuditMode::kAuto && obs::active(config_.tracer);
+void Registry::trace_decision(const Decision& decision, const char* kind,
+                              obs::TraceCtx ctx,
+                              std::uint64_t cause_txn) const {
+  if (!obs::active(config_.tracer)) {
+    return;
+  }
+  obs::Attrs attrs{{"kind", kind},
+                   {"source", decision.source},
+                   {"process", decision.process_name},
+                   {"destination", decision.destination.empty()
+                                       ? std::string("none")
+                                       : decision.destination},
+                   {"escalated", decision.escalated}};
+  obs::stamp(attrs, ctx);
+  if (cause_txn != 0) {
+    attrs.push_back({"cause_txn", static_cast<std::size_t>(cause_txn)});
+  }
+  if (config_.audit == AuditMode::kAuto) {
+    attrs.push_back({"eligible", decision.why_not.eligible});
+    for (const auto& [key, count] : kWhyNotKeys) {
+      if (decision.why_not.*count != 0) {
+        attrs.push_back({key, decision.why_not.*count});
+      }
+    }
+  }
+  config_.tracer->instant_at(decision.at, "scheduler.decision", "scheduler",
+                             host_->name(), std::move(attrs));
 }
 
 std::vector<const HostEntry*> Registry::eligible_destinations(
     const std::string& source_host, const std::string& schema_name,
-    std::vector<CandidateAudit>* audit) const {
-  return walk(source_host, schema_name, audit, nullptr);
+    WhyNot* why_not) const {
+  return walk(source_host, schema_name, why_not, nullptr);
 }
 
 std::vector<const HostEntry*> Registry::walk(
     const std::string& source_host, const std::string& schema_name,
-    std::vector<CandidateAudit>* audit, const RecoveryRound* round) const {
+    WhyNot* why_not, const RecoveryRound* round) const {
   const double now = host_->engine().now();
   const hpcm::ApplicationSchema* schema = nullptr;
   if (const auto it = schemas_.find(schema_name); it != schemas_.end()) {
     schema = &it->second;
   }
-  if (audit != nullptr) {
-    // The report beside the decision, inherently O(hosts): every registered
-    // host gets a verdict, in registration order.  Only free hosts pass the
-    // state check and the free list keeps registration order, so the hosts
-    // it accepts are exactly the walk's below.
-    std::vector<const HostEntry*> ordered;
-    ordered.reserve(hosts_.size());
-    for (const auto& [name, entry] : hosts_) {
-      ordered.push_back(&entry);
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const HostEntry* a, const HostEntry* b) {
-                return a->registration_order < b->registration_order;
-              });
-    for (const HostEntry* entry : ordered) {
-      const Rejection rejection =
-          destination_rejection(*entry, source_host, schema, round, now);
-      audit->push_back({entry->info.host, rejection == Rejection::kNone,
-                        verdict(rejection, *entry, schema_name)});
-    }
-  }
+  const auto listed = [this](SystemState state) {
+    return static_cast<int>(index_[state_slot(state)].size);
+  };
+  WhyNot counts{.busy = listed(SystemState::kBusy),
+                .overloaded = listed(SystemState::kOverloaded),
+                .unavailable = listed(SystemState::kUnavailable)};
   const StateList& free_list = index_[state_slot(SystemState::kFree)];
   std::vector<const HostEntry*> eligible;
   eligible.reserve(free_list.size);
   for (const HostEntry* entry = free_list.head; entry != nullptr;
        entry = entry->index_next) {
-    if (destination_rejection(*entry, source_host, schema, round, now) ==
-        Rejection::kNone) {
+    const Tally verdict =
+        destination_verdict(*entry, source_host, schema, round, now);
+    ++(counts.*verdict);
+    if (verdict == &WhyNot::eligible) {
       eligible.push_back(entry);
     }
+  }
+  assert(counts.total() == static_cast<int>(hosts_.size()));
+  if (why_not != nullptr) {
+    *why_not = counts;
   }
   return eligible;
 }
 
 const HostEntry* Registry::place(const std::string& source_host,
                                  const std::string& schema_name,
-                                 std::vector<CandidateAudit>* audit,
+                                 WhyNot* why_not,
                                  const RecoveryRound* round) {
   std::vector<const HostEntry*> eligible =
-      walk(source_host, schema_name, audit, round);
+      walk(source_host, schema_name, why_not, round);
   if (eligible.empty()) {
     return nullptr;
   }
@@ -1389,53 +1379,36 @@ const HostEntry* Registry::place(const std::string& source_host,
           0, static_cast<std::int64_t>(eligible.size()) - 1))];
       break;
   }
-  if (audit != nullptr) {
-    // Rewrite the accepted verdicts now that a destination is chosen.
-    for (CandidateAudit& candidate : *audit) {
-      if (candidate.accepted) {
-        candidate.accepted = candidate.host == chosen->info.host;
-        candidate.reason =
-            candidate.accepted
-                ? "chosen (" + std::string(strategy_name(config_.strategy)) +
-                      ")"
-                : "eligible (not chosen)";
-      }
-    }
-  }
   return chosen;
 }
 
-Registry::Rejection Registry::destination_rejection(
+Registry::Tally Registry::destination_verdict(
     const HostEntry& entry, const std::string& source_host,
     const hpcm::ApplicationSchema* schema, const RecoveryRound* round,
     double now) const {
   if (entry.info.host == source_host) {
-    return Rejection::kSource;
+    return &WhyNot::source;
   }
   if (entry.draining) {
-    return Rejection::kDraining;
+    return &WhyNot::draining;
   }
   if (entry.suspect_until > now) {
-    return Rejection::kSuspect;
-  }
-  if (!rules::actions_for(entry.state).migrate_in) {
-    // only `free` hosts accept incoming applications
-    return Rejection::kNotFree;
+    return &WhyNot::suspect;
   }
   if (entry.commander_port == 0) {
     // Update-before-Register ghost: no RegisterMsg has supplied ports yet,
     // so any command would be posted to port 0 and silently lost.
-    return Rejection::kUnregistered;
+    return &WhyNot::unregistered;
   }
   if (!config_.policy.accepts_destination(entry.status)) {
-    return Rejection::kPolicy;
+    return &WhyNot::policy;
   }
   if (schema != nullptr) {
     const auto& req = schema->requirements();
     if (entry.info.memory_bytes < req.min_memory_bytes ||
         entry.info.disk_bytes < req.min_disk_bytes ||
         entry.info.cpu_speed < req.min_cpu_speed) {
-      return Rejection::kResources;
+      return &WhyNot::resources;
     }
     const auto exhausts = [&](const Debit& debit) {
       return entry.info.memory_bytes <
@@ -1445,44 +1418,16 @@ Registry::Rejection Registry::destination_rejection(
     const Debit inflight = inflight_debit(entry.info.host);
     if ((inflight.memory_bytes != 0 || inflight.disk_bytes != 0) &&
         exhausts(inflight)) {
-      return Rejection::kInflight;
+      return &WhyNot::inflight;
     }
     if (round != nullptr) {
       const auto it = round->find(entry.info.host);
       if (it != round->end() && exhausts(it->second)) {
-        return Rejection::kRecoveryRound;
+        return &WhyNot::recovery_round;
       }
     }
   }
-  return Rejection::kNone;
-}
-
-std::string Registry::verdict(Rejection rejection, const HostEntry& entry,
-                              const std::string& schema_name) {
-  switch (rejection) {
-    case Rejection::kNone:
-      return "eligible";
-    case Rejection::kSource:
-      return "source host";
-    case Rejection::kDraining:
-      return "draining (evacuated)";
-    case Rejection::kSuspect:
-      return "suspect (recent migration failure)";
-    case Rejection::kNotFree:
-      return "state=" + std::string(rules::to_string(entry.state)) +
-             " (not free)";
-    case Rejection::kUnregistered:
-      return "unregistered (no command port)";
-    case Rejection::kPolicy:
-      return "policy destination conditions";
-    case Rejection::kResources:
-      return "insufficient resources for schema " + schema_name;
-    case Rejection::kInflight:
-      return "in-flight placements exhaust resources";
-    case Rejection::kRecoveryRound:
-      return "in-flight restarts exhaust resources";
-  }
-  return "";
+  return &WhyNot::eligible;
 }
 
 std::optional<std::string> Registry::first_fit_destination(
@@ -1496,8 +1441,8 @@ std::optional<std::string> Registry::first_fit_destination(
 
 std::optional<std::string> Registry::choose_destination(
     const std::string& source_host, const std::string& schema_name,
-    std::vector<CandidateAudit>* audit) {
-  const HostEntry* chosen = place(source_host, schema_name, audit, nullptr);
+    WhyNot* why_not) {
+  const HostEntry* chosen = place(source_host, schema_name, why_not, nullptr);
   if (chosen == nullptr) {
     return std::nullopt;
   }
@@ -1546,8 +1491,7 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
     }
     Decision decision;
     const HostEntry* dest =
-        place(drained_host, process.schema_name,
-              want_audit() ? &decision.candidates : nullptr, nullptr);
+        place(drained_host, process.schema_name, &decision.why_not, nullptr);
     decision.at = host_->engine().now();
     decision.source = drained_host;
     decision.pid = process.pid;
@@ -1557,14 +1501,12 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
       ARS_LOG_ERROR("registry", "evacuation: no destination for "
                                     << process.name << " - process stays");
       decisions_.push_back(decision);
-      emit_decision_event(config_.tracer, decision.at, host_->name(),
-                          decision, "evacuate-stranded", ctx);
+      trace_decision(decision, "evacuate-stranded", ctx);
       continue;
     }
     decision.destination = dest->info.host;
     decisions_.push_back(decision);
-    emit_decision_event(config_.tracer, decision.at, host_->name(), decision,
-                        "evacuate", ctx);
+    trace_decision(decision, "evacuate", ctx);
     const auto source_it = hosts_.find(drained_host);
     if (source_it == hosts_.end()) {
       continue;
@@ -1666,8 +1608,7 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
           .inc();
     }
     if (obs::active(tracer)) {
-      emit_decision_event(tracer, decision.at, host_->name(), decision,
-                          outcome, out_ctx);
+      trace_decision(decision, outcome, out_ctx);
       tracer->end_span(decide_span, {{"outcome", outcome}});
     }
   };
@@ -1701,8 +1642,7 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   decision.process_name = process->name;
 
   const HostEntry* dest =
-      place(consult.host, process->schema_name,
-            want_audit() ? &decision.candidates : nullptr, nullptr);
+      place(consult.host, process->schema_name, &decision.why_not, nullptr);
   if (dest == nullptr && !config_.parent_host.empty()) {
     // Hierarchical escalation: ask the parent registry.
     decision.escalated = true;

@@ -13,17 +13,26 @@
 // run writes per-shard tracers/metrics from worker threads and folds them
 // with merged_jsonl()/merge_from(), so the sharding-labelled TSan CI job
 // race-checks exactly this merge.
+//
+// The merged trace of a small run holds no event that depends on the shard
+// layout, so a fault-free run also digests every datagram each shard posts
+// and keeps every registry's decision log: the stream that the epochs and
+// the cross-shard delivery order shape.
 
 #include "ars/core/sharded_cluster.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
+
+#include "ars/support/hash.hpp"
 
 namespace ars {
 namespace {
@@ -37,13 +46,72 @@ core::ShardedClusterOptions small_options() {
   return options;
 }
 
-core::ShardedClusterReport run_once(const core::ShardedClusterOptions& o) {
-  core::ShardedCluster cluster(o);
-  return cluster.run();
+/// Folds every datagram its network posts (sent time, source,
+/// destination, port, size) into one FNV-1a digest.  It drops, duplicates
+/// and delays nothing.
+class DatagramDigest final : public net::FaultPolicy {
+ public:
+  PostVerdict on_post(const net::Message& message) override {
+    char fields[64];
+    std::snprintf(fields, sizeof fields, " %.17g %d %llu", message.sent_at,
+                  message.dst_port,
+                  static_cast<unsigned long long>(message.size_bytes));
+    digest_ = support::fnv1a(std::to_string(digest_) + ' ' +
+                             message.src_host + ' ' + message.dst_host +
+                             fields);
+    return {};
+  }
+  double bandwidth_factor(const std::string&, const std::string&) override {
+    return 1.0;
+  }
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+
+ private:
+  std::uint64_t digest_ = 0;
+};
+
+/// A run's report plus what it leaves out: each shard's datagram digest
+/// (none when a fault plan holds the fault-policy slot) and every
+/// registry's decision log, the root's first.
+struct Observed {
+  core::ShardedClusterReport report;
+  std::vector<std::uint64_t> datagram_digests;
+  std::vector<std::string> decision_logs;
+};
+
+Observed observe(core::ShardedCluster& cluster) {
+  const std::size_t shards = cluster.group().size();
+  std::vector<DatagramDigest> digests(shards);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    if (cluster.network(shard).fault_policy() == nullptr) {
+      cluster.network(shard).set_fault_policy(&digests[shard]);
+    }
+  }
+  Observed observed{cluster.run(), {},
+                    {cluster.root_registry().decision_log()}};
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    if (cluster.network(shard).fault_policy() == &digests[shard]) {
+      cluster.network(shard).set_fault_policy(nullptr);
+      observed.datagram_digests.push_back(digests[shard].digest());
+    }
+    registry::Registry& registry = cluster.shard_registry(shard);
+    if (&registry != &cluster.root_registry()) {
+      observed.decision_logs.push_back(registry.decision_log());
+    }
+  }
+  return observed;
 }
 
-void expect_identical(const core::ShardedClusterReport& a,
-                      const core::ShardedClusterReport& b) {
+Observed run_once(const core::ShardedClusterOptions& o) {
+  core::ShardedCluster cluster(o);
+  return observe(cluster);
+}
+
+void expect_identical(const Observed& first, const Observed& second) {
+  EXPECT_EQ(first.datagram_digests, second.datagram_digests);
+  EXPECT_EQ(first.decision_logs, second.decision_logs);
+  const core::ShardedClusterReport& a = first.report;
+  const core::ShardedClusterReport& b = second.report;
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.merged_trace, b.merged_trace);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
@@ -62,13 +130,13 @@ TEST(ShardedCluster, SingleShardRunsInlineAndRepeatsByteIdentically) {
   options.hierarchical = false;
 
   core::ShardedCluster cluster(options);
-  const core::ShardedClusterReport a = cluster.run();
+  const Observed a = observe(cluster);
   EXPECT_EQ(cluster.group().epochs(), 0u);  // contract (a): inline path
-  EXPECT_EQ(a.epochs, 0u);
-  EXPECT_EQ(a.cross_messages, 0u);
-  EXPECT_EQ(a.registered_hosts, options.hosts);
-  EXPECT_GT(a.consults, 0);
-  EXPECT_GT(a.trace_events, 0u);
+  EXPECT_EQ(a.report.epochs, 0u);
+  EXPECT_EQ(a.report.cross_messages, 0u);
+  EXPECT_EQ(a.report.registered_hosts, options.hosts);
+  EXPECT_GT(a.report.consults, 0);
+  EXPECT_GT(a.report.trace_events, 0u);
 
   expect_identical(a, run_once(options));
 }
@@ -80,14 +148,14 @@ TEST(ShardedCluster, HierarchicalFourShardsRepeatByteIdentically) {
   options.hierarchical = true;
 
   core::ShardedCluster cluster(options);
-  const core::ShardedClusterReport a = cluster.run();
-  EXPECT_GT(a.epochs, 0u);
+  const Observed a = observe(cluster);
+  EXPECT_GT(a.report.epochs, 0u);
   // Heartbeats stay shard-local; the children's periodic health reports to
   // the root are the only fabric traffic.
-  EXPECT_GT(a.cross_messages, 0u);
-  EXPECT_EQ(a.registered_hosts, options.hosts);
-  EXPECT_GT(a.consults, 0);
-  EXPECT_EQ(a.shard_events.size(), 4u);
+  EXPECT_GT(a.report.cross_messages, 0u);
+  EXPECT_EQ(a.report.registered_hosts, options.hosts);
+  EXPECT_GT(a.report.consults, 0);
+  EXPECT_EQ(a.report.shard_events.size(), 4u);
 
   expect_identical(a, run_once(options));
 }
@@ -99,13 +167,35 @@ TEST(ShardedCluster, FlatModeHeartbeatsCrossTheFabric) {
   options.hierarchical = false;
 
   core::ShardedCluster cluster(options);
-  const core::ShardedClusterReport a = cluster.run();
+  const Observed a = observe(cluster);
   // Three of the four shards reach the root registry through the router.
-  EXPECT_GT(a.cross_messages, 0u);
-  EXPECT_EQ(a.registered_hosts, options.hosts);
+  EXPECT_GT(a.report.cross_messages, 0u);
+  EXPECT_EQ(a.report.registered_hosts, options.hosts);
   EXPECT_EQ(&cluster.shard_registry(2), &cluster.root_registry());
 
   expect_identical(a, run_once(options));
+}
+
+// Contract (b) over 1, 2 and 4 shards, hierarchical and flat, down to the
+// datagram stream: every shard posts, and a rerun posts the same stream.
+TEST(ShardedCluster, EveryLayoutRepeatsItsDatagramStream) {
+  for (const int shards : {1, 2, 4}) {
+    for (const bool hierarchical : {true, false}) {
+      SCOPED_TRACE(std::to_string(shards) +
+                   (hierarchical ? " shards, hierarchical" : " shards, flat"));
+      core::ShardedClusterOptions options = small_options();
+      options.shards = shards;
+      options.hierarchical = hierarchical;
+
+      const Observed a = run_once(options);
+      ASSERT_EQ(a.datagram_digests.size(), static_cast<std::size_t>(shards));
+      for (const std::uint64_t digest : a.datagram_digests) {
+        EXPECT_NE(digest, 0u);
+      }
+      EXPECT_GT(a.report.consults, 0);
+      expect_identical(a, run_once(options));
+    }
+  }
 }
 
 TEST(ShardedCluster, ChaosReplayIsSeedStableUnderShards) {
@@ -116,14 +206,14 @@ TEST(ShardedCluster, ChaosReplayIsSeedStableUnderShards) {
   options.faults.message_loss(5.0, 40.0, 0.25);
   options.seed = 7;
 
-  const core::ShardedClusterReport a = run_once(options);
-  EXPECT_GT(a.dropped, 0u);
+  const Observed a = run_once(options);
+  EXPECT_GT(a.report.dropped, 0u);
   expect_identical(a, run_once(options));  // contract (c): same seed
 
   core::ShardedClusterOptions reseeded = options;
   reseeded.seed = 8;
-  const core::ShardedClusterReport c = run_once(reseeded);
-  EXPECT_NE(a.merged_trace, c.merged_trace);
+  const Observed c = run_once(reseeded);
+  EXPECT_NE(a.report.merged_trace, c.report.merged_trace);
 }
 
 TEST(ShardedCluster, CrashWindowSilencesMonitorsDeterministically) {
@@ -136,13 +226,13 @@ TEST(ShardedCluster, CrashWindowSilencesMonitorsDeterministically) {
     options.faults.monitor_stall(20.0, 45.0, host);
   }
 
-  const core::ShardedClusterReport a = run_once(options);
+  const Observed a = run_once(options);
   expect_identical(a, run_once(options));
 
   core::ShardedClusterOptions healthy = options;
   healthy.faults = chaos::FaultPlan{};
-  const core::ShardedClusterReport c = run_once(healthy);
-  EXPECT_NE(a.merged_trace, c.merged_trace);
+  const Observed c = run_once(healthy);
+  EXPECT_NE(a.report.merged_trace, c.report.merged_trace);
 }
 
 TEST(ShardedCluster, FaultOnAHostNoShardHoldsIsRefused) {
@@ -186,9 +276,9 @@ TEST(ShardedCluster, ControlLossPlanLeavesNoWorkerUnleased) {
   options.duration = options.faults.last_disruption_end() + 35.0 + 6 * 10.0;
 
   core::ShardedCluster cluster(options);
-  const core::ShardedClusterReport a = cluster.run();
-  EXPECT_GT(a.dropped, 0u);
-  EXPECT_NE(a.merged_trace.find("\"registry.cold_restart\""),
+  const Observed a = observe(cluster);
+  EXPECT_GT(a.report.dropped, 0u);
+  EXPECT_NE(a.report.merged_trace.find("\"registry.cold_restart\""),
             std::string::npos);
   int leased = 0;
   for (std::size_t shard = 0; shard < 4; ++shard) {
@@ -198,7 +288,7 @@ TEST(ShardedCluster, ControlLossPlanLeavesNoWorkerUnleased) {
     }
   }
   EXPECT_EQ(leased, options.hosts);
-  EXPECT_EQ(a.registered_hosts, options.hosts);
+  EXPECT_EQ(a.report.registered_hosts, options.hosts);
 
   expect_identical(a, run_once(options));
 }

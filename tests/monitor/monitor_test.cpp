@@ -93,39 +93,6 @@ TEST_F(SensorTest, Figure3RulesEvaluateAgainstLiveHost) {
   EXPECT_EQ(*engine->evaluate_all(sensors_), SystemState::kOverloaded);
 }
 
-TEST(MetricsDbTest, RecordAndQuery) {
-  MetricsDb db{4};
-  for (int i = 0; i < 6; ++i) {
-    xmlproto::DynamicStatus s;
-    s.timestamp = i * 10.0;
-    s.load1 = i;
-    db.record(s);
-  }
-  EXPECT_EQ(db.size(), 4U);  // capacity bound
-  ASSERT_TRUE(db.latest().has_value());
-  EXPECT_DOUBLE_EQ(db.latest()->timestamp, 50.0);
-  EXPECT_EQ(db.between(30.0, 50.0).size(), 3U);
-  // Mean over the last 20 s: samples at 30,40,50 -> loads 3,4,5.
-  EXPECT_NEAR(db.mean_load1(20.0), 4.0, 1e-9);
-}
-
-TEST(MetricsDbTest, SustainedPredicate) {
-  MetricsDb db;
-  for (int i = 0; i < 5; ++i) {
-    xmlproto::DynamicStatus s;
-    s.timestamp = i * 10.0;
-    s.load1 = i >= 2 ? 3.0 : 0.1;
-    db.record(s);
-  }
-  EXPECT_TRUE(db.sustained(
-      20.0, [](const xmlproto::DynamicStatus& s) { return s.load1 > 2.0; }));
-  EXPECT_FALSE(db.sustained(
-      45.0, [](const xmlproto::DynamicStatus& s) { return s.load1 > 2.0; }));
-  MetricsDb empty;
-  EXPECT_FALSE(empty.sustained(
-      10.0, [](const xmlproto::DynamicStatus&) { return true; }));
-}
-
 TEST(ClassifierTest, PolicyClassifierBands) {
   const Classifier classify =
       classifier_from_policy(rules::paper_policy2());

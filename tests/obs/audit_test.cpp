@@ -1,12 +1,16 @@
-// Scheduler decision audit: every registered host gets a verdict, rejection
-// reasons name the failing condition, and the audit surfaces both through
-// Decision::candidates and as "scheduler.decision" trace events.
+// Scheduler decision why-not record: every registered host is counted
+// exactly once (the counts sum to the registered hosts), each destination
+// check a free host can fail has its own count, and the record surfaces
+// both through Decision::why_not and as numeric attributes of the
+// "scheduler.decision" trace event.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "ars/obs/metrics.hpp"
@@ -28,8 +32,14 @@ class AuditTest : public ::testing::Test {
       net_.attach(*hosts_.back());
     }
     tracer_.set_clock([this] { return engine_.now(); });
+    build(AuditMode::kAuto);
+  }
+
+  void build(AuditMode audit) {
+    registry_.reset();
     Registry::Config config;
     config.policy = rules::paper_policy2();
+    config.audit = audit;
     config.tracer = &tracer_;
     config.metrics = &metrics_;
     registry_ = std::make_unique<Registry>(*hosts_[0], net_, config);
@@ -81,14 +91,26 @@ class AuditTest : public ::testing::Test {
     post(host, msg);
   }
 
-  const CandidateAudit* verdict_for(const std::vector<CandidateAudit>& audit,
-                                    const std::string& host) {
-    for (const CandidateAudit& candidate : audit) {
-      if (candidate.host == host) {
-        return &candidate;
+  void consult(const std::string& host) {
+    xmlproto::ConsultMsg msg;
+    msg.host = host;
+    msg.reason = "overloaded for 80s";
+    post(host, msg);
+  }
+
+  [[nodiscard]] int registered() const {
+    return static_cast<int>(registry_->hosts().size());
+  }
+
+  /// The last "scheduler.decision" instant on the trace.
+  [[nodiscard]] const obs::TraceEvent* last_decision_event() const {
+    const obs::TraceEvent* found = nullptr;
+    for (const obs::TraceEvent& event : tracer_.events()) {
+      if (event.name == "scheduler.decision") {
+        found = &event;
       }
     }
-    return nullptr;
+    return found;
   }
 
   sim::Engine engine_;
@@ -119,44 +141,19 @@ TEST_F(AuditTest, ChooseDestinationRecordsEveryVerdict) {
   update_host("ws5", SystemState::kFree);
   engine_.run_until(1.0);
 
-  std::vector<CandidateAudit> audit;
+  WhyNot why_not;
   const auto destination =
-      registry_->choose_destination("ws1", "heavy", &audit);
+      registry_->choose_destination("ws1", "heavy", &why_not);
   ASSERT_TRUE(destination.has_value());
   EXPECT_EQ(*destination, "ws4");
 
-  // One verdict per registered host, no duplicates.
-  ASSERT_EQ(audit.size(), 5u);
-  std::set<std::string> audited;
-  for (const CandidateAudit& candidate : audit) {
-    audited.insert(candidate.host);
-  }
-  EXPECT_EQ(audited.size(), 5u);
-
-  const CandidateAudit* ws1 = verdict_for(audit, "ws1");
-  ASSERT_NE(ws1, nullptr);
-  EXPECT_FALSE(ws1->accepted);
-  EXPECT_EQ(ws1->reason, "source host");
-
-  const CandidateAudit* ws2 = verdict_for(audit, "ws2");
-  ASSERT_NE(ws2, nullptr);
-  EXPECT_FALSE(ws2->accepted);
-  EXPECT_EQ(ws2->reason, "state=busy (not free)");
-
-  const CandidateAudit* ws3 = verdict_for(audit, "ws3");
-  ASSERT_NE(ws3, nullptr);
-  EXPECT_FALSE(ws3->accepted);
-  EXPECT_EQ(ws3->reason, "insufficient resources for schema heavy");
-
-  const CandidateAudit* ws4 = verdict_for(audit, "ws4");
-  ASSERT_NE(ws4, nullptr);
-  EXPECT_TRUE(ws4->accepted);
-  EXPECT_EQ(ws4->reason, "chosen (first-fit)");
-
-  const CandidateAudit* ws5 = verdict_for(audit, "ws5");
-  ASSERT_NE(ws5, nullptr);
-  EXPECT_FALSE(ws5->accepted);  // eligible, but first-fit took ws4
-  EXPECT_EQ(ws5->reason, "eligible (not chosen)");
+  // Each registered host counted once: the source by its state.
+  EXPECT_EQ(why_not.total(), 5);
+  EXPECT_EQ(why_not.overloaded, 1);  // ws1
+  EXPECT_EQ(why_not.busy, 1);        // ws2
+  EXPECT_EQ(why_not.resources, 1);   // ws3
+  EXPECT_EQ(why_not.eligible, 2);    // ws4 (chosen) and ws5
+  EXPECT_EQ(why_not.source, 0);      // not free, so counted as overloaded
 }
 
 TEST_F(AuditTest, DrainingHostIsRejectedWithReason) {
@@ -168,12 +165,13 @@ TEST_F(AuditTest, DrainingHostIsRejectedWithReason) {
   registry_->request_evacuation("ws2", "maintenance");
   engine_.run_until(2.0);
 
-  std::vector<CandidateAudit> audit;
-  const auto destination = registry_->choose_destination("ws1", "", &audit);
+  WhyNot why_not;
+  const auto destination = registry_->choose_destination("ws1", "", &why_not);
   EXPECT_FALSE(destination.has_value());
-  const CandidateAudit* ws2 = verdict_for(audit, "ws2");
-  ASSERT_NE(ws2, nullptr);
-  EXPECT_EQ(ws2->reason, "draining (evacuated)");
+  EXPECT_EQ(why_not.draining, 1);
+  EXPECT_EQ(why_not.overloaded, 1);
+  EXPECT_EQ(why_not.eligible, 0);
+  EXPECT_EQ(why_not.total(), 2);
 }
 
 TEST_F(AuditTest, ConsultProducesDecisionWithAuditAndTraceEvent) {
@@ -186,43 +184,33 @@ TEST_F(AuditTest, ConsultProducesDecisionWithAuditAndTraceEvent) {
   register_process("ws1", 42, "tree");
   engine_.run_until(1.0);
 
-  xmlproto::ConsultMsg consult;
-  consult.host = "ws1";
-  consult.reason = "overloaded for 80s";
-  post("ws1", consult);
+  consult("ws1");
   engine_.run_until(2.0);
 
   ASSERT_EQ(registry_->decisions().size(), 1u);
   const Decision& decision = registry_->decisions().front();
   EXPECT_EQ(decision.destination, "ws3");
-  ASSERT_EQ(decision.candidates.size(), 3u);
-  EXPECT_EQ(verdict_for(decision.candidates, "ws2")->reason,
-            "state=busy (not free)");
-  EXPECT_EQ(verdict_for(decision.candidates, "ws3")->reason,
-            "chosen (first-fit)");
+  EXPECT_EQ(decision.why_not.total(), 3);
+  EXPECT_EQ(decision.why_not.overloaded, 1);
+  EXPECT_EQ(decision.why_not.busy, 1);
+  EXPECT_EQ(decision.why_not.eligible, 1);
 
-  // The decision is also on the trace, with one candidate.<host> attribute
-  // per scanned host.
-  const obs::TraceEvent* decision_event = nullptr;
-  for (const obs::TraceEvent& event : tracer_.events()) {
-    if (event.name == "scheduler.decision") {
-      decision_event = &event;
-    }
-  }
+  // The decision is also on the trace: `eligible` and each nonzero count
+  // as a number, under keys that fit std::string's inline buffer.
+  const obs::TraceEvent* decision_event = last_decision_event();
   ASSERT_NE(decision_event, nullptr);
-  int candidate_attrs = 0;
-  bool found_rejection = false;
+  std::map<std::string, double> counts;
   for (const obs::Attr& attr : decision_event->attrs) {
-    if (attr.key.rfind("candidate.", 0) == 0) {
-      ++candidate_attrs;
-    }
-    if (attr.key == "candidate.ws2" &&
-        std::get<std::string>(attr.value) == "state=busy (not free)") {
-      found_rejection = true;
+    EXPECT_LE(attr.key.size(), 15u) << attr.key;
+    if (attr.key == "eligible" || attr.key.starts_with("no.")) {
+      ASSERT_TRUE(std::holds_alternative<double>(attr.value)) << attr.key;
+      counts[attr.key] = std::get<double>(attr.value);
     }
   }
-  EXPECT_EQ(candidate_attrs, 3);
-  EXPECT_TRUE(found_rejection);
+  EXPECT_EQ(counts, (std::map<std::string, double>{
+                        {"eligible", 1.0},
+                        {"no.busy", 1.0},
+                        {"no.overloaded", 1.0}}));
 
   // And the scheduler.decide span + metrics recorded the consult.
   ASSERT_EQ(tracer_.spans_named("scheduler.decide").size(), 1u);
@@ -236,6 +224,189 @@ TEST_F(AuditTest, ConsultProducesDecisionWithAuditAndTraceEvent) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 1u);
   EXPECT_NEAR(latency->mean(), 0.002, 1e-9);
+}
+
+TEST_F(AuditTest, AuditOffKeepsTheCountsOffTheTrace) {
+  build(AuditMode::kOff);
+  register_host("ws1");
+  register_host("ws2");
+  update_host("ws1", SystemState::kOverloaded, 2.8, 160);
+  update_host("ws2", SystemState::kFree);
+  register_process("ws1", 42, "tree");
+  engine_.run_until(1.0);
+  consult("ws1");
+  engine_.run_until(2.0);
+
+  // The decision records its counts either way...
+  ASSERT_EQ(registry_->decisions().size(), 1u);
+  EXPECT_EQ(registry_->decisions().front().why_not.eligible, 1);
+  EXPECT_EQ(registry_->decisions().front().why_not.total(), 2);
+  // ...but kOff keeps them off the event.
+  const obs::TraceEvent* decision_event = last_decision_event();
+  ASSERT_NE(decision_event, nullptr);
+  for (const obs::Attr& attr : decision_event->attrs) {
+    EXPECT_NE(attr.key, "eligible");
+    EXPECT_FALSE(attr.key.starts_with("no.")) << attr.key;
+  }
+}
+
+TEST_F(AuditTest, FreeSourceIsCountedAsSourceInAnEvacuation) {
+  register_host("ws1");  // free, evacuated: the source comes first
+  register_host("ws2");
+  register_host("ws3");
+  update_host("ws1", SystemState::kFree);
+  update_host("ws2", SystemState::kFree);
+  update_host("ws3", SystemState::kBusy, 1.2);
+  register_process("ws1", 42, "tree");
+  engine_.run_until(1.0);
+  registry_->request_evacuation("ws1", "maintenance");
+  engine_.run_until(2.0);
+
+  ASSERT_EQ(registry_->decisions().size(), 1u);
+  const Decision& decision = registry_->decisions().front();
+  EXPECT_EQ(decision.destination, "ws2");
+  EXPECT_EQ(decision.why_not.source, 1);
+  EXPECT_EQ(decision.why_not.draining, 0);
+  EXPECT_EQ(decision.why_not.eligible, 1);
+  EXPECT_EQ(decision.why_not.busy, 1);
+  EXPECT_EQ(decision.why_not.total(), registered());
+}
+
+TEST_F(AuditTest, SuspectDestinationIsCountedInTheReplan) {
+  register_host("ws1");
+  register_host("ws2");
+  register_host("ws3");
+  update_host("ws1", SystemState::kOverloaded, 2.8, 160);
+  update_host("ws2", SystemState::kFree);
+  update_host("ws3", SystemState::kFree);
+  register_process("ws1", 42, "tree");
+  engine_.run_until(1.0);
+  consult("ws1");
+  engine_.run_until(2.0);
+
+  // The migration to ws2 aborts there: ws2 turns suspect and the
+  // registry re-plans at once.
+  xmlproto::MigrationOutcomeMsg outcome;
+  outcome.process = "tree";
+  outcome.source = "ws1";
+  outcome.destination = "ws2";
+  outcome.outcome = "aborted";
+  outcome.reason = "dest-failed";
+  outcome.phase = "init";
+  post("ws1", outcome);
+  engine_.run_until(4.0);
+
+  ASSERT_EQ(registry_->decisions().size(), 2u);
+  EXPECT_EQ(registry_->decisions()[0].destination, "ws2");
+  const Decision& replan = registry_->decisions()[1];
+  EXPECT_EQ(replan.destination, "ws3");
+  EXPECT_EQ(replan.why_not.suspect, 1);
+  EXPECT_EQ(replan.why_not.eligible, 1);
+  EXPECT_EQ(replan.why_not.overloaded, 1);
+  EXPECT_EQ(replan.why_not.total(), registered());
+}
+
+TEST_F(AuditTest, GhostHostIsCountedAsUnregistered) {
+  register_host("ws1");
+  update_host("ws1", SystemState::kOverloaded, 2.8, 160);
+  register_process("ws1", 42, "tree");
+  update_host("ws2", SystemState::kFree);  // its Update overtook its Register
+  engine_.run_until(1.0);
+  consult("ws1");
+  engine_.run_until(2.0);
+
+  ASSERT_EQ(registry_->decisions().size(), 1u);
+  const Decision& decision = registry_->decisions().front();
+  EXPECT_TRUE(decision.destination.empty());
+  EXPECT_EQ(decision.why_not.unregistered, 1);
+  EXPECT_EQ(decision.why_not.overloaded, 1);
+  EXPECT_EQ(decision.why_not.eligible, 0);
+  EXPECT_EQ(decision.why_not.total(), registered());
+}
+
+TEST_F(AuditTest, PolicyRefusalIsCounted) {
+  register_host("ws1");
+  register_host("ws2");
+  register_host("ws3");
+  update_host("ws1", SystemState::kOverloaded, 2.8, 160);
+  // Free by its monitor, but over the policy's 100-process destination
+  // condition.
+  update_host("ws2", SystemState::kFree, 0.2, 120);
+  update_host("ws3", SystemState::kFree);
+  engine_.run_until(1.0);
+
+  WhyNot why_not;
+  EXPECT_EQ(registry_->choose_destination("ws1", "", &why_not), "ws3");
+  EXPECT_EQ(why_not.policy, 1);
+  EXPECT_EQ(why_not.eligible, 1);
+  EXPECT_EQ(why_not.overloaded, 1);
+  EXPECT_EQ(why_not.total(), registered());
+}
+
+TEST_F(AuditTest, InflightClaimIsCounted) {
+  // A 100 MiB memory floor a 128 MiB host meets once.
+  hpcm::ApplicationSchema schema{"heavy"};
+  hpcm::ResourceRequirements req;
+  req.min_memory_bytes = 100ULL << 20;
+  schema.set_requirements(req);
+  registry_->register_schema(schema);
+  register_host("ws1");
+  register_host("ws2");
+  register_host("ws3");
+  update_host("ws1", SystemState::kOverloaded, 2.8, 160);
+  update_host("ws2", SystemState::kOverloaded, 2.8, 160);
+  update_host("ws3", SystemState::kFree);
+  register_process("ws1", 41, "left", "heavy");
+  register_process("ws2", 42, "right", "heavy");
+  engine_.run_until(1.0);
+  // The first migration's claim holds 100 of ws3's 128 MiB until its
+  // outcome: the second consult finds ws3 exhausted.
+  consult("ws1");
+  engine_.run_until(2.0);
+  consult("ws2");
+  engine_.run_until(3.0);
+
+  ASSERT_EQ(registry_->decisions().size(), 2u);
+  EXPECT_EQ(registry_->decisions()[0].destination, "ws3");
+  EXPECT_EQ(registry_->decisions()[0].why_not.eligible, 1);
+  const Decision& second = registry_->decisions()[1];
+  EXPECT_TRUE(second.destination.empty());
+  EXPECT_EQ(second.why_not.inflight, 1);
+  EXPECT_EQ(second.why_not.overloaded, 2);
+  EXPECT_EQ(second.why_not.total(), registered());
+}
+
+TEST_F(AuditTest, StateCountsAreTheIndexListSizes) {
+  for (const char* name : {"ws1", "ws2", "ws3", "ws4", "ws5"}) {
+    register_host(name);
+  }
+  const auto heartbeats = [&] {
+    update_host("ws1", SystemState::kOverloaded, 2.8, 160);
+    update_host("ws2", SystemState::kBusy, 1.2);
+    update_host("ws3", SystemState::kBusy, 1.2);
+    update_host("ws5", SystemState::kFree);
+  };
+  heartbeats();
+  update_host("ws4", SystemState::kFree);
+  engine_.run_until(30.0);
+  heartbeats();  // ws4 falls silent: its lease lapses at the next sweeps
+  engine_.run_until(45.0);
+  ASSERT_EQ(registry_->host_state("ws4"), SystemState::kUnavailable);
+
+  WhyNot why_not;
+  EXPECT_EQ(registry_->choose_destination("ws1", "", &why_not), "ws5");
+  EXPECT_EQ(why_not.overloaded, 1);
+  EXPECT_EQ(why_not.busy, 2);
+  EXPECT_EQ(why_not.unavailable, 1);
+  EXPECT_EQ(why_not.eligible, 1);
+  EXPECT_EQ(why_not.total(), registered());
+  for (const auto& [state, count] :
+       {std::pair{SystemState::kBusy, why_not.busy},
+        std::pair{SystemState::kOverloaded, why_not.overloaded},
+        std::pair{SystemState::kUnavailable, why_not.unavailable}}) {
+    EXPECT_EQ(registry_->indexed_count(state),
+              static_cast<std::size_t>(count));
+  }
 }
 
 TEST_F(AuditTest, LeaseExpirationIsCountedAndTraced) {

@@ -1,8 +1,9 @@
 // End-to-end observability: drive the quickstart scenario (overload ws1,
 // autonomic migration to a free host) through ReschedulerRuntime and assert
 // the trace contains every migration phase span, the scheduler decision
-// audit, monitor state transitions, commander signal delivery, and that the
-// Chrome trace export round-trips through the obs JSON parser.
+// with its why-not counts, monitor state transitions, commander signal
+// delivery, and that the Chrome trace export round-trips through the obs
+// JSON parser.
 
 #include <gtest/gtest.h>
 
@@ -114,7 +115,7 @@ TEST_F(ObsIntegrationTest, SchedulerMonitorAndCommanderAreOnTheTrace) {
   run_scenario();
   const obs::Tracer& tracer = runtime_->tracer();
 
-  // At least one scheduler decision, auditing every scanned candidate.
+  // At least one scheduler decision, counting every registered host.
   const obs::TraceEvent* decision = nullptr;
   bool transition_to_overloaded = false;
   bool commander_signal = false;
@@ -143,22 +144,19 @@ TEST_F(ObsIntegrationTest, SchedulerMonitorAndCommanderAreOnTheTrace) {
     }
   }
   ASSERT_NE(decision, nullptr);
-  int candidates = 0;
-  bool rejected_with_reason = false;
+  double counted = 0.0;
+  bool refused = false;
   std::string destination;
   for (const obs::Attr& attr : decision->attrs) {
-    if (attr.key.rfind("candidate.", 0) == 0) {
-      ++candidates;
-      const auto& reason = std::get<std::string>(attr.value);
-      if (reason.rfind("chosen", 0) != 0) {
-        rejected_with_reason = !reason.empty();
-      }
+    if (attr.key == "eligible" || attr.key.starts_with("no.")) {
+      counted += std::get<double>(attr.value);
+      refused |= attr.key.starts_with("no.");
     } else if (attr.key == "destination") {
       destination = std::get<std::string>(attr.value);
     }
   }
-  EXPECT_EQ(candidates, 3);  // every registered host got a verdict
-  EXPECT_TRUE(rejected_with_reason);
+  EXPECT_EQ(counted, 3.0);  // every registered host is counted once
+  EXPECT_TRUE(refused);     // the overloaded source, at least
   EXPECT_EQ(destination, runtime_->middleware().history().front().destination);
   EXPECT_TRUE(transition_to_overloaded);
   EXPECT_TRUE(commander_signal);
@@ -208,7 +206,7 @@ TEST_F(ObsIntegrationTest, ChromeTraceExportRoundTripsWithMigrationStory) {
 
   std::set<std::string> begun;
   std::set<std::string> ended;
-  bool decision_with_candidates = false;
+  bool decision_counting_every_host = false;
   for (const obs::JsonValue& event : events->as_array()) {
     const std::string& ph = event.find("ph")->as_string();
     const std::string& name = event.find("name")->as_string();
@@ -219,13 +217,14 @@ TEST_F(ObsIntegrationTest, ChromeTraceExportRoundTripsWithMigrationStory) {
     } else if (ph == "i" && name == "scheduler.decision") {
       const obs::JsonValue* args = event.find("args");
       ASSERT_NE(args, nullptr);
-      int candidates = 0;
+      double counted = 0.0;
       for (const auto& [key, value] : args->as_object()) {
-        if (key.rfind("candidate.", 0) == 0 && value.is_string()) {
-          ++candidates;
+        if ((key == "eligible" || key.starts_with("no.")) &&
+            value.is_number()) {
+          counted += value.as_number();
         }
       }
-      decision_with_candidates |= candidates == 3;
+      decision_counting_every_host |= counted == 3.0;
     }
   }
   for (const char* phase :
@@ -234,7 +233,7 @@ TEST_F(ObsIntegrationTest, ChromeTraceExportRoundTripsWithMigrationStory) {
     EXPECT_TRUE(begun.contains(phase)) << phase;
     EXPECT_TRUE(ended.contains(phase)) << phase;
   }
-  EXPECT_TRUE(decision_with_candidates);
+  EXPECT_TRUE(decision_counting_every_host);
 }
 
 }  // namespace

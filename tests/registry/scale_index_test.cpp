@@ -3,8 +3,9 @@
 //
 //   * the index tracks every state transition and keeps the free list in
 //     registration order (the first-fit scan order);
-//   * the per-host audit accepts exactly the hosts the free-list walk
-//     returns, and a churn's decisions match a golden log;
+//   * the free-list walk returns exactly the free hosts other than the
+//     source, in registration order, and its why-not counts add up to
+//     every registered host; a churn's decisions match a golden log;
 //   * re-admission after a lease expiry must not reuse pre-crash status;
 //   * restarts of one crashed host's processes spread across free hosts;
 //   * Update-before-Register ghosts are never command targets (no message
@@ -13,12 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "ars/obs/metrics.hpp"
-#include "ars/obs/tracer.hpp"
 #include "ars/registry/registry.hpp"
 #include "ars/support/rng.hpp"
 
@@ -128,7 +129,6 @@ class ScaleIndexTest : public ::testing::Test {
 
   Engine engine_;
   obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;  // attached only by tests that want decision audits
   std::unique_ptr<net::Network> net_;
   std::vector<std::unique_ptr<host::Host>> hosts_;
   std::unique_ptr<Registry> registry_;
@@ -185,11 +185,13 @@ TEST_F(ScaleIndexTest, IndexedAndLegacyEligiblesAgreeUnderChurn) {
   build();
   const int kHosts = 40;
   std::vector<std::string> names;
+  std::map<std::string, SystemState> delivered;
   for (int i = 0; i < kHosts; ++i) {
     names.push_back("n" + std::to_string(100 + i));
     registry_->deliver(register_msg(names.back()), names.back());
     registry_->deliver(update_msg(names.back(), SystemState::kFree),
                        names.back());
+    delivered[names.back()] = SystemState::kFree;
   }
   support::Rng rng{7};
   const SystemState states[] = {SystemState::kFree, SystemState::kBusy,
@@ -200,26 +202,38 @@ TEST_F(ScaleIndexTest, IndexedAndLegacyEligiblesAgreeUnderChurn) {
           names[static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1))];
       const SystemState state = states[rng.uniform_int(0, 2)];
       registry_->deliver(update_msg(name, state), name);
+      delivered[name] = state;
     }
     ASSERT_TRUE(registry_->index_consistent());
     const auto& source =
         names[static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1))];
-    // The audit judges every registered host; the hosts it accepts, in
-    // registration order, must be exactly what the free-list walk returned.
-    std::vector<CandidateAudit> audit;
-    const auto eligible = registry_->eligible_destinations(source, "", &audit);
-    ASSERT_EQ(audit.size(), static_cast<std::size_t>(kHosts));
-    std::vector<std::string> accepted;
-    for (const CandidateAudit& candidate : audit) {
-      if (candidate.accepted) {
-        accepted.push_back(candidate.host);
+    // The oracle, from the states this test delivered: every free host
+    // other than the source, in registration order.
+    std::vector<std::string> expected;
+    int busy = 0;
+    int overloaded = 0;
+    for (const std::string& name : names) {
+      busy += delivered[name] == SystemState::kBusy ? 1 : 0;
+      overloaded += delivered[name] == SystemState::kOverloaded ? 1 : 0;
+      if (delivered[name] == SystemState::kFree && name != source) {
+        expected.push_back(name);
       }
     }
+    WhyNot why_not;
+    const auto eligible =
+        registry_->eligible_destinations(source, "", &why_not);
     std::vector<std::string> walked;
     for (const HostEntry* entry : eligible) {
       walked.push_back(entry->info.host);
     }
-    EXPECT_EQ(accepted, walked) << "round " << round;
+    EXPECT_EQ(walked, expected) << "round " << round;
+    // Every registered host is counted once.
+    EXPECT_EQ(why_not.total(), kHosts) << "round " << round;
+    EXPECT_EQ(why_not.eligible, static_cast<int>(expected.size()));
+    EXPECT_EQ(why_not.busy, busy);
+    EXPECT_EQ(why_not.overloaded, overloaded);
+    EXPECT_EQ(why_not.source,
+              delivered[source] == SystemState::kFree ? 1 : 0);
   }
 }
 
@@ -374,12 +388,10 @@ TEST_F(ScaleIndexTest, RestartsSpreadAcrossFreeHosts) {
 
 // A recovery round debits each destination with the restarts it already
 // placed there: two 100 MiB processes fill both 128 MiB hosts, so the third
-// is stranded, and its audit names the round's debits as the reason.
+// is stranded, and its why-not record counts both under the round's debits.
 TEST_F(ScaleIndexTest, RecoveryRoundDebitsExhaustDestinations) {
   Registry::Config config;
   config.auto_restart = true;
-  config.tracer = &tracer_;  // a tracer turns the per-host audit on
-  tracer_.set_clock([this] { return engine_.now(); });
   build(config);
   hpcm::ApplicationSchema schema{"big"};
   hpcm::ResourceRequirements requirements;
@@ -405,13 +417,16 @@ TEST_F(ScaleIndexTest, RecoveryRoundDebitsExhaustDestinations) {
   EXPECT_EQ(decisions[0].destination, "ws2");
   EXPECT_EQ(decisions[1].destination, "ws3");
   EXPECT_TRUE(decisions[2].destination.empty());
-  ASSERT_EQ(decisions[2].candidates.size(), 3U);
-  EXPECT_EQ(decisions[2].candidates[0].reason, "source host");
-  for (const std::size_t i : {1U, 2U}) {
-    EXPECT_FALSE(decisions[2].candidates[i].accepted);
-    EXPECT_EQ(decisions[2].candidates[i].reason,
-              "in-flight restarts exhaust resources");
+  for (const Decision& decision : decisions) {
+    EXPECT_TRUE(decision.restart);
+    EXPECT_EQ(decision.why_not.total(), 3);
+    EXPECT_EQ(decision.why_not.unavailable, 1);  // the lost source, ws1
   }
+  EXPECT_EQ(decisions[0].why_not.eligible, 2);
+  EXPECT_EQ(decisions[1].why_not.eligible, 1);
+  EXPECT_EQ(decisions[1].why_not.recovery_round, 1);
+  EXPECT_EQ(decisions[2].why_not.eligible, 0);
+  EXPECT_EQ(decisions[2].why_not.recovery_round, 2);
   ASSERT_EQ(registry_->stranded().size(), 1U);
   EXPECT_EQ(registry_->stranded()[0].name, "rank3");
 }
