@@ -183,6 +183,33 @@ void BM_XmlDecodeHeartbeat(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlDecodeHeartbeat);
 
+// A one-renewal batch: the lease refresh a monitor sends while its host's
+// state holds, and most of a large cluster's heartbeat traffic.
+xmlproto::UpdateBatchMsg sample_renewal() {
+  xmlproto::UpdateBatchMsg m;
+  m.renewals.push_back({"ws1", "busy", 280.0});
+  return m;
+}
+
+void BM_XmlEncodeRenewal(benchmark::State& state) {
+  const xmlproto::ProtocolMessage message{sample_renewal()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xmlproto::encode(message));
+  }
+  note_case(state, "BM_XmlEncodeRenewal");
+}
+BENCHMARK(BM_XmlEncodeRenewal);
+
+void BM_XmlDecodeRenewal(benchmark::State& state) {
+  const std::string wire = xmlproto::encode(sample_renewal());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xmlproto::decode(wire));
+  }
+  state.SetBytesProcessed(state.iterations() * wire.size());
+  note_case(state, "BM_XmlDecodeRenewal");
+}
+BENCHMARK(BM_XmlDecodeRenewal);
+
 void BM_StateRegistryEncode(benchmark::State& state) {
   const std::size_t doubles = static_cast<std::size_t>(state.range(0));
   hpcm::StateRegistry reg;

@@ -12,6 +12,8 @@
 #include <charconv>
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,7 +28,9 @@ namespace ars::xmlproto {
 
 /// Appends XML to a string.  Text and attribute values are escaped
 /// (&<>"'), and an element that gets neither text nor a child is written
-/// self-closed: <name/>.
+/// self-closed: <name/>.  The string grows by doubling its capacity, as it
+/// would byte by byte, so a document ends with the same capacity however
+/// its bytes were batched.
 class XmlWriter {
  public:
   explicit XmlWriter(std::string& out) noexcept : out_(out) {}
@@ -39,17 +43,27 @@ class XmlWriter {
 
   /// <name>text</name>, or <name/> when `text` is empty.
   void element(std::string_view name, std::string_view text);
-  /// A number in fixed notation with `decimals` digits (printf's "%.*f").
+  /// A number in fixed notation with `decimals` digits: the bytes of
+  /// std::to_chars(value, std::chars_format::fixed, decimals).
   void element(std::string_view name, double value, int decimals);
   /// A decimal integer (std::to_string's digits).
   template <std::integral T>
   void element(std::string_view name, T value) {
     char digits[24];
     const auto result = std::to_chars(digits, digits + sizeof digits, value);
-    element(name, std::string_view(digits, result.ptr - digits));
+    number(name, std::string_view(digits, result.ptr - digits));
   }
 
  private:
+  /// <name>digits</name>.
+  void number(std::string_view name, std::string_view digits);
+  /// Grows out_ by `n` bytes, its capacity by doubling, and returns them.
+  char* extend(std::size_t n);
+  /// Appends the pieces (each convertible to std::string_view), unescaped.
+  template <typename... Pieces>
+  void put(const Pieces&... pieces);
+  void put_escaped(std::string_view raw);
+
   std::string& out_;
   std::size_t empty_at_ = std::string::npos;  // out_'s size after a start tag
 };
@@ -68,13 +82,63 @@ std::optional<T> from_text(std::string_view text) {
   } else if constexpr (std::is_same_v<T, double>) {
     return support::parse_double(text);
   } else {
-    const auto value = support::parse_int(text);
+    const std::string_view digits = support::trim(text);
+    // A text without a sign reads as a uint64_t for an unsigned T, so that
+    // every value of T round-trips; any other as an int64_t.
+    if constexpr (std::is_unsigned_v<T>) {
+      if (!digits.starts_with('-')) {
+        const char* const end = digits.data() + digits.size();
+        std::uint64_t value = 0;
+        const auto [stop, error] = std::from_chars(digits.data(), end, value);
+        if (error != std::errc{} || stop != end || !std::in_range<T>(value)) {
+          return std::nullopt;
+        }
+        return static_cast<T>(value);
+      }
+    }
+    const auto value = support::parse_int(digits);
     if (!value.has_value() || !std::in_range<T>(*value)) {
       return std::nullopt;
     }
     return static_cast<T>(*value);
   }
 }
+
+namespace detail {
+
+template <typename Word>
+Word load(const char* bytes) noexcept {
+  Word word;
+  std::memcpy(&word, bytes, sizeof word);
+  return word;
+}
+
+/// a == b, inline: names and keys are short, and the codec compares one per
+/// field, where a call to memcmp costs more than the compare.  Up to 16
+/// bytes take two overlapping word compares.
+inline bool same(std::string_view a, std::string_view b) noexcept {
+  const std::size_t n = a.size();
+  if (n != b.size()) {
+    return false;
+  }
+  const char* x = a.data();
+  const char* y = b.data();
+  if (n > 16) {
+    return a == b;
+  }
+  if (n >= 8) {
+    return load<std::uint64_t>(x) == load<std::uint64_t>(y) &&
+           load<std::uint64_t>(x + n - 8) == load<std::uint64_t>(y + n - 8);
+  }
+  if (n >= 4) {
+    return load<std::uint32_t>(x) == load<std::uint32_t>(y) &&
+           load<std::uint32_t>(x + n - 4) == load<std::uint32_t>(y + n - 4);
+  }
+  return n == 0 ||
+         (x[0] == y[0] && x[n / 2] == y[n / 2] && x[n - 1] == y[n - 1]);
+}
+
+}  // namespace detail
 
 class XmlElement;
 
@@ -115,21 +179,23 @@ class XmlReader {
 
   /// The first element named `name` (any, when empty) among the siblings
   /// from `from` up to `to`.
-  [[nodiscard]] std::optional<XmlElement> find(std::size_t from,
-                                               std::size_t to,
-                                               std::string_view name) const;
+  [[nodiscard]] inline std::optional<XmlElement> find(
+      std::size_t from, std::size_t to, std::string_view name) const;
 
   std::vector<Element> elements_;
   std::vector<Attribute> attrs_;
-  // Decoded attribute values and element text.  parse() reserves the input's
-  // size, which no decoded text exceeds, so the views above never dangle.
+  // Attribute values with entities, and element text that has entities or
+  // is split by a child or a comment, decoded.  Other values and text are
+  // views into the input.  parse() reserves the input's size, which no
+  // decoded text exceeds, so the views above never dangle.
   std::vector<char> text_;
-  std::string pending_;  // text of the elements still open, innermost last
+  std::string pending_;  // such text of the elements still open, innermost last
 };
 
 /// One element of the document an XmlReader parsed last.  Its views point
 /// into that input and into the reader: they are valid while both live,
-/// until the reader's next parse().
+/// until the reader's next parse().  A text or attribute value that is one
+/// run of the input without entities is a view into the input.
 class XmlElement {
  public:
   [[nodiscard]] std::string_view name() const { return node().name; }
@@ -163,5 +229,15 @@ class XmlElement {
   const XmlReader* reader_;
   std::size_t index_;
 };
+
+std::optional<XmlElement> XmlReader::find(std::size_t from, std::size_t to,
+                                          std::string_view name) const {
+  for (std::size_t i = from; i < to; i = elements_[i].end) {
+    if (name.empty() || detail::same(elements_[i].name, name)) {
+      return XmlElement{*this, i};
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace ars::xmlproto

@@ -4,14 +4,68 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 namespace ars::support {
 
 namespace {
 
-bool is_space(char c) noexcept {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
+// The "C" locale's isspace (ASCII whitespace), inline: the wire codec trims
+// every field it reads.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+// 10^0 .. 10^22, the powers of ten a double holds exactly.
+constexpr double kExactPowersOf10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+constexpr bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+/// The value of `text` when it is plain fixed notation, -?d+(.d+)?, of at
+/// most 19 characters after the sign, whose digits read as one integer
+/// w <= 2^53; nullopt for any other text, without a verdict on it.  w and 10^decimals are then exact doubles,
+/// and one correctly rounded division gives exactly the double
+/// std::from_chars reads (Clinger's fast path).
+std::optional<double> parse_plain_fixed(std::string_view text) {
+  const bool negative = !text.empty() && text.front() == '-';
+  if (negative) {
+    text.remove_prefix(1);
+  }
+  if (text.empty() || text.size() > 19) {  // so w cannot overflow
+    return std::nullopt;
+  }
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  std::uint64_t w = 0;
+  for (; p != end && is_digit(*p); ++p) {
+    w = w * 10 + static_cast<std::uint64_t>(*p - '0');
+  }
+  if (p == text.data()) {
+    return std::nullopt;
+  }
+  std::size_t decimals = 0;
+  if (p != end) {
+    if (*p != '.') {
+      return std::nullopt;
+    }
+    const char* const point = p++;
+    for (; p != end && is_digit(*p); ++p) {
+      w = w * 10 + static_cast<std::uint64_t>(*p - '0');
+    }
+    decimals = static_cast<std::size_t>(p - point - 1);
+    if (p != end || decimals == 0) {
+      return std::nullopt;
+    }
+  }
+  if (w > (std::uint64_t{1} << 53)) {
+    return std::nullopt;
+  }
+  const double value = static_cast<double>(w) / kExactPowersOf10[decimals];
+  return negative ? -value : value;
 }
 
 }  // namespace
@@ -87,6 +141,9 @@ std::optional<double> parse_double(std::string_view text) {
   text = trim(text);
   if (text.empty()) {
     return std::nullopt;
+  }
+  if (const auto plain = parse_plain_fixed(text)) {
+    return plain;
   }
   double value = 0.0;
   const auto* end = text.data() + text.size();

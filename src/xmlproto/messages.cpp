@@ -1,5 +1,6 @@
 #include "ars/xmlproto/messages.hpp"
 
+#include <array>
 #include <optional>
 #include <tuple>
 #include <type_traits>
@@ -227,6 +228,51 @@ constexpr const auto& table_of() {
   }
 }
 
+/// The child element name each kind of field reads.
+template <typename Owner, typename T>
+constexpr std::string_view name_of(const Field<Owner, T>& field) {
+  return field.name;
+}
+template <typename Owner, typename Record, typename RecordTable>
+constexpr std::string_view name_of(
+    const Block<Owner, Record, RecordTable>& field) {
+  return field.table->tag;
+}
+template <typename Owner, typename Record, typename RecordTable>
+constexpr std::string_view name_of(
+    const Blocks<Owner, Record, RecordTable>& field) {
+  return field.table->tag;
+}
+template <typename Owner>
+constexpr std::string_view name_of(const Texts<Owner>& field) {
+  return field.name;
+}
+
+/// True when no two fields of `t` read children of the same name, which
+/// the decoder's in-order lookup (Children) relies on.
+template <typename... Fields>
+constexpr bool distinct_names(const Table<Fields...>& t) {
+  return std::apply(
+      [](const auto&... field) {
+        const std::array<std::string_view, sizeof...(Fields)> names{
+            name_of(field)...};
+        for (std::size_t i = 0; i < names.size(); ++i) {
+          for (std::size_t j = i + 1; j < names.size(); ++j) {
+            if (names[i] == names[j]) {
+              return false;
+            }
+          }
+        }
+        return true;
+      },
+      t.fields);
+}
+
+static_assert(distinct_names(kStatic) && distinct_names(kStatus) &&
+              distinct_names(kRenewal));
+static_assert(std::apply(
+    [](const auto&... t) { return (distinct_names(t) && ...); }, kMessages));
+
 // ---- scalar text ------------------------------------------------------------
 
 template <typename T>
@@ -244,6 +290,35 @@ constexpr const char* kind_of() {
 // flat arrays (the first match wins, order is free, unknown children are
 // ignored).
 
+/// The direct children of one element, as its record's fields look them up.
+/// A lookup first tries the child after the last one such a try found, and
+/// on a miss scans from the first child, which leaves that place alone.  So
+/// a record sent in table order costs one name compare per field, and the
+/// answer is always the first child of that name: every child before the
+/// place was found by an earlier field, and no two fields of a table share
+/// a name (distinct_names).  Repeated fields scan and leave it alone too.
+class Children {
+ public:
+  explicit Children(XmlElement parent)
+      : parent_(parent), next_(parent.child()) {}
+
+  [[nodiscard]] XmlElement parent() const { return parent_; }
+
+  /// The first child named `name`.
+  std::optional<XmlElement> first(std::string_view name) {
+    if (next_.has_value() && detail::same(next_->name(), name)) {
+      const XmlElement hit = *next_;
+      next_ = hit.next_sibling();
+      return hit;
+    }
+    return parent_.child(name);
+  }
+
+ private:
+  XmlElement parent_;
+  std::optional<XmlElement> next_;
+};
+
 template <typename... Fields, typename Record>
 void encode_fields(XmlWriter& out, const Table<Fields...>& t,
                    const Record& record) {
@@ -256,9 +331,10 @@ template <typename... Fields, typename Record>
 Status decode_fields(XmlElement node, const Table<Fields...>& t,
                      Record& record) {
   Status status;
+  Children children{node};
   std::apply(
       [&](const auto&... field) {
-        (void)(decode_field(node, field, record, status) && ...);
+        (void)(decode_field(children, field, record, status) && ...);
       },
       t.fields);
   return status;
@@ -281,9 +357,9 @@ void encode_field(XmlWriter& out, const Field<Owner, T>& field,
 }
 
 template <typename Owner, typename T>
-bool decode_field(XmlElement node, const Field<Owner, T>& field,
+bool decode_field(Children& children, const Field<Owner, T>& field,
                   Owner& record, Status& status) {
-  const auto child = node.child(field.name);
+  const auto child = children.first(field.name);
   auto value = child.has_value() ? from_text<T>(child->text()) : std::nullopt;
   if (value.has_value()) {
     record.*field.member = std::move(*value);
@@ -297,7 +373,9 @@ bool decode_field(XmlElement node, const Field<Owner, T>& field,
   status = !child.has_value()
                ? make_error("proto_decode", "missing field <" + name +
                                                 "> in <" +
-                                                std::string(node.name()) + ">")
+                                                std::string(
+                                                    children.parent().name()) +
+                                                ">")
                : make_error("proto_decode", "field <" + name + "> is not " +
                                                 kind_of<T>() + ": " +
                                                 std::string(child->text()));
@@ -314,10 +392,10 @@ void encode_field(XmlWriter& out,
 }
 
 template <typename Owner, typename Record, typename RecordTable>
-bool decode_field(XmlElement node,
+bool decode_field(Children& children,
                   const Block<Owner, Record, RecordTable>& field,
                   Owner& record, Status& status) {
-  const auto child = node.child(field.table->tag);
+  const auto child = children.first(field.table->tag);
   if (!child.has_value()) {
     status = make_error("proto_decode", "missing <" +
                                             std::string(field.table->tag) +
@@ -340,10 +418,11 @@ void encode_field(XmlWriter& out,
 }
 
 template <typename Owner, typename Record, typename RecordTable>
-bool decode_field(XmlElement node,
+bool decode_field(Children& children,
                   const Blocks<Owner, Record, RecordTable>& field,
                   Owner& record, Status& status) {
-  for (auto child = node.child(field.table->tag); child.has_value();
+  for (auto child = children.parent().child(field.table->tag);
+       child.has_value();
        child = child->next_sibling(field.table->tag)) {
     Record item;
     status = decode_fields(*child, *field.table, item);
@@ -364,32 +443,29 @@ void encode_field(XmlWriter& out, const Texts<Owner>& field,
 }
 
 template <typename Owner>
-bool decode_field(XmlElement node, const Texts<Owner>& field, Owner& record,
-                  Status& /*status*/) {
-  for (auto child = node.child(field.name); child.has_value();
+bool decode_field(Children& children, const Texts<Owner>& field,
+                  Owner& record, Status& /*status*/) {
+  for (auto child = children.parent().child(field.name); child.has_value();
        child = child->next_sibling(field.name)) {
     (record.*field.member).emplace_back(child->text());
   }
   return true;
 }
 
-/// Decodes the body of a message whose type attribute is `type`.
+/// Decodes the body of a message whose type attribute is `type` into
+/// `message`.
 template <std::size_t I = 0>
-Expected<ProtocolMessage> decode_body(XmlElement root, std::string_view type) {
+Status decode_body(XmlElement root, std::string_view type,
+                   ProtocolMessage& message) {
   if constexpr (I == std::tuple_size_v<decltype(kMessages)>) {
     return make_error("proto_decode",
                       "unknown message type '" + std::string(type) + "'");
   } else {
     const auto& t = std::get<I>(kMessages);
-    if (type != t.tag) {
-      return decode_body<I + 1>(root, type);
+    if (!detail::same(type, t.tag)) {
+      return decode_body<I + 1>(root, type, message);
     }
-    std::variant_alternative_t<I, ProtocolMessage> message;
-    if (const Status status = decode_fields(root, t, message);
-        !status.is_ok()) {
-      return status.error();
-    }
-    return ProtocolMessage{std::in_place_index<I>, std::move(message)};
+    return decode_fields(root, t, message.emplace<I>());
   }
 }
 
@@ -431,15 +507,11 @@ std::string message_type(const ProtocolMessage& message) {
       message);
 }
 
-Expected<ProtocolMessage> decode(std::string_view wire) {
-  auto envelope = decode_envelope(wire);
-  if (!envelope.has_value()) {
-    return envelope.error();
-  }
-  return std::move(envelope).value().message;
-}
+namespace {
 
-Expected<Envelope> decode_envelope(std::string_view wire) {
+/// Decodes `wire` into `envelope`, which decode() and decode_envelope()
+/// then return without another copy of the message.
+Status decode_into(std::string_view wire, Envelope& envelope) {
   // One reader per thread: shards decode concurrently, and each reuses its
   // reader's arrays from one datagram to the next.
   thread_local XmlReader reader;
@@ -455,11 +527,10 @@ Expected<Envelope> decode_envelope(std::string_view wire) {
   if (!type.has_value()) {
     return make_error("proto_decode", "missing type attribute");
   }
-  auto message = decode_body(*root, *type);
-  if (!message.has_value()) {
-    return message.error();
+  if (Status status = decode_body(*root, *type, envelope.message);
+      !status.is_ok()) {
+    return status;
   }
-  Envelope envelope{std::move(message).value(), {}};
   // Malformed context attrs degrade to "no context" rather than rejecting
   // the message: causality is advisory, the payload is not.
   if (const auto txn = root->attr("txn"); txn.has_value()) {
@@ -472,6 +543,24 @@ Expected<Envelope> decode_envelope(std::string_view wire) {
         }
       }
     }
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
+Expected<ProtocolMessage> decode(std::string_view wire) {
+  Envelope envelope;
+  if (const Status status = decode_into(wire, envelope); !status.is_ok()) {
+    return status.error();
+  }
+  return std::move(envelope.message);
+}
+
+Expected<Envelope> decode_envelope(std::string_view wire) {
+  Envelope envelope;
+  if (const Status status = decode_into(wire, envelope); !status.is_ok()) {
+    return status.error();
   }
   return envelope;
 }

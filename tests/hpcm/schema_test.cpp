@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace ars::hpcm {
@@ -96,6 +97,22 @@ TEST(Schema, FromXmlRejectsMalformedInput) {
     EXPECT_EQ(schema.has_value() ? "accepted" : schema.error().code,
               "schema_parse")
         << body;
+  }
+}
+
+TEST(Schema, UnsignedFieldsRoundTripTheirWholeRange) {
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{9223372036854775807ULL},
+        std::uint64_t{9223372036854775808ULL},
+        std::uint64_t{18446744073709551615ULL}}) {
+    ApplicationSchema schema = tree_schema();
+    schema.set_est_comm_bytes(value);
+    schema.set_requirements({value, value, 0.5});
+    const auto back = ApplicationSchema::from_xml(schema.to_xml());
+    ASSERT_TRUE(back.has_value()) << back.error().to_string();
+    EXPECT_EQ(back->est_comm_bytes(), value);
+    EXPECT_EQ(back->requirements().min_memory_bytes, value);
+    EXPECT_EQ(back->requirements().min_disk_bytes, value);
   }
 }
 

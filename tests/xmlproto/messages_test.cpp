@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "ars/xmlproto/xml.hpp"
+
 namespace ars::xmlproto {
 namespace {
 
@@ -522,6 +530,206 @@ TEST(Messages, CountBeyondIntIsRejected) {
   UpdateMsg update;
   update.status.host = "ws1";
   EXPECT_FALSE(decode(with_field(update, "processes", "2147483648")));
+}
+
+// Unsigned fields read as unsigned 64-bit numbers, so every value they hold
+// comes back, 2^63 and above included.
+
+TEST(Messages, UnsignedFieldsRoundTripTheirWholeRange) {
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{9223372036854775807ULL},
+        std::uint64_t{9223372036854775808ULL},
+        std::uint64_t{18446744073709551615ULL}}) {
+    RegisterMsg reg = sample_register();
+    reg.info.memory_bytes = value;
+    reg.info.disk_bytes = value;
+    EXPECT_EQ(round_trip(reg), reg) << value;
+
+    UpdateMsg update;
+    update.status.host = "ws1";
+    update.status.disk_available = value;
+    EXPECT_EQ(round_trip(update), update) << value;
+
+    MigrationOutcomeMsg outcome;
+    outcome.process = "test_tree";
+    outcome.source = "ws1";
+    outcome.destination = "ws4";
+    outcome.outcome = "committed";
+    outcome.precopy_rounds = 2;
+    outcome.precopy_bytes = value;
+    EXPECT_EQ(round_trip(outcome), outcome) << value;
+
+    CkptIoRequestMsg request;
+    request.host = "ws1";
+    request.process = "test_tree";
+    request.verb = "request";
+    request.bytes = value;
+    EXPECT_EQ(round_trip(request), request) << value;
+  }
+  // Past 2^64 - 1 a number is out of range, never wrapped.
+  EXPECT_FALSE(decode(with_field(sample_register(), "memory",
+                                 "18446744073709551616")));
+}
+
+// ---- field lookup -----------------------------------------------------------
+//
+// The decoder looks each field up by trying the child after the last one it
+// found, then scanning from the first child.  Whatever the order of the
+// children, the result must be a full scan's: the first child of each name.
+
+/// The children that carry a message's fields (those of <status> for an
+/// update, of the root otherwise) as (name, text), in wire order.
+struct FieldList {
+  std::string type;
+  std::string block;  // the record element between root and fields, if any
+  std::vector<std::pair<std::string, std::string>> children;
+};
+
+FieldList fields_of(const ProtocolMessage& message) {
+  const std::string wire = encode(message);
+  XmlReader reader;
+  const auto root = reader.parse(wire);
+  EXPECT_TRUE(root.has_value()) << wire;
+  FieldList list;
+  list.type = std::string(root->attr("type").value_or(""));
+  XmlElement holder = *root;
+  if (const auto status = root->child("status")) {
+    list.block = "status";
+    holder = *status;
+  }
+  for (auto child = holder.child(); child.has_value();
+       child = child->next_sibling()) {
+    list.children.emplace_back(child->name(), child->text());
+  }
+  return list;
+}
+
+std::string document(const FieldList& list) {
+  std::string wire;
+  XmlWriter out{wire};
+  out.open("ars");
+  out.attr("type", list.type);
+  if (!list.block.empty()) {
+    out.open(list.block);
+  }
+  for (const auto& [name, text] : list.children) {
+    out.element(name, text);
+  }
+  if (!list.block.empty()) {
+    out.close(list.block);
+  }
+  out.close("ars");
+  return wire;
+}
+
+/// `list` without the later children of each name: what a full scan reads.
+FieldList first_of_each_name(FieldList list) {
+  std::vector<std::pair<std::string, std::string>> kept;
+  for (const auto& child : list.children) {
+    if (std::none_of(kept.begin(), kept.end(), [&](const auto& other) {
+          return other.first == child.first;
+        })) {
+      kept.push_back(child);
+    }
+  }
+  list.children = std::move(kept);
+  return list;
+}
+
+ProtocolMessage decoded(const FieldList& list) {
+  const std::string wire = document(list);
+  auto message = decode(wire);
+  EXPECT_TRUE(message.has_value())
+      << wire << ": " << (message ? "" : message.error().to_string());
+  return message ? std::move(message).value() : ProtocolMessage{};
+}
+
+/// Two messages of each of three types whose fields all differ.
+std::vector<std::pair<ProtocolMessage, ProtocolMessage>> lookup_samples() {
+  UpdateMsg u1;
+  u1.status = {"ws1", "busy", 0.97, 0.64, 0.42, 84, 61.2, 1234567890,
+               5990.0, 5820.0, 14, 280.0};
+  UpdateMsg u2;
+  u2.status = {"ws2", "free", 1.5, 1.25, 0.5, 7, 12.5, 42, 1.0, 2.0, 3, 9.0};
+  ConsultMsg c1{"ws1", "load1>2", "ws9", 1042, "test_tree", "tree20", 5002};
+  ConsultMsg c2{"ws3", "overloaded", "ws8", 77, "matmul", "mm", 6001};
+  MigrationOutcomeMsg o1{"test_tree", "ws1", "ws4", "aborted",
+                         "dest-failed", "eager", 3, 12582912};
+  MigrationOutcomeMsg o2{"matmul", "ws2", "ws5", "rolled-back",
+                         "init-timeout", "init", 1, 99};
+  return {{u1, u2}, {c1, c2}, {o1, o2}};
+}
+
+TEST(FieldLookup, TheFirstOfTwoChildrenOfANameWins) {
+  for (const auto& [m1, m2] : lookup_samples()) {
+    const FieldList first = fields_of(m1);
+    const FieldList second = fields_of(m2);
+    ASSERT_EQ(first.children.size(), second.children.size());
+    for (std::size_t i = 0; i < first.children.size(); ++i) {
+      FieldList after = first;  // the repeat follows the original
+      after.children.insert(after.children.begin() + i + 1,
+                            second.children[i]);
+      EXPECT_EQ(decoded(after), m1) << document(after);
+
+      FieldList before = first;  // the repeat leads the document
+      before.children.insert(before.children.begin(), second.children[i]);
+      EXPECT_EQ(decoded(before), decoded(first_of_each_name(before)))
+          << document(before);
+      EXPECT_NE(decoded(before), m1) << document(before);
+    }
+  }
+}
+
+TEST(FieldLookup, FieldsInReverseOrderDecodeTheSame) {
+  for (const auto& [m1, m2] : lookup_samples()) {
+    for (const ProtocolMessage& message : {m1, m2}) {
+      FieldList list = fields_of(message);
+      std::reverse(list.children.begin(), list.children.end());
+      EXPECT_EQ(decoded(list), message) << document(list);
+    }
+  }
+}
+
+TEST(FieldLookup, UnknownChildrenAreSkipped) {
+  for (const auto& [m1, m2] : lookup_samples()) {
+    FieldList leading = fields_of(m1);
+    leading.children.insert(leading.children.begin(), {"unknown", "1"});
+    EXPECT_EQ(decoded(leading), m1) << document(leading);
+
+    FieldList between = fields_of(m1);
+    for (std::size_t i = between.children.size(); i > 0; --i) {
+      between.children.insert(between.children.begin() + i - 1,
+                              {"x" + std::to_string(i), "y"});
+    }
+    EXPECT_EQ(decoded(between), m1) << document(between);
+  }
+}
+
+TEST(FieldLookup, AbsentSparseFieldsDecodeToTheirDefaults) {
+  ConsultMsg consult;
+  consult.host = "ws1";
+  consult.reason = "load1>2";
+  MigrationOutcomeMsg outcome;
+  outcome.process = "test_tree";
+  outcome.source = "ws1";
+  outcome.destination = "ws4";
+  outcome.outcome = "committed";
+  for (const ProtocolMessage& message :
+       {ProtocolMessage{consult}, ProtocolMessage{outcome}}) {
+    FieldList list = fields_of(message);
+    EXPECT_EQ(decoded(list), message) << document(list);
+    std::reverse(list.children.begin(), list.children.end());
+    EXPECT_EQ(decoded(list), message) << document(list);
+  }
+  // Dropping the sparse fields from a full message reads their defaults.
+  FieldList full = fields_of(lookup_samples()[2].first);
+  std::erase_if(full.children, [](const auto& child) {
+    return child.first == "reason" || child.first == "precopy_bytes";
+  });
+  auto expected = std::get<MigrationOutcomeMsg>(lookup_samples()[2].first);
+  expected.reason.clear();
+  expected.precopy_bytes = 0;
+  EXPECT_EQ(decoded(full), ProtocolMessage{expected}) << document(full);
 }
 
 TEST(Messages, EscapedContentSurvives) {

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "ars/support/rng.hpp"
 
 namespace ars::xmlproto {
 namespace {
@@ -57,6 +63,117 @@ TEST(XmlWriter, NumbersMatchPrintfAndToString) {
   std::string out;
   XmlWriter{out}.element("x", std::uint64_t{18446744073709551615ULL});
   EXPECT_EQ(out, "<x>" + std::to_string(18446744073709551615ULL) + "</x>");
+}
+
+// XmlWriter formats doubles with its own exact integer method wherever the
+// scaled value fits 64 bits and hands everything else to std::to_chars; both
+// must give std::to_chars's bytes.
+
+/// What XmlWriter::element(name, value, decimals) must write.
+std::string to_chars_element(double value, int decimals) {
+  char digits[400];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value,
+                                    std::chars_format::fixed, decimals);
+  return "<x>" + std::string(digits, result.ptr) + "</x>";
+}
+
+void expect_formats_as_to_chars(double value) {
+  for (const int decimals : {3, 6}) {
+    std::string out;
+    XmlWriter{out}.element("x", value, decimals);
+    ASSERT_EQ(out, to_chars_element(value, decimals))
+        << std::hexfloat << value << " with " << decimals << " decimals";
+  }
+}
+
+TEST(XmlWriterNumbers, MatchToCharsOnRandomDoubles) {
+  support::Rng rng{20041004};
+  for (int i = 0; i < 1'000'000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 8 != 0) {
+      // Binary exponents -64..+66 around the integer path's limit of
+      // 2^64 / 10^decimals, both signs, random mantissas.
+      const auto exponent = static_cast<std::uint64_t>(
+          1023 + rng.uniform_int(-64, 66));
+      bits = (bits & 0x800fffffffffffffULL) | (exponent << 52);
+    }  // else any bit pattern: huge, tiny, subnormal, infinite or NaN
+    expect_formats_as_to_chars(std::bit_cast<double>(bits));
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(XmlWriterNumbers, MatchToCharsOnExactTies) {
+  // odd / 2^(d + 1) is halfway between two d-decimal numbers: the writer
+  // rounds it to the even one, as std::to_chars does (0.0078125 -> 0.007812).
+  std::string out;
+  XmlWriter{out}.element("x", 0.0078125, 6);
+  EXPECT_EQ(out, "<x>0.007812</x>");
+  for (const int decimals : {3, 6}) {
+    const double unit = std::ldexp(1.0, -(decimals + 1));
+    for (int odd = 1; odd < 20'001; odd += 2) {
+      for (const double whole : {0.0, 1.0, 12345.0, 1073741824.0}) {
+        const double tie = whole + odd * unit;
+        expect_formats_as_to_chars(tie);
+        expect_formats_as_to_chars(-tie);
+      }
+    }
+  }
+}
+
+TEST(XmlWriterNumbers, MatchToCharsOnSignedZeroResults) {
+  for (const double value :
+       {0.0, -0.0, 1e-300, -1e-300, 4e-7, -4e-7, 4.9e-4, -4.9e-4, 5e-4,
+        -5e-4, 5e-7, -5e-7, 0.0004999999999, -0.0004999999999}) {
+    expect_formats_as_to_chars(value);
+  }
+  std::string out;
+  XmlWriter{out}.element("x", -1e-9, 6);
+  EXPECT_EQ(out, "<x>-0.000000</x>");
+}
+
+TEST(XmlWriterNumbers, MatchToCharsOnSubnormals) {
+  support::Rng rng{7};
+  expect_formats_as_to_chars(std::numeric_limits<double>::denorm_min());
+  expect_formats_as_to_chars(-std::numeric_limits<double>::denorm_min());
+  expect_formats_as_to_chars(std::nextafter(
+      std::numeric_limits<double>::min(), 0.0));  // the largest subnormal
+  for (int i = 0; i < 10'000; ++i) {
+    expect_formats_as_to_chars(
+        std::bit_cast<double>(rng() & 0x800fffffffffffffULL));
+  }
+}
+
+TEST(XmlWriterNumbers, MatchToCharsAcrossTheIntegerPathsLimit) {
+  // The integer path takes |value| while |value| * 10^d rounds below 2^64;
+  // the band around 2^64 / 10^d holds the largest such double and the next
+  // one above it, which std::to_chars formats instead.
+  for (const double limit : {18446744073709551616.0 / 1e3,
+                             18446744073709551616.0 / 1e6,
+                             18446744073709551616.0}) {
+    double below = limit;
+    double above = limit;
+    for (int step = 0; step < 2'000; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, HUGE_VAL);
+      expect_formats_as_to_chars(below);
+      expect_formats_as_to_chars(above);
+      expect_formats_as_to_chars(-below);
+      expect_formats_as_to_chars(-above);
+    }
+  }
+  expect_formats_as_to_chars(std::numeric_limits<double>::max());
+  expect_formats_as_to_chars(-std::numeric_limits<double>::max());
+}
+
+TEST(XmlWriterNumbers, MatchToCharsOnNanAndInfinities) {
+  for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    expect_formats_as_to_chars(value);
+  }
 }
 
 TEST(XmlEscape, AllSpecials) {
@@ -119,6 +236,73 @@ TEST(XmlParser, TextIsAllDirectCharacterDataTrimmed) {
   ASSERT_TRUE(root.has_value());
   EXPECT_EQ(root->text(), "x  z \"");
   EXPECT_EQ(root->child("b")->text(), "y&");
+}
+
+// The reader keeps element text and attribute values that are one run of
+// the input without entities as views into the input, and decodes the rest
+// into its own buffer; both must read as the five-entity, trimmed text.
+
+bool points_into(std::string_view view, std::string_view input) {
+  return view.data() >= input.data() &&
+         view.data() + view.size() <= input.data() + input.size();
+}
+
+TEST(XmlReaderText, OneRunIsATrimmedViewIntoTheInput) {
+  const std::string input = "<a k='v' j=\"x y\"> plain text\t</a>";
+  XmlReader reader;
+  const auto root = reader.parse(input);
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->text(), "plain text");
+  EXPECT_TRUE(points_into(root->text(), input));
+  EXPECT_EQ(root->attr("k").value_or(""), "v");
+  EXPECT_TRUE(points_into(*root->attr("k"), input));
+  EXPECT_EQ(root->attr("j").value_or(""), "x y");
+  EXPECT_TRUE(points_into(*root->attr("j"), input));
+}
+
+TEST(XmlReaderText, TextSplitByAChildJoinsItsRuns) {
+  XmlReader reader;
+  const auto root = reader.parse("<a> x <b/> y </a>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->text(), "x  y");
+  EXPECT_EQ(root->child("b")->text(), "");
+  const auto commented = reader.parse("<a>x<!-- c -->y</a>");
+  ASSERT_TRUE(commented.has_value());
+  EXPECT_EQ(commented->text(), "xy");
+}
+
+TEST(XmlReaderText, EntitiesAreDecoded) {
+  XmlReader reader;
+  const auto root = reader.parse(
+      "<a k='x&amp;y' j=\"&lt;&gt;\" m='&quot;&apos;z'>x&amp;y</a>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->text(), "x&y");
+  EXPECT_EQ(root->attr("k").value_or(""), "x&y");
+  EXPECT_EQ(root->attr("j").value_or(""), "<>");
+  EXPECT_EQ(root->attr("m").value_or(""), "\"'z");
+  const auto leading = reader.parse("<a>&lt; b </a>");
+  ASSERT_TRUE(leading.has_value());
+  EXPECT_EQ(leading->text(), "< b");
+}
+
+TEST(XmlReaderText, WhitespaceOnlyTextIsEmpty) {
+  XmlReader reader;
+  const auto root = reader.parse("<a> \n\t <b>  </b>\r\n</a>");
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->text(), "");
+  EXPECT_EQ(root->child("b")->text(), "");
+  const auto single = reader.parse("<a>   </a>");
+  ASSERT_TRUE(single.has_value());
+  EXPECT_EQ(single->text(), "");
+}
+
+TEST(XmlReaderText, CloseTagMustNameTheElementExactly) {
+  XmlReader reader;
+  EXPECT_TRUE(reader.parse("<ab>x</ab >").has_value());
+  EXPECT_FALSE(reader.parse("<ab>x</abc>").has_value());
+  EXPECT_FALSE(reader.parse("<ab>x</a>").has_value());
+  EXPECT_FALSE(reader.parse("<ab>x</ab").has_value());
+  EXPECT_FALSE(reader.parse("<ab>x</ab-").has_value());
 }
 
 TEST(XmlParser, RoundTripsWriterOutput) {
