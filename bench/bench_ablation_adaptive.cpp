@@ -28,10 +28,10 @@ struct MonitorOutcome {
 MonitorOutcome run(bool adaptive) {
   sim::Engine engine;
   // No ReschedulerRuntime here — the rig is a bare monitor — so the obs
-  // sinks are attached directly through the monitor's config.
+  // sinks are attached to its engine directly.
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  tracer.set_clock([&engine] { return engine.now(); });
+  engine.attach_sinks(&tracer, &metrics);
   net::Network network{engine};
   std::vector<std::unique_ptr<host::Host>> hosts;
   for (const char* name : {"ws1", "hub"}) {
@@ -47,8 +47,6 @@ MonitorOutcome run(bool adaptive) {
   config.registry_port = 5000;
   config.policy = rules::paper_policy2();  // warmup 60 s
   config.adaptive_warmup = adaptive;
-  config.tracer = &tracer;
-  config.metrics = &metrics;
   monitor::Monitor mon{*hosts[0], network, config};
   mon.start();
 

@@ -34,8 +34,7 @@ constexpr double kEventAt = 100.3;     // the host is lost mid-run
 constexpr double kStateBytes = 50.0e6; // job footprint
 
 struct Rig {
-  Rig() : net(engine), mpi(engine, net), middleware(mpi, obs_options()) {
-    tracer.set_clock([this] { return engine.now(); });
+  Rig() : net(with_sinks()), mpi(engine, net), middleware(mpi) {
     for (const char* name : {"ws1", "ws2"}) {
       host::HostSpec spec;
       spec.name = name;
@@ -49,19 +48,18 @@ struct Rig {
     }
   }
   sim::Engine engine;
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
   net::Network net;
   std::vector<std::unique_ptr<host::Host>> hosts;
   mpi::MpiSystem mpi;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
   hpcm::MigrationEngine middleware;
 
  private:
-  hpcm::MigrationEngine::Options obs_options() {
-    hpcm::MigrationEngine::Options options;
-    options.tracer = &tracer;
-    options.metrics = &metrics;
-    return options;
+  /// The engine, with the sinks attached before anything is built on it.
+  sim::Engine& with_sinks() {
+    engine.attach_sinks(&tracer, &metrics);
+    return engine;
   }
 };
 

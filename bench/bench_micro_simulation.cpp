@@ -190,14 +190,9 @@ void BM_FullMigration(benchmark::State& state) {
     // Attach the process-wide obs sinks (null unless --trace-out/
     // --metrics-out was requested) so the export holds real migration
     // spans and phase histograms from the final iterations.
-    hpcm::MigrationEngine::Options obs_options;
-    obs_options.tracer = bench::obs_trace_sink();
-    obs_options.metrics = bench::obs_metrics_sink();
-    if (obs_options.tracer != nullptr) {
-      obs_options.tracer->set_clock(
-          [&cluster] { return cluster.engine.now(); });
-    }
-    hpcm::MigrationEngine middleware{cluster.mpi, obs_options};
+    sim::Engine& engine = cluster.engine;
+    engine.attach_sinks(bench::obs_trace_sink(), bench::obs_metrics_sink());
+    hpcm::MigrationEngine middleware{cluster.mpi};
     auto app = [](mpi::Proc& proc, hpcm::MigrationContext& ctx) -> sim::Task<> {
       std::int64_t i = ctx.restored() ? *ctx.state().get_int("i") : 0;
       ctx.on_save([&ctx, &i] {
@@ -211,7 +206,7 @@ void BM_FullMigration(benchmark::State& state) {
     };
     hpcm::ApplicationSchema schema{"bench"};
     const auto id = middleware.launch("ws1", app, "bench", schema);
-    cluster.engine.schedule_at(5.0, [&middleware, id] {
+    engine.schedule_at(5.0, [&middleware, id] {
       middleware.request_migration(id, "ws2");
     });
     cluster.run_to_completion();

@@ -74,6 +74,9 @@ struct ScaledRegistry {
   std::unique_ptr<registry::Registry> reg;
 
   explicit ScaledRegistry(int hosts) {
+    // Process-wide obs sinks: null (and therefore free) unless an export
+    // was requested with --trace-out/--metrics-out.
+    engine.attach_sinks(bench::obs_trace_sink(), bench::obs_metrics_sink());
     host::HostSpec spec;
     spec.name = "hub";
     hub = std::make_unique<host::Host>(engine, spec);
@@ -81,13 +84,6 @@ struct ScaledRegistry {
     registry::Registry::Config config;
     config.policy = rules::paper_policy2();
     config.audit = registry::AuditMode::kOff;
-    // Process-wide obs sinks: null (and therefore free) unless an export
-    // was requested with --trace-out/--metrics-out.
-    config.tracer = bench::obs_trace_sink();
-    config.metrics = bench::obs_metrics_sink();
-    if (config.tracer != nullptr) {
-      config.tracer->set_clock([this] { return engine.now(); });
-    }
     reg = std::make_unique<registry::Registry>(*hub, net, config);
     for (int i = 0; i < hosts; ++i) {
       const std::string name = host_name(i);

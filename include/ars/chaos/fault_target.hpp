@@ -1,19 +1,19 @@
 #pragma once
-// What a FaultInjector acts on: one cluster's engine, network and tracer,
-// and the host, monitor and registry faults it can call.  The paper's
+// What a FaultInjector acts on: one cluster's engine and network, and the
+// host, monitor and registry faults it can call.  The paper's
 // deployment (core::ReschedulerRuntime) implements it, and so does each
 // shard of core::ShardedCluster for its own hosts — one fault model at
 // every scale.
 //
 // The injector keeps references to the engine and the network from
-// construction, so the per-datagram path makes no virtual call.
+// construction, so the per-datagram path makes no virtual call; it traces
+// its faults on the engine's tracer.
 
 #include <string>
 #include <vector>
 
 #include "ars/monitor/monitor.hpp"
 #include "ars/net/network.hpp"
-#include "ars/obs/tracer.hpp"
 #include "ars/sim/engine.hpp"
 #include "ars/txn/runner.hpp"
 
@@ -29,7 +29,6 @@ class FaultTarget {
   [[nodiscard]] virtual sim::Engine& engine() = 0;
   /// Host-targeted faults reach a host's CPU through find_host().
   [[nodiscard]] virtual net::Network& network() = 0;
-  [[nodiscard]] virtual obs::Tracer& tracer() = 0;
   /// The hosts a host_crash_rate wildcard expands over — every host that
   /// carries no registry — in a stable order: the crash draws follow it.
   [[nodiscard]] virtual std::vector<std::string> crash_rate_hosts() const = 0;

@@ -24,11 +24,6 @@
 
 #include "ars/sim/engine.hpp"
 
-namespace ars::obs {
-class Tracer;
-class MetricsRegistry;
-}  // namespace ars::obs
-
 namespace ars::ckpt {
 
 struct IoOptions {
@@ -39,10 +34,6 @@ struct IoOptions {
   /// 0 disables the shared limit: each write gets the per-host rate (the
   /// pre-interference behavior, kept as the default for compatibility).
   double aggregate_bps = 0.0;
-  /// Optional observability hooks (not owned): ckpt.write spans plus the
-  /// ars_ckpt_* counters/histograms.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Terminal record of one write, handed to its commit/abort callback.
@@ -88,7 +79,6 @@ class SharedStore {
   [[nodiscard]] bool writing(const std::string& process) const {
     return active_.contains(process);
   }
-  [[nodiscard]] std::size_t active_writes() const { return active_.size(); }
   /// Current per-write rate (what one more byte would flow at).
   [[nodiscard]] double current_rate() const { return rate_; }
   /// Rate a hypothetical (N+1)th write would get — the admission

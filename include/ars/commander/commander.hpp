@@ -30,9 +30,6 @@ class Commander {
     // Where acknowledgements go (the registry); acks are dropped if unset.
     std::string registry_host;
     int registry_port = 0;
-    /// Optional observability hooks (not owned): signal-delivery events.
-    obs::Tracer* tracer = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
   Commander(host::Host& h, net::Network& network,
@@ -91,6 +88,14 @@ class Commander {
   /// Post `message` from this host to the registry, carrying `ctx`.
   void send_to_registry(const xmlproto::ProtocolMessage& message,
                         obs::TraceCtx ctx);
+
+  /// The sinks of the engine this commander runs on.
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return host_->engine().tracer();
+  }
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return host_->engine().metrics();
+  }
 
   host::Host* host_;
   net::Network* network_;

@@ -115,8 +115,9 @@ class ReschedulerRuntime final : public chaos::FaultTarget {
   }
 
   /// Structured event trace (ars::obs): migration phase spans, scheduler
-  /// decision audits, monitor state transitions, commander signals.
-  [[nodiscard]] obs::Tracer& tracer() noexcept override { return tracer_; }
+  /// decision audits, monitor state transitions, commander signals.  It
+  /// and metrics() are the sinks attached to the runtime's engine.
+  [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const noexcept { return tracer_; }
   /// Runtime-wide metrics (counters/gauges/histograms).
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }

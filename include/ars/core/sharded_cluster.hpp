@@ -134,7 +134,6 @@ class ShardedCluster {
     // -- chaos::FaultTarget: this shard's hosts only -------------------------
     sim::Engine& engine() override { return net_->engine(); }
     net::Network& network() override { return *net_; }
-    obs::Tracer& tracer() override { return *tracer_; }
     std::vector<std::string> crash_rate_hosts() const override {
       std::vector<std::string> workers;  // every monitored host, in id order
       for (const auto& m : monitors) {
@@ -179,7 +178,7 @@ class ShardedCluster {
       return nullptr;
     }
 
-    std::unique_ptr<obs::Tracer> tracer_;
+    std::unique_ptr<obs::Tracer> tracer;
     std::unique_ptr<obs::MetricsRegistry> metrics;
     std::vector<std::unique_ptr<host::Host>> hosts;
     std::unique_ptr<net::Network> net_;

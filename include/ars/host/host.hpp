@@ -25,7 +25,6 @@ struct HostSpec {
   std::uint64_t disk_bytes = 20ULL * 1024 * 1024 * 1024;
   support::ByteOrder byte_order = support::ByteOrder::kBigEndian;
   std::string os = "SunOS 5.8";
-  std::string ip_address;  // filled in by the network when attached
 };
 
 class Host {

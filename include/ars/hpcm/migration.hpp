@@ -233,11 +233,6 @@ class MigrationEngine {
     /// so an aborted migration LOSES the logical process (the bug class the
     /// no-lost-process invariant exists to catch).  Never set outside tests.
     bool sabotage_skip_rollback = false;
-    /// Optional observability hooks (not owned).  When set, every
-    /// migration phase is recorded as a span (signal, poll-point, spawn,
-    /// collect, restore) and timing/volume metrics are published.
-    obs::Tracer* tracer = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
   explicit MigrationEngine(mpi::MpiSystem& mpi);
@@ -374,10 +369,6 @@ class MigrationEngine {
   /// the registry should abandon the retry, not park it as stranded.
   [[nodiscard]] bool exited_normally(const std::string& process_name) const;
   [[nodiscard]] ApplicationSchema* schema(const std::string& name);
-  [[nodiscard]] const std::map<std::string, ApplicationSchema>& schemas()
-      const {
-    return schemas_;
-  }
 
   [[nodiscard]] mpi::MpiSystem& mpi() const noexcept { return *mpi_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
@@ -600,11 +591,12 @@ class MigrationEngine {
   /// Record one protocol phase's wall-clock into migration.phase_ms{phase}.
   void observe_phase_ms(const char* phase, double seconds);
 
+  /// The sinks of the engine this middleware runs on.
   [[nodiscard]] obs::Tracer* tracer() const noexcept {
-    return options_.tracer;
+    return mpi_->engine().tracer();
   }
   [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
-    return options_.metrics;
+    return mpi_->engine().metrics();
   }
 
   mpi::MpiSystem* mpi_;

@@ -100,8 +100,6 @@ class MalleableEngine {
     /// redistribution instead of rolling them back (must trip the
     /// `no-lost-rank` invariant).
     bool sabotage_skip_resize_rollback = false;
-    obs::Tracer* tracer = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
   using OutcomeListener = std::function<void(const ResizeOutcome&)>;
@@ -206,6 +204,13 @@ class MalleableEngine {
                                             const ResizeTx& tx) const;
   [[nodiscard]] const Job* find_job(const std::string& name) const;
   [[nodiscard]] Job* find_job(const std::string& name);
+  /// The sinks of the engine this malleable engine runs on.
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return engine().tracer();
+  }
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return engine().metrics();
+  }
 
   mpi::MpiSystem* mpi_;
   net::Network* network_;

@@ -73,10 +73,6 @@ class Monitor {
     /// also re-admits after a partition).
     bool delta_heartbeats = false;
     int full_status_every = 6;
-    /// Optional observability hooks (not owned): state-transition events
-    /// and per-state transition counters.
-    obs::Tracer* tracer = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
   Monitor(host::Host& h, net::Network& network, Config config);
@@ -117,6 +113,13 @@ class Monitor {
   void push(xmlproto::ProtocolMessage message, obs::TraceCtx ctx);
   [[nodiscard]] double frequency_for(rules::SystemState state) const;
   void sync_process_registrations(bool refresh);
+  /// The sinks of the engine this monitor runs on.
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return host_->engine().tracer();
+  }
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return host_->engine().metrics();
+  }
 
   host::Host* host_;
   net::Network* network_;

@@ -49,7 +49,6 @@ class HostSensorSource final : public rules::SensorSource {
 };
 
 /// Static registration payload for a host.
-[[nodiscard]] xmlproto::StaticInfo static_info_of(const host::Host& h,
-                                                  const net::Network& network);
+[[nodiscard]] xmlproto::StaticInfo static_info_of(const host::Host& h);
 
 }  // namespace ars::monitor

@@ -34,11 +34,6 @@
 #include "ars/sim/task.hpp"
 #include "ars/sim/wait.hpp"
 
-namespace ars::obs {
-class MetricsRegistry;
-class Tracer;
-}  // namespace ars::obs
-
 namespace ars::net {
 
 class ShardRouter;
@@ -96,14 +91,6 @@ class Network {
     double latency = 0.0001;          // one-way propagation, seconds
     double bandwidth_bps = 12.5e6;    // per-NIC, bytes/second (100 Mb/s)
     std::uint64_t message_overhead = 64;  // headers added to each post()
-    /// Optional metrics sink (not owned): datagram drops are counted as
-    /// ars_net_dropped_total{reason=...}.
-    obs::MetricsRegistry* metrics = nullptr;
-    /// Optional tracer (not owned): messages whose envelope carries a
-    /// TraceCtx get net.send/net.recv instants so the critical-path
-    /// analyzer can attribute wire latency.  Untraced traffic is ignored —
-    /// the hot path stays one branch.
-    obs::Tracer* tracer = nullptr;
   };
 
   explicit Network(sim::Engine& engine);  // default options
@@ -153,7 +140,7 @@ class Network {
   void post(HostId src, HostId dst, Message message);
 
   /// Hand a datagram that has paid its wire cost to its bound endpoint
-  /// (stamping net.recv on this network's tracer); unbound ports drop as
+  /// (stamping net.recv on the engine's tracer); unbound ports drop as
   /// usual.  The destination side of a cross-shard datagram: the shard
   /// router calls it on this shard's thread.
   void deliver_local(Message message);
@@ -276,8 +263,8 @@ class Network {
   /// it as unknown_host).
   bool route_cross_shard(Message& message);
   /// Account one dropped datagram: the poster's count when it is attached
-  /// here, the total, and the labeled ars_net_dropped_total counter when a
-  /// metrics sink is configured.
+  /// here, the total, and the labeled ars_net_dropped_total counter when
+  /// the engine has a metrics sink.
   void count_drop(std::optional<HostId> poster, const char* reason);
 
   sim::Engine* engine_;

@@ -94,7 +94,8 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Install the virtual-time source (normally sim::Engine::now).
+  /// Install the virtual-time source (sim::Engine::attach_sinks installs
+  /// its engine's clock).
   void set_clock(ClockFn clock) { clock_ = std::move(clock); }
 
   void set_enabled(bool enabled) noexcept { options_.enabled = enabled; }
@@ -203,27 +204,6 @@ inline void stamp(Attrs& attrs, const TraceCtx& ctx) {
 [[nodiscard]] inline bool active(const Tracer* tracer) noexcept {
   return tracer != nullptr && tracer->enabled();
 }
-
-/// RAII span for straight-line (non-migrating) scopes.
-class SpanGuard {
- public:
-  SpanGuard(Tracer& tracer, std::string name, std::string category,
-            std::string track, Attrs attrs = {})
-      : tracer_(&tracer),
-        id_(tracer.begin_span(std::move(name), std::move(category),
-                              std::move(track), std::move(attrs))) {}
-  ~SpanGuard() {
-    if (tracer_ != nullptr) {
-      tracer_->end_span(id_);
-    }
-  }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-
- private:
-  Tracer* tracer_;
-  std::uint64_t id_;
-};
 
 /// While alive, forwards every support::Logger record into `tracer` as an
 /// instant event (category "log", track = component) so logs and spans

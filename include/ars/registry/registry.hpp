@@ -203,10 +203,6 @@ class Registry {
     bool enable_ckpt_io = false;
     /// Whether traced decisions carry their why-not counts (AuditMode).
     AuditMode audit = AuditMode::kAuto;
-    /// Optional observability hooks (not owned): decision spans and
-    /// events, and scheduler/lease metrics.
-    obs::Tracer* tracer = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
   Registry(host::Host& h, net::Network& network, Config config);
@@ -330,9 +326,6 @@ class Registry {
   /// Open placement claims: migrations commanded but not yet resolved by a
   /// MigrationOutcomeMsg, plus the spawn targets of in-flight expands.
   [[nodiscard]] std::size_t inflight_placements() const;
-
-  /// Central checkpoint-write admission state (enable_ckpt_io).
-  [[nodiscard]] const ckpt::IoScheduler& ckpt_io() const { return ckpt_io_; }
 
  private:
   /// Placements not yet visible in a destination's heartbeats.
@@ -516,6 +509,14 @@ class Registry {
   };
   static std::size_t state_slot(rules::SystemState state) noexcept {
     return static_cast<std::size_t>(state);
+  }
+
+  /// The sinks of the engine this registry runs on.
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return host_->engine().tracer();
+  }
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return host_->engine().metrics();
   }
 
   host::Host* host_;

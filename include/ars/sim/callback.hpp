@@ -62,11 +62,6 @@ class Callback {
     return ops_ != nullptr;
   }
 
-  /// True when the wrapped callable lives in the inline buffer (test hook).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ != nullptr && ops_->inline_storage;
-  }
-
   void operator()() {
     ops_->invoke(storage());
   }
@@ -92,7 +87,6 @@ class Callback {
     void (*relocate)(void* dst, void* src) noexcept;
     // nullptr means "trivially destructible, nothing to do".
     void (*destroy)(void* self) noexcept;
-    bool inline_storage;
   };
 
   template <typename D>
@@ -108,7 +102,6 @@ class Callback {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* self) noexcept { static_cast<D*>(self)->~D(); },
-      /*inline_storage=*/true,
   };
 
   template <typename D>
@@ -116,7 +109,6 @@ class Callback {
       [](void* self) { (**static_cast<D**>(self))(); },
       /*relocate=*/nullptr,  // moving the box is copying one pointer
       [](void* self) noexcept { delete *static_cast<D**>(self); },
-      /*inline_storage=*/false,
   };
 
   void move_from(Callback& other) noexcept {

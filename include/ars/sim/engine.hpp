@@ -24,12 +24,22 @@
 //     was since reused — are harmlessly inert;
 //   * callables are `sim::Callback` (small-buffer-optimized), not
 //     `std::function`, so typical captures stay inline.
+//
+// The engine also carries the observability sinks of everything simulated
+// on it: whoever builds a simulated world attaches one tracer and one
+// metrics registry (either may be null) before building its components,
+// and every component reads them back through the engine it runs on.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "ars/sim/callback.hpp"
+
+namespace ars::obs {
+class Tracer;
+class MetricsRegistry;
+}  // namespace ars::obs
 
 namespace ars::sim {
 
@@ -73,12 +83,10 @@ class Engine {
   /// Schedule `fn` after a relative delay (>= 0, clamped otherwise).
   EventHandle schedule_after(SimTime delay, Callback fn);
 
-  /// Run the next pending event.  Returns false when the queue is empty or a
-  /// stop was requested.
+  /// Run the next pending event.  Returns false when the queue is empty.
   bool step();
 
-  /// Run until the queue drains or a stop is requested.  Returns the number
-  /// of events executed.
+  /// Run until the queue drains.  Returns the number of events executed.
   std::size_t run();
 
   /// Run every event with timestamp <= `until`, then advance the clock to
@@ -91,9 +99,16 @@ class Engine {
   /// every epoch, and every shard derives the next horizon from them.
   [[nodiscard]] SimTime next_event_at();
 
-  /// Make run()/run_until() return after the current event finishes.
-  void request_stop() noexcept { stop_requested_ = true; }
-  void clear_stop() noexcept { stop_requested_ = false; }
+  /// Attach the sinks (not owned) that every component on this engine
+  /// records into; null leaves that pillar dark.  Attach before building
+  /// the components: constructors pre-register their metric series.  An
+  /// attached tracer is clocked by this engine: it records nothing once
+  /// the engine is gone.
+  void attach_sinks(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept {
+    return metrics_;
+  }
 
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return live_events_;
@@ -188,7 +203,8 @@ class Engine {
 
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
-  bool stop_requested_ = false;
+  obs::Tracer* tracer_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;

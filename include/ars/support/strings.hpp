@@ -32,10 +32,6 @@ namespace ars::support {
 [[nodiscard]] std::optional<double> parse_double(std::string_view text);
 [[nodiscard]] std::optional<std::int64_t> parse_int(std::string_view text);
 
-/// Join pieces with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& pieces,
-                               std::string_view separator);
-
 /// printf-free "%.3f"-style formatting used by report tables.
 [[nodiscard]] std::string format_fixed(double value, int decimals);
 

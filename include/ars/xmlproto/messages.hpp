@@ -145,16 +145,6 @@ struct HealthReportMsg {
   bool operator==(const HealthReportMsg&) const = default;
 };
 
-/// Parent registry -> child (or monitor): recommended destination, possibly
-/// escalated from another domain.  `found == false` means no candidate.
-struct RecommendMsg {
-  bool found = false;
-  std::string dest_host;
-  std::string dest_ip;
-  int dest_port = 0;  // commander port of the destination host
-  bool operator==(const RecommendMsg&) const = default;
-};
-
 /// Administrator/monitor -> registry: migrate EVERY migration-enabled
 /// process off `host` (planned shutdown, detected intrusion — the fault
 /// tolerance use cases of the paper's §6) and stop assigning work to it.
@@ -252,9 +242,8 @@ struct CkptIoGrantMsg {
 using ProtocolMessage =
     std::variant<RegisterMsg, UpdateMsg, UpdateBatchMsg, ConsultMsg,
                  MigrateCmd, AckMsg, ProcessRegisterMsg, ProcessDeregisterMsg,
-                 HealthReportMsg, RecommendMsg, EvacuateMsg, RelaunchCmd,
-                 MigrationOutcomeMsg, ResizeCmd, ResizeOutcomeMsg,
-                 CkptIoRequestMsg, CkptIoGrantMsg>;
+                 HealthReportMsg, EvacuateMsg, RelaunchCmd, MigrationOutcomeMsg,
+                 ResizeCmd, ResizeOutcomeMsg, CkptIoRequestMsg, CkptIoGrantMsg>;
 
 /// Serialize any protocol message to its XML wire form.
 [[nodiscard]] std::string encode(const ProtocolMessage& message);

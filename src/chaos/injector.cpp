@@ -201,15 +201,15 @@ double FaultInjector::bandwidth_factor(const std::string& src,
 }
 
 void FaultInjector::trace_fault(const FaultSpec& spec, const char* phase) {
-  obs::Tracer& tracer = target_.tracer();
-  if (!obs::active(&tracer)) {
+  obs::Tracer* tracer = engine_.tracer();
+  if (!obs::active(tracer)) {
     return;
   }
-  tracer.instant("chaos.fault", "chaos", "chaos",
-                 {{"kind", std::string(to_string(spec.kind))},
-                  {"phase", phase},
-                  {"host_a", spec.host_a},
-                  {"host_b", spec.host_b}});
+  tracer->instant("chaos.fault", "chaos", "chaos",
+                  {{"kind", std::string(to_string(spec.kind))},
+                   {"phase", phase},
+                   {"host_a", spec.host_a},
+                   {"host_b", spec.host_b}});
 }
 
 void FaultInjector::activate(std::size_t index) {

@@ -25,7 +25,7 @@ std::vector<double> write_s_bounds() {
 
 SharedStore::SharedStore(sim::Engine& engine, IoOptions options)
     : engine_(&engine), options_(options) {
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = engine_->metrics()) {
     // Pre-register the checkpoint I/O series so every export carries them,
     // zero-valued, even on runs that never checkpoint (the
     // migration.phase_ms convention).
@@ -68,7 +68,7 @@ bool SharedStore::begin_write(const std::string& process,
   write.started_at = engine_->now();
   write.on_commit = std::move(on_commit);
   write.on_abort = std::move(on_abort);
-  if (obs::Tracer* t = options_.tracer; obs::active(t)) {
+  if (obs::Tracer* t = engine_->tracer(); obs::active(t)) {
     write.span = t->begin_span(
         "ckpt.write", "ckpt", process,
         {{"host", host}, {"bytes", static_cast<std::size_t>(bytes)},
@@ -115,10 +115,10 @@ void SharedStore::drop(std::map<std::string, Write>::iterator it) {
   outcome.bytes = it->second.bytes;
   outcome.started_at = it->second.started_at;
   outcome.finished_at = engine_->now();
-  if (obs::Tracer* t = options_.tracer; obs::active(t)) {
+  if (obs::Tracer* t = engine_->tracer(); obs::active(t)) {
     t->end_span(it->second.span, {{"outcome", "aborted"}});
   }
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = engine_->metrics()) {
     m->counter("ars_ckpt.aborted").inc();
   }
   OutcomeFn on_abort = std::move(it->second.on_abort);
@@ -162,10 +162,10 @@ void SharedStore::finish(const std::string& process, double finished_at) {
   outcome.bytes = it->second.bytes;
   outcome.started_at = it->second.started_at;
   outcome.finished_at = finished_at;
-  if (obs::Tracer* t = options_.tracer; obs::active(t)) {
+  if (obs::Tracer* t = engine_->tracer(); obs::active(t)) {
     t->end_span(it->second.span, {{"outcome", "committed"}});
   }
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = engine_->metrics()) {
     m->counter("ars_ckpt.writes").inc();
     m->counter("ars_ckpt.bytes").inc(static_cast<double>(outcome.bytes));
     m->histogram("ars_ckpt.write_s", {}, write_s_bounds())

@@ -73,8 +73,8 @@ void Commander::report_outcome(const xmlproto::MigrationOutcomeMsg& outcome,
   if (!running_ || config_.registry_host.empty()) {
     return;  // the registry's debit TTL covers lost reports
   }
-  if (config_.metrics != nullptr) {
-    config_.metrics
+  if (metrics() != nullptr) {
+    metrics()
         ->counter("commander.outcomes_reported",
                   {{"outcome", outcome.outcome}})
         .inc();
@@ -87,8 +87,8 @@ void Commander::report_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
   if (!running_ || config_.registry_host.empty()) {
     return;  // the registry's debit TTL covers lost reports
   }
-  if (config_.metrics != nullptr) {
-    config_.metrics
+  if (metrics() != nullptr) {
+    metrics()
         ->counter("commander.resize_outcomes_reported",
                   {{"outcome", outcome.outcome}})
         .inc();
@@ -101,8 +101,8 @@ void Commander::send_ckpt_request(const xmlproto::CkptIoRequestMsg& request,
   if (!running_ || config_.registry_host.empty()) {
     return;  // the scheduler's slot TTL / grant timeout cover the loss
   }
-  if (config_.metrics != nullptr) {
-    config_.metrics
+  if (metrics() != nullptr) {
+    metrics()
         ->counter("commander.ckpt_requests", {{"verb", request.verb}})
         .inc();
   }
@@ -143,16 +143,16 @@ sim::Task<> Commander::serve() {
       // here, from its latest checkpoint if one exists.
       const mpi::RankId id =
           middleware_->relaunch(relaunch->process_name, host_->name(), ctx);
-      if (config_.tracer != nullptr) {
+      if (tracer() != nullptr) {
         obs::Attrs attrs{{"process", relaunch->process_name},
                          {"lost_host", relaunch->lost_host},
                          {"ok", id != 0}};
         obs::stamp(attrs, ctx);
-        config_.tracer->instant("commander.relaunch", "commander",
-                                host_->name(), std::move(attrs));
+        tracer()->instant("commander.relaunch", "commander", host_->name(),
+                          std::move(attrs));
       }
-      if (config_.metrics != nullptr) {
-        config_.metrics
+      if (metrics() != nullptr) {
+        metrics()
             ->counter("commander.relaunches",
                       {{"ok", id != 0 ? "true" : "false"}})
             .inc();
@@ -186,8 +186,8 @@ sim::Task<> Commander::serve() {
       // Malleability: forward the resize to the engine; it takes effect at
       // the job's next poll-point and reports its own terminal outcome.
       ++commands_received_;
-      if (config_.metrics != nullptr) {
-        config_.metrics
+      if (metrics() != nullptr) {
+        metrics()
             ->counter("commander.resizes_received", {{"verb", resize->verb}})
             .inc();
       }
@@ -205,14 +205,14 @@ sim::Task<> Commander::serve() {
       }
       const bool queued = malleable_->request_resize(
           resize->job, *verb, resize->delta, resize->hosts, strategy, ctx);
-      if (config_.tracer != nullptr) {
+      if (tracer() != nullptr) {
         obs::Attrs attrs{{"job", resize->job},
                          {"verb", resize->verb},
                          {"delta", static_cast<double>(resize->delta)},
                          {"queued", queued}};
         obs::stamp(attrs, ctx);
-        config_.tracer->instant("commander.resize", "commander",
-                                host_->name(), std::move(attrs));
+        tracer()->instant("commander.resize", "commander", host_->name(),
+                          std::move(attrs));
       }
       if (!queued) {
         // Nothing will run, so nothing will report: close the loop here or
@@ -234,8 +234,8 @@ sim::Task<> Commander::serve() {
     if (const auto* grant = std::get_if<xmlproto::CkptIoGrantMsg>(&message)) {
       // Checkpoint I/O verdict from the registry's scheduler: hand it to
       // the middleware's per-process checkpoint plan.
-      if (config_.metrics != nullptr) {
-        config_.metrics
+      if (metrics() != nullptr) {
+        metrics()
             ->counter("commander.ckpt_grants", {{"verb", grant->verb}})
             .inc();
       }
@@ -251,8 +251,8 @@ sim::Task<> Commander::serve() {
       continue;
     }
     ++commands_received_;
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("commander.commands_received").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("commander.commands_received").inc();
     }
     // Each command gets its own fiber so a retrying delivery does not block
     // the inbox (and stop() can cancel in-flight retries).
@@ -269,7 +269,7 @@ sim::Task<> Commander::handle_migrate(xmlproto::MigrateCmd command,
   // Temp file + user-defined signal; the poll-point does the rest.
   bool ok = middleware_->request_migration(host_->name(), command.pid,
                                            command.dest_host, ctx);
-  if (config_.tracer != nullptr) {
+  if (tracer() != nullptr) {
     // Signal delivery: the commander wrote the destination temp file and
     // raised the user-defined signal at the migrating process.
     obs::Attrs attrs{{"pid", command.pid},
@@ -277,8 +277,8 @@ sim::Task<> Commander::handle_migrate(xmlproto::MigrateCmd command,
                      {"destination", command.dest_host},
                      {"ok", ok}};
     obs::stamp(attrs, ctx);
-    config_.tracer->instant("commander.signal", "commander", host_->name(),
-                            std::move(attrs));
+    tracer()->instant("commander.signal", "commander", host_->name(),
+                      std::move(attrs));
   }
   // Bounded retry: the command may have raced the process's launch or
   // relaunch; back off exponentially before giving up.
@@ -287,19 +287,19 @@ sim::Task<> Commander::handle_migrate(xmlproto::MigrateCmd command,
     co_await sim::delay(host_->engine(), backoff);
     backoff *= 2.0;
     ++commands_retried_;
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("commander.commands_retried").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("commander.commands_retried").inc();
     }
     ok = middleware_->request_migration(host_->name(), command.pid,
                                         command.dest_host, ctx);
-    if (config_.tracer != nullptr) {
+    if (tracer() != nullptr) {
       obs::Attrs attrs{{"pid", command.pid},
                        {"process", command.process_name},
                        {"attempt", attempt},
                        {"ok", ok}};
       obs::stamp(attrs, ctx);
-      config_.tracer->instant("commander.retry", "commander", host_->name(),
-                              std::move(attrs));
+      tracer()->instant("commander.retry", "commander", host_->name(),
+                        std::move(attrs));
     }
     ARS_LOG_INFO("commander", host_->name() << " retry " << attempt
                                             << " for pid " << command.pid
@@ -308,8 +308,8 @@ sim::Task<> Commander::handle_migrate(xmlproto::MigrateCmd command,
   }
   if (!ok) {
     ++commands_failed_;
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("commander.commands_failed").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("commander.commands_failed").inc();
     }
     ARS_LOG_WARN("commander", "migrate command for unknown pid "
                                   << command.pid << " on " << host_->name());

@@ -33,11 +33,7 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   if (config_.registry_host.empty()) {
     config_.registry_host = config_.hosts.front().name;
   }
-  tracer_.set_clock([this] { return engine_.now(); });
-  config_.hpcm.tracer = &tracer_;
-  config_.hpcm.metrics = &metrics_;
-  config_.network.metrics = &metrics_;
-  config_.network.tracer = &tracer_;
+  engine_.attach_sinks(&tracer_, &metrics_);
   network_ = std::make_unique<net::Network>(engine_, config_.network);
   for (const host::HostSpec& spec : config_.hosts) {
     hosts_.push_back(std::make_unique<host::Host>(engine_, spec));
@@ -49,8 +45,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   }
   mpi_ = std::make_unique<mpi::MpiSystem>(engine_, *network_, config_.mpi);
   hpcm_ = std::make_unique<hpcm::MigrationEngine>(*mpi_, config_.hpcm);
-  config_.malleable.tracer = &tracer_;
-  config_.malleable.metrics = &metrics_;
   malleable_ = std::make_unique<malleable::MalleableEngine>(
       *mpi_, *network_, config_.malleable);
 
@@ -59,8 +53,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
   registry_config.lease_ttl = config_.lease_ttl;
   registry_config.strategy = config_.strategy;
   registry_config.auto_restart = config_.auto_restart;
-  registry_config.tracer = &tracer_;
-  registry_config.metrics = &metrics_;
   registry_config.enable_resize = config_.enable_resize_planner;
   registry_config.resize_cooldown = config_.resize_cooldown;
   registry_config.max_expand_step = config_.max_expand_step;
@@ -82,8 +74,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
     commander::Commander::Config commander_config;
     commander_config.registry_host = config_.registry_host;
     commander_config.registry_port = registry_->port();
-    commander_config.tracer = &tracer_;
-    commander_config.metrics = &metrics_;
     commanders_.emplace(h->name(), std::make_unique<commander::Commander>(
                                        *h, *network_, *hpcm_,
                                        commander_config));
@@ -96,8 +86,6 @@ ReschedulerRuntime::ReschedulerRuntime(ClusterConfig config)
     monitor_config.cycle_cpu_cost = config_.monitor_cycle_cpu_cost;
     monitor_config.reregister_period = config_.monitor_reregister_period;
     monitor_config.delta_heartbeats = config_.monitor_delta_heartbeats;
-    monitor_config.tracer = &tracer_;
-    monitor_config.metrics = &metrics_;
     monitors_.emplace(h->name(), std::make_unique<monitor::Monitor>(
                                      *h, *network_, monitor_config));
   }

@@ -62,16 +62,13 @@ void ShardedCluster::build_shard(std::size_t shard,
   sim::Engine& engine = group_.engine(shard);
   const std::size_t shard_count = group_.size();
 
-  state.tracer_ = std::make_unique<obs::Tracer>(
+  state.tracer = std::make_unique<obs::Tracer>(
       obs::Tracer::Options{options_.trace_capacity, options_.tracing});
-  state.tracer_->set_clock([&engine] { return engine.now(); });
   state.metrics = std::make_unique<obs::MetricsRegistry>();
-  obs::Tracer* tracer = options_.tracing ? state.tracer_.get() : nullptr;
-
-  net::Network::Options net_options;
-  net_options.metrics = state.metrics.get();
-  net_options.tracer = tracer;
-  state.net_ = std::make_unique<net::Network>(engine, net_options);
+  // Untraced shards attach no tracer, so no component builds attributes.
+  obs::Tracer* tracer = options_.tracing ? state.tracer.get() : nullptr;
+  engine.attach_sinks(tracer, state.metrics.get());
+  state.net_ = std::make_unique<net::Network>(engine);
 
   // Block partition: host i lives on shard i*shards/hosts's inverse — each
   // shard owns the contiguous global range [lo, hi).
@@ -117,8 +114,6 @@ void ShardedCluster::build_shard(std::size_t shard,
       config.parent_port = kRootPort;
     }
     config.audit = registry::AuditMode::kOff;
-    config.tracer = tracer;
-    config.metrics = state.metrics.get();
     auto r = std::make_unique<registry::Registry>(*h, *state.net_, config);
     state.hosts.push_back(std::move(h));
     return r;
@@ -153,8 +148,6 @@ void ShardedCluster::build_shard(std::size_t shard,
     config.policy = policy;
     config.classifier = classifier;
     config.delta_heartbeats = options_.delta_heartbeats;
-    config.tracer = tracer;
-    config.metrics = state.metrics.get();
     auto m = std::make_unique<monitor::Monitor>(h, *state.net_, config);
     // Stagger the start phase deterministically across the heartbeat
     // period.  Synchronized monitors would heartbeat in lockstep waves of
@@ -247,9 +240,9 @@ ShardedClusterReport ShardedCluster::run() {
       report.registered_hosts +=
           static_cast<int>(state.registry->hosts().size());
     }
-    tracers.push_back(state.tracer_.get());
+    tracers.push_back(state.tracer.get());
     merged.merge_from(*state.metrics);
-    report.trace_events += state.tracer_->events().size();
+    report.trace_events += state.tracer->events().size();
   }
   report.merged_trace = obs::merged_jsonl(tracers);
   report.trace_hash = support::fnv1a(report.merged_trace);

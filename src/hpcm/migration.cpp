@@ -129,8 +129,6 @@ MigrationEngine::MigrationEngine(mpi::MpiSystem& mpi, Options options)
   ckpt::IoOptions io_options;
   io_options.per_host_bps = options_.checkpoint_store_bps;
   io_options.aggregate_bps = options_.ckpt_aggregate_bps;
-  io_options.tracer = options_.tracer;
-  io_options.metrics = options_.metrics;
   shared_store_ =
       std::make_unique<ckpt::SharedStore>(mpi_->engine(), io_options);
   if (obs::MetricsRegistry* m = metrics()) {

@@ -149,7 +149,7 @@ MalleableEngine::MalleableEngine(mpi::MpiSystem& mpi, net::Network& network)
 MalleableEngine::MalleableEngine(mpi::MpiSystem& mpi, net::Network& network,
                                  Options options)
     : mpi_(&mpi), network_(&network), options_(options) {
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = metrics()) {
     // Pre-register every malleable.* series so exports are stable at zero,
     // matching the migration.* convention: a run with no resizes still
     // carries the full schema.
@@ -223,7 +223,7 @@ std::vector<mpi::RankId> MalleableEngine::launch(
   }
   apply_assignment(*job);
   jobs_.emplace(spec.name, job);
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     t->instant("malleable.job_launched", "malleable", spec.name,
                {{"ranks", static_cast<double>(job->members.size())},
                 {"blocks", static_cast<double>(job->spec.workload.blocks)}});
@@ -255,7 +255,7 @@ bool MalleableEngine::request_resize(const std::string& job_name,
   req.strategy = strategy.value_or(job->spec.strategy);
   req.trace = trace;
   job->pending = std::move(req);
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     obs::Attrs attrs{{"verb", std::string(verb_name(verb))},
                      {"delta", static_cast<double>(delta)}};
     obs::stamp(attrs, trace);
@@ -412,7 +412,7 @@ int MalleableEngine::on_host_failed(const std::string& host) {
       (void)fail_resize_target(name, host);  // no-op unless host is a target
     }
     if (hit) {
-      if (obs::MetricsRegistry* m = options_.metrics) {
+      if (obs::MetricsRegistry* m = metrics()) {
         m->counter("malleable.ranks_lost").inc();
       }
       // Wake both rendezvous points so the root re-counts live workers and
@@ -529,7 +529,7 @@ void MalleableEngine::repair_membership(Job& job) {
   job.blocks_of = partition_blocks(job.spec.workload.blocks,
                                    static_cast<int>(job.members.size()));
   apply_assignment(job);
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     t->instant("malleable.membership_repaired", "malleable", job.spec.name,
                {{"lost", static_cast<double>(lost)},
                 {"ranks", static_cast<double>(job.members.size())}});
@@ -573,10 +573,10 @@ void MalleableEngine::finish_job(Job& job) {
     job.tx = open_tx(job);
     finish_resize(job, kAborted, "job-finished", "plan");
   }
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = metrics()) {
     m->counter("malleable.jobs_completed").inc();
   }
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     t->instant("malleable.job_finished", "malleable", job.spec.name,
                {{"ranks", static_cast<double>(job.members.size())},
                 {"processed", static_cast<double>(job.processed)}});
@@ -608,10 +608,10 @@ void MalleableEngine::teardown_job(Job& job, const std::string& reason) {
   job.failed = true;
   job.finished = true;
   job.finished_time = engine().now();
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = metrics()) {
     m->counter("malleable.jobs_failed").inc();
   }
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     t->instant("malleable.job_failed", "malleable", job.spec.name,
                {{"reason", reason}});
   }
@@ -666,7 +666,7 @@ std::unique_ptr<MalleableEngine::ResizeTx> MalleableEngine::open_tx(
 }
 
 void MalleableEngine::enter_phase(Job& job, const char* phase) {
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     obs::Attrs attrs{{"phase", phase},
                      {"verb", std::string(verb_name(job.tx->verb))}};
     obs::stamp(attrs, job.tx->trace);
@@ -742,7 +742,7 @@ sim::Task<> MalleableEngine::execute_resize(std::shared_ptr<Job> job,
                                             mpi::Proc& proc) {
   job->tx = open_tx(*job);
   ResizeTx& tx = *job->tx;
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     obs::Attrs attrs{
         {"verb", std::string(verb_name(tx.verb))},
         {"delta", static_cast<double>(tx.delta)},
@@ -904,7 +904,7 @@ void MalleableEngine::finish_resize(Job& job, const std::string& outcome,
   record.redistributed_bytes = tx.redistributed_bytes;
   record.spawn_rounds = tx.spawn_result.rounds;
   record.trace = tx.trace;
-  if (obs::MetricsRegistry* m = options_.metrics) {
+  if (obs::MetricsRegistry* m = metrics()) {
     m->counter("malleable.resizes",
                {{"verb", verb_name(tx.verb)}, {"outcome", outcome}})
         .inc();
@@ -934,7 +934,7 @@ void MalleableEngine::finish_resize(Job& job, const std::string& outcome,
       }
     }
   }
-  if (obs::Tracer* t = options_.tracer; t != nullptr && obs::active(t)) {
+  if (obs::Tracer* t = tracer(); t != nullptr && obs::active(t)) {
     t->end_span(tx.span,
                 {{"outcome", outcome},
                  {"reason", reason},
@@ -955,7 +955,7 @@ void MalleableEngine::finish_resize(Job& job, const std::string& outcome,
         std::find(job.members.begin(), job.members.end(), id) ==
             job.members.end()) {
       ++ghost_ranks_;
-      if (obs::MetricsRegistry* m = options_.metrics) {
+      if (obs::MetricsRegistry* m = metrics()) {
         m->counter("malleable.ghost_ranks").inc();
       }
     }

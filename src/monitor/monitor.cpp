@@ -166,7 +166,7 @@ sim::Task<> Monitor::run() {
   auto& engine = host_->engine();
   // One-time registration of static information.
   xmlproto::RegisterMsg reg;
-  reg.info = static_info_of(*host_, *network_);
+  reg.info = static_info_of(*host_);
   reg.monitor_port = config_.monitor_port;
   reg.commander_port = config_.commander_port;
   push(reg);
@@ -188,16 +188,16 @@ sim::Task<> Monitor::run() {
     const SystemState state = config_.classifier(status);
     status.state = std::string(rules::to_string(state));
     if (state != state_) {
-      if (obs::active(config_.tracer)) {
-        config_.tracer->instant(
+      if (obs::active(tracer())) {
+        tracer()->instant(
             "monitor.state_transition", "monitor", host_->name(),
             {{"from", std::string(rules::to_string(state_))},
              {"to", std::string(rules::to_string(state))},
              {"transition", rules::transition_label(state_, state)},
              {"load1", status.load1}});
       }
-      if (config_.metrics != nullptr) {
-        config_.metrics
+      if (metrics() != nullptr) {
+        metrics()
             ->counter("rules.state_transitions",
                       {{"to", std::string(rules::to_string(state))}})
             .inc();
@@ -252,21 +252,21 @@ sim::Task<> Monitor::run() {
         // A consult opens a new causal transaction: the decision, command,
         // and migration it triggers all link back to this instant.
         obs::TraceCtx ctx;
-        if (obs::active(config_.tracer)) {
+        if (obs::active(tracer())) {
           // The consult instant goes into the ring before the send so it
           // is the transaction's root event.
-          ctx.txn = config_.tracer->new_txn();
+          ctx.txn = tracer()->new_txn();
           obs::Attrs attrs{{"reason", consult.reason}};
           obs::stamp(attrs, ctx);
-          config_.tracer->instant("monitor.consult", "monitor",
-                                  host_->name(), std::move(attrs));
+          tracer()->instant("monitor.consult", "monitor", host_->name(),
+                            std::move(attrs));
         }
         push(consult, ctx);
         ++consults_sent_;
         episode_consulted_ = true;
         last_consult_at_ = engine.now();
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("monitor.consults_sent").inc();
+        if (metrics() != nullptr) {
+          metrics()->counter("monitor.consults_sent").inc();
         }
         ARS_LOG_INFO("monitor",
                      host_->name() << " consults registry: " << consult.reason);

@@ -65,12 +65,9 @@ xmlproto::DynamicStatus HostSensorSource::snapshot() {
   return status;
 }
 
-xmlproto::StaticInfo static_info_of(const host::Host& h,
-                                    const net::Network& network) {
-  (void)network;
+xmlproto::StaticInfo static_info_of(const host::Host& h) {
   xmlproto::StaticInfo info;
   info.host = h.name();
-  info.ip = h.spec().ip_address;
   info.os = h.spec().os;
   info.memory_bytes = h.spec().memory_bytes;
   info.disk_bytes = h.spec().disk_bytes;

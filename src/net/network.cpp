@@ -115,13 +115,13 @@ void Network::stamp_send(Message& message) {
     message.size_bytes = message.payload.size() + options_.message_overhead;
   }
   message.sent_at = engine_->now();
-  if (message.trace.set() && obs::active(options_.tracer)) {
+  if (message.trace.set() && obs::active(engine_->tracer())) {
     obs::Attrs attrs{{"dst", message.dst_host},
                      {"port", message.dst_port},
                      {"bytes", static_cast<std::size_t>(message.size_bytes)}};
     obs::stamp(attrs, message.trace);
-    options_.tracer->instant("net.send", "net", message.src_host,
-                             std::move(attrs));
+    engine_->tracer()->instant("net.send", "net", message.src_host,
+                               std::move(attrs));
   }
 }
 
@@ -201,8 +201,8 @@ bool Network::route_cross_shard(Message& message) {
     count_drop(find_id(message.src_host), "fault");
     return true;
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("ars_net_cross_shard_total")
+  if (engine_->metrics() != nullptr) {
+    engine_->metrics()->counter("ars_net_cross_shard_total")
         .inc(fanout->copies);
   }
   shard_router_->forward(shard_id_, *dst_shard, std::move(message),
@@ -228,14 +228,14 @@ void Network::hand_over(std::optional<HostId> dst,
     count_drop(poster, "unbound_port");
     return;
   }
-  if (message.trace.set() && obs::active(options_.tracer)) {
+  if (message.trace.set() && obs::active(engine_->tracer())) {
     obs::Attrs attrs{
         {"src", message.src_host},
         {"port", message.dst_port},
         {"latency_ms", (message.delivered_at - message.sent_at) * 1e3}};
     obs::stamp(attrs, message.trace);
-    options_.tracer->instant("net.recv", "net", message.dst_host,
-                             std::move(attrs));
+    engine_->tracer()->instant("net.recv", "net", message.dst_host,
+                               std::move(attrs));
   }
   it->second->inbox.send(std::move(message));
 }
@@ -388,8 +388,8 @@ void Network::count_drop(std::optional<HostId> poster, const char* reason) {
   if (poster) {
     ++record(*poster).messages_dropped;
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("ars_net_dropped_total", {{"reason", reason}})
+  if (engine_->metrics() != nullptr) {
+    engine_->metrics()->counter("ars_net_dropped_total", {{"reason", reason}})
         .inc();
   }
 }

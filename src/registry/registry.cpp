@@ -81,23 +81,21 @@ Registry::Registry(host::Host& h, net::Network& network, Config config)
   if (config_.port == 0) {
     config_.port = network_->allocate_port(host_->name());
   }
-  if (config_.metrics != nullptr) {
+  if (metrics() != nullptr) {
     // Pre-register the resize-planner series so exports are stable at zero
     // (the malleable.* convention).
     for (const char* verb : {"expand", "shrink"}) {
-      config_.metrics->counter("registry.resizes_commanded",
-                               {{"verb", verb}});
+      metrics()->counter("registry.resizes_commanded", {{"verb", verb}});
     }
     for (const char* outcome : {"committed", "aborted", "partial-rollback"}) {
-      config_.metrics->counter("registry.resize_outcomes",
-                               {{"outcome", outcome}});
+      metrics()->counter("registry.resize_outcomes", {{"outcome", outcome}});
     }
     if (config_.enable_ckpt_io) {
       // Same stable-at-zero convention for the I/O-scheduler verdicts.
       for (const char* verb : {"admit", "defer", "preempt"}) {
-        config_.metrics->counter("registry.ckpt_grants", {{"verb", verb}});
+        metrics()->counter("registry.ckpt_grants", {{"verb", verb}});
       }
-      config_.metrics->counter("registry.ckpt_slots_expired");
+      metrics()->counter("registry.ckpt_slots_expired");
     }
   }
 }
@@ -146,9 +144,8 @@ void Registry::restart_cold() {
   children_.clear();
   next_registration_order_ = 0;
   start();
-  if (obs::active(config_.tracer)) {
-    config_.tracer->instant("registry.cold_restart", "scheduler",
-                            host_->name(), {});
+  if (obs::active(tracer())) {
+    tracer()->instant("registry.cold_restart", "scheduler", host_->name(), {});
   }
 }
 
@@ -384,8 +381,8 @@ void Registry::handle(const ProtocolMessage& message,
       // UpdateMsg so the table never holds made-up or stale status data.
       if (it == hosts_.end() || !it->second.status_seen ||
           it->second.state == SystemState::kUnavailable) {
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("registry.renewals_rejected").inc();
+        if (metrics() != nullptr) {
+          metrics()->counter("registry.renewals_rejected").inc();
         }
         continue;
       }
@@ -397,8 +394,8 @@ void Registry::handle(const ProtocolMessage& message,
         entry.status.state = renewal.state;
         set_state(entry, *state);
       }
-      if (config_.metrics != nullptr) {
-        config_.metrics->counter("registry.renewals_applied").inc();
+      if (metrics() != nullptr) {
+        metrics()->counter("registry.renewals_applied").inc();
       }
     }
     return;
@@ -505,8 +502,8 @@ sim::Task<> Registry::sweep() {
       // Admitted checkpoint-write slots whose done/abort never arrived
       // (crashed host, lost report) must not starve waiting writers.
       const auto reaped = ckpt_io_.expire(now);
-      if (!reaped.empty() && config_.metrics != nullptr) {
-        config_.metrics->counter("registry.ckpt_slots_expired")
+      if (!reaped.empty() && metrics() != nullptr) {
+        metrics()->counter("registry.ckpt_slots_expired")
             .inc(static_cast<double>(reaped.size()));
       }
     }
@@ -515,11 +512,11 @@ sim::Task<> Registry::sweep() {
           now - entry.last_update > config_.lease_ttl) {
         ARS_LOG_WARN("registry", "lease expired for host " << name);
         set_state(entry, SystemState::kUnavailable);
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("registry.lease_expirations").inc();
+        if (metrics() != nullptr) {
+          metrics()->counter("registry.lease_expirations").inc();
         }
-        if (obs::active(config_.tracer)) {
-          config_.tracer->instant(
+        if (obs::active(tracer())) {
+          tracer()->instant(
               "registry.lease_expired", "scheduler", host_->name(),
               {{"host", name},
                {"silent_for", now - entry.last_update}});
@@ -674,8 +671,8 @@ void Registry::command_resize(MalleableJobEntry& job, const std::string& verb,
     return;
   }
   obs::TraceCtx ctx;
-  if (obs::active(config_.tracer)) {
-    ctx.txn = config_.tracer->new_txn();
+  if (obs::active(tracer())) {
+    ctx.txn = tracer()->new_txn();
   }
   xmlproto::ResizeCmd cmd;
   cmd.job = job.name;
@@ -690,22 +687,22 @@ void Registry::command_resize(MalleableJobEntry& job, const std::string& verb,
   job.resizing = true;
   job.last_resize_at = now;
   ++resizes_commanded_;
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.resizes_commanded", {{"verb", verb}})
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.resizes_commanded", {{"verb", verb}})
         .inc();
     if (verb == "expand") {
-      config_.metrics->gauge("registry.placements_inflight")
+      metrics()->gauge("registry.placements_inflight")
           .set(static_cast<double>(inflight_placements()));
     }
   }
-  if (obs::active(config_.tracer)) {
+  if (obs::active(tracer())) {
     obs::Attrs attrs{{"job", job.name},
                      {"verb", verb},
                      {"delta", static_cast<double>(cmd.delta)},
                      {"root", job.root_host}};
     obs::stamp(attrs, ctx);
-    config_.tracer->instant("registry.resize_commanded", "scheduler",
-                            host_->name(), std::move(attrs));
+    tracer()->instant("registry.resize_commanded", "scheduler", host_->name(),
+                      std::move(attrs));
   }
   ARS_LOG_INFO("registry", "commanding " << verb << "(" << job.name << ", "
                                          << cmd.delta << ") via "
@@ -716,20 +713,20 @@ void Registry::command_resize(MalleableJobEntry& job, const std::string& verb,
 void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
                                  obs::TraceCtx ctx) {
   const double now = host_->engine().now();
-  if (config_.metrics != nullptr) {
-    config_.metrics
+  if (metrics() != nullptr) {
+    metrics()
         ->counter("registry.resize_outcomes", {{"outcome", outcome.outcome}})
         .inc();
   }
-  if (obs::active(config_.tracer)) {
+  if (obs::active(tracer())) {
     obs::Attrs attrs{{"job", outcome.job},
                      {"verb", outcome.verb},
                      {"outcome", outcome.outcome},
                      {"reason", outcome.reason},
                      {"ranks_after", static_cast<double>(outcome.ranks_after)}};
     obs::stamp(attrs, ctx);
-    config_.tracer->instant("registry.resize_outcome", "scheduler",
-                            host_->name(), std::move(attrs));
+    tracer()->instant("registry.resize_outcome", "scheduler", host_->name(),
+                      std::move(attrs));
   }
   const auto it = malleable_jobs_.find(outcome.job);
   if (it == malleable_jobs_.end()) {
@@ -750,10 +747,10 @@ void Registry::on_resize_outcome(const xmlproto::ResizeOutcomeMsg& outcome,
     }
   }
   const std::size_t credited = std::exchange(job.pending_targets, {}).size();
-  if (credited != 0 && config_.metrics != nullptr) {
-    config_.metrics->counter("registry.placements_credited")
+  if (credited != 0 && metrics() != nullptr) {
+    metrics()->counter("registry.placements_credited")
         .inc(static_cast<double>(credited));
-    config_.metrics->gauge("registry.placements_inflight")
+    metrics()->gauge("registry.placements_inflight")
         .set(static_cast<double>(inflight_placements()));
   }
   if (outcome.reason == "job-finished" || outcome.reason == "job-failed") {
@@ -790,17 +787,17 @@ void Registry::on_ckpt_io_request(const xmlproto::CkptIoRequestMsg& request,
                          : verdict.verb == ckpt::Admission::Verb::kPreempt
                                ? "preempt"
                                : "admit";
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.ckpt_grants", {{"verb", verb}}).inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.ckpt_grants", {{"verb", verb}}).inc();
   }
-  if (obs::active(config_.tracer)) {
+  if (obs::active(tracer())) {
     obs::Attrs attrs{{"process", request.process},
                      {"verb", std::string(verb)},
                      {"risk", request.risk},
                      {"active", static_cast<double>(ckpt_io_.active())}};
     obs::stamp(attrs, ctx);
-    config_.tracer->instant("registry.ckpt_grant", "scheduler", host_->name(),
-                            std::move(attrs));
+    tracer()->instant("registry.ckpt_grant", "scheduler", host_->name(),
+                      std::move(attrs));
   }
   if (verdict.verb == ckpt::Admission::Verb::kPreempt) {
     // Evict the victim first, then admit the requester: the victim's
@@ -910,8 +907,8 @@ bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
   // A restart opens a fresh transaction: the registry is the originator
   // (no consult precedes it), so the decision event is the DAG root.
   obs::TraceCtx ctx;
-  if (obs::active(config_.tracer)) {
-    ctx.txn = config_.tracer->new_txn();
+  if (obs::active(tracer())) {
+    ctx.txn = tracer()->new_txn();
   }
   Decision decision;
   decision.at = host_->engine().now();
@@ -929,8 +926,8 @@ bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
                                                       << process.host << ")");
       decisions_.push_back(decision);
       trace_decision(decision, "restart-stranded", ctx, cause.txn);
-      if (config_.metrics != nullptr) {
-        config_.metrics->counter("registry.restarts_stranded").inc();
+      if (metrics() != nullptr) {
+        metrics()->counter("registry.restarts_stranded").inc();
       }
     }
     // Parked for the sweeper, which retries once capacity frees up.
@@ -943,8 +940,8 @@ bool Registry::restart_process(ProcessRecord& record, RecoveryRound& round,
   decision.destination = chosen->info.host;
   decisions_.push_back(decision);
   trace_decision(decision, "restart", ctx, cause.txn);
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.restarts_commanded").inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.restarts_commanded").inc();
   }
   // Restarts commanded earlier in this round occupy resources the
   // destination's next heartbeat cannot yet reflect.
@@ -978,13 +975,12 @@ void Registry::abandon_relaunch(ProcessRecord& record,
   }
   ARS_LOG_INFO("registry", "abandoning relaunch of "
                                << record.process.name << " (" << reason << ")");
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.relaunches_abandoned").inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.relaunches_abandoned").inc();
   }
-  if (obs::active(config_.tracer)) {
-    config_.tracer->instant(
-        "registry.relaunch_abandoned", "scheduler", host_->name(),
-        {{"process", record.process.name}, {"reason", reason}});
+  if (obs::active(tracer())) {
+    tracer()->instant("registry.relaunch_abandoned", "scheduler", host_->name(),
+                      {{"process", record.process.name}, {"reason", reason}});
   }
   if (record.state == ProcessState::kRunning) {
     record.recovery_unreported = false;
@@ -1007,8 +1003,8 @@ void Registry::drain_stranded() {
       ++recovered;
     }
   }
-  if (recovered != 0 && config_.metrics != nullptr) {
-    config_.metrics->counter("registry.stranded_recovered").inc(recovered);
+  if (recovered != 0 && metrics() != nullptr) {
+    metrics()->counter("registry.stranded_recovered").inc(recovered);
   }
 }
 
@@ -1023,14 +1019,13 @@ void Registry::confirm_relaunches(double now) {
     ARS_LOG_WARN("registry", "relaunch of " << record->process.name << " on "
                                             << record->relaunch_dest
                                             << " unconfirmed; retrying");
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("registry.relaunches_retried").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("registry.relaunches_retried").inc();
     }
-    if (obs::active(config_.tracer)) {
-      config_.tracer->instant("registry.relaunch_retry", "scheduler",
-                              host_->name(),
-                              {{"process", record->process.name},
-                               {"dest", record->relaunch_dest}});
+    if (obs::active(tracer())) {
+      tracer()->instant("registry.relaunch_retry", "scheduler", host_->name(),
+                        {{"process", record->process.name},
+                         {"dest", record->relaunch_dest}});
     }
     record->state = ProcessState::kStranded;
     record->order = ++ledger_clock_;
@@ -1073,10 +1068,10 @@ void Registry::expire_claims(double now) {
                        .schema_name = claim.schema_name};
     orphans.push_back(record);
   }
-  if (expired != 0 && config_.metrics != nullptr) {
-    config_.metrics->counter("registry.placements_expired")
+  if (expired != 0 && metrics() != nullptr) {
+    metrics()->counter("registry.placements_expired")
         .inc(static_cast<double>(expired));
-    config_.metrics->gauge("registry.placements_inflight")
+    metrics()->gauge("registry.placements_inflight")
         .set(static_cast<double>(inflight_placements()));
   }
   for (ProcessRecord* record : orphans) {
@@ -1089,8 +1084,8 @@ void Registry::expire_claims(double now) {
                                  << record->process.name
                                  << " expired with no book entry; "
                                     "relaunching from checkpoint");
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("registry.debit_orphan_restarts").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("registry.debit_orphan_restarts").inc();
     }
     RecoveryRound round;
     restart_process(*record, round, /*record_stranded=*/true);
@@ -1103,8 +1098,8 @@ const HostEntry* Registry::suspect(const std::string& host, double now) {
     return nullptr;
   }
   it->second.suspect_until = now + kSuspectBackoff;
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.hosts_suspected").inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.hosts_suspected").inc();
   }
   return &it->second;
 }
@@ -1112,29 +1107,29 @@ const HostEntry* Registry::suspect(const std::string& host, double now) {
 void Registry::on_migration_outcome(
     const xmlproto::MigrationOutcomeMsg& outcome, obs::TraceCtx ctx) {
   const double now = host_->engine().now();
-  if (config_.metrics != nullptr) {
-    config_.metrics
+  if (metrics() != nullptr) {
+    metrics()
         ->counter("registry.migration_outcomes",
                   {{"outcome", outcome.outcome}})
         .inc();
   }
-  if (obs::active(config_.tracer)) {
+  if (obs::active(tracer())) {
     obs::Attrs attrs{{"process", outcome.process},
                      {"dest", outcome.destination},
                      {"outcome", outcome.outcome},
                      {"reason", outcome.reason}};
     obs::stamp(attrs, ctx);
-    config_.tracer->instant("registry.migration_outcome", "scheduler",
-                            host_->name(), std::move(attrs));
+    tracer()->instant("registry.migration_outcome", "scheduler", host_->name(),
+                      std::move(attrs));
   }
   // Close the process's claim (it has at most one: a newer command
   // supersedes the old).
   ProcessRecord& record = record_of(outcome.process);
   const std::optional<MigrationClaim> claim =
       std::exchange(record.claim, std::nullopt);
-  if (claim.has_value() && config_.metrics != nullptr) {
-    config_.metrics->counter("registry.placements_credited").inc();
-    config_.metrics->gauge("registry.placements_inflight")
+  if (claim.has_value() && metrics() != nullptr) {
+    metrics()->counter("registry.placements_credited").inc();
+    metrics()->gauge("registry.placements_inflight")
         .set(static_cast<double>(inflight_placements()));
   }
   if (outcome.outcome == "committed") {
@@ -1178,8 +1173,8 @@ void Registry::on_migration_outcome(
                         .name = outcome.process,
                         .schema_name = {}};
     }
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("registry.rollback_restarts").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("registry.rollback_restarts").inc();
     }
     RecoveryRound round;
     restart_process(record, round, /*record_stranded=*/true, ctx);
@@ -1204,15 +1199,15 @@ void Registry::on_migration_outcome(
   // The re-plan is a NEW transaction (one migration attempt per DAG); the
   // replan event links it back to the aborted one via cause_txn.
   obs::TraceCtx replan_ctx;
-  if (obs::active(config_.tracer)) {
-    replan_ctx.txn = config_.tracer->new_txn();
+  if (obs::active(tracer())) {
+    replan_ctx.txn = tracer()->new_txn();
     obs::Attrs attrs{{"process", outcome.process}, {"source", outcome.source}};
     obs::stamp(attrs, replan_ctx);
     if (ctx.set()) {
       attrs.emplace_back("cause_txn", static_cast<std::size_t>(ctx.txn));
     }
-    config_.tracer->instant("registry.replan", "scheduler", host_->name(),
-                            std::move(attrs));
+    tracer()->instant("registry.replan", "scheduler", host_->name(),
+                      std::move(attrs));
   }
   std::erase_if(fibers_, [](const sim::Fiber& f) { return f.done(); });
   fibers_.push_back(sim::Fiber::spawn(
@@ -1271,7 +1266,7 @@ const ProcessEntry* Registry::select_process(const std::string& source_host) {
 void Registry::trace_decision(const Decision& decision, const char* kind,
                               obs::TraceCtx ctx,
                               std::uint64_t cause_txn) const {
-  if (!obs::active(config_.tracer)) {
+  if (!obs::active(tracer())) {
     return;
   }
   obs::Attrs attrs{{"kind", kind},
@@ -1293,8 +1288,8 @@ void Registry::trace_decision(const Decision& decision, const char* kind,
       }
     }
   }
-  config_.tracer->instant_at(decision.at, "scheduler.decision", "scheduler",
-                             host_->name(), std::move(attrs));
+  tracer()->instant_at(decision.at, "scheduler.decision", "scheduler",
+                       host_->name(), std::move(attrs));
 }
 
 std::vector<const HostEntry*> Registry::eligible_destinations(
@@ -1461,13 +1456,12 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
   co_await sim::delay(host_->engine(), kDecisionDelay);
   ARS_LOG_WARN("registry",
                "evacuating " << drained_host << " (" << reason << ")");
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.evacuations").inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.evacuations").inc();
   }
-  if (obs::active(config_.tracer)) {
-    config_.tracer->instant("registry.evacuation", "scheduler",
-                            host_->name(),
-                            {{"host", drained_host}, {"reason", reason}});
+  if (obs::active(tracer())) {
+    tracer()->instant("registry.evacuation", "scheduler", host_->name(),
+                      {{"host", drained_host}, {"reason", reason}});
   }
   // The host stops being a destination immediately and permanently
   // (heartbeats keep refreshing its state but not its draining mark).
@@ -1486,8 +1480,8 @@ sim::Task<> Registry::evacuate(std::string drained_host, std::string reason) {
     // Each evacuated process gets its own transaction (one migration per
     // DAG), rooted at its decision event.
     obs::TraceCtx ctx;
-    if (obs::active(config_.tracer)) {
-      ctx.txn = config_.tracer->new_txn();
+    if (obs::active(tracer())) {
+      ctx.txn = tracer()->new_txn();
     }
     Decision decision;
     const HostEntry* dest =
@@ -1568,20 +1562,20 @@ bool Registry::route_to_child(const xmlproto::ConsultMsg& consult,
   }
   ++best->routed_consults;
   send_to(*best_name, best->port, consult, ctx);
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("registry.consults_routed").inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("registry.consults_routed").inc();
   }
-  if (obs::active(config_.tracer)) {
+  if (obs::active(tracer())) {
     obs::Attrs attrs{{"child", *best_name}, {"source", consult.host}};
     obs::stamp(attrs, ctx);
-    config_.tracer->instant("registry.consult_routed", "scheduler",
-                            host_->name(), std::move(attrs));
+    tracer()->instant("registry.consult_routed", "scheduler", host_->name(),
+                      std::move(attrs));
   }
   return true;
 }
 
 sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
-  obs::Tracer* tracer = config_.tracer;
+  obs::Tracer* tracer = this->tracer();
   std::uint64_t decide_span = 0;
   if (obs::active(tracer)) {
     obs::Attrs attrs{{"source", consult.host}, {"reason", consult.reason}};
@@ -1591,19 +1585,19 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   }
   // Everything this decision sends descends from the decide span.
   const obs::TraceCtx out_ctx = ctx.child_of(decide_span);
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("scheduler.consults").inc();
+  if (metrics() != nullptr) {
+    metrics()->counter("scheduler.consults").inc();
   }
   const auto record = [this, tracer, decide_span,
                        out_ctx](const Decision& decision,
                                 const char* outcome) {
     decisions_.push_back(decision);
-    if (config_.metrics != nullptr) {
-      config_.metrics
+    if (metrics() != nullptr) {
+      metrics()
           ->histogram("scheduler.decision_latency", {},
                       {1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 1.0})
           .observe(decision.decision_latency);
-      config_.metrics
+      metrics()
           ->counter("scheduler.decisions", {{"outcome", outcome}})
           .inc();
     }
@@ -1678,8 +1672,8 @@ sim::Task<> Registry::decide(xmlproto::ConsultMsg consult, obs::TraceCtx ctx) {
   if (source_port == 0) {
     // Update-before-Register ghost source: no command path is known, and
     // a port-0 post would be dropped on the floor by the network.
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("registry.commands_unroutable").inc();
+    if (metrics() != nullptr) {
+      metrics()->counter("registry.commands_unroutable").inc();
     }
     record(decision, "source-unreachable");
     co_return;
@@ -1719,8 +1713,8 @@ void Registry::command_migration(const ProcessEntry& process, int source_port,
     claim.memory_bytes = it->second.requirements().min_memory_bytes;
     claim.disk_bytes = it->second.requirements().min_disk_bytes;
   }
-  if (config_.metrics != nullptr) {
-    config_.metrics->gauge("registry.placements_inflight")
+  if (metrics() != nullptr) {
+    metrics()->gauge("registry.placements_inflight")
         .set(static_cast<double>(inflight_placements()));
   }
 }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "ars/obs/tracer.hpp"
+
 namespace ars::sim {
 
 // -- EventHandle -------------------------------------------------------------
@@ -300,16 +302,11 @@ bool Engine::pop_and_run(SimTime limit, bool bounded) {
   return true;
 }
 
-bool Engine::step() {
-  if (stop_requested_) {
-    return false;
-  }
-  return pop_and_run(0.0, /*bounded=*/false);
-}
+bool Engine::step() { return pop_and_run(0.0, /*bounded=*/false); }
 
 std::size_t Engine::run() {
   std::size_t count = 0;
-  while (!stop_requested_ && pop_and_run(0.0, /*bounded=*/false)) {
+  while (pop_and_run(0.0, /*bounded=*/false)) {
     ++count;
   }
   return count;
@@ -317,13 +314,21 @@ std::size_t Engine::run() {
 
 std::size_t Engine::run_until(SimTime until) {
   std::size_t count = 0;
-  while (!stop_requested_ && pop_and_run(until, /*bounded=*/true)) {
+  while (pop_and_run(until, /*bounded=*/true)) {
     ++count;
   }
-  if (!stop_requested_ && until > now_) {
+  if (until > now_) {
     now_ = until;
   }
   return count;
+}
+
+void Engine::attach_sinks(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+  tracer_ = tracer;
+  metrics_ = metrics;
+  if (tracer != nullptr) {
+    tracer->set_clock([this] { return now_; });
+  }
 }
 
 SimTime Engine::next_event_at() {

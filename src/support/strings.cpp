@@ -168,18 +168,6 @@ std::optional<std::int64_t> parse_int(std::string_view text) {
   return value;
 }
 
-std::string join(const std::vector<std::string>& pieces,
-                 std::string_view separator) {
-  std::string out;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i != 0) {
-      out += separator;
-    }
-    out += pieces[i];
-  }
-  return out;
-}
-
 std::string format_fixed(double value, int decimals) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.*f", decimals, value);

@@ -172,10 +172,6 @@ constexpr std::tuple kMessages{
           required("busy_hosts", &HealthReportMsg::busy_hosts),
           required("overloaded_hosts", &HealthReportMsg::overloaded_hosts),
           required("timestamp", &HealthReportMsg::timestamp)),
-    table("recommend", required("found", &RecommendMsg::found),
-          defaulted("dest_host", &RecommendMsg::dest_host),
-          defaulted("dest_ip", &RecommendMsg::dest_ip),
-          defaulted("dest_port", &RecommendMsg::dest_port)),
     table("evacuate", required("host", &EvacuateMsg::host),
           defaulted("reason", &EvacuateMsg::reason)),
     table("relaunch", required("process_name", &RelaunchCmd::process_name),

@@ -134,10 +134,9 @@ TEST_F(StoreFixture, RateWithOneMoreSignalsSaturation) {
 }
 
 TEST_F(StoreFixture, PreRegistersZeroValuedMetrics) {
-  IoOptions options;
   obs::MetricsRegistry metrics;
-  options.metrics = &metrics;
-  SharedStore store{engine, options};
+  engine.attach_sinks(nullptr, &metrics);
+  SharedStore store{engine, IoOptions{}};
   ASSERT_NE(metrics.find_counter("ars_ckpt.writes"), nullptr);
   ASSERT_NE(metrics.find_counter("ars_ckpt.bytes"), nullptr);
   ASSERT_NE(metrics.find_counter("ars_ckpt.aborted"), nullptr);

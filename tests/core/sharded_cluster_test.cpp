@@ -198,6 +198,56 @@ TEST(ShardedCluster, EveryLayoutRepeatsItsDatagramStream) {
   }
 }
 
+// What a rerun cannot check: a deterministic change to the epoch horizon or
+// to cross-shard delivery repeats itself, so the tests above pass it.  These
+// values were taken from the engine before the change they guard against;
+// a change that moves one on purpose re-pins it and says why.
+struct Pinned {
+  int shards;
+  bool hierarchical;
+  std::uint64_t events;
+  std::uint64_t epochs;
+  std::uint64_t cross_messages;
+  std::uint64_t trace_hash;
+  std::vector<std::uint64_t> decision_log_hashes;  // FNV-1a, root's first
+};
+
+TEST(ShardedCluster, EveryLayoutMatchesItsPinnedValues) {
+  constexpr std::uint64_t kEmpty = support::fnv1a("");  // no decision
+  const Pinned pins[] = {
+      {1, true, 2097, 0, 0, 12223664958514748253ULL,
+       {kEmpty, 3795061470539949321ULL}},
+      {1, false, 2036, 0, 0, 13482038914836592667ULL, {3795061470539949321ULL}},
+      {2, true, 2149, 255, 3, 16327131699956980773ULL,
+       {kEmpty, 13114462019800996347ULL, 11014786543224487665ULL}},
+      {2, false, 1702, 350, 108, 1405271151150416994ULL,
+       {14585904771192816548ULL}},
+      {4, true, 2247, 255, 9, 16653049652866798703ULL,
+       {kEmpty, 8340403885954545149ULL, 3162876180821321649ULL,
+        11014786543224487665ULL, kEmpty}},
+      {4, false, 1442, 426, 192, 5090191329823482804ULL,
+       {13870558849661052453ULL}},
+  };
+  for (const Pinned& pin : pins) {
+    const std::string layout = pin.hierarchical ? "hierarchical" : "flat";
+    SCOPED_TRACE(std::to_string(pin.shards) + " shards, " + layout);
+    core::ShardedClusterOptions options = small_options();
+    options.shards = pin.shards;
+    options.hierarchical = pin.hierarchical;
+
+    const Observed a = run_once(options);
+    EXPECT_EQ(a.report.events, pin.events);
+    EXPECT_EQ(a.report.epochs, pin.epochs);
+    EXPECT_EQ(a.report.cross_messages, pin.cross_messages);
+    EXPECT_EQ(a.report.trace_hash, pin.trace_hash);
+    std::vector<std::uint64_t> hashes;
+    for (const std::string& log : a.decision_logs) {
+      hashes.push_back(support::fnv1a(log));
+    }
+    EXPECT_EQ(hashes, pin.decision_log_hashes);
+  }
+}
+
 TEST(ShardedCluster, ChaosReplayIsSeedStableUnderShards) {
   core::ShardedClusterOptions options = small_options();
   options.shards = 4;

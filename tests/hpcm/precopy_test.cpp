@@ -94,10 +94,9 @@ struct BlockApp {
 
 struct Cluster {
   explicit Cluster(MigrationEngine::Options hpcm_options = {})
-      : net(engine, net_options()),
+      : net(with_sinks(engine, tracer, metrics), net_options()),
         mpi(engine, net),
-        hpcm(mpi, with_obs(hpcm_options, tracer, metrics)) {
-    tracer.set_clock([this] { return engine.now(); });
+        hpcm(mpi, hpcm_options) {
     for (const char* name : {"ws1", "ws2", "ws3"}) {
       host::HostSpec spec;
       spec.name = name;
@@ -113,12 +112,11 @@ struct Cluster {
     return options;
   }
 
-  static MigrationEngine::Options with_obs(MigrationEngine::Options options,
-                                           obs::Tracer& tracer,
-                                           obs::MetricsRegistry& metrics) {
-    options.tracer = &tracer;
-    options.metrics = &metrics;
-    return options;
+  /// The engine, with the sinks attached before anything is built on it.
+  static Engine& with_sinks(Engine& engine, obs::Tracer& tracer,
+                            obs::MetricsRegistry& metrics) {
+    engine.attach_sinks(&tracer, &metrics);
+    return engine;
   }
 
   void crash_dest_at_phase(const std::string& phase,

@@ -55,15 +55,14 @@ struct CounterApp {
   }
 };
 
-/// A three-host cluster with observability wired into the migration engine,
-/// so tests can tune MPI and transaction options per case.
+/// A three-host cluster whose engine carries a tracer and a metrics
+/// registry, so tests can tune MPI and transaction options per case.
 struct Cluster {
   explicit Cluster(mpi::MpiSystem::Options mpi_options = {},
                    MigrationEngine::Options hpcm_options = {})
-      : net(engine, net_options()),
+      : net(with_sinks(engine, tracer, metrics), net_options()),
         mpi(engine, net, mpi_options),
-        hpcm(mpi, with_obs(hpcm_options, tracer, metrics)) {
-    tracer.set_clock([this] { return engine.now(); });
+        hpcm(mpi, hpcm_options) {
     host::HostSpec big;
     big.name = "ws1";
     host::HostSpec little;
@@ -84,12 +83,11 @@ struct Cluster {
     return options;
   }
 
-  static MigrationEngine::Options with_obs(MigrationEngine::Options options,
-                                           obs::Tracer& tracer,
-                                           obs::MetricsRegistry& metrics) {
-    options.tracer = &tracer;
-    options.metrics = &metrics;
-    return options;
+  /// The engine, with the sinks attached before anything is built on it.
+  static Engine& with_sinks(Engine& engine, obs::Tracer& tracer,
+                            obs::MetricsRegistry& metrics) {
+    engine.attach_sinks(&tracer, &metrics);
+    return engine;
   }
 
   /// Crash the destination when the transaction enters `phase`.  The

@@ -322,9 +322,8 @@ TEST_F(MalleableTest, RootFailureTearsDownJob) {
 
 TEST_F(MalleableTest, MetricsPreRegisteredAtZero) {
   obs::MetricsRegistry metrics;
-  MalleableEngine::Options options;
-  options.metrics = &metrics;
-  MalleableEngine malleable(mpi_, net_, options);
+  engine_.attach_sinks(nullptr, &metrics);
+  MalleableEngine malleable(mpi_, net_);
   const std::string json = metrics.to_json();
   // The full malleable.* schema is present before any resize ran.
   for (const char* name :
@@ -389,6 +388,8 @@ TEST_F(MalleableTest, TreeSpawnBeatsSequentialAt32Ranks) {
 /// fixture: the whole run must be byte-identical across repeats).
 std::string traced_run(mpi::SpawnStrategy strategy, std::uint64_t seed) {
   Engine engine;
+  obs::Tracer tracer;
+  engine.attach_sinks(&tracer, nullptr);
   net::Network::Options net_options;
   net_options.latency = 0.001;
   net::Network net(engine, net_options);
@@ -400,11 +401,7 @@ std::string traced_run(mpi::SpawnStrategy strategy, std::uint64_t seed) {
     net.attach(*hosts.back());
   }
   mpi::MpiSystem mpi(engine, net);
-  obs::Tracer tracer;
-  tracer.set_clock([&engine] { return engine.now(); });
-  MalleableEngine::Options options;
-  options.tracer = &tracer;
-  MalleableEngine malleable(mpi, net, options);
+  MalleableEngine malleable(mpi, net);
   JobSpec spec;
   spec.name = "job";
   spec.workload.blocks = 24;

@@ -17,7 +17,8 @@ using sim::Task;
 
 class NetFaultsTest : public ::testing::Test {
  protected:
-  NetFaultsTest() : net_(engine_, make_options(&metrics_)) {
+  NetFaultsTest() : net_(engine_, make_options()) {
+    engine_.attach_sinks(nullptr, &metrics_);
     for (const char* name : {"ws1", "ws2"}) {
       host::HostSpec spec;
       spec.name = name;
@@ -27,12 +28,11 @@ class NetFaultsTest : public ::testing::Test {
     inbox_ = &net_.bind("ws2", 7000);
   }
 
-  static Network::Options make_options(obs::MetricsRegistry* metrics) {
+  static Network::Options make_options() {
     Network::Options options;
     options.latency = 0.001;
     options.bandwidth_bps = 1000.0;
     options.message_overhead = 0;
-    options.metrics = metrics;
     return options;
   }
 

@@ -313,9 +313,8 @@ TEST(NetworkIds, DropsAreStillCountedByReason) {
   Engine engine;
   std::vector<std::unique_ptr<host::Host>> hosts;
   obs::MetricsRegistry metrics;
-  Network::Options options;
-  options.metrics = &metrics;
-  Network net{engine, options};
+  engine.attach_sinks(nullptr, &metrics);
+  Network net{engine};
   std::vector<HostId> ids;
   for (const char* name : {"ws1", "ws2"}) {
     host::HostSpec spec;
@@ -375,9 +374,8 @@ TEST(NetworkIds, DropsAreCountedWithoutALogRecord) {
 
   Engine engine;
   obs::MetricsRegistry metrics;
-  Network::Options options;
-  options.metrics = &metrics;
-  Network net{engine, options};
+  engine.attach_sinks(nullptr, &metrics);
+  Network net{engine};
   std::vector<std::unique_ptr<host::Host>> hosts;
   for (const char* name : {"ws1", "ws2"}) {
     host::HostSpec spec;

@@ -23,10 +23,8 @@ constexpr double kFabric = 0.005;
 struct ThreeShards {
   ThreeShards() {
     for (std::size_t shard = 0; shard < 3; ++shard) {
-      Network::Options options;
-      options.metrics = &metrics[shard];
-      networks.push_back(
-          std::make_unique<Network>(group.engine(shard), options));
+      group.engine(shard).attach_sinks(nullptr, &metrics[shard]);
+      networks.push_back(std::make_unique<Network>(group.engine(shard)));
       host::HostSpec spec;
       spec.name = std::string(1, static_cast<char>('a' + shard));
       hosts.push_back(

@@ -25,13 +25,13 @@ using rules::SystemState;
 class AuditTest : public ::testing::Test {
  protected:
   AuditTest() : net_(engine_) {
+    engine_.attach_sinks(&tracer_, &metrics_);
     for (const char* name : {"hub", "ws1", "ws2", "ws3", "ws4", "ws5"}) {
       host::HostSpec s;
       s.name = name;
       hosts_.push_back(std::make_unique<host::Host>(engine_, s));
       net_.attach(*hosts_.back());
     }
-    tracer_.set_clock([this] { return engine_.now(); });
     build(AuditMode::kAuto);
   }
 
@@ -40,8 +40,6 @@ class AuditTest : public ::testing::Test {
     Registry::Config config;
     config.policy = rules::paper_policy2();
     config.audit = audit;
-    config.tracer = &tracer_;
-    config.metrics = &metrics_;
     registry_ = std::make_unique<Registry>(*hosts_[0], net_, config);
     registry_->start();
   }

@@ -35,6 +35,7 @@ using sim::Engine;
 class LedgerTest : public ::testing::Test {
  protected:
   void build(Registry::Config config) {
+    engine_.attach_sinks(nullptr, &metrics_);
     for (const char* name : {"hub", "ws1", "ws2", "ws3", "ws4"}) {
       host::HostSpec s;
       s.name = name;
@@ -45,7 +46,6 @@ class LedgerTest : public ::testing::Test {
       }
     }
     config.policy = rules::paper_policy2();
-    config.metrics = &metrics_;
     registry_ = std::make_unique<Registry>(*hosts_[0], net_, config);
     registry_->start();
   }

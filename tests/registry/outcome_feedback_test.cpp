@@ -21,6 +21,7 @@ using sim::Engine;
 class OutcomeFeedbackTest : public ::testing::Test {
  protected:
   void build(Registry::Config config) {
+    engine_.attach_sinks(nullptr, &metrics_);
     for (const char* name : {"hub", "ws1", "ws2", "ws3"}) {
       host::HostSpec s;
       s.name = name;
@@ -28,7 +29,6 @@ class OutcomeFeedbackTest : public ::testing::Test {
       net_.attach(*hosts_.back());
     }
     config.policy = rules::paper_policy2();
-    config.metrics = &metrics_;
     registry_ = std::make_unique<Registry>(*hosts_[0], net_, config);
     registry_->start();
   }

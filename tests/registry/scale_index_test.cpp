@@ -39,9 +39,8 @@ double counter_value(const obs::MetricsRegistry& metrics,
 class ScaleIndexTest : public ::testing::Test {
  protected:
   void build(Registry::Config config = {}) {
-    net::Network::Options net_options;
-    net_options.metrics = &metrics_;
-    net_ = std::make_unique<net::Network>(engine_, net_options);
+    engine_.attach_sinks(nullptr, &metrics_);
+    net_ = std::make_unique<net::Network>(engine_);
     for (const char* name : {"hub", "ws1", "ws2", "ws3", "ws4", "ws5"}) {
       host::HostSpec s;
       s.name = name;
@@ -50,7 +49,6 @@ class ScaleIndexTest : public ::testing::Test {
     }
     config.policy = rules::paper_policy2();
     config.lease_ttl = 25.0;
-    config.metrics = &metrics_;
     registry_ = std::make_unique<Registry>(*hosts_[0], *net_, config);
     registry_->start();
   }

@@ -231,21 +231,6 @@ TEST(Engine, CancelEveryEventLeavesCleanQueue) {
   EXPECT_DOUBLE_EQ(engine.now(), 0.0);  // no live event: clock untouched
 }
 
-TEST(Engine, StopRequestHaltsRun) {
-  Engine engine;
-  int runs = 0;
-  engine.schedule_at(1.0, [&] {
-    ++runs;
-    engine.request_stop();
-  });
-  engine.schedule_at(2.0, [&] { ++runs; });
-  engine.run();
-  EXPECT_EQ(runs, 1);
-  engine.clear_stop();
-  engine.run();
-  EXPECT_EQ(runs, 2);
-}
-
 TEST(Engine, StepRunsExactlyOneEvent) {
   Engine engine;
   int runs = 0;

@@ -63,12 +63,6 @@ TEST(Strings, ParseIntAcceptsOnlyCompleteIntegers) {
   EXPECT_FALSE(parse_int("12abc").has_value());
 }
 
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ", "), "");
-  EXPECT_EQ(join({"only"}, ", "), "only");
-}
-
 TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(983.6, 1), "983.6");
   EXPECT_EQ(format_fixed(0.002, 3), "0.002");

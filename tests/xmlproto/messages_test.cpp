@@ -197,25 +197,6 @@ TEST(Messages, HealthRoundTrip) {
   EXPECT_EQ(back.overloaded_hosts, 1);
 }
 
-TEST(Messages, RecommendRoundTrip) {
-  RecommendMsg m;
-  m.found = true;
-  m.dest_host = "ws4";
-  m.dest_ip = "10.0.0.4";
-  m.dest_port = 5002;
-  const RecommendMsg back = round_trip(m);
-  EXPECT_TRUE(back.found);
-  EXPECT_EQ(back.dest_host, "ws4");
-}
-
-TEST(Messages, RecommendNotFound) {
-  RecommendMsg m;
-  m.found = false;
-  const RecommendMsg back = round_trip(m);
-  EXPECT_FALSE(back.found);
-  EXPECT_TRUE(back.dest_host.empty());
-}
-
 TEST(Messages, MigrationOutcomeRoundTrip) {
   MigrationOutcomeMsg m;
   m.process = "test_tree";
@@ -363,7 +344,6 @@ TEST(Messages, MessageTypeNames) {
   EXPECT_EQ(message_type(ProtocolMessage{RegisterMsg{}}), "register");
   EXPECT_EQ(message_type(ProtocolMessage{UpdateMsg{}}), "update");
   EXPECT_EQ(message_type(ProtocolMessage{MigrateCmd{}}), "migrate");
-  EXPECT_EQ(message_type(ProtocolMessage{RecommendMsg{}}), "recommend");
   EXPECT_EQ(message_type(ProtocolMessage{ResizeCmd{}}), "resize");
   EXPECT_EQ(message_type(ProtocolMessage{ResizeOutcomeMsg{}}),
             "resize_outcome");
@@ -374,6 +354,12 @@ TEST(Messages, DecodeRejectsGarbage) {
   EXPECT_FALSE(decode("<other/>").has_value());
   EXPECT_FALSE(decode("<ars/>").has_value());
   EXPECT_FALSE(decode("<ars type=\"nosuch\"/>").has_value());
+  // No message answers to "recommend" any more: it is an unknown type.
+  const auto recommend = decode(
+      "<ars type=\"recommend\"><found>true</found><dest_host>ws4"
+      "</dest_host><dest_port>5002</dest_port></ars>");
+  ASSERT_FALSE(recommend.has_value());
+  EXPECT_EQ(recommend.error().code, "proto_decode");
 }
 
 TEST(Messages, DeeplyNestedDocumentIsRejected) {
@@ -513,13 +499,14 @@ TEST(Messages, PortBeyondIntIsRejected) {
   EXPECT_FALSE(
       decode(with_field(sample_register(), "monitor_port", "4294972297")));
 
-  RecommendMsg recommend;
-  recommend.found = true;
-  recommend.dest_host = "ws4";
+  // A defaulted port beyond int decodes as the default.
+  HealthReportMsg health;
+  health.registry_host = "cluster-a";
+  health.registry_port = 5050;
   const auto decoded =
-      decode(with_field(recommend, "dest_port", "4294972298"));
+      decode(with_field(health, "registry_port", "4294972298"));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(std::get<RecommendMsg>(*decoded).dest_port, 0);
+  EXPECT_EQ(std::get<HealthReportMsg>(*decoded).registry_port, 0);
 }
 
 TEST(Messages, CountBeyondIntIsRejected) {

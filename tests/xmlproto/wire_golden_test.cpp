@@ -172,19 +172,6 @@ std::vector<Document> corpus() {
       R"(<busy_hosts>2</busy_hosts><overloaded_hosts>1</overloaded_hosts>)"
       R"(<timestamp>99.500000</timestamp></ars>)");
 
-  RecommendMsg recommend;
-  add("recommend/not-found", recommend, {},
-      R"(<ars type="recommend"><found>false</found><dest_host/><dest_ip/>)"
-      R"(<dest_port>0</dest_port></ars>)");
-  recommend.found = true;
-  recommend.dest_host = "ws4";
-  recommend.dest_ip = "10.0.0.4";
-  recommend.dest_port = 5002;
-  add("recommend/found", recommend, {/*txn=*/11},
-      R"(<ars txn="11" type="recommend"><found>true</found><dest_host>ws4)"
-      R"(</dest_host><dest_ip>10.0.0.4</dest_ip><dest_port>5002</dest_port>)"
-      R"(</ars>)");
-
   EvacuateMsg evacuate;
   evacuate.host = "ws3";
   evacuate.reason = "planned shutdown";
